@@ -24,7 +24,7 @@ from .modules import (
     Submodule,
     ideal_multiple,
     is_zero_module,
-    kernel_of_map,
+    kernel_submodule,
     mult_map,
     quotient_by_submodule,
     scaled_submodule,
@@ -69,8 +69,7 @@ def _power(ring, d: int, k: int) -> int:
 
 def _kernel_of_scalar(N: Presentation, c: int) -> Submodule:
     """ker(c * : N -> N) as a submodule of N."""
-    pres, incl = kernel_of_map(mult_map(N, c))
-    return Submodule(N, incl.matrix)
+    return kernel_submodule(mult_map(N, c))
 
 
 @lru_cache(maxsize=None)

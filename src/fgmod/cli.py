@@ -23,7 +23,7 @@ from .adic import (
     completion_wrt,
 )
 from .cohomology import local_cohomology, local_homology
-from .errors import FgmodError, NonStabilizing
+from .errors import FgmodError, InvalidGrid, NonStabilizing
 from .functors import ext, hom_module, matlis_dual, tensor_module, tor
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
 from .modules import canonical_form
@@ -111,9 +111,26 @@ def _result(args, pres) -> None:
     _emit(args, {"result": expr}, expr)
 
 
+def _load_grids(path: str) -> list:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidGrid(f"cannot read grid file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidGrid(f"grid file {path!r} is not valid JSON: {exc}") from None
+    return [grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "degree", 0) < 0:
+        print(f"error: degree must be nonnegative, got {args.degree}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.kmax < 0:
+        print(f"error: --kmax must be nonnegative, got {args.kmax}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         ring = parse_ring(args.ring)
@@ -177,11 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             claim_ids = None
             if args.claims:
                 claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
-            grids = None
-            if args.grid:
-                with open(args.grid) as fh:
-                    data = json.load(fh)
-                grids = [grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
+            grids = _load_grids(args.grid) if args.grid else None
             suite = run_suite(grids, claim_ids)
             out = format_reports_jsonl(suite) if args.format == "json-lines" else format_reports_text(suite)
             sys.stdout.write(out)

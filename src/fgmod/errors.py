@@ -48,3 +48,7 @@ class UnsupportedShape(FgmodError):
 
 class UnknownClaim(FgmodError):
     """The claim identifier is not registered with the harness."""
+
+
+class InvalidGrid(FgmodError):
+    """A verification grid description is missing a field or out of range."""

@@ -114,7 +114,7 @@ def _parse_atom(ring: RingSpec, text: str) -> Presentation:
         if rows and len({len(r) for r in rows}) > 1:
             raise GrammarError("coker rows must all have the same length")
         for r in rows:
-            if not all(isinstance(x, int) for x in r):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
                 raise GrammarError("coker entries must be integers")
         return Presentation.from_relations(ring, rows)
     raise GrammarError(f"cannot parse module atom {text!r}")

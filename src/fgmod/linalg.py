@@ -13,6 +13,7 @@ elimination kernel, no separate modular path).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DimensionMismatch, RingMismatch
 from .rings import RingSpec, ZZ
@@ -21,6 +22,7 @@ __all__ = [
     "MatrixR",
     "SmithDecomposition",
     "smith_normal_form",
+    "smith_diagonal",
     "solve_linear",
     "solve_columns",
     "spans_include",
@@ -41,16 +43,12 @@ class MatrixR:
     def __post_init__(self):
         if len(self.entries) != self.rows:
             raise DimensionMismatch("row count does not match entries")
+        cols = self.cols
+        if any(len(row) != cols for row in self.entries):
+            raise DimensionMismatch("ragged rows")
         n = self.ring.modulus
-        fixed = None
-        for i, row in enumerate(self.entries):
-            if len(row) != self.cols:
-                raise DimensionMismatch("ragged rows")
-            if n is not None and any(not 0 <= x < n for x in row):
-                if fixed is None:
-                    fixed = [tuple(x % n for x in r) for r in self.entries]
-        if fixed is not None:
-            object.__setattr__(self, "entries", tuple(fixed))
+        if n is not None and any(row and (min(row) < 0 or max(row) >= n) for row in self.entries):
+            object.__setattr__(self, "entries", tuple(tuple(x % n for x in r) for r in self.entries))
 
     @staticmethod
     def from_rows(ring: RingSpec, rows: list[list[int]]) -> "MatrixR":
@@ -116,16 +114,14 @@ class MatrixR:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         red = self.ring.reduce
         bt = other.transpose().entries
-        out = tuple(
-            tuple(red(sum(a * b for a, b in zip(row, col))) for col in bt) for row in self.entries
-        )
+        out = tuple(tuple(red(sum(map(mul, row, col))) for col in bt) for row in self.entries)
         return MatrixR(self.ring, self.rows, other.cols, out)
 
     def apply(self, vec: tuple[int, ...] | list[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
         red = self.ring.reduce
-        return tuple(red(sum(a * b for a, b in zip(row, vec))) for row in self.entries)
+        return tuple(red(sum(map(mul, row, vec))) for row in self.entries)
 
 
 def hstack(a: MatrixR, b: MatrixR) -> MatrixR:
@@ -207,18 +203,21 @@ def _swap_col(mat: list[list[int]], a: int, b: int):
         row[a], row[b] = row[b], row[a]
 
 
-def smith_normal_form(A: MatrixR) -> SmithDecomposition:
-    """Smith normal form over Z with both transforms.
+def _eliminate(A: MatrixR, track_u: bool, track_v: bool):
+    """Smith elimination of A over Z.
 
+    Returns the diagonalized working matrix D (as lists) and the row and
+    column transforms U and V with U @ A @ V = D, each None when not tracked.
     Pivot choice is the smallest nonzero absolute value, found by a
-    deterministic row-major scan, so results are reproducible.
+    deterministic row-major scan of the working matrix alone, so D and the
+    tracked transforms do not depend on which transforms are tracked.
     """
     if not A.ring.is_integers:
         raise RingMismatch("Smith normal form is computed over Z; lift Z/n inputs first")
     m, n = A.rows, A.cols
     a = A.to_lists()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_u else None
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_v else None
 
     for t in range(min(m, n)):
         # locate the smallest nonzero entry of the trailing block
@@ -239,10 +238,12 @@ def smith_normal_form(A: MatrixR) -> SmithDecomposition:
             break
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            U[t], U[pi] = U[pi], U[t]
+            if U is not None:
+                U[t], U[pi] = U[pi], U[t]
         if pj != t:
             _swap_col(a, t, pj)
-            _swap_col(V, t, pj)
+            if V is not None:
+                _swap_col(V, t, pj)
 
         while True:
             # clear column t below the pivot
@@ -253,11 +254,13 @@ def smith_normal_form(A: MatrixR) -> SmithDecomposition:
                     q = v // a[t][t]
                     if q:
                         _axpy_row(a, i, t, -q, start=t)
-                        _axpy_row(U, i, t, -q)
+                        if U is not None:
+                            _axpy_row(U, i, t, -q)
                     if a[i][t]:
                         # nonzero remainder: it becomes the (smaller) pivot
                         a[t], a[i] = a[i], a[t]
-                        U[t], U[i] = U[i], U[t]
+                        if U is not None:
+                            U[t], U[i] = U[i], U[t]
                         i = t + 1
                         continue
                 i += 1
@@ -270,10 +273,12 @@ def smith_normal_form(A: MatrixR) -> SmithDecomposition:
                     q = v // a[t][t]
                     if q:
                         _axpy_col(a, j, t, -q, start=t)
-                        _axpy_col(V, j, t, -q)
+                        if V is not None:
+                            _axpy_col(V, j, t, -q)
                     if a[t][j]:
                         _swap_col(a, t, j)
-                        _swap_col(V, t, j)
+                        if V is not None:
+                            _swap_col(V, t, j)
                         swapped = True
                         j = t + 1
                         continue
@@ -294,19 +299,34 @@ def smith_normal_form(A: MatrixR) -> SmithDecomposition:
             if fold < 0:
                 break
             _axpy_row(a, t, fold, 1, start=t)
-            _axpy_row(U, t, fold, 1)
+            if U is not None:
+                _axpy_row(U, t, fold, 1)
 
         if a[t][t] < 0:
             for j in range(t, n):
                 a[t][j] = -a[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
+            if U is not None:
+                for j in range(m):
+                    U[t][j] = -U[t][j]
 
+    return a, U, V
+
+
+def smith_normal_form(A: MatrixR) -> SmithDecomposition:
+    """Smith normal form over Z with both transforms."""
+    m, n = A.rows, A.cols
+    a, U, V = _eliminate(A, track_u=True, track_v=True)
     return SmithDecomposition(
         MatrixR.from_rows(ZZ, U) if m else MatrixR(ZZ, 0, 0, ()),
         MatrixR.from_rows(ZZ, a) if m else MatrixR(ZZ, 0, n, ()),
         MatrixR.from_rows(ZZ, V) if n else MatrixR(ZZ, 0, 0, ()),
     )
+
+
+def smith_diagonal(A: MatrixR) -> list[int]:
+    """The diagonal of the Smith normal form over Z, tracking no transform."""
+    a, _, _ = _eliminate(A, track_u=False, track_v=False)
+    return [a[i][i] for i in range(min(A.rows, A.cols))]
 
 
 def _solve_against_snf(snf: SmithDecomposition, b: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -326,20 +346,22 @@ def _solve_against_snf(snf: SmithDecomposition, b: tuple[int, ...]) -> tuple[int
     return V.apply(y)
 
 
+def _over_integers(A: MatrixR) -> MatrixR:
+    """A itself over Z; over Z/n the lift [A | n*I], whose integer column span
+    is the preimage of the span of A."""
+    if A.ring.is_integers:
+        return A
+    return hstack(A.lift(), MatrixR.diagonal(ZZ, [A.ring.modulus] * A.rows))
+
+
 class _Solver:
     """Repeated exact solves against a fixed coefficient matrix."""
 
     def __init__(self, A: MatrixR):
         self.ring = A.ring
         self.cols = A.cols
-        if A.ring.is_integers:
-            self._snf = smith_normal_form(A)
-            self._aug = 0
-        else:
-            n = A.ring.modulus
-            lifted = hstack(A.lift(), MatrixR.diagonal(ZZ, [n] * A.rows))
-            self._snf = smith_normal_form(lifted)
-            self._aug = A.rows
+        self._snf = smith_normal_form(_over_integers(A))
+        self._aug = 0 if A.ring.is_integers else A.rows
 
     def solve(self, b: tuple[int, ...]) -> tuple[int, ...] | None:
         x = _solve_against_snf(self._snf, b)
@@ -372,8 +394,29 @@ def solve_columns(A: MatrixR, B: MatrixR) -> MatrixR | None:
 
 
 def spans_include(A: MatrixR, B: MatrixR) -> bool:
-    """Whether every column of B lies in the column span of A."""
-    return solve_columns(A, B) is not None
+    """Whether every column of B lies in the column span of A.
+
+    With U A V = D over Z, A x = b is solvable exactly when each entry of U b
+    is divisible by the matching diagonal entry of D (and is zero past the
+    rank), so membership needs neither V nor a solution.  Rows whose
+    diagonal entry is 1 impose nothing and are skipped.
+    """
+    if A.rows != B.rows:
+        raise DimensionMismatch("A and B need equal row counts")
+    targets = [b for b in B.columns() if any(b)]
+    if not targets:
+        return True
+    lifted = _over_integers(A)
+    a, U, _ = _eliminate(lifted, track_u=True, track_v=False)
+    k = min(lifted.rows, lifted.cols)
+    diagonal = [a[i][i] if i < k else 0 for i in range(lifted.rows)]
+    conditions = [(u, d) for u, d in zip(U, diagonal) if d != 1]
+    for b in targets:
+        for u, d in conditions:
+            c = sum(map(mul, u, b))
+            if c % d if d else c:
+                return False
+    return True
 
 
 def kernel_generators(A: MatrixR) -> MatrixR:
@@ -382,17 +425,15 @@ def kernel_generators(A: MatrixR) -> MatrixR:
     Over Z the result is a basis of the (free) kernel.  Over Z/n the kernel of
     the lifted matrix [A | n*I] is projected back and reduced.
     """
+    a, _, V = _eliminate(_over_integers(A), track_u=False, track_v=True)
+    rows = len(a)
+    free = [j for j in range(len(V)) if j >= rows or a[j][j] == 0]
     if A.ring.is_integers:
-        snf = smith_normal_form(A)
-        D, V = snf.D, snf.V
-        free = [j for j in range(A.cols) if j >= A.rows or D.entries[j][j] == 0]
-        return from_columns(ZZ, [V.column(j) for j in free], A.cols)
+        return from_columns(ZZ, [tuple(r[j] for r in V) for j in free], A.cols)
     n = A.ring.modulus
-    lifted = hstack(A.lift(), MatrixR.diagonal(ZZ, [n] * A.rows))
-    ker = kernel_generators(lifted)
     cols = []
-    for j in range(ker.cols):
-        col = tuple(v % n for v in ker.column(j)[: A.cols])
+    for j in free:
+        col = tuple(V[i][j] % n for i in range(A.cols))
         if any(col):
             cols.append(col)
     return from_columns(A.ring, cols, A.cols)

@@ -24,7 +24,7 @@ from .linalg import (
     from_columns,
     hstack,
     kernel_generators,
-    smith_normal_form,
+    smith_diagonal,
     solve_columns,
     spans_include,
 )
@@ -43,6 +43,7 @@ __all__ = [
     "quotient_by_ideal",
     "ideal_multiple",
     "kernel_of_map",
+    "kernel_submodule",
     "mult_map",
     "identity_map",
     "submodule_equal",
@@ -121,8 +122,7 @@ def canonical_form(P: Presentation) -> CanonicalForm:
     else:
         n = P.ring.modulus
         rels = hstack(P.rels.lift(), MatrixR.diagonal(ZZ, [n] * g))
-    snf = smith_normal_form(rels.lift())
-    diag = snf.diagonal()
+    diag = smith_diagonal(rels.lift())
     factors = tuple(d for d in diag if d > 1)
     nonzero = sum(1 for d in diag if d != 0)
     free_rank = g - nonzero
@@ -242,15 +242,22 @@ class Submodule:
         return spans_include(self.ambient.rels, self.columns)
 
     def to_presentation(self) -> Presentation:
-        """The span as a standalone module on these generators."""
-        m = self.columns.cols
-        ker = kernel_generators(self._span())
-        rel_cols = []
-        for j in range(ker.cols):
-            col = ker.column(j)[:m]
-            if any(col):
-                rel_cols.append(col)
-        return Presentation(self.ambient.ring, m, from_columns(self.ambient.ring, rel_cols, m))
+        """The span as a standalone module on these generators.
+
+        Computed once per instance; later calls return the same object.
+        """
+        pres = self.__dict__.get("_presentation")
+        if pres is None:
+            m = self.columns.cols
+            ker = kernel_generators(self._span())
+            rel_cols = []
+            for j in range(ker.cols):
+                col = ker.column(j)[:m]
+                if any(col):
+                    rel_cols.append(col)
+            pres = Presentation(self.ambient.ring, m, from_columns(self.ambient.ring, rel_cols, m))
+            object.__setattr__(self, "_presentation", pres)
+        return pres
 
     def inclusion_map(self) -> ModuleMap:
         return ModuleMap(self.to_presentation(), self.ambient, self.columns)
@@ -287,8 +294,8 @@ def ideal_multiple(P: Presentation, a: Ideal) -> tuple[Presentation, ModuleMap]:
     return sub.to_presentation(), sub.inclusion_map()
 
 
-def kernel_of_map(f: ModuleMap) -> tuple[Presentation, ModuleMap]:
-    """{x in source : f(x) = 0 in target}, with its inclusion."""
+def kernel_submodule(f: ModuleMap) -> Submodule:
+    """{x in source : f(x) = 0 in target} as a submodule of the source."""
     src = f.source
     ker = kernel_generators(hstack(f.matrix, f.target.rels))
     cols = []
@@ -296,7 +303,12 @@ def kernel_of_map(f: ModuleMap) -> tuple[Presentation, ModuleMap]:
         col = ker.column(j)[: src.gens]
         if any(col):
             cols.append(col)
-    sub = Submodule(src, from_columns(src.ring, cols, src.gens))
+    return Submodule(src, from_columns(src.ring, cols, src.gens))
+
+
+def kernel_of_map(f: ModuleMap) -> tuple[Presentation, ModuleMap]:
+    """The kernel of f as a module, with its inclusion."""
+    sub = kernel_submodule(f)
     return sub.to_presentation(), sub.inclusion_map()
 
 

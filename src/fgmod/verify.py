@@ -33,7 +33,7 @@ from .adic import (
     torsion,
     torsion_submodule,
 )
-from .errors import NonStabilizing, UnknownClaim
+from .errors import InvalidGrid, NonStabilizing, UnknownClaim
 from .functors import ext, hom_module, hom_postcompose, tensor_module, tensor_postcompose, tor
 from .grammar import format_canonical, parse_module_expr
 from .linalg import MatrixR, from_columns
@@ -145,15 +145,42 @@ def default_grids() -> list[GridSpec]:
 
 
 def grid_from_dict(data: dict) -> GridSpec:
+    """A grid from its JSON description; raises InvalidGrid on a missing or
+    malformed field."""
     from .grammar import parse_ring
 
+    if not isinstance(data, dict):
+        raise InvalidGrid("a grid must be a JSON object")
+    for key in ("ring", "ideal_generators"):
+        if key not in data:
+            raise InvalidGrid(f"grid has no {key!r}")
+    if not isinstance(data["ring"], str):
+        raise InvalidGrid("grid 'ring' must be a string such as \"Z/6\"")
     ring = parse_ring(data["ring"])
+
+    def count(key: str, default: int) -> int:
+        try:
+            value = int(data.get(key, default))
+        except (TypeError, ValueError):
+            raise InvalidGrid(f"grid {key!r} must be an integer") from None
+        if value < 0:
+            raise InvalidGrid(f"grid {key!r} must be nonnegative, got {value}")
+        return value
+
+    try:
+        if not isinstance(data["ideal_generators"], list):
+            raise TypeError
+        ideal_generators = tuple(int(d) for d in data["ideal_generators"])
+    except (TypeError, ValueError):
+        raise InvalidGrid("grid 'ideal_generators' must be a list of integers") from None
     wl = data.get("module_whitelist")
+    if wl is not None and (not isinstance(wl, list) or not all(isinstance(e, str) for e in wl)):
+        raise InvalidGrid("grid 'module_whitelist' must be a list of module expressions")
     return GridSpec(
         ring,
-        int(data.get("max_torsion_order", 16)),
-        int(data.get("max_free_rank", 1 if ring.is_integers else 0)),
-        tuple(int(d) for d in data["ideal_generators"]),
+        count("max_torsion_order", 16),
+        count("max_free_rank", 1 if ring.is_integers else 0),
+        ideal_generators,
         tuple(wl) if wl is not None else None,
         str(data.get("label", "")),
     )

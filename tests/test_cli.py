@@ -137,3 +137,39 @@ def test_verify_text_format(tmp_path, capsys):
     assert code == 0
     assert any(line.startswith("PASS") and "gamma-dual" in line for line in out.splitlines())
     assert out.splitlines()[-1].startswith("summary:")
+
+
+def test_negative_degree_and_kmax_are_usage_errors(capsys):
+    for argv in (
+        ("ext", "-1", "Z/2", "Z/2"),
+        ("tor", "-1", "Z/2", "Z/2"),
+        ("glc", "-1", "--ideal", "2", "Z/2", "Z/4"),
+        ("glh", "-2", "--ideal", "2", "Z/2", "Z/4"),
+        ("glc", "1", "--ideal", "2", "--kmax", "-3", "Z", "Z/4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
+    bad = {
+        "broken.json": '{"ring": "Z",',
+        "no-ideals.json": '{"ring": "Z", "max_torsion_order": 4}',
+        "negative.json": '{"ring": "Z", "max_torsion_order": -1, "ideal_generators": [2]}',
+    }
+    paths = [str(tmp_path / "missing.json")]
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    for path in paths:
+        code, out, err = run(capsys, "verify", "--grid", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, path
+
+
+def test_boolean_coker_entries_are_rejected(capsys):
+    for literal in ("coker[[True]]", "coker[[1, False]]"):
+        code, out, err = run(capsys, "canon", literal)
+        assert code == 2 and out == ""
+        assert "integers" in err
