@@ -13,6 +13,10 @@ rows of a relation matrix (one generator per row, one relation per column).
 Canonical forms print as `Z^r + Z/d1 + Z/d2 + ...` with the invariant factors
 in ascending divisibility order, `Z` for a single free summand, and `0` for
 the zero module, so outputs are valid inputs.
+
+An expression may have at most MAX_GENERATORS generators in all, counting
+`^` powers and `coker` rows: dense elimination is cubic in the generator
+count, so a short string such as `Z/2^20000` would otherwise never finish.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .rings import Ideal, RingSpec, canonicalize_ideal
 
 __all__ = [
     "GrammarError",
+    "MAX_GENERATORS",
     "parse_ring",
     "parse_ideal",
     "parse_module_expr",
@@ -41,6 +46,8 @@ term   := atom (^ k)?
 atom   := Z | Z/<m> | 0 | coker[[..],[..]]
 examples: Z/4 + Z/2^2   Z^2 + Z/6   coker[[2,4],[6,8]]
 (`Z` atoms are illegal when the ring is Z/n)"""
+
+MAX_GENERATORS = 256
 
 
 class GrammarError(FgmodError):
@@ -126,6 +133,7 @@ def parse_module_expr(ring: RingSpec, text: str) -> Presentation:
     if not text:
         raise GrammarError("empty module expression")
     parts = []
+    gens = 0
     for term in _split_terms(text):
         term = term.strip()
         if not term:
@@ -141,7 +149,11 @@ def parse_module_expr(ring: RingSpec, text: str) -> Presentation:
                 raise GrammarError("exponent must be nonnegative")
             term = base
         atom = _parse_atom(ring, term)
-        parts.extend([atom] * power)
+        gens += atom.gens * power
+        if gens > MAX_GENERATORS:
+            raise GrammarError(f"module expression has more than {MAX_GENERATORS} generators")
+        if atom.gens:  # zero summands add nothing, however many
+            parts.extend([atom] * power)
     return direct_sum(ring, parts)
 
 

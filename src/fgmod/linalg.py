@@ -13,7 +13,8 @@ elimination kernel, no separate modular path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache
+from operator import itemgetter, mul
 
 from .errors import DimensionMismatch, RingMismatch
 from .rings import RingSpec, ZZ
@@ -50,6 +51,15 @@ class MatrixR:
         if n is not None and any(row and (min(row) < 0 or max(row) >= n) for row in self.entries):
             object.__setattr__(self, "entries", tuple(tuple(x % n for x in r) for r in self.entries))
 
+    def __hash__(self) -> int:
+        # computed once: matrices key memo tables, and rehashing every entry
+        # on each lookup costs more than the lookup itself
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.ring.modulus or 0, self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @staticmethod
     def from_rows(ring: RingSpec, rows: list[list[int]]) -> "MatrixR":
         r = len(rows)
@@ -61,6 +71,7 @@ class MatrixR:
         return MatrixR(ring, rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def identity(ring: RingSpec, k: int) -> "MatrixR":
         return MatrixR(
             ring, k, k, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
@@ -77,18 +88,13 @@ class MatrixR:
         return [list(r) for r in self.entries]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
+        return tuple(map(itemgetter(j), self.entries))
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def transpose(self) -> "MatrixR":
-        return MatrixR(
-            self.ring,
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        return MatrixR(self.ring, self.cols, self.rows, tuple(self.columns()))
 
     def scale(self, c: int) -> "MatrixR":
         red = self.ring.reduce
@@ -112,16 +118,21 @@ class MatrixR:
             raise RingMismatch("matrix product across rings")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        red = self.ring.reduce
-        bt = other.transpose().entries
-        out = tuple(tuple(red(sum(map(mul, row, col))) for col in bt) for row in self.entries)
+        bt = other.columns()
+        n = self.ring.modulus
+        if n is None:
+            out = tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.entries)
+        else:
+            out = tuple(tuple(sum(map(mul, row, col)) % n for col in bt) for row in self.entries)
         return MatrixR(self.ring, self.rows, other.cols, out)
 
     def apply(self, vec: tuple[int, ...] | list[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        red = self.ring.reduce
-        return tuple(red(sum(map(mul, row, vec))) for row in self.entries)
+        n = self.ring.modulus
+        if n is None:
+            return tuple(sum(map(mul, row, vec)) for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) % n for row in self.entries)
 
 
 def hstack(a: MatrixR, b: MatrixR) -> MatrixR:
@@ -139,9 +150,7 @@ def vstack(a: MatrixR, b: MatrixR) -> MatrixR:
 
 
 def from_columns(ring: RingSpec, cols: list[tuple[int, ...]], nrows: int) -> MatrixR:
-    return MatrixR(
-        ring, nrows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(nrows))
-    )
+    return MatrixR(ring, nrows, len(cols), tuple(zip(*cols)) if cols else ((),) * nrows)
 
 
 def block_diag(ring: RingSpec, blocks: list[MatrixR]) -> MatrixR:
@@ -161,16 +170,13 @@ def kron(a: MatrixR, b: MatrixR) -> MatrixR:
     """Kronecker product; (a ⊗ b)[r*rb+i][c*cb+j] = a[r][c] * b[i][j]."""
     if a.ring != b.ring:
         raise RingMismatch("kron across rings")
-    red = a.ring.reduce
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
+    n = a.ring.modulus
     out = []
-    for r in range(a.rows):
-        arow = a.entries[r]
-        for i in range(b.rows):
-            brow = b.entries[i]
-            out.append(tuple(red(arow[c] * brow[j]) for c in range(a.cols) for j in range(b.cols)))
-    return MatrixR(a.ring, rows, cols, tuple(out))
+    for arow in a.entries:
+        for brow in b.entries:
+            row = tuple(x * y for x in arow for y in brow)
+            out.append(row if n is None else tuple(v % n for v in row))
+    return MatrixR(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -203,21 +209,28 @@ def _swap_col(mat: list[list[int]], a: int, b: int):
         row[a], row[b] = row[b], row[a]
 
 
+@lru_cache(maxsize=128)
 def _eliminate(A: MatrixR, track_u: bool, track_v: bool):
     """Smith elimination of A over Z.
 
-    Returns the diagonalized working matrix D (as lists) and the row and
-    column transforms U and V with U @ A @ V = D, each None when not tracked.
-    Pivot choice is the smallest nonzero absolute value, found by a
-    deterministic row-major scan of the working matrix alone, so D and the
-    tracked transforms do not depend on which transforms are tracked.
+    Returns the diagonalized working matrix D and the row and column
+    transforms U and V with U @ A @ V = D, as tuples of row tuples, each
+    transform None when not tracked.  Pivot choice is the smallest nonzero
+    absolute value, found by a deterministic row-major scan of the working
+    matrix alone, so D and the tracked transforms do not depend on which
+    transforms are tracked.
+
+    The results are immutable and kept for the most recent inputs: a
+    certification or membership test usually eliminates a relation matrix
+    that was eliminated moments before.
     """
     if not A.ring.is_integers:
         raise RingMismatch("Smith normal form is computed over Z; lift Z/n inputs first")
     m, n = A.rows, A.cols
     a = A.to_lists()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_u else None
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_v else None
+    # V is kept transposed: its column operations become row operations
+    Vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_v else None
 
     for t in range(min(m, n)):
         # locate the smallest nonzero entry of the trailing block
@@ -242,8 +255,8 @@ def _eliminate(A: MatrixR, track_u: bool, track_v: bool):
                 U[t], U[pi] = U[pi], U[t]
         if pj != t:
             _swap_col(a, t, pj)
-            if V is not None:
-                _swap_col(V, t, pj)
+            if Vt is not None:
+                Vt[t], Vt[pj] = Vt[pj], Vt[t]
 
         while True:
             # clear column t below the pivot
@@ -273,29 +286,30 @@ def _eliminate(A: MatrixR, track_u: bool, track_v: bool):
                     q = v // a[t][t]
                     if q:
                         _axpy_col(a, j, t, -q, start=t)
-                        if V is not None:
-                            _axpy_col(V, j, t, -q)
+                        if Vt is not None:
+                            _axpy_row(Vt, j, t, -q)
                     if a[t][j]:
                         _swap_col(a, t, j)
-                        if V is not None:
-                            _swap_col(V, t, j)
+                        if Vt is not None:
+                            Vt[t], Vt[j] = Vt[j], Vt[t]
                         swapped = True
                         j = t + 1
                         continue
                 j += 1
             if swapped:
                 continue  # column t may be dirty again
-            # pivot must divide every entry of the trailing block
+            # pivot must divide every entry of the trailing block (a unit does)
             p = a[t][t]
             fold = -1
-            for i in range(t + 1, m):
-                ai = a[i]
-                for j in range(t + 1, n):
-                    if ai[j] % p:
-                        fold = i
+            if p != 1 and p != -1:
+                for i in range(t + 1, m):
+                    ai = a[i]
+                    for j in range(t + 1, n):
+                        if ai[j] % p:
+                            fold = i
+                            break
+                    if fold >= 0:
                         break
-                if fold >= 0:
-                    break
             if fold < 0:
                 break
             _axpy_row(a, t, fold, 1, start=t)
@@ -309,18 +323,18 @@ def _eliminate(A: MatrixR, track_u: bool, track_v: bool):
                 for j in range(m):
                     U[t][j] = -U[t][j]
 
-    return a, U, V
+    return (
+        tuple(map(tuple, a)),
+        None if U is None else tuple(map(tuple, U)),
+        None if Vt is None else tuple(zip(*Vt)),
+    )
 
 
 def smith_normal_form(A: MatrixR) -> SmithDecomposition:
     """Smith normal form over Z with both transforms."""
     m, n = A.rows, A.cols
     a, U, V = _eliminate(A, track_u=True, track_v=True)
-    return SmithDecomposition(
-        MatrixR.from_rows(ZZ, U) if m else MatrixR(ZZ, 0, 0, ()),
-        MatrixR.from_rows(ZZ, a) if m else MatrixR(ZZ, 0, n, ()),
-        MatrixR.from_rows(ZZ, V) if n else MatrixR(ZZ, 0, 0, ()),
-    )
+    return SmithDecomposition(MatrixR(ZZ, m, m, U), MatrixR(ZZ, m, n, a), MatrixR(ZZ, n, n, V))
 
 
 def smith_diagonal(A: MatrixR) -> list[int]:
@@ -351,7 +365,9 @@ def _over_integers(A: MatrixR) -> MatrixR:
     is the preimage of the span of A."""
     if A.ring.is_integers:
         return A
-    return hstack(A.lift(), MatrixR.diagonal(ZZ, [A.ring.modulus] * A.rows))
+    n, m = A.ring.modulus, A.rows
+    lifted = tuple(row + (0,) * i + (n,) + (0,) * (m - 1 - i) for i, row in enumerate(A.entries))
+    return MatrixR(ZZ, m, A.cols + m, lifted)
 
 
 class _Solver:
@@ -427,13 +443,14 @@ def kernel_generators(A: MatrixR) -> MatrixR:
     """
     a, _, V = _eliminate(_over_integers(A), track_u=False, track_v=True)
     rows = len(a)
+    v_cols = list(zip(*V))
     free = [j for j in range(len(V)) if j >= rows or a[j][j] == 0]
     if A.ring.is_integers:
-        return from_columns(ZZ, [tuple(r[j] for r in V) for j in free], A.cols)
+        return from_columns(ZZ, [v_cols[j] for j in free], A.cols)
     n = A.ring.modulus
     cols = []
     for j in free:
-        col = tuple(V[i][j] % n for i in range(A.cols))
+        col = tuple(x % n for x in v_cols[j][: A.cols])
         if any(col):
             cols.append(col)
     return from_columns(A.ring, cols, A.cols)

@@ -20,6 +20,7 @@ from math import prod
 from .errors import AmbientMismatch, RingMismatch
 from .linalg import (
     MatrixR,
+    _over_integers,
     block_diag,
     from_columns,
     hstack,
@@ -28,7 +29,7 @@ from .linalg import (
     solve_columns,
     spans_include,
 )
-from .rings import Ideal, RingSpec, ZZ
+from .rings import Ideal, RingSpec
 
 __all__ = [
     "Presentation",
@@ -70,6 +71,9 @@ class Presentation:
         if self.rels.ring != self.ring:
             raise RingMismatch("relations live over the wrong ring")
 
+    def __hash__(self) -> int:
+        return hash((self.ring.modulus or 0, self.gens, self.rels))
+
     @staticmethod
     def free(ring: RingSpec, rank: int) -> "Presentation":
         return Presentation(ring, rank, MatrixR(ring, rank, 0, ((),) * rank))
@@ -102,6 +106,14 @@ class CanonicalForm:
     torsion_factors: tuple[int, ...]
     free_rank: int
 
+    def __post_init__(self):
+        # forms key most memo tables; hash once, from plain ints and tuples
+        key = (self.ring.modulus or 0, self.torsion_factors, self.free_rank)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def is_trivial(self) -> bool:
         return not self.torsion_factors and self.free_rank == 0
@@ -116,21 +128,28 @@ class CanonicalForm:
 @lru_cache(maxsize=None)
 def canonical_form(P: Presentation) -> CanonicalForm:
     """Invariant factors read off the Smith normal form of the relations."""
-    g = P.gens
-    if P.ring.is_integers:
-        rels = P.rels
-    else:
-        n = P.ring.modulus
-        rels = hstack(P.rels.lift(), MatrixR.diagonal(ZZ, [n] * g))
-    diag = smith_diagonal(rels.lift())
+    diag = smith_diagonal(_over_integers(P.rels))
     factors = tuple(d for d in diag if d > 1)
     nonzero = sum(1 for d in diag if d != 0)
-    free_rank = g - nonzero
-    return CanonicalForm(P.ring, factors, free_rank)
+    free_rank = P.gens - nonzero
+    return _shared_form(CanonicalForm(P.ring, factors, free_rank))
 
 
+@lru_cache(maxsize=1024)
+def _shared_form(C: CanonicalForm) -> CanonicalForm:
+    """One object per canonical value: the first-seen form equal to C.
+
+    Memo tables keyed on forms then find their entries by identity instead
+    of by field-by-field comparison."""
+    return C
+
+
+@lru_cache(maxsize=1024)
 def canonical_presentation(C: CanonicalForm) -> Presentation:
-    """The diagonal presentation realizing a canonical form."""
+    """The diagonal presentation realizing a canonical form.
+
+    Equal forms give the same object, so memo tables keyed on it find their
+    entries by identity."""
     ring = C.ring
     k = len(C.torsion_factors)
     g = k + C.free_rank

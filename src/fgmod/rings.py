@@ -26,6 +26,9 @@ class RingSpec:
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2")
 
+    def __hash__(self) -> int:
+        return self.modulus or 0
+
     @staticmethod
     def integers() -> "RingSpec":
         return RingSpec(None)
@@ -64,6 +67,9 @@ class Ideal:
     ring: RingSpec
     generators: tuple[int, ...]
     canonical: int
+
+    def __hash__(self) -> int:
+        return hash((self.ring.modulus or 0, self.generators, self.canonical))
 
     def __str__(self) -> str:
         return f"({self.canonical})"

@@ -42,6 +42,7 @@ from .modules import (
     ModuleMap,
     Presentation,
     Submodule,
+    _shared_form,
     canonical_form,
     canonical_presentation,
     direct_sum,
@@ -125,7 +126,7 @@ def enumerate_forms(grid: GridSpec) -> tuple[CanonicalForm, ...]:
         return forms
     chains = _divisor_chains(grid.max_torsion_order, ring.modulus)
     ranks = range(grid.max_free_rank + 1) if ring.is_integers else (0,)
-    return tuple(CanonicalForm(ring, chain, r) for r in ranks for chain in chains)
+    return tuple(_shared_form(CanonicalForm(ring, chain, r)) for r in ranks for chain in chains)
 
 
 def enumerate_modules(grid: GridSpec) -> list[Presentation]:
@@ -383,13 +384,15 @@ def _submodule_generator_sets(c: CanonicalForm) -> tuple[tuple[tuple[int, ...], 
     return tuple(result)
 
 
-def _submodules_of(c: CanonicalForm) -> list[Submodule]:
+@lru_cache(maxsize=256)
+def _submodules_of(c: CanonicalForm) -> tuple[Submodule, ...]:
+    """Every submodule of a finite module, as shared objects: each one's
+    presentation is computed once for all ideals and claims."""
     ambient = _P(c)
-    subs = []
-    for gens in _submodule_generator_sets(c):
-        cols = from_columns(ambient.ring, [tuple(g) for g in gens], ambient.gens)
-        subs.append(Submodule(ambient, cols))
-    return subs
+    return tuple(
+        Submodule(ambient, from_columns(ambient.ring, [tuple(g) for g in gens], ambient.gens))
+        for gens in _submodule_generator_sets(c)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +469,7 @@ class _Tally:
                 self.counterexamples.append(f"{label}{(' : ' + note) if note else ''}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Ctx:
     grid: GridSpec
     ideals: tuple[Ideal, ...]
@@ -478,7 +481,10 @@ class _Ctx:
     deg: int
 
 
+@lru_cache(maxsize=16)
 def _make_ctx(grid: GridSpec) -> _Ctx:
+    """The grid's forms and ideals, built once per grid so that every claim
+    keys the memo tables on the same objects."""
     forms = enumerate_forms(grid)
     ideals = tuple(principal(grid.ring, d) for d in grid.ideal_generators)
     finite = tuple(c for c in forms if c.free_rank == 0)
@@ -493,6 +499,7 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
     return _Ctx(grid, ideals, forms, finite, small, finite_small, tiny, deg)
 
 
+@lru_cache(maxsize=1024)
 def _fmt(c: CanonicalForm) -> str:
     return format_canonical(c)
 
@@ -696,18 +703,27 @@ def _run_closure_quot(ctx: _Ctx):
                         )
 
 
-def _ses_instances(ctx: _Ctx):
-    """(ambient form, submodule, X form, quotient form) over small ambients."""
-    for yc in ctx.finite_small:
-        for sub in _submodules_of(yc):
-            xc = canonical_form(sub.to_presentation())
-            zc = canonical_form(quotient_by_submodule(_P(yc), sub))
-            yield yc, sub, xc, zc
+@lru_cache(maxsize=16)
+def _ses_instances(ambients: tuple[CanonicalForm, ...]):
+    """(ambient form, submodule, X form, quotient form) over the ambients."""
+    return tuple(
+        (yc, sub, canonical_form(sub.to_presentation()), canonical_form(quotient_by_submodule(_P(yc), sub)))
+        for yc in ambients
+        for sub in _submodules_of(yc)
+    )
+
+
+@lru_cache(maxsize=256)
+def _ses_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
+    """The inclusion X -> Y and the projection Y -> Y/X of 0 -> X -> Y -> Y/X -> 0."""
+    Y = sub.ambient
+    proj = ModuleMap(Y, quotient_by_submodule(Y, sub), MatrixR.identity(Y.ring, Y.gens))
+    return sub.inclusion_map(), proj
 
 
 def _run_extension_closure_r(ctx: _Ctx):
     for a in ctx.ideals:
-        for yc, sub, xc, zc in _ses_instances(ctx):
+        for yc, sub, xc, zc in _ses_instances(ctx.finite_small):
             for m in ctx.tiny:
                 if _cred_wrt(m, xc, a) and _cred_wrt(m, zc, a):
                     ok = _cred_wrt(m, yc, a)
@@ -720,7 +736,7 @@ def _run_extension_closure_r(ctx: _Ctx):
 
 def _run_extension_closure_c(ctx: _Ctx):
     for a in ctx.ideals:
-        for yc, sub, xc, zc in _ses_instances(ctx):
+        for yc, sub, xc, zc in _ses_instances(ctx.finite_small):
             for m in ctx.tiny:
                 if _ccored_wrt(m, xc, a) and _ccored_wrt(m, zc, a):
                     ok = _ccored_wrt(m, yc, a)
@@ -818,19 +834,18 @@ def _run_gm_adjunction(ctx: _Ctx):
 
 
 def _run_gamma_left_exact(ctx: _Ctx):
+    # the induced maps on Hom do not depend on the ideal
+    induced: dict[tuple[int, CanonicalForm], tuple[ModuleMap, ModuleMap]] = {}
     for a in ctx.ideals:
-        for yc, sub, xc, zc in _ses_instances(ctx):
-            Y = sub.ambient
-            X = sub.to_presentation()
-            Z = quotient_by_submodule(Y, sub)
-            incl = sub.inclusion_map()
-            proj = ModuleMap(Y, Z, MatrixR.identity(Y.ring, Y.gens))
+        for s, (yc, sub, xc, zc) in enumerate(_ses_instances(ctx.finite_small)):
             for mc in ctx.tiny:
                 if not (_cred_wrt(mc, xc, a) and _cred_wrt(mc, yc, a) and _cred_wrt(mc, zc, a)):
                     continue
-                M = _P(mc)
-                hi = hom_postcompose(M, incl)
-                hp = hom_postcompose(M, proj)
+                if (s, mc) not in induced:
+                    incl, proj = _ses_maps(sub)
+                    M = _P(mc)
+                    induced[s, mc] = hom_postcompose(M, incl), hom_postcompose(M, proj)
+                hi, hp = induced[s, mc]
                 sx, _ = torsion_submodule(hi.source, a)
                 sy, _ = torsion_submodule(hi.target, a)
                 sz, _ = torsion_submodule(hp.target, a)
@@ -851,18 +866,18 @@ def _run_gamma_left_exact(ctx: _Ctx):
 
 
 def _run_lambda_right_exact(ctx: _Ctx):
+    # the induced maps on tensors do not depend on the ideal
+    induced: dict[tuple[int, CanonicalForm], tuple[ModuleMap, ModuleMap]] = {}
     for a in ctx.ideals:
-        for yc, sub, xc, zc in _ses_instances(ctx):
-            Y = sub.ambient
-            Z = quotient_by_submodule(Y, sub)
-            incl = sub.inclusion_map()
-            proj = ModuleMap(Y, Z, MatrixR.identity(Y.ring, Y.gens))
+        for s, (yc, sub, xc, zc) in enumerate(_ses_instances(ctx.finite_small)):
             for mc in ctx.tiny:
                 if not (_ccored_wrt(mc, xc, a) and _ccored_wrt(mc, yc, a) and _ccored_wrt(mc, zc, a)):
                     continue
-                M = _P(mc)
-                ti = tensor_postcompose(M, incl)
-                tp = tensor_postcompose(M, proj)
+                if (s, mc) not in induced:
+                    incl, proj = _ses_maps(sub)
+                    M = _P(mc)
+                    induced[s, mc] = tensor_postcompose(M, incl), tensor_postcompose(M, proj)
+                ti, tp = induced[s, mc]
                 try:
                     k = max(
                         completion_exponent(ti.source, a),
@@ -1062,8 +1077,8 @@ def _run_b_class_membership(ctx: _Ctx):
 
 def _free_form(ring: RingSpec) -> CanonicalForm:
     if ring.is_integers:
-        return CanonicalForm(ring, (), 1)
-    return CanonicalForm(ring, (ring.modulus,), 0)
+        return _shared_form(CanonicalForm(ring, (), 1))
+    return _shared_form(CanonicalForm(ring, (ring.modulus,), 0))
 
 
 def _run_inherit_reduced(ctx: _Ctx):

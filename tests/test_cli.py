@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from fgmod.cli import main
+from fgmod.grammar import MAX_GENERATORS
 
 
 def run(capsys, *argv):
@@ -173,3 +175,29 @@ def test_boolean_coker_entries_are_rejected(capsys):
         code, out, err = run(capsys, "canon", literal)
         assert code == 2 and out == ""
         assert "integers" in err
+
+
+def test_oversized_module_expressions_are_usage_errors_and_fail_fast(capsys):
+    coker_257 = "coker[" + ",".join(["[2]"] * 257) + "]"
+    for argv in (
+        ("canon", "Z/2^20000"),
+        ("canon", "Z^257"),
+        ("canon", "Z/2^200 + Z/3^57"),
+        ("canon", coker_257),
+        ("hom", "Z/2", "Z/4^300"),
+        ("check", "reduced", "--ring", "Z/8", "--ideal", "2", "Z/2^1000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("error:") == 1, argv
+        assert f"more than {MAX_GENERATORS} generators" in err
+
+
+def test_module_expressions_at_the_generator_limit_are_accepted(capsys):
+    code, out, _ = run(capsys, "canon", f"Z^{MAX_GENERATORS}")
+    assert code == 0 and out == f"Z^{MAX_GENERATORS}"
+    # zero summands have no generators, however many there are
+    code, out, _ = run(capsys, "canon", "0^1000000000000000000000 + coker[]^7 + Z/3")
+    assert code == 0 and out == "Z/3"

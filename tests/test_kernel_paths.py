@@ -114,7 +114,7 @@ def test_partial_eliminations_match_the_full_smith_form(seed):
     for _, A in samples(100 + seed, 60):
         Z = A.lift()
         full = smith_normal_form(Z)
-        D, U, V = full.D.to_lists(), full.U.to_lists(), full.V.to_lists()
+        D, U, V = full.D.entries, full.U.entries, full.V.entries
         assert _eliminate(Z, track_u=False, track_v=False) == (D, None, None)
         assert _eliminate(Z, track_u=True, track_v=False) == (D, U, None)
         assert _eliminate(Z, track_u=False, track_v=True) == (D, None, V)
