@@ -27,13 +27,7 @@ from .errors import FgmodError, InvalidGrid, NonStabilizing
 from .functors import ext, hom_module, matlis_dual, tensor_module, tor
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
 from .modules import canonical_form
-from .verify import (
-    format_reports_jsonl,
-    format_reports_text,
-    grid_from_dict,
-    registered_claims,
-    run_suite,
-)
+from . import verify  # lazy: only `fgmod verify` loads the harness (see fgmod/__init__.py)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -119,7 +113,7 @@ def _load_grids(path: str) -> list:
         raise InvalidGrid(f"cannot read grid file {path!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise InvalidGrid(f"grid file {path!r} is not valid JSON: {exc}") from None
-    return [grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
+    return [verify.grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -188,15 +182,15 @@ def main(argv: list[str] | None = None) -> int:
             _emit(args, {"result": verdict}, "true" if verdict else "false")
         elif cmd == "verify":
             if args.list_claims:
-                for cid in registered_claims():
+                for cid in verify.registered_claims():
                     print(cid)
                 return EXIT_OK
             claim_ids = None
             if args.claims:
                 claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
             grids = _load_grids(args.grid) if args.grid else None
-            suite = run_suite(grids, claim_ids)
-            out = format_reports_jsonl(suite) if args.format == "json-lines" else format_reports_text(suite)
+            suite = verify.run_suite(grids, claim_ids)
+            out = verify.format_reports_jsonl(suite) if args.format == "json-lines" else verify.format_reports_text(suite)
             sys.stdout.write(out)
             return EXIT_OK if suite.all_expected else EXIT_UNEXPECTED_CLAIM
         return EXIT_OK

@@ -49,6 +49,10 @@ class UnsupportedShape(FgmodError):
 class UnknownClaim(FgmodError):
     """The claim identifier is not registered with the harness."""
 
+    def __init__(self, claim_id: str):
+        self.claim_id = claim_id
+        super().__init__(f"unknown claim {claim_id!r}; `fgmod verify --list-claims` lists the known ids")
+
 
 class InvalidGrid(FgmodError):
     """A verification grid description is missing a field or out of range."""

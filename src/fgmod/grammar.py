@@ -54,13 +54,23 @@ class GrammarError(FgmodError):
     """Unparseable ring, ideal, or module expression."""
 
 
+def _modulus(digits: str) -> int:
+    """The value of a matched run of digits.  Python refuses to convert very
+    long decimal strings (about 4300 digits by default); that is a usage
+    error here, not a crash."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise GrammarError(f"modulus with {len(digits)} digits is too long") from None
+
+
 def parse_ring(text: str) -> RingSpec:
     text = text.strip()
     if text == "Z":
         return RingSpec.integers()
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
-        n = int(m.group(1))
+        n = _modulus(m.group(1))
         if n < 2:
             raise GrammarError(f"modulus must be >= 2, got {n}")
         return RingSpec.mod(n)
@@ -106,7 +116,7 @@ def _parse_atom(ring: RingSpec, text: str) -> Presentation:
         return Presentation.free(ring, 1)
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
-        d = int(m.group(1))
+        d = _modulus(m.group(1))
         if d < 1:
             raise GrammarError("cyclic modulus must be >= 1")
         return Presentation.cyclic(ring, d)

@@ -201,3 +201,19 @@ def test_module_expressions_at_the_generator_limit_are_accepted(capsys):
     # zero summands have no generators, however many there are
     code, out, _ = run(capsys, "canon", "0^1000000000000000000000 + coker[]^7 + Z/3")
     assert code == 0 and out == "Z/3"
+
+
+def test_moduli_too_long_to_convert_are_usage_errors(capsys):
+    # Python refuses int() on decimal strings past about 4300 digits
+    huge = "1" * 5000
+    for argv in (("canon", f"Z/{huge}"), ("canon", "--ring", f"Z/{huge}", "Z"), ("canon", f"Z/2 + Z/{huge}")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv[:2]
+        assert err.startswith("error:") and err.count("error:") == 1
+        assert "Traceback" not in err and "5000 digits" in err
+
+
+def test_unknown_claim_names_the_id_and_the_listing(capsys):
+    code, out, err = run(capsys, "verify", "--claims", "nope")
+    assert code == 2 and out == ""
+    assert err == "error: unknown claim 'nope'; `fgmod verify --list-claims` lists the known ids\n"
