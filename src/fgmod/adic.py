@@ -1,15 +1,17 @@
 """Torsion and completion along an ideal, and the (co)reduced predicates.
 
-Both functors are evaluated by stabilizing a chain.  The torsion submodule is
-the union of the kernels of multiplication by d^k, which always stabilizes
-for finitely generated modules over Z or Z/n.  The completion is the quotient
-by d^k once the chain of ideal multiples d^k N becomes constant; when that
-chain keeps shrinking past the iteration bound (a free Z-part with d not in
-{0, +-1}) the completion is not finitely generated and NonStabilizing is
-raised rather than a wrong value returned.
+Values are read off invariant factors by `fgmod.cyclic`: each function
+canonicalizes its operands once, and the torsion and completion of a
+summand Z/m along (d) are both Z/gcd(d^k, m), at the least k where the
+chain gcd(d^k, m) stops growing.  The module's exponent is the largest k
+over its summands.  A completion whose chain keeps shrinking past the
+iteration bound (a free Z-part with d not in {0, +-1}) is not finitely
+generated, and NonStabilizing is raised rather than a wrong value returned.
+The predicates compare gcd(d, m) with gcd(d^2, m), so they are total.
 
-The predicates use the finite characterizations (kernel comparison and
-ideal-multiple comparison) and never need a completion, so they are total.
+The torsion submodule and the quotients N / a^k N are submodules and
+quotients of N's own presentation; they are computed there, by kernels of
+multiplication by d^k and by appended relations.
 """
 
 from __future__ import annotations
@@ -17,20 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import cyclic
 from .errors import NonStabilizing
-from .linalg import MatrixR, hstack, spans_include
+from .linalg import MatrixR
 from .modules import (
     Presentation,
     Submodule,
-    ideal_multiple,
-    is_zero_module,
+    canonical_form,
+    canonical_presentation,
     kernel_submodule,
     mult_map,
     quotient_by_submodule,
     scaled_submodule,
-    submodule_equal,
 )
-from .functors import hom_module, tensor_module
 from .rings import Ideal, ideal_power
 
 __all__ = [
@@ -67,11 +68,6 @@ def _power(ring, d: int, k: int) -> int:
     return d**k
 
 
-def _kernel_of_scalar(N: Presentation, c: int) -> Submodule:
-    """ker(c * : N -> N) as a submodule of N."""
-    return kernel_submodule(mult_map(N, c))
-
-
 @lru_cache(maxsize=None)
 def torsion_submodule(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> tuple[Submodule, int]:
     """Elements killed by some power of the ideal, with the stabilization
@@ -80,7 +76,7 @@ def torsion_submodule(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> tu
     prev = Submodule(N, MatrixR(N.ring, N.gens, 0, ((),) * N.gens))
     k = 0
     while True:
-        nxt = _kernel_of_scalar(N, _power(N.ring, d, k + 1))
+        nxt = kernel_submodule(mult_map(N, _power(N.ring, d, k + 1)))
         # the chain ascends, so equality is one inclusion
         if prev.contains(nxt):
             return prev, k
@@ -92,23 +88,13 @@ def torsion_submodule(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> tu
 
 def torsion(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> StabilizationResult:
     """The submodule of elements killed by a power of the ideal."""
-    sub, k = torsion_submodule(N, a, kmax)
-    return StabilizationResult(sub.to_presentation(), k)
+    value, k = cyclic.torsion(canonical_form(N), a.canonical, kmax)
+    return StabilizationResult(canonical_presentation(value), k)
 
 
-@lru_cache(maxsize=None)
 def completion_exponent(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> int:
     """Least k with d^k N = d^(k+1) N; raises when the chain keeps shrinking."""
-    d = a.canonical
-    for k in range(kmax + 1):
-        low = scaled_submodule(N, _power(N.ring, d, k + 1))
-        # the chain descends, so equality is one inclusion
-        if spans_include(
-            hstack(low.columns, N.rels),
-            scaled_submodule(N, _power(N.ring, d, k)).columns,
-        ):
-            return k
-    raise NonStabilizing(f"chain of ideal multiples of ({d})", kmax)
+    return cyclic.completion(canonical_form(N), a.canonical, kmax)[1]
 
 
 def power_quotient(N: Presentation, a: Ideal, k: int) -> Presentation:
@@ -118,56 +104,40 @@ def power_quotient(N: Presentation, a: Ideal, k: int) -> Presentation:
 
 def completion(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> StabilizationResult:
     """The limit of N / a^k N, available once the chain a^k N is constant."""
-    k = completion_exponent(N, a, kmax)
-    return StabilizationResult(power_quotient(N, a, k), k)
+    value, k = cyclic.completion(canonical_form(N), a.canonical, kmax)
+    return StabilizationResult(canonical_presentation(value), k)
 
 
 def torsion_wrt(M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
     """Two-argument torsion: the ideal-torsion of Hom(M, N)."""
-    return torsion(hom_module(M, N), a, kmax).value
+    hom = cyclic.hom(canonical_form(M), canonical_form(N))
+    return canonical_presentation(cyclic.torsion(hom, a.canonical, kmax)[0])
 
 
 def completion_wrt(M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
     """Two-argument completion: the ideal-completion of M (x) N."""
-    return completion(tensor_module(M, N), a, kmax).value
+    tensor = cyclic.tensor(canonical_form(M), canonical_form(N))
+    return canonical_presentation(cyclic.completion(tensor, a.canonical, kmax)[0])
 
 
-@lru_cache(maxsize=None)
 def is_reduced(N: Presentation, a: Ideal) -> bool:
-    """Whether d^2 x = 0 forces d x = 0 for every element x.
-
-    Two independent routes are evaluated and must agree: comparing the kernels
-    of d and d^2, and checking that the ideal kills the torsion submodule.
-    """
-    d = a.canonical
-    by_kernels = submodule_equal(
-        _kernel_of_scalar(N, d), _kernel_of_scalar(N, _power(N.ring, d, 2))
-    )
-    gam = torsion(N, a).value
-    multiple, _ = ideal_multiple(gam, a)
-    by_obstruction = is_zero_module(multiple)
-    if by_kernels != by_obstruction:
-        raise RuntimeError("kernel-chain and obstruction routes disagree; arithmetic bug")
-    return by_kernels
+    """Whether d^2 x = 0 forces d x = 0 for every element x."""
+    return cyclic.is_reduced(canonical_form(N), a.canonical)
 
 
-@lru_cache(maxsize=None)
 def is_coreduced(N: Presentation, a: Ideal) -> bool:
     """Whether d N = d^2 N as submodules of N."""
-    d = a.canonical
-    return submodule_equal(
-        scaled_submodule(N, d), scaled_submodule(N, _power(N.ring, d, 2))
-    )
+    return cyclic.is_coreduced(canonical_form(N), a.canonical)
 
 
 def is_reduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
     """Whether Hom(M, N) is a reduced module for this ideal."""
-    return is_reduced(hom_module(M, N), a)
+    return cyclic.is_reduced(cyclic.hom(canonical_form(M), canonical_form(N)), a.canonical)
 
 
 def is_coreduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
     """Whether M (x) N is a coreduced module for this ideal."""
-    return is_coreduced(tensor_module(M, N), a)
+    return cyclic.is_coreduced(cyclic.tensor(canonical_form(M), canonical_form(N)), a.canonical)
 
 
 def is_in_both_classes(M: Presentation, N: Presentation, a: Ideal) -> bool:

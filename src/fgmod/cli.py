@@ -24,7 +24,8 @@ from .adic import (
 )
 from .cohomology import local_cohomology, local_homology
 from .errors import FgmodError, InvalidGrid, NonStabilizing
-from .functors import ext, hom_module, matlis_dual, tensor_module, tor
+from . import cyclic
+from .functors import ext, matlis_dual, tor
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
 from .modules import canonical_form
 from . import verify  # lazy: only `fgmod verify` loads the harness (see fgmod/__init__.py)
@@ -101,7 +102,15 @@ def _emit(args, payload: dict, text: str):
 
 
 def _result(args, pres) -> None:
-    expr = format_canonical(canonical_form(pres))
+    _result_form(args, canonical_form(pres))
+
+
+def _canon(ring, expr: str):
+    return canonical_form(parse_module_expr(ring, expr))
+
+
+def _result_form(args, C) -> None:
+    expr = format_canonical(C)
     _emit(args, {"result": expr}, expr)
 
 
@@ -140,9 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         if cmd == "canon":
             _result(args, parse_module_expr(ring, args.module))
         elif cmd == "hom":
-            _result(args, hom_module(parse_module_expr(ring, args.source), parse_module_expr(ring, args.target)))
+            # only the value is printed, so it is read off the invariant factors
+            _result_form(args, cyclic.hom(_canon(ring, args.source), _canon(ring, args.target)))
         elif cmd == "tensor":
-            _result(args, tensor_module(parse_module_expr(ring, args.left), parse_module_expr(ring, args.right)))
+            _result_form(args, cyclic.tensor(_canon(ring, args.left), _canon(ring, args.right)))
         elif cmd == "dual":
             _result(args, matlis_dual(parse_module_expr(ring, args.module)))
         elif cmd == "ext":

@@ -1,0 +1,239 @@
+"""Values of the module functors, read off invariant factors.
+
+Over Z and Z/n every finitely generated module is a direct sum of cyclic
+modules, and its canonical form lists them.  Hom, tensor, Ext, Tor, the
+torsion and completion along (d), the quotient N/cN and the (co)reduced
+predicates are all additive over cyclic summands, with a gcd closed form for
+each summand or pair of summands.  This module evaluates them on canonical
+forms and builds no matrix, so its cost is bounded by the number of summands
+and the length of their moduli.
+
+A summand is named by its order: m >= 2 for Z/m, and 0 for a free Z summand
+(over Z/n a free summand is Z/n).  Results are merged back into invariant
+factors by refining their orders into a coprime base: no integer is
+factored, so moduli may have thousands of digits.
+
+Maps are not values.  Induced maps, submodules and quotients by submodules
+live on presentations, in `functors`, `adic` and `modules`.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import gcd
+
+from .errors import FreePartNotSupported, NonStabilizing, RingMismatch
+from .modules import CanonicalForm, _shared_form
+
+__all__ = [
+    "hom",
+    "tensor",
+    "ext",
+    "tor",
+    "torsion",
+    "completion",
+    "is_reduced",
+    "is_coreduced",
+    "quotient",
+    "direct_sum",
+    "dual",
+]
+
+# entries per memo table: about as many distinct Hom questions as the
+# default verify suite asks (35,000), and more than any other kind there
+_MEMO = 1 << 15
+
+
+def _orders(C: CanonicalForm) -> tuple[int, ...]:
+    return (0,) * C.free_rank + C.torsion_factors
+
+
+def _same_ring(M: CanonicalForm, N: CanonicalForm, what: str) -> None:
+    if M.ring != N.ring:
+        raise RingMismatch(f"{what} of modules over different rings")
+
+
+def _form(ring, orders) -> CanonicalForm:
+    """The canonical form of the direct sum of cyclic summands of these orders."""
+    free = 0
+    finite = []
+    for m in orders:
+        if m == 0:
+            free += 1
+        elif m > 1:
+            finite.append(m)
+    return _shared_form(CanonicalForm(ring, _invariant_factors(finite), free))
+
+
+def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """d1 | d2 | ... whose cyclic groups sum to those of the given orders."""
+    orders.sort()
+    if all(b % a == 0 for a, b in zip(orders, orders[1:])):
+        return tuple(orders)
+    counts: dict[int, int] = {}
+    for m in orders:
+        counts[m] = counts.get(m, 0) + 1
+    # By the Chinese remainder theorem Z/m is the sum of its parts Z/b^e over
+    # a coprime base; the j-th largest exponents of every b make the j-th
+    # largest invariant factor.
+    columns = []
+    for b in _coprime_base(counts):
+        exps = []
+        for m, r in counts.items():
+            e = 0
+            while m % b == 0:
+                m //= b
+                e += 1
+            exps.extend([e] * r)
+        exps.sort(reverse=True)
+        columns.append((b, exps))
+    factors = []
+    for j in range(len(orders)):
+        f = 1
+        for b, exps in columns:
+            f *= b ** exps[j]
+        if f == 1:
+            break
+        factors.append(f)
+    return tuple(reversed(factors))
+
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime numbers > 1 of which every value is a product."""
+    todo = [v for v in values if v > 1]
+    base: list[int] = []
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                # x * b becomes x/g * b/g * g: the product falls, so this ends
+                del base[i]
+                todo.extend(y for y in (x // g, b // g, g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+@lru_cache(maxsize=_MEMO)
+def hom(M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
+    """Hom(Z/a, Z/b) = Z/gcd(a, b), with Hom(Z/a, Z) = 0."""
+    _same_ring(M, N, "Hom")
+    return _form(M.ring, [1 if a and not b else gcd(a, b) for a in _orders(M) for b in _orders(N)])
+
+
+@lru_cache(maxsize=_MEMO)
+def tensor(M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
+    """Z/a (x) Z/b = Z/gcd(a, b)."""
+    _same_ring(M, N, "tensor")
+    return _form(M.ring, [gcd(a, b) for a in _orders(M) for b in _orders(N)])
+
+
+def _positive_degree(i: int, M: CanonicalForm, N: CanonicalForm, over_z) -> CanonicalForm:
+    """Ext^i and Tor_i for i >= 1, summand by summand.
+
+    Over Z/n, Z/a has the 2-periodic resolution
+    ... -> R --a--> R --n/a--> R --a--> R; against Z/b both complexes have
+    cyclic homology of order gcd(a, b) * gcd(n/a, b) / b in every positive
+    degree.  Z is hereditary: only degree 1 survives, as Z/gcd(a, b) for
+    each torsion summand Z/a of M and each order b in `over_z` (Ext sees a
+    free summand of N, Tor does not).
+    """
+    if not M.ring.is_integers:
+        n = M.ring.modulus
+        orders = [gcd(a, b) * gcd(n // a, b) // b for a in M.torsion_factors for b in N.torsion_factors]
+    else:
+        orders = [gcd(a, b) for a in M.torsion_factors for b in over_z] if i == 1 else []
+    return _form(M.ring, orders)
+
+
+@lru_cache(maxsize=_MEMO)
+def ext(i: int, M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
+    """Ext^i(M, N); Ext^0 is Hom."""
+    if i < 0:
+        raise ValueError("degree must be nonnegative")
+    _same_ring(M, N, "Ext")
+    return hom(M, N) if i == 0 else _positive_degree(i, M, N, _orders(N))
+
+
+@lru_cache(maxsize=_MEMO)
+def tor(i: int, M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
+    """Tor_i(M, N); Tor_0 is the tensor product."""
+    if i < 0:
+        raise ValueError("degree must be nonnegative")
+    _same_ring(M, N, "Tor")
+    return tensor(M, N) if i == 0 else _positive_degree(i, M, N, N.torsion_factors)
+
+
+def _limit(C: CanonicalForm, d: int, kmax: int, free: tuple[int, int] | None, chain: str):
+    """Each summand Z/m settles at gcd(d^k, m) for the least k with
+    gcd(d^k, m) = gcd(d^(k+1), m); a free summand gives `free` (order and k),
+    or never settles when `free` is None.  The module's exponent is the
+    largest k; past kmax, NonStabilizing is raised."""
+    orders = []
+    top = 0
+    for m in _orders(C):
+        if m == 0:
+            if free is None:
+                raise NonStabilizing(f"{chain} of ({d})", kmax)
+            g, k = free
+        else:
+            g, k = 1, 0
+            while (nxt := gcd(g * d, m)) != g and k <= kmax:
+                g, k = nxt, k + 1
+        if k > kmax:
+            raise NonStabilizing(f"{chain} of ({d})", kmax)
+        orders.append(g)
+        top = max(top, k)
+    return _form(C.ring, orders), top
+
+
+@lru_cache(maxsize=_MEMO)
+def torsion(C: CanonicalForm, d: int, kmax: int) -> tuple[CanonicalForm, int]:
+    """The elements killed by a power of d, and the least k with
+    ker d^k = ker d^(k+1).  On Z that kernel is 0 unless d = 0."""
+    return _limit(C, d, kmax, (0, 1) if d == 0 else (1, 0), "kernel chain")
+
+
+@lru_cache(maxsize=_MEMO)
+def completion(C: CanonicalForm, d: int, kmax: int) -> tuple[CanonicalForm, int]:
+    """The limit of C/d^kC, and the least k with d^kC = d^(k+1)C.  On Z the
+    chain d^kZ settles only when d is 0 or a unit."""
+    free = (0, 1) if d == 0 else (1, 0) if abs(d) == 1 else None
+    return _limit(C, d, kmax, free, "chain of ideal multiples")
+
+
+@lru_cache(maxsize=_MEMO)
+def is_reduced(C: CanonicalForm, d: int) -> bool:
+    """Whether d^2 x = 0 forces d x = 0: gcd(d, m) = gcd(d^2, m) on every
+    finite summand (a free Z summand has no torsion)."""
+    d2 = d * d
+    return all(gcd(d, m) == gcd(d2, m) for m in C.torsion_factors)
+
+
+@lru_cache(maxsize=_MEMO)
+def is_coreduced(C: CanonicalForm, d: int) -> bool:
+    """Whether dC = d^2C: the same test on finite summands, and a free Z
+    summand passes only when d is 0 or a unit."""
+    return (not C.free_rank or abs(d) <= 1) and is_reduced(C, d)
+
+
+def quotient(C: CanonicalForm, c: int) -> CanonicalForm:
+    """C/cC: Z/m becomes Z/gcd(c, m)."""
+    return _form(C.ring, [gcd(c, m) for m in _orders(C)])
+
+
+def direct_sum(parts: list[CanonicalForm]) -> CanonicalForm:
+    """The direct sum of nonempty `parts`."""
+    for p in parts:
+        _same_ring(parts[0], p, "direct sum")
+    return _form(parts[0].ring, [m for p in parts for m in _orders(p)])
+
+
+def dual(C: CanonicalForm) -> CanonicalForm:
+    """Hom into the injective cogenerator keeps every invariant factor:
+    Hom(Z/m, Q/Z) = Z/m over Z, and Hom(Z/m, Z/n) = Z/m for m | n."""
+    if C.free_rank:
+        raise FreePartNotSupported("dual of a module with free part is not finitely generated")
+    return C

@@ -54,5 +54,9 @@ class UnknownClaim(FgmodError):
         super().__init__(f"unknown claim {claim_id!r}; `fgmod verify --list-claims` lists the known ids")
 
 
+class AnswerTooLong(FgmodError):
+    """An answer has a modulus too long to print in decimal."""
+
+
 class InvalidGrid(FgmodError):
     """A verification grid description is missing a field or out of range."""

@@ -1,16 +1,18 @@
 """Hom, tensor, duality, free resolutions, Ext and Tor.
 
-Hom modules, Ext and Tor are all computed by the same pattern: flatten
-matrices column-major into a free ambient module, cut out the solution set of
-a linear condition (a kernel computation over the ring), and quotient by a
-degeneracy span.  With vec stacking columns, the two identities used
-throughout are vec(H @ P) = (P^T (x) I) vec(H) and vec(Q @ Y) = (I (x) Q)
-vec(Y).
+Values and maps are computed in different places.  A value question (what
+is Ext^i(M, N) up to isomorphism?) is answered by `fgmod.cyclic` from the
+operands' invariant factors: `ext`, `tor` and `matlis_dual` canonicalize each
+operand once and return the canonical presentation of the answer.
 
-Ext and Tor are taken from a free resolution of the *first* argument only;
-symmetry of Tor is verified empirically by the harness rather than by a
-balanced implementation.  Over Z/n resolutions can be infinite, so prefixes
-are computed to the requested degree with no periodicity detection.
+The Hom and tensor modules themselves, and the maps they induce, live on the
+operands' own presentations, because an induced map must be expressed on
+the generators it acts on.  `hom_data` flattens matrices column-major into a
+free ambient module, cuts out the solution set of a linear condition (a
+kernel computation over the ring) and quotients by a degeneracy span.  With
+vec stacking columns, the two identities used are vec(H @ P) = (P^T (x) I)
+vec(H) and vec(Q @ Y) = (I (x) Q) vec(Y).  `free_resolution_prefix` computes
+resolutions to a requested length the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FreePartNotSupported, RingMismatch
+from . import cyclic
+from .errors import RingMismatch
 from .linalg import MatrixR, from_columns, hstack, kernel_generators, kron
 from .modules import (
     ModuleMap,
@@ -113,20 +116,10 @@ def tensor_module(M: Presentation, N: Presentation) -> Presentation:
 
 
 def matlis_dual(N: Presentation) -> Presentation:
-    """Hom into the chosen injective cogenerator.
-
-    Over Z the cogenerator is Q/Z and the dual of a torsion module is computed
-    factor-wise: Hom(Z/d, Q/Z) is the cyclic module on 1/d, so the dual has
-    the same invariant factors.  Free summands would leave the finitely
-    generated world.  Over Z/n the ring is its own injective cogenerator, so
-    the dual is Hom(N, R).
-    """
-    if N.ring.is_integers:
-        C = canonical_form(N)
-        if C.free_rank:
-            raise FreePartNotSupported("dual of a module with free part is not finitely generated")
-        return canonical_presentation(C)
-    return hom_module(N, Presentation.free(N.ring, 1))
+    """Hom into the chosen injective cogenerator: Q/Z over Z, the ring itself
+    over Z/n.  It keeps every invariant factor (see `cyclic.dual`); a free
+    part over Z would leave the finitely generated world and raises."""
+    return canonical_presentation(cyclic.dual(canonical_form(N)))
 
 
 @dataclass(frozen=True)
@@ -161,55 +154,14 @@ def free_resolution_prefix(M: Presentation, length: int) -> FreeResolutionPrefix
     return FreeResolutionPrefix(M, length, tuple(diffs))
 
 
-@lru_cache(maxsize=None)
 def ext(i: int, M: Presentation, N: Presentation) -> Presentation:
-    """Degree-i cohomology of Hom(F, N) for a free resolution F of M."""
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
-    if M.ring != N.ring:
-        raise RingMismatch("Ext of modules over different rings")
-    ring = M.ring
-    res = free_resolution_prefix(M, i + 1)
-    h, Q = N.gens, N.rels
-    f_i = res.rank(i)
-    dim = h * f_i
-    d_out = res.differentials[i]  # F_{i+1} -> F_i
-    cond = hstack(
-        kron(d_out.transpose(), MatrixR.identity(ring, h)),
-        kron(MatrixR.identity(ring, d_out.cols), Q),
-    )
-    Z = _project_kernel(cond, dim, ring) if cond.rows else MatrixR.identity(ring, dim)
-    W = kron(MatrixR.identity(ring, f_i), Q)
-    if i > 0:
-        d_in = res.differentials[i - 1]  # F_i -> F_{i-1}; precomposition is the coboundary
-        W = hstack(kron(d_in.transpose(), MatrixR.identity(ring, h)), W)
-    return _present_subquotient(Z, W)
+    """Ext^i(M, N), read off the invariant factors (see `cyclic.ext`)."""
+    return canonical_presentation(cyclic.ext(i, canonical_form(M), canonical_form(N)))
 
 
-@lru_cache(maxsize=None)
 def tor(i: int, M: Presentation, N: Presentation) -> Presentation:
-    """Degree-i homology of F (x) N for a free resolution F of M."""
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
-    if M.ring != N.ring:
-        raise RingMismatch("Tor of modules over different rings")
-    ring = M.ring
-    res = free_resolution_prefix(M, i + 1)
-    h, Q = N.gens, N.rels
-    f_i = res.rank(i)
-    dim = h * f_i
-    if i == 0:
-        Z = MatrixR.identity(ring, dim)
-    else:
-        d_out = res.differentials[i - 1]  # F_i -> F_{i-1}
-        cond = hstack(
-            kron(d_out, MatrixR.identity(ring, h)),
-            kron(MatrixR.identity(ring, d_out.rows), Q),
-        )
-        Z = _project_kernel(cond, dim, ring) if cond.rows else MatrixR.identity(ring, dim)
-    d_in = res.differentials[i]  # F_{i+1} -> F_i; its image is the boundary span
-    W = hstack(kron(d_in, MatrixR.identity(ring, h)), kron(MatrixR.identity(ring, f_i), Q))
-    return _present_subquotient(Z, W)
+    """Tor_i(M, N), read off the invariant factors (see `cyclic.tor`)."""
+    return canonical_presentation(cyclic.tor(i, canonical_form(M), canonical_form(N)))
 
 
 def hom_postcompose(M: Presentation, f: ModuleMap) -> ModuleMap:

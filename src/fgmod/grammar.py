@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 import re
 
-from .errors import FgmodError
+from .errors import AnswerTooLong, FgmodError
 from .modules import CanonicalForm, Presentation, direct_sum
 from .rings import Ideal, RingSpec, canonicalize_ideal
 
@@ -168,11 +168,18 @@ def parse_module_expr(ring: RingSpec, text: str) -> Presentation:
 
 
 def format_canonical(C: CanonicalForm) -> str:
-    """Render a canonical form in the input grammar."""
+    """Render a canonical form in the input grammar.
+
+    A modulus too long for Python to print in decimal (the same limit the
+    parser has) raises AnswerTooLong instead of crashing."""
     parts = []
     if C.free_rank == 1:
         parts.append("Z")
     elif C.free_rank > 1:
         parts.append(f"Z^{C.free_rank}")
-    parts.extend(f"Z/{d}" for d in C.torsion_factors)
+    try:
+        parts.extend(f"Z/{d}" for d in C.torsion_factors)
+    except ValueError:
+        digits = max(C.torsion_factors).bit_length() * 30103 // 100000
+        raise AnswerTooLong(f"the answer has a modulus of about {digits} digits, too long to print") from None
     return " + ".join(parts) if parts else "0"

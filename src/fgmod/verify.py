@@ -11,9 +11,13 @@ a time over every instance in scope, and reports a verdict per claim:
            free summand and a generator outside {0, +-1}).
 
 All grid walks are deterministic, so identical inputs produce byte-identical
-reports.  Heavy functor evaluations are memoized on canonical forms: every
-question asked here is isomorphism-invariant, so collapsing a presentation to
-its canonical form first is sound and keeps matrices small.
+reports.  Modules are enumerated as canonical forms, and every value a claim
+compares (Hom, tensor, Ext, Tor, torsion, completion, duals and the
+(co)reduced predicates) is read off their invariant factors by
+`fgmod.cyclic`, the same layer the library's value functions use.  The
+characterizations that must not share that arithmetic (the ideal-multiple
+route of the equivalence claims) and the exactness claims, which need
+induced maps, run on presentations with `functors` and `modules`.
 """
 
 from __future__ import annotations
@@ -22,19 +26,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .adic import (
-    DEFAULT_KMAX,
-    completion_exponent,
-    is_coreduced,
-    is_reduced,
-    power_quotient,
-    torsion,
-    torsion_submodule,
-)
-from .errors import InvalidGrid, NonStabilizing, UnknownClaim
-from .functors import ext, hom_module, hom_postcompose, tensor_module, tensor_postcompose, tor
+from . import cyclic
+from .adic import DEFAULT_KMAX, completion_exponent, power_quotient, torsion_submodule
+from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
+from .functors import hom_postcompose, tensor_postcompose
 from .grammar import format_canonical, parse_module_expr
 from .linalg import MatrixR, from_columns
 from .modules import (
@@ -45,10 +42,8 @@ from .modules import (
     _shared_form,
     canonical_form,
     canonical_presentation,
-    direct_sum,
     ideal_multiple,
     kernel_of_map,
-    quotient_by_ideal,
     quotient_by_submodule,
     restrict_map,
     submodule_equal,
@@ -188,112 +183,52 @@ def grid_from_dict(data: dict) -> GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# canonical-form level evaluation cache
+# values on canonical forms, read off invariant factors by fgmod.cyclic
 
 
 def _P(c: CanonicalForm) -> Presentation:
     return canonical_presentation(c)
 
 
-@lru_cache(maxsize=None)
-def _chom(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
-    return canonical_form(hom_module(_P(a), _P(b)))
+def _torsion(c: CanonicalForm, ideal: Ideal) -> CanonicalForm:
+    return cyclic.torsion(c, ideal.canonical, DEFAULT_KMAX)[0]
 
 
-@lru_cache(maxsize=None)
-def _ctensor(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
-    return canonical_form(tensor_module(_P(a), _P(b)))
-
-
-@lru_cache(maxsize=None)
-def _cquot(a: CanonicalForm, ideal: Ideal) -> CanonicalForm:
-    return canonical_form(quotient_by_ideal(_P(a), ideal))
-
-
-@lru_cache(maxsize=None)
-def _cpow_quot(a: CanonicalForm, ideal: Ideal, k: int) -> CanonicalForm:
-    return canonical_form(power_quotient(_P(a), ideal, k))
-
-
-@lru_cache(maxsize=None)
-def _cext(i: int, a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
-    return canonical_form(ext(i, _P(a), _P(b)))
-
-
-@lru_cache(maxsize=None)
-def _ctor(i: int, a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
-    return canonical_form(tor(i, _P(a), _P(b)))
-
-
-@lru_cache(maxsize=None)
-def _ctorsion(a: CanonicalForm, ideal: Ideal) -> CanonicalForm:
-    return canonical_form(torsion(_P(a), ideal).value)
-
-
-def _never_stabilizes(a: CanonicalForm, d: int) -> bool:
-    # a free Z-summand shrinks strictly under every power of d >= 2
-    return a.ring.is_integers and a.free_rank > 0 and d not in (0, 1)
-
-
-@lru_cache(maxsize=None)
-def _cchain_exp(a: CanonicalForm, ideal: Ideal, kmax: int = DEFAULT_KMAX) -> int | None:
-    """Stabilization exponent of the ideal-multiple chain, None if provably
-    or practically unreachable."""
-    if _never_stabilizes(a, ideal.canonical):
-        return None
+def _completion(c: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
+    """The completion, or None where the chain of ideal multiples never
+    stabilizes (a free Z-summand and a generator outside {0, +-1})."""
     try:
-        return completion_exponent(_P(a), ideal, kmax)
+        return cyclic.completion(c, ideal.canonical, DEFAULT_KMAX)[0]
     except NonStabilizing:
         return None
 
 
-@lru_cache(maxsize=None)
-def _ccompletion(a: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
-    k = _cchain_exp(a, ideal)
-    if k is None:
-        return None
-    return _cpow_quot(a, ideal, k)
-
-
 def _ctorsion_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm:
-    return _ctorsion(_chom(m, n), ideal)
+    return _torsion(cyclic.hom(m, n), ideal)
 
 
 def _ccompletion_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
-    return _ccompletion(_ctensor(m, n), ideal)
-
-
-@lru_cache(maxsize=None)
-def _cis_reduced(a: CanonicalForm, ideal: Ideal) -> bool:
-    return is_reduced(_P(a), ideal)
-
-
-@lru_cache(maxsize=None)
-def _cis_coreduced(a: CanonicalForm, ideal: Ideal) -> bool:
-    return is_coreduced(_P(a), ideal)
+    return _completion(cyclic.tensor(m, n), ideal)
 
 
 def _cred_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
-    return _cis_reduced(_chom(m, n), ideal)
+    return cyclic.is_reduced(cyclic.hom(m, n), ideal.canonical)
 
 
 def _ccored_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
-    return _cis_coreduced(_ctensor(m, n), ideal)
+    return cyclic.is_coreduced(cyclic.tensor(m, n), ideal.canonical)
 
 
 def _cboth(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
     return _cred_wrt(m, n, ideal) and _ccored_wrt(m, n, ideal)
 
 
-@lru_cache(maxsize=None)
-def _cdual(a: CanonicalForm) -> CanonicalForm | None:
-    if a.ring.is_integers:
-        if a.free_rank:
-            return None
-        return a  # factor-wise duality against Q/Z preserves invariant factors
-    from .functors import matlis_dual
-
-    return canonical_form(matlis_dual(_P(a)))
+def _dual(c: CanonicalForm) -> CanonicalForm | None:
+    """The dual, or None where a free part leaves it undefined."""
+    try:
+        return cyclic.dual(c)
+    except FreePartNotSupported:
+        return None
 
 
 # _cglc and _cglh still take the collapsed branch in every degree, where the
@@ -305,22 +240,22 @@ def _cdual(a: CanonicalForm) -> CanonicalForm | None:
 @lru_cache(maxsize=None)
 def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
     if _cred_wrt(m, n, ideal):
-        return _cext(i, _cquot(m, ideal), n)
-    k = _cchain_exp(m, ideal)
-    if k is None:
+        return cyclic.ext(i, cyclic.quotient(m, ideal.canonical), n)
+    mk = _completion(m, ideal)
+    if mk is None:
         return None
-    return _cext(i, _cpow_quot(m, ideal, k), n)
+    return cyclic.ext(i, mk, n)
 
 
 # collapsed in every degree, unlike local_homology: see the note on _cglc
 @lru_cache(maxsize=None)
 def _cglh(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
     if _ccored_wrt(m, n, ideal):
-        return _ctor(i, _cquot(m, ideal), n)
-    k = _cchain_exp(m, ideal)
-    if k is None:
+        return cyclic.tor(i, cyclic.quotient(m, ideal.canonical), n)
+    mk = _completion(m, ideal)
+    if mk is None:
         return None
-    return _ctor(i, _cpow_quot(m, ideal, k), n)
+    return cyclic.tor(i, mk, n)
 
 
 def _cf_projective(c: CanonicalForm) -> bool:
@@ -517,14 +452,14 @@ def _run_equiv_reduced(ctx: _Ctx):
     for a in ctx.ideals:
         a2 = ideal_power(a, 2)
         for m in ctx.forms:
-            mq, mq2 = _cquot(m, a), _cquot(m, a2)
+            mq, mq2 = cyclic.quotient(m, a.canonical), cyclic.quotient(m, a2.canonical)
             for n in ctx.forms:
                 b1 = _cred_wrt(m, n, a)
-                b2 = _chom(mq, n) == _chom(mq2, n)
+                b2 = cyclic.hom(mq, n) == cyclic.hom(mq2, n)
                 g = _ctorsion_wrt(m, n, a)
-                b3 = g == _chom(mq, n)
+                b3 = g == cyclic.hom(mq, n)
                 b4 = canonical_form(ideal_multiple(_P(g), a)[0]).is_trivial
-                b5 = _cis_reduced(g, a)
+                b5 = cyclic.is_reduced(g, a.canonical)
                 ok = b1 == b2 == b3 == b4 == b5
                 yield _lbl(a, M=m, N=n), ok, "" if ok else f"({b1},{b2},{b3},{b4},{b5})"
 
@@ -533,10 +468,10 @@ def _run_equiv_coreduced(ctx: _Ctx):
     for a in ctx.ideals:
         a2 = ideal_power(a, 2)
         for m in ctx.forms:
-            mq, mq2 = _cquot(m, a), _cquot(m, a2)
+            mq, mq2 = cyclic.quotient(m, a.canonical), cyclic.quotient(m, a2.canonical)
             for n in ctx.forms:
                 b1 = _ccored_wrt(m, n, a)
-                b2 = _ctensor(mq, n) == _ctensor(mq2, n)
+                b2 = cyclic.tensor(mq, n) == cyclic.tensor(mq2, n)
                 if b1 != b2:
                     yield _lbl(a, M=m, N=n), False, f"({b1},{b2})"
                     continue
@@ -544,9 +479,9 @@ def _run_equiv_coreduced(ctx: _Ctx):
                 if lam is None:
                     yield _lbl(a, M=m, N=n), None, "completion chain does not stabilize"
                     continue
-                b3 = lam == _ctensor(mq, n)
+                b3 = lam == cyclic.tensor(mq, n)
                 b4 = canonical_form(ideal_multiple(_P(lam), a)[0]).is_trivial
-                b5 = _cis_coreduced(lam, a)
+                b5 = cyclic.is_coreduced(lam, a.canonical)
                 ok = b1 == b2 == b3 == b4 == b5
                 yield _lbl(a, M=m, N=n), ok, "" if ok else f"({b1},{b2},{b3},{b4},{b5})"
 
@@ -555,12 +490,12 @@ def _run_gamma_compose(ctx: _Ctx):
     # two-argument torsion per its limit definition vs torsion of the hom module
     for a in ctx.ideals:
         for m in ctx.forms:
-            k = _cchain_exp(m, a)
+            mk = _completion(m, a)
             for n in ctx.forms:
-                if k is None:
+                if mk is None:
                     yield _lbl(a, M=m, N=n), None, "ideal-multiple chain of M does not stabilize"
                     continue
-                lhs = _chom(_cpow_quot(m, a, k), n)
+                lhs = cyclic.hom(mk, n)
                 rhs = _ctorsion_wrt(m, n, a)
                 yield _lbl(a, M=m, N=n), lhs == rhs, ""
 
@@ -568,15 +503,15 @@ def _run_gamma_compose(ctx: _Ctx):
 def _run_gamma_hom_commute(ctx: _Ctx):
     for a in ctx.ideals:
         for n in ctx.forms:
-            gn = _ctorsion(n, a)
+            gn = _torsion(n, a)
             for m in ctx.forms:
-                yield _lbl(a, M=m, N=n), _ctorsion_wrt(m, n, a) == _chom(m, gn), ""
+                yield _lbl(a, M=m, N=n), _ctorsion_wrt(m, n, a) == cyclic.hom(m, gn), ""
 
 
 def _run_gamma_reflect(ctx: _Ctx):
     for a in ctx.ideals:
         for n in ctx.forms:
-            gn = _ctorsion(n, a)
+            gn = _torsion(n, a)
             for m in ctx.forms:
                 yield _lbl(a, M=m, N=n), _cred_wrt(m, n, a) == _cred_wrt(m, gn, a), ""
 
@@ -584,7 +519,7 @@ def _run_gamma_reflect(ctx: _Ctx):
 def _run_reduced_implies_wrt(ctx: _Ctx):
     for a in ctx.ideals:
         for n in ctx.forms:
-            if not _cis_reduced(n, a):
+            if not cyclic.is_reduced(n, a.canonical):
                 continue
             for k in ctx.forms:
                 yield _lbl(a, K=k, N=n), _cred_wrt(k, n, a), ""
@@ -593,7 +528,7 @@ def _run_reduced_implies_wrt(ctx: _Ctx):
 def _run_coreduced_m_absorbs(ctx: _Ctx):
     for a in ctx.ideals:
         for m in ctx.forms:
-            if not _cis_coreduced(m, a):
+            if not cyclic.is_coreduced(m, a.canonical):
                 continue
             for n in ctx.forms:
                 yield _lbl(a, M=m, N=n), _cred_wrt(m, n, a), ""
@@ -603,57 +538,32 @@ def _run_tensor_coreduced(ctx: _Ctx):
     for a in ctx.ideals:
         for m in ctx.forms:
             for n in ctx.forms:
-                if _cis_coreduced(m, a) or _cis_coreduced(n, a):
-                    yield _lbl(a, M=m, N=n), _cis_coreduced(_ctensor(m, n), a), ""
+                if cyclic.is_coreduced(m, a.canonical) or cyclic.is_coreduced(n, a.canonical):
+                    yield _lbl(a, M=m, N=n), cyclic.is_coreduced(cyclic.tensor(m, n), a.canonical), ""
 
 
-def _run_hom_into_reduced(ctx: _Ctx):
+def _run_functor_stays(in_class, functor, ctx: _Ctx):
+    # Hom lands in the reduced class, tensor stays in the coreduced class
     for a in ctx.ideals:
         for m in ctx.small:
             for x in ctx.small:
                 if not _ccored_wrt(m, x, a):
                     continue
                 for y in ctx.small:
-                    yield _lbl(a, M=m, X=x, Y=y), _cred_wrt(m, _chom(x, y), a), ""
+                    yield _lbl(a, M=m, X=x, Y=y), in_class(m, functor(x, y), a), ""
 
 
-def _run_tensor_stays(ctx: _Ctx):
-    for a in ctx.ideals:
-        for m in ctx.small:
-            for x in ctx.small:
-                if not _ccored_wrt(m, x, a):
-                    continue
-                for y in ctx.small:
-                    yield _lbl(a, M=m, X=x, Y=y), _ccored_wrt(m, _ctensor(x, y), a), ""
-
-
-def _csum(parts: tuple[CanonicalForm, ...]) -> CanonicalForm:
-    ring = parts[0].ring
-    return canonical_form(direct_sum(ring, [_P(p) for p in parts]))
-
-
-def _run_closure_products(ctx: _Ctx):
+def _run_closure_sums(in_class, ctx: _Ctx):
+    # finite products and finite sums are both direct sums
     for a in ctx.ideals:
         for m in ctx.small:
             for n1 in ctx.small:
-                if not _cred_wrt(m, n1, a):
+                if not in_class(m, n1, a):
                     continue
                 for n2 in ctx.small:
-                    if not _cred_wrt(m, n2, a):
+                    if not in_class(m, n2, a):
                         continue
-                    yield _lbl(a, M=m, N1=n1, N2=n2), _cred_wrt(m, _csum((n1, n2)), a), ""
-
-
-def _run_closure_sums(ctx: _Ctx):
-    for a in ctx.ideals:
-        for m in ctx.small:
-            for n1 in ctx.small:
-                if not _ccored_wrt(m, n1, a):
-                    continue
-                for n2 in ctx.small:
-                    if not _ccored_wrt(m, n2, a):
-                        continue
-                    yield _lbl(a, M=m, N1=n1, N2=n2), _ccored_wrt(m, _csum((n1, n2)), a), ""
+                    yield _lbl(a, M=m, N1=n1, N2=n2), in_class(m, cyclic.direct_sum([n1, n2]), a), ""
 
 
 def _run_closure_sub(ctx: _Ctx):
@@ -695,7 +605,7 @@ def _run_closure_quot(ctx: _Ctx):
                     if not _ccored_wrt(m, n, a):
                         continue
                     for c in (2, 3, 4):
-                        q = _cquot(n, principal(ctx.grid.ring, c))
+                        q = cyclic.quotient(n, c)
                         yield (
                             _lbl(a, M=m, N=n) + f", Q={_fmt(q)}",
                             _ccored_wrt(m, q, a),
@@ -721,25 +631,12 @@ def _ses_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
     return sub.inclusion_map(), proj
 
 
-def _run_extension_closure_r(ctx: _Ctx):
+def _run_extension_closure(in_class, ctx: _Ctx):
     for a in ctx.ideals:
         for yc, sub, xc, zc in _ses_instances(ctx.finite_small):
             for m in ctx.tiny:
-                if _cred_wrt(m, xc, a) and _cred_wrt(m, zc, a):
-                    ok = _cred_wrt(m, yc, a)
-                    yield (
-                        _lbl(a, M=m) + f", 0->{_fmt(xc)}->{_fmt(yc)}->{_fmt(zc)}->0",
-                        ok,
-                        "" if ok else "middle term leaves the class",
-                    )
-
-
-def _run_extension_closure_c(ctx: _Ctx):
-    for a in ctx.ideals:
-        for yc, sub, xc, zc in _ses_instances(ctx.finite_small):
-            for m in ctx.tiny:
-                if _ccored_wrt(m, xc, a) and _ccored_wrt(m, zc, a):
-                    ok = _ccored_wrt(m, yc, a)
+                if in_class(m, xc, a) and in_class(m, zc, a):
+                    ok = in_class(m, yc, a)
                     yield (
                         _lbl(a, M=m) + f", 0->{_fmt(xc)}->{_fmt(yc)}->{_fmt(zc)}->0",
                         ok,
@@ -751,7 +648,7 @@ def _run_dual_cor_iff_red(ctx: _Ctx):
     for a in ctx.ideals:
         for m in ctx.forms:
             for x in ctx.forms:
-                dx = _cdual(x)
+                dx = _dual(x)
                 if dx is None:
                     yield _lbl(a, M=m, X=x), None, "dual undefined on free part"
                     continue
@@ -764,7 +661,7 @@ def _run_dual_red_then_cor(ctx: _Ctx):
             for x in ctx.forms:
                 if not _cred_wrt(m, x, a):
                     continue
-                dx = _cdual(x)
+                dx = _dual(x)
                 if dx is None:
                     yield _lbl(a, M=m, X=x), None, "dual undefined on free part"
                     continue
@@ -777,8 +674,8 @@ def _run_gamma_dual(ctx: _Ctx):
             for n in ctx.finite:
                 if not _cred_wrt(m, n, a):
                     continue
-                lhs = _cdual(_ctorsion_wrt(m, n, a))
-                rhs = _ccompletion_wrt(m, _cdual(n), a)
+                lhs = _dual(_ctorsion_wrt(m, n, a))
+                rhs = _ccompletion_wrt(m, _dual(n), a)
                 if rhs is None:
                     yield _lbl(a, M=m, N=n), None, "completion chain does not stabilize"
                     continue
@@ -795,13 +692,13 @@ def _run_lambda_dual(ctx: _Ctx):
                 if lam is None:
                     yield _lbl(a, M=m, N=n), None, "completion chain does not stabilize"
                     continue
-                yield _lbl(a, M=m, N=n), _cdual(lam) == _ctorsion_wrt(m, _cdual(n), a), ""
+                yield _lbl(a, M=m, N=n), _dual(lam) == _ctorsion_wrt(m, _dual(n), a), ""
 
 
 def _run_reflexive(ctx: _Ctx):
     def reflexive(c: CanonicalForm) -> bool:
-        d = _cdual(c)
-        return d is not None and _cdual(d) == c
+        d = _dual(c)
+        return d is not None and _dual(d) == c
 
     for a in ctx.ideals:
         for m in ctx.forms:
@@ -830,7 +727,7 @@ def _run_gm_adjunction(ctx: _Ctx):
                     if lam is None:
                         yield _lbl(a, M=m, N=n, P=p), None, "completion chain does not stabilize"
                         continue
-                    yield _lbl(a, M=m, N=n, P=p), _chom(lam, n) == _chom(p, g), ""
+                    yield _lbl(a, M=m, N=n, P=p), cyclic.hom(lam, n) == cyclic.hom(p, g), ""
 
 
 def _run_gamma_left_exact(ctx: _Ctx):
@@ -910,73 +807,39 @@ def _run_lambda_right_exact(ctx: _Ctx):
 def _run_both_classes(ctx: _Ctx):
     for a in ctx.ideals:
         for m in ctx.forms:
-            mq = _cquot(m, a)
+            mq = cyclic.quotient(m, a.canonical)
             for n in ctx.forms:
-                ok = _cboth(m, _ctensor(mq, n), a) and _cboth(m, _chom(mq, n), a)
+                ok = _cboth(m, cyclic.tensor(mq, n), a) and _cboth(m, cyclic.hom(mq, n), a)
                 yield _lbl(a, M=m, N=n), ok, ""
 
 
-def _run_glc_fastpath(ctx: _Ctx):
+def _run_fastpath(in_class, derived, ctx: _Ctx):
+    # collapsed (M/aM) against stabilized-chain values of Ext or Tor
     for a in ctx.ideals:
         for m in ctx.forms:
-            k = _cchain_exp(m, a)
+            mk = _completion(m, a)
             for n in ctx.forms:
-                if not _cred_wrt(m, n, a):
+                if not in_class(m, n, a):
                     continue
-                if k is None:
+                if mk is None:
                     yield _lbl(a, M=m, N=n), None, "stabilized path undefined"
                     continue
-                ok = all(
-                    _cext(i, _cquot(m, a), n) == _cext(i, _cpow_quot(m, a, k), n)
-                    for i in range(ctx.deg + 1)
-                )
+                mq = cyclic.quotient(m, a.canonical)
+                ok = all(derived(i, mq, n) == derived(i, mk, n) for i in range(ctx.deg + 1))
                 yield _lbl(a, M=m, N=n), ok, ""
 
 
-def _run_glh_fastpath(ctx: _Ctx):
+def _run_positive_degrees_vanish(in_class, local, ctx: _Ctx):
     for a in ctx.ideals:
         for m in ctx.forms:
-            k = _cchain_exp(m, a)
-            for n in ctx.forms:
-                if not _ccored_wrt(m, n, a):
-                    continue
-                if k is None:
-                    yield _lbl(a, M=m, N=n), None, "stabilized path undefined"
-                    continue
-                ok = all(
-                    _ctor(i, _cquot(m, a), n) == _ctor(i, _cpow_quot(m, a, k), n)
-                    for i in range(ctx.deg + 1)
-                )
-                yield _lbl(a, M=m, N=n), ok, ""
-
-
-def _run_glc_proj_vanish(ctx: _Ctx):
-    for a in ctx.ideals:
-        for m in ctx.forms:
-            mq = _cquot(m, a)
+            mq = cyclic.quotient(m, a.canonical)
             if not _cf_projective(mq):
                 continue
             for n in ctx.forms:
-                if not _cred_wrt(m, n, a):
+                if not in_class(m, n, a):
                     continue
                 ok = all(
-                    (v := _cglc(i, m, n, a)) is not None and v.is_trivial
-                    for i in range(1, ctx.deg + 1)
-                )
-                yield _lbl(a, M=m, N=n), ok, ""
-
-
-def _run_glh_flat_vanish(ctx: _Ctx):
-    for a in ctx.ideals:
-        for m in ctx.forms:
-            mq = _cquot(m, a)
-            if not _cf_projective(mq):
-                continue
-            for n in ctx.forms:
-                if not _ccored_wrt(m, n, a):
-                    continue
-                ok = all(
-                    (v := _cglh(i, m, n, a)) is not None and v.is_trivial
+                    (v := local(i, m, n, a)) is not None and v.is_trivial
                     for i in range(1, ctx.deg + 1)
                 )
                 yield _lbl(a, M=m, N=n), ok, ""
@@ -985,10 +848,10 @@ def _run_glh_flat_vanish(ctx: _Ctx):
 def _run_glh_symmetry(ctx: _Ctx):
     for a in ctx.ideals:
         for m in ctx.forms:
-            if not _cis_coreduced(m, a):
+            if not cyclic.is_coreduced(m, a.canonical):
                 continue
             for n in ctx.forms:
-                if not _cis_coreduced(n, a):
+                if not cyclic.is_coreduced(n, a.canonical):
                     continue
                 ok = all(_cglh(i, m, n, a) == _cglh(i, n, m, a) for i in range(ctx.deg + 1))
                 yield _lbl(a, M=m, N=n), ok, ""
@@ -1011,44 +874,23 @@ def _run_finiteness(ctx: _Ctx):
                 yield _lbl(a, M=m, N=n), finite, ""
 
 
-def _run_glh_glc_dual(ctx: _Ctx):
+def _run_local_dual(in_class, local, dual_local, ctx: _Ctx):
+    # the dual of one local (co)homology against the other one of the dual
     for a in ctx.ideals:
         for m in ctx.forms:
             for n in ctx.finite:
-                if not _ccored_wrt(m, n, a):
+                if not in_class(m, n, a):
                     continue
-                dn = _cdual(n)
+                dn = _dual(n)
                 ok = True
                 skip = False
                 for i in range(ctx.deg + 1):
-                    lh = _cglh(i, m, n, a)
-                    rc = _cglc(i, m, dn, a)
-                    if lh is None or rc is None:
+                    v = local(i, m, n, a)
+                    w = dual_local(i, m, dn, a)
+                    if v is None or w is None:
                         skip = True
                         break
-                    ok = ok and _cdual(lh) == rc
-                if skip:
-                    yield _lbl(a, M=m, N=n), None, "no stabilizing path"
-                else:
-                    yield _lbl(a, M=m, N=n), ok, ""
-
-
-def _run_glc_glh_dual(ctx: _Ctx):
-    for a in ctx.ideals:
-        for m in ctx.forms:
-            for n in ctx.finite:
-                if not _cred_wrt(m, n, a):
-                    continue
-                dn = _cdual(n)
-                ok = True
-                skip = False
-                for i in range(ctx.deg + 1):
-                    lc = _cglc(i, m, n, a)
-                    rh = _cglh(i, m, dn, a)
-                    if lc is None or rh is None:
-                        skip = True
-                        break
-                    ok = ok and rh == _cdual(lc)
+                    ok = ok and _dual(v) == w
                 if skip:
                     yield _lbl(a, M=m, N=n), None, "no stabilizing path"
                 else:
@@ -1058,7 +900,7 @@ def _run_glc_glh_dual(ctx: _Ctx):
 def _run_b_class_membership(ctx: _Ctx):
     for a in ctx.ideals:
         for m in ctx.forms:
-            if not _cis_coreduced(m, a):
+            if not cyclic.is_coreduced(m, a.canonical):
                 continue
             for n in ctx.forms:
                 ok = True
@@ -1081,93 +923,55 @@ def _free_form(ring: RingSpec) -> CanonicalForm:
     return _shared_form(CanonicalForm(ring, (ring.modulus,), 0))
 
 
-def _run_inherit_reduced(ctx: _Ctx):
+def _run_inherit(in_class, local, ctx: _Ctx):
     r1 = _free_form(ctx.grid.ring)
     for a in ctx.ideals:
         for q in range(ctx.deg + 1):
             for n in ctx.forms:
-                hq = _cglc(q, r1, n, a)
+                hq = local(q, r1, n, a)
                 if hq is None:
                     yield f"q={q}, " + _lbl(a, N=n), None, "classical value undefined (chain)"
                     continue
                 for m in ctx.forms:
-                    if not _cred_wrt(m, hq, a):
+                    if not in_class(m, hq, a):
                         continue
-                    hmn = _cglc(q, m, n, a)
+                    hmn = local(q, m, n, a)
                     if hmn is None:
                         yield f"q={q}, " + _lbl(a, M=m, N=n), None, "no stabilizing path"
                         continue
-                    yield f"q={q}, " + _lbl(a, M=m, N=n), _cred_wrt(m, hmn, a), ""
+                    yield f"q={q}, " + _lbl(a, M=m, N=n), in_class(m, hmn, a), ""
 
 
-def _run_inherit_coreduced(ctx: _Ctx):
-    r1 = _free_form(ctx.grid.ring)
-    for a in ctx.ideals:
-        for q in range(ctx.deg + 1):
-            for n in ctx.forms:
-                hq = _cglh(q, r1, n, a)
-                if hq is None:
-                    yield f"q={q}, " + _lbl(a, N=n), None, "classical value undefined (chain)"
-                    continue
-                for m in ctx.forms:
-                    if not _ccored_wrt(m, hq, a):
-                        continue
-                    hmn = _cglh(q, m, n, a)
-                    if hmn is None:
-                        yield f"q={q}, " + _lbl(a, M=m, N=n), None, "no stabilizing path"
-                        continue
-                    yield f"q={q}, " + _lbl(a, M=m, N=n), _ccored_wrt(m, hmn, a), ""
+def _double_completion(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
+    lam = _ccompletion_wrt(m, n, ideal)
+    return None if lam is None else _ccompletion_wrt(m, lam, ideal)
 
 
-def _run_vnr_homology_vanish(ctx: _Ctx):
+def _double_torsion(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm:
+    return _ctorsion_wrt(m, _ctorsion_wrt(m, n, ideal), ideal)
+
+
+def _run_vnr_vanish(local, double, what: str, ctx: _Ctx):
+    # iterated local (co)homology is the double completion (torsion) at (0,0)
     for a in ctx.ideals:
         for m in ctx.forms:
             for n in ctx.forms:
                 ok = True
                 note = ""
                 for q in range(ctx.deg + 1):
-                    inner = _cglh(q, m, n, a)
-                    if inner is None:
-                        ok = False
-                        note = f"inner value undefined at q={q}"
-                        break
-                    for p in range(ctx.deg + 1):
-                        outer = _cglh(p, m, inner, a)
-                        if outer is None:
-                            ok, note = False, f"outer value undefined at ({p},{q})"
-                            break
-                        if (p, q) == (0, 0):
-                            lam_n = _ccompletion_wrt(m, n, a)
-                            lam2 = None if lam_n is None else _ccompletion_wrt(m, lam_n, a)
-                            if lam2 is None or outer != lam2:
-                                ok, note = False, "double completion mismatch at (0,0)"
-                        elif not outer.is_trivial:
-                            ok, note = False, f"nonzero at ({p},{q})"
-                    if not ok:
-                        break
-                yield _lbl(a, M=m, N=n), ok, note
-
-
-def _run_vnr_cohomology_vanish(ctx: _Ctx):
-    for a in ctx.ideals:
-        for m in ctx.forms:
-            for n in ctx.forms:
-                ok = True
-                note = ""
-                for q in range(ctx.deg + 1):
-                    inner = _cglc(q, m, n, a)
+                    inner = local(q, m, n, a)
                     if inner is None:
                         ok, note = False, f"inner value undefined at q={q}"
                         break
                     for p in range(ctx.deg + 1):
-                        outer = _cglc(p, m, inner, a)
+                        outer = local(p, m, inner, a)
                         if outer is None:
                             ok, note = False, f"outer value undefined at ({p},{q})"
                             break
                         if (p, q) == (0, 0):
-                            expect = _ctorsion_wrt(m, _ctorsion_wrt(m, n, a), a)
-                            if outer != expect:
-                                ok, note = False, "double torsion mismatch at (0,0)"
+                            expect = double(m, n, a)
+                            if expect is None or outer != expect:
+                                ok, note = False, f"double {what} mismatch at (0,0)"
                         elif not outer.is_trivial:
                             ok, note = False, f"nonzero at ({p},{q})"
                     if not ok:
@@ -1290,28 +1094,28 @@ _REGISTRY: list[_ClaimDef] = [
         "Hom out of a module coreduced relative to M lands in the reduced class",
         "pass",
         "all",
-        _run_hom_into_reduced,
+        partial(_run_functor_stays, _cred_wrt, cyclic.hom),
     ),
     _ClaimDef(
         "tensor-stays",
         "tensoring a module coreduced relative to M stays in the coreduced class",
         "pass",
         "all",
-        _run_tensor_stays,
+        partial(_run_functor_stays, _ccored_wrt, cyclic.tensor),
     ),
     _ClaimDef(
         "closure-products",
         "finite products stay reduced relative to M",
         "pass",
         "all",
-        _run_closure_products,
+        partial(_run_closure_sums, _cred_wrt),
     ),
     _ClaimDef(
         "closure-sums",
         "finite sums stay coreduced relative to M",
         "pass",
         "all",
-        _run_closure_sums,
+        partial(_run_closure_sums, _ccored_wrt),
     ),
     _ClaimDef(
         "closure-sub",
@@ -1332,14 +1136,14 @@ _REGISTRY: list[_ClaimDef] = [
         "the reduced-relative-to-M class is closed under extensions (expected counterexample)",
         "fail",
         "all",
-        _run_extension_closure_r,
+        partial(_run_extension_closure, _cred_wrt),
     ),
     _ClaimDef(
         "extension-closure-C",
         "the coreduced-relative-to-M class is closed under extensions (expected counterexample)",
         "fail",
         "all",
-        _run_extension_closure_c,
+        partial(_run_extension_closure, _ccored_wrt),
     ),
     _ClaimDef(
         "dual-cor-iff-red",
@@ -1410,14 +1214,14 @@ _REGISTRY: list[_ClaimDef] = [
         "(known counterexamples: free second argument over Z, and non-semisimple Z/n)",
         "pass",
         "all",
-        _run_glc_fastpath,
+        partial(_run_fastpath, _cred_wrt, cyclic.ext),
     ),
     _ClaimDef(
         "glc-proj-vanish",
         "local cohomology vanishes in positive degrees when M/aM is projective",
         "pass",
         "all",
-        _run_glc_proj_vanish,
+        partial(_run_positive_degrees_vanish, _cred_wrt, _cglc),
     ),
     _ClaimDef(
         "glh-fastpath",
@@ -1425,14 +1229,14 @@ _REGISTRY: list[_ClaimDef] = [
         "(known counterexamples over non-semisimple Z/n)",
         "pass",
         "all",
-        _run_glh_fastpath,
+        partial(_run_fastpath, _ccored_wrt, cyclic.tor),
     ),
     _ClaimDef(
         "glh-flat-vanish",
         "local homology vanishes in positive degrees when M/aM is flat",
         "pass",
         "all",
-        _run_glh_flat_vanish,
+        partial(_run_positive_degrees_vanish, _ccored_wrt, _cglh),
     ),
     _ClaimDef(
         "glh-symmetry",
@@ -1453,14 +1257,14 @@ _REGISTRY: list[_ClaimDef] = [
         "dual of local homology equals local cohomology of the dual",
         "pass",
         "all",
-        _run_glh_glc_dual,
+        partial(_run_local_dual, _ccored_wrt, _cglh, _cglc),
     ),
     _ClaimDef(
         "glc-glh-dual",
         "local homology of the dual equals the dual of local cohomology",
         "pass",
         "all",
-        _run_glc_glh_dual,
+        partial(_run_local_dual, _cred_wrt, _cglc, _cglh),
     ),
     _ClaimDef(
         "b-class-membership",
@@ -1474,28 +1278,28 @@ _REGISTRY: list[_ClaimDef] = [
         "if the classical value is reduced relative to M, so is the two-argument value",
         "pass",
         "all",
-        _run_inherit_reduced,
+        partial(_run_inherit, _cred_wrt, _cglc),
     ),
     _ClaimDef(
         "inherit-coreduced",
         "if the classical value is coreduced relative to M, so is the two-argument value",
         "pass",
         "all",
-        _run_inherit_coreduced,
+        partial(_run_inherit, _ccored_wrt, _cglh),
     ),
     _ClaimDef(
         "vnr-homology-vanish",
         "over a von Neumann regular ring iterated local homology vanishes off (0,0)",
         "pass",
         "vnr",
-        _run_vnr_homology_vanish,
+        partial(_run_vnr_vanish, _cglh, _double_completion, "completion"),
     ),
     _ClaimDef(
         "vnr-cohomology-vanish",
         "over an Artinian von Neumann regular ring iterated local cohomology vanishes off (0,0)",
         "pass",
         "vnr",
-        _run_vnr_cohomology_vanish,
+        partial(_run_vnr_vanish, _cglc, _double_torsion, "torsion"),
     ),
 ]
 

@@ -217,3 +217,33 @@ def test_unknown_claim_names_the_id_and_the_listing(capsys):
     code, out, err = run(capsys, "verify", "--claims", "nope")
     assert code == 2 and out == ""
     assert err == "error: unknown claim 'nope'; `fgmod verify --list-claims` lists the known ids\n"
+
+
+def test_value_queries_cost_what_their_answers_cost(capsys):
+    # summand counts bound hom and tensor; canonical operands bound the coker queries
+    for argv, expected in (
+        (("tensor", "Z/2^40", "Z/2^40"), " + ".join(["Z/2"] * 1600)),
+        (("hom", "Z/2^30", "Z/2^30"), " + ".join(["Z/2"] * 900)),
+        (
+            ("check", "reduced-wrt", "--ring", "Z", "--ideal", "6",
+             "coker[[-5,-2,1],[7,-2,-2],[-4,0,2]]", "coker[[4,-8,-5],[-9,3,-7],[-7,-5,4]]"),
+            "true",
+        ),
+        (
+            ("glh", "1", "--ring", "Z", "--ideal", "2",
+             "coker[[6,-7,-5],[2,4,-8],[5,3,5]]", "coker[[-8,-6,6],[-5,-9,-8],[-5,1,-6]]"),
+            "Z/2 + Z/4",
+        ),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv[:2]
+        assert code == 0 and out == expected, argv[:2]
+
+
+def test_answers_too_long_to_print_are_usage_errors(capsys):
+    # each operand parses, but the lcm of the two moduli has about 8000 digits
+    code, out, err = run(capsys, "canon", "Z/1" + "0" * 4000 + " + Z/" + "3" * 4000)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "too long to print" in err
