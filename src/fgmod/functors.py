@@ -82,7 +82,9 @@ class HomData:
     ambient_rels: MatrixR
 
 
-@lru_cache(maxsize=None)
+# over twice the 712 entries the default verify suite fills in each of
+# hom_data and tensor_module, so it never evicts
+@lru_cache(maxsize=2048)
 def hom_data(M: Presentation, N: Presentation) -> HomData:
     if M.ring != N.ring:
         raise RingMismatch("Hom of modules over different rings")
@@ -102,7 +104,7 @@ def hom_module(M: Presentation, N: Presentation) -> Presentation:
     return hom_data(M, N).presentation
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def tensor_module(M: Presentation, N: Presentation) -> Presentation:
     """M (x) N on pair generators (i, j) |-> i * N.gens + j."""
     if M.ring != N.ring:
@@ -142,7 +144,7 @@ class FreeResolutionPrefix:
         return self.differentials[k - 1].cols
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def free_resolution_prefix(M: Presentation, length: int) -> FreeResolutionPrefix:
     if length < 0:
         raise ValueError("resolution length must be nonnegative")

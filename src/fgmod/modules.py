@@ -125,7 +125,8 @@ class CanonicalForm:
         return prod(self.torsion_factors) if self.torsion_factors else 1
 
 
-@lru_cache(maxsize=None)
+# over twice the 1,159 entries the default verify suite fills, so it never evicts
+@lru_cache(maxsize=4096)
 def canonical_form(P: Presentation) -> CanonicalForm:
     """Invariant factors read off the Smith normal form of the relations."""
     diag = smith_diagonal(_over_integers(P.rels))
