@@ -10,8 +10,9 @@ generated, and NonStabilizing is raised rather than a wrong value returned.
 The predicates compare gcd(d, m) with gcd(d^2, m), so they are total.
 
 The torsion submodule and the quotients N / a^k N are submodules and
-quotients of N's own presentation; they are computed there, by kernels of
-multiplication by d^k and by appended relations.
+quotients of N's own presentation.  Their exponents come from `cyclic` as
+well, so the matrix route builds only the module at that exponent: the
+kernel of multiplication by d^k, or the relations d^k e_i appended to N's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cyclic
-from .errors import NonStabilizing
 from .linalg import MatrixR
 from .modules import (
     Presentation,
@@ -62,29 +62,17 @@ class StabilizationResult:
     exponent: int
 
 
-def _power(ring, d: int, k: int) -> int:
-    if ring.modulus is not None:
-        return pow(d, k, ring.modulus) if k else 1
-    return d**k
-
-
 # over twice the 1,725 entries the default verify suite fills, so it never evicts
 @lru_cache(maxsize=4096)
 def torsion_submodule(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> tuple[Submodule, int]:
     """Elements killed by some power of the ideal, with the stabilization
-    exponent: the least k with ker(d^k) = ker(d^(k+1))."""
+    exponent: the least k with ker(d^k) = ker(d^(k+1)).  The exponent comes
+    from `cyclic.torsion`; the submodule is the kernel of d^k on N."""
     d = a.canonical
-    prev = Submodule(N, MatrixR(N.ring, N.gens, 0, ((),) * N.gens))
-    k = 0
-    while True:
-        nxt = kernel_submodule(mult_map(N, _power(N.ring, d, k + 1)))
-        # the chain ascends, so equality is one inclusion
-        if prev.contains(nxt):
-            return prev, k
-        prev = nxt
-        k += 1
-        if k > kmax:
-            raise NonStabilizing(f"kernel chain of ({d})", kmax)
+    k = cyclic.torsion(canonical_form(N), d, kmax)[1]
+    if k == 0:
+        return Submodule(N, MatrixR(N.ring, N.gens, 0, ((),) * N.gens)), 0
+    return kernel_submodule(mult_map(N, pow(d, k, N.ring.modulus))), k
 
 
 def torsion(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> StabilizationResult:

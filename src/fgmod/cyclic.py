@@ -39,9 +39,9 @@ __all__ = [
     "dual",
 ]
 
-# entries per memo table: about as many distinct Hom questions as the
-# default verify suite asks (35,000), and more than any other kind there
-_MEMO = 1 << 15
+# entries per memo table: the default verify suite asks about 35,000
+# distinct Hom questions, more than any other kind, so this never evicts
+_MEMO = 1 << 16
 
 
 def _orders(C: CanonicalForm) -> tuple[int, ...]:
@@ -166,42 +166,48 @@ def tor(i: int, M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
     return tensor(M, N) if i == 0 else _positive_degree(i, M, N, N.torsion_factors)
 
 
-def _limit(C: CanonicalForm, d: int, kmax: int, free: tuple[int, int] | None, chain: str):
+@lru_cache(maxsize=_MEMO)
+def _settle(C: CanonicalForm, d: int, kmax: int, free: tuple[int, int] | None) -> tuple[CanonicalForm, int] | None:
     """Each summand Z/m settles at gcd(d^k, m) for the least k with
     gcd(d^k, m) = gcd(d^(k+1), m); a free summand gives `free` (order and k),
     or never settles when `free` is None.  The module's exponent is the
-    largest k; past kmax, NonStabilizing is raised."""
+    largest k.  None when some summand has not settled within kmax steps, so
+    that outcome is memoized like any other."""
     orders = []
     top = 0
     for m in _orders(C):
         if m == 0:
             if free is None:
-                raise NonStabilizing(f"{chain} of ({d})", kmax)
+                return None
             g, k = free
         else:
             g, k = 1, 0
             while (nxt := gcd(g * d, m)) != g and k <= kmax:
                 g, k = nxt, k + 1
         if k > kmax:
-            raise NonStabilizing(f"{chain} of ({d})", kmax)
+            return None
         orders.append(g)
         top = max(top, k)
     return _form(C.ring, orders), top
 
 
-@lru_cache(maxsize=_MEMO)
 def torsion(C: CanonicalForm, d: int, kmax: int) -> tuple[CanonicalForm, int]:
     """The elements killed by a power of d, and the least k with
     ker d^k = ker d^(k+1).  On Z that kernel is 0 unless d = 0."""
-    return _limit(C, d, kmax, (0, 1) if d == 0 else (1, 0), "kernel chain")
+    settled = _settle(C, d, kmax, (0, 1) if d == 0 else (1, 0))
+    if settled is None:
+        raise NonStabilizing(f"kernel chain of ({d})", kmax)
+    return settled
 
 
-@lru_cache(maxsize=_MEMO)
 def completion(C: CanonicalForm, d: int, kmax: int) -> tuple[CanonicalForm, int]:
     """The limit of C/d^kC, and the least k with d^kC = d^(k+1)C.  On Z the
     chain d^kZ settles only when d is 0 or a unit."""
-    free = (0, 1) if d == 0 else (1, 0) if abs(d) == 1 else None
-    return _limit(C, d, kmax, free, "chain of ideal multiples")
+    settled = _settle(C, d, kmax, (0, 1) if d == 0 else (1, 0) if abs(d) == 1 else None)
+    if settled is None:
+        # a fresh exception each time: a stored one would grow its traceback
+        raise NonStabilizing(f"chain of ideal multiples of ({d})", kmax)
+    return settled
 
 
 @lru_cache(maxsize=_MEMO)

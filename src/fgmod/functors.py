@@ -144,7 +144,6 @@ class FreeResolutionPrefix:
         return self.differentials[k - 1].cols
 
 
-@lru_cache(maxsize=256)
 def free_resolution_prefix(M: Presentation, length: int) -> FreeResolutionPrefix:
     if length < 0:
         raise ValueError("resolution length must be nonnegative")

@@ -55,10 +55,10 @@ from .modules import (
     _shared_form,
     canonical_form,
     canonical_presentation,
-    ideal_multiple,
-    kernel_of_map,
+    kernel_submodule,
     quotient_by_submodule,
     restrict_map,
+    scaled_submodule,
     submodule_equal,
 )
 from .rings import Ideal, RingSpec, ideal_power, principal
@@ -615,7 +615,7 @@ def _equiv(s: _Side) -> dict:
         if g is None:
             return (False, f"({b1},{b2})") if b1 != b2 else _UNSTABLE
         b3 = g == s.functor(mq, n)
-        b4 = canonical_form(ideal_multiple(canonical_presentation(g), a)[0]).is_trivial
+        b4 = scaled_submodule(canonical_presentation(g), a.canonical).is_zero()
         b5 = s.absolute(g, a.canonical)
         ok = b1 == b2 == b3 == b4 == b5
         return ok, "" if ok else f"({b1},{b2},{b3},{b4},{b5})"
@@ -753,10 +753,8 @@ def _gamma_exact(hi: ModuleMap, hp: ModuleMap, a: Ideal):
     sz, _ = torsion_submodule(hp.target, a)
     gi = restrict_map(hi, sx, sy)
     gp = restrict_map(hp, sy, sz)
-    ker_i, _ = kernel_of_map(gi)
-    injective = canonical_form(ker_i).is_trivial
-    _, ker_incl = kernel_of_map(gp)
-    exact_mid = submodule_equal(Submodule(gp.source, ker_incl.matrix), Submodule(gp.source, gi.matrix))
+    injective = kernel_submodule(gi).is_zero()
+    exact_mid = submodule_equal(kernel_submodule(gp), gi.image())
     ok = injective and exact_mid
     return ok, "" if ok else f"injective={injective}, exact={exact_mid}"
 
@@ -775,9 +773,8 @@ def _lambda_exact(ti: ModuleMap, tp: ModuleMap, a: Ideal):
     lz = power_quotient(tp.target, a, k)
     li = ModuleMap(lx, ly, ti.matrix)
     lp = ModuleMap(ly, lz, tp.matrix)
-    surjective = Submodule(lz, lp.matrix).contains(Submodule(lz, MatrixR.identity(lz.ring, lz.gens)))
-    _, ker_incl = kernel_of_map(lp)
-    exact_mid = submodule_equal(Submodule(ly, ker_incl.matrix), Submodule(ly, li.matrix))
+    surjective = lp.image().contains(Submodule(lz, MatrixR.identity(lz.ring, lz.gens)))
+    exact_mid = submodule_equal(kernel_submodule(lp), li.image())
     ok = surjective and exact_mid
     return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
 

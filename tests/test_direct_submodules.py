@@ -1,0 +1,79 @@
+"""The torsion submodule and the exactness checks ask submodules directly.
+
+`adic.torsion_submodule` reads its exponent k from `cyclic.torsion` and
+builds one kernel, that of d^k; `matrix_torsion_exponent` in
+`test_cyclic` stays the independent reference for k.  The exactness and
+equivalence claims of `fgmod verify` test kernels, images and scaled
+submodules for zero and equality, and build no inclusion map beyond the
+short exact sequences they walk.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from test_cyclic import matrix_torsion_exponent
+
+from fgmod import adic, verify
+from fgmod.adic import DEFAULT_KMAX, torsion_submodule
+from fgmod.errors import NonStabilizing
+from fgmod.modules import Presentation, Submodule, kernel_submodule, mult_map
+from fgmod.rings import RingSpec, ZZ, principal
+
+GRID = Path(__file__).parent / "golden" / "verify_small_grid.json"
+CLAIMS = ["gamma-left-exact", "lambda-right-exact", "equiv-reduced-wrt", "equiv-coreduced-wrt"]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return kernel_submodule(f)
+
+    monkeypatch.setattr(adic, "kernel_submodule", counted)
+    torsion_submodule.cache_clear()
+    yield calls
+    torsion_submodule.cache_clear()
+
+
+def test_torsion_submodule_builds_one_kernel(kernel_calls):
+    N = Presentation.cyclic(ZZ, 2**10)
+    sub, k = torsion_submodule(N, principal(ZZ, 2))
+    assert len(kernel_calls) == 1
+    assert k == 10 == matrix_torsion_exponent(N, 2, DEFAULT_KMAX)
+    assert sub.columns == kernel_submodule(mult_map(N, 2**10)).columns
+
+
+def test_torsion_submodule_at_exponent_zero_builds_no_kernel(kernel_calls):
+    for ring, n, d in ((ZZ, 9, 2), (RingSpec.mod(6), 3, 2), (ZZ, 0, 5)):
+        N = Presentation.cyclic(ring, n)
+        sub, k = torsion_submodule(N, principal(ring, d))
+        assert k == 0 == matrix_torsion_exponent(N, d, DEFAULT_KMAX)
+        assert sub.columns.cols == 0 and sub.ambient == N
+    assert kernel_calls == []
+
+
+def test_torsion_submodule_past_kmax_raises_the_kernel_chain_error(kernel_calls):
+    with pytest.raises(NonStabilizing, match=r"kernel chain of \(2\) did not stabilize within 9"):
+        torsion_submodule(Presentation.cyclic(ZZ, 2**10), principal(ZZ, 2), 9)
+    assert kernel_calls == []
+
+
+def test_exactness_and_equivalence_include_only_the_sequences(monkeypatch):
+    grids = [verify.grid_from_dict(d) for d in json.loads(GRID.read_text())]
+    included = []
+    inclusion_map = Submodule.inclusion_map
+
+    def recorded(self):
+        included.append(self)
+        return inclusion_map(self)
+
+    monkeypatch.setattr(Submodule, "inclusion_map", recorded)
+    verify._ses_maps.cache_clear()
+    suite = verify.run_suite(grids, CLAIMS)
+    assert suite.all_expected
+    sequences = [seq.sub for g in grids for y in verify._make_ctx(g).finite_small for seq in verify._sequences_in(y)]
+    assert included
+    assert all(any(sub is seq for seq in sequences) for sub in included)

@@ -1,0 +1,65 @@
+"""The memo tables keep what they promise.
+
+`_shared_form` hands out one object per canonical value for as many forms
+as a verify suite interns; the completion chain memoizes its
+non-stabilizing outcome too, and raises a fresh `NonStabilizing` each
+time; after a verify run no table of the value, module, functor, adic or
+harness layers has computed an entry twice.
+"""
+
+import json
+import traceback
+from pathlib import Path
+
+import pytest
+
+from fgmod import adic, cyclic, functors, modules, verify
+from fgmod.errors import NonStabilizing
+from fgmod.modules import CanonicalForm, Presentation, _shared_form, canonical_form
+from fgmod.rings import ZZ
+
+GRID = Path(__file__).parent / "golden" / "verify_small_grid.json"
+
+
+def tables(*mods):
+    return [f for m in mods for f in vars(m).values() if hasattr(f, "cache_info") and f.__module__ == m.__name__]
+
+
+def test_shared_form_keeps_the_first_object_past_2000_forms():
+    base = 3**41
+    first = canonical_form(Presentation.cyclic(ZZ, base))
+    for i in range(1, 2001):
+        _shared_form(CanonicalForm(ZZ, (base + i,), 0))
+    # a different presentation of the same value misses canonical_form
+    again = canonical_form(Presentation.from_relations(ZZ, [[base, 0], [0, 1]]))
+    assert again is first
+
+
+def test_completion_memoizes_the_non_stabilizing_outcome():
+    Z = canonical_form(Presentation.free(ZZ, 1))
+    kmax = 23  # a bound no other test asks for, so the first call misses
+
+    def misses():
+        return sum(f.cache_info().misses for f in tables(cyclic))
+
+    before = misses()
+    raised = []
+    for _ in range(5):
+        with pytest.raises(NonStabilizing) as exc:
+            cyclic.completion(Z, 2, kmax)
+        raised.append(exc.value)
+    assert misses() - before == 1
+    assert {str(e) for e in raised} == {"chain of ideal multiples of (2) did not stabilize within 23 steps"}
+    assert len({id(e) for e in raised}) == 5
+    assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
+
+
+def test_no_table_computes_an_entry_twice_on_the_small_grid():
+    everything = tables(cyclic, modules, functors, adic, verify)
+    for f in everything:
+        f.cache_clear()
+    grids = [verify.grid_from_dict(d) for d in json.loads(GRID.read_text())]
+    assert verify.run_suite(grids).all_expected
+    for f in everything:
+        info = f.cache_info()
+        assert info.misses == info.currsize, (f.__qualname__, info)
