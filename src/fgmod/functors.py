@@ -173,12 +173,12 @@ def hom_postcompose(M: Presentation, f: ModuleMap) -> ModuleMap:
     coeffs = express_in_span(hd_t.generators, hd_t.ambient_rels, lifted)
     if coeffs is None:
         raise RuntimeError("post-composition left the hom module; this cannot happen")
-    return ModuleMap(hd_s.presentation, hd_t.presentation, coeffs)
+    return ModuleMap._trusted(hd_s.presentation, hd_t.presentation, coeffs)
 
 
 def tensor_postcompose(M: Presentation, f: ModuleMap) -> ModuleMap:
     """The induced map M (x) source f -> M (x) target f."""
-    return ModuleMap(
+    return ModuleMap._trusted(
         tensor_module(M, f.source),
         tensor_module(M, f.target),
         kron(MatrixR.identity(M.ring, M.gens), f.matrix),

@@ -48,7 +48,6 @@ __all__ = [
     "mult_map",
     "identity_map",
     "submodule_equal",
-    "restrict_map",
     "quotient_by_submodule",
     "scaled_submodule",
     "module_order",
@@ -199,7 +198,8 @@ class ModuleMap:
 
     The matrix has target.gens rows and source.gens columns; construction
     verifies that every relation of the source maps into the relation span of
-    the target.
+    the target.  Maps the library builds from maps it already has (induced,
+    inclusion, scalar and quotient maps) come from `_trusted` instead.
     """
 
     source: Presentation
@@ -216,6 +216,14 @@ class ModuleMap:
             if not spans_include(self.target.rels, moved):
                 raise ValueError("map does not respect the source relations")
 
+    @classmethod
+    def _trusted(cls, source: Presentation, target: Presentation, matrix: MatrixR) -> "ModuleMap":
+        """A map the library built and knows to be well defined (an induced,
+        inclusion, scalar or quotient map): no certification."""
+        f = object.__new__(cls)
+        f.__dict__.update(source=source, target=target, matrix=matrix)
+        return f
+
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
         """self o inner."""
         if inner.target != self.source:
@@ -231,7 +239,7 @@ class ModuleMap:
 
 def mult_map(P: Presentation, r: int) -> ModuleMap:
     """The endomorphism x -> r*x."""
-    return ModuleMap(P, P, MatrixR.identity(P.ring, P.gens).scale(r))
+    return ModuleMap._trusted(P, P, MatrixR.identity(P.ring, P.gens).scale(r))
 
 
 def identity_map(P: Presentation) -> ModuleMap:
@@ -281,7 +289,7 @@ class Submodule:
         return pres
 
     def inclusion_map(self) -> ModuleMap:
-        return ModuleMap(self.to_presentation(), self.ambient, self.columns)
+        return ModuleMap._trusted(self.to_presentation(), self.ambient, self.columns)
 
 
 def submodule_equal(S1: Submodule, S2: Submodule) -> bool:
@@ -315,38 +323,32 @@ def ideal_multiple(P: Presentation, a: Ideal) -> tuple[Presentation, ModuleMap]:
     return sub.to_presentation(), sub.inclusion_map()
 
 
-def kernel_submodule(f: ModuleMap) -> Submodule:
-    """{x in source : f(x) = 0 in target} as a submodule of the source."""
+def kernel_submodule(f: ModuleMap, within: Submodule | None = None) -> Submodule:
+    """{x in source : f(x) = 0 in target} as a submodule of the source.
+
+    With `within`, a submodule S of the source, the intersection S ∩ ker f:
+    the kernel of [f·S | target relations] pushed through S's columns."""
     src = f.source
-    ker = kernel_generators(hstack(f.matrix, f.target.rels))
+    if within is None:
+        moved = f.matrix
+    elif within.ambient != src:
+        raise AmbientMismatch("submodule does not sit inside the map's source")
+    else:
+        moved = f.matrix @ within.columns
+    ker = kernel_generators(hstack(moved, f.target.rels))
     cols = []
     for j in range(ker.cols):
-        col = ker.column(j)[: src.gens]
+        col = ker.column(j)[: moved.cols]
         if any(col):
             cols.append(col)
-    return Submodule(src, from_columns(src.ring, cols, src.gens))
+    coeffs = from_columns(src.ring, cols, moved.cols)
+    return Submodule(src, coeffs if within is None else within.columns @ coeffs)
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Presentation, ModuleMap]:
     """The kernel of f as a module, with its inclusion."""
     sub = kernel_submodule(f)
     return sub.to_presentation(), sub.inclusion_map()
-
-
-def restrict_map(f: ModuleMap, source_sub: Submodule, target_sub: Submodule) -> ModuleMap:
-    """The map induced between submodule presentations.
-
-    Requires f to carry the source submodule into the target one; each moved
-    generator is re-expressed in the target submodule's generators modulo the
-    ambient relations.
-    """
-    if source_sub.ambient != f.source or target_sub.ambient != f.target:
-        raise AmbientMismatch("submodules do not sit inside the map's endpoints")
-    moved = f.matrix @ source_sub.columns
-    coeffs = express_in_span(target_sub.columns, f.target.rels, moved)
-    if coeffs is None:
-        raise ValueError("map does not carry the source submodule into the target submodule")
-    return ModuleMap(source_sub.to_presentation(), target_sub.to_presentation(), coeffs)
 
 
 def express_in_span(columns: MatrixR, rels: MatrixR, vectors: MatrixR) -> MatrixR | None:

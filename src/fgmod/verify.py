@@ -57,7 +57,6 @@ from .modules import (
     canonical_presentation,
     kernel_submodule,
     quotient_by_submodule,
-    restrict_map,
     scaled_submodule,
     submodule_equal,
 )
@@ -371,7 +370,7 @@ def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
 def _ses_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
     """The inclusion X -> Y and the projection Y -> Y/X of 0 -> X -> Y -> Y/X -> 0."""
     Y = sub.ambient
-    proj = ModuleMap(Y, quotient_by_submodule(Y, sub), MatrixR.identity(Y.ring, Y.gens))
+    proj = ModuleMap._trusted(Y, quotient_by_submodule(Y, sub), MatrixR.identity(Y.ring, Y.gens))
     return sub.inclusion_map(), proj
 
 
@@ -748,18 +747,19 @@ def _exactness(s: _Side) -> dict:
 
 
 def _gamma_exact(hi: ModuleMap, hp: ModuleMap, a: Ideal):
+    # asked in the ambient Hom modules: Γ(hi) is injective iff ker hi meets
+    # Γ(X) in 0, and exact in the middle iff ker hp ∩ Γ(Y) = hi(Γ(X))
     sx, _ = torsion_submodule(hi.source, a)
     sy, _ = torsion_submodule(hi.target, a)
-    sz, _ = torsion_submodule(hp.target, a)
-    gi = restrict_map(hi, sx, sy)
-    gp = restrict_map(hp, sy, sz)
-    injective = kernel_submodule(gi).is_zero()
-    exact_mid = submodule_equal(kernel_submodule(gp), gi.image())
+    injective = kernel_submodule(hi, within=sx).is_zero()
+    exact_mid = submodule_equal(kernel_submodule(hp, within=sy), Submodule(hi.target, hi.matrix @ sx.columns))
     ok = injective and exact_mid
     return ok, "" if ok else f"injective={injective}, exact={exact_mid}"
 
 
 def _lambda_exact(ti: ModuleMap, tp: ModuleMap, a: Ideal):
+    # on the map Y/a^kY -> Z/a^kZ that tp induces: it must be onto, and its
+    # kernel the image of ti; X/a^kX itself is never presented
     try:
         k = max(
             completion_exponent(ti.source, a),
@@ -768,13 +768,11 @@ def _lambda_exact(ti: ModuleMap, tp: ModuleMap, a: Ideal):
         )
     except NonStabilizing:
         return _UNSTABLE
-    lx = power_quotient(ti.source, a, k)
     ly = power_quotient(ti.target, a, k)
     lz = power_quotient(tp.target, a, k)
-    li = ModuleMap(lx, ly, ti.matrix)
-    lp = ModuleMap(ly, lz, tp.matrix)
+    lp = ModuleMap._trusted(ly, lz, tp.matrix)
     surjective = lp.image().contains(Submodule(lz, MatrixR.identity(lz.ring, lz.gens)))
-    exact_mid = submodule_equal(kernel_submodule(lp), li.image())
+    exact_mid = submodule_equal(kernel_submodule(lp), Submodule(ly, ti.matrix))
     ok = surjective and exact_mid
     return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
 
