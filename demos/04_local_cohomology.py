@@ -1,9 +1,10 @@
 """Generalized local (co)homology along an ideal.
 
-In degree 0 on the reduced (resp. coreduced) class the defining limit
-collapses to a single Hom (resp. tensor) against M/aM; every other value is
-read off the chain of ideal multiples of M once it is stabilized.  Over a squarefree modulus (a product of fields)
-every iterated value vanishes away from degree (0,0).
+Degree 0 is the two-argument torsion Γ_a(Hom(M, N)) (resp. completion
+Λ_a(M (x) N)) for every finitely generated M; every positive degree is read
+off the chain of ideal multiples of M once it is stabilized.  Over a
+squarefree modulus (a product of fields) every iterated value vanishes away
+from degree (0,0).
 """
 
 from fgmod import Presentation, ZZ, local_cohomology, local_homology, principal, NonStabilizing
@@ -24,6 +25,9 @@ for i in (0, 1):
         f"degree {i}: cohomology {format_canonical(canonical_form(v)):<8}"
         f" homology {format_canonical(canonical_form(h))}"
     )
+# degree 0 needs no flat chain: colim Hom(Z/2^k, Z/4) = Γ_2(Hom(Z, Z/4)) = Z/4
+v = local_cohomology(0, Presentation.free(ZZ, 1), Z4, a2)
+print("free first argument, degree 0:", format_canonical(canonical_form(v)))
 try:
     local_cohomology(1, Presentation.free(ZZ, 1), Z4, a2)
 except NonStabilizing as exc:

@@ -99,14 +99,12 @@ def completion(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Stabiliza
 
 def torsion_wrt(M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
     """Two-argument torsion: the ideal-torsion of Hom(M, N)."""
-    hom = cyclic.hom(canonical_form(M), canonical_form(N))
-    return canonical_presentation(cyclic.torsion(hom, a.canonical, kmax)[0])
+    return canonical_presentation(cyclic.torsion_wrt(canonical_form(M), canonical_form(N), a.canonical, kmax))
 
 
 def completion_wrt(M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
     """Two-argument completion: the ideal-completion of M (x) N."""
-    tensor = cyclic.tensor(canonical_form(M), canonical_form(N))
-    return canonical_presentation(cyclic.completion(tensor, a.canonical, kmax)[0])
+    return canonical_presentation(cyclic.completion_wrt(canonical_form(M), canonical_form(N), a.canonical, kmax))
 
 
 def is_reduced(N: Presentation, a: Ideal) -> bool:
@@ -121,12 +119,12 @@ def is_coreduced(N: Presentation, a: Ideal) -> bool:
 
 def is_reduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
     """Whether Hom(M, N) is a reduced module for this ideal."""
-    return cyclic.is_reduced(cyclic.hom(canonical_form(M), canonical_form(N)), a.canonical)
+    return cyclic.is_reduced_wrt(canonical_form(M), canonical_form(N), a.canonical)
 
 
 def is_coreduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
     """Whether M (x) N is a coreduced module for this ideal."""
-    return cyclic.is_coreduced(cyclic.tensor(canonical_form(M), canonical_form(N)), a.canonical)
+    return cyclic.is_coreduced_wrt(canonical_form(M), canonical_form(N), a.canonical)
 
 
 def is_in_both_classes(M: Presentation, N: Presentation, a: Ideal) -> bool:

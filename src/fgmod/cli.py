@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Module arguments use the expression grammar from `fgmod.grammar`; canonical
-forms are printed in the same grammar so every output re-parses.  Exit codes:
+forms are printed in the same grammar so every output re-parses.  Every
+subcommand but `verify` asks a value question: each operand is brought to
+its canonical form once and `fgmod.cyclic` reads the answer off the
+invariant factors.  Exit codes:
 0 success (or all claim verdicts as expected), 2 usage error, 3 a completion
 chain did not stabilize, 4 unexpected claim verdict.
 """
@@ -12,20 +15,8 @@ import argparse
 import json
 import sys
 
-from .adic import (
-    completion,
-    is_coreduced,
-    is_coreduced_wrt,
-    is_reduced,
-    is_reduced_wrt,
-    torsion,
-    torsion_wrt,
-    completion_wrt,
-)
-from .cohomology import local_cohomology, local_homology
-from .errors import FgmodError, InvalidGrid, NonStabilizing
 from . import cyclic
-from .functors import ext, matlis_dual, tor
+from .errors import FgmodError, InvalidGrid, NonStabilizing
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
 from .modules import canonical_form
 from . import verify  # lazy: only `fgmod verify` loads the harness (see fgmod/__init__.py)
@@ -101,15 +92,11 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _result(args, pres) -> None:
-    _result_form(args, canonical_form(pres))
-
-
 def _canon(ring, expr: str):
     return canonical_form(parse_module_expr(ring, expr))
 
 
-def _result_form(args, C) -> None:
+def _result(args, C) -> None:
     expr = format_canonical(C)
     _emit(args, {"result": expr}, expr)
 
@@ -146,49 +133,46 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
 
         cmd = args.command
+        d = ideal.canonical if ideal is not None else None
         if cmd == "canon":
-            _result(args, parse_module_expr(ring, args.module))
+            _result(args, _canon(ring, args.module))
         elif cmd == "hom":
-            # only the value is printed, so it is read off the invariant factors
-            _result_form(args, cyclic.hom(_canon(ring, args.source), _canon(ring, args.target)))
+            _result(args, cyclic.hom(_canon(ring, args.source), _canon(ring, args.target)))
         elif cmd == "tensor":
-            _result_form(args, cyclic.tensor(_canon(ring, args.left), _canon(ring, args.right)))
+            _result(args, cyclic.tensor(_canon(ring, args.left), _canon(ring, args.right)))
         elif cmd == "dual":
-            _result(args, matlis_dual(parse_module_expr(ring, args.module)))
+            _result(args, cyclic.dual(_canon(ring, args.module)))
         elif cmd == "ext":
-            _result(args, ext(args.degree, parse_module_expr(ring, args.source), parse_module_expr(ring, args.target)))
+            _result(args, cyclic.ext(args.degree, _canon(ring, args.source), _canon(ring, args.target)))
         elif cmd == "tor":
-            _result(args, tor(args.degree, parse_module_expr(ring, args.left), parse_module_expr(ring, args.right)))
-        elif cmd == "gamma":
-            res = torsion(parse_module_expr(ring, args.module), ideal, args.kmax)
-            expr = format_canonical(canonical_form(res.value))
-            _emit(args, {"result": expr, "exponent": res.exponent}, f"{expr}\tk={res.exponent}")
-        elif cmd == "lambda":
-            res = completion(parse_module_expr(ring, args.module), ideal, args.kmax)
-            expr = format_canonical(canonical_form(res.value))
-            _emit(args, {"result": expr, "exponent": res.exponent}, f"{expr}\tk={res.exponent}")
+            _result(args, cyclic.tor(args.degree, _canon(ring, args.left), _canon(ring, args.right)))
+        elif cmd in ("gamma", "lambda"):
+            limit = cyclic.torsion if cmd == "gamma" else cyclic.completion
+            value, k = limit(_canon(ring, args.module), d, args.kmax)
+            expr = format_canonical(value)
+            _emit(args, {"result": expr, "exponent": k}, f"{expr}\tk={k}")
         elif cmd == "gammagen":
-            _result(args, torsion_wrt(parse_module_expr(ring, args.m), parse_module_expr(ring, args.n), ideal, args.kmax))
+            _result(args, cyclic.torsion_wrt(_canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
         elif cmd == "lambdagen":
-            _result(args, completion_wrt(parse_module_expr(ring, args.m), parse_module_expr(ring, args.n), ideal, args.kmax))
+            _result(args, cyclic.completion_wrt(_canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
         elif cmd == "glc":
-            _result(args, local_cohomology(args.degree, parse_module_expr(ring, args.m), parse_module_expr(ring, args.n), ideal, args.kmax))
+            _result(args, cyclic.local_cohomology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
         elif cmd == "glh":
-            _result(args, local_homology(args.degree, parse_module_expr(ring, args.m), parse_module_expr(ring, args.n), ideal, args.kmax))
+            _result(args, cyclic.local_homology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
         elif cmd == "check":
             want = {"reduced": 1, "coreduced": 1, "reduced-wrt": 2, "coreduced-wrt": 2}[args.predicate]
             if len(args.modules) != want:
                 print(f"error: check {args.predicate} takes {want} module argument(s)", file=sys.stderr)
                 return EXIT_USAGE
-            mods = [parse_module_expr(ring, e) for e in args.modules]
+            forms = [_canon(ring, e) for e in args.modules]
             if args.predicate == "reduced":
-                verdict = is_reduced(mods[0], ideal)
+                verdict = cyclic.is_reduced(forms[0], d)
             elif args.predicate == "coreduced":
-                verdict = is_coreduced(mods[0], ideal)
+                verdict = cyclic.is_coreduced(forms[0], d)
             elif args.predicate == "reduced-wrt":
-                verdict = is_reduced_wrt(mods[0], mods[1], ideal)
+                verdict = cyclic.is_reduced_wrt(forms[0], forms[1], d)
             else:
-                verdict = is_coreduced_wrt(mods[0], mods[1], ideal)
+                verdict = cyclic.is_coreduced_wrt(forms[0], forms[1], d)
             _emit(args, {"result": verdict}, "true" if verdict else "false")
         elif cmd == "verify":
             if args.list_claims:

@@ -1,66 +1,35 @@
 """Generalized local cohomology and homology along an ideal.
 
 Both are the defining limits, lim-> Ext^i(M/a^k M, N) and
-lim<- Tor_i(M/a^k M, N), evaluated without any chain-map lifting.  In degree
-0 the limit collapses to a single Hom (resp. tensor) against M/aM when the
-second argument is reduced (resp. coreduced) relative to the first: the
-colimit is the a-torsion of Hom(M, N), which for a reduced Hom(M, N) is
-Hom(M/aM, N), and dually for the completion of a coreduced M (x) N.  The
-collapse does not hold in positive degree, so every other value is read off
-the chain of ideal multiples a^k M: once it is stabilized, every transition
-map of the system is an identity and the (co)limit equals the term at the
-stabilization exponent.  A chain that never stabilizes raises NonStabilizing:
-the limit then lives outside finitely generated modules.
+lim<- Tor_i(M/a^k M, N), read off invariant factors by
+`cyclic.local_cohomology` and `cyclic.local_homology`.  In degree 0 they are
+the two-argument torsion Γ_a(Hom(M, N)) and completion Λ_a(M (x) N), which
+hold for every finitely generated M.  Every positive degree is the term at
+the exponent where the chain of ideal multiples a^k M stabilizes: from there
+on every transition map of the system is an identity.  A limit that leaves
+finitely generated modules (a chain that never stabilizes) raises
+NonStabilizing.
 """
 
 from __future__ import annotations
 
-from .adic import (
-    DEFAULT_KMAX,
-    completion,
-    completion_exponent,
-    is_coreduced_wrt,
-    is_reduced_wrt,
-    power_quotient,
-)
+from . import cyclic
+from .adic import DEFAULT_KMAX, completion
 from .errors import NonStabilizing
-from .functors import ext, tor
-from .modules import Presentation, iso_test, quotient_by_ideal
+from .modules import Presentation, canonical_form, canonical_presentation, iso_test
 from .rings import Ideal
 
 __all__ = ["local_cohomology", "local_homology", "is_adically_complete"]
 
 
-def local_cohomology(
-    i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX
-) -> Presentation:
-    """Degree-i local cohomology lim-> Ext^i(M/a^k M, N) of the pair (M, N).
-
-    Degree 0 on the reduced class is Hom(M/aM, N); everything else is the
-    term at the exponent where the chain a^k M stabilizes.
-    """
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
-    if i == 0 and is_reduced_wrt(M, N, a):
-        return ext(0, quotient_by_ideal(M, a), N)
-    k = completion_exponent(M, a, kmax)
-    return ext(i, power_quotient(M, a, k), N)
+def local_cohomology(i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
+    """Degree-i local cohomology lim-> Ext^i(M/a^k M, N) of the pair (M, N)."""
+    return canonical_presentation(cyclic.local_cohomology(i, canonical_form(M), canonical_form(N), a.canonical, kmax))
 
 
-def local_homology(
-    i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX
-) -> Presentation:
-    """Degree-i local homology lim<- Tor_i(M/a^k M, N) of the pair (M, N).
-
-    Degree 0 on the coreduced class is M/aM (x) N; everything else is the
-    term at the exponent where the chain a^k M stabilizes.
-    """
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
-    if i == 0 and is_coreduced_wrt(M, N, a):
-        return tor(0, quotient_by_ideal(M, a), N)
-    k = completion_exponent(M, a, kmax)
-    return tor(i, power_quotient(M, a, k), N)
+def local_homology(i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
+    """Degree-i local homology lim<- Tor_i(M/a^k M, N) of the pair (M, N)."""
+    return canonical_presentation(cyclic.local_homology(i, canonical_form(M), canonical_form(N), a.canonical, kmax))
 
 
 def is_adically_complete(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> bool:

@@ -6,7 +6,9 @@ torsion and completion along (d), the quotient N/cN and the (co)reduced
 predicates are all additive over cyclic summands, with a gcd closed form for
 each summand or pair of summands.  This module evaluates them on canonical
 forms and builds no matrix, so its cost is bounded by the number of summands
-and the length of their moduli.
+and the length of their moduli.  The two-argument torsion and completion,
+the relative predicates and generalized local (co)homology compose these
+functions; the library's public value functions and the CLI all call them.
 
 A summand is named by its order: m >= 2 for Z/m, and 0 for a free Z summand
 (over Z/n a free summand is Z/n).  Results are merged back into invariant
@@ -34,6 +36,12 @@ __all__ = [
     "completion",
     "is_reduced",
     "is_coreduced",
+    "torsion_wrt",
+    "completion_wrt",
+    "is_reduced_wrt",
+    "is_coreduced_wrt",
+    "local_cohomology",
+    "local_homology",
     "quotient",
     "direct_sum",
     "dual",
@@ -223,6 +231,52 @@ def is_coreduced(C: CanonicalForm, d: int) -> bool:
     """Whether dC = d^2C: the same test on finite summands, and a free Z
     summand passes only when d is 0 or a unit."""
     return (not C.free_rank or abs(d) <= 1) and is_reduced(C, d)
+
+
+def torsion_wrt(M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+    """Two-argument torsion: the torsion of Hom(M, N) along (d)."""
+    return torsion(hom(M, N), d, kmax)[0]
+
+
+def completion_wrt(M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+    """Two-argument completion: the completion of M (x) N along (d)."""
+    return completion(tensor(M, N), d, kmax)[0]
+
+
+def is_reduced_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> bool:
+    """Whether Hom(M, N) is reduced along (d)."""
+    return is_reduced(hom(M, N), d)
+
+
+def is_coreduced_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> bool:
+    """Whether M (x) N is coreduced along (d)."""
+    return is_coreduced(tensor(M, N), d)
+
+
+def local_cohomology(i: int, M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+    """lim-> Ext^i(M/d^kM, N).
+
+    In degree 0 the colimit of Hom(M/d^kM, N) is the d-torsion of Hom(M, N)
+    for every finitely generated M.  In positive degree it is the term at
+    the exponent where the chain d^kM stabilizes: from there on every
+    transition map is an identity.  That term is M/d^kM, the completion of M.
+    """
+    if i < 0:
+        raise ValueError("degree must be nonnegative")
+    if i == 0:
+        return torsion_wrt(M, N, d, kmax)
+    return ext(i, completion(M, d, kmax)[0], N)
+
+
+def local_homology(i: int, M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+    """lim<- Tor_i(M/d^kM, N); degree 0 is the completion of M (x) N, and
+    positive degrees are read at the stabilized chain, as in
+    `local_cohomology`."""
+    if i < 0:
+        raise ValueError("degree must be nonnegative")
+    if i == 0:
+        return completion_wrt(M, N, d, kmax)
+    return tor(i, completion(M, d, kmax)[0], N)
 
 
 def quotient(C: CanonicalForm, c: int) -> CanonicalForm:

@@ -22,10 +22,12 @@ from functools import lru_cache
 
 from . import cyclic
 from .errors import RingMismatch
-from .linalg import MatrixR, from_columns, hstack, kernel_generators, kron
+from .linalg import MatrixR, hstack, kernel_generators, kron
 from .modules import (
     ModuleMap,
     Presentation,
+    _present_subquotient,
+    _project_kernel,
     canonical_form,
     canonical_presentation,
     express_in_span,
@@ -44,25 +46,6 @@ __all__ = [
     "hom_postcompose",
     "tensor_postcompose",
 ]
-
-
-def _project_kernel(cond: MatrixR, keep: int, ambient_ring) -> MatrixR:
-    """First `keep` coordinates of each kernel generator, zeros dropped."""
-    ker = kernel_generators(cond)
-    cols = []
-    for j in range(ker.cols):
-        col = ker.column(j)[:keep]
-        if any(col):
-            cols.append(col)
-    return from_columns(ambient_ring, cols, keep)
-
-
-def _present_subquotient(Z: MatrixR, W: MatrixR) -> Presentation:
-    """span(Z)/span(W) presented on the columns of Z (requires W <= span Z)."""
-    m = Z.cols
-    ring = Z.ring
-    rels = _project_kernel(hstack(Z, W), m, ring)
-    return Presentation(ring, m, rels)
 
 
 @dataclass(frozen=True)

@@ -259,13 +259,10 @@ class Submodule:
         if self.columns.ring != self.ambient.ring:
             raise RingMismatch("columns live over the wrong ring")
 
-    def _span(self) -> MatrixR:
-        return hstack(self.columns, self.ambient.rels)
-
     def contains(self, other: "Submodule") -> bool:
         if other.ambient != self.ambient:
             raise AmbientMismatch("submodules sit inside different ambient modules")
-        return spans_include(self._span(), other.columns)
+        return spans_include(hstack(self.columns, self.ambient.rels), other.columns)
 
     def is_zero(self) -> bool:
         return spans_include(self.ambient.rels, self.columns)
@@ -277,14 +274,7 @@ class Submodule:
         """
         pres = self.__dict__.get("_presentation")
         if pres is None:
-            m = self.columns.cols
-            ker = kernel_generators(self._span())
-            rel_cols = []
-            for j in range(ker.cols):
-                col = ker.column(j)[:m]
-                if any(col):
-                    rel_cols.append(col)
-            pres = Presentation(self.ambient.ring, m, from_columns(self.ambient.ring, rel_cols, m))
+            pres = _present_subquotient(self.columns, self.ambient.rels)
             object.__setattr__(self, "_presentation", pres)
         return pres
 
@@ -335,14 +325,24 @@ def kernel_submodule(f: ModuleMap, within: Submodule | None = None) -> Submodule
         raise AmbientMismatch("submodule does not sit inside the map's source")
     else:
         moved = f.matrix @ within.columns
-    ker = kernel_generators(hstack(moved, f.target.rels))
+    coeffs = _project_kernel(hstack(moved, f.target.rels), moved.cols, src.ring)
+    return Submodule(src, coeffs if within is None else within.columns @ coeffs)
+
+
+def _project_kernel(cond: MatrixR, keep: int, ambient_ring: RingSpec) -> MatrixR:
+    """First `keep` coordinates of each kernel generator, zeros dropped."""
+    ker = kernel_generators(cond)
     cols = []
     for j in range(ker.cols):
-        col = ker.column(j)[: moved.cols]
+        col = ker.column(j)[:keep]
         if any(col):
             cols.append(col)
-    coeffs = from_columns(src.ring, cols, moved.cols)
-    return Submodule(src, coeffs if within is None else within.columns @ coeffs)
+    return from_columns(ambient_ring, cols, keep)
+
+
+def _present_subquotient(Z: MatrixR, W: MatrixR) -> Presentation:
+    """span(Z)/span(W) presented on the columns of Z (requires W <= span Z)."""
+    return Presentation(Z.ring, Z.cols, _project_kernel(hstack(Z, W), Z.cols, Z.ring))
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Presentation, ModuleMap]:

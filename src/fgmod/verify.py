@@ -212,19 +212,23 @@ def _completion(c: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
 
 
 def _ctorsion_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm:
-    return _torsion(cyclic.hom(m, n), ideal)
+    return cyclic.torsion_wrt(m, n, ideal.canonical, DEFAULT_KMAX)
 
 
 def _ccompletion_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
-    return _completion(cyclic.tensor(m, n), ideal)
+    """The two-argument completion, or None where it is not finitely generated."""
+    try:
+        return cyclic.completion_wrt(m, n, ideal.canonical, DEFAULT_KMAX)
+    except NonStabilizing:
+        return None
 
 
 def _cred_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
-    return cyclic.is_reduced(cyclic.hom(m, n), ideal.canonical)
+    return cyclic.is_reduced_wrt(m, n, ideal.canonical)
 
 
 def _ccored_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
-    return cyclic.is_coreduced(cyclic.tensor(m, n), ideal.canonical)
+    return cyclic.is_coreduced_wrt(m, n, ideal.canonical)
 
 
 def _cboth(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
@@ -244,12 +248,15 @@ def _reflexive(c: CanonicalForm) -> bool:
     return d is not None and _dual(d) == c
 
 
-# _cglc and _cglh still take the collapsed branch in every degree, where the
-# public local_cohomology and local_homology take it only in degree 0.  On the
-# collapse formula's counterexample family (see the glc-fastpath and
-# glh-fastpath claims) their positive-degree values therefore differ from the
-# public functions.  The claims built on them, and so the verify report, are
-# pinned to these values; merging the two implementations is a separate change.
+# _cglc and _cglh keep the collapse formula (Ext or Tor against M/aM) on the
+# relative (co)reduced class in every degree and read the stabilized chain
+# a^kM elsewhere, degree 0 included.  The public cyclic.local_cohomology and
+# local_homology never collapse: degree 0 is Γ_a(Hom(M, N)) or Λ_a(M (x) N),
+# which equals the collapsed value on that class and also exists where the
+# chain never flattens.  On the collapse formula's counterexample family (see
+# the glc-fastpath and glh-fastpath claims) the positive-degree values differ.
+# The claims built on _cglc and _cglh, and so the verify report, are pinned to
+# these values; merging the two is a separate change.
 @lru_cache(maxsize=cyclic._MEMO)
 def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
     if _cred_wrt(m, n, ideal):
@@ -260,7 +267,7 @@ def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> Canonical
     return cyclic.ext(i, mk, n)
 
 
-# collapsed in every degree, unlike local_homology: see the note on _cglc
+# collapsed in every degree, unlike cyclic.local_homology: see the note on _cglc
 @lru_cache(maxsize=cyclic._MEMO)
 def _cglh(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
     if _ccored_wrt(m, n, ideal):

@@ -247,3 +247,51 @@ def test_answers_too_long_to_print_are_usage_errors(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err and "too long to print" in err
+
+
+def test_degree_zero_local_cohomology_is_the_two_argument_torsion(capsys):
+    # colim Hom(Z/2^k, Z/4) = Γ_2(Hom(Z, Z/4)) = Z/4, although 2^k Z never flattens
+    assert run(capsys, "glc", "0", "--ideal", "2", "Z", "Z/4")[:2] == (0, "Z/4")
+    assert run(capsys, "gammagen", "--ideal", "2", "Z", "Z/4")[:2] == (0, "Z/4")
+
+
+def test_degree_zero_local_homology_is_the_two_argument_completion(capsys):
+    # lim Z/2^k (x) Z/4 = Λ_2(Z/4) = Z/4
+    assert run(capsys, "glh", "0", "--ideal", "2", "Z", "Z/4")[:2] == (0, "Z/4")
+    assert run(capsys, "lambdagen", "--ideal", "2", "Z", "Z/4")[:2] == (0, "Z/4")
+
+
+def test_degree_zero_local_homology_of_free_modules_still_leaves_finite_generation(capsys):
+    # Λ_2(Z) is the 2-adic integers
+    code, out, err = run(capsys, "glh", "0", "--ideal", "2", "Z", "Z")
+    assert code == 3 and out == "" and "stabilize" in err
+
+
+def test_degree_zero_with_kmax_zero_exits_3_on_a_nonzero_answer(capsys):
+    for cmd, same in (("glc", "gammagen"), ("glh", "lambdagen")):
+        for sub in (cmd, "0"), (same,):
+            code, out, _ = run(capsys, *sub, "--ideal", "2", "--kmax", "0", "Z/2", "Z/2")
+            assert (code, out) == (3, ""), sub
+            # a zero answer needs no step of the chain
+            assert run(capsys, *sub, "--ideal", "3", "--kmax", "0", "Z/2", "Z/2")[:2] == (0, "0"), sub
+
+
+def test_value_queries_eliminate_only_their_operands(capsys):
+    from fgmod import linalg
+    from fgmod.modules import canonical_form
+
+    m, n = "coker[[2,1],[0,4]]", "coker[[3,1],[1,5]]"
+    queries = [
+        ("canon", m), ("dual", m), ("gamma", "--ideal", "2", m), ("lambda", "--ideal", "2", m),
+        ("check", "reduced", "--ideal", "2", m), ("check", "coreduced", "--ideal", "2", m),
+        ("hom", m, n), ("tensor", m, n), ("ext", "1", m, n), ("tor", "1", m, n),
+        ("gammagen", "--ideal", "2", m, n), ("lambdagen", "--ideal", "2", m, n),
+        ("check", "reduced-wrt", "--ideal", "2", m, n), ("check", "coreduced-wrt", "--ideal", "2", m, n),
+    ]
+    queries += [(cmd, str(i), "--ideal", "2", m, n) for cmd in ("glc", "glh") for i in range(3)]
+    for argv in queries:
+        canonical_form.cache_clear()
+        linalg._eliminate.cache_clear()
+        code, _, _ = run(capsys, *argv)
+        operands = sum(a.startswith("coker") for a in argv)
+        assert code == 0 and linalg._eliminate.cache_info().misses == operands, argv

@@ -1,0 +1,69 @@
+"""The value route of the two-argument functions and of local (co)homology.
+
+`cyclic.local_cohomology` and `cyclic.local_homology` must agree with the
+matrix route they replaced (`cohomology_reference`) on seeded random
+non-diagonal presentations over Z, Z/6, Z/8 and Z/12, in degrees 0-3,
+wherever that route answers.  The four `cyclic.*_wrt` functions must agree
+with the compositions they replaced, and with the torsion, quotient chain
+and kernel comparisons on the Hom and tensor presentations themselves.
+"""
+
+import pytest
+from cohomology_reference import local_cohomology_by_chain, local_homology_by_chain
+from test_cyclic import DEGREES, ideals, pairs, power
+
+from fgmod import cyclic
+from fgmod.adic import DEFAULT_KMAX, power_quotient, torsion_submodule
+from fgmod.cohomology import local_cohomology, local_homology
+from fgmod.errors import NonStabilizing
+from fgmod.functors import hom_module, tensor_module
+from fgmod.modules import canonical_form, kernel_submodule, mult_map, scaled_submodule, submodule_equal
+
+
+def test_local_cohomology_and_homology_match_the_chain_route():
+    answered = 0
+    for ring, M, N in pairs(seed=7001, count=60):
+        cm, cn = canonical_form(M), canonical_form(N)
+        for a in ideals(ring):
+            for i in DEGREES:
+                for by_chain, value, public in (
+                    (local_cohomology_by_chain, cyclic.local_cohomology, local_cohomology),
+                    (local_homology_by_chain, cyclic.local_homology, local_homology),
+                ):
+                    try:
+                        want = canonical_form(by_chain(i, M, N, a))
+                    except NonStabilizing:
+                        continue
+                    answered += 1
+                    assert value(i, cm, cn, a.canonical, DEFAULT_KMAX) == want, (i, M, N, a)
+                    assert canonical_form(public(i, M, N, a)) == want, (i, M, N, a)
+    assert answered > 1000
+
+
+def test_two_argument_functions_match_their_compositions():
+    for ring, M, N in pairs(seed=7003, count=80):
+        cm, cn = canonical_form(M), canonical_form(N)
+        H, T = hom_module(M, N), tensor_module(M, N)
+        for a in ideals(ring):
+            d = a.canonical
+            hom, tensor = cyclic.hom(cm, cn), cyclic.tensor(cm, cn)
+            gamma = cyclic.torsion_wrt(cm, cn, d, DEFAULT_KMAX)
+            assert gamma == cyclic.torsion(hom, d, DEFAULT_KMAX)[0]
+            assert gamma == canonical_form(torsion_submodule(H, a)[0].to_presentation()), (M, N, d)
+            try:
+                lam, k = cyclic.completion(tensor, d, DEFAULT_KMAX)
+            except NonStabilizing:
+                with pytest.raises(NonStabilizing):
+                    cyclic.completion_wrt(cm, cn, d, DEFAULT_KMAX)
+            else:
+                assert cyclic.completion_wrt(cm, cn, d, DEFAULT_KMAX) == lam
+                assert lam == canonical_form(power_quotient(T, a, k)), (M, N, d)
+
+            reduced = cyclic.is_reduced_wrt(cm, cn, d)
+            assert reduced == cyclic.is_reduced(hom, d)
+            assert reduced == submodule_equal(
+                kernel_submodule(mult_map(H, d)), kernel_submodule(mult_map(H, power(ring, d, 2)))
+            ), (M, N, d)
+            coreduced = cyclic.is_coreduced_wrt(cm, cn, d)
+            assert coreduced == cyclic.is_coreduced(tensor, d)
+            assert coreduced == submodule_equal(scaled_submodule(T, d), scaled_submodule(T, power(ring, d, 2))), (M, N, d)
