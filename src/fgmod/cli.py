@@ -27,7 +27,7 @@ EXIT_NONSTABILIZING = 3
 EXIT_UNEXPECTED_CLAIM = 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", default="Z", help="base ring: Z or Z/<n> (default Z)")
     common.add_argument("--ideal", default=None, help="ideal generators, comma separated")
@@ -38,7 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text)",
     )
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _common_options()
     p = argparse.ArgumentParser(
         prog="fgmod",
         description="exact computations with finitely generated modules over Z and Z/n",
@@ -76,11 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("modules", nargs="+")
     chk.set_defaults(needs_ideal=True)
 
-    ver = sub.add_parser("verify", parents=[common], help="run the claim verification suite")
+    # its own copy of the options: parents share their actions, and None
+    # marks --ring and --kmax as not given, which a claims run requires
+    ver = sub.add_parser("verify", parents=[_common_options()], help="run the claim verification suite")
     ver.add_argument("--claims", default=None, help="comma-separated claim ids (default: all)")
     ver.add_argument("--grid", default=None, help="JSON grid file (default: built-in grids)")
     ver.add_argument("--list-claims", action="store_true", help="list claim ids and exit")
-    ver.set_defaults(needs_ideal=False)
+    ver.set_defaults(ring=None, kmax=None)
 
     return p
 
@@ -112,17 +118,42 @@ def _load_grids(path: str) -> list:
     return [verify.grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
 
 
+def _verify(args) -> int:
+    if args.list_claims:
+        for cid in verify.registered_claims():
+            print(cid)
+        return EXIT_OK
+    given = [f"--{name}" for name in ("ring", "ideal", "kmax") if getattr(args, name) is not None]
+    if given:
+        print(
+            f"error: verify does not use {', '.join(given)}: the grids set the rings and ideals"
+            " (give a grid file with --grid) and the claims use the default stabilization bound",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    claim_ids = None
+    if args.claims:
+        claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+    grids = _load_grids(args.grid) if args.grid else None
+    suite = verify.run_suite(grids, claim_ids)
+    out = verify.format_reports_jsonl(suite) if args.format == "json-lines" else verify.format_reports_text(suite)
+    sys.stdout.write(out)
+    return EXIT_OK if suite.all_expected else EXIT_UNEXPECTED_CLAIM
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "degree", 0) < 0:
-        print(f"error: degree must be nonnegative, got {args.degree}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.kmax < 0:
-        print(f"error: --kmax must be nonnegative, got {args.kmax}", file=sys.stderr)
-        return EXIT_USAGE
-
     try:
+        if args.command == "verify":
+            return _verify(args)
+        if getattr(args, "degree", 0) < 0:
+            print(f"error: degree must be nonnegative, got {args.degree}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.kmax < 0:
+            print(f"error: --kmax must be nonnegative, got {args.kmax}", file=sys.stderr)
+            return EXIT_USAGE
+
         ring = parse_ring(args.ring)
         ideal = None
         if args.ideal is not None:
@@ -174,19 +205,6 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 verdict = cyclic.is_coreduced_wrt(forms[0], forms[1], d)
             _emit(args, {"result": verdict}, "true" if verdict else "false")
-        elif cmd == "verify":
-            if args.list_claims:
-                for cid in verify.registered_claims():
-                    print(cid)
-                return EXIT_OK
-            claim_ids = None
-            if args.claims:
-                claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
-            grids = _load_grids(args.grid) if args.grid else None
-            suite = verify.run_suite(grids, claim_ids)
-            out = verify.format_reports_jsonl(suite) if args.format == "json-lines" else verify.format_reports_text(suite)
-            sys.stdout.write(out)
-            return EXIT_OK if suite.all_expected else EXIT_UNEXPECTED_CLAIM
         return EXIT_OK
     except NonStabilizing as exc:
         print(f"error: {exc}", file=sys.stderr)

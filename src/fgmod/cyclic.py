@@ -279,6 +279,7 @@ def local_homology(i: int, M: CanonicalForm, N: CanonicalForm, d: int, kmax: int
     return tor(i, completion(M, d, kmax)[0], N)
 
 
+@lru_cache(maxsize=_MEMO)
 def quotient(C: CanonicalForm, c: int) -> CanonicalForm:
     """C/cC: Z/m becomes Z/gcd(c, m)."""
     return _form(C.ring, [gcd(c, m) for m in _orders(C)])

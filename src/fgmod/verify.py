@@ -18,7 +18,10 @@ prunes at its depth), and a check that returns True, False, an (outcome,
 note) pair, or (None, note) for a skip.  One walker runs the loops; a label
 such as `M=Z/2, N=Z, a=(2)` is formatted only for the samples a report
 keeps.  The inherit and exactness pairs are no flat product and declare a
-generator of the same (values, result) pairs.  Mirrored claims are one
+generator of the same (values, result) pairs; the exactness pair sees the
+ideal only through one integer c (`_effective`), so it checks each
+(sequence, M, c) once and repeats that result for every ideal with the same
+c, each instance under its own label.  Mirrored claims are one
 shape over a `_Side`: reduced (R^M_a, torsion, Hom, Ext, local cohomology)
 or coreduced (C^M_a, completion, tensor, Tor, local homology).
 
@@ -730,8 +733,30 @@ def _gm_adjunction(m, n, p, a):
     return cyclic.hom(lam, n) == cyclic.hom(p, _ctorsion_wrt(m, n, a))
 
 
+def _effective(seq: _Seq, m: CanonicalForm, a: Ideal) -> int:
+    """The one integer through which the exactness checks of (seq, M) see
+    the ideal (d).
+
+    Let E be the exponent of Y, or gcd(E, exponent of M) when M is finite.
+    E kills X, Y and Z = Y/X, hence every module the checks build: Hom(M, -)
+    and M (x) - of each term.  No prime occurs in E more than log2 E times,
+    so for K >= log2 E and every k >= K, d^k and E generate the ideal (c)
+    with c = gcd(d^K, E).  On a module H with EH = 0 that gives
+    H[d^k] = H[c] and d^kH = cH: the stable torsion along (d) is the kernel
+    of c and the stable completion is H/cH.  Both checks read only these
+    submodules and the maps, so their (ok, note) is the same for every ideal
+    with the same c: c = E when d = 0, and c = 1 when d is a unit.
+    """
+    e = seq.y.torsion_factors[-1] if seq.y.torsion_factors else 1
+    if m.free_rank == 0:
+        e = math.gcd(e, m.torsion_factors[-1] if m.torsion_factors else 1)
+    return math.gcd(pow(a.canonical, e.bit_length(), e), e)
+
+
 def _exactness(s: _Side) -> dict:
-    # the induced maps do not depend on the ideal: one pair per (sequence, M)
+    # the check depends on the ideal only through _effective: one check per
+    # (sequence, M, c), while every instance keeps its own label; the induced
+    # maps do not depend on the ideal at all: one pair per (sequence, M)
     loops = (
         _Var("S", _sequences, tail=True),
         _Var("M", "tiny", lambda seq, m, a: all(s.in_class(m, c, a) for c in (seq.x, seq.y, seq.z))),
@@ -739,14 +764,18 @@ def _exactness(s: _Side) -> dict:
 
     def generate(ctx: _Ctx):
         induced: dict[tuple[_Seq, CanonicalForm], tuple[ModuleMap, ModuleMap]] = {}
+        results: dict[tuple[_Seq, CanonicalForm, int], tuple[bool, str]] = {}
 
         def check(seq, m, a):
-            maps = induced.get((seq, m))
-            if maps is None:
-                incl, proj = _ses_maps(seq.sub)
-                M = canonical_presentation(m)
-                maps = induced[seq, m] = s.postcompose(M, incl), s.postcompose(M, proj)
-            return s.exact(*maps, a)
+            key = (seq, m, _effective(seq, m, a))
+            if key not in results:
+                maps = induced.get((seq, m))
+                if maps is None:
+                    incl, proj = _ses_maps(seq.sub)
+                    M = canonical_presentation(m)
+                    maps = induced[seq, m] = s.postcompose(M, incl), s.postcompose(M, proj)
+                results[key] = s.exact(*maps, a)
+            return results[key]
 
         return _walk(loops, check, ctx)
 

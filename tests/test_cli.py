@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,18 @@ def test_verify_list_claims(capsys):
     code, out, _ = run(capsys, "verify", "--list-claims")
     assert code == 0
     assert "equiv-reduced-wrt" in out.splitlines()
+
+
+@pytest.mark.parametrize("flag, value", [("--ring", "Z/6"), ("--ideal", "2,3"), ("--kmax", "8")])
+def test_verify_claims_run_refuses_value_flags(flag, value, capsys):
+    # the grids fix rings and ideals; a flag the run would ignore is a usage error
+    for extra in ((), ("--grid", str(Path(__file__).parent / "golden" / "verify_small_grid.json"))):
+        code, out, err = run(capsys, "verify", flag, value, "--claims", "gamma-left-exact", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: verify does not use {flag}:") and "--grid" in err
+        assert err.count("\n") == 1
+    code, out, _ = run(capsys, "verify", flag, value, "--list-claims")
+    assert code == 0 and "gamma-left-exact" in out.splitlines()
 
 
 def test_verify_with_grid_file(tmp_path, capsys):
