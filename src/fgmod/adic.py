@@ -18,7 +18,6 @@ kernel of multiplication by d^k, or the relations d^k e_i appended to N's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import cyclic
 from .linalg import MatrixR
@@ -62,8 +61,6 @@ class StabilizationResult:
     exponent: int
 
 
-# over twice the 1,725 entries the default verify suite fills, so it never evicts
-@lru_cache(maxsize=4096)
 def torsion_submodule(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> tuple[Submodule, int]:
     """Elements killed by some power of the ideal, with the stabilization
     exponent: the least k with ker(d^k) = ker(d^(k+1)).  The exponent comes

@@ -118,10 +118,6 @@ class MatrixR:
         """The same entries viewed over Z."""
         return MatrixR(ZZ, self.rows, self.cols, self.entries)
 
-    def over(self, ring: RingSpec) -> "MatrixR":
-        """The same entries reduced into another ring."""
-        return MatrixR(ring, self.rows, self.cols, self.entries)
-
     def __matmul__(self, other: "MatrixR") -> "MatrixR":
         if self.ring != other.ring:
             raise RingMismatch("matrix product across rings")

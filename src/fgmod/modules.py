@@ -224,12 +224,6 @@ class ModuleMap:
         f.__dict__.update(source=source, target=target, matrix=matrix)
         return f
 
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """self o inner."""
-        if inner.target != self.source:
-            raise ValueError("maps are not composable")
-        return ModuleMap(inner.source, self.target, self.matrix @ inner.matrix)
-
     def image(self) -> "Submodule":
         return Submodule(self.target, self.matrix)
 

@@ -15,15 +15,17 @@ expected verdict (or a function of the grid, where that depends on the
 ring), the rings it applies to, its loop variables inside a loop over the
 grid's ideals (each with a label name, a domain and an optional guard that
 prunes at its depth), and a check that returns True, False, an (outcome,
-note) pair, or (None, note) for a skip.  One walker runs the loops; a label
-such as `M=Z/2, N=Z, a=(2)` is formatted only for the samples a report
-keeps.  The inherit and exactness pairs are no flat product and declare a
-generator of the same (values, result) pairs; the exactness pair sees the
-ideal only through one integer c (`_effective`), so it checks each
-(sequence, M, c) once and repeats that result for every ideal with the same
-c, each instance under its own label.  Mirrored claims are one
-shape over a `_Side`: reduced (R^M_a, torsion, Hom, Ext, local cohomology)
-or coreduced (C^M_a, completion, tensor, Tor, local homology).
+note) pair, or (None, note) for a skip.  Over Z and Z/n every value depends
+on an ideal only through its canonical generator d, so guards and checks get
+d, an int.  One walker runs the loops; a label such as `M=Z/2, N=Z, a=(2)`
+is formatted only for the samples a report keeps.  The inherit and
+exactness pairs are no flat product and declare a generator of the same
+(values, result) pairs; the exactness pair computes along one integer c
+that d determines (`_effective`), so it checks each (sequence, M, c) once
+and repeats that result for every ideal with the same c, each instance
+under its own label.  Mirrored claims are one shape over a `_Side`: reduced
+(R^M_a, torsion, Hom, Ext, local cohomology) or coreduced (C^M_a,
+completion, tensor, Tor, local homology).
 
 All grid walks are deterministic, so identical inputs produce byte-identical
 reports.  Modules are enumerated as canonical forms, and every value a claim
@@ -45,7 +47,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import cyclic
-from .adic import DEFAULT_KMAX, completion_exponent, power_quotient, torsion_submodule
+from .adic import DEFAULT_KMAX
 from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
 from .functors import hom_postcompose, tensor_postcompose
 from .grammar import format_canonical, parse_module_expr
@@ -59,11 +61,12 @@ from .modules import (
     canonical_form,
     canonical_presentation,
     kernel_submodule,
+    mult_map,
     quotient_by_submodule,
     scaled_submodule,
     submodule_equal,
 )
-from .rings import Ideal, RingSpec, ideal_power, principal
+from .rings import RingSpec, principal
 
 __all__ = [
     "GridSpec",
@@ -130,10 +133,8 @@ def enumerate_forms(grid: GridSpec) -> tuple[CanonicalForm, ...]:
     """Canonical forms of every isomorphism class within the grid bounds."""
     ring = grid.ring
     if grid.module_whitelist is not None:
-        forms = tuple(
-            canonical_form(parse_module_expr(ring, expr)) for expr in grid.module_whitelist
-        )
-        return forms
+        # dict keys keep the first of equal forms, in order
+        return tuple(dict.fromkeys(canonical_form(parse_module_expr(ring, e)) for e in grid.module_whitelist))
     chains = _divisor_chains(grid.max_torsion_order, ring.modulus)
     ranks = range(grid.max_free_rank + 1) if ring.is_integers else (0,)
     return tuple(_shared_form(CanonicalForm(ring, chain, r)) for r in ranks for chain in chains)
@@ -169,21 +170,20 @@ def grid_from_dict(data: dict) -> GridSpec:
         raise InvalidGrid("grid 'ring' must be a string such as \"Z/6\"")
     ring = parse_ring(data["ring"])
 
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
     def count(key: str, default: int) -> int:
-        try:
-            value = int(data.get(key, default))
-        except (TypeError, ValueError):
-            raise InvalidGrid(f"grid {key!r} must be an integer") from None
+        value = data.get(key, default)
+        if not is_int(value):
+            raise InvalidGrid(f"grid {key!r} must be an integer")
         if value < 0:
             raise InvalidGrid(f"grid {key!r} must be nonnegative, got {value}")
         return value
 
-    try:
-        if not isinstance(data["ideal_generators"], list):
-            raise TypeError
-        ideal_generators = tuple(int(d) for d in data["ideal_generators"])
-    except (TypeError, ValueError):
-        raise InvalidGrid("grid 'ideal_generators' must be a list of integers") from None
+    ideal_generators = data["ideal_generators"]
+    if not (isinstance(ideal_generators, list) and ideal_generators and all(map(is_int, ideal_generators))):
+        raise InvalidGrid("grid 'ideal_generators' must be a nonempty list of integers")
     wl = data.get("module_whitelist")
     if wl is not None and (not isinstance(wl, list) or not all(isinstance(e, str) for e in wl)):
         raise InvalidGrid("grid 'module_whitelist' must be a list of module expressions")
@@ -191,7 +191,7 @@ def grid_from_dict(data: dict) -> GridSpec:
         ring,
         count("max_torsion_order", 16),
         count("max_free_rank", 1 if ring.is_integers else 0),
-        ideal_generators,
+        tuple(ideal_generators),
         tuple(wl) if wl is not None else None,
         str(data.get("label", "")),
     )
@@ -201,41 +201,33 @@ def grid_from_dict(data: dict) -> GridSpec:
 # values on canonical forms, read off invariant factors by fgmod.cyclic
 
 
-def _torsion(c: CanonicalForm, ideal: Ideal) -> CanonicalForm:
-    return cyclic.torsion(c, ideal.canonical, DEFAULT_KMAX)[0]
+def _torsion(c: CanonicalForm, d: int) -> CanonicalForm:
+    return cyclic.torsion(c, d, DEFAULT_KMAX)[0]
 
 
-def _completion(c: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
+def _completion(c: CanonicalForm, d: int) -> CanonicalForm | None:
     """The completion, or None where the chain of ideal multiples never
     stabilizes (a free Z-summand and a generator outside {0, +-1})."""
     try:
-        return cyclic.completion(c, ideal.canonical, DEFAULT_KMAX)[0]
+        return cyclic.completion(c, d, DEFAULT_KMAX)[0]
     except NonStabilizing:
         return None
 
 
-def _ctorsion_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm:
-    return cyclic.torsion_wrt(m, n, ideal.canonical, DEFAULT_KMAX)
+def _ctorsion_wrt(m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm:
+    return cyclic.torsion_wrt(m, n, d, DEFAULT_KMAX)
 
 
-def _ccompletion_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
+def _ccompletion_wrt(m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
     """The two-argument completion, or None where it is not finitely generated."""
     try:
-        return cyclic.completion_wrt(m, n, ideal.canonical, DEFAULT_KMAX)
+        return cyclic.completion_wrt(m, n, d, DEFAULT_KMAX)
     except NonStabilizing:
         return None
 
 
-def _cred_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
-    return cyclic.is_reduced_wrt(m, n, ideal.canonical)
-
-
-def _ccored_wrt(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
-    return cyclic.is_coreduced_wrt(m, n, ideal.canonical)
-
-
-def _cboth(m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> bool:
-    return _cred_wrt(m, n, ideal) and _ccored_wrt(m, n, ideal)
+def _cboth(m: CanonicalForm, n: CanonicalForm, d: int) -> bool:
+    return cyclic.is_reduced_wrt(m, n, d) and cyclic.is_coreduced_wrt(m, n, d)
 
 
 def _dual(c: CanonicalForm) -> CanonicalForm | None:
@@ -261,10 +253,10 @@ def _reflexive(c: CanonicalForm) -> bool:
 # The claims built on _cglc and _cglh, and so the verify report, are pinned to
 # these values; merging the two is a separate change.
 @lru_cache(maxsize=cyclic._MEMO)
-def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
-    if _cred_wrt(m, n, ideal):
-        return cyclic.ext(i, cyclic.quotient(m, ideal.canonical), n)
-    mk = _completion(m, ideal)
+def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
+    if cyclic.is_reduced_wrt(m, n, d):
+        return cyclic.ext(i, cyclic.quotient(m, d), n)
+    mk = _completion(m, d)
     if mk is None:
         return None
     return cyclic.ext(i, mk, n)
@@ -272,10 +264,10 @@ def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> Canonical
 
 # collapsed in every degree, unlike cyclic.local_homology: see the note on _cglc
 @lru_cache(maxsize=cyclic._MEMO)
-def _cglh(i: int, m: CanonicalForm, n: CanonicalForm, ideal: Ideal) -> CanonicalForm | None:
-    if _ccored_wrt(m, n, ideal):
-        return cyclic.tor(i, cyclic.quotient(m, ideal.canonical), n)
-    mk = _completion(m, ideal)
+def _cglh(i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
+    if cyclic.is_coreduced_wrt(m, n, d):
+        return cyclic.tor(i, cyclic.quotient(m, d), n)
+    mk = _completion(m, d)
     if mk is None:
         return None
     return cyclic.tor(i, mk, n)
@@ -440,7 +432,7 @@ _SAMPLE_CAP = 8
 @dataclass(frozen=True)
 class _Ctx:
     grid: GridSpec
-    ideals: tuple[Ideal, ...]
+    ideals: tuple[int, ...]  # the canonical generator d of each grid ideal
     forms: tuple[CanonicalForm, ...]
     finite: tuple[CanonicalForm, ...]
     small: tuple[CanonicalForm, ...]
@@ -453,7 +445,7 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
     """The grid's forms and ideals, built once per grid so that every claim
     keys the memo tables on the same objects."""
     forms = enumerate_forms(grid)
-    ideals = tuple(principal(grid.ring, d) for d in grid.ideal_generators)
+    ideals = tuple(principal(grid.ring, g).canonical for g in grid.ideal_generators)
     finite = tuple(c for c in forms if c.free_rank == 0)
 
     def torsion_order(c):
@@ -468,45 +460,45 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
 @dataclass(frozen=True)
 class _Var:
     """One loop of a claim.  `domain` is a `_Ctx` field, or a function of the
-    context, the values bound so far and the ideal; `guard`, given the values
-    bound so far, this one included, and the ideal, prunes at this depth.  A
-    tail variable is labelled after the ideal."""
+    context, the values bound so far and the ideal's generator d; `guard`,
+    given the values bound so far, this one included, and d, prunes at this
+    depth.  A tail variable is labelled after the ideal."""
 
     name: str
     domain: str | Callable = "forms"
     guard: Callable | None = None
     tail: bool = False
 
-    def values(self, ctx: _Ctx, bound: tuple, a: Ideal):
-        d = self.domain
-        return getattr(ctx, d) if isinstance(d, str) else d(ctx, *bound, a)
+    def values(self, ctx: _Ctx, bound: tuple, d: int):
+        dom = self.domain
+        return getattr(ctx, dom) if isinstance(dom, str) else dom(ctx, *bound, d)
 
 
 def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx):
     """(values, result) for each instance, depth first in declaration order
-    inside a loop over the ideals; `values` ends with the ideal."""
-    for a in ctx.ideals:
-        yield from _descend(loops, check, ctx, (), a)
+    inside a loop over the ideals; `values` ends with the ideal's generator d."""
+    for d in ctx.ideals:
+        yield from _descend(loops, check, ctx, (), d)
 
 
-def _descend(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, bound: tuple, a: Ideal):
+def _descend(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, bound: tuple, d: int):
     var = loops[len(bound)]
     leaf = len(bound) == len(loops) - 1
-    for x in var.values(ctx, bound, a):
+    for x in var.values(ctx, bound, d):
         values = bound + (x,)
-        if var.guard is not None and not var.guard(*values, a):
+        if var.guard is not None and not var.guard(*values, d):
             continue
         if leaf:
-            yield values + (a,), check(*values, a)
+            yield values + (d,), check(*values, d)
         else:
-            yield from _descend(loops, check, ctx, values, a)
+            yield from _descend(loops, check, ctx, values, d)
 
 
 def _label(loops: tuple[_Var, ...], values: tuple) -> str:
     """`q=1, M=..., N=..., a=(d), X=...`: a degree first, then the modules by
     name, the ideal, and a tail variable (a short exact sequence prints as
     0->X->Y->Z->0).  `values` may stop short of the innermost loops."""
-    *xs, a = values
+    *xs, d = values
     bound = list(zip(loops, xs))
     parts = [f"{v.name}={x}" for v, x in bound if isinstance(x, int)]
     parts += [
@@ -514,7 +506,7 @@ def _label(loops: tuple[_Var, ...], values: tuple) -> str:
         for v, x in sorted(bound, key=lambda vx: vx[0].name)
         if isinstance(x, CanonicalForm) and not v.tail
     ]
-    parts.append(f"a=({a.canonical})")
+    parts.append(f"a=({d})")
     for v, x in bound:
         if isinstance(x, _Seq):
             parts.append(f"0->{format_canonical(x.x)}->{format_canonical(x.y)}->{format_canonical(x.z)}->0")
@@ -593,58 +585,55 @@ class _Side:
     """One side of the paper's duality, as the operations a mirrored claim
     names: reduced (R^M_a, two-argument torsion, Hom, Ext, local cohomology)
     or coreduced (C^M_a, two-argument completion, tensor, Tor, local
-    homology)."""
+    homology).  Each operation takes the ideal as its canonical generator d,
+    except `exact`, which takes the integer c of `_effective`."""
 
-    in_class: Callable  # (M, N, a): is N in R^M_a (C^M_a)
-    adic: Callable  # (M, N, a): two-argument torsion (completion; None if no limit)
+    in_class: Callable  # (M, N, d): is N in R^M_a (C^M_a)
+    adic: Callable  # (M, N, d): two-argument torsion (completion; None if no limit)
     adic_name: str
     absolute: Callable  # (N, d): is N itself reduced (coreduced)
     functor: Callable  # Hom (tensor)
     derived: Callable  # Ext (Tor)
-    local: Callable  # (i, M, N, a): local cohomology (homology); None if undefined
+    local: Callable  # (i, M, N, d): local cohomology (homology); None if undefined
     postcompose: Callable  # (M, f): the map f induces on Hom(M, -) (M (x) -)
-    exact: Callable  # (induced maps, a): is torsion left (completion right) exact on them
+    exact: Callable  # (induced maps, c): is torsion left (completion right) exact on them
 
 
 _UNSTABLE = (None, "completion chain does not stabilize")
 
 
-def _coreduced(c: CanonicalForm, a: Ideal) -> bool:
-    return cyclic.is_coreduced(c, a.canonical)
-
-
 def _equiv(s: _Side) -> dict:
     # the class, Hom (tensor) against M/aM and M/a^2M, the two-argument
     # torsion (completion) and its ideal multiples must all agree
-    def check(m, n, a):
-        mq = cyclic.quotient(m, a.canonical)
-        b1 = s.in_class(m, n, a)
-        b2 = s.functor(mq, n) == s.functor(cyclic.quotient(m, ideal_power(a, 2).canonical), n)
-        g = s.adic(m, n, a)
+    def check(m, n, d):
+        mq = cyclic.quotient(m, d)
+        b1 = s.in_class(m, n, d)
+        b2 = s.functor(mq, n) == s.functor(cyclic.quotient(m, d * d), n)
+        g = s.adic(m, n, d)
         if g is None:
             return (False, f"({b1},{b2})") if b1 != b2 else _UNSTABLE
         b3 = g == s.functor(mq, n)
-        b4 = scaled_submodule(canonical_presentation(g), a.canonical).is_zero()
-        b5 = s.absolute(g, a.canonical)
+        b4 = scaled_submodule(canonical_presentation(g), d).is_zero()
+        b5 = s.absolute(g, d)
         ok = b1 == b2 == b3 == b4 == b5
         return ok, "" if ok else f"({b1},{b2},{b3},{b4},{b5})"
 
     return dict(loops=(_Var("M"), _Var("N")), check=check)
 
 
-def _gamma_compose(m, n, a):
+def _gamma_compose(m, n, d):
     # two-argument torsion per its limit definition vs torsion of the hom module
-    mk = _completion(m, a)
+    mk = _completion(m, d)
     if mk is None:
         return None, "ideal-multiple chain of M does not stabilize"
-    return cyclic.hom(mk, n) == _ctorsion_wrt(m, n, a)
+    return cyclic.hom(mk, n) == _ctorsion_wrt(m, n, d)
 
 
 def _functor_stays(s: _Side) -> dict:
     # Hom lands in the reduced class, tensor stays in the coreduced class
     return dict(
-        loops=(_Var("M", "small"), _Var("X", "small", _ccored_wrt), _Var("Y", "small")),
-        check=lambda m, x, y, a: s.in_class(m, s.functor(x, y), a),
+        loops=(_Var("M", "small"), _Var("X", "small", cyclic.is_coreduced_wrt), _Var("Y", "small")),
+        check=lambda m, x, y, d: s.in_class(m, s.functor(x, y), d),
     )
 
 
@@ -654,36 +643,36 @@ def _closure_sums(s: _Side) -> dict:
         loops=(
             _Var("M", "small"),
             _Var("N1", "small", s.in_class),
-            _Var("N2", "small", lambda m, n1, n2, a: s.in_class(m, n2, a)),
+            _Var("N2", "small", lambda m, n1, n2, d: s.in_class(m, n2, d)),
         ),
-        check=lambda m, n1, n2, a: s.in_class(m, cyclic.direct_sum([n1, n2]), a),
+        check=lambda m, n1, n2, d: s.in_class(m, cyclic.direct_sum([n1, n2]), d),
     )
 
 
-def _quotient_sources(ctx: _Ctx, a: Ideal):
+def _quotient_sources(ctx: _Ctx, d: int):
     # finite modules by submodules, then modules with free part by scalars
     return ctx.finite_small + tuple(n for n in ctx.forms if n.free_rank)
 
 
-def _quotients(ctx: _Ctx, n: CanonicalForm, m: CanonicalForm, a: Ideal):
+def _quotients(ctx: _Ctx, n: CanonicalForm, m: CanonicalForm, d: int):
     if n.free_rank:
         return tuple(cyclic.quotient(n, c) for c in (2, 3, 4))
     return tuple(s.z for s in _sequences_in(n))
 
 
-def _sequences(ctx: _Ctx, a: Ideal):
+def _sequences(ctx: _Ctx, d: int):
     return [s for y in ctx.finite_small for s in _sequences_in(y)]
 
 
 def _extension_closure(s: _Side) -> dict:
-    def check(seq, m, a):
-        ok = s.in_class(m, seq.y, a)
+    def check(seq, m, d):
+        ok = s.in_class(m, seq.y, d)
         return ok, "" if ok else "middle term leaves the class"
 
     return dict(
         loops=(
             _Var("S", _sequences, tail=True),
-            _Var("M", "tiny", lambda seq, m, a: s.in_class(m, seq.x, a) and s.in_class(m, seq.z, a)),
+            _Var("M", "tiny", lambda seq, m, d: s.in_class(m, seq.x, d) and s.in_class(m, seq.z, d)),
         ),
         check=check,
         expected="fail",
@@ -692,25 +681,25 @@ def _extension_closure(s: _Side) -> dict:
     )
 
 
-def _dual_cor_iff_red(m, x, a):
+def _dual_cor_iff_red(m, x, d):
     dx = _dual(x)
     if dx is None:
         return None, "dual undefined on free part"
-    return _ccored_wrt(m, x, a) == _cred_wrt(m, dx, a)
+    return cyclic.is_coreduced_wrt(m, x, d) == cyclic.is_reduced_wrt(m, dx, d)
 
 
-def _dual_red_then_cor(m, x, a):
+def _dual_red_then_cor(m, x, d):
     dx = _dual(x)
     if dx is None:
         return None, "dual undefined on free part"
-    return _ccored_wrt(m, dx, a)
+    return cyclic.is_coreduced_wrt(m, dx, d)
 
 
 def _adic_dual(s: _Side) -> dict:
     # the dual of one two-argument functor against the other one of the dual
-    def check(m, n, a):
-        u = s.adic(m, n, a)
-        w = _other(s).adic(m, _dual(n), a)
+    def check(m, n, d):
+        u = s.adic(m, n, d)
+        w = _other(s).adic(m, _dual(n), d)
         if u is None or w is None:
             return _UNSTABLE
         return _dual(u) == w
@@ -718,24 +707,24 @@ def _adic_dual(s: _Side) -> dict:
     return dict(loops=(_Var("M"), _Var("N", "finite", s.in_class)), check=check)
 
 
-def _reflexive_values(m, n, a):
-    g = _ctorsion_wrt(m, n, a)
-    lam = _ccompletion_wrt(m, n, a)
+def _reflexive_values(m, n, d):
+    g = _ctorsion_wrt(m, n, d)
+    lam = _ccompletion_wrt(m, n, d)
     if lam is None:
         return _UNSTABLE
     return _reflexive(g) and _reflexive(lam)
 
 
-def _gm_adjunction(m, n, p, a):
-    lam = _ccompletion_wrt(m, p, a)
+def _gm_adjunction(m, n, p, d):
+    lam = _ccompletion_wrt(m, p, d)
     if lam is None:
         return _UNSTABLE
-    return cyclic.hom(lam, n) == cyclic.hom(p, _ctorsion_wrt(m, n, a))
+    return cyclic.hom(lam, n) == cyclic.hom(p, _ctorsion_wrt(m, n, d))
 
 
-def _effective(seq: _Seq, m: CanonicalForm, a: Ideal) -> int:
-    """The one integer through which the exactness checks of (seq, M) see
-    the ideal (d).
+def _effective(seq: _Seq, m: CanonicalForm, d: int) -> int:
+    """The integer c along which the exactness pair computes for (seq, M)
+    and the ideal (d).
 
     Let E be the exponent of Y, or gcd(E, exponent of M) when M is finite.
     E kills X, Y and Z = Y/X, hence every module the checks build: Hom(M, -)
@@ -743,69 +732,67 @@ def _effective(seq: _Seq, m: CanonicalForm, a: Ideal) -> int:
     so for K >= log2 E and every k >= K, d^k and E generate the ideal (c)
     with c = gcd(d^K, E).  On a module H with EH = 0 that gives
     H[d^k] = H[c] and d^kH = cH: the stable torsion along (d) is the kernel
-    of c and the stable completion is H/cH.  Both checks read only these
-    submodules and the maps, so their (ok, note) is the same for every ideal
-    with the same c: c = E when d = 0, and c = 1 when d is a unit.
+    of c and the stable completion is H/cH.  So c = E when d = 0, and c = 1
+    when d is a unit.
     """
     e = seq.y.torsion_factors[-1] if seq.y.torsion_factors else 1
     if m.free_rank == 0:
         e = math.gcd(e, m.torsion_factors[-1] if m.torsion_factors else 1)
-    return math.gcd(pow(a.canonical, e.bit_length(), e), e)
+    return math.gcd(pow(d, e.bit_length(), e), e)
 
 
 def _exactness(s: _Side) -> dict:
-    # the check depends on the ideal only through _effective: one check per
-    # (sequence, M, c), while every instance keeps its own label; the induced
-    # maps do not depend on the ideal at all: one pair per (sequence, M)
+    # the check computes along c = _effective(...) and sees nothing else of
+    # the ideal: one check per (sequence, M, c), while every instance keeps
+    # its own label; the induced maps do not depend on the ideal at all: one
+    # pair per (sequence, M)
     loops = (
         _Var("S", _sequences, tail=True),
-        _Var("M", "tiny", lambda seq, m, a: all(s.in_class(m, c, a) for c in (seq.x, seq.y, seq.z))),
+        _Var("M", "tiny", lambda seq, m, d: all(s.in_class(m, c, d) for c in (seq.x, seq.y, seq.z))),
     )
 
     def generate(ctx: _Ctx):
         induced: dict[tuple[_Seq, CanonicalForm], tuple[ModuleMap, ModuleMap]] = {}
         results: dict[tuple[_Seq, CanonicalForm, int], tuple[bool, str]] = {}
 
-        def check(seq, m, a):
-            key = (seq, m, _effective(seq, m, a))
-            if key not in results:
+        def check(seq, m, d):
+            c = _effective(seq, m, d)
+            if (seq, m, c) not in results:
                 maps = induced.get((seq, m))
                 if maps is None:
                     incl, proj = _ses_maps(seq.sub)
                     M = canonical_presentation(m)
                     maps = induced[seq, m] = s.postcompose(M, incl), s.postcompose(M, proj)
-                results[key] = s.exact(*maps, a)
-            return results[key]
+                results[seq, m, c] = s.exact(*maps, c)
+            return results[seq, m, c]
 
         return _walk(loops, check, ctx)
 
     return dict(loops=loops, generate=generate)
 
 
-def _gamma_exact(hi: ModuleMap, hp: ModuleMap, a: Ideal):
-    # asked in the ambient Hom modules: Γ(hi) is injective iff ker hi meets
-    # Γ(X) in 0, and exact in the middle iff ker hp ∩ Γ(Y) = hi(Γ(X))
-    sx, _ = torsion_submodule(hi.source, a)
-    sy, _ = torsion_submodule(hi.target, a)
+def _gamma_exact(hi: ModuleMap, hp: ModuleMap, c: int):
+    # Γ of each Hom module is the kernel of c (see _effective), asked in the
+    # ambient modules: Γ(hi) is injective iff ker hi meets Γ(X) in 0, and
+    # exact in the middle iff ker hp ∩ Γ(Y) = hi(Γ(X)); at c = 1 every Γ is 0
+    if c == 1:
+        return True, ""
+    sx = kernel_submodule(mult_map(hi.source, c))
+    sy = kernel_submodule(mult_map(hi.target, c))
     injective = kernel_submodule(hi, within=sx).is_zero()
     exact_mid = submodule_equal(kernel_submodule(hp, within=sy), Submodule(hi.target, hi.matrix @ sx.columns))
     ok = injective and exact_mid
     return ok, "" if ok else f"injective={injective}, exact={exact_mid}"
 
 
-def _lambda_exact(ti: ModuleMap, tp: ModuleMap, a: Ideal):
-    # on the map Y/a^kY -> Z/a^kZ that tp induces: it must be onto, and its
-    # kernel the image of ti; X/a^kX itself is never presented
-    try:
-        k = max(
-            completion_exponent(ti.source, a),
-            completion_exponent(ti.target, a),
-            completion_exponent(tp.target, a),
-        )
-    except NonStabilizing:
-        return _UNSTABLE
-    ly = power_quotient(ti.target, a, k)
-    lz = power_quotient(tp.target, a, k)
+def _lambda_exact(ti: ModuleMap, tp: ModuleMap, c: int):
+    # Λ of each tensor module is its quotient by c (see _effective); on the
+    # map Y/cY -> Z/cZ that tp induces: it must be onto, and its kernel the
+    # image of ti; X/cX itself is never presented; at c = 1 every Λ is 0
+    if c == 1:
+        return True, ""
+    ly = quotient_by_submodule(ti.target, scaled_submodule(ti.target, c))
+    lz = quotient_by_submodule(tp.target, scaled_submodule(tp.target, c))
     lp = ModuleMap._trusted(ly, lz, tp.matrix)
     surjective = lp.image().contains(Submodule(lz, MatrixR.identity(lz.ring, lz.gens)))
     exact_mid = submodule_equal(kernel_submodule(lp), Submodule(ly, ti.matrix))
@@ -813,19 +800,19 @@ def _lambda_exact(ti: ModuleMap, tp: ModuleMap, a: Ideal):
     return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
 
 
-def _both_classes(m, n, a):
-    mq = cyclic.quotient(m, a.canonical)
-    return _cboth(m, cyclic.tensor(mq, n), a) and _cboth(m, cyclic.hom(mq, n), a)
+def _both_classes(m, n, d):
+    mq = cyclic.quotient(m, d)
+    return _cboth(m, cyclic.tensor(mq, n), d) and _cboth(m, cyclic.hom(mq, n), d)
 
 
 def _fastpath(s: _Side) -> dict:
     # collapsed (M/aM) against stabilized-chain values of Ext or Tor
-    def check(m, n, a):
-        mk = _completion(m, a)
+    def check(m, n, d):
+        mk = _completion(m, d)
         if mk is None:
             return None, "stabilized path undefined"
-        mq = cyclic.quotient(m, a.canonical)
-        return all(s.derived(i, mq, n) == s.derived(i, mk, n) for i in _degrees(a.ring))
+        mq = cyclic.quotient(m, d)
+        return all(s.derived(i, mq, n) == s.derived(i, mk, n) for i in _degrees(m.ring))
 
     return dict(loops=(_Var("M"), _Var("N", guard=s.in_class)), check=check)
 
@@ -848,20 +835,20 @@ def _glh_fastpath_expected(grid: GridSpec) -> str:
 def _positive_degrees_vanish(s: _Side) -> dict:
     return dict(
         loops=(
-            _Var("M", guard=lambda m, a: _cf_projective(cyclic.quotient(m, a.canonical))),
+            _Var("M", guard=lambda m, d: _cf_projective(cyclic.quotient(m, d))),
             _Var("N", guard=s.in_class),
         ),
-        check=lambda m, n, a: all(
-            (v := s.local(i, m, n, a)) is not None and v.is_trivial for i in _degrees(a.ring, 1)
+        check=lambda m, n, d: all(
+            (v := s.local(i, m, n, d)) is not None and v.is_trivial for i in _degrees(m.ring, 1)
         ),
     )
 
 
-def _finiteness(m, n, a):
+def _finiteness(m, n, d):
     finite = True
     any_defined = False
-    for i in _degrees(a.ring):
-        for v in (_cglc(i, m, n, a), _cglh(i, m, n, a)):
+    for i in _degrees(m.ring):
+        for v in (_cglc(i, m, n, d), _cglh(i, m, n, d)):
             if v is not None:
                 any_defined = True
                 finite = finite and v.free_rank == 0
@@ -872,12 +859,12 @@ def _finiteness(m, n, a):
 
 def _local_dual(s: _Side) -> dict:
     # the dual of one local (co)homology against the other one of the dual
-    def check(m, n, a):
+    def check(m, n, d):
         dn = _dual(n)
         ok = True
-        for i in _degrees(a.ring):
-            v = s.local(i, m, n, a)
-            w = _other(s).local(i, m, dn, a)
+        for i in _degrees(m.ring):
+            v = s.local(i, m, n, d)
+            w = _other(s).local(i, m, dn, d)
             if v is None or w is None:
                 return None, "no stabilizing path"
             ok = ok and _dual(v) == w
@@ -886,56 +873,56 @@ def _local_dual(s: _Side) -> dict:
     return dict(loops=(_Var("M"), _Var("N", "finite", s.in_class)), check=check)
 
 
-def _b_class_membership(m, n, a):
-    for p in _degrees(a.ring):
-        hc = _cglc(p, m, n, a)
-        hh = _cglh(p, m, n, a)
+def _b_class_membership(m, n, d):
+    for p in _degrees(m.ring):
+        hc = _cglc(p, m, n, d)
+        hh = _cglh(p, m, n, d)
         # coreduced M makes both fast paths total
         if hc is None or hh is None:
             return False
-        if not (_cboth(m, hc, a) and _cboth(m, hh, a)):
+        if not (_cboth(m, hc, d) and _cboth(m, hh, d)):
             return False
     return True
 
 
 def _inherit(s: _Side) -> dict:
     # the classical value H(R, N) gates M, and is undefined once per (q, N)
-    loops = (_Var("q", lambda ctx, a: _degrees(ctx.grid.ring)), _Var("N"), _Var("M"))
+    loops = (_Var("q", lambda ctx, d: _degrees(ctx.grid.ring)), _Var("N"), _Var("M"))
 
     def generate(ctx: _Ctx):
         r1 = _free_form(ctx.grid.ring)
-        for a in ctx.ideals:
+        for d in ctx.ideals:
             for q in _degrees(ctx.grid.ring):
                 for n in ctx.forms:
-                    hq = s.local(q, r1, n, a)
+                    hq = s.local(q, r1, n, d)
                     if hq is None:
-                        yield (q, n, a), (None, "classical value undefined (chain)")
+                        yield (q, n, d), (None, "classical value undefined (chain)")
                         continue
                     for m in ctx.forms:
-                        if s.in_class(m, hq, a):
-                            hmn = s.local(q, m, n, a)
-                            ok = (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn, a)
-                            yield (q, n, m, a), ok
+                        if s.in_class(m, hq, d):
+                            hmn = s.local(q, m, n, d)
+                            ok = (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn, d)
+                            yield (q, n, m, d), ok
 
     return dict(loops=loops, generate=generate)
 
 
 def _vnr_vanish(s: _Side) -> dict:
     # iterated local (co)homology is the double completion (torsion) at (0,0)
-    def check(m, n, a):
-        degrees = _degrees(a.ring)
+    def check(m, n, d):
+        degrees = _degrees(m.ring)
         for q in degrees:
-            inner = s.local(q, m, n, a)
+            inner = s.local(q, m, n, d)
             if inner is None:
                 return False, f"inner value undefined at q={q}"
             note = ""  # the last failure in row q
             for p in degrees:
-                outer = s.local(p, m, inner, a)
+                outer = s.local(p, m, inner, d)
                 if outer is None:
                     return False, f"outer value undefined at ({p},{q})"
                 if (p, q) == (0, 0):
-                    once = s.adic(m, n, a)
-                    twice = None if once is None else s.adic(m, once, a)
+                    once = s.adic(m, n, d)
+                    twice = None if once is None else s.adic(m, once, d)
                     if twice is None or outer != twice:
                         note = f"double {s.adic_name} mismatch at (0,0)"
                 elif not outer.is_trivial:
@@ -954,11 +941,11 @@ def _vnr_vanish(s: _Side) -> dict:
 # postcompose goes through the module-level names, so rebinding them (as a
 # tracer does) reaches the claims too
 _RED = _Side(
-    _cred_wrt, _ctorsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext, _cglc,
+    cyclic.is_reduced_wrt, _ctorsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext, _cglc,
     lambda M, f: hom_postcompose(M, f), _gamma_exact,
 )
 _COR = _Side(
-    _ccored_wrt, _ccompletion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor, cyclic.tor,
+    cyclic.is_coreduced_wrt, _ccompletion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor, cyclic.tor,
     _cglh, lambda M, f: tensor_postcompose(M, f), _lambda_exact,
 )
 
@@ -984,17 +971,17 @@ _REGISTRY: list[_Claim] = [
            "two-argument torsion computed from its limit definition equals the torsion of the hom module",
            (_M, _N), _gamma_compose),
     _Claim("gamma-hom-commute", "two-argument torsion equals Hom(M, torsion of N)",
-           (_N, _M), lambda n, m, a: _ctorsion_wrt(m, n, a) == cyclic.hom(m, _torsion(n, a))),
+           (_N, _M), lambda n, m, d: _ctorsion_wrt(m, n, d) == cyclic.hom(m, _torsion(n, d))),
     _Claim("gamma-reflect", "N is reduced relative to M iff the torsion of N is",
-           (_N, _M), lambda n, m, a: _cred_wrt(m, n, a) == _cred_wrt(m, _torsion(n, a), a)),
+           (_N, _M), lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, _torsion(n, d), d)),
     _Claim("reduced-implies-wrt", "a reduced module is reduced relative to every module",
-           (_Var("N", guard=lambda n, a: cyclic.is_reduced(n, a.canonical)), _Var("K")),
-           lambda n, k, a: _cred_wrt(k, n, a)),
+           (_Var("N", guard=cyclic.is_reduced), _Var("K")),
+           lambda n, k, d: cyclic.is_reduced_wrt(k, n, d)),
     _Claim("coreduced-M-absorbs", "a coreduced M makes every module reduced relative to M",
-           (_Var("M", guard=_coreduced), _N), _cred_wrt),
+           (_Var("M", guard=cyclic.is_coreduced), _N), cyclic.is_reduced_wrt),
     _Claim("tensor-coreduced", "a tensor product with a coreduced factor is coreduced",
-           (_M, _Var("N", guard=lambda m, n, a: _coreduced(m, a) or _coreduced(n, a))),
-           lambda m, n, a: _coreduced(cyclic.tensor(m, n), a)),
+           (_M, _Var("N", guard=lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d))),
+           lambda m, n, d: cyclic.is_coreduced(cyclic.tensor(m, n), d)),
     *_mirrored(
         _functor_stays,
         (_RED, "hom-into-reduced", "Hom out of a module coreduced relative to M lands in the reduced class"),
@@ -1006,13 +993,13 @@ _REGISTRY: list[_Claim] = [
         (_COR, "closure-sums", "finite sums stay coreduced relative to M"),
     ),
     _Claim("closure-sub", "submodules stay reduced relative to M",
-           (_Var("N", "finite_small"), _Var("M", "small", lambda n, m, a: _cred_wrt(m, n, a)),
-            _Var("X", lambda ctx, n, m, a: [s.x for s in _sequences_in(n)], tail=True)),
-           lambda n, m, x, a: _cred_wrt(m, x, a)),
+           (_Var("N", "finite_small"), _Var("M", "small", lambda n, m, d: cyclic.is_reduced_wrt(m, n, d)),
+            _Var("X", lambda ctx, n, m, d: [s.x for s in _sequences_in(n)], tail=True)),
+           lambda n, m, x, d: cyclic.is_reduced_wrt(m, x, d)),
     _Claim("closure-quot", "quotients stay coreduced relative to M",
-           (_Var("N", _quotient_sources), _Var("M", "small", lambda n, m, a: _ccored_wrt(m, n, a)),
+           (_Var("N", _quotient_sources), _Var("M", "small", lambda n, m, d: cyclic.is_coreduced_wrt(m, n, d)),
             _Var("Q", _quotients, tail=True)),
-           lambda n, m, q, a: _ccored_wrt(m, q, a)),
+           lambda n, m, q, d: cyclic.is_coreduced_wrt(m, q, d)),
     *_mirrored(
         _extension_closure,
         (_RED, "extension-closure-R",
@@ -1023,17 +1010,17 @@ _REGISTRY: list[_Claim] = [
     _Claim("dual-cor-iff-red", "X is coreduced relative to M iff its dual is reduced relative to M",
            (_M, _X), _dual_cor_iff_red),
     _Claim("dual-red-then-cor", "the dual of a module reduced relative to M is coreduced relative to M",
-           (_M, _Var("X", guard=_cred_wrt)), _dual_red_then_cor),
+           (_M, _Var("X", guard=cyclic.is_reduced_wrt)), _dual_red_then_cor),
     *_mirrored(
         _adic_dual,
         (_RED, "gamma-dual", "dual of two-argument torsion equals two-argument completion of the dual"),
         (_COR, "lambda-dual", "dual of two-argument completion equals two-argument torsion of the dual"),
     ),
     _Claim("reflexive", "torsion and completion of a reflexive module in both classes are reflexive",
-           (_M, _Var("N", guard=lambda m, n, a: _cboth(m, n, a) and _reflexive(n))),
+           (_M, _Var("N", guard=lambda m, n, d: _cboth(m, n, d) and _reflexive(n))),
            _reflexive_values, rings="modular"),
     _Claim("gm-adjunction", "Hom(completion(M,P), N) matches Hom(P, torsion(M,N)) on the two classes",
-           (_M, _Var("N", guard=_cred_wrt), _Var("P", guard=lambda m, n, p, a: _ccored_wrt(m, p, a))),
+           (_M, _Var("N", guard=cyclic.is_reduced_wrt), _Var("P", guard=lambda m, n, p, d: cyclic.is_coreduced_wrt(m, p, d))),
            _gm_adjunction),
     *_mirrored(
         _exactness,
@@ -1056,8 +1043,8 @@ _REGISTRY: list[_Claim] = [
     _Claim("glh-flat-vanish", "local homology vanishes in positive degrees when M/aM is flat",
            **_positive_degrees_vanish(_COR)),
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
-           (_Var("M", guard=_coreduced), _Var("N", guard=lambda m, n, a: _coreduced(n, a))),
-           lambda m, n, a: all(_cglh(i, m, n, a) == _cglh(i, n, m, a) for i in _degrees(a.ring)),
+           (_Var("M", guard=cyclic.is_coreduced), _Var("N", guard=lambda m, n, d: cyclic.is_coreduced(n, d))),
+           lambda m, n, d: all(_cglh(i, m, n, d) == _cglh(i, n, m, d) for i in _degrees(m.ring)),
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",
            (_M, _Var("N", "finite")), _finiteness),
@@ -1067,7 +1054,7 @@ _REGISTRY: list[_Claim] = [
         (_RED, "glc-glh-dual", "local homology of the dual equals the dual of local cohomology"),
     ),
     _Claim("b-class-membership", "for coreduced M, local (co)homology values land in both classes",
-           (_Var("M", guard=_coreduced), _N), _b_class_membership),
+           (_Var("M", guard=cyclic.is_coreduced), _N), _b_class_membership),
     *_mirrored(
         _inherit,
         (_RED, "inherit-reduced", "if the classical value is reduced relative to M, so is the two-argument value"),

@@ -1,21 +1,28 @@
 """The exactness claims ask kernels and images in the ambient modules, and
 the maps the library builds itself skip certification.
 
-`verify._gamma_exact` and `verify._lambda_exact` must give the same
-(ok, note) as the restricted-map route in `exactness_reference`: on every
-instance the small golden grid checks, and on seeded random non-diagonal
-short exact sequences over Z, Z/6 and Z/8.  The random cases also pair a
-multiplication map with a projection, a sequence that is not exact, so the
-failing branches and their notes are compared too.  Every map the trusted
-constructor builds on the small grid must pass the public certification.
+`verify._gamma_exact` and `verify._lambda_exact` compute along one integer
+c = gcd(d^K, E), for an E that kills every module they build, and must give
+the same (ok, note) as the restricted-map route in `exactness_reference`
+along the ideal (d) itself: on every instance the small golden grid and the
+default Z/6 and Z/8 grids check, with c from `verify._effective`, and on
+seeded random non-diagonal short exact sequences of finite modules over Z,
+Z/6 and Z/8, with c from the exponents of the modules the checks build.
+The random cases also pair a multiplication map with a projection, a
+sequence that is not exact, so the failing branches and their notes are
+compared too.  Every map the trusted constructor builds on the small grid
+must pass the public certification.
 
-The harness checks each (sequence, M, c) once, where c = gcd(d^K, E) for an
-E that kills every module the checks build.  That rests on one fact, tested
-here on seeded random finite modules killed by E: along (d), the torsion
-submodule is the kernel of c and the stable quotient is N/cN.  The memoized
-claims must then yield the same (values, result) pairs as the walk that
-checks every instance, with 240 checks per claim on the small grid where
-there are 391 instances.
+Computing along c rests on one fact, tested here on seeded random finite
+modules killed by E: along (d), the torsion submodule is the kernel of c and
+the stable quotient is N/cN.  On every sequence and M of those grids, in the
+class or not, the c of `_effective` must give each module the checks build
+the torsion and completion it has along (d).  On in-class sequences a wrong
+c can still give the right verdicts, so the grid comparisons alone would not
+show it.  The harness checks each (sequence, M, c) once; the memoized
+claims must yield the same (values, result) pairs as the walk that checks
+every instance, with 240 checks per claim on the small grid where there are
+391 instances.
 """
 
 import dataclasses
@@ -77,14 +84,15 @@ def sequence_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
     return incl, proj
 
 
-def cases(seed: int, count: int):
+def cases(seed: int, count: int, finite: bool = False):
     """(ring, M, first map, second map): a short exact sequence, then the
-    non-exact Y --c--> Y -> Y/X on the same Y."""
+    non-exact Y --c--> Y -> Y/X on the same Y; a finite Y if asked."""
     rng = random.Random(seed)
     for _ in range(count):
         ring = rng.choice(RINGS)
         M = random_coker(rng, ring, max_gens=2)
-        sub = random_submodule(rng, random_coker(rng, ring))
+        Y = killed_by(rng, ring, rng.choice((2, 3, 4, 6, 8, 12))) if finite else random_coker(rng, ring)
+        sub = random_submodule(rng, Y)
         incl, proj = sequence_maps(sub)
         yield ring, M, incl, proj
         yield ring, M, mult_map(sub.ambient, rng.randint(0, 3)), proj
@@ -97,41 +105,68 @@ def outcome(check, *args):
         return type(exc).__name__
 
 
-def test_exactness_checks_match_the_restriction_route_on_the_small_grid():
-    checked = 0
+def reference_comparisons(grids):
+    """(got, want) of each exactness check on every instance of the grids:
+    the check along c = _effective(seq, M, d), the reference along (d)."""
     for claim_id, side, new, reference in (
         ("gamma-left-exact", verify._RED, verify._gamma_exact, gamma_exact_by_restriction),
         ("lambda-right-exact", verify._COR, verify._lambda_exact, lambda_exact_by_quotients),
     ):
         assert side.exact is new
 
-        def check(seq, m, a):
+        def check(seq, m, d):
             incl, proj = verify._ses_maps(seq.sub)
             M = canonical_presentation(m)
             maps = side.postcompose(M, incl), side.postcompose(M, proj)
-            return new(*maps, a), reference(*maps, a)
+            return new(*maps, verify._effective(seq, m, d)), reference(*maps, principal(m.ring, d))
 
-        for grid in small_grids():
-            for values, (got, want) in verify._walk(verify._BY_ID[claim_id].loops, check, verify._make_ctx(grid)):
-                assert got == want, (claim_id, grid.label, values)
-                checked += 1
+        for grid in grids:
+            for values, result in verify._walk(verify._BY_ID[claim_id].loops, check, verify._make_ctx(grid)):
+                yield (claim_id, grid.label, values), result
+
+
+def test_exactness_checks_match_the_restriction_route_on_the_small_grid():
+    checked = 0
+    for where, (got, want) in reference_comparisons(small_grids()):
+        assert got == want, where
+        checked += 1
     # the golden report's instance counts of both claims on the three grids
     assert checked == 2 * (150 + 129 + 112)
+
+
+def test_exactness_checks_match_the_restriction_route_on_the_default_modular_grids():
+    grids = [g for g in verify.default_grids() if g.label in ("Z/6", "Z/8")]
+    checked = 0
+    for where, (got, want) in reference_comparisons(grids):
+        assert got == want, where
+        checked += 1
+    # the default report's instance counts of both claims on Z/6 and Z/8
+    assert checked == 2 * (480 + 609)
+
+
+def exponent(P: Presentation) -> int:
+    """The least e > 0 with eP = 0 for a finite P."""
+    C = canonical_form(P)
+    assert C.free_rank == 0, P
+    return C.torsion_factors[-1] if C.torsion_factors else 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exactness_checks_match_the_restriction_route_on_random_sequences(seed):
     outcomes = {"gamma": set(), "lambda": set()}
-    for ring, M, f, g in cases(seed, 20):
-        for a in (principal(ring, d) for d in (0, 2, 3, 4)):
-            hi, hp = hom_postcompose(M, f), hom_postcompose(M, g)
-            new = outcome(verify._gamma_exact, hi, hp, a)
-            assert new == outcome(gamma_exact_by_restriction, hi, hp, a), (ring, M, f, a)
-            outcomes["gamma"].add(new if isinstance(new, str) else new[0])
-            ti, tp = tensor_postcompose(M, f), tensor_postcompose(M, g)
-            new = outcome(verify._lambda_exact, ti, tp, a)
-            assert new == outcome(lambda_exact_by_quotients, ti, tp, a), (ring, M, f, a)
-            outcomes["lambda"].add(new if isinstance(new, str) else new[0])
+    for ring, M, f, g in cases(seed, 20, finite=True):
+        for d in (0, 2, 3, 4):
+            a = principal(ring, d)
+            for name, new, reference, postcompose in (
+                ("gamma", verify._gamma_exact, gamma_exact_by_restriction, hom_postcompose),
+                ("lambda", verify._lambda_exact, lambda_exact_by_quotients, tensor_postcompose),
+            ):
+                first, second = postcompose(M, f), postcompose(M, g)
+                e = math.lcm(*(exponent(P) for P in (first.source, first.target, second.target)))
+                c = math.gcd(a.canonical ** e.bit_length(), e)
+                got = outcome(new, first, second, c)
+                assert got == outcome(reference, first, second, a), (ring, M, f, d)
+                outcomes[name].add(got if isinstance(got, str) else got[0])
     # both branches of each check ran
     assert {True, False} <= outcomes["gamma"]
     assert {True, False} <= outcomes["lambda"]
@@ -205,11 +240,29 @@ def test_torsion_and_completion_of_a_module_killed_by_e_see_only_c(seed):
                 assert canonical_form(adic.power_quotient(N, a, k)) == want, (ring, N, d)
 
 
+def test_effective_gives_the_torsion_and_completion_along_d():
+    # on every sequence and M of the grids, in the class or not: each module
+    # the checks build has torsion and completion along (d) of the same
+    # orders as H/cH (a finite cyclic Z/m has Z/m[c] and Z/m/cZ/m both
+    # Z/gcd(c, m))
+    for grid in small_grids() + [g for g in verify.default_grids() if g.label in ("Z/6", "Z/8")]:
+        ctx = verify._make_ctx(grid)
+        for seq in verify._sequences(ctx, 0):
+            for m in ctx.tiny:
+                for d in range(-4, 9):
+                    c = verify._effective(seq, m, d)
+                    for t in (seq.x, seq.y, seq.z):
+                        for H in (cyclic.hom(m, t), cyclic.tensor(m, t)):
+                            want = cyclic.quotient(H, c)
+                            assert cyclic.torsion(H, d, adic.DEFAULT_KMAX)[0] == want, (grid.label, seq, m, d)
+                            assert cyclic.completion(H, d, adic.DEFAULT_KMAX)[0] == want, (grid.label, seq, m, d)
+
+
 def unmemoized(side):
-    def check(seq, m, a):
+    def check(seq, m, d):
         incl, proj = verify._ses_maps(seq.sub)
         M = canonical_presentation(m)
-        return side.exact(side.postcompose(M, incl), side.postcompose(M, proj), a)
+        return side.exact(side.postcompose(M, incl), side.postcompose(M, proj), verify._effective(seq, m, d))
 
     return check
 
@@ -226,19 +279,33 @@ def test_memoized_exactness_yields_every_instance_of_the_unmemoized_walk(claim_i
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
 def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     # both claims hold, so their results cannot show a key that merges too
-    # much; this check's note shows the torsion (completion) of each term
-    limit = adic.torsion if side is verify._RED else adic.completion
+    # much; this check's note shows the torsion (completion) of each term,
+    # along c in the memoized claim and along (d) in the walk
+    def along_c(P, c):
+        if side is verify._RED:
+            return canonical_form(kernel_submodule(mult_map(P, c)).to_presentation())
+        return canonical_form(quotient_by_ideal(P, principal(P.ring, c)))
 
-    def exact(f, g, a):
-        return True, " ".join(str(canonical_form(limit(P, a).value)) for P in (f.source, f.target, g.target))
+    def along_d(P, d):
+        limit = adic.torsion if side is verify._RED else adic.completion
+        return canonical_form(limit(P, principal(P.ring, d)).value)
 
-    probe = dataclasses.replace(side, exact=exact)
+    def describe(along, f, g, x):
+        return True, " ".join(str(along(P, x)) for P in (f.source, f.target, g.target))
+
+    probe = dataclasses.replace(side, exact=lambda f, g, c: describe(along_c, f, g, c))
+
+    def check(seq, m, d):
+        incl, proj = verify._ses_maps(seq.sub)
+        M = canonical_presentation(m)
+        return describe(along_d, side.postcompose(M, incl), side.postcompose(M, proj), d)
+
     shape = verify._exactness(probe)
     notes = set()
     for grid in small_grids():
         ctx = verify._make_ctx(grid)
         pairs = list(shape["generate"](ctx))
-        assert pairs == list(verify._walk(shape["loops"], unmemoized(probe), ctx)), grid.name()
+        assert pairs == list(verify._walk(shape["loops"], check, ctx)), grid.name()
         notes |= {note for _, (_, note) in pairs}
     assert len(notes) > 1
 

@@ -172,6 +172,13 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         "broken.json": '{"ring": "Z",',
         "no-ideals.json": '{"ring": "Z", "max_torsion_order": 4}',
         "negative.json": '{"ring": "Z", "max_torsion_order": -1, "ideal_generators": [2]}',
+        "no-ideal.json": '{"ring": "Z/6", "ideal_generators": []}',
+        "bool-ideal.json": '{"ring": "Z", "ideal_generators": [2, true]}',
+        "float-ideal.json": '{"ring": "Z", "ideal_generators": [2.0]}',
+        "string-ideal.json": '{"ring": "Z", "ideal_generators": ["2"]}',
+        "float-order.json": '{"ring": "Z", "max_torsion_order": 2.7, "ideal_generators": [2]}',
+        "string-order.json": '{"ring": "Z", "max_torsion_order": "16", "ideal_generators": [2]}',
+        "bool-rank.json": '{"ring": "Z", "max_free_rank": true, "ideal_generators": [2]}',
     }
     paths = [str(tmp_path / "missing.json")]
     for name, text in bad.items():

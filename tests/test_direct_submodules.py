@@ -33,9 +33,7 @@ def kernel_calls(monkeypatch):
         return kernel_submodule(f)
 
     monkeypatch.setattr(adic, "kernel_submodule", counted)
-    torsion_submodule.cache_clear()
-    yield calls
-    torsion_submodule.cache_clear()
+    return calls
 
 
 def test_torsion_submodule_builds_one_kernel(kernel_calls):

@@ -51,6 +51,16 @@ def test_module_whitelist():
     assert got == ["Z/4", "Z/2 + Z/2"]
 
 
+def test_module_whitelist_keeps_one_form_per_isomorphism_class():
+    grid = GridSpec(
+        RingSpec.integers(), 16, 1, (2,), module_whitelist=("Z/2", "coker[[2]]", "Z/4", "Z/2"), label="wl"
+    )
+    got = [format_canonical(canonical_form(p)) for p in enumerate_modules(grid)]
+    assert got == ["Z/2", "Z/4"]
+    one = GridSpec(RingSpec.integers(), 16, 1, (2,), module_whitelist=("Z/2", "coker[[2]]"), label="one")
+    assert check_claim("gamma-dual", one).instances_checked == 1
+
+
 def test_registry_is_complete():
     ids = registered_claims()
     assert len(ids) == len(set(ids)) == 38
