@@ -5,8 +5,8 @@ modules, and its canonical form lists them.  Hom, tensor, Ext, Tor, the
 torsion and completion along (d), the quotient N/cN and the (co)reduced
 predicates are all additive over cyclic summands, with a gcd closed form for
 each summand or pair of summands.  This module evaluates them on canonical
-forms and builds no matrix, so its cost is bounded by the number of summands
-and the length of their moduli.  The two-argument torsion and completion,
+forms and eliminates no matrix, so its cost is bounded by the number of
+summands and the length of their moduli.  The two-argument torsion and completion,
 the relative predicates and generalized local (co)homology compose these
 functions; the library's public value functions and the CLI all call them.
 
@@ -15,8 +15,12 @@ A summand is named by its order: m >= 2 for Z/m, and 0 for a free Z summand
 factors by refining their orders into a coprime base: no integer is
 factored, so moduli may have thousands of digits.
 
-Maps are not values.  Induced maps, submodules and quotients by submodules
-live on presentations, in `functors`, `adic` and `modules`.
+A map between canonical forms is a matrix of integers between their cyclic
+summands.  `hom_postcompose` and `tensor_postcompose` give the maps that one
+induces on Hom(M, -) and M (x) -, on the pair summands whose orders `hom` and
+`tensor` merge, so their entries too are bounded by the orders.  Maps
+between arbitrary presentations, submodules and quotients by submodules
+live in `functors`, `adic` and `modules`.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .modules import CanonicalForm, _shared_form
 __all__ = [
     "hom",
     "tensor",
+    "hom_postcompose",
+    "tensor_postcompose",
     "ext",
     "tor",
     "torsion",
@@ -53,7 +59,9 @@ _MEMO = 1 << 16
 
 
 def _orders(C: CanonicalForm) -> tuple[int, ...]:
-    return (0,) * C.free_rank + C.torsion_factors
+    """The orders of C's summands in the generator order of
+    `canonical_presentation`: the invariant factors, then the free summands."""
+    return C.torsion_factors + (0,) * C.free_rank
 
 
 def _same_ring(M: CanonicalForm, N: CanonicalForm, what: str) -> None:
@@ -124,11 +132,22 @@ def _coprime_base(values) -> list[int]:
     return base
 
 
+def _hom_order(a: int, b: int) -> int:
+    """The order of Hom(Z/a, Z/b): gcd(a, b), and 1 for Hom(Z/a, Z) with a != 0."""
+    return 1 if a and not b else gcd(a, b)
+
+
+def _hom_generator(a: int, b: int) -> int:
+    """The image of 1 under the generator of Hom(Z/a, Z/b): b/gcd(a, b), and
+    1 for Hom(Z, Z)."""
+    return b // gcd(a, b) if b else 1
+
+
 @lru_cache(maxsize=_MEMO)
 def hom(M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
     """Hom(Z/a, Z/b) = Z/gcd(a, b), with Hom(Z/a, Z) = 0."""
     _same_ring(M, N, "Hom")
-    return _form(M.ring, [1 if a and not b else gcd(a, b) for a in _orders(M) for b in _orders(N)])
+    return _form(M.ring, [_hom_order(a, b) for a in _orders(M) for b in _orders(N)])
 
 
 @lru_cache(maxsize=_MEMO)
@@ -136,6 +155,59 @@ def tensor(M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
     """Z/a (x) Z/b = Z/gcd(a, b)."""
     _same_ring(M, N, "tensor")
     return _form(M.ring, [gcd(a, b) for a in _orders(M) for b in _orders(N)])
+
+
+SummandMap = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _pair_map(M, A, B, F, order, entry) -> SummandMap:
+    """The map that F: A -> B induces on the pair summands of M and A and of
+    M and B of nontrivial `order`, M's summands outer; `entry(m, a, b, x)`
+    carries the generator of the (m, a) summand, through the entry x of F,
+    to a multiple of the generator of (m, b).  Distinct summands of M do not
+    meet."""
+    _same_ring(M, A, "induced map")
+    _same_ring(A, B, "induced map")
+    ms, sources, targets = _orders(M), _orders(A), _orders(B)
+    src = [(k, i, h) for k, m in enumerate(ms) for i, a in enumerate(sources) if (h := order(m, a)) != 1]
+    tgt = [(k, j, h) for k, m in enumerate(ms) for j, b in enumerate(targets) if (h := order(m, b)) != 1]
+    matrix = tuple(
+        tuple(entry(ms[k], sources[i], targets[j], F[j][i]) if k == l else 0 for l, i, _ in src)
+        for k, j, _ in tgt
+    )
+    return tuple(h for *_, h in src), tuple(h for *_, h in tgt), matrix
+
+
+def _hom_entry(m: int, a: int, b: int, x: int) -> int:
+    y = x * _hom_generator(m, a)
+    return (y % b if b else y) // _hom_generator(m, b)
+
+
+def _tensor_entry(m: int, a: int, b: int, x: int) -> int:
+    g = gcd(m, b)
+    return x % g if g else x
+
+
+def hom_postcompose(M: CanonicalForm, A: CanonicalForm, B: CanonicalForm, F) -> SummandMap:
+    """Hom(M, f) for the map f: A -> B that sends the generator of A's i-th
+    cyclic summand to F[j][i] times that of B's j-th, summed over j; F is the
+    matrix of f between the canonical presentations of A and B.
+
+    Hom(M, A) is the sum of the pair summands Hom(Z/m, Z/a) = Z/g, g the
+    `hom` order, generated by 1 |-> a/g.  f carries that generator to
+    1 |-> (a/g)·F[j][i] in Z/b, which is ((a/g)·F[j][i] mod b) / (b/g')
+    times the generator of Hom(Z/m, Z/b) = Z/g'.  Returns the orders of the
+    nonzero pair summands of Hom(M, A) and Hom(M, B), M's summands outer,
+    and the matrix between them, one row per target pair.
+    """
+    return _pair_map(M, A, B, F, _hom_order, _hom_entry)
+
+
+def tensor_postcompose(M: CanonicalForm, A: CanonicalForm, B: CanonicalForm, F) -> SummandMap:
+    """M (x) f for f as in `hom_postcompose`: 1 (x) 1 in Z/m (x) Z/a goes
+    to F[j][i] mod gcd(m, b) times 1 (x) 1 in Z/m (x) Z/b.  Returns the
+    orders of the nonzero pair summands, M's summands outer, and the matrix."""
+    return _pair_map(M, A, B, F, gcd, _tensor_entry)
 
 
 def _positive_degree(i: int, M: CanonicalForm, N: CanonicalForm, over_z) -> CanonicalForm:
@@ -287,6 +359,13 @@ def quotient(C: CanonicalForm, c: int) -> CanonicalForm:
 
 def direct_sum(parts: list[CanonicalForm]) -> CanonicalForm:
     """The direct sum of nonempty `parts`."""
+    return _direct_sum(tuple(parts))
+
+
+# the closure claims sum the same few parts over and over: the default verify
+# suite makes 24,100 calls on 254 distinct inputs; four times that never evicts
+@lru_cache(maxsize=1024)
+def _direct_sum(parts: tuple[CanonicalForm, ...]) -> CanonicalForm:
     for p in parts:
         _same_ring(parts[0], p, "direct sum")
     return _form(parts[0].ring, [m for p in parts for m in _orders(p)])

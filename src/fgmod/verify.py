@@ -32,9 +32,13 @@ reports.  Modules are enumerated as canonical forms, and every value a claim
 compares (Hom, tensor, Ext, Tor, torsion, completion, duals and the
 (co)reduced predicates) is read off their invariant factors by
 `fgmod.cyclic`, the same layer the library's value functions use.  The
-characterizations that must not share that arithmetic (the ideal-multiple
-route of the equivalence claims) and the exactness claims, which need
-induced maps, run on presentations with `functors` and `modules`.
+exactness claims need induced maps: each short exact sequence carries its
+inclusion and projection as integer matrices on the cyclic summands of its
+terms, `cyclic` induces them on Hom(M, -) and M (x) - summand pair by
+summand pair, and only the last kernel, containment and equality questions
+go to `modules`, on diagonal presentations.  The characterizations that
+must not share the value arithmetic (the ideal-multiple route of the
+equivalence claims) run on presentations with `modules`.
 """
 
 from __future__ import annotations
@@ -49,9 +53,8 @@ from typing import Callable, NamedTuple
 from . import cyclic
 from .adic import DEFAULT_KMAX
 from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
-from .functors import hom_postcompose, tensor_postcompose
 from .grammar import format_canonical, parse_module_expr
-from .linalg import MatrixR, from_columns
+from .linalg import MatrixR, _over_integers, from_columns, hstack, smith_normal_form, solve_columns
 from .modules import (
     CanonicalForm,
     ModuleMap,
@@ -61,12 +64,10 @@ from .modules import (
     canonical_form,
     canonical_presentation,
     kernel_submodule,
-    mult_map,
-    quotient_by_submodule,
     scaled_submodule,
     submodule_equal,
 )
-from .rings import RingSpec, principal
+from .rings import ZZ, RingSpec, principal
 
 __all__ = [
     "GridSpec",
@@ -346,34 +347,60 @@ def _submodule_generator_sets(c: CanonicalForm) -> tuple[tuple[tuple[int, ...], 
 
 
 class _Seq(NamedTuple):
-    """0 -> X -> Y -> Y/X -> 0 for a submodule X of Y, with the forms of X,
-    Y and Z = Y/X."""
+    """0 -> X -> Y -> Z -> 0 for a submodule X of Y and Z = Y/X: the forms
+    of X, Y and Z, and the inclusion and the projection as integer matrices
+    on their cyclic summands, one row per summand of the target (see
+    `cyclic.hom_postcompose`)."""
 
     y: CanonicalForm
     sub: Submodule
     x: CanonicalForm
     z: CanonicalForm
+    incl: tuple[tuple[int, ...], ...]
+    proj: tuple[tuple[int, ...], ...]
+
+
+def _cyclic_summands(A: MatrixR) -> tuple[tuple[int, ...], list[int], MatrixR]:
+    """For an integer matrix A with finite cokernel and its Smith form
+    U A V = D: the orders d1 | d2 | ... of the cokernel's cyclic summands
+    (the non-unit diagonal entries of D), their places on the diagonal, and
+    U.  The rows of U at those places give the coordinates of a vector on
+    the summands."""
+    snf = smith_normal_form(A)
+    places = [i for i, d in enumerate(snf.diagonal()) if d != 1]
+    return tuple(snf.diagonal()[i] for i in places), places, snf.U
+
+
+def _sequence(y: CanonicalForm, sub: Submodule) -> _Seq:
+    """0 -> X -> Y -> Y/X -> 0 for a submodule X of canonical_presentation(y),
+    a finite Y.
+
+    Every term is finite, and over Z/n its submodules are its subgroups, so
+    the summands are read off Smith forms over Z.  Z = Y/X is the cokernel
+    of [G | D_Y], for the generator columns G of X and the diagonal D_Y of
+    Y's orders, so U of that Smith form gives the projection.  X is the
+    cokernel of its relations on G; with U_X of their Smith form, the
+    columns of G U_X^-1 at the summands' places generate them, which gives
+    the inclusion."""
+    g = sub.columns.lift()
+    x, x_places, ux = _cyclic_summands(_over_integers(sub.to_presentation().rels))
+    z, z_places, uz = _cyclic_summands(hstack(g, MatrixR.diagonal(ZZ, y.torsion_factors)))
+    gx = g @ solve_columns(ux, MatrixR.identity(ZZ, ux.rows))
+    incl = tuple(tuple(row[i] % h for i in x_places) for row, h in zip(gx.entries, y.torsion_factors))
+    proj = tuple(tuple(v % d for v in uz.entries[i]) for i, d in zip(z_places, z))
+    x_form, z_form = (_shared_form(CanonicalForm(y.ring, orders, 0)) for orders in (x, z))
+    return _Seq(y, sub, x_form, z_form, incl, proj)
 
 
 @lru_cache(maxsize=256)
 def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
-    """One sequence per submodule of a finite Y, as shared objects: each
-    submodule's presentation is computed once for all ideals and claims."""
+    """One sequence per submodule of a finite Y, as shared objects: each is
+    computed once for all ideals and claims."""
     ambient = canonical_presentation(y)
-    seqs = []
-    for gens in _submodule_generator_sets(y):
-        sub = Submodule(ambient, from_columns(ambient.ring, [tuple(g) for g in gens], ambient.gens))
-        x = canonical_form(sub.to_presentation())
-        seqs.append(_Seq(y, sub, x, canonical_form(quotient_by_submodule(ambient, sub))))
-    return tuple(seqs)
-
-
-@lru_cache(maxsize=256)
-def _ses_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
-    """The inclusion X -> Y and the projection Y -> Y/X of 0 -> X -> Y -> Y/X -> 0."""
-    Y = sub.ambient
-    proj = ModuleMap._trusted(Y, quotient_by_submodule(Y, sub), MatrixR.identity(Y.ring, Y.gens))
-    return sub.inclusion_map(), proj
+    return tuple(
+        _sequence(y, Submodule(ambient, from_columns(ambient.ring, [tuple(g) for g in gens], ambient.gens)))
+        for gens in _submodule_generator_sets(y)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +622,7 @@ class _Side:
     functor: Callable  # Hom (tensor)
     derived: Callable  # Ext (Tor)
     local: Callable  # (i, M, N, d): local cohomology (homology); None if undefined
-    postcompose: Callable  # (M, f): the map f induces on Hom(M, -) (M (x) -)
+    postcompose: Callable  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
     exact: Callable  # (induced maps, c): is torsion left (completion right) exact on them
 
 
@@ -744,25 +771,21 @@ def _effective(seq: _Seq, m: CanonicalForm, d: int) -> int:
 def _exactness(s: _Side) -> dict:
     # the check computes along c = _effective(...) and sees nothing else of
     # the ideal: one check per (sequence, M, c), while every instance keeps
-    # its own label; the induced maps do not depend on the ideal at all: one
-    # pair per (sequence, M)
+    # its own label; at c = 1 every Γ and Λ is 0, so no map is built
     loops = (
         _Var("S", _sequences, tail=True),
         _Var("M", "tiny", lambda seq, m, d: all(s.in_class(m, c, d) for c in (seq.x, seq.y, seq.z))),
     )
 
     def generate(ctx: _Ctx):
-        induced: dict[tuple[_Seq, CanonicalForm], tuple[ModuleMap, ModuleMap]] = {}
         results: dict[tuple[_Seq, CanonicalForm, int], tuple[bool, str]] = {}
 
         def check(seq, m, d):
             c = _effective(seq, m, d)
+            if c == 1:
+                return True, ""
             if (seq, m, c) not in results:
-                maps = induced.get((seq, m))
-                if maps is None:
-                    incl, proj = _ses_maps(seq.sub)
-                    M = canonical_presentation(m)
-                    maps = induced[seq, m] = s.postcompose(M, incl), s.postcompose(M, proj)
+                maps = s.postcompose(m, seq.x, seq.y, seq.incl), s.postcompose(m, seq.y, seq.z, seq.proj)
                 results[seq, m, c] = s.exact(*maps, c)
             return results[seq, m, c]
 
@@ -771,31 +794,46 @@ def _exactness(s: _Side) -> dict:
     return dict(loops=loops, generate=generate)
 
 
-def _gamma_exact(hi: ModuleMap, hp: ModuleMap, c: int):
-    # Γ of each Hom module is the kernel of c (see _effective), asked in the
-    # ambient modules: Γ(hi) is injective iff ker hi meets Γ(X) in 0, and
-    # exact in the middle iff ker hp ∩ Γ(Y) = hi(Γ(X)); at c = 1 every Γ is 0
-    if c == 1:
-        return True, ""
-    sx = kernel_submodule(mult_map(hi.source, c))
-    sy = kernel_submodule(mult_map(hi.target, c))
-    injective = kernel_submodule(hi, within=sx).is_zero()
-    exact_mid = submodule_equal(kernel_submodule(hp, within=sy), Submodule(hi.target, hi.matrix @ sx.columns))
+# The induced maps of the exactness pair act between sums of cyclic pair
+# summands Z/h (see cyclic.hom_postcompose).  Each such sum is finite, and
+# over Z/n its submodules are its subgroups, so it is presented over Z by
+# the diagonal of its orders.
+
+
+def _diagonal(orders: tuple[int, ...]) -> Presentation:
+    return Presentation(ZZ, len(orders), MatrixR.diagonal(ZZ, orders))
+
+
+def _matrix(f: cyclic.SummandMap) -> MatrixR:
+    source, target, rows = f
+    return MatrixR(ZZ, len(target), len(source), rows)
+
+
+def _gamma_exact(hi: cyclic.SummandMap, hp: cyclic.SummandMap, c: int):
+    # Γ of each Hom module is the kernel of c (see _effective), on Z/h the
+    # multiples of h/gcd(h, c); asked in the ambient modules: Γ(hi) is
+    # injective iff ker hi meets Γ(X) in 0, and exact in the middle iff
+    # ker hp ∩ Γ(Y) = hi(Γ(X))
+    hx, hy, hz = hi[0], hi[1], hp[1]
+    X, Y = _diagonal(hx), _diagonal(hy)
+    i, p = ModuleMap._trusted(X, Y, _matrix(hi)), ModuleMap._trusted(Y, _diagonal(hz), _matrix(hp))
+    sx = Submodule(X, MatrixR.diagonal(ZZ, [h // math.gcd(h, c) for h in hx]))
+    sy = Submodule(Y, MatrixR.diagonal(ZZ, [h // math.gcd(h, c) for h in hy]))
+    injective = kernel_submodule(i, within=sx).is_zero()
+    exact_mid = submodule_equal(kernel_submodule(p, within=sy), Submodule(Y, i.matrix @ sx.columns))
     ok = injective and exact_mid
     return ok, "" if ok else f"injective={injective}, exact={exact_mid}"
 
 
-def _lambda_exact(ti: ModuleMap, tp: ModuleMap, c: int):
-    # Λ of each tensor module is its quotient by c (see _effective); on the
-    # map Y/cY -> Z/cZ that tp induces: it must be onto, and its kernel the
-    # image of ti; X/cX itself is never presented; at c = 1 every Λ is 0
-    if c == 1:
-        return True, ""
-    ly = quotient_by_submodule(ti.target, scaled_submodule(ti.target, c))
-    lz = quotient_by_submodule(tp.target, scaled_submodule(tp.target, c))
-    lp = ModuleMap._trusted(ly, lz, tp.matrix)
-    surjective = lp.image().contains(Submodule(lz, MatrixR.identity(lz.ring, lz.gens)))
-    exact_mid = submodule_equal(kernel_submodule(lp), Submodule(ly, ti.matrix))
+def _lambda_exact(ti: cyclic.SummandMap, tp: cyclic.SummandMap, c: int):
+    # Λ of each tensor module is its quotient by c (see _effective), the sum
+    # of the Z/gcd(h, c); on the map Y/cY -> Z/cZ that tp induces: it must be
+    # onto, and its kernel the image of ti; X/cX itself is never presented
+    ly = _diagonal(tuple(math.gcd(h, c) for h in ti[1]))
+    lz = _diagonal(tuple(math.gcd(h, c) for h in tp[1]))
+    lp = ModuleMap._trusted(ly, lz, _matrix(tp))
+    surjective = lp.image().contains(Submodule(lz, MatrixR.identity(ZZ, lz.gens)))
+    exact_mid = submodule_equal(kernel_submodule(lp), Submodule(ly, _matrix(ti)))
     ok = surjective and exact_mid
     return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
 
@@ -938,15 +976,13 @@ def _vnr_vanish(s: _Side) -> dict:
 # the claim table, in report order
 
 
-# postcompose goes through the module-level names, so rebinding them (as a
-# tracer does) reaches the claims too
 _RED = _Side(
     cyclic.is_reduced_wrt, _ctorsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext, _cglc,
-    lambda M, f: hom_postcompose(M, f), _gamma_exact,
+    cyclic.hom_postcompose, _gamma_exact,
 )
 _COR = _Side(
     cyclic.is_coreduced_wrt, _ccompletion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor, cyclic.tor,
-    _cglh, lambda M, f: tensor_postcompose(M, f), _lambda_exact,
+    _cglh, cyclic.tensor_postcompose, _lambda_exact,
 )
 
 

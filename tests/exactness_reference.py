@@ -1,18 +1,48 @@
 """Exactness checks through restricted maps between submodule presentations.
 
 These are the bodies `fgmod.verify` used before its exactness claims asked
-their kernels and images as submodules of the ambient modules.  They stay
-here as the differential reference for those claims: they present the
-torsion submodules (and every term of the completed sequence) as modules of
-their own, re-express each map in the generators of its target, certify
-every map they build, and read kernels and images there.
+their kernels and images as submodules of the ambient modules, and before
+they induced their maps on cyclic summands.  They stay here as the
+differential reference for those claims: the maps of each sequence come
+from the presentation route (`ses_maps`, `functors.hom_postcompose` and
+`tensor_postcompose`), the checks work along the ideal (d) itself, present
+the torsion submodules (and every term of the completed sequence) as
+modules of their own, re-express each map in the generators of its target,
+certify every map they build, and read kernels and images there.
+
+Run as a script, it compares the claims with this reference on the named
+default grids and exits 1 on a mismatch:
+
+    PYTHONPATH=src python tests/exactness_reference.py Z
 """
 
+import sys
+from functools import lru_cache
+
+from fgmod import verify
 from fgmod.adic import completion_exponent, power_quotient, torsion_submodule
 from fgmod.errors import AmbientMismatch, NonStabilizing
+from fgmod.functors import hom_postcompose, tensor_postcompose
 from fgmod.linalg import MatrixR
-from fgmod.modules import ModuleMap, Submodule, express_in_span, kernel_submodule, submodule_equal
-from fgmod.rings import Ideal
+from fgmod.modules import (
+    ModuleMap,
+    Submodule,
+    canonical_presentation,
+    express_in_span,
+    kernel_submodule,
+    quotient_by_submodule,
+    submodule_equal,
+)
+from fgmod.rings import Ideal, principal
+
+
+@lru_cache(maxsize=256)
+def ses_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
+    """The inclusion X -> Y and the projection Y -> Y/X of 0 -> X -> Y -> Y/X -> 0,
+    on the presentations of the submodule and the quotient."""
+    Y = sub.ambient
+    proj = ModuleMap._trusted(Y, quotient_by_submodule(Y, sub), MatrixR.identity(Y.ring, Y.gens))
+    return sub.inclusion_map(), proj
 
 
 def restrict_map(f: ModuleMap, source_sub: Submodule, target_sub: Submodule) -> ModuleMap:
@@ -63,3 +93,48 @@ def lambda_exact_by_quotients(ti: ModuleMap, tp: ModuleMap, a: Ideal):
     exact_mid = submodule_equal(kernel_submodule(lp), li.image())
     ok = surjective and exact_mid
     return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
+
+
+CHECKS = (
+    ("gamma-left-exact", hom_postcompose, gamma_exact_by_restriction),
+    ("lambda-right-exact", tensor_postcompose, lambda_exact_by_quotients),
+)
+
+
+def reference_comparisons(grids):
+    """((claim, grid, values), (got, want)) for each instance of the
+    exactness claims on the grids: what the claim reports, and what the
+    reference gives along (d) on the maps of the presentation route."""
+    for claim_id, postcompose, reference in CHECKS:
+        cdef = verify._BY_ID[claim_id]
+
+        def check(seq, m, d):
+            incl, proj = ses_maps(seq.sub)
+            M = canonical_presentation(m)
+            return reference(postcompose(M, incl), postcompose(M, proj), principal(m.ring, d))
+
+        for grid in grids:
+            ctx = verify._make_ctx(grid)
+            walked = verify._walk(cdef.loops, check, ctx)
+            for (values, got), (want_values, want) in zip(cdef.generate(ctx), walked, strict=True):
+                assert values == want_values, (claim_id, grid.label, values, want_values)
+                yield (claim_id, grid.label, values), (got, want)
+
+
+def main(labels: list[str]) -> int:
+    grids = [g for g in verify.default_grids() if g.label in labels]
+    if len(grids) != len(labels):
+        print(f"unknown grid among {labels}; the default grids are {[g.label for g in verify.default_grids()]}")
+        return 2
+    checked = mismatched = 0
+    for where, (got, want) in reference_comparisons(grids):
+        checked += 1
+        if got != want:
+            mismatched += 1
+            print(f"mismatch at {where}: claim {got}, reference {want}")
+    print(f"{checked} instances compared, {mismatched} mismatched")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

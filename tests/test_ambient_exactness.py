@@ -1,17 +1,27 @@
-"""The exactness claims ask kernels and images in the ambient modules, and
-the maps the library builds itself skip certification.
+"""The exactness claims induce their maps on cyclic summands, ask kernels
+and images in the ambient modules, and the maps the library builds itself
+skip certification.
+
+Each sequence of the harness carries its inclusion and projection as
+integer matrices on the cyclic summands of its canonical forms; on every
+sequence of the default grids they must certify through the public
+`ModuleMap` and form an exact sequence.  `cyclic.hom_postcompose` and
+`cyclic.tensor_postcompose` induce a map between canonical forms summand
+pair by summand pair; on seeded random maps, free summands included, they
+must agree with the presentation route of `functors` up to isomorphism of
+kernel, image and cokernel, and respect composition.
 
 `verify._gamma_exact` and `verify._lambda_exact` compute along one integer
-c = gcd(d^K, E), for an E that kills every module they build, and must give
-the same (ok, note) as the restricted-map route in `exactness_reference`
-along the ideal (d) itself: on every instance the small golden grid and the
-default Z/6 and Z/8 grids check, with c from `verify._effective`, and on
-seeded random non-diagonal short exact sequences of finite modules over Z,
-Z/6 and Z/8, with c from the exponents of the modules the checks build.
-The random cases also pair a multiplication map with a projection, a
-sequence that is not exact, so the failing branches and their notes are
-compared too.  Every map the trusted constructor builds on the small grid
-must pass the public certification.
+c = gcd(d^K, E), for an E that kills every module they build, and the claims
+must report what the restricted-map route of `exactness_reference` gives
+along the ideal (d) itself on the maps of the presentation route: on every
+instance of the small golden grid and of the default Z/6 and Z/8 grids, and
+on seeded random sequences of finite modules over Z, Z/6 and Z/8, with c
+from the exponents of the modules the checks build.  The random cases also
+pair a multiplication map with a projection, a sequence that is not exact,
+so the failing branches and their notes are compared too.  Every map the
+trusted constructor builds on the small grid must pass the public
+certification.
 
 Computing along c rests on one fact, tested here on seeded random finite
 modules killed by E: along (d), the torsion submodule is the kernel of c and
@@ -19,10 +29,9 @@ the stable quotient is N/cN.  On every sequence and M of those grids, in the
 class or not, the c of `_effective` must give each module the checks build
 the torsion and completion it has along (d).  On in-class sequences a wrong
 c can still give the right verdicts, so the grid comparisons alone would not
-show it.  The harness checks each (sequence, M, c) once; the memoized
-claims must yield the same (values, result) pairs as the walk that checks
-every instance, with 240 checks per claim on the small grid where there are
-391 instances.
+show it.  The harness checks each (sequence, M, c) with c != 1 once, and
+builds no map at c = 1; the memoized claims must yield
+the same (values, result) pairs as the walk that checks every instance.
 """
 
 import dataclasses
@@ -30,16 +39,25 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from exactness_reference import gamma_exact_by_restriction, lambda_exact_by_quotients, restrict_map
+from exactness_reference import (
+    gamma_exact_by_restriction,
+    lambda_exact_by_quotients,
+    reference_comparisons,
+    restrict_map,
+    ses_maps,
+)
 
+import fgmod
 from fgmod import adic, cyclic, functors, modules, verify
 from fgmod.errors import AmbientMismatch, FgmodError
 from fgmod.functors import hom_postcompose, tensor_postcompose
 from fgmod.linalg import MatrixR, from_columns
 from fgmod.modules import (
+    CanonicalForm,
     ModuleMap,
     Presentation,
     Submodule,
@@ -55,14 +73,18 @@ from fgmod.rings import RingSpec, ZZ, principal
 
 GRID = Path(__file__).parent / "golden" / "verify_small_grid.json"
 RINGS = [ZZ, RingSpec.mod(6), RingSpec.mod(8)]
+SIDES = (
+    (verify._RED, hom_postcompose, gamma_exact_by_restriction),
+    (verify._COR, tensor_postcompose, lambda_exact_by_quotients),
+)
 
 
 def small_grids():
     return [verify.grid_from_dict(d) for d in json.loads(GRID.read_text())]
 
 
-def tables(*mods):
-    return [f for m in mods for f in vars(m).values() if hasattr(f, "cache_info") and f.__module__ == m.__name__]
+def default_grids(*labels):
+    return [g for g in verify.default_grids() if g.label in labels]
 
 
 def random_coker(rng: random.Random, ring: RingSpec, max_gens: int = 3) -> Presentation:
@@ -76,6 +98,17 @@ def random_submodule(rng: random.Random, P: Presentation) -> Submodule:
     return Submodule(P, from_columns(P.ring, cols, P.gens))
 
 
+def random_form(rng: random.Random, ring: RingSpec, finite: bool = False) -> CanonicalForm:
+    """A canonical form of up to three summands, with a free one over Z
+    unless `finite`."""
+    n = ring.modulus
+    orders = [o for o in (2, 3, 4, 6, 8, 12) if n is None or n % o == 0]
+    parts = [Presentation.cyclic(ring, rng.choice(orders)) for _ in range(rng.randint(0, 2))]
+    if not finite and n is None:
+        parts.append(Presentation.free(ring, rng.randint(0, 1)))
+    return canonical_form(modules.direct_sum(ring, parts))
+
+
 def sequence_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
     """0 -> X -> Y -> Y/X -> 0, both maps certified by the public constructor."""
     Y = sub.ambient
@@ -84,15 +117,14 @@ def sequence_maps(sub: Submodule) -> tuple[ModuleMap, ModuleMap]:
     return incl, proj
 
 
-def cases(seed: int, count: int, finite: bool = False):
+def cases(seed: int, count: int):
     """(ring, M, first map, second map): a short exact sequence, then the
-    non-exact Y --c--> Y -> Y/X on the same Y; a finite Y if asked."""
+    non-exact Y --c--> Y -> Y/X on the same Y."""
     rng = random.Random(seed)
     for _ in range(count):
         ring = rng.choice(RINGS)
         M = random_coker(rng, ring, max_gens=2)
-        Y = killed_by(rng, ring, rng.choice((2, 3, 4, 6, 8, 12))) if finite else random_coker(rng, ring)
-        sub = random_submodule(rng, Y)
+        sub = random_submodule(rng, random_coker(rng, ring))
         incl, proj = sequence_maps(sub)
         yield ring, M, incl, proj
         yield ring, M, mult_map(sub.ambient, rng.randint(0, 3)), proj
@@ -105,24 +137,15 @@ def outcome(check, *args):
         return type(exc).__name__
 
 
-def reference_comparisons(grids):
-    """(got, want) of each exactness check on every instance of the grids:
-    the check along c = _effective(seq, M, d), the reference along (d)."""
-    for claim_id, side, new, reference in (
-        ("gamma-left-exact", verify._RED, verify._gamma_exact, gamma_exact_by_restriction),
-        ("lambda-right-exact", verify._COR, verify._lambda_exact, lambda_exact_by_quotients),
-    ):
-        assert side.exact is new
+def diagonal(ring: RingSpec, orders) -> Presentation:
+    return Presentation(ring, len(orders), MatrixR.diagonal(ring, orders))
 
-        def check(seq, m, d):
-            incl, proj = verify._ses_maps(seq.sub)
-            M = canonical_presentation(m)
-            maps = side.postcompose(M, incl), side.postcompose(M, proj)
-            return new(*maps, verify._effective(seq, m, d)), reference(*maps, principal(m.ring, d))
 
-        for grid in grids:
-            for values, result in verify._walk(verify._BY_ID[claim_id].loops, check, verify._make_ctx(grid)):
-                yield (claim_id, grid.label, values), result
+def on_presentations(ring: RingSpec, f) -> ModuleMap:
+    """A map of summand orders and an integer matrix, between the diagonal
+    presentations over the ring, certified by the public constructor."""
+    source, target, rows = f
+    return ModuleMap(diagonal(ring, source), diagonal(ring, target), MatrixR(ring, len(target), len(source), rows))
 
 
 def test_exactness_checks_match_the_restriction_route_on_the_small_grid():
@@ -135,41 +158,138 @@ def test_exactness_checks_match_the_restriction_route_on_the_small_grid():
 
 
 def test_exactness_checks_match_the_restriction_route_on_the_default_modular_grids():
-    grids = [g for g in verify.default_grids() if g.label in ("Z/6", "Z/8")]
     checked = 0
-    for where, (got, want) in reference_comparisons(grids):
+    for where, (got, want) in reference_comparisons(default_grids("Z/6", "Z/8")):
         assert got == want, where
         checked += 1
     # the default report's instance counts of both claims on Z/6 and Z/8
     assert checked == 2 * (480 + 609)
 
 
-def exponent(P: Presentation) -> int:
-    """The least e > 0 with eP = 0 for a finite P."""
-    C = canonical_form(P)
-    assert C.free_rank == 0, P
-    return C.torsion_factors[-1] if C.torsion_factors else 1
+def assert_exact_on_summands(seq):
+    """The forms of X and Z are those of the presentation route, and the
+    integer inclusion and projection certify between the canonical
+    presentations and make an exact sequence."""
+    ring, ambient = seq.y.ring, canonical_presentation(seq.y)
+    assert seq.x == canonical_form(seq.sub.to_presentation()), seq
+    assert seq.z == canonical_form(quotient_by_submodule(ambient, seq.sub)), seq
+    X, Z = canonical_presentation(seq.x), canonical_presentation(seq.z)
+    # raise ValueError on a map that is not well defined
+    incl = ModuleMap(X, ambient, MatrixR(ring, ambient.gens, X.gens, seq.incl))
+    proj = ModuleMap(ambient, Z, MatrixR(ring, Z.gens, ambient.gens, seq.proj))
+    assert kernel_submodule(incl).is_zero(), seq
+    assert submodule_equal(incl.image(), kernel_submodule(proj)), seq
+    assert proj.image().contains(Submodule(Z, MatrixR.identity(ring, Z.gens))), seq
+
+
+def test_sequences_of_the_default_grids_certify_and_are_exact():
+    seqs = [seq for grid in default_grids("Z", "Z/6", "Z/8") for seq in verify._sequences(verify._make_ctx(grid), 0)]
+    for seq in seqs:
+        assert_exact_on_summands(seq)
+    # the sequences of every finite Y with at most 8 elements on the three grids
+    assert len(seqs) == 118
+
+
+def random_map(rng: random.Random, A: CanonicalForm, B: CanonicalForm):
+    """A random well-defined map A -> B on the cyclic summands: each entry
+    a multiple of the generator of Hom(Z/a, Z/b)."""
+    return tuple(
+        tuple(rng.randint(-3, 3) * cyclic._hom_generator(a, b) if cyclic._hom_order(a, b) != 1 else 0
+              for a in cyclic._orders(A))
+        for b in cyclic._orders(B)
+    )
+
+
+def subquotients(f: ModuleMap) -> tuple[CanonicalForm, ...]:
+    image = f.image()
+    return (
+        canonical_form(f.source),
+        canonical_form(f.target),
+        canonical_form(kernel_submodule(f).to_presentation()),
+        canonical_form(image.to_presentation()),
+        canonical_form(quotient_by_submodule(f.target, image)),
+    )
+
+
+def integer_matrix(rows, cols: int) -> MatrixR:
+    return MatrixR(ZZ, len(rows), cols, tuple(rows))
+
+
+def reduced(rows, orders):
+    return tuple(tuple(v % h if h else v for v in row) for row, h in zip(rows, orders))
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_summand_maps_match_the_presentation_route(seed):
+    rng = random.Random(seed)
+    for ring in (ZZ, RingSpec.mod(6), RingSpec.mod(8), RingSpec.mod(12)):
+        for _ in range(12):
+            M, A, B = (random_form(rng, ring) for _ in range(3))
+            F = random_map(rng, A, B)
+            Mp = canonical_presentation(M)
+            Ap, Bp = canonical_presentation(A), canonical_presentation(B)
+            f = ModuleMap(Ap, Bp, MatrixR(ring, Bp.gens, Ap.gens, F))
+            for summands, presented, functor in (
+                (cyclic.hom_postcompose, hom_postcompose, cyclic.hom),
+                (cyclic.tensor_postcompose, tensor_postcompose, cyclic.tensor),
+            ):
+                g = summands(M, A, B, F)
+                want = subquotients(presented(Mp, f))
+                assert subquotients(on_presentations(ring, g)) == want, (ring, M, A, B, F, summands)
+                assert want[:2] == (functor(M, A), functor(M, B))
+
+
+@pytest.mark.parametrize("seed", [14, 15])
+def test_summand_maps_respect_composition(seed):
+    rng = random.Random(seed)
+    for ring in (ZZ, RingSpec.mod(6), RingSpec.mod(8), RingSpec.mod(12)):
+        for _ in range(12):
+            M, A, B, C = (random_form(rng, ring) for _ in range(4))
+            F, G = random_map(rng, A, B), random_map(rng, B, C)
+            GF = (integer_matrix(G, len(F)) @ integer_matrix(F, len(cyclic._orders(A)))).entries
+            for summands in (cyclic.hom_postcompose, cyclic.tensor_postcompose):
+                first, second, whole = summands(M, A, B, F), summands(M, B, C, G), summands(M, A, C, GF)
+                assert first[1] == second[0]
+                product = integer_matrix(second[2], len(second[0])) @ integer_matrix(first[2], len(first[0]))
+                assert reduced(product.entries, whole[1]) == whole[2], (ring, M, A, B, C, summands)
+
+
+def finite_sequences(seed: int, count: int):
+    """(ring, Y's form, the sequence, the factor of a multiplication on Y),
+    for a random submodule of a random finite canonical Y."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = rng.choice(RINGS)
+        y = random_form(rng, ring, finite=True)
+        seq = verify._sequence(y, random_submodule(rng, canonical_presentation(y)))
+        yield ring, random_form(rng, ring), seq, rng.randint(0, 3)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exactness_checks_match_the_restriction_route_on_random_sequences(seed):
-    outcomes = {"gamma": set(), "lambda": set()}
-    for ring, M, f, g in cases(seed, 20, finite=True):
-        for d in (0, 2, 3, 4):
-            a = principal(ring, d)
-            for name, new, reference, postcompose in (
-                ("gamma", verify._gamma_exact, gamma_exact_by_restriction, hom_postcompose),
-                ("lambda", verify._lambda_exact, lambda_exact_by_quotients, tensor_postcompose),
-            ):
-                first, second = postcompose(M, f), postcompose(M, g)
-                e = math.lcm(*(exponent(P) for P in (first.source, first.target, second.target)))
-                c = math.gcd(a.canonical ** e.bit_length(), e)
-                got = outcome(new, first, second, c)
-                assert got == outcome(reference, first, second, a), (ring, M, f, d)
-                outcomes[name].add(got if isinstance(got, str) else got[0])
+    # each sequence, on random generators of X, then the non-exact
+    # Y --k--> Y -> Y/X on the same Y
+    outcomes = {side: set() for side, *_ in SIDES}
+    for ring, m, seq, k in finite_sequences(seed, 20):
+        assert_exact_on_summands(seq)
+        incl, proj = ses_maps(seq.sub)
+        times_k = tuple(tuple(k * (i == j) for j in range(len(seq.incl))) for i in range(len(seq.incl)))
+        M = canonical_presentation(m)
+        for summand_pair, presented_pair in (
+            (((seq.x, seq.y, seq.incl), (seq.y, seq.z, seq.proj)), (incl, proj)),
+            (((seq.y, seq.y, times_k), (seq.y, seq.z, seq.proj)), (mult_map(seq.sub.ambient, k), proj)),
+        ):
+            for side, presented, reference in SIDES:
+                first, second = (side.postcompose(m, *f) for f in summand_pair)
+                maps = [presented(M, f) for f in presented_pair]
+                e = math.lcm(1, *first[0], *first[1], *second[1])
+                for d in (0, 2, 3, 4):
+                    got = outcome(side.exact, first, second, math.gcd(d ** e.bit_length(), e))
+                    assert got == outcome(reference, *maps, principal(ring, d)), (ring, m, seq, k, d)
+                    outcomes[side].add(got if isinstance(got, str) else got[0])
     # both branches of each check ran
-    assert {True, False} <= outcomes["gamma"]
-    assert {True, False} <= outcomes["lambda"]
+    for side in outcomes:
+        assert {True, False} <= outcomes[side]
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -206,14 +326,32 @@ def test_every_trusted_map_on_the_small_grid_certifies(monkeypatch):
         return trusted(cls, source, target, matrix)
 
     monkeypatch.setattr(ModuleMap, "_trusted", classmethod(recorded))
-    for table in tables(cyclic, modules, functors, adic, verify):
-        table.cache_clear()
+    fgmod.clear_caches()
     assert verify.run_suite(small_grids()).all_expected
-    sites = {"hom_postcompose", "tensor_postcompose", "inclusion_map", "mult_map", "_ses_maps", "_lambda_exact"}
-    assert {name for name, *_ in built} == sites
+    assert {name for name, *_ in built} == {"_gamma_exact", "_lambda_exact"}
     for name, source, target, matrix in built:
         # raises ValueError on a map that is not well defined
         ModuleMap(source, target, matrix)
+
+
+def test_exactness_claims_call_nothing_of_the_presentation_route(monkeypatch):
+    called = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args):
+            called.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module, name in ((functors, "hom_data"), (functors, "hom_postcompose"), (functors, "tensor_postcompose"),
+                         (functors, "express_in_span"), (modules, "express_in_span")):
+        recording(module, name)
+    fgmod.clear_caches()
+    assert verify.run_suite(small_grids(), ["gamma-left-exact", "lambda-right-exact"]).all_expected
+    assert called == []
 
 
 def killed_by(rng: random.Random, ring: RingSpec, e: int) -> Presentation:
@@ -245,7 +383,7 @@ def test_effective_gives_the_torsion_and_completion_along_d():
     # the checks build has torsion and completion along (d) of the same
     # orders as H/cH (a finite cyclic Z/m has Z/m[c] and Z/m/cZ/m both
     # Z/gcd(c, m))
-    for grid in small_grids() + [g for g in verify.default_grids() if g.label in ("Z/6", "Z/8")]:
+    for grid in small_grids() + default_grids("Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
         for seq in verify._sequences(ctx, 0):
             for m in ctx.tiny:
@@ -258,11 +396,14 @@ def test_effective_gives_the_torsion_and_completion_along_d():
                             assert cyclic.completion(H, d, adic.DEFAULT_KMAX)[0] == want, (grid.label, seq, m, d)
 
 
+def induced(side, seq, m):
+    return side.postcompose(m, seq.x, seq.y, seq.incl), side.postcompose(m, seq.y, seq.z, seq.proj)
+
+
 def unmemoized(side):
+    # no shortcut at c = 1 either: there the checks compute (True, "") themselves
     def check(seq, m, d):
-        incl, proj = verify._ses_maps(seq.sub)
-        M = canonical_presentation(m)
-        return side.exact(side.postcompose(M, incl), side.postcompose(M, proj), verify._effective(seq, m, d))
+        return side.exact(*induced(side, seq, m), verify._effective(seq, m, d))
 
     return check
 
@@ -270,8 +411,7 @@ def unmemoized(side):
 @pytest.mark.parametrize("claim_id, side", [("gamma-left-exact", verify._RED), ("lambda-right-exact", verify._COR)])
 def test_memoized_exactness_yields_every_instance_of_the_unmemoized_walk(claim_id, side):
     cdef = verify._BY_ID[claim_id]
-    grids = small_grids() + [g for g in verify.default_grids() if g.label in ("Z/6", "Z/8")]
-    for grid in grids:
+    for grid in small_grids() + default_grids("Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
         assert list(cdef.generate(ctx)) == list(verify._walk(cdef.loops, unmemoized(side), ctx)), grid.name()
 
@@ -280,34 +420,42 @@ def test_memoized_exactness_yields_every_instance_of_the_unmemoized_walk(claim_i
 def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     # both claims hold, so their results cannot show a key that merges too
     # much; this check's note shows the torsion (completion) of each term,
-    # along c in the memoized claim and along (d) in the walk
-    def along_c(P, c):
+    # along c on the summand maps in the memoized claim and along (d) on the
+    # presentation route in the walk
+    def along_c(orders, c):
+        P = diagonal(ZZ, orders)
         if side is verify._RED:
             return canonical_form(kernel_submodule(mult_map(P, c)).to_presentation())
-        return canonical_form(quotient_by_ideal(P, principal(P.ring, c)))
+        return canonical_form(quotient_by_ideal(P, principal(ZZ, c)))
 
     def along_d(P, d):
         limit = adic.torsion if side is verify._RED else adic.completion
         return canonical_form(limit(P, principal(P.ring, d)).value)
 
-    def describe(along, f, g, x):
-        return True, " ".join(str(along(P, x)) for P in (f.source, f.target, g.target))
+    def describe(forms):
+        return True, " ".join(str((C.torsion_factors, C.free_rank)) for C in forms)
 
-    probe = dataclasses.replace(side, exact=lambda f, g, c: describe(along_c, f, g, c))
+    probe = dataclasses.replace(side, exact=lambda f, g, c: describe(along_c(h, c) for h in (f[0], f[1], g[1])))
+    presented = hom_postcompose if side is verify._RED else tensor_postcompose
 
     def check(seq, m, d):
-        incl, proj = verify._ses_maps(seq.sub)
         M = canonical_presentation(m)
-        return describe(along_d, side.postcompose(M, incl), side.postcompose(M, proj), d)
+        f, g = (presented(M, h) for h in ses_maps(seq.sub))
+        return describe(along_d(P, d) for P in (f.source, f.target, g.target))
 
     shape = verify._exactness(probe)
     notes = set()
     for grid in small_grids():
         ctx = verify._make_ctx(grid)
-        pairs = list(shape["generate"](ctx))
-        assert pairs == list(verify._walk(shape["loops"], check, ctx)), grid.name()
-        notes |= {note for _, (_, note) in pairs}
-    assert len(notes) > 1
+        walked = list(verify._walk(shape["loops"], check, ctx))
+        for (values, result), want in zip(shape["generate"](ctx), walked, strict=True):
+            # at c = 1 the claim reports (True, "") without asking the check,
+            # and every term has zero torsion (completion) along (d)
+            assert (values, result) == want or (
+                result == (True, "") and want == (values, describe([CanonicalForm(ZZ, (), 0)] * 3))
+            ), (grid.name(), values)
+            notes.add(result[1])
+    assert len(notes) > 2
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
@@ -320,4 +468,36 @@ def test_exactness_checks_each_sequence_module_and_c_once(side):
 
     generate = verify._exactness(dataclasses.replace(side, exact=counted))["generate"]
     instances = sum(1 for grid in small_grids() for _ in generate(verify._make_ctx(grid)))
-    assert (instances, len(calls)) == (150 + 129 + 112, 240)
+    # 240 distinct (sequence, M, c), of which 138 have c = 1 and need no check
+    assert (instances, len(calls)) == (150 + 129 + 112, 102)
+
+
+@pytest.mark.parametrize("side", [verify._RED, verify._COR])
+def test_no_map_is_built_where_every_ideal_gives_c_1(side):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return side.postcompose(*args)
+
+    shape = verify._exactness(dataclasses.replace(side, postcompose=counted))
+    only_c_1 = pairs = 0
+    for grid in small_grids():
+        ctx = verify._make_ctx(grid)
+        cs: dict = {}
+        for (seq, m, _), c in verify._walk(shape["loops"], verify._effective, ctx):
+            cs.setdefault((seq, m), set()).add(c)
+        built.clear()
+        list(shape["generate"](ctx))
+        # the two maps once for each c != 1 of the pair
+        want = [
+            args
+            for (seq, m), seen in cs.items()
+            for _ in seen - {1}
+            for args in ((m, seq.x, seq.y, seq.incl), (m, seq.y, seq.z, seq.proj))
+        ]
+        assert Counter(built) == Counter(want), grid.name()
+        only_c_1 += sum(seen == {1} for seen in cs.values())
+        pairs += len(cs)
+    # of the 178 (sequence, M) pairs the claim walks, 76 give c = 1 for every ideal
+    assert (only_c_1, pairs) == (76, 178)

@@ -68,3 +68,29 @@ def test_traced_launcher_runs_a_one_shot_query(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "Z/4\n"
     assert (tmp_path / "op.json").exists() and (tmp_path / "op.spans").exists()
+
+
+def test_clear_caches_empties_every_table_without_loading_the_harness():
+    # the tables are found here by type among all live objects, not the way
+    # clear_caches finds them
+    proc = _python(
+        "-c",
+        "import functools, gc, sys\n"
+        "import fgmod\n"
+        "from fgmod.cli import main\n"
+        "def filled():\n"
+        "    return sorted(f.__qualname__ for f in gc.get_objects() if type(f) is functools._lru_cache_wrapper\n"
+        "                  and f.__module__.startswith('fgmod') and f.cache_info().currsize)\n"
+        "main(['hom', 'coker[[2,1],[0,4]]', 'Z/6'])\n"
+        "body = object.__getattribute__(sys.modules['fgmod.verify'], '__dict__')\n"
+        "print(bool(filled()))\n"
+        "fgmod.clear_caches()\n"
+        "print(filled(), 'run_suite' in body)\n"
+        "from fgmod import verify\n"
+        "verify.run_suite(verify.default_grids()[1:2], ['gamma-left-exact', 'closure-sums'])\n"
+        "print('_sequences_in' in filled(), '_direct_sum' in filled())\n"
+        "fgmod.clear_caches()\n"
+        "print(filled())\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["Z/2", "True", "[] False", "True True", "[]"]

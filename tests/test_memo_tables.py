@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fgmod
 from fgmod import adic, cyclic, functors, modules, verify
 from fgmod.errors import NonStabilizing
 from fgmod.modules import CanonicalForm, Presentation, _shared_form, canonical_form
@@ -55,9 +56,8 @@ def test_completion_memoizes_the_non_stabilizing_outcome():
 
 
 def test_no_table_computes_an_entry_twice_on_the_small_grid():
+    fgmod.clear_caches()
     everything = tables(cyclic, modules, functors, adic, verify)
-    for f in everything:
-        f.cache_clear()
     grids = [verify.grid_from_dict(d) for d in json.loads(GRID.read_text())]
     assert verify.run_suite(grids).all_expected
     for f in everything:
