@@ -6,70 +6,21 @@ along an ideal with the associated reduced/coreduced membership predicates,
 generalized local (co)homology, and an exhaustive verification harness for
 the structural identities relating all of these.
 
-The harness, `fgmod.verify`, is loaded lazily: its source is compiled and
-run when one of its attributes is first read, so a one-shot computation does
-not pay for it.
+A one-shot query runs only `errors`, `rings`, `cyclic`, `grammar` and `cli`:
+its operands parse straight to canonical forms, and `cyclic` reads the answer
+off their invariant factors.  The matrix route (`linalg`, `modules`,
+`functors`, `adic`, `cohomology`) and the harness (`verify`) are loaded
+lazily: each module's source is compiled and run when one of its attributes
+is first read, e.g. by a `coker` atom, a library caller or `fgmod verify`.
+They are registered in `sys.modules` from the start, so that every way of
+importing one yields the same module object and tools that look a module up
+there by name find it.  The names this package re-exports from them, such
+as `fgmod.MatrixR` or `from fgmod import hom_module`, resolve on first use.
 """
 
+import importlib as _importlib
 import importlib.util as _importlib_util
 import sys as _sys
-
-from .rings import RingSpec, Ideal, ZZ, canonicalize_ideal, ideal_power, principal
-from .linalg import MatrixR, SmithDecomposition, smith_normal_form, solve_linear, kernel_generators
-from .modules import (
-    Presentation,
-    CanonicalForm,
-    ModuleMap,
-    Submodule,
-    canonical_form,
-    canonical_presentation,
-    iso_test,
-    direct_sum,
-    quotient_by_ideal,
-    ideal_multiple,
-    kernel_of_map,
-    mult_map,
-    submodule_equal,
-)
-from .functors import hom_module, tensor_module, matlis_dual, free_resolution_prefix, ext, tor
-from .adic import (
-    StabilizationResult,
-    torsion,
-    completion,
-    torsion_wrt,
-    completion_wrt,
-    is_reduced,
-    is_coreduced,
-    is_reduced_wrt,
-    is_coreduced_wrt,
-    is_in_both_classes,
-)
-from .cohomology import local_cohomology, local_homology, is_adically_complete
-from .errors import FgmodError, NonStabilizing
-
-__version__ = "0.1.0"
-
-
-def clear_caches() -> None:
-    """Empty every memo table of the package, for long-lived callers that
-    want the memory back; later calls compute their answers again.
-
-    Each loaded `fgmod` module and each class defined there is searched for
-    tables.  Nothing here reads an attribute of a lazily registered module:
-    module dicts are read with `object.__getattribute__` and values are
-    tested by their type, so `fgmod.verify`, until it is first used, has no
-    tables and stays unloaded.
-    """
-    for name, module in list(_sys.modules.items()):
-        if name != __name__ and not name.startswith(__name__ + "."):
-            continue
-        for value in list(object.__getattribute__(module, "__dict__").values()):
-            members = vars(value).values() if type(value) is type and value.__module__ == name else (value,)
-            for table in members:
-                if type(table) is staticmethod:
-                    table = table.__func__
-                if hasattr(type(table), "cache_clear") and table.__module__ == name:
-                    table.cache_clear()
 
 
 def _register_lazily(name: str):
@@ -87,6 +38,65 @@ def _register_lazily(name: str):
     return module
 
 
-# Bound as a package attribute too: `from . import verify` finds it here and
+# Bound as package attributes too: `from . import verify` finds them here and
 # stays lazy, where a `sys.modules` lookup would read `__spec__` and load it.
+linalg = _register_lazily(__name__ + ".linalg")
+modules = _register_lazily(__name__ + ".modules")
+functors = _register_lazily(__name__ + ".functors")
+adic = _register_lazily(__name__ + ".adic")
+cohomology = _register_lazily(__name__ + ".cohomology")
 verify = _register_lazily(__name__ + ".verify")
+
+from .rings import RingSpec, Ideal, ZZ, canonicalize_ideal, ideal_power, principal  # noqa: E402
+from .errors import FgmodError, NonStabilizing  # noqa: E402
+
+__version__ = "0.1.0"
+
+# re-exported names by the module that defines them; read by `__getattr__`
+_EXPORTS = {
+    name: home
+    for home, names in {
+        "cyclic": "CanonicalForm",
+        "linalg": "MatrixR SmithDecomposition smith_normal_form solve_linear kernel_generators",
+        "modules": "Presentation ModuleMap Submodule canonical_form canonical_presentation iso_test direct_sum"
+        " quotient_by_ideal ideal_multiple kernel_of_map mult_map submodule_equal",
+        "functors": "hom_module tensor_module matlis_dual free_resolution_prefix ext tor",
+        "adic": "StabilizationResult torsion completion torsion_wrt completion_wrt is_reduced is_coreduced"
+        " is_reduced_wrt is_coreduced_wrt is_in_both_classes",
+        "cohomology": "local_cohomology local_homology is_adically_complete",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the package, for long-lived callers that
+    want the memory back; later calls compute their answers again.
+
+    Each loaded `fgmod` module and each class defined there is searched for
+    tables.  Nothing here reads an attribute of a lazily registered module:
+    module dicts are read with `object.__getattribute__` and values are
+    tested by their type, so a lazy module, until it is first used, has no
+    tables and stays unloaded.
+    """
+    for name, module in list(_sys.modules.items()):
+        if name != __name__ and not name.startswith(__name__ + "."):
+            continue
+        for value in list(object.__getattribute__(module, "__dict__").values()):
+            members = vars(value).values() if type(value) is type and value.__module__ == name else (value,)
+            for table in members:
+                if type(table) is staticmethod:
+                    table = table.__func__
+                if hasattr(type(table), "cache_clear") and table.__module__ == name:
+                    table.cache_clear()

@@ -12,13 +12,11 @@ chain did not stabilize, 4 unexpected claim verdict.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import cyclic
 from .errors import FgmodError, InvalidGrid, NonStabilizing
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
-from .modules import canonical_form
 from . import verify  # lazy: only `fgmod verify` loads the harness (see fgmod/__init__.py)
 
 EXIT_OK = 0
@@ -93,13 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: dict, text: str):
     if args.format == "json-lines":
+        import json  # imported only here and for grid files: text output never needs it
+
         print(json.dumps(payload))
     else:
         print(text)
 
 
-def _canon(ring, expr: str):
-    return canonical_form(parse_module_expr(ring, expr))
+# every module argument is read straight to its canonical form
+_canon = parse_module_expr
 
 
 def _result(args, C) -> None:
@@ -108,6 +108,8 @@ def _result(args, C) -> None:
 
 
 def _load_grids(path: str) -> list:
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)

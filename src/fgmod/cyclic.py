@@ -21,17 +21,22 @@ induces on Hom(M, -) and M (x) -, on the pair summands whose orders `hom` and
 `tensor` merge, so their entries too are bounded by the orders.  Maps
 between arbitrary presentations, submodules and quotients by submodules
 live in `functors`, `adic` and `modules`.
+
+`CanonicalForm` is defined here, with `_shared_form`, which interns it, so
+that a question about sums of cyclic atoms never loads the matrix route;
+`modules` re-exports both.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import FreePartNotSupported, NonStabilizing, RingMismatch
-from .modules import CanonicalForm, _shared_form
+from .rings import RingSpec, _Record, _set
 
 __all__ = [
+    "CanonicalForm",
     "hom",
     "tensor",
     "hom_postcompose",
@@ -56,6 +61,53 @@ __all__ = [
 # entries per memo table: the default verify suite asks about 35,000
 # distinct Hom questions, more than any other kind, so this never evicts
 _MEMO = 1 << 16
+
+
+class CanonicalForm(_Record):
+    """Invariant factors d1 | d2 | ... (each >= 2) plus a free rank.
+
+    Over Z/n the free rank is always zero: free summands appear as torsion
+    factor n.  Two presentations are isomorphic iff their canonical forms are
+    equal.
+    """
+
+    _fields = ("ring", "torsion_factors", "free_rank")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, ring: RingSpec, torsion_factors: tuple[int, ...], free_rank: int):
+        _set(self, "ring", ring)
+        _set(self, "torsion_factors", torsion_factors)
+        _set(self, "free_rank", free_rank)
+        # forms key most memo tables; hash once, from plain ints and tuples
+        _set(self, "_hash", hash((ring.modulus or 0, torsion_factors, free_rank)))
+
+    def __eq__(self, other):
+        if type(other) is not CanonicalForm:
+            return NotImplemented
+        return (self.ring, self.torsion_factors, self.free_rank) == (other.ring, other.torsion_factors, other.free_rank)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.torsion_factors and self.free_rank == 0
+
+    def order(self) -> int | None:
+        """Number of elements, or None when infinite."""
+        if self.free_rank:
+            return None
+        return prod(self.torsion_factors) if self.torsion_factors else 1
+
+
+# over three times the 2,622 forms the default verify suite interns, so it never evicts
+@lru_cache(maxsize=8192)
+def _shared_form(C: CanonicalForm) -> CanonicalForm:
+    """One object per canonical value: the first-seen form equal to C.
+
+    Memo tables keyed on forms then find their entries by identity instead
+    of by field-by-field comparison."""
+    return C
 
 
 def _orders(C: CanonicalForm) -> tuple[int, ...]:

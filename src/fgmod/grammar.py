@@ -14,18 +14,27 @@ Canonical forms print as `Z^r + Z/d1 + Z/d2 + ...` with the invariant factors
 in ascending divisibility order, `Z` for a single free summand, and `0` for
 the zero module, so outputs are valid inputs.
 
+A module expression parses straight to its canonical form.  Each cyclic
+atom is one summand order (`Z` is 0, `Z/m` is m over Z and gcd(m, n) over
+Z/n, `0` is none), and the orders are merged by `cyclic`; only a `coker`
+atom is eliminated, on its own, through `modules.canonical_form`, so only
+such an atom loads the matrix route.
+
 An expression may have at most MAX_GENERATORS generators in all, counting
-`^` powers and `coker` rows: dense elimination is cubic in the generator
-count, so a short string such as `Z/2^20000` would otherwise never finish.
+`^` powers and `coker` rows, and a string such as `Z/2^20000` is refused.
+Only `coker` atoms are eliminated, and the cap is checked before any is,
+so dense elimination, cubic in the generator count, never meets more; the
+cap also bounds the summand counts whose products two-argument functors
+read.
 """
 
 from __future__ import annotations
 
-import ast
 import re
+from math import gcd
 
+from . import cyclic
 from .errors import AnswerTooLong, FgmodError
-from .modules import CanonicalForm, Presentation, direct_sum
 from .rings import Ideal, RingSpec, canonicalize_ideal
 
 __all__ = [
@@ -106,21 +115,25 @@ def _split_terms(text: str) -> list[str]:
     return terms
 
 
-def _parse_atom(ring: RingSpec, text: str) -> Presentation:
+def _parse_atom(ring: RingSpec, text: str) -> tuple[int, ...] | list[list[int]]:
+    """The summand orders of a cyclic atom, or the relation rows of a `coker`
+    atom; either way one entry per generator."""
     text = text.strip()
     if text == "0":
-        return Presentation.zero(ring)
+        return ()
     if text == "Z":
         if not ring.is_integers:
             raise GrammarError("atom Z is illegal over Z/n; use Z/<m> summands")
-        return Presentation.free(ring, 1)
+        return (0,)
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
         d = _modulus(m.group(1))
         if d < 1:
             raise GrammarError("cyclic modulus must be >= 1")
-        return Presentation.cyclic(ring, d)
+        return (d if ring.is_integers else gcd(d, ring.modulus),)
     if text.startswith("coker"):
+        import ast
+
         body = text[len("coker") :].strip()
         try:
             rows = ast.literal_eval(body)
@@ -133,16 +146,23 @@ def _parse_atom(ring: RingSpec, text: str) -> Presentation:
         for r in rows:
             if not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
                 raise GrammarError("coker entries must be integers")
-        return Presentation.from_relations(ring, rows)
+        return rows
     raise GrammarError(f"cannot parse module atom {text!r}")
 
 
-def parse_module_expr(ring: RingSpec, text: str) -> Presentation:
-    """Parse a module expression into a presentation over the given ring."""
+def _coker_orders(ring: RingSpec, rows: list[list[int]]) -> tuple[int, ...]:
+    """The summand orders of a cokernel, by elimination of its relations."""
+    from .modules import Presentation, canonical_form
+
+    return cyclic._orders(canonical_form(Presentation.from_relations(ring, rows)))
+
+
+def parse_module_expr(ring: RingSpec, text: str) -> cyclic.CanonicalForm:
+    """Parse a module expression into its canonical form over the given ring."""
     text = text.strip()
     if not text:
         raise GrammarError("empty module expression")
-    parts = []
+    orders: list[int] = []
     gens = 0
     for term in _split_terms(text):
         term = term.strip()
@@ -159,15 +179,17 @@ def parse_module_expr(ring: RingSpec, text: str) -> Presentation:
                 raise GrammarError("exponent must be nonnegative")
             term = base
         atom = _parse_atom(ring, term)
-        gens += atom.gens * power
+        gens += len(atom) * power
         if gens > MAX_GENERATORS:
             raise GrammarError(f"module expression has more than {MAX_GENERATORS} generators")
-        if atom.gens:  # zero summands add nothing, however many
-            parts.extend([atom] * power)
-    return direct_sum(ring, parts)
+        if atom and power:  # zero summands add nothing, however many
+            if isinstance(atom, list):
+                atom = _coker_orders(ring, atom)
+            orders.extend(atom * power)
+    return cyclic._form(ring, orders)
 
 
-def format_canonical(C: CanonicalForm) -> str:
+def format_canonical(C: cyclic.CanonicalForm) -> str:
     """Render a canonical form in the input grammar.
 
     A modulus too long for Python to print in decimal (the same limit the

@@ -9,14 +9,17 @@ package reduces to equality of canonical forms.
 Submodules are carried as (ambient, generator columns) pairs so that
 membership tests stay exact; converting one to a standalone presentation
 computes the relations of its span.
+
+`CanonicalForm` and the `_shared_form` table that interns it live in
+`cyclic`, which needs no matrix; they are re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 
+from .cyclic import CanonicalForm, _shared_form
 from .errors import AmbientMismatch, RingMismatch
 from .linalg import (
     MatrixR,
@@ -92,38 +95,6 @@ class Presentation:
         return Presentation(ring, m.rows, m)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Invariant factors d1 | d2 | ... (each >= 2) plus a free rank.
-
-    Over Z/n the free rank is always zero: free summands appear as torsion
-    factor n.  Two presentations are isomorphic iff their canonical forms are
-    equal.
-    """
-
-    ring: RingSpec
-    torsion_factors: tuple[int, ...]
-    free_rank: int
-
-    def __post_init__(self):
-        # forms key most memo tables; hash once, from plain ints and tuples
-        key = (self.ring.modulus or 0, self.torsion_factors, self.free_rank)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion_factors and self.free_rank == 0
-
-    def order(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.free_rank:
-            return None
-        return prod(self.torsion_factors) if self.torsion_factors else 1
-
-
 # over four times the 995 entries the default verify suite fills, so it never evicts
 @lru_cache(maxsize=4096)
 def canonical_form(P: Presentation) -> CanonicalForm:
@@ -133,16 +104,6 @@ def canonical_form(P: Presentation) -> CanonicalForm:
     nonzero = sum(1 for d in diag if d != 0)
     free_rank = P.gens - nonzero
     return _shared_form(CanonicalForm(P.ring, factors, free_rank))
-
-
-# over three times the 2,622 forms the default verify suite interns, so it never evicts
-@lru_cache(maxsize=8192)
-def _shared_form(C: CanonicalForm) -> CanonicalForm:
-    """One object per canonical value: the first-seen form equal to C.
-
-    Memo tables keyed on forms then find their entries by identity instead
-    of by field-by-field comparison."""
-    return C
 
 
 @lru_cache(maxsize=1024)

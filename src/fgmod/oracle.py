@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from .cyclic import CanonicalForm
 from .errors import InfiniteModule, UnsupportedShape
-from .modules import CanonicalForm
 from .rings import ZZ
 
 __all__ = [

@@ -9,22 +9,53 @@ nonnegative, and lie in [0, n) over Z/n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyGeneratorList
 
 __all__ = ["RingSpec", "Ideal", "ZZ", "canonicalize_ideal", "ideal_power"]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RingSpec:
+
+class _Record:
+    """An immutable value with the fields `_fields`, printed like a dataclass.
+
+    Each subclass writes its own `__init__`, `__eq__` (same type, equal
+    fields) and `__hash__`.  The values a one-shot query needs are records
+    rather than dataclasses because importing `dataclasses` costs more than
+    the query's arithmetic."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class RingSpec(_Record):
     """The base ring: Z when modulus is None, otherwise Z/modulus."""
 
-    modulus: int | None = None
+    __slots__ = _fields = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus is not None and self.modulus < 2:
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None and modulus < 2:
             raise ValueError("modulus must be >= 2")
+        _set(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if type(other) is not RingSpec:
+            return NotImplemented
+        return self.modulus == other.modulus
 
     def __hash__(self) -> int:
         return self.modulus or 0
@@ -60,13 +91,20 @@ class RingSpec:
 ZZ = RingSpec.integers()
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(_Record):
     """A finitely generated ideal with its canonical principal generator."""
 
-    ring: RingSpec
-    generators: tuple[int, ...]
-    canonical: int
+    __slots__ = _fields = ("ring", "generators", "canonical")
+
+    def __init__(self, ring: RingSpec, generators: tuple[int, ...], canonical: int):
+        _set(self, "ring", ring)
+        _set(self, "generators", generators)
+        _set(self, "canonical", canonical)
+
+    def __eq__(self, other):
+        if type(other) is not Ideal:
+            return NotImplemented
+        return (self.ring, self.generators, self.canonical) == (other.ring, other.generators, other.canonical)
 
     def __hash__(self) -> int:
         return hash((self.ring.modulus or 0, self.generators, self.canonical))

@@ -52,16 +52,14 @@ from typing import Callable, NamedTuple
 
 from . import cyclic
 from .adic import DEFAULT_KMAX
+from .cyclic import CanonicalForm, _shared_form
 from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
 from .grammar import format_canonical, parse_module_expr
 from .linalg import MatrixR, _over_integers, from_columns, hstack, smith_normal_form, solve_columns
 from .modules import (
-    CanonicalForm,
     ModuleMap,
     Presentation,
     Submodule,
-    _shared_form,
-    canonical_form,
     canonical_presentation,
     kernel_submodule,
     scaled_submodule,
@@ -135,7 +133,7 @@ def enumerate_forms(grid: GridSpec) -> tuple[CanonicalForm, ...]:
     ring = grid.ring
     if grid.module_whitelist is not None:
         # dict keys keep the first of equal forms, in order
-        return tuple(dict.fromkeys(canonical_form(parse_module_expr(ring, e)) for e in grid.module_whitelist))
+        return tuple(dict.fromkeys(parse_module_expr(ring, e) for e in grid.module_whitelist))
     chains = _divisor_chains(grid.max_torsion_order, ring.modulus)
     ranks = range(grid.max_free_rank + 1) if ring.is_integers else (0,)
     return tuple(_shared_form(CanonicalForm(ring, chain, r)) for r in ranks for chain in chains)

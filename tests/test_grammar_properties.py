@@ -3,18 +3,23 @@
 Any string over the grammar's alphabet either parses or raises an
 `FgmodError`, and `fgmod canon` answers it with exit 0 or 2 and never a
 traceback.  Printed canonical forms are valid inputs that parse back to the
-same form, over Z and over Z/n.
+same form, over Z and over Z/n.  The parser reads sums of cyclic atoms
+straight to their canonical form; on random expressions that form is the
+Smith normal form of the block-diagonal presentation of the whole sum.
 """
 
+import ast
 import contextlib
 import io
+import math
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from fgmod.cli import main
 from fgmod.errors import FgmodError
-from fgmod.grammar import format_canonical, parse_ideal, parse_module_expr, parse_ring
-from fgmod.modules import CanonicalForm, canonical_form
+from fgmod.grammar import _split_terms, format_canonical, parse_ideal, parse_module_expr, parse_ring
+from fgmod.modules import CanonicalForm, Presentation, canonical_form, direct_sum
 from fgmod.rings import RingSpec, ZZ
 
 ALPHABET = "Z/0123456789+^,[]- coker"
@@ -73,4 +78,68 @@ def canonical_forms(draw):
 @given(canonical_forms())
 def test_format_canonical_round_trips(C):
     text = format_canonical(C)
-    assert canonical_form(parse_module_expr(C.ring, text)) == C, text
+    assert parse_module_expr(C.ring, text) == C, text
+
+
+def reference_presentation(ring, text):
+    """The block-diagonal presentation of a valid expression, one block per
+    atom and power, as the parser built it before it read canonical forms
+    directly."""
+    parts = []
+    for term in _split_terms(text):
+        atom, _, power = term.partition("^")
+        atom = atom.strip()
+        if atom == "0":
+            block = Presentation.zero(ring)
+        elif atom == "Z":
+            block = Presentation.free(ring, 1)
+        elif atom.startswith("Z/"):
+            block = Presentation.cyclic(ring, int(atom[2:]))
+        else:
+            block = Presentation.from_relations(ring, ast.literal_eval(atom[len("coker") :]))
+        if block.gens:
+            parts.extend([block] * int(power or 1))
+    return direct_sum(ring, parts)
+
+
+def random_term(rng, ring):
+    """One term: an atom and maybe a power, and the generators it adds."""
+    n = ring.modulus or rng.choice([6, 8, 12])
+    kind = rng.choice(["0", "1", "Z", "multiple", "coprime", "shared", "coker"])
+    if kind == "0":
+        return rng.choice(["0", "0^0", f"0^{10**21}", "0^3"]), 0
+    if kind == "Z" and ring.is_integers:
+        atom, gens = "Z", 1
+    elif kind == "coker":
+        rows = rng.randint(0, 3)
+        cols = rng.randint(0, 3)
+        matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        atom, gens = f"coker{matrix}", rows
+    else:
+        if kind == "1":
+            m = 1
+        elif kind == "multiple":
+            m = n * rng.randint(1, 4)
+        elif kind == "coprime":
+            m = rng.choice([m for m in range(2, 40) if math.gcd(m, n) == 1])
+        else:
+            m = rng.choice([m for m in range(2, 40) if 1 < math.gcd(m, n) and m % n])
+        atom, gens = f"Z/{m}", 1
+    power = rng.choice([None, None, 0, 1, 2, 3, 24])
+    if power is None:
+        return atom, gens
+    return f"{atom}^{power}", gens * power
+
+
+def test_parsed_sums_equal_the_smith_form_of_their_presentation():
+    rng = random.Random(20261018)
+    rings = [ZZ, RingSpec.mod(6), RingSpec.mod(8), RingSpec.mod(12)]
+    for _ in range(400):
+        ring = rng.choice(rings)
+        terms, gens = [], 0
+        while not terms or (gens < 40 and rng.random() < 0.7):
+            term, added = random_term(rng, ring)
+            terms.append(term)
+            gens += added
+        text = " + ".join(terms)
+        assert parse_module_expr(ring, text) == canonical_form(reference_presentation(ring, text)), (ring, text)

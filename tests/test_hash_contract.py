@@ -2,10 +2,15 @@
 
 `RingSpec`, `Ideal`, `CanonicalForm`, `MatrixR` and `Presentation` hash from
 plain ints and tuples (some cache the hash), while equality stays the
-field-by-field dataclass comparison.  Values are drawn from small domains so
+field-by-field comparison of values of the same type.  `RingSpec`, `Ideal`
+and `CanonicalForm` are hand-written immutable records rather than
+dataclasses, and keep a dataclass's equality, immutability and repr.  Values are drawn from small domains so
 that equal pairs built along different paths are frequent.
 """
 
+import pickle
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fgmod.linalg import MatrixR
@@ -120,3 +125,45 @@ def test_integer_and_modular_forms_with_the_same_factors_differ():
         assert canonical_presentation(over_z) != canonical_presentation(over_zn)
     assert RingSpec(None) != RingSpec(2)
     assert MatrixR(ZZ, 1, 1, ((1,),)) != MatrixR(RingSpec.mod(2), 1, 1, ((1,),))
+
+
+def test_records_equal_only_values_of_their_own_type():
+    C = CanonicalForm(ZZ, (2, 4), 1)
+    assert C != (ZZ, (2, 4), 1) and (ZZ, (2, 4), 1) != C
+    assert RingSpec(None) != (None,) and (None,) != RingSpec(None)
+    a = canonicalize_ideal(ZZ, [4, 6])
+    assert a != (ZZ, (4, 6), 2)
+    assert C == CanonicalForm(RingSpec(None), (2, 4), 1)
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    values = [
+        (RingSpec.mod(6), "modulus"),
+        (canonicalize_ideal(ZZ, [4, 6]), "canonical"),
+        (CanonicalForm(ZZ, (2,), 0), "free_rank"),
+    ]
+    for value, field in values:
+        before = hash(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, 3)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert hash(value) == before
+
+
+def test_record_reprs_read_like_dataclasses():
+    assert repr(RingSpec(None)) == "RingSpec(modulus=None)"
+    assert repr(canonicalize_ideal(RingSpec.mod(12), [4, 6])) == (
+        "Ideal(ring=RingSpec(modulus=12), generators=(4, 6), canonical=2)"
+    )
+    assert repr(CanonicalForm(ZZ, (2, 4), 1)) == (
+        "CanonicalForm(ring=RingSpec(modulus=None), torsion_factors=(2, 4), free_rank=1)"
+    )
+
+
+def test_records_survive_pickling():
+    for value in (RingSpec.mod(6), canonicalize_ideal(ZZ, [4, 6]), CanonicalForm(RingSpec.mod(6), (2, 6), 0)):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value)
