@@ -22,15 +22,17 @@ induces on Hom(M, -) and M (x) -, on the pair summands whose orders `hom` and
 between arbitrary presentations, submodules and quotients by submodules
 live in `functors`, `adic` and `modules`.
 
-`CanonicalForm` is defined here, with `_shared_form`, which interns it, so
-that a question about sums of cyclic atoms never loads the matrix route;
-`modules` re-exports both.
+`CanonicalForm` is defined here, so that a question about sums of cyclic
+atoms never loads the matrix route; `modules` re-exports it.  Forms are
+interned: the constructor hands out one live object per value, so equality is
+identity and every memo table hashes and compares its keys in C.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
+from weakref import WeakValueDictionary
 
 from .errors import FreePartNotSupported, NonStabilizing, RingMismatch
 from .rings import RingSpec, _Record, _set
@@ -68,26 +70,23 @@ class CanonicalForm(_Record):
 
     Over Z/n the free rank is always zero: free summands appear as torsion
     factor n.  Two presentations are isomorphic iff their canonical forms are
-    equal.
+    equal.  Equal forms are one object: the constructor returns the live form
+    of its value when there is one, so `==` and `hash` are the identity's.
     """
 
     _fields = ("ring", "torsion_factors", "free_rank")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("__weakref__",)
 
-    def __init__(self, ring: RingSpec, torsion_factors: tuple[int, ...], free_rank: int):
-        _set(self, "ring", ring)
-        _set(self, "torsion_factors", torsion_factors)
-        _set(self, "free_rank", free_rank)
-        # forms key most memo tables; hash once, from plain ints and tuples
-        _set(self, "_hash", hash((ring.modulus or 0, torsion_factors, free_rank)))
-
-    def __eq__(self, other):
-        if type(other) is not CanonicalForm:
-            return NotImplemented
-        return (self.ring, self.torsion_factors, self.free_rank) == (other.ring, other.torsion_factors, other.free_rank)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, ring: RingSpec, torsion_factors: tuple[int, ...], free_rank: int):
+        key = (ring.modulus, torsion_factors, free_rank)
+        self = _live_forms.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            _set(self, "ring", ring)
+            _set(self, "torsion_factors", torsion_factors)
+            _set(self, "free_rank", free_rank)
+            _live_forms[key] = self
+        return self
 
     @property
     def is_trivial(self) -> bool:
@@ -100,14 +99,9 @@ class CanonicalForm(_Record):
         return prod(self.torsion_factors) if self.torsion_factors else 1
 
 
-# over three times the 2,622 forms the default verify suite interns, so it never evicts
-@lru_cache(maxsize=8192)
-def _shared_form(C: CanonicalForm) -> CanonicalForm:
-    """One object per canonical value: the first-seen form equal to C.
-
-    Memo tables keyed on forms then find their entries by identity instead
-    of by field-by-field comparison."""
-    return C
+# the live form of each value, by (modulus, torsion factors, free rank); a
+# form leaves when its last reference dies, so no live form is ever evicted
+_live_forms: WeakValueDictionary = WeakValueDictionary()
 
 
 def _orders(C: CanonicalForm) -> tuple[int, ...]:
@@ -130,7 +124,7 @@ def _form(ring, orders) -> CanonicalForm:
             free += 1
         elif m > 1:
             finite.append(m)
-    return _shared_form(CanonicalForm(ring, _invariant_factors(finite), free))
+    return CanonicalForm(ring, _invariant_factors(finite), free)
 
 
 def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
@@ -357,6 +351,7 @@ def is_coreduced(C: CanonicalForm, d: int) -> bool:
     return (not C.free_rank or abs(d) <= 1) and is_reduced(C, d)
 
 
+@lru_cache(maxsize=_MEMO)
 def torsion_wrt(M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
     """Two-argument torsion: the torsion of Hom(M, N) along (d)."""
     return torsion(hom(M, N), d, kmax)[0]
@@ -367,11 +362,13 @@ def completion_wrt(M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> Can
     return completion(tensor(M, N), d, kmax)[0]
 
 
+@lru_cache(maxsize=_MEMO)
 def is_reduced_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> bool:
     """Whether Hom(M, N) is reduced along (d)."""
     return is_reduced(hom(M, N), d)
 
 
+@lru_cache(maxsize=_MEMO)
 def is_coreduced_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> bool:
     """Whether M (x) N is coreduced along (d)."""
     return is_coreduced(tensor(M, N), d)

@@ -10,8 +10,8 @@ Submodules are carried as (ambient, generator columns) pairs so that
 membership tests stay exact; converting one to a standalone presentation
 computes the relations of its span.
 
-`CanonicalForm` and the `_shared_form` table that interns it live in
-`cyclic`, which needs no matrix; they are re-exported here.
+`CanonicalForm`, which interns its values, lives in `cyclic`, which needs
+no matrix; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclic import CanonicalForm, _shared_form
+from .cyclic import CanonicalForm
 from .errors import AmbientMismatch, RingMismatch
 from .linalg import (
     MatrixR,
@@ -103,7 +103,7 @@ def canonical_form(P: Presentation) -> CanonicalForm:
     factors = tuple(d for d in diag if d > 1)
     nonzero = sum(1 for d in diag if d != 0)
     free_rank = P.gens - nonzero
-    return _shared_form(CanonicalForm(P.ring, factors, free_rank))
+    return CanonicalForm(P.ring, factors, free_rank)
 
 
 @lru_cache(maxsize=1024)

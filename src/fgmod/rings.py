@@ -20,10 +20,11 @@ _set = object.__setattr__
 class _Record:
     """An immutable value with the fields `_fields`, printed like a dataclass.
 
-    Each subclass writes its own `__init__`, `__eq__` (same type, equal
-    fields) and `__hash__`.  The values a one-shot query needs are records
-    rather than dataclasses because importing `dataclasses` costs more than
-    the query's arithmetic."""
+    Each subclass writes its own constructor, and either `__eq__` (same
+    type, equal fields) and `__hash__` or, like `cyclic.CanonicalForm`, an
+    interning `__new__` that makes equal values one object.  The values a
+    one-shot query needs are records rather than dataclasses because
+    importing `dataclasses` costs more than the query's arithmetic."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -17,13 +17,15 @@ grid's ideals (each with a label name, a domain and an optional guard that
 prunes at its depth), and a check that returns True, False, an (outcome,
 note) pair, or (None, note) for a skip.  Over Z and Z/n every value depends
 on an ideal only through its canonical generator d, so guards and checks get
-d, an int.  One walker runs the loops; a label such as `M=Z/2, N=Z, a=(2)`
-is formatted only for the samples a report keeps.  The inherit and
-exactness pairs are no flat product and declare a generator of the same
-(values, result) pairs; the exactness pair computes along one integer c
-that d determines (`_effective`), so it checks each (sequence, M, c) once
-and repeats that result for every ideal with the same c, each instance
-under its own label.  Mirrored claims are one shape over a `_Side`: reduced
+d, an int.  One walker runs the loops of every claim: an instance that
+passes costs its check and a count, nothing more, and a label such as
+`M=Z/2, N=Z, a=(2)` is formatted only for the samples a report keeps.  A
+guard may also count a skip for the values bound so far (the inherit pair,
+where the classical value is undefined).  The exactness pair makes its check
+once per grid: it computes along one integer c that d determines
+(`_effective`), so it checks each (sequence, M, c) once and repeats that
+result for every ideal with the same c, each instance under its own label.
+Mirrored claims are one shape over a `_Side`: reduced
 (R^M_a, torsion, Hom, Ext, local cohomology) or coreduced (C^M_a,
 completion, tensor, Tor, local homology).
 
@@ -36,9 +38,9 @@ exactness claims need induced maps: each short exact sequence carries its
 inclusion and projection as integer matrices on the cyclic summands of its
 terms, `cyclic` induces them on Hom(M, -) and M (x) - summand pair by
 summand pair, and only the last kernel, containment and equality questions
-go to `modules`, on diagonal presentations.  The characterizations that
-must not share the value arithmetic (the ideal-multiple route of the
-equivalence claims) run on presentations with `modules`.
+go to `modules`, on diagonal presentations.  The equivalence claims ask
+whether aG = 0 on forms, as G/dG is G (forms are interned);
+`modules.scaled_submodule` is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Callable, NamedTuple
 
 from . import cyclic
 from .adic import DEFAULT_KMAX
-from .cyclic import CanonicalForm, _shared_form
+from .cyclic import CanonicalForm
 from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
 from .grammar import format_canonical, parse_module_expr
 from .linalg import MatrixR, _over_integers, from_columns, hstack, smith_normal_form, solve_columns
@@ -62,7 +64,6 @@ from .modules import (
     Submodule,
     canonical_presentation,
     kernel_submodule,
-    scaled_submodule,
     submodule_equal,
 )
 from .rings import ZZ, RingSpec, principal
@@ -136,7 +137,7 @@ def enumerate_forms(grid: GridSpec) -> tuple[CanonicalForm, ...]:
         return tuple(dict.fromkeys(parse_module_expr(ring, e) for e in grid.module_whitelist))
     chains = _divisor_chains(grid.max_torsion_order, ring.modulus)
     ranks = range(grid.max_free_rank + 1) if ring.is_integers else (0,)
-    return tuple(_shared_form(CanonicalForm(ring, chain, r)) for r in ranks for chain in chains)
+    return tuple(CanonicalForm(ring, chain, r) for r in ranks for chain in chains)
 
 
 def enumerate_modules(grid: GridSpec) -> list[Presentation]:
@@ -289,8 +290,8 @@ def _degrees(ring: RingSpec, start: int = 0) -> range:
 
 def _free_form(ring: RingSpec) -> CanonicalForm:
     if ring.is_integers:
-        return _shared_form(CanonicalForm(ring, (), 1))
-    return _shared_form(CanonicalForm(ring, (ring.modulus,), 0))
+        return CanonicalForm(ring, (), 1)
+    return CanonicalForm(ring, (ring.modulus,), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +387,7 @@ def _sequence(y: CanonicalForm, sub: Submodule) -> _Seq:
     gx = g @ solve_columns(ux, MatrixR.identity(ZZ, ux.rows))
     incl = tuple(tuple(row[i] % h for i in x_places) for row, h in zip(gx.entries, y.torsion_factors))
     proj = tuple(tuple(v % d for v in uz.entries[i]) for i, d in zip(z_places, z))
-    x_form, z_form = (_shared_form(CanonicalForm(y.ring, orders, 0)) for orders in (x, z))
+    x_form, z_form = (CanonicalForm(y.ring, orders, 0) for orders in (x, z))
     return _Seq(y, sub, x_form, z_form, incl, proj)
 
 
@@ -487,7 +488,9 @@ class _Var:
     """One loop of a claim.  `domain` is a `_Ctx` field, or a function of the
     context, the values bound so far and the ideal's generator d; `guard`,
     given the values bound so far, this one included, and d, prunes at this
-    depth.  A tail variable is labelled after the ideal."""
+    depth: it returns True to go on, False to prune, or (None, note) to count
+    a skip for the values bound so far and prune.  A tail variable is
+    labelled after the ideal."""
 
     name: str
     domain: str | Callable = "forms"
@@ -499,24 +502,48 @@ class _Var:
         return getattr(ctx, dom) if isinstance(dom, str) else dom(ctx, *bound, d)
 
 
-def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx):
-    """(values, result) for each instance, depth first in declaration order
-    inside a loop over the ideals; `values` ends with the ideal's generator d."""
+def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) -> None:
+    """Check each instance, depth first in declaration order inside a loop
+    over the ideals.  A result of True only adds to `tally.checked`; any other
+    result, and a guard's skip, goes to `tally.record` with the instance's
+    values, which end with the ideal's generator d."""
+    last = len(loops) - 1
+    every = tally.listing is not None
+
+    def descend(bound: tuple, d: int) -> None:
+        var = loops[len(bound)]
+        guard = var.guard
+        if len(bound) < last:
+            for x in var.values(ctx, bound, d):
+                values = bound + (x,)
+                if guard is not None and (ok := guard(*values, d)) is not True:
+                    if isinstance(ok, tuple):
+                        tally.record(values + (d,), ok)
+                    continue
+                descend(values, d)
+            return
+        checked = 0
+        for x in var.values(ctx, bound, d):
+            if guard is not None and (ok := guard(*bound, x, d)) is not True:
+                if isinstance(ok, tuple):
+                    tally.record(bound + (x, d), ok)
+                continue
+            result = check(*bound, x, d)
+            if result is True and not every:
+                checked += 1
+            else:
+                tally.record(bound + (x, d), result)
+        tally.checked += checked
+
     for d in ctx.ideals:
-        yield from _descend(loops, check, ctx, (), d)
+        descend((), d)
 
 
-def _descend(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, bound: tuple, d: int):
-    var = loops[len(bound)]
-    leaf = len(bound) == len(loops) - 1
-    for x in var.values(ctx, bound, d):
-        values = bound + (x,)
-        if var.guard is not None and not var.guard(*values, d):
-            continue
-        if leaf:
-            yield values + (d,), check(*values, d)
-        else:
-            yield from _descend(loops, check, ctx, values, d)
+def _instances(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx) -> list[tuple[tuple, object]]:
+    """(values, result) of every instance and guard skip, in walk order."""
+    tally = _Tally(loops, listing=[])
+    _walk(loops, check, ctx, tally)
+    return tally.listing
 
 
 def _label(loops: tuple[_Var, ...], values: tuple) -> str:
@@ -542,16 +569,22 @@ def _label(loops: tuple[_Var, ...], values: tuple) -> str:
 
 @dataclass
 class _Tally:
+    """One claim's counts on one grid.  `listing`, when a list, receives
+    every (values, result), passes included, for references and tests."""
+
     loops: tuple[_Var, ...]
     checked: int = 0
     counterexamples: list[str] = field(default_factory=list)
     n_counter: int = 0
     skipped: list[str] = field(default_factory=list)
     n_skipped: int = 0
+    listing: list | None = None
 
     def record(self, values: tuple, result):
         """Count one check result: True, False, (outcome, note), or
         (None, note) for a skip.  Labels only the samples it keeps."""
+        if self.listing is not None:
+            self.listing.append((values, result))
         outcome, note = result if isinstance(result, tuple) else (result, "")
         if outcome is None:
             self.n_skipped += 1
@@ -585,7 +618,11 @@ class _Claim:
     rings: str = "all"  # "all", "modular", "vnr"
     expected: str = "pass"  # "pass" or "fail" on grids where the claim has content
     expected_on: Callable[[GridSpec], str] | None = None
-    generate: Callable[[_Ctx], object] | None = None  # for claims that are no flat product
+    make_check: Callable[[_Ctx], Callable] | None = None  # a check with a memo per grid
+
+    def check_in(self, ctx: _Ctx) -> Callable:
+        """The check to run on this grid."""
+        return self.check if self.make_check is None else self.make_check(ctx)
 
     def applies(self, grid: GridSpec) -> bool:
         if self.rings == "all":
@@ -638,7 +675,7 @@ def _equiv(s: _Side) -> dict:
         if g is None:
             return (False, f"({b1},{b2})") if b1 != b2 else _UNSTABLE
         b3 = g == s.functor(mq, n)
-        b4 = scaled_submodule(canonical_presentation(g), d).is_zero()
+        b4 = cyclic.quotient(g, d) is g  # dG = 0
         b5 = s.absolute(g, d)
         ok = b1 == b2 == b3 == b4 == b5
         return ok, "" if ok else f"({b1},{b2},{b3},{b4},{b5})"
@@ -775,7 +812,7 @@ def _exactness(s: _Side) -> dict:
         _Var("M", "tiny", lambda seq, m, d: all(s.in_class(m, c, d) for c in (seq.x, seq.y, seq.z))),
     )
 
-    def generate(ctx: _Ctx):
+    def make_check(ctx: _Ctx):
         results: dict[tuple[_Seq, CanonicalForm, int], tuple[bool, str]] = {}
 
         def check(seq, m, d):
@@ -787,9 +824,9 @@ def _exactness(s: _Side) -> dict:
                 results[seq, m, c] = s.exact(*maps, c)
             return results[seq, m, c]
 
-        return _walk(loops, check, ctx)
+        return check
 
-    return dict(loops=loops, generate=generate)
+    return dict(loops=loops, make_check=make_check)
 
 
 # The induced maps of the exactness pair act between sums of cyclic pair
@@ -923,24 +960,23 @@ def _b_class_membership(m, n, d):
 
 def _inherit(s: _Side) -> dict:
     # the classical value H(R, N) gates M, and is undefined once per (q, N)
-    loops = (_Var("q", lambda ctx, d: _degrees(ctx.grid.ring)), _Var("N"), _Var("M"))
+    def classical(q, n, d):
+        return s.local(q, _free_form(n.ring), n, d)
 
-    def generate(ctx: _Ctx):
-        r1 = _free_form(ctx.grid.ring)
-        for d in ctx.ideals:
-            for q in _degrees(ctx.grid.ring):
-                for n in ctx.forms:
-                    hq = s.local(q, r1, n, d)
-                    if hq is None:
-                        yield (q, n, d), (None, "classical value undefined (chain)")
-                        continue
-                    for m in ctx.forms:
-                        if s.in_class(m, hq, d):
-                            hmn = s.local(q, m, n, d)
-                            ok = (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn, d)
-                            yield (q, n, m, d), ok
+    def gated(ctx: _Ctx, q, n, d):
+        hq = classical(q, n, d)
+        return [m for m in ctx.forms if s.in_class(m, hq, d)]
 
-    return dict(loops=loops, generate=generate)
+    def check(q, n, m, d):
+        hmn = s.local(q, m, n, d)
+        return (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn, d)
+
+    loops = (
+        _Var("q", lambda ctx, d: _degrees(ctx.grid.ring)),
+        _Var("N", guard=lambda q, n, d: classical(q, n, d) is not None or (None, "classical value undefined (chain)")),
+        _Var("M", gated),
+    )
+    return dict(loops=loops, check=check)
 
 
 def _vnr_vanish(s: _Side) -> dict:
@@ -1125,8 +1161,7 @@ def check_claim(claim_id: str, grid: GridSpec) -> ClaimReport:
     cdef = _BY_ID[claim_id]
     ctx = _make_ctx(grid)
     tally = _Tally(cdef.loops)
-    for values, result in cdef.generate(ctx) if cdef.generate else _walk(cdef.loops, cdef.check, ctx):
-        tally.record(values, result)
+    _walk(cdef.loops, cdef.check_in(ctx), ctx, tally)
     if tally.n_counter:
         verdict = "fail"
     elif tally.n_skipped:

@@ -115,8 +115,9 @@ def reference_comparisons(grids):
 
         for grid in grids:
             ctx = verify._make_ctx(grid)
-            walked = verify._walk(cdef.loops, check, ctx)
-            for (values, got), (want_values, want) in zip(cdef.generate(ctx), walked, strict=True):
+            walked = verify._instances(cdef.loops, check, ctx)
+            claimed = verify._instances(cdef.loops, cdef.check_in(ctx), ctx)
+            for (values, got), (want_values, want) in zip(claimed, walked, strict=True):
                 assert values == want_values, (claim_id, grid.label, values, want_values)
                 yield (claim_id, grid.label, values), (got, want)
 

@@ -413,7 +413,8 @@ def test_memoized_exactness_yields_every_instance_of_the_unmemoized_walk(claim_i
     cdef = verify._BY_ID[claim_id]
     for grid in small_grids() + default_grids("Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
-        assert list(cdef.generate(ctx)) == list(verify._walk(cdef.loops, unmemoized(side), ctx)), grid.name()
+        memoized = verify._instances(cdef.loops, cdef.check_in(ctx), ctx)
+        assert memoized == verify._instances(cdef.loops, unmemoized(side), ctx), grid.name()
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
@@ -447,8 +448,9 @@ def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     notes = set()
     for grid in small_grids():
         ctx = verify._make_ctx(grid)
-        walked = list(verify._walk(shape["loops"], check, ctx))
-        for (values, result), want in zip(shape["generate"](ctx), walked, strict=True):
+        walked = verify._instances(shape["loops"], check, ctx)
+        memoized = verify._instances(shape["loops"], shape["make_check"](ctx), ctx)
+        for (values, result), want in zip(memoized, walked, strict=True):
             # at c = 1 the claim reports (True, "") without asking the check,
             # and every term has zero torsion (completion) along (d)
             assert (values, result) == want or (
@@ -466,8 +468,11 @@ def test_exactness_checks_each_sequence_module_and_c_once(side):
         calls.append(args)
         return side.exact(*args)
 
-    generate = verify._exactness(dataclasses.replace(side, exact=counted))["generate"]
-    instances = sum(1 for grid in small_grids() for _ in generate(verify._make_ctx(grid)))
+    shape = verify._exactness(dataclasses.replace(side, exact=counted))
+    instances = 0
+    for grid in small_grids():
+        ctx = verify._make_ctx(grid)
+        instances += len(verify._instances(shape["loops"], shape["make_check"](ctx), ctx))
     # 240 distinct (sequence, M, c), of which 138 have c = 1 and need no check
     assert (instances, len(calls)) == (150 + 129 + 112, 102)
 
@@ -485,10 +490,10 @@ def test_no_map_is_built_where_every_ideal_gives_c_1(side):
     for grid in small_grids():
         ctx = verify._make_ctx(grid)
         cs: dict = {}
-        for (seq, m, _), c in verify._walk(shape["loops"], verify._effective, ctx):
+        for (seq, m, _), c in verify._instances(shape["loops"], verify._effective, ctx):
             cs.setdefault((seq, m), set()).add(c)
         built.clear()
-        list(shape["generate"](ctx))
+        verify._instances(shape["loops"], shape["make_check"](ctx), ctx)
         # the two maps once for each c != 1 of the pair
         want = [
             args

@@ -1,18 +1,24 @@
 """Equal values hash equal for every type that keys a memo table.
 
-`RingSpec`, `Ideal`, `CanonicalForm`, `MatrixR` and `Presentation` hash from
-plain ints and tuples (some cache the hash), while equality stays the
-field-by-field comparison of values of the same type.  `RingSpec`, `Ideal`
-and `CanonicalForm` are hand-written immutable records rather than
-dataclasses, and keep a dataclass's equality, immutability and repr.  Values are drawn from small domains so
-that equal pairs built along different paths are frequent.
+`RingSpec`, `Ideal`, `MatrixR` and `Presentation` hash from plain ints and
+tuples (some cache the hash), while equality stays the field-by-field
+comparison of values of the same type.  `CanonicalForm` is interned: equal
+forms are one object, however they were built, so its equality and hash are
+the identity's.  `RingSpec`, `Ideal` and `CanonicalForm` are hand-written
+immutable records rather than dataclasses, and keep a dataclass's
+immutability and repr.  Values are drawn from small domains so that equal
+pairs built along different paths are frequent.
 """
 
+import copy
+import gc
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgmod import cyclic, oracle
+from fgmod.grammar import parse_module_expr
 from fgmod.linalg import MatrixR
 from fgmod.modules import CanonicalForm, Presentation, canonical_form, canonical_presentation
 from fgmod.rings import RingSpec, ZZ, canonicalize_ideal
@@ -167,3 +173,44 @@ def test_records_survive_pickling():
     for value in (RingSpec.mod(6), canonicalize_ideal(ZZ, [4, 6]), CanonicalForm(RingSpec.mod(6), (2, 6), 0)):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and hash(copy) == hash(value)
+
+
+def test_equal_forms_built_along_different_paths_are_one_object():
+    for ring in (ZZ, RingSpec.mod(12)):
+        direct = CanonicalForm(RingSpec(ring.modulus), (2, 6), 0)
+        assert parse_module_expr(ring, "Z/6 + Z/2") is direct
+        assert parse_module_expr(ring, "coker[[2,0],[0,6]]") is direct
+        assert canonical_form(Presentation.from_relations(ring, [[0, 2], [6, 0]])) is direct
+        assert cyclic._form(ring, [6, 2, 1]) is direct
+        assert canonical_form(canonical_presentation(direct)) is direct
+    Z2, Z4 = CanonicalForm(ZZ, (2,), 0), CanonicalForm(ZZ, (4,), 0)
+    assert oracle.formula_hom(Z2, Z4) is cyclic.hom(Z2, Z4) is Z2
+    assert oracle.formula_ext1(Z4, Z2) is cyclic.ext(1, Z4, Z2) is Z2
+
+
+def test_pickling_and_copying_return_the_interned_form():
+    for C in (CanonicalForm(ZZ, (2, 4), 1), CanonicalForm(RingSpec.mod(6), (2, 6), 0)):
+        assert pickle.loads(pickle.dumps(C)) is C
+        assert copy.copy(C) is C
+        assert copy.deepcopy(C) is C
+        assert copy.deepcopy([C, C]) == [C, C]
+
+
+def test_a_form_leaves_the_table_when_its_last_reference_dies():
+    key = (None, (7**30,), 0)
+    C = CanonicalForm(ZZ, (7**30,), 0)
+    assert cyclic._live_forms[key] is C
+    del C
+    gc.collect()
+    assert key not in cyclic._live_forms
+    rebuilt = CanonicalForm(ZZ, (7**30,), 0)
+    fresh = CanonicalForm(RingSpec(None), (7**30,), 0)
+    assert rebuilt is fresh and rebuilt == fresh and hash(rebuilt) == hash(fresh)
+    assert cyclic._live_forms[key] is rebuilt
+
+
+def test_a_form_is_not_a_tuple_of_its_fields_and_reads_as_before():
+    C = CanonicalForm(ZZ, (2, 4), 1)
+    assert C != (ZZ, (2, 4), 1) and C != (None, (2, 4), 1)
+    assert hash(C) == object.__hash__(C)
+    assert repr(C) == "CanonicalForm(ring=RingSpec(modulus=None), torsion_factors=(2, 4), free_rank=1)"

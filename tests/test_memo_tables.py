@@ -1,7 +1,7 @@
 """The memo tables keep what they promise.
 
-`_shared_form` hands out one object per canonical value for as many forms
-as a verify suite interns; the completion chain memoizes its
+The `CanonicalForm` constructor hands out one object per canonical value
+for as many forms as a verify suite builds; the completion chain memoizes its
 non-stabilizing outcome too, and raises a fresh `NonStabilizing` each
 time; after a verify run no table of the value, module, functor, adic or
 harness layers has computed an entry twice.
@@ -16,7 +16,7 @@ import pytest
 import fgmod
 from fgmod import adic, cyclic, functors, modules, verify
 from fgmod.errors import NonStabilizing
-from fgmod.modules import CanonicalForm, Presentation, _shared_form, canonical_form
+from fgmod.modules import CanonicalForm, Presentation, canonical_form
 from fgmod.rings import ZZ
 
 GRID = Path(__file__).parent / "golden" / "verify_small_grid.json"
@@ -26,11 +26,12 @@ def tables(*mods):
     return [f for m in mods for f in vars(m).values() if hasattr(f, "cache_info") and f.__module__ == m.__name__]
 
 
-def test_shared_form_keeps_the_first_object_past_2000_forms():
+def test_the_constructor_keeps_the_first_object_past_2000_forms():
     base = 3**41
     first = canonical_form(Presentation.cyclic(ZZ, base))
-    for i in range(1, 2001):
-        _shared_form(CanonicalForm(ZZ, (base + i,), 0))
+    others = [CanonicalForm(ZZ, (base + i,), 0) for i in range(1, 2001)]
+    assert CanonicalForm(ZZ, (base,), 0) is first
+    assert len(set(map(id, others))) == 2000
     # a different presentation of the same value misses canonical_form
     again = canonical_form(Presentation.from_relations(ZZ, [[base, 0], [0, 1]]))
     assert again is first

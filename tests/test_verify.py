@@ -1,10 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from fgmod import cyclic, verify
 from fgmod.errors import UnknownClaim
 from fgmod.grammar import format_canonical
-from fgmod.modules import canonical_form
+from fgmod.modules import canonical_form, canonical_presentation, scaled_submodule
 from fgmod.rings import RingSpec
 from fgmod.verify import (
     GridSpec,
@@ -115,6 +118,37 @@ def test_equivalence_claims_on_tiny_grids():
         assert n_part.split("=")[1].startswith("Z")
     assert check_claim("equiv-reduced-wrt", TINY_Z6).verdict == "pass"
     assert check_claim("equiv-coreduced-wrt", TINY_Z6).verdict == "pass"
+
+
+def verify_reduced_grids() -> list[GridSpec]:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [grid_from_dict(g) for g in workloads.VERIFY_GRIDS]
+
+
+def test_equivalence_claims_ask_dG_0_on_the_value_layer():
+    # the fifth characterization, d·G = 0, is asked as G/dG = G on canonical
+    # forms (Z/m goes to Z/gcd(d, m), a free Z summand stays free only at
+    # d = 0); the scaled submodule of G's presentation is the reference.  On
+    # the verify-reduced grids the torsion and completion values the claims
+    # reach are compared too.
+    asked = set()
+    for grid in default_grids() + verify_reduced_grids():
+        ctx = verify._make_ctx(grid)
+        asked.update((g, d) for g in ctx.forms for d in ctx.ideals)
+    for grid in verify_reduced_grids():
+        ctx = verify._make_ctx(grid)
+        for m in ctx.forms:
+            for n in ctx.forms:
+                for d in ctx.ideals:
+                    for side in (verify._RED, verify._COR):
+                        if (g := side.adic(m, n, d)) is not None:
+                            asked.add((g, d))
+    for g, d in asked:
+        assert (cyclic.quotient(g, d) is g) == scaled_submodule(canonical_presentation(g), d).is_zero(), (g, d)
+    assert len(asked) > 300 and sum(cyclic.quotient(g, d) is g for g, d in asked) > 50
 
 
 def test_extension_claims_fail_with_expected_counterexample():
