@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cyclic
+from .cyclic import DEFAULT_KMAX
 from .linalg import MatrixR
 from .modules import (
     Presentation,
@@ -49,8 +50,6 @@ __all__ = [
     "is_coreduced_wrt",
     "is_in_both_classes",
 ]
-
-DEFAULT_KMAX = 64
 
 
 @dataclass(frozen=True)

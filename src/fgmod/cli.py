@@ -29,7 +29,9 @@ def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", default="Z", help="base ring: Z or Z/<n> (default Z)")
     common.add_argument("--ideal", default=None, help="ideal generators, comma separated")
-    common.add_argument("--kmax", type=int, default=64, help="stabilization bound (default 64)")
+    common.add_argument(
+        "--kmax", type=int, default=cyclic.DEFAULT_KMAX, help="stabilization bound (default %(default)s)"
+    )
     common.add_argument(
         "--format",
         choices=("text", "json-lines"),

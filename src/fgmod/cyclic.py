@@ -38,6 +38,7 @@ from .errors import FreePartNotSupported, NonStabilizing, RingMismatch
 from .rings import RingSpec, _Record, _set
 
 __all__ = [
+    "DEFAULT_KMAX",
     "CanonicalForm",
     "hom",
     "tensor",
@@ -59,6 +60,10 @@ __all__ = [
     "direct_sum",
     "dual",
 ]
+
+# the default stabilization bound: the most steps a torsion or completion
+# chain may take before it counts as never stabilizing
+DEFAULT_KMAX = 64
 
 # entries per memo table: the default verify suite asks about 35,000
 # distinct Hom questions, more than any other kind, so this never evicts
@@ -111,7 +116,7 @@ def _orders(C: CanonicalForm) -> tuple[int, ...]:
 
 
 def _same_ring(M: CanonicalForm, N: CanonicalForm, what: str) -> None:
-    if M.ring != N.ring:
+    if M.ring.modulus != N.ring.modulus:
         raise RingMismatch(f"{what} of modules over different rings")
 
 

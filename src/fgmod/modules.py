@@ -268,20 +268,10 @@ def ideal_multiple(P: Presentation, a: Ideal) -> tuple[Presentation, ModuleMap]:
     return sub.to_presentation(), sub.inclusion_map()
 
 
-def kernel_submodule(f: ModuleMap, within: Submodule | None = None) -> Submodule:
-    """{x in source : f(x) = 0 in target} as a submodule of the source.
-
-    With `within`, a submodule S of the source, the intersection S ∩ ker f:
-    the kernel of [f·S | target relations] pushed through S's columns."""
+def kernel_submodule(f: ModuleMap) -> Submodule:
+    """{x in source : f(x) = 0 in target} as a submodule of the source."""
     src = f.source
-    if within is None:
-        moved = f.matrix
-    elif within.ambient != src:
-        raise AmbientMismatch("submodule does not sit inside the map's source")
-    else:
-        moved = f.matrix @ within.columns
-    coeffs = _project_kernel(hstack(moved, f.target.rels), moved.cols, src.ring)
-    return Submodule(src, coeffs if within is None else within.columns @ coeffs)
+    return Submodule(src, _project_kernel(hstack(f.matrix, f.target.rels), src.gens, src.ring))
 
 
 def _project_kernel(cond: MatrixR, keep: int, ambient_ring: RingSpec) -> MatrixR:

@@ -1,8 +1,8 @@
 """Exactness checks through restricted maps between submodule presentations.
 
 These are the bodies `fgmod.verify` used before its exactness claims asked
-their kernels and images as submodules of the ambient modules, and before
-they induced their maps on cyclic summands.  They stay here as the
+their kernels and images as submodules of the ambient modules, before they
+induced their maps on cyclic summands, and before they answered by orders.  They stay here as the
 differential reference for those claims: the maps of each sequence come
 from the presentation route (`ses_maps`, `functors.hom_postcompose` and
 `tensor_postcompose`), the checks work along the ideal (d) itself, present
@@ -116,7 +116,7 @@ def reference_comparisons(grids):
         for grid in grids:
             ctx = verify._make_ctx(grid)
             walked = verify._instances(cdef.loops, check, ctx)
-            claimed = verify._instances(cdef.loops, cdef.check_in(ctx), ctx)
+            claimed = verify._instances(cdef.loops, cdef.check, ctx)
             for (values, got), (want_values, want) in zip(claimed, walked, strict=True):
                 assert values == want_values, (claim_id, grid.label, values, want_values)
                 yield (claim_id, grid.label, values), (got, want)

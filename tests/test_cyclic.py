@@ -180,6 +180,10 @@ def test_operands_over_different_rings_are_rejected():
             value(a, b)
     with pytest.raises(RingMismatch):
         cyclic.ext(1, a, b)
+    with pytest.raises(RingMismatch):
+        cyclic.hom_postcompose(a, a, b, ((1,),))
+    with pytest.raises(RingMismatch):
+        cyclic.direct_sum([a, b])
     with pytest.raises(ValueError):
         cyclic.tor(-1, a, a)
 

@@ -1,5 +1,6 @@
 """`fgmod.verify` is registered lazily by the package: one-shot queries never
-run its body, and every way of importing it yields the same module object.
+run its body, a suite run never runs the body of `fgmod.adic`, and every way
+of importing it yields the same module object.
 
 Each check runs in a fresh interpreter, because other tests load the harness
 into this one.
@@ -36,6 +37,25 @@ def test_one_shot_query_does_not_run_the_harness():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["Z/4", "0 False False", "True True"]
+
+
+def test_a_suite_run_leaves_adic_unloaded():
+    # the harness reads DEFAULT_KMAX from cyclic and asks no matrix-route
+    # torsion or completion, so the body of fgmod.adic never runs
+    proc = _python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from fgmod.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--grid', 'tests/golden/verify_small_grid.json'])\n"
+        "def ran(name):\n"
+        "    return 'StabilizationResult' in object.__getattribute__(sys.modules[name], '__dict__')\n"
+        "print(code, 'run_suite' in object.__getattribute__(sys.modules['fgmod.verify'], '__dict__'), ran('fgmod.adic'))\n"
+        "sys.modules['fgmod.adic'].torsion\n"
+        "print(ran('fgmod.adic'))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 True False", "True"]
 
 
 def test_every_import_gives_the_registered_module():
