@@ -41,7 +41,17 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (
+    "canon", "hom", "tensor", "dual", "ext", "tor", "gamma", "lambda",
+    "gammagen", "lambdagen", "glc", "glh", "check", "verify",
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with `command` the parser of that subcommand
+    alone: its subparser is built as in the full one, and the usage line
+    names every subcommand, so it prints what the full parser prints on
+    every command line that starts with `command`."""
     common = _common_options()
     p = argparse.ArgumentParser(
         prog="fgmod",
@@ -49,9 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add(name, *exprs, needs_ideal=False, degree=False, help=""):
+        if command not in (None, name):
+            return
         sp = sub.add_parser(name, parents=[common], help=help)
         if degree:
             sp.add_argument("degree", type=int)
@@ -73,20 +86,22 @@ def _build_parser() -> argparse.ArgumentParser:
     add("glc", "m", "n", needs_ideal=True, degree=True, help="generalized local cohomology")
     add("glh", "m", "n", needs_ideal=True, degree=True, help="generalized local homology")
 
-    chk = sub.add_parser("check", parents=[common], help="membership predicates")
-    chk.add_argument(
-        "predicate", choices=("reduced", "coreduced", "reduced-wrt", "coreduced-wrt")
-    )
-    chk.add_argument("modules", nargs="+")
-    chk.set_defaults(needs_ideal=True)
+    if command in (None, "check"):
+        chk = sub.add_parser("check", parents=[common], help="membership predicates")
+        chk.add_argument(
+            "predicate", choices=("reduced", "coreduced", "reduced-wrt", "coreduced-wrt")
+        )
+        chk.add_argument("modules", nargs="+")
+        chk.set_defaults(needs_ideal=True)
 
-    # its own copy of the options: parents share their actions, and None
-    # marks --ring and --kmax as not given, which a claims run requires
-    ver = sub.add_parser("verify", parents=[_common_options()], help="run the claim verification suite")
-    ver.add_argument("--claims", default=None, help="comma-separated claim ids (default: all)")
-    ver.add_argument("--grid", default=None, help="JSON grid file (default: built-in grids)")
-    ver.add_argument("--list-claims", action="store_true", help="list claim ids and exit")
-    ver.set_defaults(ring=None, kmax=None)
+    if command in (None, "verify"):
+        # its own copy of the options: parents share their actions, and None
+        # marks --ring and --kmax as not given, which a claims run requires
+        ver = sub.add_parser("verify", parents=[_common_options()], help="run the claim verification suite")
+        ver.add_argument("--claims", default=None, help="comma-separated claim ids (default: all)")
+        ver.add_argument("--grid", default=None, help="JSON grid file (default: built-in grids)")
+        ver.add_argument("--list-claims", action="store_true", help="list claim ids and exit")
+        ver.set_defaults(ring=None, kmax=None)
 
     return p
 
@@ -146,8 +161,10 @@ def _verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named subcommand's parser; the full one for --help, a missing
+    # or an unknown subcommand, whose messages list every subcommand
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         if args.command == "verify":
             return _verify(args)

@@ -42,24 +42,36 @@ groups, so injectivity, surjectivity and exactness in the middle are
 comparisons of orders, each order a Smith diagonal.  The equivalence claims ask
 whether aG = 0 on forms, as G/dG is G (forms are interned);
 `modules.scaled_submodule` is the tests' reference for it.
+
+Each sequence comes from the generator tuples of a submodule: one Smith
+elimination of [G | D_Y], the generators beside Y's orders, gives Z = Y/X
+and the projection, and a second one, of the relations of X that the first
+one's column transform yields, gives X and the inclusion (see `_sequence`).
+Every Smith form the harness needs comes from `fgmod.elimination`, which
+works on tuples of integers, and its records are hand-written classes.  So
+a run loads `cyclic`, `grammar` and `elimination` but neither the matrix
+route (`linalg`, `modules`) nor `dataclasses`, unless a grid's whitelist
+names a `coker` module, which the grammar parses through the matrix route.
+Of this module only the public `enumerate_modules`, which returns
+presentations, loads `modules`, and only json-lines output loads `json`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import cyclic
 from .cyclic import DEFAULT_KMAX, CanonicalForm
+from .elimination import eliminate
 from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
 from .grammar import format_canonical, parse_module_expr
-from .linalg import MatrixR, _over_integers, from_columns, hstack, smith_diagonal, smith_normal_form, solve_columns
-from .modules import Presentation, Submodule, canonical_presentation
-from .rings import ZZ, RingSpec, principal
+from .rings import RingSpec, _Record, _set, principal
+
+if TYPE_CHECKING:
+    from .modules import Presentation
 
 __all__ = [
     "GridSpec",
@@ -85,20 +97,49 @@ REPORT_NOTES = (
 )
 
 
+class _Value(_Record):
+    """A public record of the harness: equal to a value of its own type with
+    equal fields, hashed by its fields, immutable, printed field by field."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def _fill(self, *values) -> None:
+        for f, value in zip(self._fields, values, strict=True):
+            _set(self, f, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 # ---------------------------------------------------------------------------
 # grids
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Value):
     """Enumeration bounds for one verification grid."""
 
-    ring: RingSpec
-    max_torsion_order: int
-    max_free_rank: int
-    ideal_generators: tuple[int, ...]
-    module_whitelist: tuple[str, ...] | None = None
-    label: str = ""
+    __slots__ = _fields = (
+        "ring", "max_torsion_order", "max_free_rank", "ideal_generators", "module_whitelist", "label",
+    )
+
+    def __init__(
+        self,
+        ring: RingSpec,
+        max_torsion_order: int,
+        max_free_rank: int,
+        ideal_generators: tuple[int, ...],
+        module_whitelist: tuple[str, ...] | None = None,
+        label: str = "",
+    ):
+        self._fill(ring, max_torsion_order, max_free_rank, ideal_generators, module_whitelist, label)
 
     def name(self) -> str:
         return self.label or f"{self.ring}(o<={self.max_torsion_order},r<={self.max_free_rank})"
@@ -135,6 +176,8 @@ def enumerate_forms(grid: GridSpec) -> tuple[CanonicalForm, ...]:
 
 def enumerate_modules(grid: GridSpec) -> list[Presentation]:
     """One canonical presentation per isomorphism class, deterministic order."""
+    from .modules import canonical_presentation  # the claims themselves run on forms
+
     return [canonical_presentation(c) for c in enumerate_forms(grid)]
 
 
@@ -339,78 +382,87 @@ def _submodule_generator_sets(c: CanonicalForm) -> tuple[tuple[tuple[int, ...], 
 
 
 class _Seq(NamedTuple):
-    """0 -> X -> Y -> Z -> 0 for a submodule X of Y and Z = Y/X: the forms
-    of X, Y and Z, and the inclusion and the projection as integer matrices
-    on their cyclic summands, one row per summand of the target (see
-    `cyclic.hom_postcompose`)."""
+    """0 -> X -> Y -> Z -> 0 for the submodule X of Y that `gens` generate
+    and Z = Y/X: Y's form, the generators (coordinates on Y's cyclic
+    summands), the forms of X and Z, and the inclusion and the projection as
+    integer matrices on their cyclic summands, one row per summand of the
+    target (see `cyclic.hom_postcompose`).  Every field is an int, a tuple
+    or an interned form, so a sequence hashes in C."""
 
     y: CanonicalForm
-    sub: Submodule
+    gens: tuple[tuple[int, ...], ...]
     x: CanonicalForm
     z: CanonicalForm
     incl: tuple[tuple[int, ...], ...]
     proj: tuple[tuple[int, ...], ...]
 
 
-def _cyclic_summands(A: MatrixR) -> tuple[tuple[int, ...], list[int], MatrixR]:
-    """For an integer matrix A with finite cokernel and its Smith form
-    U A V = D: the orders d1 | d2 | ... of the cokernel's cyclic summands
-    (the non-unit diagonal entries of D), their places on the diagonal, and
-    U.  The rows of U at those places give the coordinates of a vector on
-    the summands."""
-    snf = smith_normal_form(A)
-    places = [i for i, d in enumerate(snf.diagonal()) if d != 1]
-    return tuple(snf.diagonal()[i] for i in places), places, snf.U
-
-
-def _sequence(y: CanonicalForm, sub: Submodule) -> _Seq:
-    """0 -> X -> Y -> Y/X -> 0 for a submodule X of canonical_presentation(y),
-    a finite Y.
+def _sequence(y: CanonicalForm, gens: tuple[tuple[int, ...], ...]) -> _Seq:
+    """0 -> X -> Y -> Y/X -> 0 for the submodule X of a finite Y that `gens`
+    generate.
 
     Every term is finite, and over Z/n its submodules are its subgroups, so
-    the summands are read off Smith forms over Z.  Z = Y/X is the cokernel
-    of [G | D_Y], for the generator columns G of X and the diagonal D_Y of
-    Y's orders, so U of that Smith form gives the projection.  X is the
-    cokernel of its relations on G; with U_X of their Smith form, the
-    columns of G U_X^-1 at the summands' places generate them, which gives
-    the inclusion."""
-    g = sub.columns.lift()
-    x, x_places, ux = _cyclic_summands(_over_integers(sub.to_presentation().rels))
-    z, z_places, uz = _cyclic_summands(hstack(g, MatrixR.diagonal(ZZ, y.torsion_factors)))
-    gx = g @ solve_columns(ux, MatrixR.identity(ZZ, ux.rows))
-    incl = tuple(tuple(row[i] % h for i in x_places) for row, h in zip(gx.entries, y.torsion_factors))
-    proj = tuple(tuple(v % d for v in uz.entries[i]) for i, d in zip(z_places, z))
-    x_form, z_form = (CanonicalForm(y.ring, orders, 0) for orders in (x, z))
-    return _Seq(y, sub, x_form, z_form, incl, proj)
+    the summands are read off Smith forms over Z.  One elimination
+    U A V = D of A = [G | D_Y], for the m x k matrix G of generator columns
+    and the diagonal D_Y of Y's orders, gives both ends.  Z = Y/X is the
+    cokernel of A: its summands sit at the non-unit entries of D, and the
+    rows of U there give the projection.  A has rank m, so the last k
+    columns of V span its kernel, and their first k rows R present X on G.
+    A second elimination U_R R V_R = D_R puts X's summands at the non-unit
+    entries e_j of D_R, generated by G U_R^-1 e_j.  The j-th column of
+    R V_R = U_R^-1 D_R is e_j U_R^-1 e_j, so dividing it by e_j and applying
+    G gives the inclusion without inverting U_R."""
+    h = y.torsion_factors
+    m, k = len(h), len(gens)
+    a = tuple(tuple(g[i] for g in gens) + (0,) * i + (o,) + (0,) * (m - 1 - i) for i, o in enumerate(h))
+    d, u, v = eliminate(a, k + m, track_u=True, track_v=True)
+    z = [(i, d[i][i]) for i in range(m) if d[i][i] != 1]
+    r = tuple(row[m:] for row in v[:k])
+    dr, _, vr = eliminate(r, k, track_v=True)
+    x = [(j, dr[j][j]) for j in range(k) if dr[j][j] != 1]
+    cols = [[sum(rt * vr[t][j] for t, rt in enumerate(row)) // e for row in r] for j, e in x]
+    incl = tuple(tuple(sum(g[i] * c for g, c in zip(gens, col)) % o for col in cols) for i, o in enumerate(h))
+    proj = tuple(tuple(w % e for w in u[i]) for i, e in z)
+    x_form, z_form = (CanonicalForm(y.ring, tuple(e for _, e in places), 0) for places in (x, z))
+    return _Seq(y, gens, x_form, z_form, incl, proj)
 
 
 @lru_cache(maxsize=256)
 def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
     """One sequence per submodule of a finite Y, as shared objects: each is
     computed once for all ideals and claims."""
-    ambient = canonical_presentation(y)
-    return tuple(
-        _sequence(y, Submodule(ambient, from_columns(ambient.ring, [tuple(g) for g in gens], ambient.gens)))
-        for gens in _submodule_generator_sets(y)
-    )
+    return tuple(_sequence(y, gens) for gens in _submodule_generator_sets(y))
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    claim_id: str
-    grid: str
-    statement: str
-    verdict: str
-    expected: str
-    instances_checked: int
-    counterexamples: tuple[str, ...]
-    counterexample_count: int
-    skipped: tuple[str, ...]
-    skipped_count: int
+class ClaimReport(_Value):
+    """One claim's verdict on one grid, with its counts and the samples kept."""
+
+    __slots__ = _fields = (
+        "claim_id", "grid", "statement", "verdict", "expected", "instances_checked",
+        "counterexamples", "counterexample_count", "skipped", "skipped_count",
+    )
+
+    def __init__(
+        self,
+        claim_id: str,
+        grid: str,
+        statement: str,
+        verdict: str,
+        expected: str,
+        instances_checked: int,
+        counterexamples: tuple[str, ...],
+        counterexample_count: int,
+        skipped: tuple[str, ...],
+        skipped_count: int,
+    ):
+        self._fill(
+            claim_id, grid, statement, verdict, expected, instances_checked,
+            counterexamples, counterexample_count, skipped, skipped_count,
+        )
 
     @property
     def as_expected(self) -> bool:
@@ -433,9 +485,13 @@ class ClaimReport:
         }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    reports: tuple[ClaimReport, ...]
+class SuiteReport(_Value):
+    """The reports of one suite run, sorted by claim and grid."""
+
+    __slots__ = _fields = ("reports",)
+
+    def __init__(self, reports: tuple[ClaimReport, ...]):
+        self._fill(reports)
 
     def unexpected(self) -> list[ClaimReport]:
         return [r for r in self.reports if not r.as_expected]
@@ -448,8 +504,7 @@ class SuiteReport:
 _SAMPLE_CAP = 8
 
 
-@dataclass(frozen=True)
-class _Ctx:
+class _Ctx(NamedTuple):
     grid: GridSpec
     ideals: tuple[int, ...]  # the canonical generator d of each grid ideal
     forms: tuple[CanonicalForm, ...]
@@ -476,8 +531,7 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
     return _Ctx(grid, ideals, forms, finite, small, finite_small, tiny)
 
 
-@dataclass(frozen=True)
-class _Var:
+class _Var(NamedTuple):
     """One loop of a claim.  `domain` is a `_Ctx` field, or a function of the
     context, the values bound so far and the ideal's generator d; `guard`,
     given the values bound so far, this one included, and d, prunes at this
@@ -560,18 +614,17 @@ def _label(loops: tuple[_Var, ...], values: tuple) -> str:
     return ", ".join(parts)
 
 
-@dataclass
 class _Tally:
     """One claim's counts on one grid.  `listing`, when a list, receives
     every (values, result), passes included, for references and tests."""
 
-    loops: tuple[_Var, ...]
-    checked: int = 0
-    counterexamples: list[str] = field(default_factory=list)
-    n_counter: int = 0
-    skipped: list[str] = field(default_factory=list)
-    n_skipped: int = 0
-    listing: list | None = None
+    __slots__ = ("loops", "checked", "counterexamples", "n_counter", "skipped", "n_skipped", "listing")
+
+    def __init__(self, loops: tuple[_Var, ...], listing: list | None = None):
+        self.loops, self.listing = loops, listing
+        self.checked = self.n_counter = self.n_skipped = 0
+        self.counterexamples: list[str] = []
+        self.skipped: list[str] = []
 
     def record(self, values: tuple, result):
         """Count one check result: True, False, (outcome, note), or
@@ -600,8 +653,7 @@ def _is_vnr(ring: RingSpec) -> bool:
     return all(n % (p * p) for p in range(2, n + 1) if n % p == 0)
 
 
-@dataclass(frozen=True)
-class _Claim:
+class _Claim(NamedTuple):
     """One entry of the claim table; see the module docstring."""
 
     claim_id: str
@@ -630,7 +682,6 @@ class _Claim:
 # claim shapes: the loops and check of a claim, mirrored ones over a _Side
 
 
-@dataclass(frozen=True, eq=False)
 class _Side:
     """One side of the paper's duality, as the operations a mirrored claim
     names: reduced (R^M_a, two-argument torsion, Hom, Ext, local cohomology)
@@ -639,15 +690,30 @@ class _Side:
     except `exact`, which takes the integer c of `_effective`.  A side hashes
     by identity, so that it can key a memo table."""
 
-    in_class: Callable  # (M, N, d): is N in R^M_a (C^M_a)
-    adic: Callable  # (M, N, d): two-argument torsion (completion; None if no limit)
-    adic_name: str
-    absolute: Callable  # (N, d): is N itself reduced (coreduced)
-    functor: Callable  # Hom (tensor)
-    derived: Callable  # Ext (Tor)
-    local: Callable  # (i, M, N, d): local cohomology (homology); None if undefined
-    postcompose: Callable  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
-    exact: Callable  # (induced maps, c): is torsion left (completion right) exact on them
+    __slots__ = (
+        "in_class",  # (M, N, d): is N in R^M_a (C^M_a)
+        "adic",  # (M, N, d): two-argument torsion (completion; None if no limit)
+        "adic_name",
+        "absolute",  # (N, d): is N itself reduced (coreduced)
+        "functor",  # Hom (tensor)
+        "derived",  # Ext (Tor)
+        "local",  # (i, M, N, d): local cohomology (homology); None if undefined
+        "postcompose",  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
+        "exact",  # (induced maps, c): is torsion left (completion right) exact on them
+    )
+
+    def __init__(self, *operations):
+        for name, op in zip(self.__slots__, operations, strict=True):
+            setattr(self, name, op)
+
+    def replace(self, **changes) -> _Side:
+        """A new side with the named operations swapped, e.g. for a probe."""
+        side = _Side(*(getattr(self, name) for name in self.__slots__))
+        for name, op in changes.items():
+            if name not in self.__slots__:
+                raise TypeError(f"_Side has no operation {name!r}")
+            setattr(side, name, op)
+        return side
 
 
 _UNSTABLE = (None, "completion chain does not stabilize")
@@ -832,8 +898,8 @@ def _span_order(f: cyclic.SummandMap, scales, orders: tuple[int, ...]) -> int:
         tuple(x * k for x, k in zip(row, scales)) + (0,) * i + (h,) + (0,) * (len(orders) - 1 - i)
         for i, (row, h) in enumerate(zip(f[2], orders))
     )
-    diagonal = smith_diagonal(MatrixR(ZZ, len(orders), len(scales) + len(orders), rows))
-    return math.prod(orders) // math.prod(diagonal)
+    d = eliminate(rows, len(scales) + len(orders))[0]
+    return math.prod(orders) // math.prod(d[i][i] for i in range(len(orders)))
 
 
 def _gamma_exact(hi: cyclic.SummandMap, hp: cyclic.SummandMap, c: int):
@@ -1211,6 +1277,8 @@ def format_reports_text(suite: SuiteReport) -> str:
 
 
 def format_reports_jsonl(suite: SuiteReport) -> str:
+    import json  # only json-lines output needs it
+
     lines = [json.dumps({"notes": list(REPORT_NOTES)})]
     for r in suite.reports:
         lines.append(json.dumps(r.to_dict()))

@@ -23,7 +23,7 @@ from fgmod import verify
 from fgmod.adic import completion_exponent, power_quotient, torsion_submodule
 from fgmod.errors import AmbientMismatch, NonStabilizing
 from fgmod.functors import hom_postcompose, tensor_postcompose
-from fgmod.linalg import MatrixR
+from fgmod.linalg import MatrixR, from_columns
 from fgmod.modules import (
     ModuleMap,
     Submodule,
@@ -34,6 +34,13 @@ from fgmod.modules import (
     submodule_equal,
 )
 from fgmod.rings import Ideal, principal
+
+
+def sequence_submodule(seq) -> Submodule:
+    """The submodule of canonical_presentation(Y) that the generators of a
+    harness sequence span."""
+    Y = canonical_presentation(seq.y)
+    return Submodule(Y, from_columns(Y.ring, list(seq.gens), Y.gens))
 
 
 @lru_cache(maxsize=256)
@@ -109,7 +116,7 @@ def reference_comparisons(grids):
         cdef = verify._BY_ID[claim_id]
 
         def check(seq, m, d):
-            incl, proj = ses_maps(seq.sub)
+            incl, proj = ses_maps(sequence_submodule(seq))
             M = canonical_presentation(m)
             return reference(postcompose(M, incl), postcompose(M, proj), principal(m.ring, d))
 

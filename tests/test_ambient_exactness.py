@@ -34,7 +34,6 @@ builds no map at c = 1; the memoized claims must yield
 the same (values, result) pairs as the walk that checks every instance.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -47,6 +46,7 @@ from exactness_reference import (
     gamma_exact_by_restriction,
     lambda_exact_by_quotients,
     reference_comparisons,
+    sequence_submodule,
     ses_maps,
 )
 
@@ -54,7 +54,7 @@ import fgmod
 from fgmod import adic, cyclic, functors, modules, verify
 from fgmod.errors import FgmodError
 from fgmod.functors import hom_postcompose, tensor_postcompose
-from fgmod.linalg import MatrixR, from_columns
+from fgmod.linalg import MatrixR
 from fgmod.modules import (
     CanonicalForm,
     ModuleMap,
@@ -86,9 +86,10 @@ def default_grids(*labels):
     return [g for g in verify.default_grids() if g.label in labels]
 
 
-def random_submodule(rng: random.Random, P: Presentation) -> Submodule:
-    cols = [tuple(rng.randint(-4, 4) for _ in range(P.gens)) for _ in range(rng.randint(0, 2))]
-    return Submodule(P, from_columns(P.ring, cols, P.gens))
+def random_generators(rng: random.Random, y: CanonicalForm) -> tuple[tuple[int, ...], ...]:
+    """Up to two random vectors of coordinates on the cyclic summands of a
+    finite Y."""
+    return tuple(tuple(rng.randint(-4, 4) for _ in y.torsion_factors) for _ in range(rng.randint(0, 2)))
 
 
 def random_form(rng: random.Random, ring: RingSpec, finite: bool = False) -> CanonicalForm:
@@ -142,9 +143,9 @@ def assert_exact_on_summands(seq):
     """The forms of X and Z are those of the presentation route, and the
     integer inclusion and projection certify between the canonical
     presentations and make an exact sequence."""
-    ring, ambient = seq.y.ring, canonical_presentation(seq.y)
-    assert seq.x == canonical_form(seq.sub.to_presentation()), seq
-    assert seq.z == canonical_form(quotient_by_submodule(ambient, seq.sub)), seq
+    ring, ambient, sub = seq.y.ring, canonical_presentation(seq.y), sequence_submodule(seq)
+    assert seq.x == canonical_form(sub.to_presentation()), seq
+    assert seq.z == canonical_form(quotient_by_submodule(ambient, sub)), seq
     X, Z = canonical_presentation(seq.x), canonical_presentation(seq.z)
     # raise ValueError on a map that is not well defined
     incl = ModuleMap(X, ambient, MatrixR(ring, ambient.gens, X.gens, seq.incl))
@@ -160,6 +161,19 @@ def test_sequences_of_the_default_grids_certify_and_are_exact():
         assert_exact_on_summands(seq)
     # the sequences of every finite Y with at most 8 elements on the three grids
     assert len(seqs) == 118
+
+
+def test_sequence_fields_hash_without_python_frames():
+    # _exact_along is keyed on the sequence: every field is an int, a tuple
+    # of them or an interned form, so its hash runs no Python code
+    def plain(value) -> bool:
+        if type(value) is tuple:
+            return all(map(plain, value))
+        return type(value) is int or type(value) is CanonicalForm
+
+    seqs = [seq for grid in default_grids("Z", "Z/6", "Z/8") for seq in verify._sequences(verify._make_ctx(grid), 0)]
+    assert seqs and all(plain(field) for seq in seqs for field in seq), [s for s in seqs if not all(map(plain, s))][:1]
+    assert verify._Seq._fields == ("y", "gens", "x", "z", "incl", "proj")
 
 
 def random_map(rng: random.Random, A: CanonicalForm, B: CanonicalForm):
@@ -233,7 +247,7 @@ def finite_sequences(seed: int, count: int):
     for _ in range(count):
         ring = rng.choice(RINGS)
         y = random_form(rng, ring, finite=True)
-        seq = verify._sequence(y, random_submodule(rng, canonical_presentation(y)))
+        seq = verify._sequence(y, random_generators(rng, y))
         yield ring, random_form(rng, ring), seq, rng.randint(0, 3)
 
 
@@ -249,7 +263,7 @@ def test_exactness_checks_match_the_restriction_route_on_random_sequences(seed):
     outcomes = {side: set() for side, *_ in SIDES}
     for ring, m, seq, k in finite_sequences(seed, 20):
         assert_exact_on_summands(seq)
-        incl, proj = ses_maps(seq.sub)
+        incl, proj = ses_maps(sequence_submodule(seq))
         k_incl, k_proj = (tuple(tuple(k * v for v in row) for row in F) for F in (seq.incl, seq.proj))
         M = canonical_presentation(m)
         for (fi, fp), presented_pair in (
@@ -417,12 +431,12 @@ def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     def describe(forms):
         return True, " ".join(str((C.torsion_factors, C.free_rank)) for C in forms)
 
-    probe = dataclasses.replace(side, exact=lambda f, g, c: describe(along_c(h, c) for h in (f[0], f[1], g[1])))
+    probe = side.replace(exact=lambda f, g, c: describe(along_c(h, c) for h in (f[0], f[1], g[1])))
     presented = hom_postcompose if side is verify._RED else tensor_postcompose
 
     def check(seq, m, d):
         M = canonical_presentation(m)
-        f, g = (presented(M, h) for h in ses_maps(seq.sub))
+        f, g = (presented(M, h) for h in ses_maps(sequence_submodule(seq)))
         return describe(along_d(P, d) for P in (f.source, f.target, g.target))
 
     shape = verify._exactness(probe)
@@ -449,7 +463,7 @@ def test_exactness_checks_each_sequence_module_and_c_once(side):
         calls.append(args)
         return side.exact(*args)
 
-    shape = verify._exactness(dataclasses.replace(side, exact=counted))
+    shape = verify._exactness(side.replace(exact=counted))
     instances = 0
     for grid in small_grids():
         ctx = verify._make_ctx(grid)
@@ -466,7 +480,7 @@ def test_no_map_is_built_where_every_ideal_gives_c_1(side):
         built.append(args)
         return side.postcompose(*args)
 
-    shape = verify._exactness(dataclasses.replace(side, postcompose=counted))
+    shape = verify._exactness(side.replace(postcompose=counted))
     only_c_1 = pairs = 0
     for grid in small_grids():
         ctx = verify._make_ctx(grid)

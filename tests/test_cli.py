@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fgmod import cli
 from fgmod.cli import main
 from fgmod.grammar import MAX_GENERATORS
 
@@ -315,3 +316,50 @@ def test_value_queries_eliminate_only_their_operands(capsys):
         code, _, _ = run(capsys, *argv)
         operands = sum(a.startswith("coker") for a in argv)
         assert code == 0 and linalg._eliminate.cache_info().misses == operands, argv
+
+
+def parsed(capsys, argv):
+    """(exit code, stdout, stderr) of `main(argv)` when parsing stops it."""
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_the_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, command):
+    # help, a missing operand or option value, a bad --format, and operands
+    # or an option the subcommand does not take (an error the top-level
+    # parser prints, under its usage line)
+    cases = [
+        [command, "--help"],
+        [command, "-h"],
+        [command] if command != "verify" else [command, "--grid"],
+        [command, "--format", "xml", "1"],
+        [command, "1", "1", "1", "1"],
+        [command, "reduced" if command == "check" else "1", "1", "1", "--no-such-option"],
+    ]
+    built = []
+    reduced = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or reduced(command))
+    got = [parsed(capsys, argv) for argv in cases]
+    assert built == [command] * len(cases)
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: reduced())
+    want = [parsed(capsys, argv) for argv in cases]
+    assert got == want
+    assert all(code in (0, 2) for code, _, _ in got)
+    assert any("unrecognized arguments" in err for _, _, err in got), command
+
+
+def test_a_missing_or_unknown_subcommand_gets_the_full_parser(monkeypatch, capsys):
+    built = []
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or full(command))
+    for argv in ([], ["--help"], ["nosuch", "Z"], ["--ring", "Z", "canon", "Z"]):
+        code, out, err = parsed(capsys, argv)
+        assert code == (0 if argv == ["--help"] else 2), argv
+    assert built == [None] * 4
+    # the full help and the unknown-name error list every subcommand
+    full_help = parsed(capsys, ["--help"])[1]
+    assert all(f"\n    {name} " in full_help for name in cli._COMMANDS)
+    assert "invalid choice: 'nosuch'" in parsed(capsys, ["nosuch"])[2]

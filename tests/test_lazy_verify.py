@@ -114,3 +114,32 @@ def test_clear_caches_empties_every_table_without_loading_the_harness():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["Z/2", "True", "[] False", "True True", "[]"]
+
+
+def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
+    # the harness reads its Smith forms off fgmod.elimination and its records
+    # are hand-written classes; only enumerate_modules, which returns
+    # presentations, loads fgmod.modules
+    proc = _python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from fgmod.cli import main\n"
+        "def ran(name):\n"
+        "    return '__builtins__' in object.__getattribute__(sys.modules[name], '__dict__')\n"
+        "def loaded():\n"
+        "    return [ran('fgmod.verify'), ran('fgmod.linalg'), ran('fgmod.modules'), 'dataclasses' in sys.modules]\n"
+        "for argv in (['verify', '--list-claims'], ['verify', '--grid', 'tests/golden/verify_small_grid.json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code, *loaded())\n"
+        "from fgmod import verify\n"
+        "found = verify.enumerate_modules(verify.default_grids()[1])\n"
+        "from fgmod.modules import Presentation\n"
+        "print(len(found), all(type(p) is Presentation for p in found), *loaded())\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0 True False False False",
+        "0 True False False False",
+        "9 True True True True True",
+    ]
