@@ -7,11 +7,16 @@ its canonical form once and `fgmod.cyclic` reads the answer off the
 invariant factors.  Exit codes:
 0 success (or all claim verdicts as expected), 2 usage error, 3 a completion
 chain did not stabilize, 4 unexpected claim verdict.
+
+`run()` is the program: `python -m fgmod.cli` and the installed `fgmod`
+command both call it.  `main(argv)` is the same front end without process
+side effects, for callers that stay in the interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import cyclic
@@ -239,5 +244,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Run `main` on `sys.argv` as a whole process and exit with its code.
+
+    The cyclic garbage collector stays off: a process answers one command
+    line, fgmod's own code makes no reference cycles, and what little the
+    standard library leaves in cycles is freed with the process.  Freezing
+    every object at the end leaves the collections of interpreter
+    finalization nothing to traverse; the exit itself (flushing stdout,
+    atexit handlers, the exit code) takes its normal path.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

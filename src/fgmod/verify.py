@@ -123,6 +123,10 @@ class _Value(_Record):
 # grids
 
 
+# bounds the cost of `_is_vnr`, a trial division up to the cube root
+_MAX_GRID_MODULUS = 2**64
+
+
 class GridSpec(_Value):
     """Enumeration bounds for one verification grid."""
 
@@ -139,6 +143,11 @@ class GridSpec(_Value):
         module_whitelist: tuple[str, ...] | None = None,
         label: str = "",
     ):
+        if ring.modulus is not None and ring.modulus >= _MAX_GRID_MODULUS:
+            raise InvalidGrid(
+                f"grid ring modulus must be below 2**64 (it has {len(str(ring.modulus))} digits):"
+                " the claims on von Neumann regular rings test it for square factors by trial division"
+            )
         self._fill(ring, max_torsion_order, max_free_rank, ideal_generators, module_whitelist, label)
 
     def name(self) -> str:
@@ -160,6 +169,7 @@ def _divisor_chains(budget: int, modulus: int | None) -> list[tuple[int, ...]]:
             d += 1
 
     extend((), 1)
+    del extend  # the closure refers to itself; `cli.run` collects no cycles
     return sorted(set(out), key=lambda c: (math.prod(c) if c else 1, len(c), c))
 
 
@@ -584,6 +594,7 @@ def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) ->
 
     for d in ctx.ideals:
         descend((), d)
+    del descend  # the closure refers to itself; `cli.run` collects no cycles
 
 
 def _instances(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx) -> list[tuple[tuple, object]]:
@@ -646,11 +657,24 @@ class _Tally:
 
 
 def _is_vnr(ring: RingSpec) -> bool:
-    """Finite products of fields among the supported rings: Z/n, n squarefree."""
+    """Finite products of fields among the supported rings: Z/n, n squarefree.
+
+    Trial division divides out every p up to the cube root of n.  What is
+    left has no smaller prime factor, so at most two, and is squarefree
+    unless it is a square.  Grid moduli stay below `_MAX_GRID_MODULUS`, so
+    this takes at most about 2.6 million divisions."""
     if ring.is_integers:
         return False
-    n = ring.modulus
-    return all(n % (p * p) for p in range(2, n + 1) if n % p == 0)
+    n = m = ring.modulus
+    for p in range(2, int(n ** (1 / 3)) + 2):
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
+            if p * p * p > m:
+                break
+    r = math.isqrt(m)
+    return m == 1 or r * r != m
 
 
 class _Claim(NamedTuple):

@@ -191,6 +191,19 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, path
 
 
+def test_grid_moduli_past_the_squarefree_test_bound_are_usage_errors(tmp_path, capsys):
+    # whether Z/n is von Neumann regular is found by trial division up to the
+    # cube root of n: quick below 2**64, and refused from there on
+    for n, expected in ((1000000007, 0), (2**64 - 1, 0), (2**64, 2)):
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps({"ring": f"Z/{n}", "ideal_generators": [0, 1], "module_whitelist": ["0", f"Z/{n}"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--grid", str(path), "--claims", "vnr-homology-vanish")
+        assert code == expected and time.perf_counter() - start < 5, n
+        if expected == 2:
+            assert out == "" and err.startswith("error: grid ring modulus must be below 2**64")
+
+
 def test_boolean_coker_entries_are_rejected(capsys):
     for literal in ("coker[[True]]", "coker[[1, False]]"):
         code, out, err = run(capsys, "canon", literal)

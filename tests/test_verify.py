@@ -221,3 +221,18 @@ def test_default_grids_cover_flagship_examples():
     names = {format_canonical(canonical_form(p)) for p in enumerate_modules(z)}
     assert {"Z/4", "Z/2", "Z", "Z/16", "Z + Z/8"} <= names
     assert z.ideal_generators == (0, 2, 3, 4, 6)
+
+
+def test_von_neumann_regular_rings_are_the_squarefree_moduli():
+    def by_definition(n):
+        return all(n % (p * p) for p in range(2, n + 1) if n % p == 0)
+
+    for n in range(2, 2001):
+        assert verify._is_vnr(RingSpec.mod(n)) == by_definition(n), n
+    # too large for the definition: a prime, its square, a product of two primes
+    p, q = 1000000007, 998244353
+    assert verify._is_vnr(RingSpec.mod(p))
+    assert not verify._is_vnr(RingSpec.mod(p * p))
+    assert verify._is_vnr(RingSpec.mod(p * q))
+    assert not verify._is_vnr(RingSpec.mod(4 * p))
+    assert not verify._is_vnr(RingSpec.integers())
