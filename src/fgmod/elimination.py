@@ -1,15 +1,18 @@
 """Smith elimination of an integer matrix, the one implementation.
 
 `linalg` builds its Smith normal form, solves and kernels on it, and the
-verification harness reads its sequences and orders off it directly.  It
-works on tuples of integer rows and imports nothing, so the harness runs it
-without loading the matrix route.  It keeps no memo and checks no ring:
-`linalg._eliminate` adds both.  All arithmetic is arbitrary-precision.
+verification harness reads its sequences and orders off it directly.
+`cokernel_orders` is the one reading of a relation matrix's invariant
+factors, for `modules.canonical_form` and for the grammar's `coker` atoms.
+It works on tuples of integer rows and imports nothing, so the harness and
+a one-shot query run it without loading the matrix route.  It keeps no memo
+and checks no ring: `linalg._eliminate` adds both.  All arithmetic is
+arbitrary-precision.
 """
 
 from __future__ import annotations
 
-__all__ = ["eliminate"]
+__all__ = ["eliminate", "augment", "cokernel_orders"]
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -144,3 +147,29 @@ def eliminate(rows: Rows, cols: int, track_u: bool = False, track_v: bool = Fals
         None if U is None else tuple(map(tuple, U)),
         None if Vt is None else tuple(zip(*Vt)),
     )
+
+
+def augment(rows: Rows, modulus: int) -> Rows:
+    """The rows of [A | n*I] for the matrix A over Z/n with the given rows:
+    its integer column span is the preimage of the span of A, so entries of A
+    need not be reduced."""
+    m = len(rows)
+    return tuple(tuple(r) + (0,) * i + (modulus,) + (0,) * (m - 1 - i) for i, r in enumerate(rows))
+
+
+def cokernel_orders(rows: Rows, cols: int, modulus: int | None = None) -> tuple[tuple[int, ...], int]:
+    """The invariant factors d1 | d2 | ... greater than 1 and the free rank of
+    the cokernel of the relation matrix with the given rows (one generator per
+    row, one relation per column), over Z or over Z/modulus.
+
+    Over Z/n the `augment`ed rows are eliminated, so every factor divides n
+    and the free rank is 0.  Only the diagonal is read, so no transform is
+    tracked.
+    """
+    m = len(rows)
+    if modulus is not None:
+        rows = augment(rows, modulus)
+        cols += m
+    d = eliminate(rows, cols)[0]
+    diagonal = [d[i][i] for i in range(min(m, cols))]
+    return tuple(x for x in diagonal if x > 1), m - sum(1 for x in diagonal if x)

@@ -16,9 +16,10 @@ the zero module, so outputs are valid inputs.
 
 A module expression parses straight to its canonical form.  Each cyclic
 atom is one summand order (`Z` is 0, `Z/m` is m over Z and gcd(m, n) over
-Z/n, `0` is none), and the orders are merged by `cyclic`; only a `coker`
-atom is eliminated, on its own, through `modules.canonical_form`, so only
-such an atom loads the matrix route.
+Z/n, `0` is none), and the orders are merged by `cyclic`.  Only a `coker`
+atom is eliminated, on its own, by `elimination.cokernel_orders`, the
+reading of invariant factors that `modules.canonical_form` shares; only such
+an atom imports `elimination`, and none loads the matrix route.
 
 An expression may have at most MAX_GENERATORS generators in all, counting
 `^` powers and `coker` rows, and a string such as `Z/2^20000` is refused.
@@ -152,9 +153,10 @@ def _parse_atom(ring: RingSpec, text: str) -> tuple[int, ...] | list[list[int]]:
 
 def _coker_orders(ring: RingSpec, rows: list[list[int]]) -> tuple[int, ...]:
     """The summand orders of a cokernel, by elimination of its relations."""
-    from .modules import Presentation, canonical_form
+    from .elimination import cokernel_orders  # only a `coker` atom loads it
 
-    return cyclic._orders(canonical_form(Presentation.from_relations(ring, rows)))
+    factors, free_rank = cokernel_orders(rows, len(rows[0]), ring.modulus)
+    return factors + (0,) * free_rank
 
 
 def parse_module_expr(ring: RingSpec, text: str) -> cyclic.CanonicalForm:

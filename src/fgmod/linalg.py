@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, mul
 
-from .elimination import eliminate
+from .elimination import augment, eliminate
 from .errors import DimensionMismatch, RingMismatch
 from .rings import RingSpec, ZZ
 
@@ -251,13 +251,10 @@ def _solve_against_snf(snf: SmithDecomposition, b: tuple[int, ...]) -> tuple[int
 
 
 def _over_integers(A: MatrixR) -> MatrixR:
-    """A itself over Z; over Z/n the lift [A | n*I], whose integer column span
-    is the preimage of the span of A."""
+    """A itself over Z; over Z/n the lift [A | n*I] (`elimination.augment`)."""
     if A.ring.is_integers:
         return A
-    n, m = A.ring.modulus, A.rows
-    lifted = tuple(row + (0,) * i + (n,) + (0,) * (m - 1 - i) for i, row in enumerate(A.entries))
-    return MatrixR(ZZ, m, A.cols + m, lifted)
+    return MatrixR(ZZ, A.rows, A.cols + A.rows, augment(A.entries, A.ring.modulus))
 
 
 class _Solver:

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclic import CanonicalForm
+from .elimination import cokernel_orders
 from .errors import AmbientMismatch, RingMismatch
 from .linalg import (
     MatrixR,
-    _over_integers,
     block_diag,
     from_columns,
     hstack,
     kernel_generators,
-    smith_diagonal,
     solve_columns,
     spans_include,
 )
@@ -99,10 +98,7 @@ class Presentation:
 @lru_cache(maxsize=4096)
 def canonical_form(P: Presentation) -> CanonicalForm:
     """Invariant factors read off the Smith normal form of the relations."""
-    diag = smith_diagonal(_over_integers(P.rels))
-    factors = tuple(d for d in diag if d > 1)
-    nonzero = sum(1 for d in diag if d != 0)
-    free_rank = P.gens - nonzero
+    factors, free_rank = cokernel_orders(P.rels.entries, P.rels.cols, P.ring.modulus)
     return CanonicalForm(P.ring, factors, free_rank)
 
 

@@ -50,8 +50,8 @@ one's column transform yields, gives X and the inclusion (see `_sequence`).
 Every Smith form the harness needs comes from `fgmod.elimination`, which
 works on tuples of integers, and its records are hand-written classes.  So
 a run loads `cyclic`, `grammar` and `elimination` but neither the matrix
-route (`linalg`, `modules`) nor `dataclasses`, unless a grid's whitelist
-names a `coker` module, which the grammar parses through the matrix route.
+route (`linalg`, `modules`) nor `dataclasses`, also when a grid's whitelist
+names a `coker` module, which the grammar reads off `elimination` too.
 Of this module only the public `enumerate_modules`, which returns
 presentations, loads `modules`, and only json-lines output loads `json`.
 """
@@ -656,13 +656,15 @@ class _Tally:
             kept.append(_label(self.loops, values) + (f" : {note}" if note else ""))
 
 
+@lru_cache(maxsize=16)
 def _is_vnr(ring: RingSpec) -> bool:
     """Finite products of fields among the supported rings: Z/n, n squarefree.
 
     Trial division divides out every p up to the cube root of n.  What is
     left has no smaller prime factor, so at most two, and is squarefree
     unless it is a square.  Grid moduli stay below `_MAX_GRID_MODULUS`, so
-    this takes at most about 2.6 million divisions."""
+    this takes at most about 2.6 million divisions, once per ring: the claim
+    table asks it of each grid several times."""
     if ring.is_integers:
         return False
     n = m = ring.modulus

@@ -310,10 +310,18 @@ def test_degree_zero_with_kmax_zero_exits_3_on_a_nonzero_answer(capsys):
             assert run(capsys, *sub, "--ideal", "3", "--kmax", "0", "Z/2", "Z/2")[:2] == (0, "0"), sub
 
 
-def test_value_queries_eliminate_only_their_operands(capsys):
-    from fgmod import linalg
+def test_value_queries_eliminate_only_their_operands(capsys, monkeypatch):
+    from fgmod import elimination, linalg
     from fgmod.modules import canonical_form
 
+    calls = []
+    cokernel_orders = elimination.cokernel_orders
+
+    def counted(*args):
+        calls.append(args)
+        return cokernel_orders(*args)
+
+    monkeypatch.setattr(elimination, "cokernel_orders", counted)
     m, n = "coker[[2,1],[0,4]]", "coker[[3,1],[1,5]]"
     queries = [
         ("canon", m), ("dual", m), ("gamma", "--ideal", "2", m), ("lambda", "--ideal", "2", m),
@@ -324,11 +332,14 @@ def test_value_queries_eliminate_only_their_operands(capsys):
     ]
     queries += [(cmd, str(i), "--ideal", "2", m, n) for cmd in ("glc", "glh") for i in range(3)]
     for argv in queries:
+        calls.clear()
         canonical_form.cache_clear()
         linalg._eliminate.cache_clear()
         code, _, _ = run(capsys, *argv)
         operands = sum(a.startswith("coker") for a in argv)
-        assert code == 0 and linalg._eliminate.cache_info().misses == operands, argv
+        assert code == 0 and len(calls) == operands, argv
+        # and nothing is eliminated through the matrix route
+        assert canonical_form.cache_info().misses == linalg._eliminate.cache_info().misses == 0, argv
 
 
 def parsed(capsys, argv):

@@ -5,7 +5,10 @@ Any string over the grammar's alphabet either parses or raises an
 traceback.  Printed canonical forms are valid inputs that parse back to the
 same form, over Z and over Z/n.  The parser reads sums of cyclic atoms
 straight to their canonical form; on random expressions that form is the
-Smith normal form of the block-diagonal presentation of the whole sum.
+Smith normal form of the block-diagonal presentation of the whole sum.  A
+`coker` atom and `modules.canonical_form` read invariant factors through the
+same `elimination.cokernel_orders`, so that comparison checks the merging
+of summands; `test_coker_oracle.py` checks the atoms against sympy.
 """
 
 import ast

@@ -1,11 +1,13 @@
-"""One-shot queries on sums of cyclic atoms run only the value path.
+"""One-shot queries run only the value path.
 
 The package registers the matrix route (`linalg`, `modules`, `functors`,
 `adic`, `cohomology`) and the harness (`verify`) lazily, and parses module
-expressions straight to canonical forms, so a query without a `coker` atom
-runs none of those modules and never imports `dataclasses`.  Module dicts
-are read with `object.__getattribute__`, which does not trigger a load; a
-module whose body has run has `__builtins__` in its dict.
+expressions straight to canonical forms, so a query runs none of those
+modules and never imports `dataclasses`.  A query on sums of cyclic atoms
+does not import `elimination` either; a `coker` atom reads its invariant
+factors off `elimination` alone.  Module dicts are read with
+`object.__getattribute__`, which does not trigger a load; a module whose
+body has run has `__builtins__` in its dict.
 
 Each check runs in a fresh interpreter, because other tests load every
 module into this one.
@@ -58,8 +60,27 @@ def test_queries_on_cyclic_atoms_run_no_lazy_module_and_no_dataclasses():
         assert _query(*argv) == [answer, "0 [] False"], argv
 
 
-def test_a_coker_atom_runs_the_matrix_route_but_not_the_functors():
-    assert _query("canon", "coker[[2,4],[6,8]]") == ["Z/2 + Z/4", "0 ['linalg', 'modules'] True"]
+def test_a_coker_atom_runs_no_lazy_module_and_no_dataclasses():
+    queries = {
+        ("canon", "coker[[2,4],[6,8]]"): "Z/2 + Z/4",
+        ("hom", "coker[[2,3],[4,5]]", "Z/8"): "Z/2",
+        ("glc", "0", "--ring", "Z/8", "--ideal", "2", "coker[[2,0],[0,4]]", "Z/8"): "Z/2 + Z/4",
+        ("check", "reduced-wrt", "--ideal", "2", "Z/4", "coker[[-2,12],[6,8]] + coker[]"): "false",
+    }
+    for argv, answer in queries.items():
+        assert _query(*argv) == [answer, "0 [] False"], argv
+
+
+def test_only_a_coker_atom_imports_elimination():
+    program = (
+        "import sys\n"
+        "from fgmod.cli import main\n"
+        "main({argv!r})\n"
+        "print('fgmod.elimination' in sys.modules)\n"
+    )
+    for argv, answer in ((["tensor", "Z/6 + Z", "Z/4"], "Z/2 + Z/4"), (["canon", "coker[[2]]"], "Z/2")):
+        elimination = argv[1].startswith("coker")
+        assert _python(program.format(argv=argv)) == [answer, str(elimination)], argv
 
 
 def test_the_ran_probe_sees_a_loaded_module():

@@ -1,11 +1,13 @@
 """`fgmod.verify` is registered lazily by the package: one-shot queries never
-run its body, a suite run never runs the body of `fgmod.adic`, and every way
-of importing it yields the same module object.
+run its body, a suite run never runs the body of `fgmod.adic`, nor of the
+matrix route even when a grid whitelists a `coker` module, and every way of
+importing it yields the same module object.
 
 Each check runs in a fresh interpreter, because other tests load the harness
 into this one.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -142,4 +144,34 @@ def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
         "0 True False False False",
         "0 True False False False",
         "9 True True True True True",
+    ]
+
+
+def test_a_grid_that_whitelists_a_coker_module_runs_neither_linalg_nor_modules(tmp_path):
+    # the grammar reads a coker atom's invariant factors off fgmod.elimination;
+    # the reports are those of the grid that names the same module by its form
+    grids = []
+    for name, module in (("coker", "coker[[2,4],[6,8]]"), ("form", "Z/2 + Z/4")):
+        grids.append(tmp_path / f"{name}.json")
+        grids[-1].write_text(json.dumps([{"ring": "Z/8", "ideal_generators": [0, 2], "module_whitelist": ["0", module]}]))
+    proc = _python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from fgmod.cli import main\n"
+        "def ran(name):\n"
+        "    return '__builtins__' in object.__getattribute__(sys.modules[name], '__dict__')\n"
+        "outs = []\n"
+        f"for path in {list(map(str, grids))!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        main(['verify', '--grid', path])\n"
+        "    outs.append(out.getvalue())\n"
+        "    print(ran('fgmod.verify'), ran('fgmod.linalg'), ran('fgmod.modules'), 'dataclasses' in sys.modules)\n"
+        "print(outs[0] == outs[1], outs[0].splitlines()[-1])\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    # (two modules are too few for every expected verdict; both grids agree on that)
+    assert proc.stdout.splitlines() == [
+        "True False False False",
+        "True False False False",
+        "True summary: 36 reports, 4 unexpected verdicts",
     ]

@@ -236,3 +236,20 @@ def test_von_neumann_regular_rings_are_the_squarefree_moduli():
     assert verify._is_vnr(RingSpec.mod(p * q))
     assert not verify._is_vnr(RingSpec.mod(4 * p))
     assert not verify._is_vnr(RingSpec.integers())
+
+
+def test_a_run_tests_each_ring_for_square_factors_once():
+    # several claims ask whether a grid's ring is von Neumann regular; the
+    # trial division behind it runs once per ring, however many claims and grids
+    big = RingSpec.mod(18446744073709551557)  # the largest prime below 2**64
+    grids = [
+        TINY_Z,
+        TINY_Z6,
+        GridSpec(RingSpec.mod(6), 4, 0, (2,), label="small-z6"),
+        GridSpec(big, 1, 0, (0, 1), module_whitelist=("0", "Z/18446744073709551557"), label="big"),
+    ]
+    verify._is_vnr.cache_clear()
+    suite = run_suite(grids)
+    info = verify._is_vnr.cache_info()
+    assert info.misses == 3 and info.hits > 0
+    assert [r.verdict for r in suite.reports if r.claim_id == "vnr-homology-vanish"] == ["pass"] * 3
