@@ -4,9 +4,9 @@ Values are read off invariant factors by `fgmod.cyclic`: each function
 canonicalizes its operands once, and the torsion and completion of a
 summand Z/m along (d) are both Z/gcd(d^k, m), at the least k where the
 chain gcd(d^k, m) stops growing.  The module's exponent is the largest k
-over its summands.  A completion whose chain keeps shrinking past the
-iteration bound (a free Z-part with d not in {0, +-1}) is not finitely
-generated, and NonStabilizing is raised rather than a wrong value returned.
+over its summands.  The completion of a free Z-part along d not in
+{0, +-1} is not finitely generated, and NonStabilizing is raised rather
+than a wrong value returned.
 The predicates compare gcd(d, m) with gcd(d^2, m), so they are total.
 
 The torsion submodule and the quotients N / a^k N are submodules and
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cyclic
-from .cyclic import DEFAULT_KMAX
 from .linalg import MatrixR
 from .modules import (
     Presentation,
@@ -35,7 +34,6 @@ from .modules import (
 from .rings import Ideal, ideal_power
 
 __all__ = [
-    "DEFAULT_KMAX",
     "StabilizationResult",
     "torsion",
     "torsion_submodule",
@@ -60,26 +58,26 @@ class StabilizationResult:
     exponent: int
 
 
-def torsion_submodule(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> tuple[Submodule, int]:
+def torsion_submodule(N: Presentation, a: Ideal) -> tuple[Submodule, int]:
     """Elements killed by some power of the ideal, with the stabilization
     exponent: the least k with ker(d^k) = ker(d^(k+1)).  The exponent comes
     from `cyclic.torsion`; the submodule is the kernel of d^k on N."""
     d = a.canonical
-    k = cyclic.torsion(canonical_form(N), d, kmax)[1]
+    k = cyclic.torsion(canonical_form(N), d)[1]
     if k == 0:
         return Submodule(N, MatrixR(N.ring, N.gens, 0, ((),) * N.gens)), 0
     return kernel_submodule(mult_map(N, pow(d, k, N.ring.modulus))), k
 
 
-def torsion(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> StabilizationResult:
+def torsion(N: Presentation, a: Ideal) -> StabilizationResult:
     """The submodule of elements killed by a power of the ideal."""
-    value, k = cyclic.torsion(canonical_form(N), a.canonical, kmax)
+    value, k = cyclic.torsion(canonical_form(N), a.canonical)
     return StabilizationResult(canonical_presentation(value), k)
 
 
-def completion_exponent(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> int:
+def completion_exponent(N: Presentation, a: Ideal) -> int:
     """Least k with d^k N = d^(k+1) N; raises when the chain keeps shrinking."""
-    return cyclic.completion(canonical_form(N), a.canonical, kmax)[1]
+    return cyclic.completion(canonical_form(N), a.canonical)[1]
 
 
 def power_quotient(N: Presentation, a: Ideal, k: int) -> Presentation:
@@ -87,20 +85,20 @@ def power_quotient(N: Presentation, a: Ideal, k: int) -> Presentation:
     return quotient_by_submodule(N, scaled_submodule(N, ideal_power(a, k).canonical))
 
 
-def completion(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> StabilizationResult:
+def completion(N: Presentation, a: Ideal) -> StabilizationResult:
     """The limit of N / a^k N, available once the chain a^k N is constant."""
-    value, k = cyclic.completion(canonical_form(N), a.canonical, kmax)
+    value, k = cyclic.completion(canonical_form(N), a.canonical)
     return StabilizationResult(canonical_presentation(value), k)
 
 
-def torsion_wrt(M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
+def torsion_wrt(M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Two-argument torsion: the ideal-torsion of Hom(M, N)."""
-    return canonical_presentation(cyclic.torsion_wrt(canonical_form(M), canonical_form(N), a.canonical, kmax))
+    return canonical_presentation(cyclic.torsion_wrt(canonical_form(M), canonical_form(N), a.canonical))
 
 
-def completion_wrt(M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
+def completion_wrt(M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Two-argument completion: the ideal-completion of M (x) N."""
-    return canonical_presentation(cyclic.completion_wrt(canonical_form(M), canonical_form(N), a.canonical, kmax))
+    return canonical_presentation(cyclic.completion_wrt(canonical_form(M), canonical_form(N), a.canonical))
 
 
 def is_reduced(N: Presentation, a: Ideal) -> bool:

@@ -5,8 +5,8 @@ forms are printed in the same grammar so every output re-parses.  Every
 subcommand but `verify` asks a value question: each operand is brought to
 its canonical form once and `fgmod.cyclic` reads the answer off the
 invariant factors.  Exit codes:
-0 success (or all claim verdicts as expected), 2 usage error, 3 a completion
-chain did not stabilize, 4 unexpected claim verdict.
+0 success (or all claim verdicts as expected), 2 usage error, 3 a limit is
+not finitely generated, 4 unexpected claim verdict.
 
 `run()` is the program: `python -m fgmod.cli` and the installed `fgmod`
 command both call it.  `main(argv)` is the same front end without process
@@ -34,9 +34,6 @@ def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", default="Z", help="base ring: Z or Z/<n> (default Z)")
     common.add_argument("--ideal", default=None, help="ideal generators, comma separated")
-    common.add_argument(
-        "--kmax", type=int, default=cyclic.DEFAULT_KMAX, help="stabilization bound (default %(default)s)"
-    )
     common.add_argument(
         "--format",
         choices=("text", "json-lines"),
@@ -101,12 +98,12 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if command in (None, "verify"):
         # its own copy of the options: parents share their actions, and None
-        # marks --ring and --kmax as not given, which a claims run requires
+        # marks --ring as not given, which a claims run requires
         ver = sub.add_parser("verify", parents=[_common_options()], help="run the claim verification suite")
         ver.add_argument("--claims", default=None, help="comma-separated claim ids (default: all)")
         ver.add_argument("--grid", default=None, help="JSON grid file (default: built-in grids)")
         ver.add_argument("--list-claims", action="store_true", help="list claim ids and exit")
-        ver.set_defaults(ring=None, kmax=None)
+        ver.set_defaults(ring=None)
 
     return p
 
@@ -147,11 +144,11 @@ def _verify(args) -> int:
         for cid in verify.registered_claims():
             print(cid)
         return EXIT_OK
-    given = [f"--{name}" for name in ("ring", "ideal", "kmax") if getattr(args, name) is not None]
+    given = [f"--{name}" for name in ("ring", "ideal") if getattr(args, name) is not None]
     if given:
         print(
             f"error: verify does not use {', '.join(given)}: the grids set the rings and ideals"
-            " (give a grid file with --grid) and the claims use the default stabilization bound",
+            " (give a grid file with --grid)",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -175,9 +172,6 @@ def main(argv: list[str] | None = None) -> int:
             return _verify(args)
         if getattr(args, "degree", 0) < 0:
             print(f"error: degree must be nonnegative, got {args.degree}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.kmax < 0:
-            print(f"error: --kmax must be nonnegative, got {args.kmax}", file=sys.stderr)
             return EXIT_USAGE
 
         ring = parse_ring(args.ring)
@@ -205,17 +199,17 @@ def main(argv: list[str] | None = None) -> int:
             _result(args, cyclic.tor(args.degree, _canon(ring, args.left), _canon(ring, args.right)))
         elif cmd in ("gamma", "lambda"):
             limit = cyclic.torsion if cmd == "gamma" else cyclic.completion
-            value, k = limit(_canon(ring, args.module), d, args.kmax)
+            value, k = limit(_canon(ring, args.module), d)
             expr = format_canonical(value)
             _emit(args, {"result": expr, "exponent": k}, f"{expr}\tk={k}")
         elif cmd == "gammagen":
-            _result(args, cyclic.torsion_wrt(_canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
+            _result(args, cyclic.torsion_wrt(_canon(ring, args.m), _canon(ring, args.n), d))
         elif cmd == "lambdagen":
-            _result(args, cyclic.completion_wrt(_canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
+            _result(args, cyclic.completion_wrt(_canon(ring, args.m), _canon(ring, args.n), d))
         elif cmd == "glc":
-            _result(args, cyclic.local_cohomology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
+            _result(args, cyclic.local_cohomology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d))
         elif cmd == "glh":
-            _result(args, cyclic.local_homology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d, args.kmax))
+            _result(args, cyclic.local_homology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d))
         elif cmd == "check":
             want = {"reduced": 1, "coreduced": 1, "reduced-wrt": 2, "coreduced-wrt": 2}[args.predicate]
             if len(args.modules) != want:

@@ -7,14 +7,14 @@ the two-argument torsion Γ_a(Hom(M, N)) and completion Λ_a(M (x) N), which
 hold for every finitely generated M.  Every positive degree is the term at
 the exponent where the chain of ideal multiples a^k M stabilizes: from there
 on every transition map of the system is an identity.  A limit that leaves
-finitely generated modules (a chain that never stabilizes) raises
-NonStabilizing.
+finitely generated modules, which completes a free Z summand along a
+nonzero non-unit, raises NonStabilizing.
 """
 
 from __future__ import annotations
 
 from . import cyclic
-from .adic import DEFAULT_KMAX, completion
+from .adic import completion
 from .errors import NonStabilizing
 from .modules import Presentation, canonical_form, canonical_presentation, iso_test
 from .rings import Ideal
@@ -22,24 +22,24 @@ from .rings import Ideal
 __all__ = ["local_cohomology", "local_homology", "is_adically_complete"]
 
 
-def local_cohomology(i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
+def local_cohomology(i: int, M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Degree-i local cohomology lim-> Ext^i(M/a^k M, N) of the pair (M, N)."""
-    return canonical_presentation(cyclic.local_cohomology(i, canonical_form(M), canonical_form(N), a.canonical, kmax))
+    return canonical_presentation(cyclic.local_cohomology(i, canonical_form(M), canonical_form(N), a.canonical))
 
 
-def local_homology(i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> Presentation:
+def local_homology(i: int, M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Degree-i local homology lim<- Tor_i(M/a^k M, N) of the pair (M, N)."""
-    return canonical_presentation(cyclic.local_homology(i, canonical_form(M), canonical_form(N), a.canonical, kmax))
+    return canonical_presentation(cyclic.local_homology(i, canonical_form(M), canonical_form(N), a.canonical))
 
 
-def is_adically_complete(N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX) -> bool:
+def is_adically_complete(N: Presentation, a: Ideal) -> bool:
     """Whether N is isomorphic to its completion along the ideal.
 
     A non-stabilizing chain means the completion left the finitely generated
     world, which in particular is not isomorphic to N.
     """
     try:
-        limit = completion(N, a, kmax)
+        limit = completion(N, a)
     except NonStabilizing:
         return False
     return iso_test(limit.value, N)

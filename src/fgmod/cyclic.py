@@ -38,7 +38,6 @@ from .errors import FreePartNotSupported, NonStabilizing, RingMismatch
 from .rings import RingSpec, _Record, _set
 
 __all__ = [
-    "DEFAULT_KMAX",
     "CanonicalForm",
     "hom",
     "tensor",
@@ -60,10 +59,6 @@ __all__ = [
     "direct_sum",
     "dual",
 ]
-
-# the default stabilization bound: the most steps a torsion or completion
-# chain may take before it counts as never stabilizing
-DEFAULT_KMAX = 64
 
 # entries per memo table: the default verify suite asks about 35,000
 # distinct Hom questions, more than any other kind, so this never evicts
@@ -297,48 +292,52 @@ def tor(i: int, M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
     return tensor(M, N) if i == 0 else _positive_degree(i, M, N, N.torsion_factors)
 
 
-@lru_cache(maxsize=_MEMO)
-def _settle(C: CanonicalForm, d: int, kmax: int, free: tuple[int, int] | None) -> tuple[CanonicalForm, int] | None:
-    """Each summand Z/m settles at gcd(d^k, m) for the least k with
-    gcd(d^k, m) = gcd(d^(k+1), m); a free summand gives `free` (order and k),
-    or never settles when `free` is None.  The module's exponent is the
-    largest k.  None when some summand has not settled within kmax steps, so
-    that outcome is memoized like any other."""
-    orders = []
-    top = 0
-    for m in _orders(C):
-        if m == 0:
-            if free is None:
-                return None
-            g, k = free
+def _settled(d: int, m: int) -> tuple[int, int]:
+    """gcd(d^k, m) at the least k with gcd(d^k, m) = gcd(d^(k+1), m), and
+    that k.  The chain grows in divisibility, so it has settled at k once
+    gcd(d^k, m) = gcd(d^(2k), m): double k until it has, then bisect below.
+    That is O(log k) powers mod m, where one gcd per step would be O(k)."""
+
+    def at(k: int) -> int:
+        return gcd(pow(d, k, m), m)
+
+    hi, top = 1, at(1)
+    while top != (nxt := at(2 * hi)):
+        hi, top = 2 * hi, nxt
+    lo = hi // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at(mid) == top:
+            hi = mid
         else:
-            g, k = 1, 0
-            while (nxt := gcd(g * d, m)) != g and k <= kmax:
-                g, k = nxt, k + 1
-        if k > kmax:
-            return None
-        orders.append(g)
-        top = max(top, k)
-    return _form(C.ring, orders), top
+            lo = mid + 1
+    return top, hi
 
 
-def torsion(C: CanonicalForm, d: int, kmax: int) -> tuple[CanonicalForm, int]:
+@lru_cache(maxsize=_MEMO)
+def torsion(C: CanonicalForm, d: int) -> tuple[CanonicalForm, int]:
     """The elements killed by a power of d, and the least k with
-    ker d^k = ker d^(k+1).  On Z that kernel is 0 unless d = 0."""
-    settled = _settle(C, d, kmax, (0, 1) if d == 0 else (1, 0))
-    if settled is None:
-        raise NonStabilizing(f"kernel chain of ({d})", kmax)
-    return settled
+    ker d^k = ker d^(k+1).  Z/m settles at Z/gcd(d^k, m), worked out once
+    per distinct m; Z settles at Z when d = 0 (k = 1) and at 0 otherwise
+    (k = 0).  The module's exponent is the largest k."""
+    settled = {m: _settled(d, m) for m in set(C.torsion_factors)}
+    if C.free_rank:
+        settled[0] = (0, 1) if d == 0 else (1, 0)
+    exponent = max((k for _, k in settled.values()), default=0)
+    return _form(C.ring, [settled[m][0] for m in _orders(C)]), exponent
 
 
-def completion(C: CanonicalForm, d: int, kmax: int) -> tuple[CanonicalForm, int]:
-    """The limit of C/d^kC, and the least k with d^kC = d^(k+1)C.  On Z the
-    chain d^kZ settles only when d is 0 or a unit."""
-    settled = _settle(C, d, kmax, (0, 1) if d == 0 else (1, 0) if abs(d) == 1 else None)
-    if settled is None:
-        # a fresh exception each time: a stored one would grow its traceback
-        raise NonStabilizing(f"chain of ideal multiples of ({d})", kmax)
-    return settled
+def completion(C: CanonicalForm, d: int) -> tuple[CanonicalForm, int]:
+    """The limit of C/d^kC, and the least k with d^kC = d^(k+1)C.  Both are
+    the torsion's: Z/m/d^k and Z/m[d^k] are Z/gcd(d^k, m), and Z/d^kZ is Z
+    at d = 0 and 0 at a unit.  Along any other d, Z completes to the d-adic
+    integers, which are not finitely generated."""
+    if C.free_rank and abs(d) > 1:
+        raise NonStabilizing(
+            f"chain of ideal multiples of ({d}) never stabilizes: a free summand"
+            " completed along a nonzero non-unit is not finitely generated"
+        )
+    return torsion(C, d)
 
 
 @lru_cache(maxsize=_MEMO)
@@ -357,14 +356,14 @@ def is_coreduced(C: CanonicalForm, d: int) -> bool:
 
 
 @lru_cache(maxsize=_MEMO)
-def torsion_wrt(M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+def torsion_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
     """Two-argument torsion: the torsion of Hom(M, N) along (d)."""
-    return torsion(hom(M, N), d, kmax)[0]
+    return torsion(hom(M, N), d)[0]
 
 
-def completion_wrt(M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+def completion_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
     """Two-argument completion: the completion of M (x) N along (d)."""
-    return completion(tensor(M, N), d, kmax)[0]
+    return completion(tensor(M, N), d)[0]
 
 
 @lru_cache(maxsize=_MEMO)
@@ -379,7 +378,7 @@ def is_coreduced_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> bool:
     return is_coreduced(tensor(M, N), d)
 
 
-def local_cohomology(i: int, M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+def local_cohomology(i: int, M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
     """lim-> Ext^i(M/d^kM, N).
 
     In degree 0 the colimit of Hom(M/d^kM, N) is the d-torsion of Hom(M, N)
@@ -390,19 +389,19 @@ def local_cohomology(i: int, M: CanonicalForm, N: CanonicalForm, d: int, kmax: i
     if i < 0:
         raise ValueError("degree must be nonnegative")
     if i == 0:
-        return torsion_wrt(M, N, d, kmax)
-    return ext(i, completion(M, d, kmax)[0], N)
+        return torsion_wrt(M, N, d)
+    return ext(i, completion(M, d)[0], N)
 
 
-def local_homology(i: int, M: CanonicalForm, N: CanonicalForm, d: int, kmax: int) -> CanonicalForm:
+def local_homology(i: int, M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
     """lim<- Tor_i(M/d^kM, N); degree 0 is the completion of M (x) N, and
     positive degrees are read at the stabilized chain, as in
     `local_cohomology`."""
     if i < 0:
         raise ValueError("degree must be nonnegative")
     if i == 0:
-        return completion_wrt(M, N, d, kmax)
-    return tor(i, completion(M, d, kmax)[0], N)
+        return completion_wrt(M, N, d)
+    return tor(i, completion(M, d)[0], N)
 
 
 @lru_cache(maxsize=_MEMO)

@@ -26,16 +26,12 @@ class FreePartNotSupported(FgmodError):
 
 
 class NonStabilizing(FgmodError):
-    """An adic chain kept shrinking past the iteration bound.
+    """An adic limit is not a finitely generated module over the base ring.
 
-    Raised instead of returning a wrong value: the limit exists but is not a
-    finitely generated module over the base ring (e.g. completing Z at (2)).
+    Raised instead of returning a wrong value.  Over Z and Z/n this happens
+    only when a free Z summand is completed along a generator that is
+    neither 0 nor a unit: completing Z at (2) gives the 2-adic integers.
     """
-
-    def __init__(self, what: str, kmax: int):
-        self.what = what
-        self.kmax = kmax
-        super().__init__(f"{what} did not stabilize within {kmax} steps")
 
 
 class InfiniteModule(FgmodError):

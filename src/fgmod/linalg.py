@@ -94,9 +94,6 @@ class MatrixR:
             ring, k, k, tuple(tuple(diag[i] if i == j else 0 for j in range(k)) for i in range(k))
         )
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(map(itemgetter(j), self.entries))
 

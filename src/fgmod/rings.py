@@ -79,12 +79,6 @@ class RingSpec(_Record):
             return x
         return x % self.modulus
 
-    def elements(self) -> range:
-        """All ring elements; only available over Z/n."""
-        if self.modulus is None:
-            raise ValueError("Z has infinitely many elements")
-        return range(self.modulus)
-
     def __str__(self) -> str:
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
 
@@ -112,14 +106,6 @@ class Ideal(_Record):
 
     def __str__(self) -> str:
         return f"({self.canonical})"
-
-    @property
-    def is_zero(self) -> bool:
-        return self.canonical == 0
-
-    @property
-    def is_unit(self) -> bool:
-        return self.canonical == 1
 
 
 def canonicalize_ideal(ring: RingSpec, generators: list[int] | tuple[int, ...]) -> Ideal:

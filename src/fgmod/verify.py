@@ -64,7 +64,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import cyclic
-from .cyclic import DEFAULT_KMAX, CanonicalForm
+from .cyclic import CanonicalForm
 from .elimination import eliminate
 from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
 from .grammar import format_canonical, parse_module_expr
@@ -248,26 +248,22 @@ def grid_from_dict(data: dict) -> GridSpec:
 
 
 def _torsion(c: CanonicalForm, d: int) -> CanonicalForm:
-    return cyclic.torsion(c, d, DEFAULT_KMAX)[0]
+    return cyclic.torsion(c, d)[0]
 
 
 def _completion(c: CanonicalForm, d: int) -> CanonicalForm | None:
     """The completion, or None where the chain of ideal multiples never
     stabilizes (a free Z-summand and a generator outside {0, +-1})."""
     try:
-        return cyclic.completion(c, d, DEFAULT_KMAX)[0]
+        return cyclic.completion(c, d)[0]
     except NonStabilizing:
         return None
-
-
-def _ctorsion_wrt(m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm:
-    return cyclic.torsion_wrt(m, n, d, DEFAULT_KMAX)
 
 
 def _ccompletion_wrt(m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
     """The two-argument completion, or None where it is not finitely generated."""
     try:
-        return cyclic.completion_wrt(m, n, d, DEFAULT_KMAX)
+        return cyclic.completion_wrt(m, n, d)
     except NonStabilizing:
         return None
 
@@ -769,7 +765,7 @@ def _gamma_compose(m, n, d):
     mk = _completion(m, d)
     if mk is None:
         return None, "ideal-multiple chain of M does not stabilize"
-    return cyclic.hom(mk, n) == _ctorsion_wrt(m, n, d)
+    return cyclic.hom(mk, n) == cyclic.torsion_wrt(m, n, d)
 
 
 def _functor_stays(s: _Side) -> dict:
@@ -851,7 +847,7 @@ def _adic_dual(s: _Side) -> dict:
 
 
 def _reflexive_values(m, n, d):
-    g = _ctorsion_wrt(m, n, d)
+    g = cyclic.torsion_wrt(m, n, d)
     lam = _ccompletion_wrt(m, n, d)
     if lam is None:
         return _UNSTABLE
@@ -862,7 +858,7 @@ def _gm_adjunction(m, n, p, d):
     lam = _ccompletion_wrt(m, p, d)
     if lam is None:
         return _UNSTABLE
-    return cyclic.hom(lam, n) == cyclic.hom(p, _ctorsion_wrt(m, n, d))
+    return cyclic.hom(lam, n) == cyclic.hom(p, cyclic.torsion_wrt(m, n, d))
 
 
 def _effective(seq: _Seq, m: CanonicalForm, d: int) -> int:
@@ -1092,7 +1088,7 @@ def _vnr_vanish(s: _Side) -> dict:
 
 
 _RED = _Side(
-    cyclic.is_reduced_wrt, _ctorsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext, _cglc,
+    cyclic.is_reduced_wrt, cyclic.torsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext, _cglc,
     cyclic.hom_postcompose, _gamma_exact,
 )
 _COR = _Side(
@@ -1122,7 +1118,7 @@ _REGISTRY: list[_Claim] = [
            "two-argument torsion computed from its limit definition equals the torsion of the hom module",
            (_M, _N), _gamma_compose),
     _Claim("gamma-hom-commute", "two-argument torsion equals Hom(M, torsion of N)",
-           (_N, _M), lambda n, m, d: _ctorsion_wrt(m, n, d) == cyclic.hom(m, _torsion(n, d))),
+           (_N, _M), lambda n, m, d: cyclic.torsion_wrt(m, n, d) == cyclic.hom(m, _torsion(n, d))),
     _Claim("gamma-reflect", "N is reduced relative to M iff the torsion of N is",
            (_N, _M), lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, _torsion(n, d), d)),
     _Claim("reduced-implies-wrt", "a reduced module is reduced relative to every module",

@@ -13,28 +13,24 @@ when the chain never flattens: it raises NonStabilizing there.
 
 from resolution_reference import ext_by_resolution, tor_by_resolution
 
-from fgmod.adic import DEFAULT_KMAX, completion_exponent, is_coreduced_wrt, is_reduced_wrt, power_quotient
+from fgmod.adic import completion_exponent, is_coreduced_wrt, is_reduced_wrt, power_quotient
 from fgmod.modules import Presentation, quotient_by_ideal
 from fgmod.rings import Ideal
 
 
-def local_cohomology_by_chain(
-    i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX
-) -> Presentation:
+def local_cohomology_by_chain(i: int, M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     if i < 0:
         raise ValueError("degree must be nonnegative")
     if i == 0 and is_reduced_wrt(M, N, a):
         return ext_by_resolution(0, quotient_by_ideal(M, a), N)
-    k = completion_exponent(M, a, kmax)
+    k = completion_exponent(M, a)
     return ext_by_resolution(i, power_quotient(M, a, k), N)
 
 
-def local_homology_by_chain(
-    i: int, M: Presentation, N: Presentation, a: Ideal, kmax: int = DEFAULT_KMAX
-) -> Presentation:
+def local_homology_by_chain(i: int, M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     if i < 0:
         raise ValueError("degree must be nonnegative")
     if i == 0 and is_coreduced_wrt(M, N, a):
         return tor_by_resolution(0, quotient_by_ideal(M, a), N)
-    k = completion_exponent(M, a, kmax)
+    k = completion_exponent(M, a)
     return tor_by_resolution(i, power_quotient(M, a, k), N)

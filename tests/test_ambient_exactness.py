@@ -368,8 +368,8 @@ def test_effective_gives_the_torsion_and_completion_along_d():
                     for t in (seq.x, seq.y, seq.z):
                         for H in (cyclic.hom(m, t), cyclic.tensor(m, t)):
                             want = cyclic.quotient(H, c)
-                            assert cyclic.torsion(H, d, adic.DEFAULT_KMAX)[0] == want, (grid.label, seq, m, d)
-                            assert cyclic.completion(H, d, adic.DEFAULT_KMAX)[0] == want, (grid.label, seq, m, d)
+                            assert cyclic.torsion(H, d)[0] == want, (grid.label, seq, m, d)
+                            assert cyclic.completion(H, d)[0] == want, (grid.label, seq, m, d)
 
 
 def induced(side, seq, m):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import fgmod
 from fgmod import cli
 from fgmod.cli import main
 from fgmod.grammar import MAX_GENERATORS
@@ -104,7 +105,7 @@ def test_verify_list_claims(capsys):
     assert "equiv-reduced-wrt" in out.splitlines()
 
 
-@pytest.mark.parametrize("flag, value", [("--ring", "Z/6"), ("--ideal", "2,3"), ("--kmax", "8")])
+@pytest.mark.parametrize("flag, value", [("--ring", "Z/6"), ("--ideal", "2,3")])
 def test_verify_claims_run_refuses_value_flags(flag, value, capsys):
     # the grids fix rings and ideals; a flag the run would ignore is a usage error
     for extra in ((), ("--grid", str(Path(__file__).parent / "golden" / "verify_small_grid.json"))):
@@ -161,11 +162,19 @@ def test_negative_degree_and_kmax_are_usage_errors(capsys):
         ("tor", "-1", "Z/2", "Z/2"),
         ("glc", "-1", "--ideal", "2", "Z/2", "Z/4"),
         ("glh", "-2", "--ideal", "2", "Z/2", "Z/4"),
-        ("glc", "1", "--ideal", "2", "--kmax", "-3", "Z", "Z/4"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, argv
+    # the input alone decides where a chain settles: there is no step budget to set
+    for argv in (
+        ("glc", "1", "--ideal", "2", "--kmax", "-3", "Z", "Z/4"),
+        ("gamma", "--kmax", "3", "--ideal", "2", "Z/8"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kmax" in capsys.readouterr().err
 
 
 def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
@@ -301,13 +310,26 @@ def test_degree_zero_local_homology_of_free_modules_still_leaves_finite_generati
     assert code == 3 and out == "" and "stabilize" in err
 
 
-def test_degree_zero_with_kmax_zero_exits_3_on_a_nonzero_answer(capsys):
-    for cmd, same in (("glc", "gammagen"), ("glh", "lambdagen")):
-        for sub in (cmd, "0"), (same,):
-            code, out, _ = run(capsys, *sub, "--ideal", "2", "--kmax", "0", "Z/2", "Z/2")
-            assert (code, out) == (3, ""), sub
-            # a zero answer needs no step of the chain
-            assert run(capsys, *sub, "--ideal", "3", "--kmax", "0", "Z/2", "Z/2")[:2] == (0, "0"), sub
+def test_limits_settle_however_long_their_chain(capsys):
+    # gcd(2^k, 2^70) grows until k = 70
+    m = f"Z/{2**70}"
+    for limit in ("gamma", "lambda"):
+        assert run(capsys, limit, "--ideal", "2", m)[:2] == (0, f"{m}\tk=70"), limit
+    for sub in ("gammagen",), ("lambdagen",), ("glc", "0"), ("glh", "0"):
+        assert run(capsys, *sub, "--ideal", "2", m, m)[:2] == (0, m), sub
+
+
+def test_long_chains_at_the_generator_cap_cost_milliseconds(capsys):
+    # the chains settle at k = 8000, read off one closed form per distinct
+    # summand order
+    m = f"Z/{3**8000}"
+    for expr in (f"{m}^{MAX_GENERATORS}", f"{m} + {m}^{MAX_GENERATORS - 1}"):
+        for limit in ("gamma", "lambda"):
+            fgmod.clear_caches()
+            start = time.perf_counter()
+            code, out, _ = run(capsys, limit, "--ideal", "3", expr)
+            assert time.perf_counter() - start < 1.0, (limit, expr[-8:])
+            assert code == 0 and out == " + ".join([m] * MAX_GENERATORS) + "\tk=8000"
 
 
 def test_value_queries_eliminate_only_their_operands(capsys, monkeypatch):

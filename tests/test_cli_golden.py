@@ -3,8 +3,9 @@
 `golden/cli-answers.jsonl` holds one JSON object per query: its argv (after
 `fgmod`), its exit code and its stdout.  The queries cover every subcommand
 over Z, Z/6, Z/8 and Z/12 in both output formats, on seeded sums of atoms
-and non-diagonal `coker` operands, plus usage errors (exit 2) and
-non-stabilizing limits (exit 3).  Degree-0 `glc`/`glh` queries that exit 3
+and non-diagonal `coker` operands, plus usage errors (exit 2),
+limits that are not finitely generated (exit 3) and limits whose chains
+settle only after many steps.  Degree-0 `glc`/`glh` queries that exit 3
 are left out: degree 0 is answered from Γ_a(Hom(M, N)) and Λ_a(M (x) N),
 which exist on more inputs than the stabilized chain did (see
 `test_cli.py` for those cases).
@@ -52,19 +53,19 @@ COMMANDS = (
     ("check coreduced-wrt", 2, True, False),
 )
 PER_CELL = 4
+# its chains along (2) settle at k = 70
+LONG = f"Z/{2**70}"
 
-# usage errors and limits outside finitely generated modules
+# usage errors, limits outside finitely generated modules and long chains
 EXTRA = (
     ["glc", "1", "--ideal", "2", "Z", "Z"],
     ["glh", "1", "--ideal", "2", "Z", "Z/4"],
     ["lambda", "--ideal", "2", "Z + Z/4"],
     ["lambdagen", "--ideal", "3", "Z", "Z"],
-    ["gamma", "--ideal", "2", "--kmax", "0", "Z/8"],
-    ["lambda", "--ideal", "2", "--kmax", "1", "Z/8"],
-    ["gammagen", "--ideal", "2", "--kmax", "1", "Z/8", "Z/8"],
-    ["lambdagen", "--ring", "Z/8", "--ideal", "2", "--kmax", "2", "Z/8", "Z/8"],
-    ["glc", "2", "--ring", "Z/8", "--ideal", "2", "--kmax", "1", "Z/8", "Z/4"],
-    ["glh", "1", "--ring", "Z/12", "--ideal", "6", "--kmax", "1", "Z/12", "Z/4"],
+    ["gamma", "--ideal", "2", LONG],
+    ["lambda", "--ideal", "2", LONG],
+    ["gammagen", "--ideal", "2", LONG, LONG],
+    ["glc", "0", "--ideal", "2", LONG, LONG],
     ["gamma", "Z/4"],
     ["glc", "0", "Z", "Z"],
     ["check", "reduced", "--ideal", "2", "Z", "Z"],
@@ -79,7 +80,6 @@ EXTRA = (
     ["hom", "coker[[True]]", "Z"],
     ["tensor", "Z/2^300", "Z"],
     ["ext", "-1", "Z/2", "Z"],
-    ["tor", "1", "--kmax", "-1", "Z/2", "Z"],
     ["glc", "1", "--ideal", "", "Z/2", "Z"],
     ["glh", "1", "--ideal", "x", "Z/2", "Z"],
     ["ext", "one", "Z/2", "Z"],

@@ -5,19 +5,23 @@ Every value `fgmod.cyclic` reads off invariant factors must equal the
 canonical form of the same value computed on the raw presentation: Hom and
 tensor modules, Ext and Tor from a free resolution (`resolution_reference`),
 the torsion submodule with its exponent, and the chain of scaled submodules
-d^k N with its exponent, down to where each raises NonStabilizing.  The two
+d^k N with its exponent.  Completion raises NonStabilizing exactly where the
+chain of scaled submodules never settles: on a free Z summand along d not
+in {0, +-1}.  The closed-form exponent of a cyclic summand is checked
+against the step-by-step gcd chain it replaced.  The two
 routes of `is_reduced` that used to be checked against each other inside the
 function (comparing the kernels of d and d^2, and asking whether the ideal
 kills the torsion) are checked here instead.
 """
 
 import random
+from math import gcd
 
 import pytest
 from resolution_reference import ext_by_resolution, tor_by_resolution
 
 from fgmod import cyclic
-from fgmod.adic import DEFAULT_KMAX, torsion_submodule
+from fgmod.adic import torsion_submodule
 from fgmod.errors import FreePartNotSupported, NonStabilizing, RingMismatch
 from fgmod.functors import hom_module, tensor_module
 from fgmod.linalg import hstack, spans_include
@@ -60,23 +64,39 @@ def power(ring: RingSpec, d: int, k: int) -> int:
     return ring.reduce(d**k)
 
 
-def matrix_torsion_exponent(N: Presentation, d: int, kmax: int) -> int:
-    """Least k with ker d^k = ker d^(k+1), by kernel submodules."""
+# the most steps the matrix references take: every chain on the random
+# presentations below settles well within it
+KMAX = 64
+
+
+def matrix_torsion_exponent(N: Presentation, d: int, kmax: int = KMAX) -> int | None:
+    """Least k <= kmax with ker d^k = ker d^(k+1), by kernel submodules;
+    None past kmax."""
     for k in range(kmax + 1):
         low = kernel_submodule(mult_map(N, power(N.ring, d, k)))
         high = kernel_submodule(mult_map(N, power(N.ring, d, k + 1)))
         if low.contains(high):
             return k
-    raise NonStabilizing(f"kernel chain of ({d})", kmax)
+    return None
 
 
-def matrix_completion_exponent(N: Presentation, d: int, kmax: int) -> int:
-    """Least k with d^k N = d^(k+1) N, by the chain of scaled submodules."""
+def matrix_completion_exponent(N: Presentation, d: int, kmax: int = KMAX) -> int | None:
+    """Least k <= kmax with d^k N = d^(k+1) N, by the chain of scaled
+    submodules; None past kmax."""
     for k in range(kmax + 1):
         low = scaled_submodule(N, power(N.ring, d, k + 1))
         if spans_include(hstack(low.columns, N.rels), scaled_submodule(N, power(N.ring, d, k)).columns):
             return k
-    raise NonStabilizing(f"chain of ideal multiples of ({d})", kmax)
+    return None
+
+
+def settled_by_steps(d: int, m: int) -> tuple[int, int]:
+    """gcd(d^k, m) and the least k with gcd(d^k, m) = gcd(d^(k+1), m), one
+    gcd per step."""
+    g, k = 1, 0
+    while (nxt := gcd(g * d, m)) != g:
+        g, k = nxt, k + 1
+    return g, k
 
 
 def test_hom_tensor_ext_tor_match_the_matrix_routes():
@@ -98,28 +118,35 @@ def test_torsion_and_completion_match_the_chains():
         for a in ideals(ring):
             d = a.canonical
             sub, k = torsion_submodule(N, a)
-            assert cyclic.torsion(C, d, DEFAULT_KMAX) == (canonical_form(sub.to_presentation()), k)
-            assert k == matrix_torsion_exponent(N, d, DEFAULT_KMAX)
-            for kmax in (0, 1, 3):
-                try:
-                    want = matrix_completion_exponent(N, d, kmax)
-                except NonStabilizing as exc:
-                    with pytest.raises(NonStabilizing) as got:
-                        cyclic.completion(C, d, kmax)
-                    assert str(got.value) == str(exc)
-                    continue
-                value, k = cyclic.completion(C, d, kmax)
-                assert k == want
-                assert value == canonical_form(quotient_by_ideal(N, principal(ring, power(ring, d, k))))
+            assert cyclic.torsion(C, d) == (canonical_form(sub.to_presentation()), k)
+            assert k == matrix_torsion_exponent(N, d)
+            want = matrix_completion_exponent(N, d)
+            if C.free_rank and abs(d) > 1:
+                assert want is None, (N, d)
+                with pytest.raises(NonStabilizing, match="free summand"):
+                    cyclic.completion(C, d)
+                continue
+            value, k = cyclic.completion(C, d)
+            assert k == want, (N, d)
+            assert value == canonical_form(quotient_by_ideal(N, principal(ring, power(ring, d, k))))
 
 
-def test_torsion_past_kmax_raises_like_the_kernel_chain():
-    C = canonical_form(Presentation.cyclic(ZZ, 2**10))
-    assert cyclic.torsion(C, 2, 10) == (C, 10)
-    with pytest.raises(NonStabilizing, match=r"kernel chain of \(2\) did not stabilize within 9"):
-        cyclic.torsion(C, 2, 9)
-    with pytest.raises(NonStabilizing):
-        matrix_torsion_exponent(Presentation.cyclic(ZZ, 2**10), 2, 9)
+def test_torsion_settles_at_the_kernel_chain_exponent():
+    for e in (10, 70):
+        N = Presentation.cyclic(ZZ, 2**e)
+        C = canonical_form(N)
+        assert cyclic.torsion(C, 2) == cyclic.completion(C, 2) == (C, e)
+        assert matrix_torsion_exponent(N, 2, e) == e and matrix_torsion_exponent(N, 2, e - 1) is None
+
+
+def test_closed_form_exponent_matches_the_step_chain():
+    rng = random.Random(6006)
+    for _ in range(20000):
+        m = rng.choice((rng.randint(2, 64), rng.randint(2, 10**9), 2 ** rng.randint(1, 90) * 3 ** rng.randint(0, 40)))
+        # 0, the units, multiples of m, and small, large and negative d
+        small, large, sixes = rng.randint(-64, 64), rng.randint(-(10**9), 10**9), -(6 ** rng.randint(0, 9))
+        d = rng.choice((0, 1, -1, m, -m, 3 * m, small, large, sixes))
+        assert cyclic._settled(d, m) == settled_by_steps(d, m), (d, m)
 
 
 def test_predicates_match_both_former_routes():

@@ -9,8 +9,9 @@ factors off `elimination` alone.  Module dicts are read with
 `object.__getattribute__`, which does not trigger a load; a module whose
 body has run has `__builtins__` in its dict.
 
-Each check runs in a fresh interpreter, because other tests load every
-module into this one.
+Each check of what has run is made in a fresh interpreter, because other
+tests load every module into this one.  Every name the package re-exports
+and every name in a module's `__all__` must resolve.
 """
 
 import os
@@ -143,3 +144,22 @@ def test_a_large_sum_of_atoms_is_answered_without_elimination():
     assert out[1] == "[]"
     assert out[0] == out[2]
     assert out[0].count("Z/30") == 128 * 128
+
+
+def test_every_exported_name_resolves():
+    # a name dropped from its module but left in `_EXPORTS` or in an
+    # `__all__` would fail only when someone first asks for it
+    import importlib
+    import pkgutil
+
+    import fgmod
+
+    for name, home in fgmod._EXPORTS.items():
+        assert getattr(fgmod, name) is getattr(importlib.import_module(f"fgmod.{home}"), name), name
+    listed = 0
+    for info in pkgutil.iter_modules(fgmod.__path__):
+        module = importlib.import_module(f"fgmod.{info.name}")
+        names = getattr(module, "__all__", ())
+        assert [n for n in names if not hasattr(module, n)] == [], info.name
+        listed += bool(names)
+    assert listed >= 8

@@ -42,7 +42,7 @@ def test_one_shot_query_does_not_run_the_harness():
 
 
 def test_a_suite_run_leaves_adic_unloaded():
-    # the harness reads DEFAULT_KMAX from cyclic and asks no matrix-route
+    # the harness asks cyclic, not the matrix route, for every
     # torsion or completion, so the body of fgmod.adic never runs
     proc = _python(
         "-c",

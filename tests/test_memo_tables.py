@@ -1,9 +1,9 @@
 """The memo tables keep what they promise.
 
 The `CanonicalForm` constructor hands out one object per canonical value
-for as many forms as a verify suite builds; the completion chain memoizes its
-non-stabilizing outcome too, and raises a fresh `NonStabilizing` each
-time; after a verify run no table of the value, module, functor, adic or
+for as many forms as a verify suite builds; a completion that is not
+finitely generated is refused before any table is asked, with a fresh
+`NonStabilizing` each time; after a verify run no table of the value, module, functor, adic or
 harness layers has computed an entry twice.
 """
 
@@ -37,9 +37,10 @@ def test_the_constructor_keeps_the_first_object_past_2000_forms():
     assert again is first
 
 
-def test_completion_memoizes_the_non_stabilizing_outcome():
-    Z = canonical_form(Presentation.free(ZZ, 1))
-    kmax = 23  # a bound no other test asks for, so the first call misses
+def test_completion_refuses_a_free_summand_afresh_and_memoizes_the_rest():
+    # forms no other test asks for along (23), so the first settling call misses
+    finite = CanonicalForm(ZZ, (23**5,), 0)
+    mixed = CanonicalForm(ZZ, (23**5,), 1)
 
     def misses():
         return sum(f.cache_info().misses for f in tables(cyclic))
@@ -47,11 +48,15 @@ def test_completion_memoizes_the_non_stabilizing_outcome():
     before = misses()
     raised = []
     for _ in range(5):
+        assert cyclic.completion(finite, 23) == (finite, 5)
         with pytest.raises(NonStabilizing) as exc:
-            cyclic.completion(Z, 2, kmax)
+            cyclic.completion(mixed, 23)
         raised.append(exc.value)
     assert misses() - before == 1
-    assert {str(e) for e in raised} == {"chain of ideal multiples of (2) did not stabilize within 23 steps"}
+    assert {str(e) for e in raised} == {
+        "chain of ideal multiples of (23) never stabilizes: a free summand"
+        " completed along a nonzero non-unit is not finitely generated"
+    }
     assert len({id(e) for e in raised}) == 5
     assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
 

@@ -13,7 +13,7 @@ from cohomology_reference import local_cohomology_by_chain, local_homology_by_ch
 from test_cyclic import DEGREES, ideals, pairs, power
 
 from fgmod import cyclic
-from fgmod.adic import DEFAULT_KMAX, power_quotient, torsion_submodule
+from fgmod.adic import power_quotient, torsion_submodule
 from fgmod.cohomology import local_cohomology, local_homology
 from fgmod.errors import NonStabilizing
 from fgmod.functors import hom_module, tensor_module
@@ -35,7 +35,7 @@ def test_local_cohomology_and_homology_match_the_chain_route():
                     except NonStabilizing:
                         continue
                     answered += 1
-                    assert value(i, cm, cn, a.canonical, DEFAULT_KMAX) == want, (i, M, N, a)
+                    assert value(i, cm, cn, a.canonical) == want, (i, M, N, a)
                     assert canonical_form(public(i, M, N, a)) == want, (i, M, N, a)
     assert answered > 1000
 
@@ -47,16 +47,16 @@ def test_two_argument_functions_match_their_compositions():
         for a in ideals(ring):
             d = a.canonical
             hom, tensor = cyclic.hom(cm, cn), cyclic.tensor(cm, cn)
-            gamma = cyclic.torsion_wrt(cm, cn, d, DEFAULT_KMAX)
-            assert gamma == cyclic.torsion(hom, d, DEFAULT_KMAX)[0]
+            gamma = cyclic.torsion_wrt(cm, cn, d)
+            assert gamma == cyclic.torsion(hom, d)[0]
             assert gamma == canonical_form(torsion_submodule(H, a)[0].to_presentation()), (M, N, d)
             try:
-                lam, k = cyclic.completion(tensor, d, DEFAULT_KMAX)
+                lam, k = cyclic.completion(tensor, d)
             except NonStabilizing:
                 with pytest.raises(NonStabilizing):
-                    cyclic.completion_wrt(cm, cn, d, DEFAULT_KMAX)
+                    cyclic.completion_wrt(cm, cn, d)
             else:
-                assert cyclic.completion_wrt(cm, cn, d, DEFAULT_KMAX) == lam
+                assert cyclic.completion_wrt(cm, cn, d) == lam
                 assert lam == canonical_form(power_quotient(T, a, k)), (M, N, d)
 
             reduced = cyclic.is_reduced_wrt(cm, cn, d)
