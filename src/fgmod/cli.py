@@ -4,7 +4,9 @@ Module arguments use the expression grammar from `fgmod.grammar`; canonical
 forms are printed in the same grammar so every output re-parses.  Every
 subcommand but `verify` asks a value question: each operand is brought to
 its canonical form once and `fgmod.cyclic` reads the answer off the
-invariant factors.  Exit codes:
+invariant factors.  Each value subcommand is one row of `_VALUES` and each
+`check` predicate one row of `_PREDICATES`; both the parser and `main`'s
+one dispatch path are driven by these tables.  Exit codes:
 0 success (or all claim verdicts as expected), 2 usage error, 3 a limit is
 not finitely generated, 4 unexpected claim verdict.
 
@@ -43,10 +45,33 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
-_COMMANDS = (
-    "canon", "hom", "tensor", "dual", "ext", "tor", "gamma", "lambda",
-    "gammagen", "lambdagen", "glc", "glh", "check", "verify",
-)
+# The value subcommands, in help order: name -> (the `fgmod.cyclic` function
+# that answers it, by attribute name so that a patched or traced `cyclic` sees
+# each call; operands; takes --ideal; takes a degree; help line).  `canon` has
+# no function: the parsed form is the answer.
+_VALUES = {
+    "canon": (None, ("module",), False, False, "canonical form of a module expression"),
+    "hom": ("hom", ("source", "target"), False, False, "module of homomorphisms"),
+    "tensor": ("tensor", ("left", "right"), False, False, "tensor product"),
+    "dual": ("dual", ("module",), False, False, "dual against the injective cogenerator"),
+    "ext": ("ext", ("source", "target"), False, True, "Ext in a given degree"),
+    "tor": ("tor", ("left", "right"), False, True, "Tor in a given degree"),
+    "gamma": ("torsion", ("module",), True, False, "ideal-torsion submodule"),
+    "lambda": ("completion", ("module",), True, False, "ideal-adic completion"),
+    "gammagen": ("torsion_wrt", ("m", "n"), True, False, "two-argument torsion"),
+    "lambdagen": ("completion_wrt", ("m", "n"), True, False, "two-argument completion"),
+    "glc": ("local_cohomology", ("m", "n"), True, True, "generalized local cohomology"),
+    "glh": ("local_homology", ("m", "n"), True, True, "generalized local homology"),
+}
+# The `check` predicates: name -> (the `fgmod.cyclic` function, operand
+# count).  Each takes --ideal.
+_PREDICATES = {
+    "reduced": ("is_reduced", 1),
+    "coreduced": ("is_coreduced", 1),
+    "reduced-wrt": ("is_reduced_wrt", 2),
+    "coreduced-wrt": ("is_coreduced_wrt", 2),
+}
+_COMMANDS = (*_VALUES, "check", "verify")
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -64,37 +89,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def add(name, *exprs, needs_ideal=False, degree=False, help=""):
-        if command not in (None, name):
-            return
-        sp = sub.add_parser(name, parents=[common], help=help)
-        if degree:
-            sp.add_argument("degree", type=int)
-        for e in exprs:
-            sp.add_argument(e)
-        sp.set_defaults(needs_ideal=needs_ideal)
-        return sp
-
-    add("canon", "module", help="canonical form of a module expression")
-    add("hom", "source", "target", help="module of homomorphisms")
-    add("tensor", "left", "right", help="tensor product")
-    add("dual", "module", help="dual against the injective cogenerator")
-    add("ext", "source", "target", degree=True, help="Ext in a given degree")
-    add("tor", "left", "right", degree=True, help="Tor in a given degree")
-    add("gamma", "module", needs_ideal=True, help="ideal-torsion submodule")
-    add("lambda", "module", needs_ideal=True, help="ideal-adic completion")
-    add("gammagen", "m", "n", needs_ideal=True, help="two-argument torsion")
-    add("lambdagen", "m", "n", needs_ideal=True, help="two-argument completion")
-    add("glc", "m", "n", needs_ideal=True, degree=True, help="generalized local cohomology")
-    add("glh", "m", "n", needs_ideal=True, degree=True, help="generalized local homology")
+    for name, (_, operands, _, degree, summary) in _VALUES.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, parents=[common], help=summary)
+            if degree:
+                sp.add_argument("degree", type=int)
+            for operand in operands:
+                sp.add_argument(operand)
 
     if command in (None, "check"):
         chk = sub.add_parser("check", parents=[common], help="membership predicates")
-        chk.add_argument(
-            "predicate", choices=("reduced", "coreduced", "reduced-wrt", "coreduced-wrt")
-        )
+        chk.add_argument("predicate", choices=tuple(_PREDICATES))
         chk.add_argument("modules", nargs="+")
-        chk.set_defaults(needs_ideal=True)
 
     if command in (None, "verify"):
         # its own copy of the options: parents share their actions, and None
@@ -115,15 +121,6 @@ def _emit(args, payload: dict, text: str):
         print(json.dumps(payload))
     else:
         print(text)
-
-
-# every module argument is read straight to its canonical form
-_canon = parse_module_expr
-
-
-def _result(args, C) -> None:
-    expr = format_canonical(C)
-    _emit(args, {"result": expr}, expr)
 
 
 def _load_grids(path: str) -> list:
@@ -168,63 +165,46 @@ def main(argv: list[str] | None = None) -> int:
     # or an unknown subcommand, whose messages list every subcommand
     args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        if args.command == "verify":
+        cmd = args.command
+        if cmd == "verify":
             return _verify(args)
-        if getattr(args, "degree", 0) < 0:
+        if cmd == "check":
+            function, count = _PREDICATES[args.predicate]
+            exprs, takes_ideal, takes_degree = args.modules, True, False
+        else:
+            function, operands, takes_ideal, takes_degree, _ = _VALUES[cmd]
+            exprs = [getattr(args, operand) for operand in operands]
+        if takes_degree and args.degree < 0:
             print(f"error: degree must be nonnegative, got {args.degree}", file=sys.stderr)
             return EXIT_USAGE
 
         ring = parse_ring(args.ring)
-        ideal = None
-        if args.ideal is not None:
-            ideal = parse_ideal(ring, args.ideal)
-        if getattr(args, "needs_ideal", False) and ideal is None:
+        ideal = None if args.ideal is None else parse_ideal(ring, args.ideal)
+        if takes_ideal and ideal is None:
             print("error: this command requires --ideal", file=sys.stderr)
             print(GRAMMAR_HELP, file=sys.stderr)
             return EXIT_USAGE
+        if cmd == "check" and len(exprs) != count:
+            print(f"error: check {args.predicate} takes {count} module argument(s)", file=sys.stderr)
+            return EXIT_USAGE
 
-        cmd = args.command
-        d = ideal.canonical if ideal is not None else None
-        if cmd == "canon":
-            _result(args, _canon(ring, args.module))
-        elif cmd == "hom":
-            _result(args, cyclic.hom(_canon(ring, args.source), _canon(ring, args.target)))
-        elif cmd == "tensor":
-            _result(args, cyclic.tensor(_canon(ring, args.left), _canon(ring, args.right)))
-        elif cmd == "dual":
-            _result(args, cyclic.dual(_canon(ring, args.module)))
-        elif cmd == "ext":
-            _result(args, cyclic.ext(args.degree, _canon(ring, args.source), _canon(ring, args.target)))
-        elif cmd == "tor":
-            _result(args, cyclic.tor(args.degree, _canon(ring, args.left), _canon(ring, args.right)))
+        # every operand is read straight to its canonical form
+        forms = [parse_module_expr(ring, e) for e in exprs]
+        if function is None:
+            value = forms[0]
+        else:
+            degree = (args.degree,) if takes_degree else ()
+            d = (ideal.canonical,) if takes_ideal else ()
+            value = getattr(cyclic, function)(*degree, *forms, *d)
+        if cmd == "check":
+            _emit(args, {"result": value}, "true" if value else "false")
         elif cmd in ("gamma", "lambda"):
-            limit = cyclic.torsion if cmd == "gamma" else cyclic.completion
-            value, k = limit(_canon(ring, args.module), d)
+            value, k = value
             expr = format_canonical(value)
             _emit(args, {"result": expr, "exponent": k}, f"{expr}\tk={k}")
-        elif cmd == "gammagen":
-            _result(args, cyclic.torsion_wrt(_canon(ring, args.m), _canon(ring, args.n), d))
-        elif cmd == "lambdagen":
-            _result(args, cyclic.completion_wrt(_canon(ring, args.m), _canon(ring, args.n), d))
-        elif cmd == "glc":
-            _result(args, cyclic.local_cohomology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d))
-        elif cmd == "glh":
-            _result(args, cyclic.local_homology(args.degree, _canon(ring, args.m), _canon(ring, args.n), d))
-        elif cmd == "check":
-            want = {"reduced": 1, "coreduced": 1, "reduced-wrt": 2, "coreduced-wrt": 2}[args.predicate]
-            if len(args.modules) != want:
-                print(f"error: check {args.predicate} takes {want} module argument(s)", file=sys.stderr)
-                return EXIT_USAGE
-            forms = [_canon(ring, e) for e in args.modules]
-            if args.predicate == "reduced":
-                verdict = cyclic.is_reduced(forms[0], d)
-            elif args.predicate == "coreduced":
-                verdict = cyclic.is_coreduced(forms[0], d)
-            elif args.predicate == "reduced-wrt":
-                verdict = cyclic.is_reduced_wrt(forms[0], forms[1], d)
-            else:
-                verdict = cyclic.is_coreduced_wrt(forms[0], forms[1], d)
-            _emit(args, {"result": verdict}, "true" if verdict else "false")
+        else:
+            expr = format_canonical(value)
+            _emit(args, {"result": expr}, expr)
         return EXIT_OK
     except NonStabilizing as exc:
         print(f"error: {exc}", file=sys.stderr)

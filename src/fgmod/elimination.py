@@ -6,8 +6,8 @@ verification harness reads its sequences and orders off it directly.
 factors, for `modules.canonical_form` and for the grammar's `coker` atoms.
 It works on tuples of integer rows and imports nothing, so the harness and
 a one-shot query run it without loading the matrix route.  It keeps no memo
-and checks no ring: `linalg._eliminate` adds both.  All arithmetic is
-arbitrary-precision.
+and checks no ring: `linalg._eliminate` adds the ring check.  All arithmetic
+is arbitrary-precision.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ resolutions to a requested length the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import cyclic
 from .errors import RingMismatch
@@ -65,9 +64,6 @@ class HomData:
     ambient_rels: MatrixR
 
 
-# over twice the 712 entries the default verify suite fills in each of
-# hom_data and tensor_module, so it never evicts
-@lru_cache(maxsize=2048)
 def hom_data(M: Presentation, N: Presentation) -> HomData:
     if M.ring != N.ring:
         raise RingMismatch("Hom of modules over different rings")
@@ -87,7 +83,6 @@ def hom_module(M: Presentation, N: Presentation) -> Presentation:
     return hom_data(M, N).presentation
 
 
-@lru_cache(maxsize=2048)
 def tensor_module(M: Presentation, N: Presentation) -> Presentation:
     """M (x) N on pair generators (i, j) |-> i * N.gens + j."""
     if M.ring != N.ring:

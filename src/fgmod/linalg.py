@@ -1,10 +1,13 @@
 """Exact matrix algebra over Z and Z/n.
 
-Everything downstream (canonical forms, Hom, tensor, Ext, Tor, the adic
-functors) reduces to three primitives implemented here: Smith normal form,
-linear solving, and kernel generators.  All arithmetic is arbitrary-precision:
-Smith normal form intermediates can overflow fixed-width words even for small
-inputs.
+The matrix route's three primitives: Smith normal form, linear solving and
+kernel generators.  `modules` builds maps, submodules and subquotients on
+them, and `functors` the Hom and tensor modules, their induced maps and free
+resolutions.  Values up to isomorphism (canonical forms, Hom, tensor, Ext,
+Tor, the adic functors) do not come from here: `fgmod.cyclic` reads them off
+invariant factors, which `elimination.cokernel_orders` reads off a relation
+matrix.  All arithmetic is arbitrary-precision: Smith normal form
+intermediates can overflow fixed-width words even for small inputs.
 
 Computations over Z/n are lifted to Z by augmenting with n*I (one audited
 elimination kernel, `fgmod.elimination`, and no separate modular path).
@@ -13,7 +16,6 @@ elimination kernel, `fgmod.elimination`, and no separate modular path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter, mul
 
 from .elimination import augment, eliminate
@@ -81,7 +83,6 @@ class MatrixR:
         return MatrixR(ring, rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
-    @lru_cache(maxsize=64)
     def identity(ring: RingSpec, k: int) -> "MatrixR":
         return MatrixR(
             ring, k, k, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
@@ -199,19 +200,9 @@ class SmithDecomposition:
         return [self.D.entries[i][i] for i in range(k)]
 
 
-# 128 entries: when the verify suites still eliminated through this table, one
-# that held every input (1 << 15) saved no measurable time on the
-# verify-reduced grids and raised their in-process peak RSS from 22.4 to
-# 26.8 MB, past the benchmark's 15% bound on peak RSS
-@lru_cache(maxsize=128)
 def _eliminate(A: MatrixR, track_u: bool, track_v: bool):
     """Smith elimination of A over Z by `elimination.eliminate`, whose
-    docstring gives the results and the pivot rule.
-
-    The results are immutable and kept for the most recent inputs: a
-    certification or membership test usually eliminates a relation matrix
-    that was eliminated moments before.
-    """
+    docstring gives the results and the pivot rule."""
     if not A.ring.is_integers:
         raise RingMismatch("Smith normal form is computed over Z; lift Z/n inputs first")
     return eliminate(A.entries, A.cols, track_u, track_v)

@@ -94,7 +94,8 @@ class Presentation:
         return Presentation(ring, m.rows, m)
 
 
-# over four times the 995 entries the default verify suite fills, so it never evicts
+# a library caller asks for the same presentations' forms again and again:
+# every value function and `iso_test` of the matrix route starts here
 @lru_cache(maxsize=4096)
 def canonical_form(P: Presentation) -> CanonicalForm:
     """Invariant factors read off the Smith normal form of the relations."""

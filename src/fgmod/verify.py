@@ -247,10 +247,6 @@ def grid_from_dict(data: dict) -> GridSpec:
 # values on canonical forms, read off invariant factors by fgmod.cyclic
 
 
-def _torsion(c: CanonicalForm, d: int) -> CanonicalForm:
-    return cyclic.torsion(c, d)[0]
-
-
 def _completion(c: CanonicalForm, d: int) -> CanonicalForm | None:
     """The completion, or None where the chain of ideal multiples never
     stabilizes (a free Z-summand and a generator outside {0, +-1})."""
@@ -1118,9 +1114,10 @@ _REGISTRY: list[_Claim] = [
            "two-argument torsion computed from its limit definition equals the torsion of the hom module",
            (_M, _N), _gamma_compose),
     _Claim("gamma-hom-commute", "two-argument torsion equals Hom(M, torsion of N)",
-           (_N, _M), lambda n, m, d: cyclic.torsion_wrt(m, n, d) == cyclic.hom(m, _torsion(n, d))),
+           (_N, _M), lambda n, m, d: cyclic.torsion_wrt(m, n, d) == cyclic.hom(m, cyclic.torsion(n, d)[0])),
     _Claim("gamma-reflect", "N is reduced relative to M iff the torsion of N is",
-           (_N, _M), lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, _torsion(n, d), d)),
+           (_N, _M),
+           lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, cyclic.torsion(n, d)[0], d)),
     _Claim("reduced-implies-wrt", "a reduced module is reduced relative to every module",
            (_Var("N", guard=cyclic.is_reduced), _Var("K")),
            lambda n, k, d: cyclic.is_reduced_wrt(k, n, d)),

@@ -7,7 +7,8 @@ import pytest
 import fgmod
 from fgmod import cli
 from fgmod.cli import main
-from fgmod.grammar import MAX_GENERATORS
+from fgmod.grammar import GRAMMAR_HELP, MAX_GENERATORS
+from test_cli_golden import COMMANDS
 
 
 def run(capsys, *argv):
@@ -25,6 +26,21 @@ def test_check_examples(capsys):
     assert code == 0 and out == "true"
     code, out, _ = run(capsys, "check", "reduced", "--ring", "Z", "--ideal", "2", "Z/4")
     assert code == 0 and out == "false"
+
+
+@pytest.mark.parametrize("name, arity, takes_ideal, degree", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_a_subcommand_refuses_a_missing_ideal_exactly_when_it_takes_one(capsys, name, arity, takes_ideal, degree):
+    argv = [*name.split(), *(["1"] if degree else []), *["Z/4"] * arity]
+    code, out, err = run(capsys, *argv)
+    given = run(capsys, *argv, "--ideal", "2")
+    if takes_ideal:
+        assert (code, out) == (2, "")
+        assert err == "error: this command requires --ideal\n" + GRAMMAR_HELP + "\n"
+        assert given[0] == 0 and given[1]
+    else:
+        # an ideal it does not use changes nothing
+        assert code == 0 and out
+        assert given == (code, out, err)
 
 
 def test_nonstabilizing_exit_code(capsys):
@@ -333,7 +349,7 @@ def test_long_chains_at_the_generator_cap_cost_milliseconds(capsys):
 
 
 def test_value_queries_eliminate_only_their_operands(capsys, monkeypatch):
-    from fgmod import elimination, linalg
+    from fgmod import elimination
     from fgmod.modules import canonical_form
 
     calls = []
@@ -356,12 +372,11 @@ def test_value_queries_eliminate_only_their_operands(capsys, monkeypatch):
     for argv in queries:
         calls.clear()
         canonical_form.cache_clear()
-        linalg._eliminate.cache_clear()
         code, _, _ = run(capsys, *argv)
         operands = sum(a.startswith("coker") for a in argv)
         assert code == 0 and len(calls) == operands, argv
-        # and nothing is eliminated through the matrix route
-        assert canonical_form.cache_info().misses == linalg._eliminate.cache_info().misses == 0, argv
+        # and nothing is canonicalized through the matrix route
+        assert canonical_form.cache_info().misses == 0, argv
 
 
 def parsed(capsys, argv):

@@ -162,6 +162,12 @@ def capture() -> None:
 
 
 def test_corpus_covers_every_subcommand_ring_and_format():
+    from fgmod import cli
+
+    # the query list names every subcommand and `check` predicate the CLI has
+    assert {name.split()[0] for name, *_ in COMMANDS} | {"verify"} == set(cli._COMMANDS)
+    predicates = {name.split()[1]: arity for name, arity, *_ in COMMANDS if name.startswith("check ")}
+    assert predicates == {name: count for name, (_, count) in cli._PREDICATES.items()}
     records = [json.loads(line) for line in CORPUS.read_text().splitlines()]
     seen = set()
     for r in records:

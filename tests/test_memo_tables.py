@@ -3,8 +3,9 @@
 The `CanonicalForm` constructor hands out one object per canonical value
 for as many forms as a verify suite builds; a completion that is not
 finitely generated is refused before any table is asked, with a fresh
-`NonStabilizing` each time; after a verify run no table of the value, module, functor, adic or
-harness layers has computed an entry twice.
+`NonStabilizing` each time; after a verify run no table of the value, module or
+harness layers has computed an entry twice (the functor and adic layers keep
+no tables).
 """
 
 import json
