@@ -150,8 +150,11 @@ def _verify(args) -> int:
         )
         return EXIT_USAGE
     claim_ids = None
-    if args.claims:
+    if args.claims is not None:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not claim_ids:
+            print("error: --claims names no claim id; `fgmod verify --list-claims` lists them", file=sys.stderr)
+            return EXIT_USAGE
     grids = _load_grids(args.grid) if args.grid else None
     suite = verify.run_suite(grids, claim_ids)
     out = verify.format_reports_jsonl(suite) if args.format == "json-lines" else verify.format_reports_text(suite)

@@ -35,7 +35,7 @@ from math import gcd, prod
 from weakref import WeakValueDictionary
 
 from .errors import FreePartNotSupported, NonStabilizing, RingMismatch
-from .rings import RingSpec, _Record, _set
+from .rings import RingSpec, _Record
 
 __all__ = [
     "CanonicalForm",
@@ -82,11 +82,12 @@ class CanonicalForm(_Record):
         self = _live_forms.get(key)
         if self is None:
             self = object.__new__(cls)
-            _set(self, "ring", ring)
-            _set(self, "torsion_factors", torsion_factors)
-            _set(self, "free_rank", free_rank)
+            self._fill(ring, torsion_factors, free_rank)
             _live_forms[key] = self
         return self
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def is_trivial(self) -> bool:

@@ -14,20 +14,34 @@ from .errors import EmptyGeneratorList
 
 __all__ = ["RingSpec", "Ideal", "ZZ", "canonicalize_ideal", "ideal_power"]
 
-_set = object.__setattr__
-
 
 class _Record:
     """An immutable value with the fields `_fields`, printed like a dataclass.
 
-    Each subclass writes its own constructor, and either `__eq__` (same
-    type, equal fields) and `__hash__` or, like `cyclic.CanonicalForm`, an
-    interning `__new__` that makes equal values one object.  The values a
-    one-shot query needs are records rather than dataclasses because
-    importing `dataclasses` costs more than the query's arithmetic."""
+    A record equals a value of its own type with equal fields and hashes by
+    its fields; its constructor sets them with `_fill`.  An interned record,
+    like `cyclic.CanonicalForm`, whose constructor returns the one live
+    object of each value, keeps the identity's equality and hash instead.
+    The values a one-shot query needs are records rather than dataclasses
+    because importing `dataclasses` costs more than the query's arithmetic."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def _fill(self, *values) -> None:
+        for f, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, f, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -40,7 +54,7 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return type(self), self._values()
 
 
 class RingSpec(_Record):
@@ -51,15 +65,7 @@ class RingSpec(_Record):
     def __init__(self, modulus: int | None = None):
         if modulus is not None and modulus < 2:
             raise ValueError("modulus must be >= 2")
-        _set(self, "modulus", modulus)
-
-    def __eq__(self, other):
-        if type(other) is not RingSpec:
-            return NotImplemented
-        return self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return self.modulus or 0
+        self._fill(modulus)
 
     @staticmethod
     def integers() -> "RingSpec":
@@ -92,17 +98,7 @@ class Ideal(_Record):
     __slots__ = _fields = ("ring", "generators", "canonical")
 
     def __init__(self, ring: RingSpec, generators: tuple[int, ...], canonical: int):
-        _set(self, "ring", ring)
-        _set(self, "generators", generators)
-        _set(self, "canonical", canonical)
-
-    def __eq__(self, other):
-        if type(other) is not Ideal:
-            return NotImplemented
-        return (self.ring, self.generators, self.canonical) == (other.ring, other.generators, other.canonical)
-
-    def __hash__(self) -> int:
-        return hash((self.ring.modulus or 0, self.generators, self.canonical))
+        self._fill(ring, generators, canonical)
 
     def __str__(self) -> str:
         return f"({self.canonical})"

@@ -48,10 +48,12 @@ elimination of [G | D_Y], the generators beside Y's orders, gives Z = Y/X
 and the projection, and a second one, of the relations of X that the first
 one's column transform yields, gives X and the inclusion (see `_sequence`).
 Every Smith form the harness needs comes from `fgmod.elimination`, which
-works on tuples of integers, and its records are hand-written classes.  So
-a run loads `cyclic`, `grammar` and `elimination` but neither the matrix
-route (`linalg`, `modules`) nor `dataclasses`, also when a grid's whitelist
-names a `coker` module, which the grammar reads off `elimination` too.
+works on tuples of integers: `_sequence` takes the transforms of
+`eliminate`, and each order is read off `cokernel_orders`.  The harness's
+records are `rings._Record`s rather than dataclasses.  So a run loads
+`cyclic`, `grammar` and `elimination` but neither the matrix route
+(`linalg`, `modules`) nor `dataclasses`, also when a grid's whitelist names
+a `coker` module, which the grammar reads off `elimination` too.
 Of this module only the public `enumerate_modules`, which returns
 presentations, loads `modules`, and only json-lines output loads `json`.
 """
@@ -65,10 +67,10 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import cyclic
 from .cyclic import CanonicalForm
-from .elimination import eliminate
+from .elimination import cokernel_orders, eliminate
 from .errors import FreePartNotSupported, InvalidGrid, NonStabilizing, UnknownClaim
 from .grammar import format_canonical, parse_module_expr
-from .rings import RingSpec, _Record, _set, principal
+from .rings import RingSpec, _Record, principal
 
 if TYPE_CHECKING:
     from .modules import Presentation
@@ -97,28 +99,6 @@ REPORT_NOTES = (
 )
 
 
-class _Value(_Record):
-    """A public record of the harness: equal to a value of its own type with
-    equal fields, hashed by its fields, immutable, printed field by field."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def _fill(self, *values) -> None:
-        for f, value in zip(self._fields, values, strict=True):
-            _set(self, f, value)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
 # ---------------------------------------------------------------------------
 # grids
 
@@ -127,7 +107,7 @@ class _Value(_Record):
 _MAX_GRID_MODULUS = 2**64
 
 
-class GridSpec(_Value):
+class GridSpec(_Record):
     """Enumeration bounds for one verification grid."""
 
     __slots__ = _fields = (
@@ -440,7 +420,7 @@ def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
 # reports
 
 
-class ClaimReport(_Value):
+class ClaimReport(_Record):
     """One claim's verdict on one grid, with its counts and the samples kept."""
 
     __slots__ = _fields = (
@@ -487,7 +467,7 @@ class ClaimReport(_Value):
         }
 
 
-class SuiteReport(_Value):
+class SuiteReport(_Record):
     """The reports of one suite run, sorted by claim and grid."""
 
     __slots__ = _fields = ("reports",)
@@ -700,38 +680,23 @@ class _Claim(NamedTuple):
 # claim shapes: the loops and check of a claim, mirrored ones over a _Side
 
 
-class _Side:
+class _Side(NamedTuple):
     """One side of the paper's duality, as the operations a mirrored claim
     names: reduced (R^M_a, two-argument torsion, Hom, Ext, local cohomology)
     or coreduced (C^M_a, two-argument completion, tensor, Tor, local
     homology).  Each operation takes the ideal as its canonical generator d,
-    except `exact`, which takes the integer c of `_effective`.  A side hashes
-    by identity, so that it can key a memo table."""
+    except `exact`, which takes the integer c of `_effective`.  A side is a
+    tuple of its operations, so it can key a memo table."""
 
-    __slots__ = (
-        "in_class",  # (M, N, d): is N in R^M_a (C^M_a)
-        "adic",  # (M, N, d): two-argument torsion (completion; None if no limit)
-        "adic_name",
-        "absolute",  # (N, d): is N itself reduced (coreduced)
-        "functor",  # Hom (tensor)
-        "derived",  # Ext (Tor)
-        "local",  # (i, M, N, d): local cohomology (homology); None if undefined
-        "postcompose",  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
-        "exact",  # (induced maps, c): is torsion left (completion right) exact on them
-    )
-
-    def __init__(self, *operations):
-        for name, op in zip(self.__slots__, operations, strict=True):
-            setattr(self, name, op)
-
-    def replace(self, **changes) -> _Side:
-        """A new side with the named operations swapped, e.g. for a probe."""
-        side = _Side(*(getattr(self, name) for name in self.__slots__))
-        for name, op in changes.items():
-            if name not in self.__slots__:
-                raise TypeError(f"_Side has no operation {name!r}")
-            setattr(side, name, op)
-        return side
+    in_class: Callable  # (M, N, d): is N in R^M_a (C^M_a)
+    adic: Callable  # (M, N, d): two-argument torsion (completion; None if no limit)
+    adic_name: str
+    absolute: Callable  # (N, d): is N itself reduced (coreduced)
+    functor: Callable  # Hom (tensor)
+    derived: Callable  # Ext (Tor)
+    local: Callable  # (i, M, N, d): local cohomology (homology); None if undefined
+    postcompose: Callable  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
+    exact: Callable  # (induced maps, c): is torsion left (completion right) exact on them
 
 
 _UNSTABLE = (None, "completion chain does not stabilize")
@@ -916,8 +881,7 @@ def _span_order(f: cyclic.SummandMap, scales, orders: tuple[int, ...]) -> int:
         tuple(x * k for x, k in zip(row, scales)) + (0,) * i + (h,) + (0,) * (len(orders) - 1 - i)
         for i, (row, h) in enumerate(zip(f[2], orders))
     )
-    d = eliminate(rows, len(scales) + len(orders))[0]
-    return math.prod(orders) // math.prod(d[i][i] for i in range(len(orders)))
+    return math.prod(orders) // math.prod(cokernel_orders(rows, len(scales) + len(orders))[0])
 
 
 def _gamma_exact(hi: cyclic.SummandMap, hp: cyclic.SummandMap, c: int):
@@ -1259,7 +1223,8 @@ def check_claim(claim_id: str, grid: GridSpec) -> ClaimReport:
 def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = None) -> SuiteReport:
     """Evaluate claims over grids; reports come back sorted and deterministic."""
     grids = default_grids() if grids is None else grids
-    claim_ids = registered_claims() if claims is None else claims
+    # a repeated id is checked, and reported, once
+    claim_ids = registered_claims() if claims is None else list(dict.fromkeys(claims))
     for cid in claim_ids:
         if cid not in _BY_ID:
             raise UnknownClaim(cid)

@@ -431,7 +431,7 @@ def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     def describe(forms):
         return True, " ".join(str((C.torsion_factors, C.free_rank)) for C in forms)
 
-    probe = side.replace(exact=lambda f, g, c: describe(along_c(h, c) for h in (f[0], f[1], g[1])))
+    probe = side._replace(exact=lambda f, g, c: describe(along_c(h, c) for h in (f[0], f[1], g[1])))
     presented = hom_postcompose if side is verify._RED else tensor_postcompose
 
     def check(seq, m, d):
@@ -463,7 +463,7 @@ def test_exactness_checks_each_sequence_module_and_c_once(side):
         calls.append(args)
         return side.exact(*args)
 
-    shape = verify._exactness(side.replace(exact=counted))
+    shape = verify._exactness(side._replace(exact=counted))
     instances = 0
     for grid in small_grids():
         ctx = verify._make_ctx(grid)
@@ -480,7 +480,7 @@ def test_no_map_is_built_where_every_ideal_gives_c_1(side):
         built.append(args)
         return side.postcompose(*args)
 
-    shape = verify._exactness(side.replace(postcompose=counted))
+    shape = verify._exactness(side._replace(postcompose=counted))
     only_c_1 = pairs = 0
     for grid in small_grids():
         ctx = verify._make_ctx(grid)

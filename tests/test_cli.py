@@ -278,6 +278,21 @@ def test_unknown_claim_names_the_id_and_the_listing(capsys):
     assert err == "error: unknown claim 'nope'; `fgmod verify --list-claims` lists the known ids\n"
 
 
+def test_a_repeated_claim_id_is_reported_once(capsys):
+    grid = str(Path(__file__).parent / "golden" / "verify_small_grid.json")
+    once = run(capsys, "verify", "--claims", "gamma-dual", "--grid", grid)
+    twice = run(capsys, "verify", "--claims", "gamma-dual,gamma-dual", "--grid", grid)
+    assert once == twice and once[0] == 0
+    assert sum(line.startswith("PASS") for line in once[1].splitlines()) == 3
+
+
+@pytest.mark.parametrize("claims", [",", "", " , "])
+def test_a_claims_value_that_names_no_id_is_a_usage_error(capsys, claims):
+    code, out, err = run(capsys, "verify", "--claims", claims)
+    assert code == 2 and out == ""
+    assert err == "error: --claims names no claim id; `fgmod verify --list-claims` lists them\n"
+
+
 def test_value_queries_cost_what_their_answers_cost(capsys):
     # summand counts bound hom and tensor; canonical operands bound the coker queries
     for argv, expected in (

@@ -4,10 +4,11 @@
 tuples (some cache the hash), while equality stays the field-by-field
 comparison of values of the same type.  `CanonicalForm` is interned: equal
 forms are one object, however they were built, so its equality and hash are
-the identity's.  `RingSpec`, `Ideal` and `CanonicalForm` are hand-written
-immutable records rather than dataclasses, and keep a dataclass's
-immutability and repr.  Values are drawn from small domains so that equal
-pairs built along different paths are frequent.
+the identity's.  `RingSpec`, `Ideal`, `CanonicalForm` and the harness's
+`GridSpec`, `ClaimReport` and `SuiteReport` are `rings._Record`s rather
+than dataclasses, and keep a dataclass's immutability and repr.  Values are
+drawn from small domains so that equal pairs built along different paths
+are frequent.
 """
 
 import copy
@@ -22,6 +23,7 @@ from fgmod.grammar import parse_module_expr
 from fgmod.linalg import MatrixR
 from fgmod.modules import CanonicalForm, Presentation, canonical_form, canonical_presentation
 from fgmod.rings import RingSpec, ZZ, canonicalize_ideal
+from fgmod.verify import ClaimReport, GridSpec, SuiteReport
 
 rings = st.sampled_from([None, 2, 4, 6]).map(RingSpec)
 
@@ -66,6 +68,12 @@ def presentations_over(ring):
 
 
 presentations = rings.flatmap(presentations_over)
+
+GRID = GridSpec(RingSpec.mod(6), 6, 0, (0, 2), ("Z/2", "Z/3"), "g6")
+REPORT = ClaimReport("gamma-dual", "g6", "a statement", "pass", "pass", 4, (), 0, ("M=Z/2, a=(2)",), 1)
+SUITE = SuiteReport((REPORT,))
+# each harness record with the field it is tested on
+HARNESS_RECORDS = [(GRID, "label"), (REPORT, "verdict"), (SUITE, "reports")]
 
 
 def assert_contract(a, b):
@@ -140,6 +148,13 @@ def test_records_equal_only_values_of_their_own_type():
     a = canonicalize_ideal(ZZ, [4, 6])
     assert a != (ZZ, (4, 6), 2)
     assert C == CanonicalForm(RingSpec(None), (2, 4), 1)
+    for value, _ in HARNESS_RECORDS:
+        fields = value._values()
+        assert value != fields and fields != value
+        rebuilt = type(value)(*fields)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+    # records of different types with equal fields differ
+    assert RingSpec(None) != SuiteReport((None,))
 
 
 def test_record_fields_cannot_be_assigned_or_deleted():
@@ -147,6 +162,7 @@ def test_record_fields_cannot_be_assigned_or_deleted():
         (RingSpec.mod(6), "modulus"),
         (canonicalize_ideal(ZZ, [4, 6]), "canonical"),
         (CanonicalForm(ZZ, (2,), 0), "free_rank"),
+        *HARNESS_RECORDS,
     ]
     for value, field in values:
         before = hash(value)
@@ -167,10 +183,23 @@ def test_record_reprs_read_like_dataclasses():
     assert repr(CanonicalForm(ZZ, (2, 4), 1)) == (
         "CanonicalForm(ring=RingSpec(modulus=None), torsion_factors=(2, 4), free_rank=1)"
     )
+    assert repr(GRID) == (
+        "GridSpec(ring=RingSpec(modulus=6), max_torsion_order=6, max_free_rank=0,"
+        " ideal_generators=(0, 2), module_whitelist=('Z/2', 'Z/3'), label='g6')"
+    )
+    report = (
+        "ClaimReport(claim_id='gamma-dual', grid='g6', statement='a statement', verdict='pass',"
+        " expected='pass', instances_checked=4, counterexamples=(), counterexample_count=0,"
+        " skipped=('M=Z/2, a=(2)',), skipped_count=1)"
+    )
+    assert repr(REPORT) == report
+    assert repr(SUITE) == f"SuiteReport(reports=({report},))"
 
 
 def test_records_survive_pickling():
-    for value in (RingSpec.mod(6), canonicalize_ideal(ZZ, [4, 6]), CanonicalForm(RingSpec.mod(6), (2, 6), 0)):
+    for value in (
+        RingSpec.mod(6), canonicalize_ideal(ZZ, [4, 6]), CanonicalForm(RingSpec.mod(6), (2, 6), 0), GRID, REPORT, SUITE,
+    ):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and hash(copy) == hash(value)
 
