@@ -1,10 +1,10 @@
 """Torsion and completion along an ideal, and the (co)reduced predicates.
 
 Values are read off invariant factors by `fgmod.cyclic`: each function
-canonicalizes its operands once, and the torsion and completion of a
-summand Z/m along (d) are both Z/gcd(d^k, m), at the least k where the
-chain gcd(d^k, m) stops growing.  The module's exponent is the largest k
-over its summands.  The completion of a free Z-part along d not in
+canonicalizes its operands once and reads its ideal through
+`modules._generator`.  The torsion and completion of a summand Z/m along (d)
+are both Z/gcd(d^k, m), at the least k where the chain gcd(d^k, m) stops
+growing.  The module's exponent is the largest k over its summands.  The completion of a free Z-part along d not in
 {0, +-1} is not finitely generated, and NonStabilizing is raised rather
 than a wrong value returned.
 The predicates compare gcd(d, m) with gcd(d^2, m), so they are total.
@@ -24,12 +24,12 @@ from .linalg import MatrixR
 from .modules import (
     Presentation,
     Submodule,
+    _generator,
     canonical_form,
     canonical_presentation,
     kernel_submodule,
     mult_map,
-    quotient_by_submodule,
-    scaled_submodule,
+    quotient_by_ideal,
 )
 from .rings import Ideal, ideal_power
 
@@ -62,7 +62,7 @@ def torsion_submodule(N: Presentation, a: Ideal) -> tuple[Submodule, int]:
     """Elements killed by some power of the ideal, with the stabilization
     exponent: the least k with ker(d^k) = ker(d^(k+1)).  The exponent comes
     from `cyclic.torsion`; the submodule is the kernel of d^k on N."""
-    d = a.canonical
+    d = _generator(N, a)
     k = cyclic.torsion(canonical_form(N), d)[1]
     if k == 0:
         return Submodule(N, MatrixR(N.ring, N.gens, 0, ((),) * N.gens)), 0
@@ -71,54 +71,54 @@ def torsion_submodule(N: Presentation, a: Ideal) -> tuple[Submodule, int]:
 
 def torsion(N: Presentation, a: Ideal) -> StabilizationResult:
     """The submodule of elements killed by a power of the ideal."""
-    value, k = cyclic.torsion(canonical_form(N), a.canonical)
+    value, k = cyclic.torsion(canonical_form(N), _generator(N, a))
     return StabilizationResult(canonical_presentation(value), k)
 
 
 def completion_exponent(N: Presentation, a: Ideal) -> int:
     """Least k with d^k N = d^(k+1) N; raises when the chain keeps shrinking."""
-    return cyclic.completion(canonical_form(N), a.canonical)[1]
+    return cyclic.completion(canonical_form(N), _generator(N, a))[1]
 
 
 def power_quotient(N: Presentation, a: Ideal, k: int) -> Presentation:
     """N / a^k N."""
-    return quotient_by_submodule(N, scaled_submodule(N, ideal_power(a, k).canonical))
+    return quotient_by_ideal(N, ideal_power(a, k))
 
 
 def completion(N: Presentation, a: Ideal) -> StabilizationResult:
     """The limit of N / a^k N, available once the chain a^k N is constant."""
-    value, k = cyclic.completion(canonical_form(N), a.canonical)
+    value, k = cyclic.completion(canonical_form(N), _generator(N, a))
     return StabilizationResult(canonical_presentation(value), k)
 
 
 def torsion_wrt(M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Two-argument torsion: the ideal-torsion of Hom(M, N)."""
-    return canonical_presentation(cyclic.torsion_wrt(canonical_form(M), canonical_form(N), a.canonical))
+    return canonical_presentation(cyclic.torsion_wrt(canonical_form(M), canonical_form(N), _generator(N, a)))
 
 
 def completion_wrt(M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Two-argument completion: the ideal-completion of M (x) N."""
-    return canonical_presentation(cyclic.completion_wrt(canonical_form(M), canonical_form(N), a.canonical))
+    return canonical_presentation(cyclic.completion_wrt(canonical_form(M), canonical_form(N), _generator(N, a)))
 
 
 def is_reduced(N: Presentation, a: Ideal) -> bool:
     """Whether d^2 x = 0 forces d x = 0 for every element x."""
-    return cyclic.is_reduced(canonical_form(N), a.canonical)
+    return cyclic.is_reduced(canonical_form(N), _generator(N, a))
 
 
 def is_coreduced(N: Presentation, a: Ideal) -> bool:
     """Whether d N = d^2 N as submodules of N."""
-    return cyclic.is_coreduced(canonical_form(N), a.canonical)
+    return cyclic.is_coreduced(canonical_form(N), _generator(N, a))
 
 
 def is_reduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
     """Whether Hom(M, N) is a reduced module for this ideal."""
-    return cyclic.is_reduced_wrt(canonical_form(M), canonical_form(N), a.canonical)
+    return cyclic.is_reduced_wrt(canonical_form(M), canonical_form(N), _generator(N, a))
 
 
 def is_coreduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
     """Whether M (x) N is a coreduced module for this ideal."""
-    return cyclic.is_coreduced_wrt(canonical_form(M), canonical_form(N), a.canonical)
+    return cyclic.is_coreduced_wrt(canonical_form(M), canonical_form(N), _generator(N, a))
 
 
 def is_in_both_classes(M: Presentation, N: Presentation, a: Ideal) -> bool:

@@ -133,7 +133,10 @@ def _load_grids(path: str) -> list:
         raise InvalidGrid(f"cannot read grid file {path!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise InvalidGrid(f"grid file {path!r} is not valid JSON: {exc}") from None
-    return [verify.grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
+    grids = [verify.grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
+    if not grids:
+        raise InvalidGrid(f"grid file {path!r} holds no grid")
+    return grids
 
 
 def _verify(args) -> int:

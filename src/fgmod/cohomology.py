@@ -14,9 +14,8 @@ nonzero non-unit, raises NonStabilizing.
 from __future__ import annotations
 
 from . import cyclic
-from .adic import completion
 from .errors import NonStabilizing
-from .modules import Presentation, canonical_form, canonical_presentation, iso_test
+from .modules import Presentation, _generator, canonical_form, canonical_presentation
 from .rings import Ideal
 
 __all__ = ["local_cohomology", "local_homology", "is_adically_complete"]
@@ -24,12 +23,12 @@ __all__ = ["local_cohomology", "local_homology", "is_adically_complete"]
 
 def local_cohomology(i: int, M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Degree-i local cohomology lim-> Ext^i(M/a^k M, N) of the pair (M, N)."""
-    return canonical_presentation(cyclic.local_cohomology(i, canonical_form(M), canonical_form(N), a.canonical))
+    return canonical_presentation(cyclic.local_cohomology(i, canonical_form(M), canonical_form(N), _generator(N, a)))
 
 
 def local_homology(i: int, M: Presentation, N: Presentation, a: Ideal) -> Presentation:
     """Degree-i local homology lim<- Tor_i(M/a^k M, N) of the pair (M, N)."""
-    return canonical_presentation(cyclic.local_homology(i, canonical_form(M), canonical_form(N), a.canonical))
+    return canonical_presentation(cyclic.local_homology(i, canonical_form(M), canonical_form(N), _generator(N, a)))
 
 
 def is_adically_complete(N: Presentation, a: Ideal) -> bool:
@@ -38,8 +37,9 @@ def is_adically_complete(N: Presentation, a: Ideal) -> bool:
     A non-stabilizing chain means the completion left the finitely generated
     world, which in particular is not isomorphic to N.
     """
+    form = canonical_form(N)
     try:
-        limit = completion(N, a)
+        # forms are interned, so `is` is equality
+        return cyclic.completion(form, _generator(N, a))[0] is form
     except NonStabilizing:
         return False
-    return iso_test(limit.value, N)

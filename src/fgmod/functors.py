@@ -73,7 +73,7 @@ def hom_data(M: Presentation, N: Presentation) -> HomData:
     dim = h * g
     # a matrix H defines a map iff every column of H @ P dies in N
     cond = hstack(kron(P.transpose(), MatrixR.identity(ring, h)), kron(MatrixR.identity(ring, P.cols), Q))
-    Z = _project_kernel(cond, dim, ring) if cond.rows else MatrixR.identity(ring, dim)
+    Z = _project_kernel(cond, dim, ring)
     W = kron(MatrixR.identity(ring, g), Q)
     return HomData(M, N, _present_subquotient(Z, W), Z, W)
 

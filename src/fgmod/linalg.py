@@ -1,13 +1,14 @@
 """Exact matrix algebra over Z and Z/n.
 
 The matrix route's three primitives: Smith normal form, linear solving and
-kernel generators.  `modules` builds maps, submodules and subquotients on
-them, and `functors` the Hom and tensor modules, their induced maps and free
-resolutions.  Values up to isomorphism (canonical forms, Hom, tensor, Ext,
-Tor, the adic functors) do not come from here: `fgmod.cyclic` reads them off
-invariant factors, which `elimination.cokernel_orders` reads off a relation
-matrix.  All arithmetic is arbitrary-precision: Smith normal form
-intermediates can overflow fixed-width words even for small inputs.
+kernel generators; `_Solver` alone reads span membership off the Smith form.
+`modules` builds maps, submodules and subquotients on them, and `functors`
+the Hom and tensor modules, their induced maps and free resolutions.  Values
+up to isomorphism (canonical forms, Hom, tensor, Ext, Tor, the adic functors)
+do not come from here: `fgmod.cyclic` reads them off invariant factors, which
+`elimination.cokernel_orders` reads off a relation matrix.  All arithmetic is
+arbitrary-precision: Smith normal form intermediates can overflow
+fixed-width words even for small inputs.
 
 Computations over Z/n are lifted to Z by augmenting with n*I (one audited
 elimination kernel, `fgmod.elimination`, and no separate modular path).
@@ -221,23 +222,6 @@ def smith_diagonal(A: MatrixR) -> list[int]:
     return [a[i][i] for i in range(min(A.rows, A.cols))]
 
 
-def _solve_against_snf(snf: SmithDecomposition, b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """One solution of A x = b over Z given U A V = D, or None."""
-    U, D, V = snf.U, snf.D, snf.V
-    m, n = D.rows, D.cols
-    c = U.apply(b)
-    y = [0] * n
-    for i in range(m):
-        d = D.entries[i][i] if i < n else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return V.apply(y)
-
-
 def _over_integers(A: MatrixR) -> MatrixR:
     """A itself over Z; over Z/n the lift [A | n*I] (`elimination.augment`)."""
     if A.ring.is_integers:
@@ -246,21 +230,39 @@ def _over_integers(A: MatrixR) -> MatrixR:
 
 
 class _Solver:
-    """Repeated exact solves against a fixed coefficient matrix."""
+    """Span membership and solves against a fixed A, by the one span rule:
+    with U A V = D over Z (A lifted to [A | n*I] over Z/n), A x = b is
+    solvable exactly when each d_i divides (U b)_i, 0 dividing only 0 (past
+    the rank too); then x = V y, y_i = (U b)_i / d_i (0 past V's columns).
+    `contains` needs no V, so a solver built with `track_v=False` has none."""
 
-    def __init__(self, A: MatrixR):
+    def __init__(self, A: MatrixR, track_v: bool = True):
         self.ring = A.ring
         self.cols = A.cols
-        self._snf = smith_normal_form(_over_integers(A))
-        self._aug = 0 if A.ring.is_integers else A.rows
+        lifted = _over_integers(A)
+        a, U, self._V = _eliminate(lifted, track_u=True, track_v=track_v)
+        k = min(lifted.rows, lifted.cols)
+        self._rows = [(u, a[i][i] if i < k else 0) for i, u in enumerate(U)]
+
+    def _quotients(self, b: tuple[int, ...]) -> list[int] | None:
+        """y with y_i = (U b)_i / d_i, or None when b breaks the rule."""
+        y = []
+        for u, d in self._rows:
+            c = sum(map(mul, u, b))
+            if c % d if d else c:
+                return None
+            y.append(c // d if d else 0)
+        return y
+
+    def contains(self, b: tuple[int, ...]) -> bool:
+        return self._quotients(b) is not None
 
     def solve(self, b: tuple[int, ...]) -> tuple[int, ...] | None:
-        x = _solve_against_snf(self._snf, b)
-        if x is None:
+        y = self._quotients(b)
+        if y is None:
             return None
-        x = x[: self.cols] if self._aug else x
         red = self.ring.reduce
-        return tuple(red(v) for v in x)
+        return tuple(red(sum(map(mul, v, y))) for v in self._V[: self.cols])
 
 
 def solve_linear(A: MatrixR, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
@@ -285,29 +287,14 @@ def solve_columns(A: MatrixR, B: MatrixR) -> MatrixR | None:
 
 
 def spans_include(A: MatrixR, B: MatrixR) -> bool:
-    """Whether every column of B lies in the column span of A.
-
-    With U A V = D over Z, A x = b is solvable exactly when each entry of U b
-    is divisible by the matching diagonal entry of D (and is zero past the
-    rank), so membership needs neither V nor a solution.  Rows whose
-    diagonal entry is 1 impose nothing and are skipped.
-    """
+    """Whether every column of B lies in the column span of A (asks
+    `_Solver.contains` on a solver that tracks no V)."""
     if A.rows != B.rows:
         raise DimensionMismatch("A and B need equal row counts")
     targets = [b for b in B.columns() if any(b)]
     if not targets:
         return True
-    lifted = _over_integers(A)
-    a, U, _ = _eliminate(lifted, track_u=True, track_v=False)
-    k = min(lifted.rows, lifted.cols)
-    diagonal = [a[i][i] if i < k else 0 for i in range(lifted.rows)]
-    conditions = [(u, d) for u, d in zip(U, diagonal) if d != 1]
-    for b in targets:
-        for u, d in conditions:
-            c = sum(map(mul, u, b))
-            if c % d if d else c:
-                return False
-    return True
+    return all(map(_Solver(A, track_v=False).contains, targets))
 
 
 def kernel_generators(A: MatrixR) -> MatrixR:

@@ -10,6 +10,10 @@ Submodules are carried as (ambient, generator columns) pairs so that
 membership tests stay exact; converting one to a standalone presentation
 computes the relations of its span.
 
+Every function that takes an ideal, here and in `adic` and `cohomology`,
+reads it through `_generator`, so an ideal over another ring raises
+RingMismatch in all of them.
+
 `CanonicalForm`, which interns its values, lives in `cyclic`, which needs
 no matrix; it is re-exported here.
 """
@@ -250,18 +254,21 @@ def scaled_submodule(P: Presentation, c: int) -> Submodule:
     return Submodule(P, MatrixR.identity(P.ring, P.gens).scale(c))
 
 
-def quotient_by_ideal(P: Presentation, a: Ideal) -> Presentation:
-    """P / aP, realized by appending d*e_i relations."""
+def _generator(P: Presentation, a: Ideal) -> int:
+    """The canonical generator d of a, so aP = dP; a must live over P's ring."""
     if a.ring != P.ring:
         raise RingMismatch("ideal lives over a different ring")
-    return quotient_by_submodule(P, scaled_submodule(P, a.canonical))
+    return a.canonical
+
+
+def quotient_by_ideal(P: Presentation, a: Ideal) -> Presentation:
+    """P / aP, realized by appending d*e_i relations."""
+    return quotient_by_submodule(P, scaled_submodule(P, _generator(P, a)))
 
 
 def ideal_multiple(P: Presentation, a: Ideal) -> tuple[Presentation, ModuleMap]:
     """The submodule aP together with its inclusion into P."""
-    if a.ring != P.ring:
-        raise RingMismatch("ideal lives over a different ring")
-    sub = scaled_submodule(P, a.canonical)
+    sub = scaled_submodule(P, _generator(P, a))
     return sub.to_presentation(), sub.inclusion_map()
 
 

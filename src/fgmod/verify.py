@@ -1223,6 +1223,8 @@ def check_claim(claim_id: str, grid: GridSpec) -> ClaimReport:
 def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = None) -> SuiteReport:
     """Evaluate claims over grids; reports come back sorted and deterministic."""
     grids = default_grids() if grids is None else grids
+    if not grids:
+        raise InvalidGrid("no grid to check the claims on")
     # a repeated id is checked, and reported, once
     claim_ids = registered_claims() if claims is None else list(dict.fromkeys(claims))
     for cid in claim_ids:

@@ -216,6 +216,14 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, path
 
 
+def test_a_grid_file_with_no_grid_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "verify", "--grid", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: grid file {str(path)!r} holds no grid\n"
+
+
 def test_grid_moduli_past_the_squarefree_test_bound_are_usage_errors(tmp_path, capsys):
     # whether Z/n is von Neumann regular is found by trial division up to the
     # cube root of n: quick below 2**64, and refused from there on

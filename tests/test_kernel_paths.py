@@ -1,5 +1,6 @@
 """The eliminations that track fewer transforms, checked against the full
-Smith normal form and, for membership, against sympy's Hermite normal form.
+Smith normal form and, for membership, against sympy's Hermite normal form
+and against solutions X of A X = B.
 
 Inputs are seeded random matrices over Z and Z/n, including the nearly
 diagonal `[D | n*I]` shapes that dominate the verification harness.
@@ -96,7 +97,10 @@ def test_membership_agrees_with_solving_and_hermite_form(seed):
     for rng, A in samples(seed, 60):
         B = targets(rng, A)
         got = spans_include(A, B)
-        assert got == (solve_columns(A, B) is not None)
+        X = solve_columns(A, B)
+        assert got == (X is not None)
+        if X is not None:
+            assert A @ X == B
         if A.rows:
             assert got == all(hnf_contains(A, b) for b in B.columns())
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgmod import adic, cohomology
 from fgmod.errors import RingMismatch
 from fgmod.linalg import MatrixR, determinant, from_columns
 from fgmod.modules import (
@@ -211,3 +212,41 @@ def test_zero_module_is_accepted_everywhere():
     assert is_zero_module(ideal_multiple(zero, I2)[0])
     assert is_zero_module(kernel_of_map(identity_map(zero))[0])
     assert is_zero_module(canonicalize(zero))
+
+
+# every function of the presentation route that takes an ideal, on one
+# module N (passed as M too where it takes two)
+IDEAL_TAKERS = {
+    "quotient_by_ideal": quotient_by_ideal,
+    "ideal_multiple": ideal_multiple,
+    "torsion_submodule": adic.torsion_submodule,
+    "torsion": adic.torsion,
+    "completion_exponent": adic.completion_exponent,
+    "power_quotient": lambda N, a: adic.power_quotient(N, a, 2),
+    "completion": adic.completion,
+    "torsion_wrt": lambda N, a: adic.torsion_wrt(N, N, a),
+    "completion_wrt": lambda N, a: adic.completion_wrt(N, N, a),
+    "is_reduced": adic.is_reduced,
+    "is_coreduced": adic.is_coreduced,
+    "is_reduced_wrt": lambda N, a: adic.is_reduced_wrt(N, N, a),
+    "is_coreduced_wrt": lambda N, a: adic.is_coreduced_wrt(N, N, a),
+    "is_in_both_classes": lambda N, a: adic.is_in_both_classes(N, N, a),
+    "local_cohomology": lambda N, a: cohomology.local_cohomology(0, N, N, a),
+    "local_homology": lambda N, a: cohomology.local_homology(0, N, N, a),
+    "is_adically_complete": cohomology.is_adically_complete,
+}
+
+
+@pytest.mark.parametrize(
+    "module, ideal",
+    [
+        (Presentation.cyclic(RingSpec.mod(6), 2), principal(ZZ, 4)),
+        (Presentation.cyclic(RingSpec.mod(6), 2), principal(RingSpec.mod(4), 2)),
+        (Z4, principal(RingSpec.mod(6), 2)),
+    ],
+    ids=["Z-ideal-on-Z/6", "Z/4-ideal-on-Z/6", "Z/6-ideal-on-Z"],
+)
+@pytest.mark.parametrize("name", IDEAL_TAKERS)
+def test_an_ideal_over_another_ring_is_refused(name, module, ideal):
+    with pytest.raises(RingMismatch):
+        IDEAL_TAKERS[name](module, ideal)

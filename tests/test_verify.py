@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from fgmod import cyclic, verify
-from fgmod.errors import UnknownClaim
+from fgmod.errors import InvalidGrid, UnknownClaim
 from fgmod.grammar import format_canonical
 from fgmod.modules import canonical_form, canonical_presentation, scaled_submodule
 from fgmod.rings import RingSpec
@@ -105,6 +105,12 @@ def test_unknown_claim():
         check_claim("no-such-claim", TINY_Z)
     with pytest.raises(UnknownClaim):
         claim_expectation("no-such-claim")
+
+
+def test_an_empty_grid_list_is_refused():
+    # no grid would check nothing and report every verdict as expected
+    with pytest.raises(InvalidGrid):
+        run_suite([], ["gamma-dual"])
 
 
 def test_equivalence_claims_on_tiny_grids():
