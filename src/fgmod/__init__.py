@@ -87,19 +87,15 @@ def clear_caches() -> None:
     """Empty every memo table of the package, for long-lived callers that
     want the memory back; later calls compute their answers again.
 
-    Each loaded `fgmod` module and each class defined there is searched for
-    tables.  Nothing here reads an attribute of a lazily registered module:
-    module dicts are read with `object.__getattribute__` and values are
-    tested by their type, so a lazy module, until it is first used, has no
-    tables and stays unloaded.
+    Every table is a module-level function, so each loaded `fgmod` module's
+    own functions are searched.  Nothing here reads an attribute of a lazily
+    registered module: module dicts are read with `object.__getattribute__`
+    and values are tested by their type, so a lazy module, until it is first
+    used, has no tables and stays unloaded.
     """
     for name, module in list(_sys.modules.items()):
         if name != __name__ and not name.startswith(__name__ + "."):
             continue
         for value in list(object.__getattribute__(module, "__dict__").values()):
-            members = vars(value).values() if type(value) is type and value.__module__ == name else (value,)
-            for table in members:
-                if type(table) is staticmethod:
-                    table = table.__func__
-                if hasattr(type(table), "cache_clear") and table.__module__ == name:
-                    table.cache_clear()
+            if hasattr(type(value), "cache_clear") and value.__module__ == name:
+                value.cache_clear()

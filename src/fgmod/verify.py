@@ -15,9 +15,13 @@ expected verdict (or a function of the grid, where that depends on the
 ring), the rings it applies to, its loop variables inside a loop over the
 grid's ideals (each with a label name, a domain and an optional guard that
 prunes at its depth), and a check that returns True, False, an (outcome,
-note) pair, or (None, note) for a skip.  Over Z and Z/n every value depends
-on an ideal only through its canonical generator d, so guards and checks get
-d, an int.  One walker runs the loops of every claim: an instance that
+note) pair, or (None, note) for a skip.  A check skips only where its guards
+admit an undefined completion or dual; where the paper's classes make the
+value exist (a finite N, an N or P in the class, a coreduced M, a ring Z/n),
+it computes the value without a test for None.  `check_claim` refuses a
+claim outside its rings, and `run_suite` a selection that checks nothing.
+Over Z and Z/n every value depends on an ideal only through its canonical
+generator d, so guards and checks get d, an int.  One walker runs the loops of every claim: an instance that
 passes costs its check and a count, nothing more, and a label such as
 `M=Z/2, N=Z, a=(2)` is formatted only for the samples a report keeps.  A
 guard may also count a skip for the values bound so far (the inherit pair,
@@ -257,8 +261,8 @@ def _dual(c: CanonicalForm) -> CanonicalForm | None:
 
 
 def _reflexive(c: CanonicalForm) -> bool:
-    d = _dual(c)
-    return d is not None and _dual(d) == c
+    # asked only over Z/n, where every form is finite and so has a dual
+    return cyclic.dual(cyclic.dual(c)) == c
 
 
 # _cglc and _cglh keep the collapse formula (Ext or Tor against M/aM) on the
@@ -699,19 +703,17 @@ class _Side(NamedTuple):
     exact: Callable  # (induced maps, c): is torsion left (completion right) exact on them
 
 
-_UNSTABLE = (None, "completion chain does not stabilize")
-
-
 def _equiv(s: _Side) -> dict:
     # the class, Hom (tensor) against M/aM and M/a^2M, the two-argument
-    # torsion (completion) and its ideal multiples must all agree
+    # torsion (completion) and its ideal multiples must all agree; N ranges
+    # over free forms too, so the completion may not exist
     def check(m, n, d):
         mq = cyclic.quotient(m, d)
         b1 = s.in_class(m, n, d)
         b2 = s.functor(mq, n) == s.functor(cyclic.quotient(m, d * d), n)
         g = s.adic(m, n, d)
         if g is None:
-            return (False, f"({b1},{b2})") if b1 != b2 else _UNSTABLE
+            return (False, f"({b1},{b2})") if b1 != b2 else (None, "completion chain does not stabilize")
         b3 = g == s.functor(mq, n)
         b4 = cyclic.quotient(g, d) is g  # dG = 0
         b5 = s.absolute(g, d)
@@ -796,30 +798,21 @@ def _dual_red_then_cor(m, x, d):
 
 
 def _adic_dual(s: _Side) -> dict:
-    # the dual of one two-argument functor against the other one of the dual
-    def check(m, n, d):
-        u = s.adic(m, n, d)
-        w = _other(s).adic(m, _dual(n), d)
-        if u is None or w is None:
-            return _UNSTABLE
-        return _dual(u) == w
-
-    return dict(loops=(_Var("M"), _Var("N", "finite", s.in_class)), check=check)
+    # the dual of one two-argument functor against the other one of the dual;
+    # N is finite, so it and its dual lie in both classes and both exist
+    return dict(
+        loops=(_Var("M"), _Var("N", "finite", s.in_class)),
+        check=lambda m, n, d: cyclic.dual(s.adic(m, n, d)) == _other(s).adic(m, cyclic.dual(n), d),
+    )
 
 
 def _reflexive_values(m, n, d):
-    g = cyclic.torsion_wrt(m, n, d)
-    lam = _ccompletion_wrt(m, n, d)
-    if lam is None:
-        return _UNSTABLE
-    return _reflexive(g) and _reflexive(lam)
+    return _reflexive(cyclic.torsion_wrt(m, n, d)) and _reflexive(cyclic.completion_wrt(m, n, d))
 
 
 def _gm_adjunction(m, n, p, d):
-    lam = _ccompletion_wrt(m, p, d)
-    if lam is None:
-        return _UNSTABLE
-    return cyclic.hom(lam, n) == cyclic.hom(p, cyclic.torsion_wrt(m, n, d))
+    # P is coreduced relative to M, so the completion exists
+    return cyclic.hom(cyclic.completion_wrt(m, p, d), n) == cyclic.hom(p, cyclic.torsion_wrt(m, n, d))
 
 
 def _effective(seq: _Seq, m: CanonicalForm, d: int) -> int:
@@ -838,7 +831,7 @@ def _effective(seq: _Seq, m: CanonicalForm, d: int) -> int:
     e = seq.y.torsion_factors[-1] if seq.y.torsion_factors else 1
     if m.free_rank == 0:
         e = math.gcd(e, m.torsion_factors[-1] if m.torsion_factors else 1)
-    return math.gcd(pow(d, e.bit_length(), e), e)
+    return cyclic._settled(d, e)[0]
 
 
 def _exactness(s: _Side) -> dict:
@@ -943,14 +936,13 @@ def _glh_fastpath_expected(grid: GridSpec) -> str:
 
 
 def _positive_degrees_vanish(s: _Side) -> dict:
+    # N in the class selects the collapse formula, which is always defined
     return dict(
         loops=(
             _Var("M", guard=lambda m, d: _cf_projective(cyclic.quotient(m, d))),
             _Var("N", guard=s.in_class),
         ),
-        check=lambda m, n, d: all(
-            (v := s.local(i, m, n, d)) is not None and v.is_trivial for i in _degrees(m.ring, 1)
-        ),
+        check=lambda m, n, d: all(s.local(i, m, n, d).is_trivial for i in _degrees(m.ring, 1)),
     )
 
 
@@ -968,31 +960,19 @@ def _finiteness(m, n, d):
 
 
 def _local_dual(s: _Side) -> dict:
-    # the dual of one local (co)homology against the other one of the dual
+    # the dual of one local (co)homology against the other one of the dual;
+    # N is finite, so it and its dual lie in both classes, both sides take
+    # the collapse formula, and every value is finite
     def check(m, n, d):
-        dn = _dual(n)
-        ok = True
-        for i in _degrees(m.ring):
-            v = s.local(i, m, n, d)
-            w = _other(s).local(i, m, dn, d)
-            if v is None or w is None:
-                return None, "no stabilizing path"
-            ok = ok and _dual(v) == w
-        return ok
+        dn = cyclic.dual(n)
+        return all(cyclic.dual(s.local(i, m, n, d)) == _other(s).local(i, m, dn, d) for i in _degrees(m.ring))
 
     return dict(loops=(_Var("M"), _Var("N", "finite", s.in_class)), check=check)
 
 
 def _b_class_membership(m, n, d):
-    for p in _degrees(m.ring):
-        hc = _cglc(p, m, n, d)
-        hh = _cglh(p, m, n, d)
-        # coreduced M makes both fast paths total
-        if hc is None or hh is None:
-            return False
-        if not (_cboth(m, hc, d) and _cboth(m, hh, d)):
-            return False
-    return True
+    # coreduced M makes both fast paths total
+    return all(_cboth(m, _cglc(p, m, n, d), d) and _cboth(m, _cglh(p, m, n, d), d) for p in _degrees(m.ring))
 
 
 def _inherit(s: _Side) -> dict:
@@ -1017,22 +997,17 @@ def _inherit(s: _Side) -> dict:
 
 
 def _vnr_vanish(s: _Side) -> dict:
-    # iterated local (co)homology is the double completion (torsion) at (0,0)
+    # iterated local (co)homology is the double completion (torsion) at (0,0);
+    # the claim runs only over Z/n, where every value is defined
     def check(m, n, d):
         degrees = _degrees(m.ring)
         for q in degrees:
             inner = s.local(q, m, n, d)
-            if inner is None:
-                return False, f"inner value undefined at q={q}"
             note = ""  # the last failure in row q
             for p in degrees:
                 outer = s.local(p, m, inner, d)
-                if outer is None:
-                    return False, f"outer value undefined at ({p},{q})"
                 if (p, q) == (0, 0):
-                    once = s.adic(m, n, d)
-                    twice = None if once is None else s.adic(m, once, d)
-                    if twice is None or outer != twice:
+                    if outer != s.adic(m, s.adic(m, n, d), d):
                         note = f"double {s.adic_name} mismatch at (0,0)"
                 elif not outer.is_trivial:
                     note = f"nonzero at ({p},{q})"
@@ -1193,10 +1168,13 @@ def claim_expectation(claim_id: str, grid: GridSpec | None = None) -> str:
 
 
 def check_claim(claim_id: str, grid: GridSpec) -> ClaimReport:
-    """Evaluate one claim over one grid."""
+    """Evaluate one claim over one grid; raises InvalidGrid if the claim does
+    not apply over the grid's ring."""
     if claim_id not in _BY_ID:
         raise UnknownClaim(claim_id)
     cdef = _BY_ID[claim_id]
+    if not cdef.applies(grid):
+        raise InvalidGrid(f"claim {claim_id!r} does not apply over {grid.ring} (grid {grid.name()!r})")
     ctx = _make_ctx(grid)
     tally = _Tally(cdef.loops)
     _walk(cdef.loops, cdef.check, ctx, tally)
@@ -1221,7 +1199,9 @@ def check_claim(claim_id: str, grid: GridSpec) -> ClaimReport:
 
 
 def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = None) -> SuiteReport:
-    """Evaluate claims over grids; reports come back sorted and deterministic."""
+    """Evaluate claims over grids; reports come back sorted and deterministic.
+    Each claim is checked on the grids it applies to, and a selection that
+    leaves nothing to check raises InvalidGrid."""
     grids = default_grids() if grids is None else grids
     if not grids:
         raise InvalidGrid("no grid to check the claims on")
@@ -1230,11 +1210,9 @@ def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = No
     for cid in claim_ids:
         if cid not in _BY_ID:
             raise UnknownClaim(cid)
-    reports = []
-    for cid in claim_ids:
-        for grid in grids:
-            if _BY_ID[cid].applies(grid):
-                reports.append(check_claim(cid, grid))
+    reports = [check_claim(cid, grid) for cid in claim_ids for grid in grids if _BY_ID[cid].applies(grid)]
+    if not reports:
+        raise InvalidGrid("no selected claim applies over the grids' rings" if claim_ids else "no claim to check")
     reports.sort(key=lambda r: (r.claim_id, r.grid))
     return SuiteReport(tuple(reports))
 

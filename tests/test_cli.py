@@ -224,6 +224,15 @@ def test_a_grid_file_with_no_grid_is_a_usage_error(tmp_path, capsys):
     assert err == f"error: grid file {str(path)!r} holds no grid\n"
 
 
+def test_a_claim_selection_with_nothing_to_check_is_a_usage_error(tmp_path, capsys):
+    # neither claim applies over Z, so the run would check nothing
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps([{"ring": "Z", "ideal_generators": [0, 2]}]))
+    code, out, err = run(capsys, "verify", "--claims", "vnr-homology-vanish,reflexive", "--grid", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_grid_moduli_past_the_squarefree_test_bound_are_usage_errors(tmp_path, capsys):
     # whether Z/n is von Neumann regular is found by trial division up to the
     # cube root of n: quick below 2**64, and refused from there on

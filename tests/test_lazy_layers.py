@@ -14,12 +14,7 @@ tests load every module into this one.  Every name the package re-exports
 and every name in a module's `__all__` must resolve.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
+from fresh_interpreter import python
 
 LAZY = ("linalg", "modules", "functors", "adic", "cohomology", "verify")
 
@@ -32,18 +27,14 @@ RAN = (
 )
 
 
-def _python(program: str) -> list[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", program], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+def _stdout_lines(program: str) -> list[str]:
+    proc = python("-c", program)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
 
 def _query(*argv: str) -> list[str]:
-    return _python(
+    return _stdout_lines(
         RAN + "from fgmod.cli import main\n"
         f"code = main({list(argv)!r})\n"
         "print(code, ran(), 'dataclasses' in sys.modules)\n"
@@ -81,16 +72,16 @@ def test_only_a_coker_atom_imports_elimination():
     )
     for argv, answer in ((["tensor", "Z/6 + Z", "Z/4"], "Z/2 + Z/4"), (["canon", "coker[[2]]"], "Z/2")):
         elimination = argv[1].startswith("coker")
-        assert _python(program.format(argv=argv)) == [answer, str(elimination)], argv
+        assert _stdout_lines(program.format(argv=argv)) == [answer, str(elimination)], argv
 
 
 def test_the_ran_probe_sees_a_loaded_module():
-    out = _python(RAN + "import fgmod\nprint(ran())\nfgmod.functors.hom_module\nprint(ran())\n")
+    out = _stdout_lines(RAN + "import fgmod\nprint(ran())\nfgmod.functors.hom_module\nprint(ran())\n")
     assert out == ["[]", "['linalg', 'modules', 'functors']"]
 
 
 def test_every_import_path_gives_one_object():
-    out = _python(
+    out = _stdout_lines(
         "import sys\n"
         "import fgmod\n"
         "registered = {n: sys.modules['fgmod.' + n] for n in ('linalg', 'modules', 'functors')}\n"
@@ -106,7 +97,7 @@ def test_every_import_path_gives_one_object():
 
 
 def test_an_unknown_package_attribute_raises_attribute_error():
-    out = _python(
+    out = _stdout_lines(
         RAN + "import fgmod\n"
         "try:\n"
         "    fgmod.no_such_name\n"
@@ -118,7 +109,7 @@ def test_an_unknown_package_attribute_raises_attribute_error():
 
 
 def test_clear_caches_loads_nothing():
-    out = _python(
+    out = _stdout_lines(
         RAN + "import fgmod\n"
         "from fgmod.cli import main\n"
         "main(['hom', 'Z/6 + Z', 'Z/4'])\n"
@@ -130,7 +121,7 @@ def test_clear_caches_loads_nothing():
 
 def test_a_large_sum_of_atoms_is_answered_without_elimination():
     argv = ["tensor", "Z/6^128 + Z/10^128", "Z/15^128 + Z/4^128"]
-    out = _python(
+    out = _stdout_lines(
         RAN + "from fgmod import cyclic\n"
         "from fgmod.cli import main\n"
         f"main({argv!r})\n"

@@ -8,25 +8,13 @@ into this one.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _python(*args: str, pythonpath=("src",)) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(str(ROOT / p) for p in pythonpath)
-    return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+from fresh_interpreter import python
 
 
 def test_one_shot_query_does_not_run_the_harness():
     # object.__getattribute__ reads the module dict without triggering the load
-    proc = _python(
+    proc = python(
         "-c",
         "import sys\n"
         "from fgmod.cli import main\n"
@@ -44,7 +32,7 @@ def test_one_shot_query_does_not_run_the_harness():
 def test_a_suite_run_leaves_adic_unloaded():
     # the harness asks cyclic, not the matrix route, for every
     # torsion or completion, so the body of fgmod.adic never runs
-    proc = _python(
+    proc = python(
         "-c",
         "import contextlib, io, sys\n"
         "from fgmod.cli import main\n"
@@ -61,7 +49,7 @@ def test_a_suite_run_leaves_adic_unloaded():
 
 
 def test_every_import_gives_the_registered_module():
-    proc = _python(
+    proc = python(
         "-c",
         "import sys\n"
         "import fgmod.cli\n"
@@ -77,7 +65,7 @@ def test_every_import_gives_the_registered_module():
 
 
 def test_verify_lists_every_claim_in_a_fresh_process():
-    proc = _python("-m", "fgmod.cli", "verify", "--list-claims")
+    proc = python("-m", "fgmod.cli", "verify", "--list-claims")
     assert proc.returncode == 0, proc.stderr
     claims = proc.stdout.splitlines()
     assert len(claims) == 38 and len(set(claims)) == 38
@@ -86,7 +74,7 @@ def test_verify_lists_every_claim_in_a_fresh_process():
 def test_traced_launcher_runs_a_one_shot_query(tmp_path):
     # the benchmark's launcher reads sys.modules['fgmod.verify'] right after importing fgmod.cli
     prefix = tmp_path / "op"
-    proc = _python("perfbench/launcher.py", str(prefix), "canon", "Z/4", pythonpath=("src", "perfbench"))
+    proc = python("perfbench/launcher.py", str(prefix), "canon", "Z/4", pythonpath=("src", "perfbench"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "Z/4\n"
     assert (tmp_path / "op.json").exists() and (tmp_path / "op.spans").exists()
@@ -95,7 +83,7 @@ def test_traced_launcher_runs_a_one_shot_query(tmp_path):
 def test_clear_caches_empties_every_table_without_loading_the_harness():
     # the tables are found here by type among all live objects, not the way
     # clear_caches finds them
-    proc = _python(
+    proc = python(
         "-c",
         "import functools, gc, sys\n"
         "import fgmod\n"
@@ -122,7 +110,7 @@ def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
     # the harness reads its Smith forms off fgmod.elimination and its records
     # are hand-written classes; only enumerate_modules, which returns
     # presentations, loads fgmod.modules
-    proc = _python(
+    proc = python(
         "-c",
         "import contextlib, io, sys\n"
         "from fgmod.cli import main\n"
@@ -154,7 +142,7 @@ def test_a_grid_that_whitelists_a_coker_module_runs_neither_linalg_nor_modules(t
     for name, module in (("coker", "coker[[2,4],[6,8]]"), ("form", "Z/2 + Z/4")):
         grids.append(tmp_path / f"{name}.json")
         grids[-1].write_text(json.dumps([{"ring": "Z/8", "ideal_generators": [0, 2], "module_whitelist": ["0", module]}]))
-    proc = _python(
+    proc = python(
         "-c",
         "import contextlib, io, sys\n"
         "from fgmod.cli import main\n"

@@ -9,26 +9,14 @@ The program checks run in fresh interpreters; `main` is checked in process.
 
 import gc
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from fresh_interpreter import ROOT, python
 
 import fgmod
 from fgmod import cli, verify
 
-ROOT = Path(__file__).resolve().parents[1]
 GRID = "tests/golden/verify_small_grid.json"  # relative to ROOT
-
-
-def _python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
-    return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
 
 
 def test_the_installed_command_is_the_program_entry():
@@ -48,8 +36,8 @@ def test_the_installed_command_is_the_program_entry():
     ],
 )
 def test_run_prints_and_exits_as_python_m(argv, code):
-    via_run = _python("-c", "from fgmod.cli import run; run()", *argv)
-    via_module = _python("-m", "fgmod.cli", *argv)
+    via_run = python("-c", "from fgmod.cli import run; run()", *argv)
+    via_module = python("-m", "fgmod.cli", *argv)
     assert via_module.returncode == code, via_module.stderr
     assert (via_run.returncode, via_run.stdout, via_run.stderr) == (
         via_module.returncode, via_module.stdout, via_module.stderr,
@@ -77,7 +65,7 @@ cli.run()
 
 @pytest.mark.parametrize("argv, code", [(["canon", "Z/4"], 0), (["hom", "Z/2"], 2)])
 def test_the_program_runs_main_without_the_collector_and_exits_frozen(argv, code):
-    proc = _python("-c", _RECORD_COLLECTOR, *argv)
+    proc = python("-c", _RECORD_COLLECTOR, *argv)
     assert proc.returncode == code, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "True"

@@ -113,6 +113,53 @@ def test_an_empty_grid_list_is_refused():
         run_suite([], ["gamma-dual"])
 
 
+def test_a_claim_is_checked_only_over_the_rings_it_applies_to():
+    # over Z the inner local homology of vnr-homology-vanish can be
+    # undefined, and Z is not von Neumann regular; Z/8 is modular but not
+    # von Neumann regular
+    z8 = GridSpec(RingSpec.mod(8), 8, 0, (0, 2))
+    for cid, grid in (("vnr-homology-vanish", TINY_Z), ("reflexive", TINY_Z), ("vnr-cohomology-vanish", z8)):
+        with pytest.raises(InvalidGrid, match=cid):
+            check_claim(cid, grid)
+    assert check_claim("reflexive", z8).verdict == "pass"
+
+
+def test_a_selection_that_leaves_nothing_to_check_is_refused():
+    # it would report every verdict as expected, as an empty grid list would
+    with pytest.raises(InvalidGrid, match="no claim to check"):
+        run_suite([TINY_Z6], [])
+    with pytest.raises(InvalidGrid, match="applies"):
+        run_suite([TINY_Z], ["vnr-homology-vanish", "reflexive"])
+    # a claim that applies to no grid is left out of a selection that has others
+    suite = run_suite([TINY_Z], ["reflexive", "gamma-dual"])
+    assert [r.claim_id for r in suite.reports] == ["gamma-dual"]
+
+
+# the claims whose loop guards admit only defined values: each compares
+# completions, duals or local (co)homology that its guards make exist
+DEFINED_BY_GUARD = (
+    "gamma-dual", "lambda-dual", "reflexive", "gm-adjunction", "glh-glc-dual", "glc-glh-dual",
+    "b-class-membership", "vnr-homology-vanish", "vnr-cohomology-vanish", "glc-proj-vanish", "glh-flat-vanish",
+)
+
+
+def test_claims_whose_guards_admit_only_defined_values_never_skip():
+    # grids no other test runs: free rank 2 along the unit ideal, an odd
+    # prime power, a ring neither local nor semisimple, a semisimple one
+    grids = [
+        GridSpec(RingSpec.integers(), 8, 2, (1,)),
+        GridSpec(RingSpec.mod(9), 16, 0, (0, 1, 3)),
+        GridSpec(RingSpec.mod(12), 12, 0, (0, 1, 2, 3, 4, 6)),
+        GridSpec(RingSpec.mod(30), 30, 0, (0, 1, 2, 3, 5, 6, 10, 15)),
+    ]
+    suite = run_suite(grids, list(DEFINED_BY_GUARD))
+    # the vnr pair applies only over Z/30, reflexive only over Z/n
+    assert len(suite.reports) == 8 * 4 + 3 + 2
+    for r in suite.reports:
+        assert (r.verdict, r.skipped_count) == ("pass", 0), (r.claim_id, r.grid)
+        assert r.instances_checked > 0, (r.claim_id, r.grid)
+
+
 def test_equivalence_claims_on_tiny_grids():
     assert check_claim("equiv-reduced-wrt", TINY_Z).verdict == "pass"
     r = check_claim("equiv-coreduced-wrt", TINY_Z)
