@@ -11,14 +11,17 @@ one dispatch path are driven by these tables.  Exit codes:
 not finitely generated, 4 unexpected claim verdict.
 
 `run()` is the program: `python -m fgmod.cli` and the installed `fgmod`
-command both call it.  `main(argv)` is the same front end without process
-side effects, for callers that stay in the interpreter.
+command both call it, and let `verify` check its claims in one process per
+usable CPU.  `main(argv)` is the same front end without process side
+effects, for callers that stay in the interpreter; it runs `verify` in one
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from . import cyclic
@@ -139,7 +142,7 @@ def _load_grids(path: str) -> list:
     return grids
 
 
-def _verify(args) -> int:
+def _verify(args, processes: int) -> int:
     if args.list_claims:
         for cid in verify.registered_claims():
             print(cid)
@@ -159,13 +162,15 @@ def _verify(args) -> int:
             print("error: --claims names no claim id; `fgmod verify --list-claims` lists them", file=sys.stderr)
             return EXIT_USAGE
     grids = _load_grids(args.grid) if args.grid else None
-    suite = verify.run_suite(grids, claim_ids)
+    suite = verify.run_suite(grids, claim_ids, processes)
     out = verify.format_reports_jsonl(suite) if args.format == "json-lines" else verify.format_reports_text(suite)
     sys.stdout.write(out)
     return EXIT_OK if suite.all_expected else EXIT_UNEXPECTED_CLAIM
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, processes: int = 1) -> int:
+    """Run one command line; `processes` is how many processes `verify` may
+    check its claims in (see `verify.run_suite`)."""
     argv = sys.argv[1:] if argv is None else argv
     # only the named subcommand's parser; the full one for --help, a missing
     # or an unknown subcommand, whose messages list every subcommand
@@ -173,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cmd = args.command
         if cmd == "verify":
-            return _verify(args)
+            return _verify(args, processes)
         if cmd == "check":
             function, count = _PREDICATES[args.predicate]
             exprs, takes_ideal, takes_degree = args.modules, True, False
@@ -233,10 +238,15 @@ def run() -> None:
     every object at the end leaves the collections of interpreter
     finalization nothing to traverse; the exit itself (flushing stdout,
     atexit handlers, the exit code) takes its normal path.
+
+    `verify` checks its claims on every CPU the process may run on.  Callers
+    that stay in the interpreter keep `main`'s one process, so their memo
+    tables, patches and tracers see every claim.
     """
     gc.disable()
     try:
-        code = main()
+        processes = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        code = main(processes=processes)
     finally:
         gc.freeze()
     sys.exit(code)

@@ -34,7 +34,8 @@ Mirrored claims are one shape over a `_Side`: reduced
 completion, tensor, Tor, local homology).
 
 All grid walks are deterministic, so identical inputs produce byte-identical
-reports.  Modules are enumerated as canonical forms, and every value a claim
+reports, also when `run_suite` shares its (claim, grid) jobs with forked
+worker processes: each job runs whole in one process.  Modules are enumerated as canonical forms, and every value a claim
 compares (Hom, tensor, Ext, Tor, torsion, completion, duals and the
 (co)reduced predicates) is read off their invariant factors by
 `fgmod.cyclic`, the same layer the library's value functions use.  The
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -1198,10 +1200,15 @@ def check_claim(claim_id: str, grid: GridSpec) -> ClaimReport:
     )
 
 
-def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = None) -> SuiteReport:
+def run_suite(
+    grids: list[GridSpec] | None = None, claims: list[str] | None = None, processes: int = 1
+) -> SuiteReport:
     """Evaluate claims over grids; reports come back sorted and deterministic.
     Each claim is checked on the grids it applies to, and a selection that
-    leaves nothing to check raises InvalidGrid."""
+    leaves nothing to check raises InvalidGrid.  With `processes` > 1 the
+    (claim, grid) jobs are shared with forked workers (see `_run_jobs`); each
+    job still runs whole in one process, so the reports are those of a
+    serial run."""
     grids = default_grids() if grids is None else grids
     if not grids:
         raise InvalidGrid("no grid to check the claims on")
@@ -1210,11 +1217,92 @@ def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = No
     for cid in claim_ids:
         if cid not in _BY_ID:
             raise UnknownClaim(cid)
-    reports = [check_claim(cid, grid) for cid in claim_ids for grid in grids if _BY_ID[cid].applies(grid)]
-    if not reports:
+    jobs = [(cid, grid) for cid in claim_ids for grid in grids if _BY_ID[cid].applies(grid)]
+    if not jobs:
         raise InvalidGrid("no selected claim applies over the grids' rings" if claim_ids else "no claim to check")
+    reports = _run_jobs(jobs, processes)
     reports.sort(key=lambda r: (r.claim_id, r.grid))
     return SuiteReport(tuple(reports))
+
+
+def _run_jobs(jobs: list[tuple[str, GridSpec]], processes: int) -> list[ClaimReport]:
+    """`check_claim` of every (claim, grid) job, in job order.
+
+    The jobs share no state, so k = min(processes, len(jobs)) processes run
+    them: process w runs the jobs w, w + k, w + 2k, ...  This process runs
+    share 0, and k - 1 workers forked from it run the others; each worker
+    sends back its reports, or the exception that stopped it, through a pipe.
+    Where `os.fork` is missing, k is 1 and the same loop forks no worker.
+    Every grid's context is built before the fork, so the workers inherit
+    each grid's forms instead of enumerating them again.  Workers are forked
+    rather than spawned: a spawned one would start an interpreter and load
+    the harness again, and fgmod starts no thread that a fork could cut off.
+    No worker outlives the call: on any exception, KeyboardInterrupt
+    included, the workers still running are killed and reaped before it
+    propagates."""
+    if processes < 1:
+        raise ValueError(f"processes must be at least 1, got {processes}")
+    k = min(processes, len(jobs)) if hasattr(os, "fork") else 1
+    for grid in dict.fromkeys(grid for _, grid in jobs):
+        _make_ctx(grid)
+    reports: list = [None] * len(jobs)
+    workers = {}  # pid -> (its share w, the read end of its pipe)
+    try:
+        for w in range(1, k):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(jobs[w::k], write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            workers[pid] = (w, open(read, "rb"))
+        reports[::k] = [check_claim(cid, grid) for cid, grid in jobs[::k]]
+        for pid, (w, pipe) in list(workers.items()):
+            import pickle  # only a run with workers needs it
+
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if code:
+                raise RuntimeError(f"verify worker {pid} exited with status {code}")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            reports[w::k] = result
+    except BaseException:
+        import signal
+
+        for pid, (_, pipe) in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return reports
+
+
+def _work(jobs: list[tuple[str, GridSpec]], write: int):
+    """The body of a forked worker: check `jobs` and write the pickled list
+    of reports, or the exception that stopped them, to the pipe end `write`.
+    It never returns: `os._exit` ends the worker, so it neither unwinds into
+    the caller's stack nor flushes buffers it shares with the parent."""
+    code = 1
+    try:
+        import pickle
+
+        try:
+            result = [check_claim(cid, grid) for cid, grid in jobs]
+        except BaseException as exc:
+            result = exc
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def format_reports_text(suite: SuiteReport) -> str:

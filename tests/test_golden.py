@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from fresh_interpreter import python
 
 from fgmod.cli import main
 
@@ -30,6 +31,17 @@ def test_verify_small_grid_matches_golden(capsys, fmt, expected):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [("text", "verify_small.txt"), ("json-lines", "verify_small.jsonl")]
+)
+def test_the_program_matches_golden(fmt, expected):
+    # `main` above runs in one process; the program checks the claims in one
+    # process per usable CPU
+    proc = python("-m", "fgmod.cli", "verify", "--grid", str(GRID), "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / expected).read_text()
 
 
 _TWO_FORMATS = """
