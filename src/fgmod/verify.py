@@ -21,32 +21,36 @@ value exist (a finite N, an N or P in the class, a coreduced M, a ring Z/n),
 it computes the value without a test for None.  `check_claim` refuses a
 claim outside its rings, and `run_suite` a selection that checks nothing.
 Over Z and Z/n every value depends on an ideal only through its canonical
-generator d, so guards and checks get d, an int.  One walker runs the loops of every claim: an instance that
-passes costs its check and a count, nothing more, and a label such as
-`M=Z/2, N=Z, a=(2)` is formatted only for the samples a report keeps.  A
-guard may also count a skip for the values bound so far (the inherit pair,
-where the classical value is undefined).  The exactness pair computes along
-one integer c that d determines (`_effective`), so it checks each
-(sequence, M, c) once and repeats that result for every ideal with the same
-c, each instance under its own label.
-Mirrored claims are one shape over a `_Side`: reduced
-(R^M_a, torsion, Hom, Ext, local cohomology) or coreduced (C^M_a,
-completion, tensor, Tor, local homology).
+generator d, so guards and checks get d, an int.  One walker runs the loops
+of every claim: an instance that passes costs its check and a count, nothing
+more, and a label such as `M=Z/2, N=Z, a=(2)` is formatted only for the
+samples a report keeps.  A guard may also count a skip for the values bound
+so far (the inherit pair, where the classical value is undefined).  The
+exactness pair computes along one integer c that d determines
+(`_effective`), so it checks each (sequence, M, c) once and repeats that
+result for every ideal with the same c, each instance under its own label.
+Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
+Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
+homology).  The harness's local (co)homology (`_collapsed`) takes the
+collapse formula, Ext or Tor against M/aM, on the class relative to M, and
+elsewhere `cyclic.local_cohomology` (`local_homology`), which `fgmod glc`
+(`glh`) prints; the fast-path claims compare the two.
 
 All grid walks are deterministic, so identical inputs produce byte-identical
 reports, also when `run_suite` shares its (claim, grid) jobs with forked
-worker processes: each job runs whole in one process.  Modules are enumerated as canonical forms, and every value a claim
-compares (Hom, tensor, Ext, Tor, torsion, completion, duals and the
-(co)reduced predicates) is read off their invariant factors by
-`fgmod.cyclic`, the same layer the library's value functions use.  The
-exactness claims need induced maps: each short exact sequence carries its
-inclusion and projection as integer matrices on the cyclic summands of its
-terms, and `cyclic` induces them on Hom(M, -) and M (x) - summand pair by
-summand pair.  The induced pair is a complex between finite sums of cyclic
-groups, so injectivity, surjectivity and exactness in the middle are
-comparisons of orders, each order a Smith diagonal.  The equivalence claims ask
-whether aG = 0 on forms, as G/dG is G (forms are interned);
-`modules.scaled_submodule` is the tests' reference for it.
+worker processes: each job runs whole in one process.  Modules are
+enumerated as canonical forms, and every value a claim compares (Hom,
+tensor, Ext, Tor, torsion, completion, duals and the (co)reduced predicates)
+is read off their invariant factors by `fgmod.cyclic`, the same layer the
+library's value functions use.  The exactness claims need induced maps: each
+short exact sequence carries its inclusion and projection as integer
+matrices on the cyclic summands of its terms, and `cyclic` induces them on
+Hom(M, -) and M (x) - summand pair by summand pair.  The induced pair is a
+complex between finite sums of cyclic groups, so injectivity, surjectivity
+and exactness in the middle are comparisons of orders, each order a Smith
+diagonal.  The equivalence claims ask whether aG = 0 on forms, as G/dG is G
+(forms are interned); `modules.scaled_submodule` is the tests' reference for
+it.
 
 Each sequence comes from the generator tuples of a submodule: one Smith
 elimination of [G | D_Y], the generators beside Y's orders, gives Z = Y/X
@@ -242,14 +246,6 @@ def _completion(c: CanonicalForm, d: int) -> CanonicalForm | None:
         return None
 
 
-def _ccompletion_wrt(m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
-    """The two-argument completion, or None where it is not finitely generated."""
-    try:
-        return cyclic.completion_wrt(m, n, d)
-    except NonStabilizing:
-        return None
-
-
 def _cboth(m: CanonicalForm, n: CanonicalForm, d: int) -> bool:
     return cyclic.is_reduced_wrt(m, n, d) and cyclic.is_coreduced_wrt(m, n, d)
 
@@ -267,34 +263,27 @@ def _reflexive(c: CanonicalForm) -> bool:
     return cyclic.dual(cyclic.dual(c)) == c
 
 
-# _cglc and _cglh keep the collapse formula (Ext or Tor against M/aM) on the
-# relative (co)reduced class in every degree and read the stabilized chain
-# a^kM elsewhere, degree 0 included.  The public cyclic.local_cohomology and
-# local_homology never collapse: degree 0 is Γ_a(Hom(M, N)) or Λ_a(M (x) N),
-# which equals the collapsed value on that class and also exists where the
-# chain never flattens.  On the collapse formula's counterexample family (see
-# the glc-fastpath and glh-fastpath claims) the positive-degree values differ.
-# The claims built on _cglc and _cglh, and so the verify report, are pinned to
-# these values; merging the two is a separate change.
+def _collapsed(s: _Side, i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
+    """The harness's local (co)homology: on the class of N relative to M
+    the collapse formula, Ext (Tor) against M/aM; elsewhere the public
+    `cyclic` value, or None where the chain a^kM never stabilizes.  The
+    public value never collapses, so in positive degree the two differ on
+    the formula's counterexamples, which the fast-path claims report."""
+    if s.in_class(m, n, d):
+        return s.derived(i, cyclic.quotient(m, d), n)
+    if _completion(m, d) is None:
+        return None
+    return s.public(i, m, n, d)
+
+
 @lru_cache(maxsize=cyclic._MEMO)
 def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
-    if cyclic.is_reduced_wrt(m, n, d):
-        return cyclic.ext(i, cyclic.quotient(m, d), n)
-    mk = _completion(m, d)
-    if mk is None:
-        return None
-    return cyclic.ext(i, mk, n)
+    return _collapsed(_RED, i, m, n, d)
 
 
-# collapsed in every degree, unlike cyclic.local_homology: see the note on _cglc
 @lru_cache(maxsize=cyclic._MEMO)
 def _cglh(i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
-    if cyclic.is_coreduced_wrt(m, n, d):
-        return cyclic.tor(i, cyclic.quotient(m, d), n)
-    mk = _completion(m, d)
-    if mk is None:
-        return None
-    return cyclic.tor(i, mk, n)
+    return _collapsed(_COR, i, m, n, d)
 
 
 def _cf_projective(c: CanonicalForm) -> bool:
@@ -504,8 +493,10 @@ class _Ctx(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _make_ctx(grid: GridSpec) -> _Ctx:
-    """The grid's forms and ideals, built once per grid so that every claim
-    keys the memo tables on the same objects."""
+    """The grid's forms and ideals, built once per grid: every claim on the
+    grid reads them, and `_run_jobs` builds them before it forks, so that
+    workers inherit them.  (Forms are interned, so a rebuild would give the
+    same objects; it would only cost the enumeration again.)"""
     forms = enumerate_forms(grid)
     ideals = tuple(principal(grid.ring, g).canonical for g in grid.ideal_generators)
     finite = tuple(c for c in forms if c.free_rank == 0)
@@ -695,12 +686,13 @@ class _Side(NamedTuple):
     tuple of its operations, so it can key a memo table."""
 
     in_class: Callable  # (M, N, d): is N in R^M_a (C^M_a)
-    adic: Callable  # (M, N, d): two-argument torsion (completion; None if no limit)
+    adic: Callable  # (M, N, d): two-argument torsion (completion; raises NonStabilizing if no limit)
     adic_name: str
     absolute: Callable  # (N, d): is N itself reduced (coreduced)
     functor: Callable  # Hom (tensor)
     derived: Callable  # Ext (Tor)
-    local: Callable  # (i, M, N, d): local cohomology (homology); None if undefined
+    local: Callable  # (i, M, N, d): the harness's local cohomology (homology); None if undefined
+    public: Callable  # (i, M, N, d): cyclic's local cohomology (homology)
     postcompose: Callable  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
     exact: Callable  # (induced maps, c): is torsion left (completion right) exact on them
 
@@ -713,8 +705,9 @@ def _equiv(s: _Side) -> dict:
         mq = cyclic.quotient(m, d)
         b1 = s.in_class(m, n, d)
         b2 = s.functor(mq, n) == s.functor(cyclic.quotient(m, d * d), n)
-        g = s.adic(m, n, d)
-        if g is None:
+        try:
+            g = s.adic(m, n, d)
+        except NonStabilizing:
             return (False, f"({b1},{b2})") if b1 != b2 else (None, "completion chain does not stabilize")
         b3 = g == s.functor(mq, n)
         b4 = cyclic.quotient(g, d) is g  # dG = 0
@@ -911,13 +904,13 @@ def _both_classes(m, n, d):
 
 
 def _fastpath(s: _Side) -> dict:
-    # collapsed (M/aM) against stabilized-chain values of Ext or Tor
+    # the harness's value, collapsed on the class, against the public one,
+    # which reads the stabilized chain; degree 0 always agrees on the class
     def check(m, n, d):
-        mk = _completion(m, d)
-        if mk is None:
+        try:
+            return all(s.local(i, m, n, d) == s.public(i, m, n, d) for i in _degrees(m.ring))
+        except NonStabilizing:
             return None, "stabilized path undefined"
-        mq = cyclic.quotient(m, d)
-        return all(s.derived(i, mq, n) == s.derived(i, mk, n) for i in _degrees(m.ring))
 
     return dict(loops=(_Var("M"), _Var("N", guard=s.in_class)), check=check)
 
@@ -1026,11 +1019,11 @@ def _vnr_vanish(s: _Side) -> dict:
 
 _RED = _Side(
     cyclic.is_reduced_wrt, cyclic.torsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext, _cglc,
-    cyclic.hom_postcompose, _gamma_exact,
+    cyclic.local_cohomology, cyclic.hom_postcompose, _gamma_exact,
 )
 _COR = _Side(
-    cyclic.is_coreduced_wrt, _ccompletion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor, cyclic.tor,
-    _cglh, cyclic.tensor_postcompose, _lambda_exact,
+    cyclic.is_coreduced_wrt, cyclic.completion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor, cyclic.tor,
+    _cglh, cyclic.local_homology, cyclic.tensor_postcompose, _lambda_exact,
 )
 
 
@@ -1243,6 +1236,8 @@ def _run_jobs(jobs: list[tuple[str, GridSpec]], processes: int) -> list[ClaimRep
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     k = min(processes, len(jobs)) if hasattr(os, "fork") else 1
+    if k > 1:
+        import pickle  # only a run with workers needs it; they inherit it loaded
     for grid in dict.fromkeys(grid for _, grid in jobs):
         _make_ctx(grid)
     reports: list = [None] * len(jobs)
@@ -1262,8 +1257,6 @@ def _run_jobs(jobs: list[tuple[str, GridSpec]], processes: int) -> list[ClaimRep
             workers[pid] = (w, open(read, "rb"))
         reports[::k] = [check_claim(cid, grid) for cid, grid in jobs[::k]]
         for pid, (w, pipe) in list(workers.items()):
-            import pickle  # only a run with workers needs it
-
             with pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -1292,7 +1285,7 @@ def _work(jobs: list[tuple[str, GridSpec]], write: int):
     the caller's stack nor flushes buffers it shares with the parent."""
     code = 1
     try:
-        import pickle
+        import pickle  # the parent loaded it before the fork: a lookup, not an import
 
         try:
             result = [check_claim(cid, grid) for cid, grid in jobs]

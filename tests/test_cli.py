@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import fgmod
-from fgmod import cli
+from fgmod import cli, verify
 from fgmod.cli import main
 from fgmod.grammar import GRAMMAR_HELP, MAX_GENERATORS
 from test_cli_golden import COMMANDS
@@ -110,6 +110,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "check", "reduced", "--ideal", "2", "Z/2", "Z/4")
     assert code == 2
+    for expr, message in (("Z/0", "cyclic modulus must be >= 1"), ("Z/2^-1", "exponent must be nonnegative")):
+        code, out, err = run(capsys, "canon", expr)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}\n") and "Traceback" not in err, expr
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -170,6 +174,25 @@ def test_verify_text_format(tmp_path, capsys):
     assert code == 0
     assert any(line.startswith("PASS") and "gamma-dual" in line for line in out.splitlines())
     assert out.splitlines()[-1].startswith("summary:")
+
+
+def test_an_unexpected_verdict_is_flagged_and_exits_4(tmp_path, monkeypatch, capsys):
+    # no claim gives an unexpected verdict on a committed grid, so one that
+    # is expected to pass is made to fail everywhere
+    claim = verify._BY_ID["gamma-hom-commute"]
+    monkeypatch.setitem(verify._BY_ID, claim.claim_id, claim._replace(check=lambda *values: False))
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps([{"ring": "Z/6", "max_torsion_order": 6, "ideal_generators": [2]}]))
+    argv = ("verify", "--grid", str(path), "--claims", claim.claim_id)
+    code, out, _ = run(capsys, *argv)
+    assert code == 4
+    lines = out.splitlines()
+    [line] = [line for line in lines if not line.startswith(("note:", " ", "summary:"))]
+    assert line.startswith("FAIL    gamma-hom-commute [") and line.endswith(" (UNEXPECTED)")
+    assert lines[-1] == "summary: 1 reports, 1 unexpected verdicts"
+    code, out, _ = run(capsys, *argv, "--format", "json-lines")
+    assert code == 4
+    assert json.loads(out.splitlines()[-1]) == {"summary": {"reports": 1, "all_expected": False}}
 
 
 def test_negative_degree_and_kmax_are_usage_errors(capsys):

@@ -211,8 +211,12 @@ def test_operands_over_different_rings_are_rejected():
         cyclic.hom_postcompose(a, a, b, ((1,),))
     with pytest.raises(RingMismatch):
         cyclic.direct_sum([a, b])
-    with pytest.raises(ValueError):
-        cyclic.tor(-1, a, a)
+    for negative in (cyclic.ext, cyclic.tor):
+        with pytest.raises(ValueError):
+            negative(-1, a, a)
+    for negative in (cyclic.local_cohomology, cyclic.local_homology):
+        with pytest.raises(ValueError):
+            negative(-1, a, a, 2)
 
 
 def test_every_memo_table_is_bounded():

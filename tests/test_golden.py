@@ -4,9 +4,12 @@ for byte, in both output formats.
 The files under `golden/` were written by `fgmod verify --grid
 golden/verify_small_grid.json` (and `--format json-lines`) before the kernel
 stopped computing unused Smith transforms; any change to the arithmetic that
-moves a verdict, a count or a counterexample shows up here.  Canonical forms
-hash by identity, so the report is also run in fresh interpreters whose
-forms sit at different addresses.
+moves a verdict, a count or a counterexample shows up here.
+`verify_extra.txt` and `verify_extra.jsonl` were written the same way from
+`verify_extra_grid.json`, grids that no other golden covers in full: `Z`
+at free rank 2, and `Z/12` and `Z/30` with every principal ideal.
+Canonical forms hash by identity, so the report is also run in fresh
+interpreters whose forms sit at different addresses.
 """
 
 import os
@@ -21,25 +24,30 @@ from fgmod.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID = GOLDEN / "verify_small_grid.json"
+# each golden `<name>.txt` or `<name>.jsonl` is the report on `<name>_grid.json`
+GOLDENS = [
+    ("text", "verify_small.txt"), ("json-lines", "verify_small.jsonl"),
+    ("text", "verify_extra.txt"), ("json-lines", "verify_extra.jsonl"),
+]
 
 
-@pytest.mark.parametrize(
-    "fmt, expected", [("text", "verify_small.txt"), ("json-lines", "verify_small.jsonl")]
-)
+def grid_of(golden: str) -> Path:
+    return GOLDEN / (golden.rsplit(".", 1)[0] + "_grid.json")
+
+
+@pytest.mark.parametrize("fmt, expected", GOLDENS)
 def test_verify_small_grid_matches_golden(capsys, fmt, expected):
-    code = main(["verify", "--grid", str(GRID), "--format", fmt])
+    code = main(["verify", "--grid", str(grid_of(expected)), "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / expected).read_text()
 
 
-@pytest.mark.parametrize(
-    "fmt, expected", [("text", "verify_small.txt"), ("json-lines", "verify_small.jsonl")]
-)
+@pytest.mark.parametrize("fmt, expected", GOLDENS)
 def test_the_program_matches_golden(fmt, expected):
     # `main` above runs in one process; the program checks the claims in one
     # process per usable CPU
-    proc = python("-m", "fgmod.cli", "verify", "--grid", str(GRID), "--format", fmt)
+    proc = python("-m", "fgmod.cli", "verify", "--grid", str(grid_of(expected)), "--format", fmt)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / expected).read_text()
 

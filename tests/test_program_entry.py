@@ -78,6 +78,38 @@ def test_the_program_runs_main_without_the_collector_and_exits_frozen(argv, code
     assert lines[-2] == "True"
 
 
+# patched before `run`, so the workers it forks inherit the patch
+_FAIL_EVERYWHERE = """
+import sys
+from fgmod import cli, verify
+claim = verify._BY_ID[sys.argv[1]]
+verify._BY_ID[claim.claim_id] = claim._replace(check=lambda *values: False)
+del sys.argv[1]
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_the_program_flags_an_unexpected_verdict_and_exits_4(tmp_path, fmt):
+    # the patched claim is the second job, so with two or more usable CPUs
+    # a worker checks it
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps([{"ring": "Z/6", "max_torsion_order": 6, "ideal_generators": [2]}]))
+    proc = python(
+        "-c", _FAIL_EVERYWHERE, "gamma-hom-commute",
+        "verify", "--grid", str(path), "--claims", "gamma-reflect,gamma-hom-commute", "--format", fmt,
+    )
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stdout.splitlines()
+    if fmt == "text":
+        reports = [line for line in lines if not line.startswith(("note:", " ", "summary:"))]
+        assert reports[0].startswith("FAIL    gamma-hom-commute [") and reports[0].endswith(" (UNEXPECTED)")
+        assert reports[1].startswith("PASS    gamma-reflect [") and reports[1].endswith(" skipped=0")
+        assert lines[-1] == "summary: 2 reports, 1 unexpected verdicts"
+    else:
+        assert json.loads(lines[-1]) == {"summary": {"reports": 2, "all_expected": False}}
+
+
 def test_main_leaves_the_collector_as_it_was(capsys):
     before = (gc.isenabled(), gc.get_freeze_count())
     assert cli.main(["canon", "Z/4"]) == 0

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from fresh_interpreter import python
 
 import fgmod
 from fgmod import verify
@@ -99,3 +100,23 @@ def test_an_interrupt_here_kills_the_running_worker(monkeypatch):
 def test_processes_must_be_positive():
     with pytest.raises(ValueError, match="at least 1"):
         verify.run_suite(_z4(), TWO_JOBS, processes=0)
+
+
+_IMPORTS_OF_A_RUN = """
+import sys
+from fgmod import verify
+grids = [verify.grid_from_dict(d) for d in ({"ring": "Z/4", "ideal_generators": [2]},)]
+verify.run_suite(grids, ["reflexive", "finiteness"], processes=int(sys.argv[1]))
+print("pickle" in sys.modules, "signal" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("processes, loaded", [(1, "False False"), (2, "True False")])
+def test_pickle_is_imported_once_and_only_for_workers(processes, loaded):
+    # the parent imports pickle before its first fork, so no worker imports
+    # it again; signal is imported only to kill workers after an error
+    proc = python("-X", "importtime", "-c", _IMPORTS_OF_A_RUN, str(processes))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == loaded + "\n"
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert imported.count("pickle") == (processes > 1)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from fgmod import cyclic, verify
-from fgmod.errors import InvalidGrid, UnknownClaim
+from fgmod.errors import InvalidGrid, NonStabilizing, UnknownClaim
 from fgmod.grammar import format_canonical
 from fgmod.modules import canonical_form, canonical_presentation, scaled_submodule
 from fgmod.rings import RingSpec
@@ -197,8 +197,10 @@ def test_equivalence_claims_ask_dG_0_on_the_value_layer():
             for n in ctx.forms:
                 for d in ctx.ideals:
                     for side in (verify._RED, verify._COR):
-                        if (g := side.adic(m, n, d)) is not None:
-                            asked.add((g, d))
+                        try:
+                            asked.add((side.adic(m, n, d), d))
+                        except NonStabilizing:
+                            pass
     for g, d in asked:
         assert (cyclic.quotient(g, d) is g) == scaled_submodule(canonical_presentation(g), d).is_zero(), (g, d)
     assert len(asked) > 300 and sum(cyclic.quotient(g, d) is g for g, d in asked) > 50
