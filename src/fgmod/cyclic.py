@@ -12,8 +12,8 @@ functions; the library's public value functions and the CLI all call them.
 
 A summand is named by its order: m >= 2 for Z/m, and 0 for a free Z summand
 (over Z/n a free summand is Z/n).  Results are merged back into invariant
-factors by refining their orders into a coprime base: no integer is
-factored, so moduli may have thousands of digits.
+factors by inserting their orders into a divisibility chain with gcd and
+lcm: no integer is factored, so moduli may have thousands of digits.
 
 A map between canonical forms is a matrix of integers between their cyclic
 summands.  `hom_postcompose` and `tensor_postcompose` give the maps that one
@@ -129,54 +129,32 @@ def _form(ring, orders) -> CanonicalForm:
 
 
 def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
-    """d1 | d2 | ... whose cyclic groups sum to those of the given orders."""
-    orders.sort()
-    if all(b % a == 0 for a, b in zip(orders, orders[1:])):
-        return tuple(orders)
-    counts: dict[int, int] = {}
-    for m in orders:
-        counts[m] = counts.get(m, 0) + 1
-    # By the Chinese remainder theorem Z/m is the sum of its parts Z/b^e over
-    # a coprime base; the j-th largest exponents of every b make the j-th
-    # largest invariant factor.
-    columns = []
-    for b in _coprime_base(counts):
-        exps = []
-        for m, r in counts.items():
-            e = 0
-            while m % b == 0:
-                m //= b
-                e += 1
-            exps.extend([e] * r)
-        exps.sort(reverse=True)
-        columns.append((b, exps))
-    factors = []
-    for j in range(len(orders)):
-        f = 1
-        for b, exps in columns:
-            f *= b ** exps[j]
-        if f == 1:
-            break
-        factors.append(f)
-    return tuple(reversed(factors))
+    """d1 | d2 | ... whose cyclic groups sum to those of the given orders
+    (each >= 2), inserted in increasing order into a chain.
 
-
-def _coprime_base(values) -> list[int]:
-    """Pairwise coprime numbers > 1 of which every value is a product."""
-    todo = [v for v in values if v > 1]
-    base: list[int] = []
-    while todo:
-        x = todo.pop()
-        for i, b in enumerate(base):
-            g = gcd(x, b)
-            if g > 1:
-                # x * b becomes x/g * b/g * g: the product falls, so this ends
-                del base[i]
-                todo.extend(y for y in (x // g, b // g, g) if y > 1)
-                break
+    An order c that the top entry divides goes on top.  Otherwise c walks
+    down from the top: each entry d becomes lcm(d, c), c becomes gcd(d, c),
+    and a c > 1 left past the bottom becomes the new bottom entry.  At each
+    prime, gcd and lcm take the smaller and the larger exponent, so the walk
+    insertion-sorts every prime's exponents at once: each prime keeps its
+    multiset of exponents, which fixes the group, and its exponents rise
+    along the chain, which makes it a divisibility chain.  Invariant factors
+    are unique, so no answer depends on the route, and no integer is factored.
+    """
+    chain: list[int] = []
+    for c in sorted(orders):
+        if chain and c % chain[-1]:
+            for j in reversed(range(len(chain))):
+                g = gcd(chain[j], c)
+                chain[j] = chain[j] // g * c
+                c = g
+                if c == 1:
+                    break
+            else:
+                chain.insert(0, c)
         else:
-            base.append(x)
-    return base
+            chain.append(c)
+    return tuple(chain)
 
 
 def _hom_order(a: int, b: int) -> int:

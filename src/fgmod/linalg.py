@@ -150,14 +150,6 @@ def hstack(a: MatrixR, b: MatrixR) -> MatrixR:
     )
 
 
-def vstack(a: MatrixR, b: MatrixR) -> MatrixR:
-    if a.ring != b.ring:
-        raise RingMismatch("vstack across rings")
-    if a.cols != b.cols:
-        raise DimensionMismatch("vstack needs equal column counts")
-    return MatrixR._unchecked(a.ring, a.rows + b.rows, a.cols, a.entries + b.entries)
-
-
 def from_columns(ring: RingSpec, cols: list[tuple[int, ...]], nrows: int) -> MatrixR:
     return MatrixR(ring, nrows, len(cols), tuple(zip(*cols)) if cols else ((),) * nrows)
 

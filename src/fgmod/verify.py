@@ -147,20 +147,15 @@ class GridSpec(_Record):
 def _divisor_chains(budget: int, modulus: int | None) -> list[tuple[int, ...]]:
     """All chains d1 | d2 | ... with di >= 2 and product <= budget."""
     out = []
-
-    def extend(chain: tuple[int, ...], prod: int):
+    stack = [((), 1)]
+    while stack:
+        chain, size = stack.pop()
         out.append(chain)
-        start = chain[-1] if chain else 2
-        d = start
-        while prod * d <= budget:
-            if d >= 2 and (chain == () or d % chain[-1] == 0):
-                if modulus is None or modulus % d == 0:
-                    extend(chain + (d,), prod * d)
-            d += 1
-
-    extend((), 1)
-    del extend  # the closure refers to itself; `cli.run` collects no cycles
-    return sorted(set(out), key=lambda c: (math.prod(c) if c else 1, len(c), c))
+        step = chain[-1] if chain else 1
+        for d in range(max(step, 2), budget // size + 1, step):
+            if modulus is None or modulus % d == 0:
+                stack.append((chain + (d,), size * d))
+    return sorted(out, key=lambda c: (math.prod(c), len(c), c))
 
 
 def enumerate_forms(grid: GridSpec) -> tuple[CanonicalForm, ...]:

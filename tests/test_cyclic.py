@@ -11,11 +11,13 @@ in {0, +-1}.  The closed-form exponent of a cyclic summand is checked
 against the step-by-step gcd chain it replaced.  The two
 routes of `is_reduced` that used to be checked against each other inside the
 function (comparing the kernels of d and d^2, and asking whether the ideal
-kills the torsion) are checked here instead.
+kills the torsion) are checked here instead.  Merging summand orders into
+invariant factors is checked on long lists against the pairwise (gcd, lcm)
+fixpoint of `oracle`, and on coprime orders it takes one gcd per order.
 """
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from resolution_reference import ext_by_resolution, tor_by_resolution
@@ -37,6 +39,7 @@ from fgmod.modules import (
     scaled_submodule,
     submodule_equal,
 )
+from fgmod.oracle import invariant_factors_from_cyclic
 from fgmod.rings import RingSpec, ZZ, principal
 
 RINGS = [ZZ, RingSpec.mod(6), RingSpec.mod(8), RingSpec.mod(12)]
@@ -183,12 +186,35 @@ def test_quotient_sum_and_dual_match_presentations():
 
 def test_invariant_factors_are_merged_without_factoring():
     rng = random.Random(6005)
-    big = [2**61 - 1, 10**40 + 1, 3**50, 2**70, 6**30]
+    p, q = 2**61 - 1, 10**40 + 1
+    # large moduli that share large factors at different exponents
+    shared = [p**i * q**j * s for i in range(3) for j in range(3) for s in (1, 2, 6) if i + j > 1]
+    pool = [2, 3, 4, 6, 8, 9, 12, 18, 30, 36, p, q, 3**50, 2**70, 6**30] + shared
     for _ in range(200):
-        orders = [rng.choice([2, 3, 4, 6, 8, 9, 12, 18, 30, 36] + big) for _ in range(rng.randint(1, 6))]
+        orders = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
         diag = Presentation.from_relations(ZZ, [[m if i == j else 0 for j in range(len(orders))] for i, m in enumerate(orders)])
         got = cyclic.direct_sum([canonical_form(Presentation.cyclic(ZZ, m)) for m in orders])
         assert got == canonical_form(diag), orders
+    # long lists, drawn from a few moduli so that equal orders repeat
+    for _ in range(200):
+        few = rng.sample(pool, rng.randint(1, 4))
+        orders = [rng.choice(few) for _ in range(rng.randint(1, 20))]
+        got = cyclic.direct_sum([CanonicalForm(ZZ, (m,), 0) for m in orders])
+        assert got.torsion_factors == invariant_factors_from_cyclic(orders), orders
+
+
+def test_merging_coprime_orders_takes_a_gcd_per_order(monkeypatch):
+    primes = [n for n in range(10**6, 10**6 + 2000) if all(n % k for k in range(2, 1001))][:64]
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(cyclic, "gcd", counted)
+    got = cyclic.direct_sum([CanonicalForm(ZZ, (n,), 0) for n in primes])
+    assert len(primes) == 64 and got.torsion_factors == (prod(primes),)
+    assert len(calls) <= 64
 
 
 def test_moduli_of_thousands_of_digits():

@@ -1,6 +1,6 @@
 """Matrix operations build their results without re-validating them.
 
-`@`, `hstack`, `vstack`, `kron` and `transpose` of valid matrices skip the
+`@`, `hstack`, `kron` and `transpose` of valid matrices skip the
 scans of `MatrixR.__post_init__`; each result must still equal, with the
 same hash, the matrix the validating constructor builds from its entries,
 and over Z/n every entry must already lie in [0, n).
@@ -11,7 +11,7 @@ import random
 import pytest
 
 from fgmod.errors import RingMismatch
-from fgmod.linalg import MatrixR, hstack, kron, vstack
+from fgmod.linalg import MatrixR, hstack, kron
 from fgmod.rings import RingSpec, ZZ
 
 RINGS = [ZZ, RingSpec.mod(6), RingSpec.mod(8)]
@@ -28,7 +28,6 @@ def results(rng: random.Random, ring: RingSpec):
     a = random_matrix(rng, ring, r, k)
     yield "@", a @ random_matrix(rng, ring, k, c)
     yield "hstack", hstack(a, random_matrix(rng, ring, r, c))
-    yield "vstack", vstack(a, random_matrix(rng, ring, s, k))
     yield "kron", kron(a, random_matrix(rng, ring, s, c))
     yield "transpose", a.transpose()
 
@@ -46,12 +45,11 @@ def test_operation_results_equal_their_validated_rebuild(ring):
             assert all(isinstance(row, tuple) for row in m.entries), op
             if ring.modulus is not None:
                 assert all(0 <= x < ring.modulus for row in m.entries for x in row), op
-    assert seen == {"@", "hstack", "vstack", "kron", "transpose"}
+    assert seen == {"@", "hstack", "kron", "transpose"}
 
 
 def test_stacking_across_rings_is_refused():
     a = MatrixR.from_rows(RingSpec.mod(6), [[5]])
     b = MatrixR.from_rows(ZZ, [[7]])
-    for stack in (hstack, vstack):
-        with pytest.raises(RingMismatch):
-            stack(a, b)
+    with pytest.raises(RingMismatch):
+        hstack(a, b)
