@@ -26,9 +26,9 @@ of every claim: an instance that passes costs its check and a count, nothing
 more, and a label such as `M=Z/2, N=Z, a=(2)` is formatted only for the
 samples a report keeps.  A guard may also count a skip for the values bound
 so far (the inherit pair, where the classical value is undefined).  The
-exactness pair computes along one integer c that d determines
-(`_effective`), so it checks each (sequence, M, c) once and repeats that
-result for every ideal with the same c, each instance under its own label.
+exactness pair sees M and d only through one stable quotient Q (`_exact_on`),
+so it checks each (sequence, Q) once and repeats that result for every M and
+ideal with the same Q, each instance under its own label.
 Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
 Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
 homology).  The harness's local (co)homology (`_collapsed`) takes the
@@ -45,24 +45,20 @@ is read off their invariant factors by `fgmod.cyclic`, the same layer the
 library's value functions use.  The exactness claims need induced maps: each
 short exact sequence carries its inclusion and projection as integer
 matrices on the cyclic summands of its terms, and `cyclic` induces them on
-Hom(M, -) and M (x) - summand pair by summand pair.  The induced pair is a
-complex between finite sums of cyclic groups, so injectivity, surjectivity
-and exactness in the middle are comparisons of orders, each order a Smith
-diagonal.  The equivalence claims ask whether aG = 0 on forms, as G/dG is G
-(forms are interned); `modules.scaled_submodule` is the tests' reference for
-it.
+Hom(Q, -) and Q (x) - summand pair by summand pair, so the claims compare the
+orders of their images.  The equivalence claims ask whether aG = 0 on forms,
+as G/dG is G (forms are interned); `modules.scaled_submodule` is the tests'
+reference for it.
 
-Each sequence comes from the generator tuples of a submodule: one Smith
-elimination of [G | D_Y], the generators beside Y's orders, gives Z = Y/X
-and the projection, and a second one, of the relations of X that the first
-one's column transform yields, gives X and the inclusion (see `_sequence`).
-Every Smith form the harness needs comes from `fgmod.elimination`, which
-works on tuples of integers: `_sequence` takes the transforms of
-`eliminate`, and each order is read off `cokernel_orders`.  The harness's
-records are `rings._Record`s rather than dataclasses.  So a run loads
-`cyclic`, `grammar` and `elimination` but neither the matrix route
-(`linalg`, `modules`) nor `dataclasses`, also when a grid's whitelist names
-a `coker` module, which the grammar reads off `elimination` too.
+Each sequence comes from the generator tuples of a submodule by two Smith
+eliminations (see `_sequence`).  Every Smith form the harness needs comes
+from `fgmod.elimination`, which works on tuples of integers: `_sequence`
+takes the transforms of `eliminate`, and each order is read off
+`cokernel_orders`.  The harness's records are `rings._Record`s rather than
+dataclasses.  So a run loads `cyclic`, `grammar` and `elimination` but
+neither the matrix route (`linalg`, `modules`) nor `dataclasses`, also when
+a grid's whitelist names a `coker` module, which the grammar reads off
+`elimination` too.
 Of this module only the public `enumerate_modules`, which returns
 presentations, loads `modules`, and only json-lines output loads `json`.
 """
@@ -138,6 +134,12 @@ class GridSpec(_Record):
                 f"grid ring modulus must be below 2**64 (it has {len(str(ring.modulus))} digits):"
                 " the claims on von Neumann regular rings test it for square factors by trial division"
             )
+        if not ideal_generators:
+            raise InvalidGrid("a grid needs at least one ideal generator")
+        if module_whitelist is not None and not module_whitelist:
+            raise InvalidGrid("a grid's module whitelist needs at least one module")
+        if max_free_rank and not ring.is_integers:
+            raise InvalidGrid(f"a grid over {ring} needs max_free_rank 0: max_torsion_order bounds its free modules")
         self._fill(ring, max_torsion_order, max_free_rank, ideal_generators, module_whitelist, label)
 
     def name(self) -> str:
@@ -165,8 +167,7 @@ def enumerate_forms(grid: GridSpec) -> tuple[CanonicalForm, ...]:
         # dict keys keep the first of equal forms, in order
         return tuple(dict.fromkeys(parse_module_expr(ring, e) for e in grid.module_whitelist))
     chains = _divisor_chains(grid.max_torsion_order, ring.modulus)
-    ranks = range(grid.max_free_rank + 1) if ring.is_integers else (0,)
-    return tuple(CanonicalForm(ring, chain, r) for r in ranks for chain in chains)
+    return tuple(CanonicalForm(ring, chain, r) for r in range(grid.max_free_rank + 1) for chain in chains)
 
 
 def enumerate_modules(grid: GridSpec) -> list[Presentation]:
@@ -194,6 +195,8 @@ def grid_from_dict(data: dict) -> GridSpec:
 
     if not isinstance(data, dict):
         raise InvalidGrid("a grid must be a JSON object")
+    if unknown := sorted(set(data) - set(GridSpec._fields)):
+        raise InvalidGrid(f"grid has unknown keys {unknown}; its keys are {list(GridSpec._fields)}")
     for key in ("ring", "ideal_generators"):
         if key not in data:
             raise InvalidGrid(f"grid has no {key!r}")
@@ -213,18 +216,21 @@ def grid_from_dict(data: dict) -> GridSpec:
         return value
 
     ideal_generators = data["ideal_generators"]
-    if not (isinstance(ideal_generators, list) and ideal_generators and all(map(is_int, ideal_generators))):
-        raise InvalidGrid("grid 'ideal_generators' must be a nonempty list of integers")
+    if not (isinstance(ideal_generators, list) and all(map(is_int, ideal_generators))):
+        raise InvalidGrid("grid 'ideal_generators' must be a list of integers")
     wl = data.get("module_whitelist")
     if wl is not None and (not isinstance(wl, list) or not all(isinstance(e, str) for e in wl)):
         raise InvalidGrid("grid 'module_whitelist' must be a list of module expressions")
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InvalidGrid("grid 'label' must be a string")
     return GridSpec(
         ring,
         count("max_torsion_order", 16),
         count("max_free_rank", 1 if ring.is_integers else 0),
         tuple(ideal_generators),
         tuple(wl) if wl is not None else None,
-        str(data.get("label", "")),
+        label or "",
     )
 
 
@@ -676,9 +682,9 @@ class _Side(NamedTuple):
     """One side of the paper's duality, as the operations a mirrored claim
     names: reduced (R^M_a, two-argument torsion, Hom, Ext, local cohomology)
     or coreduced (C^M_a, two-argument completion, tensor, Tor, local
-    homology).  Each operation takes the ideal as its canonical generator d,
-    except `exact`, which takes the integer c of `_effective`.  A side is a
-    tuple of its operations, so it can key a memo table."""
+    homology).  Each operation that depends on the ideal takes it as its
+    canonical generator d.  A side is a tuple of its operations, so it can
+    key a memo table."""
 
     in_class: Callable  # (M, N, d): is N in R^M_a (C^M_a)
     adic: Callable  # (M, N, d): two-argument torsion (completion; raises NonStabilizing if no limit)
@@ -689,7 +695,7 @@ class _Side(NamedTuple):
     local: Callable  # (i, M, N, d): the harness's local cohomology (homology); None if undefined
     public: Callable  # (i, M, N, d): cyclic's local cohomology (homology)
     postcompose: Callable  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
-    exact: Callable  # (induced maps, c): is torsion left (completion right) exact on them
+    exact: Callable  # (first, second induced on Q; see _exact_on): left (right) exact
 
 
 def _equiv(s: _Side) -> dict:
@@ -805,46 +811,29 @@ def _gm_adjunction(m, n, p, d):
     return cyclic.hom(cyclic.completion_wrt(m, p, d), n) == cyclic.hom(p, cyclic.torsion_wrt(m, n, d))
 
 
-def _effective(seq: _Seq, m: CanonicalForm, d: int) -> int:
-    """The integer c along which the exactness pair computes for (seq, M)
-    and the ideal (d).
-
-    Let E be the exponent of Y, or gcd(E, exponent of M) when M is finite.
-    E kills X, Y and Z = Y/X, hence every module the checks build: Hom(M, -)
-    and M (x) - of each term.  No prime occurs in E more than log2 E times,
-    so for K >= log2 E and every k >= K, d^k and E generate the ideal (c)
-    with c = gcd(d^K, E).  On a module H with EH = 0 that gives
-    H[d^k] = H[c] and d^kH = cH: the stable torsion along (d) is the kernel
-    of c and the stable completion is H/cH.  So c = E when d = 0, and c = 1
-    when d is a unit.
-    """
-    e = seq.y.torsion_factors[-1] if seq.y.torsion_factors else 1
-    if m.free_rank == 0:
-        e = math.gcd(e, m.torsion_factors[-1] if m.torsion_factors else 1)
-    return cyclic._settled(d, e)[0]
-
-
 def _exactness(s: _Side) -> dict:
-    # the check computes along c = _effective(...) and sees nothing else of
-    # the ideal: one check per (sequence, M, c), while every instance keeps
-    # its own label; at c = 1 every Γ and Λ is 0, so no map is built
     loops = (
         _Var("S", _sequences, tail=True),
         _Var("M", "tiny", lambda seq, m, d: all(s.in_class(m, c, d) for c in (seq.x, seq.y, seq.z))),
     )
 
     def check(seq, m, d):
-        c = _effective(seq, m, d)
-        return (True, "") if c == 1 else _exact_along(s, seq, m, c)
+        q = cyclic.completion(cyclic.quotient(m, math.lcm(*seq.y.torsion_factors)), d)[0]
+        return _exact_on(s, seq, q)
 
     return dict(loops=loops, check=check)
 
 
-# the default suite checks 724 distinct (side, sequence, M, c), so this
-# bound never evicts there
+# the default suite checks 772 distinct (side, sequence, Q), so this bound
+# never evicts there
 @lru_cache(maxsize=2048)
-def _exact_along(s: _Side, seq: _Seq, m: CanonicalForm, c: int) -> tuple[bool, str]:
-    return s.exact(s.postcompose(m, seq.x, seq.y, seq.incl), s.postcompose(m, seq.y, seq.z, seq.proj), c)
+def _exact_on(s: _Side, seq: _Seq, q: CanonicalForm) -> tuple[bool, str]:
+    """Torsion left (completion right) exactness on the sequence, read on Q.
+    E, the exponent of Y, kills each term T, so Hom(M, T)[d^k] is
+    Hom(M/d^kM, T) = Hom((M/EM)/d^k, T), and (M (x) T)/d^k is
+    (M/EM)/d^k (x) T, naturally in T; the chain of the finite M/EM settles
+    at Q, the completion of M/EM along (d)."""
+    return s.exact(s.postcompose(q, seq.x, seq.y, seq.incl), s.postcompose(q, seq.y, seq.z, seq.proj))
 
 
 # The induced maps of the exactness pair act between finite sums of cyclic
@@ -855,40 +844,29 @@ def _exact_along(s: _Side, seq: _Seq, m: CanonicalForm, c: int) -> tuple[bool, s
 # |middle| / |image|, is no larger than the image of the first.
 
 
-def _span_order(f: cyclic.SummandMap, scales, orders: tuple[int, ...]) -> int:
-    """The order of the subgroup of the sum of the Z/h, h in `orders`, that
-    the columns of f's matrix span, the j-th column times scales[j]: the
-    index of the integer span of [F·diag(scales) | diag(orders)] over that
+def _span_order(f: cyclic.SummandMap) -> int:
+    """The order of the image of f in the sum of the Z/h, h its target
+    orders: the index of the integer span of [F | diag(orders)] over that
     of diag(orders)."""
+    source, target, matrix = f
     rows = tuple(
-        tuple(x * k for x, k in zip(row, scales)) + (0,) * i + (h,) + (0,) * (len(orders) - 1 - i)
-        for i, (row, h) in enumerate(zip(f[2], orders))
+        row + (0,) * i + (h,) + (0,) * (len(target) - 1 - i) for i, (row, h) in enumerate(zip(matrix, target))
     )
-    return math.prod(orders) // math.prod(cokernel_orders(rows, len(scales) + len(orders))[0])
+    return math.prod(target) // math.prod(cokernel_orders(rows, len(source) + len(target))[0])
 
 
-def _gamma_exact(hi: cyclic.SummandMap, hp: cyclic.SummandMap, c: int):
-    # Γ of each Hom module is the kernel of c (see _effective), on Z/h the
-    # multiples of h/gcd(h, c), of order gcd(h, c)
-    def gamma(orders):
-        return [h // math.gcd(h, c) for h in orders], math.prod(math.gcd(h, c) for h in orders)
-
-    (sx, gx), (sy, gy) = gamma(hi[0]), gamma(hi[1])
-    image = _span_order(hi, sx, hi[1])
-    injective = image == gx
-    exact_mid = gy == _span_order(hp, sy, hp[1]) * image
+def _gamma_exact(hi: cyclic.SummandMap, hp: cyclic.SummandMap):
+    image = _span_order(hi)
+    injective = image == math.prod(hi[0])
+    exact_mid = math.prod(hi[1]) == _span_order(hp) * image
     ok = injective and exact_mid
     return ok, "" if ok else f"injective={injective}, exact={exact_mid}"
 
 
-def _lambda_exact(ti: cyclic.SummandMap, tp: cyclic.SummandMap, c: int):
-    # Λ of each tensor module is its quotient by c (see _effective), the sum
-    # of the Z/gcd(h, c), and ti, tp induce the maps between those sums
-    ly = tuple(math.gcd(h, c) for h in ti[1])
-    lz = tuple(math.gcd(h, c) for h in tp[1])
-    onto = _span_order(tp, (1,) * len(ly), lz)
-    surjective = onto == math.prod(lz)
-    exact_mid = math.prod(ly) == onto * _span_order(ti, (1,) * len(ti[0]), ly)
+def _lambda_exact(ti: cyclic.SummandMap, tp: cyclic.SummandMap):
+    onto = _span_order(tp)
+    surjective = onto == math.prod(tp[1])
+    exact_mid = math.prod(ti[1]) == onto * _span_order(ti)
     ok = surjective and exact_mid
     return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
 

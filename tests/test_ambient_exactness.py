@@ -10,28 +10,31 @@ pair by summand pair; on seeded random maps, free summands included, they
 must agree with the presentation route of `functors` up to isomorphism of
 kernel, image and cokernel, and respect composition.
 
-`verify._gamma_exact` and `verify._lambda_exact` compute along one integer
-c = gcd(d^K, E), for an E that kills every module they build, and the claims
-must report what the restricted-map route of `exactness_reference` gives
-along the ideal (d) itself on the maps of the presentation route: on every
-instance of the small golden grid and of the default Z/6 and Z/8 grids, and
-on seeded random sequences of finite modules over Z, Z/6 and Z/8, with c
-from the exponents of the modules the checks build.  The random cases also
+The claims read two-argument torsion and completion at their stable term:
+every module they build, Hom(M, T) or M (x) T for a term T, is killed by the
+exponent E of the middle term, so along (d) its torsion (completion) is
+Hom(Q, T) (Q (x) T) for Q the completion of M/EM along (d).  That identity is
+tested on every sequence and M of the small golden grid and of the three
+default grids, in the class or not, free M = Z included, for d from -4 to 8.
+On in-class sequences a wrong Q can still give the right verdicts, so the
+grid comparisons alone would not show it.  The claims must report what the
+restricted-map route of `exactness_reference` gives along the ideal (d) on
+the maps of the presentation route on M itself: on every instance of the
+small golden grid and of the default Z/6 and Z/8 grids, and on seeded random
+sequences of finite modules over Z, Z/6 and Z/8, with `verify._gamma_exact`
+and `verify._lambda_exact` on the maps induced on Q.  The random cases also
 scale the inclusion or the projection by k, complexes that need not be exact,
 so the failing branches and their notes are compared too.  The checks
 compare orders, which decides exactness only on a complex: every induced
-pair the claims walk on the default grids must compose to 0.  A suite run on
-the small grid must build no `ModuleMap`, trusted or certified.
+pair on Q that the claims walk on the default grids must compose to 0.  A
+suite run on the small grid must build no `ModuleMap`, trusted or certified.
 
-Computing along c rests on one fact, tested here on seeded random finite
-modules killed by E: along (d), the torsion submodule is the kernel of c and
-the stable quotient is N/cN.  On every sequence and M of those grids, in the
-class or not, the c of `_effective` must give each module the checks build
-the torsion and completion it has along (d).  On in-class sequences a wrong
-c can still give the right verdicts, so the grid comparisons alone would not
-show it.  The harness checks each (sequence, M, c) with c != 1 once, and
-builds no map at c = 1; the memoized claims must yield
-the same (values, result) pairs as the walk that checks every instance.
+Over Z and Z/n, the torsion submodule along (d) of a module killed by E is
+the kernel of c = gcd(d^K, E) for K >= log2 E, and the stable quotient is
+N/cN; that is tested here on seeded random finite modules killed by E.  The
+harness checks each (sequence, Q) once and builds its two maps once; the
+memoized claims must yield the same (values, result) pairs as the walk that
+checks every instance.
 """
 
 import json
@@ -164,7 +167,7 @@ def test_sequences_of_the_default_grids_certify_and_are_exact():
 
 
 def test_sequence_fields_hash_without_python_frames():
-    # _exact_along is keyed on the sequence: every field is an int, a tuple
+    # _exact_on is keyed on the sequence: every field is an int, a tuple
     # of them or an interned form, so its hash runs no Python code
     def plain(value) -> bool:
         if type(value) is tuple:
@@ -272,11 +275,11 @@ def test_exactness_checks_match_the_restriction_route_on_random_sequences(seed):
             ((seq.incl, k_proj), (incl, scaled(proj, k))),
         ):
             for side, presented, reference in SIDES:
-                first, second = side.postcompose(m, seq.x, seq.y, fi), side.postcompose(m, seq.y, seq.z, fp)
                 maps = [presented(M, f) for f in presented_pair]
-                e = math.lcm(1, *first[0], *first[1], *second[1])
                 for d in (0, 2, 3, 4):
-                    got = outcome(side.exact, first, second, math.gcd(d ** e.bit_length(), e))
+                    q = stable_quotient(seq, m, d)
+                    first, second = side.postcompose(q, seq.x, seq.y, fi), side.postcompose(q, seq.y, seq.z, fp)
+                    got = outcome(side.exact, first, second)
                     assert got == outcome(reference, *maps, principal(ring, d)), (ring, m, seq, k, d)
                     outcomes[side].add(got)
     # the passing branch and both failing notes of each check ran
@@ -354,26 +357,33 @@ def test_torsion_and_completion_of_a_module_killed_by_e_see_only_c(seed):
                 assert canonical_form(adic.power_quotient(N, a, k)) == want, (ring, N, d)
 
 
-def test_effective_gives_the_torsion_and_completion_along_d():
-    # on every sequence and M of the grids, in the class or not: each module
-    # the checks build has torsion and completion along (d) of the same
-    # orders as H/cH (a finite cyclic Z/m has Z/m[c] and Z/m/cZ/m both
-    # Z/gcd(c, m))
-    for grid in small_grids() + default_grids("Z/6", "Z/8"):
+def stable_quotient(seq, m, d):
+    """Q: the completion along (d) of M/EM, E the exponent of Y."""
+    e = seq.y.torsion_factors[-1] if seq.y.torsion_factors else 1
+    return cyclic.completion(cyclic.quotient(m, e), d)[0]
+
+
+def test_torsion_and_completion_of_the_built_modules_are_read_on_q():
+    # on every sequence and M of the grids, in the class or not, free M = Z
+    # included: the torsion of Hom(M, T) and the completion of M (x) T along
+    # (d) are Hom(Q, T) and Q (x) T for each term T
+    cases = 0
+    for grid in small_grids() + default_grids("Z", "Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
         for seq in verify._sequences(ctx, 0):
             for m in ctx.tiny:
                 for d in range(-4, 9):
-                    c = verify._effective(seq, m, d)
+                    q = stable_quotient(seq, m, d)
                     for t in (seq.x, seq.y, seq.z):
-                        for H in (cyclic.hom(m, t), cyclic.tensor(m, t)):
-                            want = cyclic.quotient(H, c)
-                            assert cyclic.torsion(H, d)[0] == want, (grid.label, seq, m, d)
-                            assert cyclic.completion(H, d)[0] == want, (grid.label, seq, m, d)
+                        assert cyclic.torsion(cyclic.hom(m, t), d)[0] == cyclic.hom(q, t), (grid.label, seq, m, d)
+                        assert cyclic.completion(cyclic.tensor(m, t), d)[0] == cyclic.tensor(q, t), (grid.label, seq, m, d)
+                        cases += 1
+    # 748 (sequence, M) pairs, 13 ideals and 3 terms
+    assert cases == 29172
 
 
-def induced(side, seq, m):
-    return side.postcompose(m, seq.x, seq.y, seq.incl), side.postcompose(m, seq.y, seq.z, seq.proj)
+def induced(side, seq, q):
+    return side.postcompose(q, seq.x, seq.y, seq.incl), side.postcompose(q, seq.y, seq.z, seq.proj)
 
 
 @pytest.mark.parametrize("claim_id, side", [("gamma-left-exact", verify._RED), ("lambda-right-exact", verify._COR)])
@@ -385,20 +395,20 @@ def test_every_pair_the_claims_walk_is_a_complex(claim_id, side):
     pairs = 0
     for grid in default_grids("Z", "Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
-        walked = dict.fromkeys(values[:2] for values, _ in verify._instances(cdef.loops, lambda *_: True, ctx))
-        for seq, m in walked:
-            first, second = induced(side, seq, m)
+        instances = verify._instances(cdef.loops, lambda *_: True, ctx)
+        walked = dict.fromkeys((seq, stable_quotient(seq, m, d)) for (seq, m, d), _ in instances)
+        for seq, q in walked:
+            first, second = induced(side, seq, q)
             product = integer_matrix(second[2], len(second[0])) @ integer_matrix(first[2], len(first[0]))
-            assert not any(map(any, reduced(product.entries, second[1]))), (grid.label, seq, m)
+            assert not any(map(any, reduced(product.entries, second[1]))), (grid.label, seq, q)
         pairs += len(walked)
-    # the distinct (sequence, M) of 1,406 + 480 + 609 instances
-    assert pairs == 570
+    # the distinct (sequence, Q) of 1,406 + 480 + 609 instances
+    assert pairs == 386
 
 
 def unmemoized(side):
-    # no shortcut at c = 1 either: there the checks compute (True, "") themselves
     def check(seq, m, d):
-        return side.exact(*induced(side, seq, m), verify._effective(seq, m, d))
+        return side.exact(*induced(side, seq, stable_quotient(seq, m, d)))
 
     return check
 
@@ -416,14 +426,8 @@ def test_memoized_exactness_yields_every_instance_of_the_unmemoized_walk(claim_i
 def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     # both claims hold, so their results cannot show a key that merges too
     # much; this check's note shows the torsion (completion) of each term,
-    # along c on the summand maps in the memoized claim and along (d) on the
-    # presentation route in the walk
-    def along_c(orders, c):
-        P = diagonal(ZZ, orders)
-        if side is verify._RED:
-            return canonical_form(kernel_submodule(mult_map(P, c)).to_presentation())
-        return canonical_form(quotient_by_ideal(P, principal(ZZ, c)))
-
+    # read off the orders of the summand maps on Q in the memoized claim and
+    # along (d) on the presentation route in the walk
     def along_d(P, d):
         limit = adic.torsion if side is verify._RED else adic.completion
         return canonical_form(limit(P, principal(P.ring, d)).value)
@@ -431,7 +435,7 @@ def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     def describe(forms):
         return True, " ".join(str((C.torsion_factors, C.free_rank)) for C in forms)
 
-    probe = side._replace(exact=lambda f, g, c: describe(along_c(h, c) for h in (f[0], f[1], g[1])))
+    probe = side._replace(exact=lambda f, g: describe(canonical_form(diagonal(ZZ, h)) for h in (f[0], f[1], g[1])))
     presented = hom_postcompose if side is verify._RED else tensor_postcompose
 
     def check(seq, m, d):
@@ -446,13 +450,18 @@ def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
         walked = verify._instances(shape["loops"], check, ctx)
         memoized = verify._instances(shape["loops"], shape["check"], ctx)
         for (values, result), want in zip(memoized, walked, strict=True):
-            # at c = 1 the claim reports (True, "") without asking the check,
-            # and every term has zero torsion (completion) along (d)
-            assert (values, result) == want or (
-                result == (True, "") and want == (values, describe([CanonicalForm(ZZ, (), 0)] * 3))
-            ), (grid.name(), values)
+            assert (values, result) == want, (grid.name(), values)
             notes.add(result[1])
     assert len(notes) > 2
+
+
+def old_c(seq, m, d):
+    """The integer c the checks once computed along: gcd(d^K, e), e the
+    exponent of Y, or its gcd with the exponent of M when M is finite."""
+    e = seq.y.torsion_factors[-1] if seq.y.torsion_factors else 1
+    if m.free_rank == 0:
+        e = math.gcd(e, m.torsion_factors[-1] if m.torsion_factors else 1)
+    return math.gcd(d ** e.bit_length(), e)
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
@@ -465,11 +474,18 @@ def test_exactness_checks_each_sequence_module_and_c_once(side):
 
     shape = verify._exactness(side._replace(exact=counted))
     instances = 0
+    triples, keys = set(), set()
     for grid in small_grids():
-        ctx = verify._make_ctx(grid)
-        instances += len(verify._instances(shape["loops"], shape["check"], ctx))
-    # 240 distinct (sequence, M, c), of which 138 have c = 1 and need no check
-    assert (instances, len(calls)) == (150 + 129 + 112, 102)
+        listing = verify._instances(shape["loops"], shape["check"], verify._make_ctx(grid))
+        instances += len(listing)
+        for (seq, m, d), _ in listing:
+            q = stable_quotient(seq, m, d)
+            triples.add((seq, m, old_c(seq, m, d), q))
+            keys.add((seq, q))
+    # Q = M/cM, so (sequence, M, c) fixes the key (sequence, Q): the 240
+    # distinct (sequence, M, c) share 114 checks, one per (sequence, Q)
+    assert len({t[:3] for t in triples}) == len(triples) == 240
+    assert (instances, len(calls), len(keys)) == (150 + 129 + 112, 114, 114)
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
@@ -481,23 +497,21 @@ def test_no_map_is_built_where_every_ideal_gives_c_1(side):
         return side.postcompose(*args)
 
     shape = verify._exactness(side._replace(postcompose=counted))
-    only_c_1 = pairs = 0
+    keys = set()
+    qs: dict = {}
     for grid in small_grids():
-        ctx = verify._make_ctx(grid)
-        cs: dict = {}
-        for (seq, m, _), c in verify._instances(shape["loops"], verify._effective, ctx):
-            cs.setdefault((seq, m), set()).add(c)
-        built.clear()
-        verify._instances(shape["loops"], shape["check"], ctx)
-        # the two maps once for each c != 1 of the pair
-        want = [
-            args
-            for (seq, m), seen in cs.items()
-            for _ in seen - {1}
-            for args in ((m, seq.x, seq.y, seq.incl), (m, seq.y, seq.z, seq.proj))
-        ]
-        assert Counter(built) == Counter(want), grid.name()
-        only_c_1 += sum(seen == {1} for seen in cs.values())
-        pairs += len(cs)
-    # of the 178 (sequence, M) pairs the claim walks, 76 give c = 1 for every ideal
-    assert (only_c_1, pairs) == (76, 178)
+        listing = verify._instances(shape["loops"], shape["check"], verify._make_ctx(grid))
+        for (seq, m, d), _ in listing:
+            q = stable_quotient(seq, m, d)
+            # c = 1 exactly where Q = M/cM is the zero module
+            assert (old_c(seq, m, d) == 1) == (q.torsion_factors == () and q.free_rank == 0), (seq, m, d)
+            keys.add((seq, q))
+            qs.setdefault((seq, m), set()).add(q)
+    # the two maps once for each distinct (sequence, Q), Q = 0 included
+    want = [args for seq, q in keys for args in ((q, seq.x, seq.y, seq.incl), (q, seq.y, seq.z, seq.proj))]
+    assert Counter(built) == Counter(want)
+    # of the 178 (sequence, M) pairs the claim walks, 76 give c = 1 for every
+    # ideal: their only key is (sequence, 0), so no map on M is built for
+    # them, only the two maps on 0 that the sequence shares with other pairs
+    only_zero = [pair for pair, seen in qs.items() if all(q.free_rank == 0 and not q.torsion_factors for q in seen)]
+    assert (len(only_zero), len(qs)) == (76, 178)

@@ -228,6 +228,11 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         "float-order.json": '{"ring": "Z", "max_torsion_order": 2.7, "ideal_generators": [2]}',
         "string-order.json": '{"ring": "Z", "max_torsion_order": "16", "ideal_generators": [2]}',
         "bool-rank.json": '{"ring": "Z", "max_free_rank": true, "ideal_generators": [2]}',
+        "unknown-key.json": '{"ring": "Z/6", "ideal_generators": [2], "max_torsion": 4}',
+        "list-label.json": '{"ring": "Z/6", "ideal_generators": [2], "label": ["x"]}',
+        "number-label.json": '{"ring": "Z/6", "ideal_generators": [2], "label": 6}',
+        "no-module.json": '{"ring": "Z/4", "ideal_generators": [2], "module_whitelist": []}',
+        "rank-over-zn.json": '{"ring": "Z/6", "max_free_rank": 3, "ideal_generators": [2]}',
     }
     paths = [str(tmp_path / "missing.json")]
     for name, text in bad.items():
@@ -237,6 +242,10 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         code, out, err = run(capsys, "verify", "--grid", path)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, path
+    # a null label, like a null whitelist, is no label: the grid gets its default name
+    (tmp_path / "null-label.json").write_text('{"ring": "Z/6", "max_torsion_order": 6, "ideal_generators": [2], "label": null}')
+    code, out, _ = run(capsys, "verify", "--grid", str(tmp_path / "null-label.json"), "--claims", "gamma-dual")
+    assert code == 0 and "PASS    gamma-dual [Z/6(o<=6,r<=0)] checked=" in out
 
 
 def test_a_grid_file_with_no_grid_is_a_usage_error(tmp_path, capsys):

@@ -113,6 +113,23 @@ def test_an_empty_grid_list_is_refused():
         run_suite([], ["gamma-dual"])
 
 
+def test_a_grid_that_holds_no_instance_or_names_an_ignored_rank_is_refused():
+    # each would report every claim as PASS with checked=0, or print a rank
+    # the enumeration never uses
+    for args, message in (
+        ((RingSpec.mod(4), 8, 0, ()), "ideal generator"),
+        ((RingSpec.integers(), 8, 1, ()), "ideal generator"),
+        ((RingSpec.mod(4), 8, 0, (2,), ()), "whitelist"),
+        ((RingSpec.integers(), 8, 1, (0, 2), ()), "whitelist"),
+        ((RingSpec.mod(6), 8, 3, (2,)), "max_free_rank 0"),
+    ):
+        with pytest.raises(InvalidGrid, match=message):
+            GridSpec(*args)
+    # a whitelist with a module and a rank over Z remain grids
+    assert GridSpec(RingSpec.mod(4), 8, 0, (2,), ("Z/2",)).module_whitelist == ("Z/2",)
+    assert GridSpec(RingSpec.integers(), 8, 3, (2,)).name() == "Z(o<=8,r<=3)"
+
+
 def test_a_claim_is_checked_only_over_the_rings_it_applies_to():
     # over Z the inner local homology of vnr-homology-vanish can be
     # undefined, and Z is not von Neumann regular; Z/8 is modular but not
