@@ -18,48 +18,31 @@ prunes at its depth), and a check that returns True, False, an (outcome,
 note) pair, or (None, note) for a skip.  A check skips only where its guards
 admit an undefined completion or dual; where the paper's classes make the
 value exist (a finite N, an N or P in the class, a coreduced M, a ring Z/n),
-it computes the value without a test for None.  `check_claim` refuses a
-claim outside its rings, and `run_suite` a selection that checks nothing.
-Over Z and Z/n every value depends on an ideal only through its canonical
-generator d, so guards and checks get d, an int.  One walker runs the loops
-of every claim: an instance that passes costs its check and a count, nothing
-more, and a label such as `M=Z/2, N=Z, a=(2)` is formatted only for the
-samples a report keeps.  A guard may also count a skip for the values bound
-so far (the inherit pair, where the classical value is undefined).  The
-exactness pair sees M and d only through one stable quotient Q (`_exact_on`),
-so it checks each (sequence, Q) once and repeats that result for every M and
-ideal with the same Q, each instance under its own label.
+it computes the value without a test for None.  Over Z and Z/n every value
+depends on an ideal only through its canonical generator d, so guards and
+checks get d, an int.  One walker, `_walk`, runs the loops of every claim
+with one loop body: bind a value, ask the guard, then descend or check.  A
+guard may also count a skip (the inherit pair, where the classical value is
+undefined).  A pass costs its check and a count, and a label such as
+`M=Z/2, N=Z, a=(2)` is formatted only for the samples a report keeps.
 Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
 Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
 homology).  The harness's local (co)homology (`_collapsed`) takes the
-collapse formula, Ext or Tor against M/aM, on the class relative to M, and
-elsewhere `cyclic.local_cohomology` (`local_homology`), which `fgmod glc`
-(`glh`) prints; the fast-path claims compare the two.
+collapse formula on the class relative to M and the public `cyclic` value
+elsewhere; the fast-path claims compare the two.
 
-All grid walks are deterministic, so identical inputs produce byte-identical
+Every walk is deterministic, so identical inputs produce byte-identical
 reports, also when `run_suite` shares its (claim, grid) jobs with forked
-worker processes: each job runs whole in one process.  Modules are
-enumerated as canonical forms, and every value a claim compares (Hom,
-tensor, Ext, Tor, torsion, completion, duals and the (co)reduced predicates)
-is read off their invariant factors by `fgmod.cyclic`, the same layer the
-library's value functions use.  The exactness claims need induced maps: each
-short exact sequence carries its inclusion and projection as integer
-matrices on the cyclic summands of its terms, and `cyclic` induces them on
-Hom(Q, -) and Q (x) - summand pair by summand pair, so the claims compare the
-orders of their images.  The equivalence claims ask whether aG = 0 on forms,
-as G/dG is G (forms are interned); `modules.scaled_submodule` is the tests'
-reference for it.
-
-Each sequence comes from the generator tuples of a submodule by two Smith
-eliminations (see `_sequence`).  Every Smith form the harness needs comes
-from `fgmod.elimination`, which works on tuples of integers: `_sequence`
-takes the transforms of `eliminate`, and each order is read off
-`cokernel_orders`.  The harness's records are `rings._Record`s rather than
-dataclasses.  So a run loads `cyclic`, `grammar` and `elimination` but
-neither the matrix route (`linalg`, `modules`) nor `dataclasses`, also when
-a grid's whitelist names a `coker` module, which the grammar reads off
-`elimination` too.
-Of this module only the public `enumerate_modules`, which returns
+worker processes.  Modules are enumerated as canonical forms, and every
+value a claim compares is read off their invariant factors by
+`fgmod.cyclic`, the layer the library's value functions use.  Each short
+exact sequence carries its inclusion and projection as integer matrices on
+cyclic summands (see `_sequence`), and the exactness pair compares the
+orders of the maps they induce on one stable quotient Q, once per
+(sequence, Q) (see `_exact_on`).  Every Smith form comes from
+`fgmod.elimination` and every record is a `rings._Record`, so a run loads
+neither `linalg`, `modules` nor `dataclasses`, also when a whitelist names
+a `coker` module.  Only the public `enumerate_modules`, which returns
 presentations, loads `modules`, and only json-lines output loads `json`.
 """
 
@@ -114,7 +97,8 @@ _MAX_GRID_MODULUS = 2**64
 
 
 class GridSpec(_Record):
-    """Enumeration bounds for one verification grid."""
+    """Enumeration bounds for one verification grid.  A whitelist, when
+    given, replaces the bounds: the grid's modules are the forms it names."""
 
     __slots__ = _fields = (
         "ring", "max_torsion_order", "max_free_rank", "ideal_generators", "module_whitelist", "label",
@@ -129,6 +113,9 @@ class GridSpec(_Record):
         module_whitelist: tuple[str, ...] | None = None,
         label: str = "",
     ):
+        for key, bound in (("max_torsion_order", max_torsion_order), ("max_free_rank", max_free_rank)):
+            if bound < 0:
+                raise InvalidGrid(f"grid {key!r} must be nonnegative, got {bound}")
         if ring.modulus is not None and ring.modulus >= _MAX_GRID_MODULUS:
             raise InvalidGrid(
                 f"grid ring modulus must be below 2**64 (it has {len(str(ring.modulus))} digits):"
@@ -143,7 +130,13 @@ class GridSpec(_Record):
         self._fill(ring, max_torsion_order, max_free_rank, ideal_generators, module_whitelist, label)
 
     def name(self) -> str:
-        return self.label or f"{self.ring}(o<={self.max_torsion_order},r<={self.max_free_rank})"
+        """The label, or the ring and the bounds, or for a whitelist the ring
+        and its forms, so that spellings of the same forms share a name."""
+        if self.label:
+            return self.label
+        if self.module_whitelist is None:
+            return f"{self.ring}(o<={self.max_torsion_order},r<={self.max_free_rank})"
+        return f"{self.ring}[{'; '.join(map(format_canonical, enumerate_forms(self)))}]"
 
 
 def _divisor_chains(budget: int, modulus: int | None) -> list[tuple[int, ...]]:
@@ -211,8 +204,6 @@ def grid_from_dict(data: dict) -> GridSpec:
         value = data.get(key, default)
         if not is_int(value):
             raise InvalidGrid(f"grid {key!r} must be an integer")
-        if value < 0:
-            raise InvalidGrid(f"grid {key!r} must be nonnegative, got {value}")
         return value
 
     ideal_generators = data["ideal_generators"]
@@ -531,47 +522,34 @@ class _Var(NamedTuple):
 
 def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) -> None:
     """Check each instance, depth first in declaration order inside a loop
-    over the ideals.  A result of True only adds to `tally.checked`; any other
+    over the ideals.  Each depth binds a value and asks its guard, then
+    descends or, at the innermost depth, checks.  A result of True only adds
+    to a local count, added to `tally.checked` once per loop; any other
     result, and a guard's skip, goes to `tally.record` with the instance's
     values, which end with the ideal's generator d."""
     last = len(loops) - 1
-    every = tally.listing is not None
 
     def descend(bound: tuple, d: int) -> None:
         var = loops[len(bound)]
         guard = var.guard
-        if len(bound) < last:
-            for x in var.values(ctx, bound, d):
-                values = bound + (x,)
-                if guard is not None and (ok := guard(*values, d)) is not True:
-                    if isinstance(ok, tuple):
-                        tally.record(values + (d,), ok)
-                    continue
-                descend(values, d)
-            return
+        inner = len(bound) < last
         checked = 0
         for x in var.values(ctx, bound, d):
-            if guard is not None and (ok := guard(*bound, x, d)) is not True:
+            values = bound + (x,)
+            if guard is not None and (ok := guard(*values, d)) is not True:
                 if isinstance(ok, tuple):
-                    tally.record(bound + (x, d), ok)
-                continue
-            result = check(*bound, x, d)
-            if result is True and not every:
+                    tally.record(values + (d,), ok)
+            elif inner:
+                descend(values, d)
+            elif (result := check(*values, d)) is True:
                 checked += 1
             else:
-                tally.record(bound + (x, d), result)
+                tally.record(values + (d,), result)
         tally.checked += checked
 
     for d in ctx.ideals:
         descend((), d)
     del descend  # the closure refers to itself; `cli.run` collects no cycles
-
-
-def _instances(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx) -> list[tuple[tuple, object]]:
-    """(values, result) of every instance and guard skip, in walk order."""
-    tally = _Tally(loops, listing=[])
-    _walk(loops, check, ctx, tally)
-    return tally.listing
 
 
 def _label(loops: tuple[_Var, ...], values: tuple) -> str:
@@ -596,13 +574,12 @@ def _label(loops: tuple[_Var, ...], values: tuple) -> str:
 
 
 class _Tally:
-    """One claim's counts on one grid.  `listing`, when a list, receives
-    every (values, result), passes included, for references and tests."""
+    """One claim's counts on one grid, and the labels of the samples it keeps."""
 
-    __slots__ = ("loops", "checked", "counterexamples", "n_counter", "skipped", "n_skipped", "listing")
+    __slots__ = ("loops", "checked", "counterexamples", "n_counter", "skipped", "n_skipped")
 
-    def __init__(self, loops: tuple[_Var, ...], listing: list | None = None):
-        self.loops, self.listing = loops, listing
+    def __init__(self, loops: tuple[_Var, ...]):
+        self.loops = loops
         self.checked = self.n_counter = self.n_skipped = 0
         self.counterexamples: list[str] = []
         self.skipped: list[str] = []
@@ -610,8 +587,6 @@ class _Tally:
     def record(self, values: tuple, result):
         """Count one check result: True, False, (outcome, note), or
         (None, note) for a skip.  Labels only the samples it keeps."""
-        if self.listing is not None:
-            self.listing.append((values, result))
         outcome, note = result if isinstance(result, tuple) else (result, "")
         if outcome is None:
             self.n_skipped += 1
@@ -1128,6 +1103,10 @@ def registered_claims() -> list[str]:
 
 
 def claim_expectation(claim_id: str, grid: GridSpec | None = None) -> str:
+    """The verdict a claim is expected to reach on `grid`.  Without a grid it
+    is the claim's declared default, which the per-grid answer overrides for
+    `extension-closure-*` (pass on von Neumann regular rings) and for the
+    fast-path claims (which follow the ring and, over Z, the free rank)."""
     if claim_id not in _BY_ID:
         raise UnknownClaim(claim_id)
     if grid is None:
@@ -1170,15 +1149,21 @@ def run_suite(
     grids: list[GridSpec] | None = None, claims: list[str] | None = None, processes: int = 1
 ) -> SuiteReport:
     """Evaluate claims over grids; reports come back sorted and deterministic.
-    Each claim is checked on the grids it applies to, and a selection that
-    leaves nothing to check raises InvalidGrid.  With `processes` > 1 the
-    (claim, grid) jobs are shared with forked workers (see `_run_jobs`); each
-    job still runs whole in one process, so the reports are those of a
-    serial run."""
-    grids = default_grids() if grids is None else grids
+    Each claim is checked on the grids it applies to.  A selection that
+    leaves nothing to check raises InvalidGrid, and so do two different
+    grids of one name, whose reports no reader could tell apart.  With
+    `processes` > 1 the (claim, grid) jobs are shared with forked workers
+    (see `_run_jobs`); each job still runs whole in one process, so the
+    reports are those of a serial run."""
+    # a repeated grid, like a repeated id, is checked, and reported, once
+    grids = default_grids() if grids is None else list(dict.fromkeys(grids))
     if not grids:
         raise InvalidGrid("no grid to check the claims on")
-    # a repeated id is checked, and reported, once
+    names = set()
+    for grid in grids:
+        if (name := grid.name()) in names:
+            raise InvalidGrid(f"two different grids are named {name!r}: give them distinct labels")
+        names.add(name)
     claim_ids = registered_claims() if claims is None else list(dict.fromkeys(claims))
     for cid in claim_ids:
         if cid not in _BY_ID:

@@ -108,6 +108,21 @@ CHECKS = (
 )
 
 
+def walk_listing(loops, check, ctx) -> list:
+    """(values, result) of every instance `verify._walk` checks, in walk
+    order; the values end with the ideal's generator d.  A guard's skip is
+    not listed, and the exactness claims' guards never skip."""
+    listing = []
+
+    def listed(*values):
+        result = check(*values)
+        listing.append((values, result))
+        return result
+
+    verify._walk(loops, listed, ctx, verify._Tally(loops))
+    return listing
+
+
 def reference_comparisons(grids):
     """((claim, grid, values), (got, want)) for each instance of the
     exactness claims on the grids: what the claim reports, and what the
@@ -122,8 +137,8 @@ def reference_comparisons(grids):
 
         for grid in grids:
             ctx = verify._make_ctx(grid)
-            walked = verify._instances(cdef.loops, check, ctx)
-            claimed = verify._instances(cdef.loops, cdef.check, ctx)
+            walked = walk_listing(cdef.loops, check, ctx)
+            claimed = walk_listing(cdef.loops, cdef.check, ctx)
             for (values, got), (want_values, want) in zip(claimed, walked, strict=True):
                 assert values == want_values, (claim_id, grid.label, values, want_values)
                 yield (claim_id, grid.label, values), (got, want)

@@ -51,6 +51,7 @@ from exactness_reference import (
     reference_comparisons,
     sequence_submodule,
     ses_maps,
+    walk_listing,
 )
 
 import fgmod
@@ -395,7 +396,7 @@ def test_every_pair_the_claims_walk_is_a_complex(claim_id, side):
     pairs = 0
     for grid in default_grids("Z", "Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
-        instances = verify._instances(cdef.loops, lambda *_: True, ctx)
+        instances = walk_listing(cdef.loops, lambda *_: True, ctx)
         walked = dict.fromkeys((seq, stable_quotient(seq, m, d)) for (seq, m, d), _ in instances)
         for seq, q in walked:
             first, second = induced(side, seq, q)
@@ -418,8 +419,8 @@ def test_memoized_exactness_yields_every_instance_of_the_unmemoized_walk(claim_i
     cdef = verify._BY_ID[claim_id]
     for grid in small_grids() + default_grids("Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
-        memoized = verify._instances(cdef.loops, cdef.check, ctx)
-        assert memoized == verify._instances(cdef.loops, unmemoized(side), ctx), grid.name()
+        memoized = walk_listing(cdef.loops, cdef.check, ctx)
+        assert memoized == walk_listing(cdef.loops, unmemoized(side), ctx), grid.name()
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
@@ -447,8 +448,8 @@ def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     notes = set()
     for grid in small_grids():
         ctx = verify._make_ctx(grid)
-        walked = verify._instances(shape["loops"], check, ctx)
-        memoized = verify._instances(shape["loops"], shape["check"], ctx)
+        walked = walk_listing(shape["loops"], check, ctx)
+        memoized = walk_listing(shape["loops"], shape["check"], ctx)
         for (values, result), want in zip(memoized, walked, strict=True):
             assert (values, result) == want, (grid.name(), values)
             notes.add(result[1])
@@ -476,7 +477,7 @@ def test_exactness_checks_each_sequence_module_and_c_once(side):
     instances = 0
     triples, keys = set(), set()
     for grid in small_grids():
-        listing = verify._instances(shape["loops"], shape["check"], verify._make_ctx(grid))
+        listing = walk_listing(shape["loops"], shape["check"], verify._make_ctx(grid))
         instances += len(listing)
         for (seq, m, d), _ in listing:
             q = stable_quotient(seq, m, d)
@@ -500,7 +501,7 @@ def test_no_map_is_built_where_every_ideal_gives_c_1(side):
     keys = set()
     qs: dict = {}
     for grid in small_grids():
-        listing = verify._instances(shape["loops"], shape["check"], verify._make_ctx(grid))
+        listing = walk_listing(shape["loops"], shape["check"], verify._make_ctx(grid))
         for (seq, m, d), _ in listing:
             q = stable_quotient(seq, m, d)
             # c = 1 exactly where Q = M/cM is the zero module

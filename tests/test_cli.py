@@ -233,6 +233,9 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         "number-label.json": '{"ring": "Z/6", "ideal_generators": [2], "label": 6}',
         "no-module.json": '{"ring": "Z/4", "ideal_generators": [2], "module_whitelist": []}',
         "rank-over-zn.json": '{"ring": "Z/6", "max_free_rank": 3, "ideal_generators": [2]}',
+        "negative-rank.json": '{"ring": "Z", "max_free_rank": -1, "ideal_generators": [2]}',
+        "one-label.json": '[{"ring": "Z/6", "ideal_generators": [2], "label": "g"},'
+        ' {"ring": "Z/8", "ideal_generators": [2], "label": "g"}]',
     }
     paths = [str(tmp_path / "missing.json")]
     for name, text in bad.items():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -122,12 +123,86 @@ def test_a_grid_that_holds_no_instance_or_names_an_ignored_rank_is_refused():
         ((RingSpec.mod(4), 8, 0, (2,), ()), "whitelist"),
         ((RingSpec.integers(), 8, 1, (0, 2), ()), "whitelist"),
         ((RingSpec.mod(6), 8, 3, (2,)), "max_free_rank 0"),
+        # a negative rank enumerates no module, a negative order only the
+        # zero module, also where a whitelist replaces the bounds
+        ((RingSpec.integers(), 4, -1, (2,)), "'max_free_rank' must be nonnegative, got -1"),
+        ((RingSpec.mod(4), -3, 0, (2,)), "'max_torsion_order' must be nonnegative, got -3"),
+        ((RingSpec.mod(4), 4, -1, (2,)), "'max_free_rank' must be nonnegative"),
+        ((RingSpec.integers(), 4, -2, (2,), ("Z/2",)), "'max_free_rank' must be nonnegative"),
     ):
         with pytest.raises(InvalidGrid, match=message):
             GridSpec(*args)
     # a whitelist with a module and a rank over Z remain grids
     assert GridSpec(RingSpec.mod(4), 8, 0, (2,), ("Z/2",)).module_whitelist == ("Z/2",)
     assert GridSpec(RingSpec.integers(), 8, 3, (2,)).name() == "Z(o<=8,r<=3)"
+
+
+def test_two_different_grids_of_one_name_are_refused_and_a_repeated_grid_runs_once():
+    # their reports would print under one name, one PASS and one FAIL alike
+    for grids in (
+        [GridSpec(RingSpec.mod(6), 8, 0, (2,), label="g"), GridSpec(RingSpec.mod(8), 8, 0, (2,), label="g")],
+        [GridSpec(RingSpec.mod(8), 8, 0, (0, 2)), GridSpec(RingSpec.mod(8), 8, 0, (0, 4))],
+        [TINY_Z6, GridSpec(RingSpec.mod(8), 8, 0, (0, 2), label="tiny-z6")],
+    ):
+        with pytest.raises(InvalidGrid, match=re.escape(f"named {grids[1].name()!r}: give them distinct labels")):
+            run_suite(grids, ["gamma-dual"])
+    once = run_suite([TINY_Z6], ["gamma-dual", "reflexive"])
+    assert run_suite([TINY_Z6, TINY_Z6], ["gamma-dual", "reflexive"]) == once
+    assert len(once.reports) == 2
+
+
+def test_a_whitelisted_grid_is_named_after_its_ring_and_forms():
+    # the bounds a whitelist replaces are not printed, and spellings of the
+    # same forms share one name
+    grid = grid_from_dict(
+        {"ring": "Z/8", "max_torsion_order": 2, "ideal_generators": [2], "module_whitelist": ["Z/8", "Z/4"]}
+    )
+    assert grid.name() == "Z/8[Z/8; Z/4]"
+    assert GridSpec(RingSpec.mod(8), 16, 0, (0, 2), ("Z/4", "coker[[8]]", "Z/4")).name() == "Z/8[Z/4; Z/8]"
+    assert {
+        GridSpec(RingSpec.integers(), o, r, (2,), wl).name()
+        for o, r, wl in ((16, 1, ("0", "Z^2 + Z/2", "Z/2 + Z/4")), (1, 0, ("0", "Z + Z + coker[[2]]", "coker[[2,4],[6,8]]")))
+    } == {"Z[0; Z^2 + Z/2; Z/2 + Z/4]"}
+    assert GridSpec(RingSpec.mod(8), 2, 0, (2,), ("Z/8",), label="wl").name() == "wl"
+    assert check_claim("gamma-dual", grid).grid == "Z/8[Z/8; Z/4]"
+
+
+def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
+    # the last bound value picks the check's result and the guards' answers:
+    # an inner depth goes on at 0, prunes at 1 and skips at 2; the innermost
+    # depth checks 0 to 4, and its guard prunes at 5 and skips at 6
+    results = (True, False, (True, "t"), (False, "f"), (None, "s"))
+    inner_guard = {1: False, 2: (None, "inner")}
+    last_guard = {5: False, 6: (None, "g")}
+    kept = {
+        1: (["i=1, a=({d})", "i=3, a=({d}) : f"], ["i=4, a=({d}) : s", "i=6, a=({d}) : g"]),
+        2: (
+            ["i=0, j=1, a=({d})", "i=0, j=3, a=({d}) : f"],
+            ["i=0, j=4, a=({d}) : s", "i=0, j=6, a=({d}) : g", "i=2, a=({d}) : inner"],
+        ),
+        3: (
+            ["i=0, j=0, k=1, a=({d})", "i=0, j=0, k=3, a=({d}) : f"],
+            [
+                "i=0, j=0, k=4, a=({d}) : s",
+                "i=0, j=0, k=6, a=({d}) : g",
+                "i=0, j=2, a=({d}) : inner",
+                "i=2, a=({d}) : inner",
+            ],
+        ),
+    }
+    def var(name, size, guard):
+        return verify._Var(name, lambda ctx, *bound_and_d: range(size), lambda *values_and_d: guard.get(values_and_d[-2], True))
+
+    ctx = verify._Ctx(None, (5, 7), (), (), (), (), ())
+    for depth, (counterexamples, skipped) in kept.items():
+        loops = tuple(var(name, 3, inner_guard) for name in "ij"[: depth - 1]) + (var("ijk"[depth - 1], 7, last_guard),)
+        tally = verify._Tally(loops)
+        verify._walk(loops, lambda *values_and_d: results[values_and_d[-2]], ctx, tally)
+        # per ideal: four results checked, two of them counterexamples, and a
+        # skip by the check, by the innermost guard and by each inner guard
+        assert (tally.checked, tally.n_counter, tally.n_skipped) == (8, 4, 2 * (depth + 1)), depth
+        assert tally.counterexamples == [label.format(d=d) for d in (5, 7) for label in counterexamples], depth
+        assert tally.skipped == [label.format(d=d) for d in (5, 7) for label in skipped], depth
 
 
 def test_a_claim_is_checked_only_over_the_rings_it_applies_to():
