@@ -27,9 +27,10 @@ undefined).  A pass costs its check and a count, and a label such as
 `M=Z/2, N=Z, a=(2)` is formatted only for the samples a report keeps.
 Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
 Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
-homology).  The harness's local (co)homology (`_collapsed`) takes the
-collapse formula on the class relative to M and the public `cyclic` value
-elsewhere; the fast-path claims compare the two.
+homology).  The harness's local (co)homology, `_collapsed`, is Ext (Tor)
+against M/aM on the class relative to M, the collapse formula, and against
+the completion of M elsewhere, which gives the public `cyclic` value; the
+fast-path claims compare the two.
 
 Every walk is deterministic, so identical inputs produce byte-identical
 reports, also when `run_suite` shares its (claim, grid) jobs with forked
@@ -229,15 +230,6 @@ def grid_from_dict(data: dict) -> GridSpec:
 # values on canonical forms, read off invariant factors by fgmod.cyclic
 
 
-def _completion(c: CanonicalForm, d: int) -> CanonicalForm | None:
-    """The completion, or None where the chain of ideal multiples never
-    stabilizes (a free Z-summand and a generator outside {0, +-1})."""
-    try:
-        return cyclic.completion(c, d)[0]
-    except NonStabilizing:
-        return None
-
-
 def _cboth(m: CanonicalForm, n: CanonicalForm, d: int) -> bool:
     return cyclic.is_reduced_wrt(m, n, d) and cyclic.is_coreduced_wrt(m, n, d)
 
@@ -255,27 +247,20 @@ def _reflexive(c: CanonicalForm) -> bool:
     return cyclic.dual(cyclic.dual(c)) == c
 
 
+@lru_cache(maxsize=cyclic._MEMO)
 def _collapsed(s: _Side, i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
-    """The harness's local (co)homology: on the class of N relative to M
-    the collapse formula, Ext (Tor) against M/aM; elsewhere the public
-    `cyclic` value, or None where the chain a^kM never stabilizes.  The
-    public value never collapses, so in positive degree the two differ on
-    the formula's counterexamples, which the fast-path claims report."""
-    if s.in_class(m, n, d):
-        return s.derived(i, cyclic.quotient(m, d), n)
-    if _completion(m, d) is None:
+    """The harness's local cohomology (homology on the coreduced side):
+    Ext^i (Tor_i) against one quotient of M, or None where the chain a^kM
+    never stabilizes.  On the class of N relative to M the quotient is M/aM,
+    the collapse formula, which the fast-path claims test.  Elsewhere it is
+    the completion M/a^tM, and the value is the public `cyclic` one: that
+    reads the stabilized term in positive degree, and in degree 0 the system
+    Hom(M/a^kM, N) (M/a^kM (x) N) is constant from k = t on."""
+    try:
+        q = cyclic.quotient(m, d) if s.in_class(m, n, d) else cyclic.completion(m, d)[0]
+    except NonStabilizing:
         return None
-    return s.public(i, m, n, d)
-
-
-@lru_cache(maxsize=cyclic._MEMO)
-def _cglc(i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
-    return _collapsed(_RED, i, m, n, d)
-
-
-@lru_cache(maxsize=cyclic._MEMO)
-def _cglh(i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
-    return _collapsed(_COR, i, m, n, d)
+    return s.derived(i, q, n)
 
 
 def _cf_projective(c: CanonicalForm) -> bool:
@@ -658,8 +643,9 @@ class _Side(NamedTuple):
     names: reduced (R^M_a, two-argument torsion, Hom, Ext, local cohomology)
     or coreduced (C^M_a, two-argument completion, tensor, Tor, local
     homology).  Each operation that depends on the ideal takes it as its
-    canonical generator d.  A side is a tuple of its operations, so it can
-    key a memo table."""
+    canonical generator d.  The two sides are the only ones, so a side
+    compares and hashes by identity, as a `CanonicalForm` does: a memo table
+    keyed on it hashes one pointer, not its operations."""
 
     in_class: Callable  # (M, N, d): is N in R^M_a (C^M_a)
     adic: Callable  # (M, N, d): two-argument torsion (completion; raises NonStabilizing if no limit)
@@ -667,10 +653,13 @@ class _Side(NamedTuple):
     absolute: Callable  # (N, d): is N itself reduced (coreduced)
     functor: Callable  # Hom (tensor)
     derived: Callable  # Ext (Tor)
-    local: Callable  # (i, M, N, d): the harness's local cohomology (homology); None if undefined
     public: Callable  # (i, M, N, d): cyclic's local cohomology (homology)
     postcompose: Callable  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
     exact: Callable  # (first, second induced on Q; see _exact_on): left (right) exact
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def _equiv(s: _Side) -> dict:
@@ -696,8 +685,9 @@ def _equiv(s: _Side) -> dict:
 
 def _gamma_compose(m, n, d):
     # two-argument torsion per its limit definition vs torsion of the hom module
-    mk = _completion(m, d)
-    if mk is None:
+    try:
+        mk = cyclic.completion(m, d)[0]
+    except NonStabilizing:
         return None, "ideal-multiple chain of M does not stabilize"
     return cyclic.hom(mk, n) == cyclic.torsion_wrt(m, n, d)
 
@@ -856,7 +846,7 @@ def _fastpath(s: _Side) -> dict:
     # which reads the stabilized chain; degree 0 always agrees on the class
     def check(m, n, d):
         try:
-            return all(s.local(i, m, n, d) == s.public(i, m, n, d) for i in _degrees(m.ring))
+            return all(_collapsed(s, i, m, n, d) == s.public(i, m, n, d) for i in _degrees(m.ring))
         except NonStabilizing:
             return None, "stabilized path undefined"
 
@@ -885,7 +875,7 @@ def _positive_degrees_vanish(s: _Side) -> dict:
             _Var("M", guard=lambda m, d: _cf_projective(cyclic.quotient(m, d))),
             _Var("N", guard=s.in_class),
         ),
-        check=lambda m, n, d: all(s.local(i, m, n, d).is_trivial for i in _degrees(m.ring, 1)),
+        check=lambda m, n, d: all(_collapsed(s, i, m, n, d).is_trivial for i in _degrees(m.ring, 1)),
     )
 
 
@@ -893,7 +883,7 @@ def _finiteness(m, n, d):
     finite = True
     any_defined = False
     for i in _degrees(m.ring):
-        for v in (_cglc(i, m, n, d), _cglh(i, m, n, d)):
+        for v in (_collapsed(_RED, i, m, n, d), _collapsed(_COR, i, m, n, d)):
             if v is not None:
                 any_defined = True
                 finite = finite and v.free_rank == 0
@@ -908,27 +898,27 @@ def _local_dual(s: _Side) -> dict:
     # the collapse formula, and every value is finite
     def check(m, n, d):
         dn = cyclic.dual(n)
-        return all(cyclic.dual(s.local(i, m, n, d)) == _other(s).local(i, m, dn, d) for i in _degrees(m.ring))
+        return all(cyclic.dual(_collapsed(s, i, m, n, d)) == _collapsed(_other(s), i, m, dn, d) for i in _degrees(m.ring))
 
     return dict(loops=(_Var("M"), _Var("N", "finite", s.in_class)), check=check)
 
 
 def _b_class_membership(m, n, d):
     # coreduced M makes both fast paths total
-    return all(_cboth(m, _cglc(p, m, n, d), d) and _cboth(m, _cglh(p, m, n, d), d) for p in _degrees(m.ring))
+    return all(_cboth(m, _collapsed(s, p, m, n, d), d) for p in _degrees(m.ring) for s in (_RED, _COR))
 
 
 def _inherit(s: _Side) -> dict:
     # the classical value H(R, N) gates M, and is undefined once per (q, N)
     def classical(q, n, d):
-        return s.local(q, _free_form(n.ring), n, d)
+        return _collapsed(s, q, _free_form(n.ring), n, d)
 
     def gated(ctx: _Ctx, q, n, d):
         hq = classical(q, n, d)
         return [m for m in ctx.forms if s.in_class(m, hq, d)]
 
     def check(q, n, m, d):
-        hmn = s.local(q, m, n, d)
+        hmn = _collapsed(s, q, m, n, d)
         return (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn, d)
 
     loops = (
@@ -945,10 +935,10 @@ def _vnr_vanish(s: _Side) -> dict:
     def check(m, n, d):
         degrees = _degrees(m.ring)
         for q in degrees:
-            inner = s.local(q, m, n, d)
+            inner = _collapsed(s, q, m, n, d)
             note = ""  # the last failure in row q
             for p in degrees:
-                outer = s.local(p, m, inner, d)
+                outer = _collapsed(s, p, m, inner, d)
                 if (p, q) == (0, 0):
                     if outer != s.adic(m, s.adic(m, n, d), d):
                         note = f"double {s.adic_name} mismatch at (0,0)"
@@ -966,12 +956,12 @@ def _vnr_vanish(s: _Side) -> dict:
 
 
 _RED = _Side(
-    cyclic.is_reduced_wrt, cyclic.torsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext, _cglc,
+    cyclic.is_reduced_wrt, cyclic.torsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom, cyclic.ext,
     cyclic.local_cohomology, cyclic.hom_postcompose, _gamma_exact,
 )
 _COR = _Side(
     cyclic.is_coreduced_wrt, cyclic.completion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor, cyclic.tor,
-    _cglh, cyclic.local_homology, cyclic.tensor_postcompose, _lambda_exact,
+    cyclic.local_homology, cyclic.tensor_postcompose, _lambda_exact,
 )
 
 
@@ -1070,7 +1060,7 @@ _REGISTRY: list[_Claim] = [
            **_positive_degrees_vanish(_COR)),
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
            (_Var("M", guard=cyclic.is_coreduced), _Var("N", guard=lambda m, n, d: cyclic.is_coreduced(n, d))),
-           lambda m, n, d: all(_cglh(i, m, n, d) == _cglh(i, n, m, d) for i in _degrees(m.ring)),
+           lambda m, n, d: all(_collapsed(_COR, i, m, n, d) == _collapsed(_COR, i, n, m, d) for i in _degrees(m.ring)),
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",
            (_M, _Var("N", "finite")), _finiteness),

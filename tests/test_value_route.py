@@ -3,21 +3,27 @@
 `cyclic.local_cohomology` and `cyclic.local_homology` must agree with the
 matrix route they replaced (`cohomology_reference`) on seeded random
 non-diagonal presentations over Z, Z/6, Z/8 and Z/12, in degrees 0-3,
-wherever that route answers.  The four `cyclic.*_wrt` functions must agree
+wherever that route answers.  So must the harness's value
+`verify._collapsed` off the (co)reduced class relative to M, where it is
+None exactly where that route raises; on the class it is Ext (Tor) of
+M/aM by a free resolution.  The four `cyclic.*_wrt` functions must agree
 with the compositions they replaced, and with the torsion, quotient chain
 and kernel comparisons on the Hom and tensor presentations themselves.
 """
 
 import pytest
 from cohomology_reference import local_cohomology_by_chain, local_homology_by_chain
+from resolution_reference import ext_by_resolution, tor_by_resolution
 from test_cyclic import DEGREES, ideals, pairs, power
 
-from fgmod import cyclic
+from fgmod import cyclic, verify
 from fgmod.adic import power_quotient, torsion_submodule
 from fgmod.cohomology import local_cohomology, local_homology
 from fgmod.errors import NonStabilizing
 from fgmod.functors import hom_module, tensor_module
-from fgmod.modules import canonical_form, kernel_submodule, mult_map, scaled_submodule, submodule_equal
+from fgmod.modules import (
+    canonical_form, kernel_submodule, mult_map, quotient_by_ideal, scaled_submodule, submodule_equal,
+)
 
 
 def test_local_cohomology_and_homology_match_the_chain_route():
@@ -25,18 +31,25 @@ def test_local_cohomology_and_homology_match_the_chain_route():
     for ring, M, N in pairs(seed=7001, count=60):
         cm, cn = canonical_form(M), canonical_form(N)
         for a in ideals(ring):
+            d = a.canonical
             for i in DEGREES:
-                for by_chain, value, public in (
-                    (local_cohomology_by_chain, cyclic.local_cohomology, local_cohomology),
-                    (local_homology_by_chain, cyclic.local_homology, local_homology),
+                for by_chain, value, public, side, derived in (
+                    (local_cohomology_by_chain, cyclic.local_cohomology, local_cohomology, verify._RED, ext_by_resolution),
+                    (local_homology_by_chain, cyclic.local_homology, local_homology, verify._COR, tor_by_resolution),
                 ):
+                    harness = verify._collapsed(side, i, cm, cn, d)
+                    in_class = side.in_class(cm, cn, d)
+                    if in_class:
+                        assert harness == canonical_form(derived(i, quotient_by_ideal(M, a), N)), (i, M, N, a)
                     try:
                         want = canonical_form(by_chain(i, M, N, a))
                     except NonStabilizing:
+                        assert in_class or harness is None, (i, M, N, a)
                         continue
                     answered += 1
-                    assert value(i, cm, cn, a.canonical) == want, (i, M, N, a)
+                    assert value(i, cm, cn, d) == want, (i, M, N, a)
                     assert canonical_form(public(i, M, N, a)) == want, (i, M, N, a)
+                    assert in_class or harness == want, (i, M, N, a)
     assert answered > 1000
 
 

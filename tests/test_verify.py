@@ -400,3 +400,15 @@ def test_a_run_tests_each_ring_for_square_factors_once():
     info = verify._is_vnr.cache_info()
     assert info.misses == 3 and info.hits > 0
     assert [r.verdict for r in suite.reports if r.claim_id == "vnr-homology-vanish"] == ["pass"] * 3
+
+
+def test_a_side_compares_and_hashes_by_identity():
+    # `_collapsed` and `_exact_on` key their tables on a side, so a key
+    # hashes one pointer, not the side's operations; a NamedTuple would
+    # compare field by field unless the class says otherwise
+    copy = verify._Side(*verify._RED)
+    assert tuple(copy) == tuple(verify._RED)
+    assert copy != verify._RED and not copy == verify._RED
+    assert verify._RED == verify._RED and not verify._RED != verify._RED
+    assert len({verify._RED: 1, verify._COR: 2}) == 2
+    assert len({verify._RED: 1, copy: 2}) == 2
