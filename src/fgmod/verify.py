@@ -27,9 +27,10 @@ undefined).  A pass costs its check and a count, and a label such as
 `M=Z/2, N=Z, a=(2)` is formatted only for the samples a report keeps.
 Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
 Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
-homology).  The harness's local (co)homology, `_collapsed`, is Ext (Tor)
-against M/aM on the class relative to M, the collapse formula, and against
-the completion of M elsewhere, which gives the public `cyclic` value; the
+homology).  The harness's local (co)homology, `_collapsed`, is one graded
+value, a tuple over every degree a claim compares: Ext (Tor) against M/aM
+on the class relative to M, the collapse formula, and against the
+completion of M elsewhere, which gives the public `cyclic` value; the
 fast-path claims compare the two.
 
 Every walk is deterministic, so identical inputs produce byte-identical
@@ -248,19 +249,20 @@ def _reflexive(c: CanonicalForm) -> bool:
 
 
 @lru_cache(maxsize=cyclic._MEMO)
-def _collapsed(s: _Side, i: int, m: CanonicalForm, n: CanonicalForm, d: int) -> CanonicalForm | None:
-    """The harness's local cohomology (homology on the coreduced side):
-    Ext^i (Tor_i) against one quotient of M, or None where the chain a^kM
-    never stabilizes.  On the class of N relative to M the quotient is M/aM,
-    the collapse formula, which the fast-path claims test.  Elsewhere it is
-    the completion M/a^tM, and the value is the public `cyclic` one: that
-    reads the stabilized term in positive degree, and in degree 0 the system
-    Hom(M/a^kM, N) (M/a^kM (x) N) is constant from k = t on."""
+def _collapsed(s: _Side, m: CanonicalForm, n: CanonicalForm, d: int) -> tuple[CanonicalForm, ...] | None:
+    """The harness's local cohomology (homology on the coreduced side) as a
+    graded value: Ext^i (Tor_i) against one quotient of M for each i in
+    `_degrees`, or None where the chain a^kM never stabilizes, so that no
+    degree has a value.  On the class of N relative to M the quotient is
+    M/aM, the collapse formula, which the fast-path claims test.  Elsewhere
+    it is the completion M/a^tM, and the value is the public `cyclic` one:
+    that reads the stabilized term in positive degree, and in degree 0 the
+    system Hom(M/a^kM, N) (M/a^kM (x) N) is constant from k = t on."""
     try:
         q = cyclic.quotient(m, d) if s.in_class(m, n, d) else cyclic.completion(m, d)[0]
     except NonStabilizing:
         return None
-    return s.derived(i, q, n)
+    return tuple(s.derived(i, q, n) for i in _degrees(m.ring))
 
 
 def _cf_projective(c: CanonicalForm) -> bool:
@@ -272,10 +274,10 @@ def _cf_projective(c: CanonicalForm) -> bool:
     return all(math.gcd(d, n // d) == 1 for d in c.torsion_factors)
 
 
-def _degrees(ring: RingSpec, start: int = 0) -> range:
+def _degrees(ring: RingSpec) -> range:
     """The degrees the derived claims compare: Z is hereditary, so 0 and 1;
     over Z/n the 2-periodic resolutions repeat from degree 1, so up to 3."""
-    return range(start, (1 if ring.is_integers else 3) + 1)
+    return range((1 if ring.is_integers else 3) + 1)
 
 
 def _free_form(ring: RingSpec) -> CanonicalForm:
@@ -473,9 +475,10 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
     """The grid's forms and ideals, built once per grid: every claim on the
     grid reads them, and `_run_jobs` builds them before it forks, so that
     workers inherit them.  (Forms are interned, so a rebuild would give the
-    same objects; it would only cost the enumeration again.)"""
+    same objects; it would only cost the enumeration again.)  Generators of
+    one ideal, such as 2 and 4 over Z/6, give it once, at the first."""
     forms = enumerate_forms(grid)
-    ideals = tuple(principal(grid.ring, g).canonical for g in grid.ideal_generators)
+    ideals = tuple(dict.fromkeys(principal(grid.ring, g).canonical for g in grid.ideal_generators))
     finite = tuple(c for c in forms if c.free_rank == 0)
 
     def torsion_order(c):
@@ -846,7 +849,7 @@ def _fastpath(s: _Side) -> dict:
     # which reads the stabilized chain; degree 0 always agrees on the class
     def check(m, n, d):
         try:
-            return all(_collapsed(s, i, m, n, d) == s.public(i, m, n, d) for i in _degrees(m.ring))
+            return all(v == s.public(i, m, n, d) for i, v in enumerate(_collapsed(s, m, n, d)))
         except NonStabilizing:
             return None, "stabilized path undefined"
 
@@ -875,21 +878,15 @@ def _positive_degrees_vanish(s: _Side) -> dict:
             _Var("M", guard=lambda m, d: _cf_projective(cyclic.quotient(m, d))),
             _Var("N", guard=s.in_class),
         ),
-        check=lambda m, n, d: all(_collapsed(s, i, m, n, d).is_trivial for i in _degrees(m.ring, 1)),
+        check=lambda m, n, d: all(v.is_trivial for v in _collapsed(s, m, n, d)[1:]),
     )
 
 
 def _finiteness(m, n, d):
-    finite = True
-    any_defined = False
-    for i in _degrees(m.ring):
-        for v in (_collapsed(_RED, i, m, n, d), _collapsed(_COR, i, m, n, d)):
-            if v is not None:
-                any_defined = True
-                finite = finite and v.free_rank == 0
-    if not any_defined:
+    defined = [h for h in (_collapsed(_RED, m, n, d), _collapsed(_COR, m, n, d)) if h is not None]
+    if not defined:
         return None, "no stabilizing path"
-    return finite
+    return all(v.free_rank == 0 for h in defined for v in h)
 
 
 def _local_dual(s: _Side) -> dict:
@@ -898,28 +895,29 @@ def _local_dual(s: _Side) -> dict:
     # the collapse formula, and every value is finite
     def check(m, n, d):
         dn = cyclic.dual(n)
-        return all(cyclic.dual(_collapsed(s, i, m, n, d)) == _collapsed(_other(s), i, m, dn, d) for i in _degrees(m.ring))
+        return tuple(map(cyclic.dual, _collapsed(s, m, n, d))) == _collapsed(_other(s), m, dn, d)
 
     return dict(loops=(_Var("M"), _Var("N", "finite", s.in_class)), check=check)
 
 
 def _b_class_membership(m, n, d):
     # coreduced M makes both fast paths total
-    return all(_cboth(m, _collapsed(s, p, m, n, d), d) for p in _degrees(m.ring) for s in (_RED, _COR))
+    return all(_cboth(m, v, d) for s in (_RED, _COR) for v in _collapsed(s, m, n, d))
 
 
 def _inherit(s: _Side) -> dict:
     # the classical value H(R, N) gates M, and is undefined once per (q, N)
     def classical(q, n, d):
-        return _collapsed(s, q, _free_form(n.ring), n, d)
+        h = _collapsed(s, _free_form(n.ring), n, d)
+        return None if h is None else h[q]
 
     def gated(ctx: _Ctx, q, n, d):
         hq = classical(q, n, d)
         return [m for m in ctx.forms if s.in_class(m, hq, d)]
 
     def check(q, n, m, d):
-        hmn = _collapsed(s, q, m, n, d)
-        return (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn, d)
+        hmn = _collapsed(s, m, n, d)
+        return (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn[q], d)
 
     loops = (
         _Var("q", lambda ctx, d: _degrees(ctx.grid.ring)),
@@ -933,12 +931,9 @@ def _vnr_vanish(s: _Side) -> dict:
     # iterated local (co)homology is the double completion (torsion) at (0,0);
     # the claim runs only over Z/n, where every value is defined
     def check(m, n, d):
-        degrees = _degrees(m.ring)
-        for q in degrees:
-            inner = _collapsed(s, q, m, n, d)
+        for q, inner in enumerate(_collapsed(s, m, n, d)):
             note = ""  # the last failure in row q
-            for p in degrees:
-                outer = _collapsed(s, p, m, inner, d)
+            for p, outer in enumerate(_collapsed(s, m, inner, d)):
                 if (p, q) == (0, 0):
                     if outer != s.adic(m, s.adic(m, n, d), d):
                         note = f"double {s.adic_name} mismatch at (0,0)"
@@ -1060,7 +1055,7 @@ _REGISTRY: list[_Claim] = [
            **_positive_degrees_vanish(_COR)),
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
            (_Var("M", guard=cyclic.is_coreduced), _Var("N", guard=lambda m, n, d: cyclic.is_coreduced(n, d))),
-           lambda m, n, d: all(_collapsed(_COR, i, m, n, d) == _collapsed(_COR, i, n, m, d) for i in _degrees(m.ring)),
+           lambda m, n, d: _collapsed(_COR, m, n, d) == _collapsed(_COR, n, m, d),
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",
            (_M, _Var("N", "finite")), _finiteness),

@@ -9,7 +9,8 @@ moves a verdict, a count or a counterexample shows up here.
 `verify_extra_grid.json`, grids that no other golden covers in full: `Z`
 at free rank 2, and `Z/12` and `Z/30` with every principal ideal.
 Canonical forms hash by identity, so the report is also run in fresh
-interpreters whose forms sit at different addresses.
+interpreters whose forms sit at different addresses.  Each demo's stdout is
+recorded too, as `golden/demos/<demo stem>.txt`.
 """
 
 import os
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from fresh_interpreter import python
+from fresh_interpreter import ROOT, python
 
 from fgmod.cli import main
 
@@ -29,6 +30,7 @@ GOLDENS = [
     ("text", "verify_small.txt"), ("json-lines", "verify_small.jsonl"),
     ("text", "verify_extra.txt"), ("json-lines", "verify_extra.jsonl"),
 ]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def grid_of(golden: str) -> Path:
@@ -85,3 +87,10 @@ def test_output_does_not_depend_on_object_addresses(mode, hash_seed):
     assert text == (GOLDEN / "verify_small.txt").read_text()
     assert jsonl == (GOLDEN / "verify_small.jsonl").read_text()
     assert rest == ""
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_each_demo_prints_its_recorded_output(demo):
+    proc = python(str(demo.relative_to(ROOT)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "demos" / f"{demo.stem}.txt").read_text()

@@ -149,6 +149,9 @@ def test_two_different_grids_of_one_name_are_refused_and_a_repeated_grid_runs_on
     once = run_suite([TINY_Z6], ["gamma-dual", "reflexive"])
     assert run_suite([TINY_Z6, TINY_Z6], ["gamma-dual", "reflexive"]) == once
     assert len(once.reports) == 2
+    # so is an ideal given by several generators
+    ideal = run_suite([GridSpec(RingSpec.mod(6), 6, 0, (2,))])
+    assert run_suite([GridSpec(RingSpec.mod(6), 6, 0, (2, 4, -4, 8))]) == ideal
 
 
 def test_a_whitelisted_grid_is_named_after_its_ring_and_forms():
