@@ -290,63 +290,15 @@ def _free_form(ring: RingSpec) -> CanonicalForm:
 # submodules and short exact sequences of finite modules
 
 
-def _submodule_generator_sets(c: CanonicalForm) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Generating tuples for every submodule of a finite module.
-
-    Subgroup closure search over the element set; subgroups of a Z or Z/n
-    module coincide with its submodules since the scalar action is repeated
-    addition.  Each subgroup is returned as a short greedy generating set.
-    """
-    factors = c.torsion_factors
-    k = len(factors)
-    zero = (0,) * k
-    elements = [tuple(t) for t in itertools.product(*(range(d) for d in factors))]
-
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, factors))
-
-    def closure(group: frozenset, x) -> frozenset:
-        multiples = [zero]
-        y = x
-        while y != zero:
-            multiples.append(y)
-            y = add(y, x)
-        return frozenset(add(s, m) for s in group for m in multiples)
-
-    base = frozenset({zero})
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        group = frontier.pop()
-        for x in elements:
-            if x not in group:
-                bigger = closure(group, x)
-                if bigger not in seen:
-                    seen.add(bigger)
-                    frontier.append(bigger)
-
-    result = []
-    for group in sorted(seen, key=lambda s: (len(s), sorted(s))):
-        gens: list[tuple[int, ...]] = []
-        span = frozenset({zero})
-        for x in sorted(group):
-            if x not in span:
-                gens.append(x)
-                span = closure(span, x)
-        result.append(tuple(gens))
-    return tuple(result)
-
-
 class _Seq(NamedTuple):
-    """0 -> X -> Y -> Z -> 0 for the submodule X of Y that `gens` generate
-    and Z = Y/X: Y's form, the generators (coordinates on Y's cyclic
-    summands), the forms of X and Z, and the inclusion and the projection as
-    integer matrices on their cyclic summands, one row per summand of the
-    target (see `cyclic.hom_postcompose`).  Every field is an int, a tuple
-    or an interned form, so a sequence hashes in C."""
+    """0 -> X -> Y -> Z -> 0 for a submodule X of Y and Z = Y/X: Y's form,
+    the forms of X and Z, and the inclusion and the projection as integer
+    matrices on their cyclic summands, one row per summand of the target
+    (see `cyclic.hom_postcompose`); the columns of the inclusion generate X.
+    Every field is an int, a tuple or an interned form, so a sequence hashes
+    in C."""
 
     y: CanonicalForm
-    gens: tuple[tuple[int, ...], ...]
     x: CanonicalForm
     z: CanonicalForm
     incl: tuple[tuple[int, ...], ...]
@@ -380,14 +332,40 @@ def _sequence(y: CanonicalForm, gens: tuple[tuple[int, ...], ...]) -> _Seq:
     incl = tuple(tuple(sum(g[i] * c for g, c in zip(gens, col)) % o for col in cols) for i, o in enumerate(h))
     proj = tuple(tuple(w % e for w in u[i]) for i, e in z)
     x_form, z_form = (CanonicalForm(y.ring, tuple(e for _, e in places), 0) for places in (x, z))
-    return _Seq(y, gens, x_form, z_form, incl, proj)
+    return _Seq(y, x_form, z_form, incl, proj)
 
 
 @lru_cache(maxsize=256)
 def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
-    """One sequence per submodule of a finite Y, as shared objects: each is
-    computed once for all ideals and claims."""
-    return tuple(_sequence(y, gens) for gens in _submodule_generator_sets(y))
+    """One sequence per submodule X of a finite Y, by |X| and then by X's
+    elements, as shared objects computed once for all ideals and claims.
+
+    A closure search over Y's elements finds the subgroups, which are the
+    submodules, since Z and Z/n act by repeated addition.  Each subgroup is
+    first reached from a smaller one and an element outside it, so that
+    one's generators and the element generate it."""
+    factors = y.torsion_factors
+    exponent = max(factors, default=1)
+    elements = list(itertools.product(*(range(d) for d in factors)))
+
+    def add(x, z):
+        return tuple((a + b) % d for a, b, d in zip(x, z, factors))
+
+    def closure(group: frozenset, x) -> frozenset:
+        multiples = {tuple(k * a % d for a, d in zip(x, factors)) for k in range(exponent)}
+        return frozenset(add(s, m) for s in group for m in multiples)
+
+    gens = {frozenset({(0,) * len(factors)}): ()}
+    frontier = list(gens)
+    while frontier:
+        group = frontier.pop()
+        for x in elements:
+            if x not in group:
+                bigger = closure(group, x)
+                if bigger not in gens:
+                    gens[bigger] = gens[group] + (x,)
+                    frontier.append(bigger)
+    return tuple(_sequence(y, gens[g]) for g in sorted(gens, key=lambda s: (len(s), sorted(s))))
 
 
 # ---------------------------------------------------------------------------

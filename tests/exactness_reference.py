@@ -37,10 +37,10 @@ from fgmod.rings import Ideal, principal
 
 
 def sequence_submodule(seq) -> Submodule:
-    """The submodule of canonical_presentation(Y) that the generators of a
-    harness sequence span."""
+    """The submodule of canonical_presentation(Y) that the columns of a
+    harness sequence's inclusion span."""
     Y = canonical_presentation(seq.y)
-    return Submodule(Y, from_columns(Y.ring, list(seq.gens), Y.gens))
+    return Submodule(Y, from_columns(Y.ring, list(zip(*seq.incl)), Y.gens))
 
 
 @lru_cache(maxsize=256)

@@ -20,7 +20,7 @@ On in-class sequences a wrong Q can still give the right verdicts, so the
 grid comparisons alone would not show it.  The claims must report what the
 restricted-map route of `exactness_reference` gives along the ideal (d) on
 the maps of the presentation route on M itself: on every instance of the
-small golden grid and of the default Z/6 and Z/8 grids, and on seeded random
+small golden grid and of the three default grids, and on seeded random
 sequences of finite modules over Z, Z/6 and Z/8, with `verify._gamma_exact`
 and `verify._lambda_exact` on the maps induced on Q.  The random cases also
 scale the inclusion or the projection by k, complexes that need not be exact,
@@ -136,11 +136,12 @@ def test_exactness_checks_match_the_restriction_route_on_the_small_grid():
 
 def test_exactness_checks_match_the_restriction_route_on_the_default_modular_grids():
     checked = 0
-    for where, (got, want) in reference_comparisons(default_grids("Z/6", "Z/8")):
+    for where, (got, want) in reference_comparisons(default_grids("Z", "Z/6", "Z/8")):
         assert got == want, where
         checked += 1
-    # the default report's instance counts of both claims on Z/6 and Z/8
-    assert checked == 2 * (480 + 609)
+    # the default report's instance counts of both claims on Z, Z/6 and Z/8;
+    # only the Z grid has the free M = Z
+    assert checked == 2 * (1406 + 480 + 609)
 
 
 def assert_exact_on_summands(seq):
@@ -177,7 +178,7 @@ def test_sequence_fields_hash_without_python_frames():
 
     seqs = [seq for grid in default_grids("Z", "Z/6", "Z/8") for seq in verify._sequences(verify._make_ctx(grid), 0)]
     assert seqs and all(plain(field) for seq in seqs for field in seq), [s for s in seqs if not all(map(plain, s))][:1]
-    assert verify._Seq._fields == ("y", "gens", "x", "z", "incl", "proj")
+    assert verify._Seq._fields == ("y", "x", "z", "incl", "proj")
 
 
 def random_map(rng: random.Random, A: CanonicalForm, B: CanonicalForm):

@@ -1,16 +1,20 @@
 """The verify claim table: expected verdicts, claim order and lazy labels.
 
-The expectation table and the claim list below were recorded before the
-claims became table entries, when `expected_for` still branched on claim
-ids; they pin what each entry now declares.
+The expectation table and the claim list below pin the verdict each claim
+declares on each grid, and the order `fgmod verify --list-claims` prints.
+The grids of the ROADMAP's Baseline table, where some verdict differs from
+its expectation today, run as strict xfails that name the unexpected
+verdicts; they pass once expectations follow the grid.
 """
+
+import json
 
 import pytest
 
 import fgmod.verify as verify
 from fgmod.cli import main
 from fgmod.rings import RingSpec
-from fgmod.verify import GridSpec, check_claim, claim_expectation, registered_claims
+from fgmod.verify import GridSpec, check_claim, claim_expectation, grid_from_dict, registered_claims, run_suite
 
 GRIDS = {
     "Z, rank 1": GridSpec(RingSpec.integers(), 16, 1, (2,)),
@@ -93,3 +97,39 @@ def test_labels_are_formatted_only_for_kept_samples(monkeypatch, cid, forms_per_
     kept = len(report.counterexamples) + len(report.skipped)
     assert report.instances_checked + report.skipped_count > 300
     assert len(calls) <= kept * forms_per_label
+
+
+def unexpected_on(grid: dict, reason: str):
+    xfail = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+    return pytest.param(grid, marks=xfail, id=json.dumps(grid, separators=(",", ":")))
+
+
+def every_module_up_to_the_modulus(n: int, ideals: list[int]) -> dict:
+    return {"ring": f"Z/{n}", "max_torsion_order": n, "ideal_generators": ideals}
+
+
+_EXTENSION = "unexpected PASS: extension-closure-C, extension-closure-R"
+_INHERIT = "unexpected FAIL: inherit-coreduced, inherit-reduced"
+_WHITELIST = {"ring": "Z", "ideal_generators": [0, 2], "module_whitelist": ["Z", "Z/2"]}
+
+
+# ROADMAP item 1: an expectation reads the ring alone, never the grid's ideals
+# or the modules it walks, so each of these grids exits 4 today
+@pytest.mark.parametrize(
+    "grid",
+    [
+        unexpected_on(every_module_up_to_the_modulus(8, [0, 1]), f"{_EXTENSION}, glc-fastpath, glh-fastpath"),
+        unexpected_on(every_module_up_to_the_modulus(8, [0, 4]), _EXTENSION),
+        unexpected_on(every_module_up_to_the_modulus(9, [0, 1, 3]), _EXTENSION),
+        unexpected_on(every_module_up_to_the_modulus(16, [0, 1, 2, 4, 8]), _INHERIT),
+        unexpected_on(every_module_up_to_the_modulus(16, [0, 1, 4, 8]), _EXTENSION),
+        unexpected_on(every_module_up_to_the_modulus(48, [0, 1, 2, 3, 4, 6, 8, 12, 16, 24]), _INHERIT),
+        unexpected_on(every_module_up_to_the_modulus(81, [0, 1, 3, 9, 27]), f"{_EXTENSION}; {_INHERIT}"),
+        unexpected_on(every_module_up_to_the_modulus(625, [0, 1, 5, 25, 125]), f"{_EXTENSION}; {_INHERIT}"),
+        unexpected_on({**_WHITELIST, "max_free_rank": 0}, _EXTENSION),
+        unexpected_on({**_WHITELIST, "max_free_rank": 1}, f"{_EXTENSION}; unexpected PARTIAL: glc-fastpath"),
+    ],
+)
+def test_every_verdict_is_expected_on_the_baseline_grids(grid):
+    suite = run_suite([grid_from_dict(grid)])
+    assert suite.all_expected, [(r.claim_id, r.verdict) for r in suite.unexpected()]

@@ -14,7 +14,8 @@ The corpus was captured, from the repository root, with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/golden/cli-answers.jsonl
 
-and this test replays it in process.
+and these tests check that it holds exactly that query list, and replay it
+in process.
 """
 
 from __future__ import annotations
@@ -181,6 +182,13 @@ def test_corpus_covers_every_subcommand_ring_and_format():
             for fmt in FORMATS:
                 assert (name, ring, fmt) in seen
     assert {r["exit"] for r in records} == {0, 2, 3}
+
+
+def test_corpus_holds_the_query_list():
+    # the corpus is what `capture` writes, so an edited query list cannot go
+    # stale unseen; only the degree-0 limits are run, to see which exit 3
+    recorded = [json.loads(line)["argv"] for line in CORPUS.read_text().splitlines()]
+    assert recorded == [argv for argv in queries() if not (_degree_zero_limit(argv) and run(argv)[0] == 3)]
 
 
 def test_cli_answers_match_the_corpus():

@@ -8,6 +8,8 @@ moves a verdict, a count or a counterexample shows up here.
 `verify_extra.txt` and `verify_extra.jsonl` were written the same way from
 `verify_extra_grid.json`, grids that no other golden covers in full: `Z`
 at free rank 2, and `Z/12` and `Z/30` with every principal ideal.
+`default-suite.txt` and `default-suite.jsonl` are the report on the
+built-in grids, which only the program run checks.
 Canonical forms hash by identity, so the report is also run in fresh
 interpreters whose forms sit at different addresses.  Each demo's stdout is
 recorded too, as `golden/demos/<demo stem>.txt`.
@@ -30,11 +32,17 @@ GOLDENS = [
     ("text", "verify_small.txt"), ("json-lines", "verify_small.jsonl"),
     ("text", "verify_extra.txt"), ("json-lines", "verify_extra.jsonl"),
 ]
+DEFAULT_SUITE = [("text", "default-suite.txt"), ("json-lines", "default-suite.jsonl")]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def grid_of(golden: str) -> Path:
     return GOLDEN / (golden.rsplit(".", 1)[0] + "_grid.json")
+
+
+def grid_args(golden: str) -> list[str]:
+    # the default suite runs on the built-in grids
+    return [] if golden.startswith("default-suite.") else ["--grid", str(grid_of(golden))]
 
 
 @pytest.mark.parametrize("fmt, expected", GOLDENS)
@@ -45,12 +53,13 @@ def test_verify_small_grid_matches_golden(capsys, fmt, expected):
     assert out == (GOLDEN / expected).read_text()
 
 
-@pytest.mark.parametrize("fmt, expected", GOLDENS)
+@pytest.mark.parametrize("fmt, expected", GOLDENS + DEFAULT_SUITE)
 def test_the_program_matches_golden(fmt, expected):
     # `main` above runs in one process; the program checks the claims in one
-    # process per usable CPU
-    proc = python("-m", "fgmod.cli", "verify", "--grid", str(grid_of(expected)), "--format", fmt)
-    assert proc.returncode == 0, proc.stderr
+    # process per usable CPU, and any warning, such as a ResourceWarning in a
+    # forked worker, is an error
+    proc = python("-W", "error", "-m", "fgmod.cli", "verify", *grid_args(expected), "--format", fmt)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN / expected).read_text()
 
 
