@@ -9,7 +9,10 @@ wherever that route answers.  So must the harness's graded value
 raises; on the class it is Ext (Tor) of M/aM by a free resolution.  The
 four `cyclic.*_wrt` functions must agree with the compositions they
 replaced, and with the torsion, quotient chain and kernel comparisons on
-the Hom and tensor presentations themselves.
+the Hom and tensor presentations themselves.  On every form M and N and
+every ideal of the default grids, with (0) and the unit ideal, the public
+value at M/aM must be Ext (Tor) of M/aM: that is how the harness reads the
+collapse formula.
 """
 
 import pytest
@@ -25,6 +28,7 @@ from fgmod.functors import hom_module, tensor_module
 from fgmod.modules import (
     canonical_form, kernel_submodule, mult_map, quotient_by_ideal, scaled_submodule, submodule_equal,
 )
+from fgmod.rings import principal
 
 
 def test_local_cohomology_and_homology_match_the_chain_route():
@@ -86,3 +90,23 @@ def test_two_argument_functions_match_their_compositions():
             coreduced = cyclic.is_coreduced_wrt(cm, cn, d)
             assert coreduced == cyclic.is_coreduced(tensor, d)
             assert coreduced == submodule_equal(scaled_submodule(T, d), scaled_submodule(T, power(ring, d, 2))), (M, N, d)
+
+
+def test_the_public_value_at_M_mod_aM_is_the_collapse_formula():
+    # M/aM is killed by a, so it is its own torsion and completion along a:
+    # the harness reads the collapse formula as `cyclic`'s value at M/aM
+    checked = 0
+    for grid in verify.default_grids():
+        ring = grid.ring
+        forms = verify.enumerate_forms(grid)
+        ideals = {principal(ring, g).canonical for g in grid.ideal_generators + (0, 1)}
+        assert {0, 1} <= ideals
+        for M in forms:
+            for d in ideals:
+                C = cyclic.quotient(M, d)
+                for N in forms:
+                    for i in verify._degrees(ring):
+                        assert cyclic.local_cohomology(i, C, N, d) == cyclic.ext(i, C, N), (i, M, N, d)
+                        assert cyclic.local_homology(i, C, N, d) == cyclic.tor(i, C, N), (i, M, N, d)
+                        checked += 1
+    assert checked > 20000

@@ -152,6 +152,20 @@ def test_two_different_grids_of_one_name_are_refused_and_a_repeated_grid_runs_on
     # so is an ideal given by several generators
     ideal = run_suite([GridSpec(RingSpec.mod(6), 6, 0, (2,))])
     assert run_suite([GridSpec(RingSpec.mod(6), 6, 0, (2, 4, -4, 8))]) == ideal
+    # and a grid spelled twice, with the same forms and canonical ideals
+    for first, second in (
+        (GridSpec(RingSpec.mod(6), 16, 0, (2,), ("Z/2", "Z/6 + 0")), GridSpec(RingSpec.mod(6), 16, 0, (2,), ("Z/2", "Z/6"))),
+        (GridSpec(RingSpec.integers(), 4, 1, (2,)), GridSpec(RingSpec.integers(), 4, 1, (-2,))),
+        (GridSpec(RingSpec.mod(6), 6, 0, (2,)), GridSpec(RingSpec.mod(6), 6, 0, (4,))),
+    ):
+        once = run_suite([first], ["gamma-dual", "glc-fastpath"])
+        assert run_suite([first, second], ["gamma-dual", "glc-fastpath"]) == once
+        assert len(once.reports) == 2
+    # a whitelist ignores max_free_rank, but glc-fastpath's expectation over
+    # Z reads it, so these two would print different verdicts under one name
+    ranks = [GridSpec(RingSpec.integers(), 16, r, (0, 2), ("Z", "Z/2")) for r in (0, 1)]
+    with pytest.raises(InvalidGrid, match=re.escape("named 'Z[Z; Z/2]': give them distinct labels")):
+        run_suite(ranks, ["gamma-dual"])
 
 
 def test_a_whitelisted_grid_is_named_after_its_ring_and_forms():
