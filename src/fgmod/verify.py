@@ -34,10 +34,10 @@ value read at M/aM on the class relative to M, which is the collapse
 formula, and at M elsewhere; the fast-path claims compare the two readings.
 
 Every walk is deterministic, so identical inputs produce byte-identical
-reports, also when `run_suite` shares its (claim, grid) jobs with forked
-worker processes.  Modules are enumerated as canonical forms, and every
-value a claim compares is read off their invariant factors by
-`fgmod.cyclic`, the layer the library's value functions use.  Each short
+reports, also when `run_suite` shares its work with forked worker processes
+one claim, grid and ideal at a time.  Modules are enumerated as canonical
+forms, and every value a claim compares is read off their invariant factors
+by `fgmod.cyclic`, the layer the library's value functions use.  Each short
 exact sequence carries its inclusion and projection as integer matrices on
 cyclic summands (see `_sequence`), and the exactness pair compares the
 orders of the maps they induce on one stable quotient Q, once per
@@ -131,14 +131,16 @@ class GridSpec(_Record):
             raise InvalidGrid(f"a grid over {ring} needs max_free_rank 0: max_torsion_order bounds its free modules")
         self._fill(ring, max_torsion_order, max_free_rank, ideal_generators, module_whitelist, label)
 
-    def name(self) -> str:
+    def name(self, forms: tuple[CanonicalForm, ...] = ()) -> str:
         """The label, or the ring and the bounds, or for a whitelist the ring
-        and its forms, so that spellings of the same forms share a name."""
+        and its forms, so that spellings of the same forms share a name.
+        `forms`, the grid's forms where the caller has them, saves
+        enumerating them again."""
         if self.label:
             return self.label
         if self.module_whitelist is None:
             return f"{self.ring}(o<={self.max_torsion_order},r<={self.max_free_rank})"
-        return f"{self.ring}[{'; '.join(map(format_canonical, enumerate_forms(self)))}]"
+        return f"{self.ring}[{'; '.join(map(format_canonical, forms or enumerate_forms(self)))}]"
 
 
 def _divisor_chains(budget: int, modulus: int | None) -> list[tuple[int, ...]]:
@@ -440,15 +442,16 @@ class _Ctx(NamedTuple):
     small: tuple[CanonicalForm, ...]
     finite_small: tuple[CanonicalForm, ...]
     tiny: tuple[CanonicalForm, ...]
+    name: str  # the grid's name in reports
+    vnr: bool  # whether the grid's ring is von Neumann regular
 
 
-@lru_cache(maxsize=16)
 def _make_ctx(grid: GridSpec) -> _Ctx:
-    """The grid's forms and ideals, built once per grid: every claim on the
-    grid reads them, and `_run_jobs` builds them before it forks, so that
-    workers inherit them.  (Forms are interned, so a rebuild would give the
-    same objects; it would only cost the enumeration again.)  Generators of
-    one ideal, such as 2 and 4 over Z/6, give it once, at the first."""
+    """The grid's forms, ideals, name and ring regularity, which every claim
+    on the grid reads.  `run_suite` builds them once per grid and run and
+    carries them in its jobs, so that workers forked later inherit them.
+    Generators of one ideal, such as 2 and 4 over Z/6, give it once, at the
+    first."""
     forms = enumerate_forms(grid)
     ideals = tuple(dict.fromkeys(principal(grid.ring, g).canonical for g in grid.ideal_generators))
     finite = tuple(c for c in forms if c.free_rank == 0)
@@ -459,7 +462,7 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
     small = tuple(c for c in forms if torsion_order(c) <= 8 and (c.free_rank == 0 or torsion_order(c) <= 2))
     finite_small = tuple(c for c in finite if torsion_order(c) <= 8)
     tiny = tuple(c for c in forms if (c.free_rank == 0 and torsion_order(c) <= 4) or (c.free_rank == 1 and not c.torsion_factors))
-    return _Ctx(grid, ideals, forms, finite, small, finite_small, tiny)
+    return _Ctx(grid, ideals, forms, finite, small, finite_small, tiny, grid.name(forms), _is_vnr(grid.ring))
 
 
 class _Var(NamedTuple):
@@ -568,8 +571,8 @@ def _is_vnr(ring: RingSpec) -> bool:
     Trial division divides out every p up to the cube root of n.  What is
     left has no smaller prime factor, so at most two, and is squarefree
     unless it is a square.  Grid moduli stay below `_MAX_GRID_MODULUS`, so
-    this takes at most about 2.6 million divisions, once per ring: the claim
-    table asks it of each grid several times."""
+    this takes at most about 2.6 million divisions, once per ring: `_make_ctx`
+    asks it once per grid, and the table keeps it across runs."""
     if ring.is_integers:
         return False
     n = m = ring.modulus
@@ -593,20 +596,20 @@ class _Claim(NamedTuple):
     check: Callable
     rings: str = "all"  # "all", "modular", "vnr"
     expected: str = "pass"  # "pass" or "fail" on grids where the claim has content
-    expected_on: Callable[[GridSpec], str] | None = None
+    expected_on: Callable[[_Ctx], str] | None = None
 
-    def applies(self, grid: GridSpec) -> bool:
+    def applies(self, ctx: _Ctx) -> bool:
         if self.rings == "all":
             return True
-        if grid.ring.is_integers:
+        if ctx.grid.ring.is_integers:
             return False
         if self.rings == "modular":
             return True
-        return _is_vnr(grid.ring)
+        return ctx.vnr
 
-    def expected_for(self, grid: GridSpec) -> str:
-        """Expected verdict on this grid."""
-        return self.expected if self.expected_on is None else self.expected_on(grid)
+    def expected_for(self, ctx: _Ctx) -> str:
+        """Expected verdict on the grid of `ctx`."""
+        return self.expected if self.expected_on is None else self.expected_on(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +717,7 @@ def _extension_closure(s: _Side) -> dict:
         check=check,
         expected="fail",
         # over a von Neumann regular ring both classes are all modules
-        expected_on=lambda grid: "pass" if _is_vnr(grid.ring) else "fail",
+        expected_on=lambda ctx: "pass" if ctx.vnr else "fail",
     )
 
 
@@ -816,19 +819,19 @@ def _fastpath(s: _Side) -> dict:
     return dict(loops=(_Var("M"), _Var("N", guard=s.in_class)), check=check)
 
 
-def _glc_fastpath_expected(grid: GridSpec) -> str:
+def _glc_fastpath_expected(ctx: _Ctx) -> str:
     # the collapse formula's known counterexamples: a free second argument
     # over Z, and non-semisimple Z/n, where a stabilized chain can reach a
     # free quotient while the collapsed quotient is not projective
-    if _is_vnr(grid.ring):
+    if ctx.vnr:
         return "pass"
-    if grid.ring.is_integers:
-        return "fail" if grid.max_free_rank >= 1 else "pass"
+    if ctx.grid.ring.is_integers:
+        return "fail" if ctx.grid.max_free_rank >= 1 else "pass"
     return "fail"
 
 
-def _glh_fastpath_expected(grid: GridSpec) -> str:
-    return "pass" if (grid.ring.is_integers or _is_vnr(grid.ring)) else "fail"
+def _glh_fastpath_expected(ctx: _Ctx) -> str:
+    return "pass" if (ctx.grid.ring.is_integers or ctx.vnr) else "fail"
 
 
 def _positive_degrees_vanish(s: _Side) -> dict:
@@ -1058,38 +1061,46 @@ def claim_expectation(claim_id: str, grid: GridSpec | None = None) -> str:
         raise UnknownClaim(claim_id)
     if grid is None:
         return _BY_ID[claim_id].expected
-    return _BY_ID[claim_id].expected_for(grid)
+    return _BY_ID[claim_id].expected_for(_make_ctx(grid))
 
 
-def check_claim(claim_id: str, grid: GridSpec) -> ClaimReport:
+def check_claim(claim_id: str, grid: GridSpec, ctx: _Ctx | None = None) -> ClaimReport:
     """Evaluate one claim over one grid; raises InvalidGrid if the claim does
-    not apply over the grid's ring."""
+    not apply over the grid's ring.  `ctx`, the grid's context where a run
+    has built it, saves building it again."""
     if claim_id not in _BY_ID:
         raise UnknownClaim(claim_id)
     cdef = _BY_ID[claim_id]
-    if not cdef.applies(grid):
-        raise InvalidGrid(f"claim {claim_id!r} does not apply over {grid.ring} (grid {grid.name()!r})")
-    ctx = _make_ctx(grid)
+    ctx = _make_ctx(grid) if ctx is None else ctx
+    if not cdef.applies(ctx):
+        raise InvalidGrid(f"claim {claim_id!r} does not apply over {grid.ring} (grid {ctx.name!r})")
+    return _report(cdef, ctx, _counts(cdef, ctx))
+
+
+def _counts(cdef: _Claim, ctx: _Ctx) -> tuple:
+    """The claim's counts on the ideals of `ctx` as plain values: (checked,
+    counterexamples kept, their count, skips kept, their count)."""
     tally = _Tally(cdef.loops)
     _walk(cdef.loops, cdef.check, ctx, tally)
-    if tally.n_counter:
-        verdict = "fail"
-    elif tally.n_skipped:
-        verdict = "partial"
-    else:
-        verdict = "pass"
-    return ClaimReport(
-        claim_id,
-        grid.name(),
-        cdef.statement,
-        verdict,
-        cdef.expected_for(grid),
-        tally.checked,
-        tuple(tally.counterexamples),
-        tally.n_counter,
-        tuple(tally.skipped),
-        tally.n_skipped,
-    )
+    return tally.checked, tuple(tally.counterexamples), tally.n_counter, tuple(tally.skipped), tally.n_skipped
+
+
+def _report(cdef: _Claim, ctx: _Ctx, counts: tuple) -> ClaimReport:
+    _, _, n_counter, _, n_skipped = counts
+    verdict = "fail" if n_counter else "partial" if n_skipped else "pass"
+    return ClaimReport(cdef.claim_id, ctx.name, cdef.statement, verdict, cdef.expected_for(ctx), *counts)
+
+
+def _merged(parts: list[tuple]) -> tuple:
+    """One job's counts from those of its units, in ideal order: the counts
+    add, and the samples kept are the first `_SAMPLE_CAP` of theirs, which
+    are those of the serial walk, whose loop over the ideals is outermost."""
+
+    def kept(samples):
+        return tuple(itertools.chain(*samples))[:_SAMPLE_CAP]
+
+    checked, counterexamples, n_counter, skipped, n_skipped = zip(*parts)
+    return sum(checked), kept(counterexamples), sum(n_counter), kept(skipped), sum(n_skipped)
 
 
 def run_suite(
@@ -1099,25 +1110,24 @@ def run_suite(
     Each claim is checked on the grids it applies to.  A selection that
     leaves nothing to check raises InvalidGrid, and so do two grids of one
     name that differ in their forms, their ideals or an expected verdict,
-    whose reports no reader could tell apart.  With
-    `processes` > 1 the (claim, grid) jobs are shared with forked workers
-    (see `_run_jobs`); each job still runs whole in one process, so the
-    reports are those of a serial run."""
+    whose reports no reader could tell apart.  Each grid's context is built
+    once.  With `processes` > 1 the work is shared with forked workers one
+    claim, grid and ideal at a time (see `_run_jobs`), and the reports are
+    those of a serial run."""
     # a grid given twice, in any spelling, is checked once, as a repeated id is
     by_name: dict[str, tuple] = {}
     for grid in default_grids() if grids is None else grids:
         ctx = _make_ctx(grid)
-        key = (ctx.forms, ctx.ideals, tuple(c.expected_for(grid) for c in _REGISTRY))
-        if by_name.setdefault(name := grid.name(), (grid, key))[1] != key:
-            raise InvalidGrid(f"two different grids are named {name!r}: give them distinct labels")
-    grids = [grid for grid, _ in by_name.values()]
-    if not grids:
+        key = (ctx.forms, ctx.ideals, tuple(c.expected_for(ctx) for c in _REGISTRY))
+        if by_name.setdefault(ctx.name, (ctx, key))[1] != key:
+            raise InvalidGrid(f"two different grids are named {ctx.name!r}: give them distinct labels")
+    if not by_name:
         raise InvalidGrid("no grid to check the claims on")
     claim_ids = registered_claims() if claims is None else list(dict.fromkeys(claims))
     for cid in claim_ids:
         if cid not in _BY_ID:
             raise UnknownClaim(cid)
-    jobs = [(cid, grid) for cid in claim_ids for grid in grids if _BY_ID[cid].applies(grid)]
+    jobs = [(cid, ctx) for cid in claim_ids for ctx, _ in by_name.values() if _BY_ID[cid].applies(ctx)]
     if not jobs:
         raise InvalidGrid("no selected claim applies over the grids' rings" if claim_ids else "no claim to check")
     reports = _run_jobs(jobs, processes)
@@ -1125,84 +1135,44 @@ def run_suite(
     return SuiteReport(tuple(reports))
 
 
-def _run_jobs(jobs: list[tuple[str, GridSpec]], processes: int) -> list[ClaimReport]:
-    """`check_claim` of every (claim, grid) job, in job order.
+def _run_jobs(jobs: list[tuple[str, _Ctx]], processes: int) -> list[ClaimReport]:
+    """The report of every (claim, grid context) job, in job order.
 
-    The jobs share no state, so k = min(processes, len(jobs)) processes run
-    them: process w runs the jobs w, w + k, w + 2k, ...  This process runs
-    share 0, and k - 1 workers forked from it run the others; each worker
-    sends back its reports, or the exception that stopped it, through a pipe.
-    Where `os.fork` is missing, k is 1 and the same loop forks no worker.
-    Every grid's context is built before the fork, so the workers inherit
-    each grid's forms instead of enumerating them again.  Workers are forked
-    rather than spawned: a spawned one would start an interpreter and load
-    the harness again, and fgmod starts no thread that a fork could cut off.
-    No worker outlives the call: on any exception, KeyboardInterrupt
-    included, the workers still running are killed and reaped before it
-    propagates."""
+    One process runs each job whole through `check_claim`.  With more, the
+    unit of work is one claim on one grid at one ideal, and
+    `fgmod.parallel` shares the units out among k = min(processes, units)
+    processes, each starting on its own contiguous slice of their list.
+    The list runs grid by grid, then ideal by ideal, then claim by claim,
+    so that the values one ideal of a grid shares among its claims are
+    mostly computed in one process.  The grids with more forms, whose walks
+    cost more, come first: the processes on the later slices then run out
+    first, and what they steal borders on their own units.  A job's counts
+    are merged from its units' in ideal order (see `_merged`)."""
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
-    k = min(processes, len(jobs)) if hasattr(os, "fork") else 1
-    if k > 1:
-        import pickle  # only a run with workers needs it; they inherit it loaded
-    for grid in dict.fromkeys(grid for _, grid in jobs):
-        _make_ctx(grid)
-    reports: list = [None] * len(jobs)
-    workers = {}  # pid -> (its share w, the read end of its pipe)
-    try:
-        for w in range(1, k):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(jobs[w::k], write)
-            except BaseException:
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-            workers[pid] = (w, open(read, "rb"))
-        reports[::k] = [check_claim(cid, grid) for cid, grid in jobs[::k]]
-        for pid, (w, pipe) in list(workers.items()):
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[pid]
-            if code:
-                raise RuntimeError(f"verify worker {pid} exited with status {code}")
-            result = pickle.loads(data)
-            if isinstance(result, BaseException):
-                raise result
-            reports[w::k] = result
-    except BaseException:
-        import signal
+    units = []
+    if processes > 1:
+        from . import parallel  # only a run with workers loads it
 
-        for pid, (_, pipe) in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    return reports
+        if parallel.AVAILABLE:
+            by_grid: dict[str, tuple] = {}
+            for j, (_, ctx) in enumerate(jobs):
+                by_grid.setdefault(ctx.name, (ctx, []))[1].append(j)
+            grids = sorted(by_grid.values(), key=lambda grid: -len(grid[0].forms))
+            units = [(j, d) for ctx, js in grids for d in ctx.ideals for j in js]
+    k = min(processes, len(units))
+    if k < 2:
+        return [check_claim(cid, ctx.grid, ctx) for cid, ctx in jobs]
 
+    def work(u: int) -> tuple:
+        j, d = units[u]
+        cid, ctx = jobs[j]
+        return _counts(_BY_ID[cid], ctx._replace(ideals=(d,)))
 
-def _work(jobs: list[tuple[str, GridSpec]], write: int):
-    """The body of a forked worker: check `jobs` and write the pickled list
-    of reports, or the exception that stopped them, to the pipe end `write`.
-    It never returns: `os._exit` ends the worker, so it neither unwinds into
-    the caller's stack nor flushes buffers it shares with the parent."""
-    code = 1
-    try:
-        import pickle  # the parent loaded it before the fork: a lookup, not an import
-
-        try:
-            result = [check_claim(cid, grid) for cid, grid in jobs]
-        except BaseException as exc:
-            result = exc
-        with open(write, "wb") as pipe:
-            pickle.dump(result, pipe)
-        code = 0
-    finally:
-        os._exit(code)
+    parts: list[list] = [[] for _ in jobs]
+    for (j, _), counts in zip(units, parallel.run(len(units), k, work)):
+        parts[j].append(counts)
+    return [_report(_BY_ID[cid], ctx, _merged(p)) for (cid, ctx), p in zip(jobs, parts)]
 
 
 def format_reports_text(suite: SuiteReport) -> str:

@@ -139,8 +139,4 @@ def test_a_suite_run_leaves_no_reference_cycles():
 
 
 def test_a_suite_run_with_workers_leaves_no_reference_cycles():
-    # a run with workers imports pickle, whose import leaves three exception
-    # classes in cycles once per process, as argparse's does
-    import pickle  # noqa: F401
-
     assert _cycles_left_by_a_suite_run(2) == 0

@@ -210,7 +210,7 @@ def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
     def var(name, size, guard):
         return verify._Var(name, lambda ctx, *bound_and_d: range(size), lambda *values_and_d: guard.get(values_and_d[-2], True))
 
-    ctx = verify._Ctx(None, (5, 7), (), (), (), (), ())
+    ctx = verify._Ctx(None, (5, 7), (), (), (), (), (), "", False)
     for depth, (counterexamples, skipped) in kept.items():
         loops = tuple(var(name, 3, inner_guard) for name in "ij"[: depth - 1]) + (var("ijk"[depth - 1], 7, last_guard),)
         tally = verify._Tally(loops)
@@ -417,6 +417,23 @@ def test_a_run_tests_each_ring_for_square_factors_once():
     info = verify._is_vnr.cache_info()
     assert info.misses == 3 and info.hits > 0
     assert [r.verdict for r in suite.reports if r.claim_id == "vnr-homology-vanish"] == ["pass"] * 3
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_run_builds_each_grid_once_however_many_grids(monkeypatch, processes):
+    # a run walks its jobs claim by claim, so it cycles through its grids
+    # once per claim; more grids than a 16-entry table holds must still be
+    # enumerated, named and tested for square factors once each
+    enumerated = []
+    real = verify.enumerate_forms
+    monkeypatch.setattr(verify, "enumerate_forms", lambda grid: enumerated.append(grid) or real(grid))
+    grids = [GridSpec(RingSpec.mod(n), 4, 0, (0, 1), module_whitelist=("0", f"Z/{n}")) for n in range(2, 22)]
+    verify._is_vnr.cache_clear()
+    suite = run_suite(grids, ["reflexive", "glc-fastpath", "vnr-homology-vanish"], processes=processes)
+    info = verify._is_vnr.cache_info()
+    assert enumerated == grids
+    assert (info.misses, info.hits) == (20, 0)
+    assert {r.grid for r in suite.reports} == {f"Z/{n}[0; Z/{n}]" for n in range(2, 22)}
 
 
 def test_a_side_compares_and_hashes_by_identity():
