@@ -14,18 +14,18 @@ over every instance in scope, and reports a verdict per claim and grid:
 `_REGISTRY` declares each claim once, in report order: its id, statement,
 expected verdict (or a function of the grid, where that depends on the
 ring), the rings it applies to, its loop variables inside a loop over the
-grid's ideals (each with a label name, a domain and an optional guard that
-prunes at its depth), and a check that returns True, False, an (outcome,
-note) pair, or (None, note) for a skip.  A check skips only where its guards
-admit an undefined completion; where the paper's classes make the value
-exist (a finite N, an N or P in the class, a coreduced M, a ring Z/n), it
-computes the value without a test for None.  Over Z and Z/n every value
-depends on an ideal only through its canonical generator d, so guards and
-checks get d, an int.  One walker, `_walk`, runs the loops of every claim
-with one loop body: bind a value, ask the guard, then descend or check.  A
-guard may also count a skip: the inherit pair's where the classical value
-is undefined, and the dual pair's where X has a free part.  A pass costs its check and a count, and a label such as
-`M=Z/2, N=Z, a=(2)` is formatted only for the samples a report keeps.
+grid's ideals (see `_Var`), and a check that returns True, False, an
+(outcome, note) pair, or (None, note) for a skip.  A check skips only where
+its domains admit an undefined completion; where the paper's classes make
+the value exist (a finite N, an N or P in the class, a coreduced M, a ring
+Z/n), it computes the value without a test for None.  Over Z and Z/n every
+value depends on an ideal only through its canonical generator d, so
+guards and checks get d, an int.  One walker, `_walk`, runs the loops of
+every claim: an outer loop binds a value, asks its guard and descends, and
+the innermost one maps the check over its domain, which for a domain
+relative to the first variable is read once per (first value, d).  A pass
+costs its check and a count, and a label such as `M=Z/2, N=Z, a=(2)` is
+formatted only for the samples a report keeps.
 Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
 Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
 homology).  The harness's local (co)homology, `_collapsed`, is one graded
@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import cyclic
@@ -467,51 +467,76 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
 
 class _Var(NamedTuple):
     """One loop of a claim.  `domain` is a `_Ctx` field, or a function of the
-    context, the values bound so far and the ideal's generator d; `guard`,
-    given the values bound so far, this one included, and d, prunes at this
-    depth: it returns True to go on, False to prune, or (None, note) to count
-    a skip for the values bound so far and prune.  A tail variable is
-    labelled after the ideal."""
+    context, the values bound so far and the ideal's generator d.  `guard`,
+    given the values bound so far, this one included, and d, returns True to
+    go on, False to prune, or (None, note) to count a skip and prune.
+    `within`, in place of a domain, is a function of the context, the first
+    value and d, read once per (first value, d) for every binding of the
+    variables between; `let`, with it, binds a value of (first value, x, d)
+    once per x for the check, which gets it after d.  The innermost loop has
+    no guard: its filter is a relative domain, and its skips, counted per
+    instance, are the check's.  A tail variable is labelled after the ideal."""
 
     name: str
     domain: str | Callable = "forms"
     guard: Callable | None = None
     tail: bool = False
+    within: Callable | None = None
+    let: Callable | None = None
 
-    def values(self, ctx: _Ctx, bound: tuple, d: int):
-        dom = self.domain
-        return getattr(ctx, dom) if isinstance(dom, str) else dom(ctx, *bound, d)
+
+def _relative(field: str, admits: Callable) -> Callable:
+    """The values x of a `_Ctx` field with admits(first, x, d), in order."""
+    return lambda ctx, first, d: [x for x in getattr(ctx, field) if admits(first, x, d)]
+
+
+def _in_class(s: _Side, field: str = "forms") -> _Var:
+    """N of a field, in the class of `s` relative to the first value M."""
+    return _Var("N", within=_relative(field, s.in_class))
 
 
 def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) -> None:
     """Check each instance, depth first in declaration order inside a loop
-    over the ideals.  Each depth binds a value and asks its guard, then
-    descends or, at the innermost depth, checks.  A result of True only adds
-    to a local count, added to `tally.checked` once per loop; any other
-    result, and a guard's skip, goes to `tally.record` with the instance's
-    values, which end with the ideal's generator d."""
+    over the ideals.  An outer depth binds a value, asks its guard and
+    descends; the innermost maps the check over its values, with d and the
+    let values as `repeat`s in `tail`.  True results are only counted; the
+    others, and guards' skips, go to `tally.record` in walk order with the
+    values, ending with d.  Relative domains live until a new first value."""
+    if loops[-1].guard is not None or any(v.let and v.within is None for v in loops):
+        raise ValueError("the innermost loop takes no guard, and a let needs a relative domain")
     last = len(loops) - 1
+    relative: dict = {}
 
-    def descend(bound: tuple, d: int) -> None:
-        var = loops[len(bound)]
-        guard = var.guard
-        inner = len(bound) < last
-        checked = 0
-        for x in var.values(ctx, bound, d):
+    def descend(bound: tuple, tail: tuple, d: int) -> None:
+        depth = len(bound)
+        var = loops[depth]
+        if depth == 1:
+            relative.clear()
+        if var.within is None:
+            dom = var.domain
+            entry = getattr(ctx, dom) if isinstance(dom, str) else dom(ctx, *bound, d), None
+        elif (entry := relative.get(depth)) is None:
+            xs = var.within(ctx, bound[0], d)
+            entry = relative[depth] = xs, var.let and {x: var.let(bound[0], x, d) for x in xs}
+        xs, own = entry
+        if depth == last:
+            args = tail if own is None else (*tail, map(own.__getitem__, xs))
+            results = list(map(partial(check, *bound), xs, *args))
+            if (checked := results.count(True)) < len(results):
+                for x, result in zip(xs, results):
+                    if result is not True:
+                        tally.record(bound + (x, d), result)
+            tally.checked += checked
+            return
+        for x in xs:
             values = bound + (x,)
-            if guard is not None and (ok := guard(*values, d)) is not True:
-                if isinstance(ok, tuple):
-                    tally.record(values + (d,), ok)
-            elif inner:
-                descend(values, d)
-            elif (result := check(*values, d)) is True:
-                checked += 1
-            else:
-                tally.record(values + (d,), result)
-        tally.checked += checked
+            if var.guard is None or (ok := var.guard(*values, d)) is True:
+                descend(values, tail if own is None else (*tail, itertools.repeat(own[x])), d)
+            elif isinstance(ok, tuple):
+                tally.record(values + (d,), ok)
 
     for d in ctx.ideals:
-        descend((), d)
+        descend((), (itertools.repeat(d),), d)
     del descend  # the closure refers to itself; `cli.run` collects no cycles
 
 
@@ -599,13 +624,7 @@ class _Claim(NamedTuple):
     expected_on: Callable[[_Ctx], str] | None = None
 
     def applies(self, ctx: _Ctx) -> bool:
-        if self.rings == "all":
-            return True
-        if ctx.grid.ring.is_integers:
-            return False
-        if self.rings == "modular":
-            return True
-        return ctx.vnr
+        return self.rings == "all" or not ctx.grid.ring.is_integers and (self.rings == "modular" or ctx.vnr)
 
     def expected_for(self, ctx: _Ctx) -> str:
         """Expected verdict on the grid of `ctx`."""
@@ -654,8 +673,7 @@ def _equiv(s: _Side) -> dict:
         b3 = g == s.functor(mq, n)
         b4 = cyclic.quotient(g, d) is g  # dG = 0
         b5 = s.absolute(g, d)
-        ok = b1 == b2 == b3 == b4 == b5
-        return ok, "" if ok else f"({b1},{b2},{b3},{b4},{b5})"
+        return b1 == b2 == b3 == b4 == b5 or (False, f"({b1},{b2},{b3},{b4},{b5})")
 
     return dict(loops=(_Var("M"), _Var("N")), check=check)
 
@@ -680,11 +698,7 @@ def _functor_stays(s: _Side) -> dict:
 def _closure_sums(s: _Side) -> dict:
     # finite products and finite sums are both direct sums
     return dict(
-        loops=(
-            _Var("M", "small"),
-            _Var("N1", "small", s.in_class),
-            _Var("N2", "small", lambda m, n1, n2, d: s.in_class(m, n2, d)),
-        ),
+        loops=(_Var("M", "small"), _Var("N1", "small", s.in_class), _Var("N2", within=_relative("small", s.in_class))),
         check=lambda m, n1, n2, d: s.in_class(m, cyclic.direct_sum([n1, n2]), d),
     )
 
@@ -694,7 +708,7 @@ def _quotient_sources(ctx: _Ctx, d: int):
     return ctx.finite_small + tuple(n for n in ctx.forms if n.free_rank)
 
 
-def _quotients(ctx: _Ctx, n: CanonicalForm, m: CanonicalForm, d: int):
+def _quotients(ctx: _Ctx, n: CanonicalForm, d: int):
     if n.free_rank:
         return tuple(cyclic.quotient(n, c) for c in (2, 3, 4))
     return tuple(s.z for s in _sequences_in(n))
@@ -706,14 +720,11 @@ def _sequences(ctx: _Ctx, d: int):
 
 def _extension_closure(s: _Side) -> dict:
     def check(seq, m, d):
-        ok = s.in_class(m, seq.y, d)
-        return ok, "" if ok else "middle term leaves the class"
+        return s.in_class(m, seq.y, d) or (False, "middle term leaves the class")
 
+    ends_in_class = _relative("tiny", lambda seq, m, d: s.in_class(m, seq.x, d) and s.in_class(m, seq.z, d))
     return dict(
-        loops=(
-            _Var("S", _sequences),
-            _Var("M", "tiny", lambda seq, m, d: s.in_class(m, seq.x, d) and s.in_class(m, seq.z, d)),
-        ),
+        loops=(_Var("S", _sequences), _Var("M", within=ends_in_class)),
         check=check,
         expected="fail",
         # over a von Neumann regular ring both classes are all modules
@@ -721,34 +732,23 @@ def _extension_closure(s: _Side) -> dict:
     )
 
 
-def _dual_defined(m, x, d):
+def _on_dual(check: Callable) -> Callable:
     # the dual of a module with a free part is not finitely generated
-    return not x.free_rank or (None, "dual undefined on free part")
+    return lambda m, x, d: (None, "dual undefined on free part") if x.free_rank else check(m, x, d)
 
 
 def _adic_dual(s: _Side) -> dict:
     # the dual of one two-argument functor against the other one of the dual;
     # N is finite, so it and its dual lie in both classes and both exist
     return dict(
-        loops=(_Var("M"), _Var("N", "finite", s.in_class)),
+        loops=(_M, _in_class(s, "finite")),
         check=lambda m, n, d: cyclic.dual(s.adic(m, n, d)) == _other(s).adic(m, cyclic.dual(n), d),
     )
 
 
-def _reflexive_values(m, n, d):
-    return _reflexive(cyclic.torsion_wrt(m, n, d)) and _reflexive(cyclic.completion_wrt(m, n, d))
-
-
-def _gm_adjunction(m, n, p, d):
-    # P is coreduced relative to M, so the completion exists
-    return cyclic.hom(cyclic.completion_wrt(m, p, d), n) == cyclic.hom(p, cyclic.torsion_wrt(m, n, d))
-
-
 def _exactness(s: _Side) -> dict:
-    loops = (
-        _Var("S", _sequences),
-        _Var("M", "tiny", lambda seq, m, d: all(s.in_class(m, c, d) for c in (seq.x, seq.y, seq.z))),
-    )
+    terms_in_class = _relative("tiny", lambda seq, m, d: all(s.in_class(m, c, d) for c in (seq.x, seq.y, seq.z)))
+    loops = (_Var("S", _sequences), _Var("M", within=terms_in_class))
 
     def check(seq, m, d):
         q = cyclic.completion(cyclic.quotient(m, math.lcm(*seq.y.torsion_factors)), d)[0]
@@ -816,7 +816,7 @@ def _fastpath(s: _Side) -> dict:
         at_m = _graded(s, m, n, d)
         return (None, "stabilized path undefined") if at_m is None else _collapsed(s, m, n, d) == at_m
 
-    return dict(loops=(_Var("M"), _Var("N", guard=s.in_class)), check=check)
+    return dict(loops=(_M, _in_class(s)), check=check)
 
 
 def _glc_fastpath_expected(ctx: _Ctx) -> str:
@@ -837,10 +837,7 @@ def _glh_fastpath_expected(ctx: _Ctx) -> str:
 def _positive_degrees_vanish(s: _Side) -> dict:
     # N in the class selects the collapse formula, which is always defined
     return dict(
-        loops=(
-            _Var("M", guard=lambda m, d: _cf_projective(cyclic.quotient(m, d))),
-            _Var("N", guard=s.in_class),
-        ),
+        loops=(_Var("M", guard=lambda m, d: _cf_projective(cyclic.quotient(m, d))), _in_class(s)),
         check=lambda m, n, d: all(v.is_trivial for v in _collapsed(s, m, n, d)[1:]),
     )
 
@@ -860,7 +857,7 @@ def _local_dual(s: _Side) -> dict:
         dn = cyclic.dual(n)
         return tuple(map(cyclic.dual, _collapsed(s, m, n, d))) == _collapsed(_other(s), m, dn, d)
 
-    return dict(loops=(_Var("M"), _Var("N", "finite", s.in_class)), check=check)
+    return dict(loops=(_M, _in_class(s, "finite")), check=check)
 
 
 def _b_class_membership(m, n, d):
@@ -932,7 +929,7 @@ def _mirrored(shape: Callable[[_Side], dict], *entries: tuple[_Side, str, str]) 
     return [_Claim(cid, statement, **shape(side)) for side, cid, statement in entries]
 
 
-_M, _N = _Var("M"), _Var("N")
+_M, _N, _X = _Var("M"), _Var("N"), _Var("X")
 
 _REGISTRY: list[_Claim] = [
     *_mirrored(
@@ -954,7 +951,7 @@ _REGISTRY: list[_Claim] = [
     _Claim("coreduced-M-absorbs", "a coreduced M makes every module reduced relative to M",
            (_Var("M", guard=cyclic.is_coreduced), _N), cyclic.is_reduced_wrt),
     _Claim("tensor-coreduced", "a tensor product with a coreduced factor is coreduced",
-           (_M, _Var("N", guard=lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d))),
+           (_M, _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d)))),
            lambda m, n, d: cyclic.is_coreduced(cyclic.tensor(m, n), d)),
     *_mirrored(
         _functor_stays,
@@ -968,11 +965,11 @@ _REGISTRY: list[_Claim] = [
     ),
     _Claim("closure-sub", "submodules stay reduced relative to M",
            (_Var("N", "finite_small"), _Var("M", "small", lambda n, m, d: cyclic.is_reduced_wrt(m, n, d)),
-            _Var("X", lambda ctx, n, m, d: [s.x for s in _sequences_in(n)], tail=True)),
+            _Var("X", within=lambda ctx, n, d: [s.x for s in _sequences_in(n)], tail=True)),
            lambda n, m, x, d: cyclic.is_reduced_wrt(m, x, d)),
     _Claim("closure-quot", "quotients stay coreduced relative to M",
            (_Var("N", _quotient_sources), _Var("M", "small", lambda n, m, d: cyclic.is_coreduced_wrt(m, n, d)),
-            _Var("Q", _quotients, tail=True)),
+            _Var("Q", within=_quotients, tail=True)),
            lambda n, m, q, d: cyclic.is_coreduced_wrt(m, q, d)),
     *_mirrored(
         _extension_closure,
@@ -982,22 +979,25 @@ _REGISTRY: list[_Claim] = [
          "the coreduced-relative-to-M class is closed under extensions (expected counterexample)"),
     ),
     _Claim("dual-cor-iff-red", "X is coreduced relative to M iff its dual is reduced relative to M",
-           (_M, _Var("X", guard=_dual_defined)),
-           lambda m, x, d: cyclic.is_coreduced_wrt(m, x, d) == cyclic.is_reduced_wrt(m, cyclic.dual(x), d)),
+           (_M, _X),
+           _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, x, d) == cyclic.is_reduced_wrt(m, cyclic.dual(x), d))),
     _Claim("dual-red-then-cor", "the dual of a module reduced relative to M is coreduced relative to M",
-           (_M, _Var("X", guard=lambda m, x, d: cyclic.is_reduced_wrt(m, x, d) and _dual_defined(m, x, d))),
-           lambda m, x, d: cyclic.is_coreduced_wrt(m, cyclic.dual(x), d)),
+           (_M, _Var("X", within=_relative("forms", cyclic.is_reduced_wrt))),
+           _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, cyclic.dual(x), d))),
     *_mirrored(
         _adic_dual,
         (_RED, "gamma-dual", "dual of two-argument torsion equals two-argument completion of the dual"),
         (_COR, "lambda-dual", "dual of two-argument completion equals two-argument torsion of the dual"),
     ),
     _Claim("reflexive", "torsion and completion of a reflexive module in both classes are reflexive",
-           (_M, _Var("N", guard=lambda m, n, d: _cboth(m, n, d) and _reflexive(n))),
-           _reflexive_values, rings="modular"),
+           (_M, _Var("N", within=_relative("forms", lambda m, n, d: _cboth(m, n, d) and _reflexive(n)))),
+           lambda m, n, d: _reflexive(cyclic.torsion_wrt(m, n, d)) and _reflexive(cyclic.completion_wrt(m, n, d)),
+           rings="modular"),
+    # P is coreduced relative to M, so its completion, P's let value, exists
     _Claim("gm-adjunction", "Hom(completion(M,P), N) matches Hom(P, torsion(M,N)) on the two classes",
-           (_M, _Var("N", guard=cyclic.is_reduced_wrt), _Var("P", guard=lambda m, n, p, d: cyclic.is_coreduced_wrt(m, p, d))),
-           _gm_adjunction),
+           (_M, _Var("N", within=_relative("forms", cyclic.is_reduced_wrt), let=cyclic.torsion_wrt),
+            _Var("P", within=_relative("forms", cyclic.is_coreduced_wrt), let=cyclic.completion_wrt)),
+           lambda m, n, p, d, gamma_n, lambda_p: cyclic.hom(lambda_p, n) == cyclic.hom(p, gamma_n)),
     *_mirrored(
         _exactness,
         (_RED, "gamma-left-exact", "two-argument torsion preserves kernels on in-class short exact sequences"),
@@ -1019,7 +1019,7 @@ _REGISTRY: list[_Claim] = [
     _Claim("glh-flat-vanish", "local homology vanishes in positive degrees when M/aM is flat",
            **_positive_degrees_vanish(_COR)),
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
-           (_Var("M", guard=cyclic.is_coreduced), _Var("N", guard=lambda m, n, d: cyclic.is_coreduced(n, d))),
+           (_Var("M", guard=cyclic.is_coreduced), _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
            lambda m, n, d: _collapsed(_COR, m, n, d) == _collapsed(_COR, n, m, d),
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",

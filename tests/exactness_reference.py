@@ -108,10 +108,12 @@ CHECKS = (
 )
 
 
-def walk_listing(loops, check, ctx) -> list:
-    """(values, result) of every instance `verify._walk` checks, in walk
-    order; the values end with the ideal's generator d.  A guard's skip is
-    not listed, and the exactness claims' guards never skip."""
+def walk_listing(loops, check, ctx, walk=None) -> list:
+    """(values, result) of every instance a walker, `verify._walk` unless
+    `walk` is given, checks, in walk order; the values are the check's
+    arguments, which end with the ideal's generator d and then the values
+    the claim's variables let it reuse.  A guard's skip is not listed, and
+    the exactness claims' guards never skip."""
     listing = []
 
     def listed(*values):
@@ -119,7 +121,7 @@ def walk_listing(loops, check, ctx) -> list:
         listing.append((values, result))
         return result
 
-    verify._walk(loops, listed, ctx, verify._Tally(loops))
+    (walk or verify._walk)(loops, listed, ctx, verify._Tally(loops))
     return listing
 
 

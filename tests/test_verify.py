@@ -187,8 +187,10 @@ def test_a_whitelisted_grid_is_named_after_its_ring_and_forms():
 def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
     # the last bound value picks the check's result and the guards' answers:
     # an inner depth goes on at 0, prunes at 1 and skips at 2; the innermost
-    # depth checks 0 to 4, and its guard prunes at 5 and skips at 6
-    results = (True, False, (True, "t"), (False, "f"), (None, "s"))
+    # depth checks 0 to 4, prunes 5 from its domain (relative to the first
+    # value below the top depth) and skips at 6, where its check answers as
+    # a guard would, since the innermost loop takes no guard
+    results = (True, False, (True, "t"), (False, "f"), (None, "s"), None, (None, "g"))
     inner_guard = {1: False, 2: (None, "inner")}
     last_guard = {5: False, 6: (None, "g")}
     kept = {
@@ -210,11 +212,22 @@ def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
     def var(name, size, guard):
         return verify._Var(name, lambda ctx, *bound_and_d: range(size), lambda *values_and_d: guard.get(values_and_d[-2], True))
 
+    def innermost(name, depth):
+        checked = [k for k in range(7) if last_guard.get(k, True) is not False]
+        if depth == 1:
+            return verify._Var(name, lambda ctx, d: checked)
+        return verify._Var(name, within=lambda ctx, first, d: checked)
+
+    def check(*values_and_d):
+        return results[values_and_d[-2]]
+
     ctx = verify._Ctx(None, (5, 7), (), (), (), (), (), "", False)
+    with pytest.raises(ValueError, match="innermost loop takes no guard"):
+        verify._walk((var("i", 7, last_guard),), check, ctx, verify._Tally(()))
     for depth, (counterexamples, skipped) in kept.items():
-        loops = tuple(var(name, 3, inner_guard) for name in "ij"[: depth - 1]) + (var("ijk"[depth - 1], 7, last_guard),)
+        loops = tuple(var(name, 3, inner_guard) for name in "ij"[: depth - 1]) + (innermost("ijk"[depth - 1], depth),)
         tally = verify._Tally(loops)
-        verify._walk(loops, lambda *values_and_d: results[values_and_d[-2]], ctx, tally)
+        verify._walk(loops, check, ctx, tally)
         # per ideal: four results checked, two of them counterexamples, and a
         # skip by the check, by the innermost guard and by each inner guard
         assert (tally.checked, tally.n_counter, tally.n_skipped) == (8, 4, 2 * (depth + 1)), depth
