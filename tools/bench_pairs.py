@@ -8,12 +8,13 @@ bytecode or work directory left by an earlier run is read, and runs
 `python3 perfbench/run.py --workload W --seed s --seconds T --trace 0` there
 with `PYTHONDONTWRITEBYTECODE=1`.  This script only invokes the benchmark.
 
-The workloads run one after the other, each as `--pairs` pairs.  Pair i of
-the w-th workload uses seed `seed0 + w * pairs + i` on both sides and runs
-the parent first when i is even, the change first when i is odd.  The
-output JSON holds, per workload and end-to-end metric of BENCHMARK.json,
-each side's median and exclusive quartiles, the number of pairs in which
-the change read lower, the failed operations of each side, and every run.
+The workloads, the run length T and the end-to-end metrics are
+BENCHMARK.json's.  The workloads run one after the other, each as `--pairs`
+pairs.  Pair i of the w-th workload uses seed `seed0 + w * pairs + i` on
+both sides and runs the parent first when i is even, the change first when
+i is odd.  The output JSON holds, per workload and metric, each side's
+median and exclusive quartiles, the number of pairs in which the change
+read lower, the failed operations of each side, and every run.
 """
 
 from __future__ import annotations
@@ -100,14 +101,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=None, help="run length; BENCHMARK.json's by default")
-    parser.add_argument("--workloads", default=None, help="comma-separated; BENCHMARK.json's by default")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
     tars = {"parent": archive(args.parent), "change": archive(args.change)}
     runs = []
