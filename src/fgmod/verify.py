@@ -471,11 +471,11 @@ class _Var(NamedTuple):
     given the values bound so far, this one included, and d, returns True to
     go on, False to prune, or (None, note) to count a skip and prune.
     `within`, in place of a domain, is a function of the context, the first
-    value and d, read once per (first value, d) for every binding of the
-    variables between; `let`, with it, binds a value of (first value, x, d)
-    once per x for the check, which gets it after d.  The innermost loop has
-    no guard: its filter is a relative domain, and its skips, counted per
-    instance, are the check's.  A tail variable is labelled after the ideal."""
+    value and d, read once per (first value, d) for every binding between;
+    `let`, with it, binds a value of (first value, x, d) once per x for the
+    check, which gets it after d.  A guard that may skip stays a guard, as
+    skips count per instance; the innermost loop has none: a relative
+    domain filters it, the check skips.  A tail label follows the ideal's."""
 
     name: str
     domain: str | Callable = "forms"

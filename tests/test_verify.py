@@ -229,7 +229,7 @@ def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
         tally = verify._Tally(loops)
         verify._walk(loops, check, ctx, tally)
         # per ideal: four results checked, two of them counterexamples, and a
-        # skip by the check, by the innermost guard and by each inner guard
+        # skip by the check at 4 and at 6 and by each inner guard
         assert (tally.checked, tally.n_counter, tally.n_skipped) == (8, 4, 2 * (depth + 1)), depth
         assert tally.counterexamples == [label.format(d=d) for d in (5, 7) for label in counterexamples], depth
         assert tally.skipped == [label.format(d=d) for d in (5, 7) for label in skipped], depth
