@@ -341,18 +341,8 @@ def torsion_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
 
 
 def completion_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
-    """Two-argument completion: the completion of M (x) N along (d).  Its
-    table keeps a refusal too, and each refused call raises afresh."""
-    value = _completion_wrt(M, N, d)
-    return completion(tensor(M, N), d)[0] if value is None else value
-
-
-@lru_cache(maxsize=_MEMO)
-def _completion_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm | None:
-    try:
-        return completion(tensor(M, N), d)[0]
-    except NonStabilizing:
-        return None
+    """Two-argument completion: the completion of M (x) N along (d)."""
+    return completion(tensor(M, N), d)[0]
 
 
 @lru_cache(maxsize=_MEMO)

@@ -523,6 +523,7 @@ def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) ->
             args = tail if own is None else (*tail, map(own.__getitem__, xs))
             results = list(map(partial(check, *bound), xs, *args))
             if (checked := results.count(True)) < len(results):
+                checked = sum(result is True for result in results)  # `record` counts the rest, 1 included
                 for x, result in zip(xs, results):
                     if result is not True:
                         tally.record(bound + (x, d), result)
@@ -624,7 +625,13 @@ class _Claim(NamedTuple):
     expected_on: Callable[[_Ctx], str] | None = None
 
     def applies(self, ctx: _Ctx) -> bool:
-        return self.rings == "all" or not ctx.grid.ring.is_integers and (self.rings == "modular" or ctx.vnr)
+        if self.rings == "all":
+            return True
+        if ctx.grid.ring.is_integers:
+            return False
+        if self.rings == "modular":
+            return True
+        return ctx.vnr
 
     def expected_for(self, ctx: _Ctx) -> str:
         """Expected verdict on the grid of `ctx`."""
@@ -698,7 +705,11 @@ def _functor_stays(s: _Side) -> dict:
 def _closure_sums(s: _Side) -> dict:
     # finite products and finite sums are both direct sums
     return dict(
-        loops=(_Var("M", "small"), _Var("N1", "small", s.in_class), _Var("N2", within=_relative("small", s.in_class))),
+        loops=(
+            _Var("M", "small"),
+            _Var("N1", "small", s.in_class),
+            _Var("N2", within=_relative("small", s.in_class)),
+        ),
         check=lambda m, n1, n2, d: s.in_class(m, cyclic.direct_sum([n1, n2]), d),
     )
 
@@ -951,7 +962,8 @@ _REGISTRY: list[_Claim] = [
     _Claim("coreduced-M-absorbs", "a coreduced M makes every module reduced relative to M",
            (_Var("M", guard=cyclic.is_coreduced), _N), cyclic.is_reduced_wrt),
     _Claim("tensor-coreduced", "a tensor product with a coreduced factor is coreduced",
-           (_M, _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d)))),
+           (_M, _Var("N", within=_relative(
+               "forms", lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d)))),
            lambda m, n, d: cyclic.is_coreduced(cyclic.tensor(m, n), d)),
     *_mirrored(
         _functor_stays,
@@ -1019,7 +1031,8 @@ _REGISTRY: list[_Claim] = [
     _Claim("glh-flat-vanish", "local homology vanishes in positive degrees when M/aM is flat",
            **_positive_degrees_vanish(_COR)),
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
-           (_Var("M", guard=cyclic.is_coreduced), _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
+           (_Var("M", guard=cyclic.is_coreduced),
+            _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
            lambda m, n, d: _collapsed(_COR, m, n, d) == _collapsed(_COR, n, m, d),
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",

@@ -11,6 +11,7 @@ and samples.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,10 +81,31 @@ def test_the_walker_checks_every_instance_of_the_one_loop_walk(claim_id):
 def test_gm_adjunction_asks_each_relative_value_once_per_walk():
     # P's predicate, coreduced relative to M, and P's let value, the
     # completion of M (x) P, are each asked once per (M, P, d): a walk that
-    # asked them again for each N would hit their tables
+    # asked the predicate again for each N would hit its table
+    cdef = verify._BY_ID["gm-adjunction"]
+    asked = Counter()
+
+    def completion_wrt(m, p, d):
+        asked[m, p, d] += 1
+        return cyclic.completion_wrt(m, p, d)
+
+    loops = cdef.loops[:-1] + (cdef.loops[-1]._replace(let=completion_wrt),)
     for grid in [verify.grid_from_dict(g) for g in json.loads(GRID.read_text())] + [BENCH_Z]:
         fgmod.clear_caches()
-        verify.check_claim("gm-adjunction", grid)
-        for table in (cyclic.is_coreduced_wrt, cyclic._completion_wrt):
-            info = table.cache_info()
-            assert info.misses and not info.hits, (grid.label, table.__name__, info)
+        asked.clear()
+        verify._walk(loops, cdef.check, verify._make_ctx(grid), verify._Tally(loops))
+        info = cyclic.is_coreduced_wrt.cache_info()
+        assert info.misses and not info.hits, (grid.label, info)
+        assert asked and max(asked.values()) == 1, grid.label
+
+
+def test_a_result_equal_to_true_is_counted_once():
+    # 1 == True, but only True itself passes without a record; `record`
+    # counts a truthy outcome as checked, so the walk must not count it too
+    loops = (verify._Var("i", lambda ctx, d: range(3)),)
+    ctx = verify._Ctx(None, (5,), (), (), (), (), (), "", False)
+    for results, counts in (((1, True, True), (3, 0)), ((1, False, True), (3, 1))):
+        for walk in (verify._walk, one_loop_walk):
+            tally = verify._Tally(loops)
+            walk(loops, lambda i, d: results[i], ctx, tally)
+            assert (tally.checked, tally.n_counter) == counts, (walk.__name__, results)
