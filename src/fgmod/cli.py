@@ -136,6 +136,8 @@ def _load_grids(path: str) -> list:
         raise InvalidGrid(f"cannot read grid file {path!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise InvalidGrid(f"grid file {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidGrid(f"grid file {path!r} nests too deeply to read") from None
     grids = [verify.grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
     if not grids:
         raise InvalidGrid(f"grid file {path!r} holds no grid")

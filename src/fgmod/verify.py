@@ -14,18 +14,19 @@ over every instance in scope, and reports a verdict per claim and grid:
 `_REGISTRY` declares each claim once, in report order: its id, statement,
 expected verdict (or a function of the grid, where that depends on the
 ring), the rings it applies to, its loop variables inside a loop over the
-grid's ideals (see `_Var`), and a check that returns True, False, an
-(outcome, note) pair, or (None, note) for a skip.  A check skips only where
-its domains admit an undefined completion; where the paper's classes make
-the value exist (a finite N, an N or P in the class, a coreduced M, a ring
-Z/n), it computes the value without a test for None.  Over Z and Z/n every
-value depends on an ideal only through its canonical generator d, so
-guards and checks get d, an int.  One walker, `_walk`, runs the loops of
-every claim: an outer loop binds a value, asks its guard and descends, and
-the innermost one maps the check over its domain, which for a domain
-relative to the first variable is read once per (first value, d).  A pass
-costs its check and a count, and a label such as `M=Z/2, N=Z, a=(2)` is
-formatted only for the samples a report keeps.
+grid's ideals (see `_Var`), and a check that returns True for a pass,
+False or (False, note) for a counterexample, or (None, note) for a skip.
+A loop's domain is its one filter, and may answer (None, note) to skip its
+prefix.  A check skips only where its domains admit an undefined
+completion; where the paper's classes make the value exist (a finite N, an
+N or P in the class, a coreduced M, a ring Z/n), it computes the value
+without a test for None.  Over Z and Z/n every value depends on an ideal
+only through its canonical generator d, so domains and checks get d, an
+int.  One walker, `_walk`, runs the loops of every claim: an outer loop
+binds each value of its domain and descends, and the innermost one maps
+the check over its domain, read once per (first value, d) where it is
+relative to the first variable.  A pass costs its check and a count, and a
+label such as `M=Z/2, N=Z, a=(2)` is formatted only for the kept samples.
 Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
 Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
 homology).  The harness's local (co)homology, `_collapsed`, is one graded
@@ -467,22 +468,24 @@ def _make_ctx(grid: GridSpec) -> _Ctx:
 
 class _Var(NamedTuple):
     """One loop of a claim.  `domain` is a `_Ctx` field, or a function of the
-    context, the values bound so far and the ideal's generator d.  `guard`,
-    given the values bound so far, this one included, and d, returns True to
-    go on, False to prune, or (None, note) to count a skip and prune.
-    `within`, in place of a domain, is a function of the context, the first
-    value and d, read once per (first value, d) for every binding between;
-    `let`, with it, binds a value of (first value, x, d) once per x for the
-    check, which gets it after d.  A guard that may skip stays a guard, as
-    skips count per instance; the innermost loop has none: a relative
-    domain filters it, the check skips.  A tail label follows the ideal's."""
+    context, the values bound so far and the ideal's generator d.  `within`,
+    in place of a domain, is a function of the context, the first value and
+    d, read once per (first value, d) for every binding between; `let`, with
+    it, binds a value of (first value, x, d) once per x for the check, which
+    gets it after d.  A domain function returns the values in order, or
+    (None, note) to skip the values bound so far, counted once per prefix.
+    A tail label follows the ideal's."""
 
     name: str
     domain: str | Callable = "forms"
-    guard: Callable | None = None
     tail: bool = False
     within: Callable | None = None
     let: Callable | None = None
+
+
+def _where(field: str, admits: Callable) -> Callable:
+    """The values x of a `_Ctx` field with admits(x, d), in order."""
+    return lambda ctx, d: [x for x in getattr(ctx, field) if admits(x, d)]
 
 
 def _relative(field: str, admits: Callable) -> Callable:
@@ -497,13 +500,13 @@ def _in_class(s: _Side, field: str = "forms") -> _Var:
 
 def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) -> None:
     """Check each instance, depth first in declaration order inside a loop
-    over the ideals.  An outer depth binds a value, asks its guard and
+    over the ideals.  An outer depth binds each value of its domain and
     descends; the innermost maps the check over its values, with d and the
     let values as `repeat`s in `tail`.  True results are only counted; the
-    others, and guards' skips, go to `tally.record` in walk order with the
+    others, and domains' skips, go to `tally.record` in walk order with the
     values, ending with d.  Relative domains live until a new first value."""
-    if loops[-1].guard is not None or any(v.let and v.within is None for v in loops):
-        raise ValueError("the innermost loop takes no guard, and a let needs a relative domain")
+    if any(v.let and v.within is None for v in loops):
+        raise ValueError("a let needs a relative domain")
     last = len(loops) - 1
     relative: dict = {}
 
@@ -517,8 +520,12 @@ def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) ->
             entry = getattr(ctx, dom) if isinstance(dom, str) else dom(ctx, *bound, d), None
         elif (entry := relative.get(depth)) is None:
             xs = var.within(ctx, bound[0], d)
-            entry = relative[depth] = xs, var.let and {x: var.let(bound[0], x, d) for x in xs}
+            lets = var.let and not (xs and xs[0] is None) and {x: var.let(bound[0], x, d) for x in xs}
+            entry = relative[depth] = xs, lets
         xs, own = entry
+        if xs and xs[0] is None:
+            tally.record(bound + (d,), xs)
+            return
         if depth == last:
             args = tail if own is None else (*tail, map(own.__getitem__, xs))
             results = list(map(partial(check, *bound), xs, *args))
@@ -530,11 +537,7 @@ def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) ->
             tally.checked += checked
             return
         for x in xs:
-            values = bound + (x,)
-            if var.guard is None or (ok := var.guard(*values, d)) is True:
-                descend(values, tail if own is None else (*tail, itertools.repeat(own[x])), d)
-            elif isinstance(ok, tuple):
-                tally.record(values + (d,), ok)
+            descend(bound + (x,), tail if own is None else (*tail, itertools.repeat(own[x])), d)
 
     for d in ctx.ideals:
         descend((), (itertools.repeat(d),), d)
@@ -574,8 +577,8 @@ class _Tally:
         self.skipped: list[str] = []
 
     def record(self, values: tuple, result):
-        """Count one check result: True, False, (outcome, note), or
-        (None, note) for a skip.  Labels only the samples it keeps."""
+        """Count one result: False or (False, note), a skip (None, note), or
+        another truthy one, such as 1, which passes.  Labels kept samples."""
         outcome, note = result if isinstance(result, tuple) else (result, "")
         if outcome is None:
             self.n_skipped += 1
@@ -658,7 +661,7 @@ class _Side(NamedTuple):
     functor: Callable  # Hom (tensor)
     public: Callable  # (i, M, N, d): cyclic's local cohomology (homology)
     postcompose: Callable  # (M, A, B, F): the map F: A -> B induces on Hom(M, -) (M (x) -)
-    exact: Callable  # (first, second induced on Q; see _exact_on): left (right) exact
+    end: str  # "injective" ("surjective"): what exactness asks of the first (second) map
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -697,7 +700,11 @@ def _gamma_compose(m, n, d):
 def _functor_stays(s: _Side) -> dict:
     # Hom lands in the reduced class, tensor stays in the coreduced class
     return dict(
-        loops=(_Var("M", "small"), _Var("X", "small", cyclic.is_coreduced_wrt), _Var("Y", "small")),
+        loops=(
+            _Var("M", "small"),
+            _Var("X", within=_relative("small", cyclic.is_coreduced_wrt)),
+            _Var("Y", "small"),
+        ),
         check=lambda m, x, y, d: s.in_class(m, s.functor(x, y), d),
     )
 
@@ -707,7 +714,7 @@ def _closure_sums(s: _Side) -> dict:
     return dict(
         loops=(
             _Var("M", "small"),
-            _Var("N1", "small", s.in_class),
+            _Var("N1", within=_relative("small", s.in_class)),
             _Var("N2", within=_relative("small", s.in_class)),
         ),
         check=lambda m, n1, n2, d: s.in_class(m, cyclic.direct_sum([n1, n2]), d),
@@ -748,13 +755,14 @@ def _on_dual(check: Callable) -> Callable:
     return lambda m, x, d: (None, "dual undefined on free part") if x.free_rank else check(m, x, d)
 
 
-def _adic_dual(s: _Side) -> dict:
-    # the dual of one two-argument functor against the other one of the dual;
-    # N is finite, so it and its dual lie in both classes and both exist
-    return dict(
-        loops=(_M, _in_class(s, "finite")),
-        check=lambda m, n, d: cyclic.dual(s.adic(m, n, d)) == _other(s).adic(m, cyclic.dual(n), d),
-    )
+def _dual(value: Callable, s: _Side) -> dict:
+    # the dual of one value, a tuple of forms, against the other side's value
+    # of the dual; N is finite, so it and its dual lie in both classes, both
+    # values exist, and local (co)homology takes the collapse formula
+    def check(m, n, d):
+        return tuple(map(cyclic.dual, value(s, m, n, d))) == value(_other(s), m, cyclic.dual(n), d)
+
+    return dict(loops=(_M, _in_class(s, "finite")), check=check)
 
 
 def _exactness(s: _Side) -> dict:
@@ -771,13 +779,13 @@ def _exactness(s: _Side) -> dict:
 # the default suite checks 772 distinct (side, sequence, Q), so this bound
 # never evicts there
 @lru_cache(maxsize=2048)
-def _exact_on(s: _Side, seq: _Seq, q: CanonicalForm) -> tuple[bool, str]:
+def _exact_on(s: _Side, seq: _Seq, q: CanonicalForm) -> bool | tuple[bool, str]:
     """Torsion left (completion right) exactness on the sequence, read on Q.
     E, the exponent of Y, kills each term T, so Hom(M, T)[d^k] is
     Hom(M/d^kM, T) = Hom((M/EM)/d^k, T), and (M (x) T)/d^k is
     (M/EM)/d^k (x) T, naturally in T; the chain of the finite M/EM settles
     at Q, the completion of M/EM along (d)."""
-    return s.exact(s.postcompose(q, seq.x, seq.y, seq.incl), s.postcompose(q, seq.y, seq.z, seq.proj))
+    return _exact(s, s.postcompose(q, seq.x, seq.y, seq.incl), s.postcompose(q, seq.y, seq.z, seq.proj))
 
 
 # The induced maps of the exactness pair act between finite sums of cyclic
@@ -799,20 +807,13 @@ def _span_order(f: cyclic.SummandMap) -> int:
     return math.prod(target) // math.prod(cokernel_orders(rows, len(source) + len(target))[0])
 
 
-def _gamma_exact(hi: cyclic.SummandMap, hp: cyclic.SummandMap):
-    image = _span_order(hi)
-    injective = image == math.prod(hi[0])
-    exact_mid = math.prod(hi[1]) == _span_order(hp) * image
-    ok = injective and exact_mid
-    return ok, "" if ok else f"injective={injective}, exact={exact_mid}"
-
-
-def _lambda_exact(ti: cyclic.SummandMap, tp: cyclic.SummandMap):
-    onto = _span_order(tp)
-    surjective = onto == math.prod(tp[1])
-    exact_mid = math.prod(ti[1]) == onto * _span_order(ti)
-    ok = surjective and exact_mid
-    return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
+def _exact(s: _Side, first: cyclic.SummandMap, second: cyclic.SummandMap):
+    """Whether first, then second, is exact at the end `s.end` names and
+    in the middle: True, or False with a note of both answers."""
+    image, onto = _span_order(first), _span_order(second)
+    end = image == math.prod(first[0]) if s.end == "injective" else onto == math.prod(second[1])
+    exact_mid = math.prod(first[1]) == onto * image
+    return end and exact_mid or (False, f"{s.end}={end}, exact={exact_mid}")
 
 
 def _both_classes(m, n, d):
@@ -848,7 +849,7 @@ def _glh_fastpath_expected(ctx: _Ctx) -> str:
 def _positive_degrees_vanish(s: _Side) -> dict:
     # N in the class selects the collapse formula, which is always defined
     return dict(
-        loops=(_Var("M", guard=lambda m, d: _cf_projective(cyclic.quotient(m, d))), _in_class(s)),
+        loops=(_Var("M", _where("forms", lambda m, d: _cf_projective(cyclic.quotient(m, d)))), _in_class(s)),
         check=lambda m, n, d: all(v.is_trivial for v in _collapsed(s, m, n, d)[1:]),
     )
 
@@ -860,31 +861,19 @@ def _finiteness(m, n, d):
     return all(v.free_rank == 0 for h in defined for v in h)
 
 
-def _local_dual(s: _Side) -> dict:
-    # the dual of one local (co)homology against the other one of the dual;
-    # N is finite, so it and its dual lie in both classes, both sides take
-    # the collapse formula, and every value is finite
-    def check(m, n, d):
-        dn = cyclic.dual(n)
-        return tuple(map(cyclic.dual, _collapsed(s, m, n, d))) == _collapsed(_other(s), m, dn, d)
-
-    return dict(loops=(_M, _in_class(s, "finite")), check=check)
-
-
 def _b_class_membership(m, n, d):
     # coreduced M makes both fast paths total
     return all(_cboth(m, v, d) for s in (_RED, _COR) for v in _collapsed(s, m, n, d))
 
 
 def _inherit(s: _Side) -> dict:
-    # the classical value H(R, N) gates M, and is undefined once per (q, N)
-    def classical(q, n, d):
-        h = _collapsed(s, _free_form(n.ring), n, d)
-        return None if h is None else h[q]
-
+    # the classical value H(R, N) gates M; where it is undefined, M's domain
+    # skips (q, N)
     def gated(ctx: _Ctx, q, n, d):
-        hq = classical(q, n, d)
-        return [m for m in ctx.forms if s.in_class(m, hq, d)]
+        h = _collapsed(s, _free_form(n.ring), n, d)
+        if h is None:
+            return None, "classical value undefined (chain)"
+        return [m for m in ctx.forms if s.in_class(m, h[q], d)]
 
     def check(q, n, m, d):
         hmn = _collapsed(s, m, n, d)
@@ -892,7 +881,7 @@ def _inherit(s: _Side) -> dict:
 
     loops = (
         _Var("q", lambda ctx, d: _degrees(ctx.grid.ring)),
-        _Var("N", guard=lambda q, n, d: classical(q, n, d) is not None or (None, "classical value undefined (chain)")),
+        _N,
         _Var("M", gated),
     )
     return dict(loops=loops, check=check)
@@ -923,11 +912,11 @@ def _vnr_vanish(s: _Side) -> dict:
 
 _RED = _Side(
     cyclic.is_reduced_wrt, cyclic.torsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom,
-    cyclic.local_cohomology, cyclic.hom_postcompose, _gamma_exact,
+    cyclic.local_cohomology, cyclic.hom_postcompose, "injective",
 )
 _COR = _Side(
     cyclic.is_coreduced_wrt, cyclic.completion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor,
-    cyclic.local_homology, cyclic.tensor_postcompose, _lambda_exact,
+    cyclic.local_homology, cyclic.tensor_postcompose, "surjective",
 )
 
 
@@ -941,6 +930,7 @@ def _mirrored(shape: Callable[[_Side], dict], *entries: tuple[_Side, str, str]) 
 
 
 _M, _N, _X = _Var("M"), _Var("N"), _Var("X")
+_COREDUCED_M = _Var("M", _where("forms", cyclic.is_coreduced))
 
 _REGISTRY: list[_Claim] = [
     *_mirrored(
@@ -957,10 +947,10 @@ _REGISTRY: list[_Claim] = [
            (_N, _M),
            lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, cyclic.torsion(n, d)[0], d)),
     _Claim("reduced-implies-wrt", "a reduced module is reduced relative to every module",
-           (_Var("N", guard=cyclic.is_reduced), _Var("K")),
+           (_Var("N", _where("forms", cyclic.is_reduced)), _Var("K")),
            lambda n, k, d: cyclic.is_reduced_wrt(k, n, d)),
     _Claim("coreduced-M-absorbs", "a coreduced M makes every module reduced relative to M",
-           (_Var("M", guard=cyclic.is_coreduced), _N), cyclic.is_reduced_wrt),
+           (_COREDUCED_M, _N), cyclic.is_reduced_wrt),
     _Claim("tensor-coreduced", "a tensor product with a coreduced factor is coreduced",
            (_M, _Var("N", within=_relative(
                "forms", lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d)))),
@@ -976,11 +966,13 @@ _REGISTRY: list[_Claim] = [
         (_COR, "closure-sums", "finite sums stay coreduced relative to M"),
     ),
     _Claim("closure-sub", "submodules stay reduced relative to M",
-           (_Var("N", "finite_small"), _Var("M", "small", lambda n, m, d: cyclic.is_reduced_wrt(m, n, d)),
+           (_Var("N", "finite_small"),
+            _Var("M", within=_relative("small", lambda n, m, d: cyclic.is_reduced_wrt(m, n, d))),
             _Var("X", within=lambda ctx, n, d: [s.x for s in _sequences_in(n)], tail=True)),
            lambda n, m, x, d: cyclic.is_reduced_wrt(m, x, d)),
     _Claim("closure-quot", "quotients stay coreduced relative to M",
-           (_Var("N", _quotient_sources), _Var("M", "small", lambda n, m, d: cyclic.is_coreduced_wrt(m, n, d)),
+           (_Var("N", _quotient_sources),
+            _Var("M", within=_relative("small", lambda n, m, d: cyclic.is_coreduced_wrt(m, n, d))),
             _Var("Q", within=_quotients, tail=True)),
            lambda n, m, q, d: cyclic.is_coreduced_wrt(m, q, d)),
     *_mirrored(
@@ -997,7 +989,7 @@ _REGISTRY: list[_Claim] = [
            (_M, _Var("X", within=_relative("forms", cyclic.is_reduced_wrt))),
            _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, cyclic.dual(x), d))),
     *_mirrored(
-        _adic_dual,
+        partial(_dual, lambda s, m, n, d: (s.adic(m, n, d),)),
         (_RED, "gamma-dual", "dual of two-argument torsion equals two-argument completion of the dual"),
         (_COR, "lambda-dual", "dual of two-argument completion equals two-argument torsion of the dual"),
     ),
@@ -1031,19 +1023,19 @@ _REGISTRY: list[_Claim] = [
     _Claim("glh-flat-vanish", "local homology vanishes in positive degrees when M/aM is flat",
            **_positive_degrees_vanish(_COR)),
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
-           (_Var("M", guard=cyclic.is_coreduced),
+           (_COREDUCED_M,
             _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
            lambda m, n, d: _collapsed(_COR, m, n, d) == _collapsed(_COR, n, m, d),
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",
            (_M, _Var("N", "finite")), _finiteness),
     *_mirrored(
-        _local_dual,
+        partial(_dual, _collapsed),
         (_COR, "glh-glc-dual", "dual of local homology equals local cohomology of the dual"),
         (_RED, "glc-glh-dual", "local homology of the dual equals the dual of local cohomology"),
     ),
     _Claim("b-class-membership", "for coreduced M, local (co)homology values land in both classes",
-           (_Var("M", guard=cyclic.is_coreduced), _N), _b_class_membership),
+           (_COREDUCED_M, _N), _b_class_membership),
     *_mirrored(
         _inherit,
         (_RED, "inherit-reduced", "if the classical value is reduced relative to M, so is the two-argument value"),

@@ -69,7 +69,8 @@ def restrict_map(f: ModuleMap, source_sub: Submodule, target_sub: Submodule) -> 
 
 
 def gamma_exact_by_restriction(hi: ModuleMap, hp: ModuleMap, a: Ideal):
-    """(ok, note) of the torsion functor's left exactness on hi, hp."""
+    """True, or (False, note), for the torsion functor's left exactness on
+    hi, hp."""
     sx, _ = torsion_submodule(hi.source, a)
     sy, _ = torsion_submodule(hi.target, a)
     sz, _ = torsion_submodule(hp.target, a)
@@ -77,12 +78,12 @@ def gamma_exact_by_restriction(hi: ModuleMap, hp: ModuleMap, a: Ideal):
     gp = restrict_map(hp, sy, sz)
     injective = kernel_submodule(gi).is_zero()
     exact_mid = submodule_equal(kernel_submodule(gp), gi.image())
-    ok = injective and exact_mid
-    return ok, "" if ok else f"injective={injective}, exact={exact_mid}"
+    return injective and exact_mid or (False, f"injective={injective}, exact={exact_mid}")
 
 
 def lambda_exact_by_quotients(ti: ModuleMap, tp: ModuleMap, a: Ideal):
-    """(ok, note) of the completion functor's right exactness on ti, tp."""
+    """True, or (False, note), for the completion functor's right exactness
+    on ti, tp."""
     try:
         k = max(
             completion_exponent(ti.source, a),
@@ -98,8 +99,7 @@ def lambda_exact_by_quotients(ti: ModuleMap, tp: ModuleMap, a: Ideal):
     lp = ModuleMap(ly, lz, tp.matrix)
     surjective = lp.image().contains(Submodule(lz, MatrixR.identity(lz.ring, lz.gens)))
     exact_mid = submodule_equal(kernel_submodule(lp), li.image())
-    ok = surjective and exact_mid
-    return ok, "" if ok else f"surjective={surjective}, exact={exact_mid}"
+    return surjective and exact_mid or (False, f"surjective={surjective}, exact={exact_mid}")
 
 
 CHECKS = (
@@ -112,8 +112,9 @@ def walk_listing(loops, check, ctx, walk=None) -> list:
     """(values, result) of every instance a walker, `verify._walk` unless
     `walk` is given, checks, in walk order; the values are the check's
     arguments, which end with the ideal's generator d and then the values
-    the claim's variables let it reuse.  A guard's skip is not listed, and
-    the exactness claims' guards never skip."""
+    the claim's variables let it reuse.  A domain's skip checks no
+    instance, so it is not listed; the exactness claims' domains never
+    skip."""
     listing = []
 
     def listed(*values):

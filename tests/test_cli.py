@@ -236,6 +236,8 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         "negative-rank.json": '{"ring": "Z", "max_free_rank": -1, "ideal_generators": [2]}',
         "one-label.json": '[{"ring": "Z/6", "ideal_generators": [2], "label": "g"},'
         ' {"ring": "Z/8", "ideal_generators": [2], "label": "g"}]',
+        # json.load raises RecursionError, not ValueError, on this one
+        "deep.json": "[" * 5000 + "]" * 5000,
     }
     paths = [str(tmp_path / "missing.json")]
     for name, text in bad.items():

@@ -185,14 +185,12 @@ def test_a_whitelisted_grid_is_named_after_its_ring_and_forms():
 
 
 def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
-    # the last bound value picks the check's result and the guards' answers:
-    # an inner depth goes on at 0, prunes at 1 and skips at 2; the innermost
-    # depth checks 0 to 4, prunes 5 from its domain (relative to the first
-    # value below the top depth) and skips at 6, where its check answers as
-    # a guard would, since the innermost loop takes no guard
+    # the last bound value picks the check's result and the domains'
+    # answers: above the innermost depth a domain holds 0 and 2 (it leaves
+    # out 1), at it 0 to 4 and 6 (it leaves out 5), and a domain read under
+    # a prefix that ends at 2 skips that prefix; the check skips at 4 and 6.
+    # The domain at depth 1 is relative to the first value.
     results = (True, False, (True, "t"), (False, "f"), (None, "s"), None, (None, "g"))
-    inner_guard = {1: False, 2: (None, "inner")}
-    last_guard = {5: False, 6: (None, "g")}
     kept = {
         1: (["i=1, a=({d})", "i=3, a=({d}) : f"], ["i=4, a=({d}) : s", "i=6, a=({d}) : g"]),
         2: (
@@ -209,30 +207,51 @@ def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
             ],
         ),
     }
-    def var(name, size, guard):
-        return verify._Var(name, lambda ctx, *bound_and_d: range(size), lambda *values_and_d: guard.get(values_and_d[-2], True))
 
-    def innermost(name, depth):
-        checked = [k for k in range(7) if last_guard.get(k, True) is not False]
-        if depth == 1:
-            return verify._Var(name, lambda ctx, d: checked)
-        return verify._Var(name, within=lambda ctx, first, d: checked)
+    def var(name, depth, values):
+        def domain(ctx, *bound_and_d):
+            return (None, "inner") if bound_and_d[-2:-1] == (2,) else values
+
+        return verify._Var(name, within=domain) if depth == 1 else verify._Var(name, domain)
 
     def check(*values_and_d):
         return results[values_and_d[-2]]
 
     ctx = verify._Ctx(None, (5, 7), (), (), (), (), (), "", False)
-    with pytest.raises(ValueError, match="innermost loop takes no guard"):
-        verify._walk((var("i", 7, last_guard),), check, ctx, verify._Tally(()))
     for depth, (counterexamples, skipped) in kept.items():
-        loops = tuple(var(name, 3, inner_guard) for name in "ij"[: depth - 1]) + (innermost("ijk"[depth - 1], depth),)
+        loops = tuple(var(name, k, [0, 2]) for k, name in enumerate("ij"[: depth - 1]))
+        loops += (var("ijk"[depth - 1], depth - 1, [0, 1, 2, 3, 4, 6]),)
         tally = verify._Tally(loops)
         verify._walk(loops, check, ctx, tally)
         # per ideal: four results checked, two of them counterexamples, and a
-        # skip by the check at 4 and at 6 and by each inner guard
+        # skip by the check at 4 and at 6 and by the domain below each 2
         assert (tally.checked, tally.n_counter, tally.n_skipped) == (8, 4, 2 * (depth + 1)), depth
         assert tally.counterexamples == [label.format(d=d) for d in (5, 7) for label in counterexamples], depth
         assert tally.skipped == [label.format(d=d) for d in (5, 7) for label in skipped], depth
+
+    # the top domain skips the empty prefix, labelled by the ideal alone
+    loops = (verify._Var("i", lambda ctx, d: (None, "top")), verify._Var("j"))
+    tally = verify._Tally(loops)
+    verify._walk(loops, check, ctx, tally)
+    assert (tally.checked, tally.n_skipped, tally.skipped) == (0, 2, ["a=(5) : top", "a=(7) : top"])
+
+    # a relative domain below depth 1 is read once per (first value, d), and
+    # its skip is counted once per prefix it stands under
+    read = []
+    loops = (
+        verify._Var("i", lambda ctx, d: [0, 1]),
+        verify._Var("j", lambda ctx, i, d: [0, 1, 3]),
+        verify._Var("k", within=lambda ctx, i, d: read.append((i, d)) or (None, "rel")),
+    )
+    tally = verify._Tally(loops)
+    verify._walk(loops, check, ctx, tally)
+    assert read == [(i, d) for d in (5, 7) for i in (0, 1)]
+    assert (tally.checked, tally.n_skipped) == (0, 12)
+    assert tally.skipped[:3] == ["i=0, j=0, a=(5) : rel", "i=0, j=1, a=(5) : rel", "i=0, j=3, a=(5) : rel"]
+
+    # the walker's one refusal
+    with pytest.raises(ValueError, match="let needs a relative domain"):
+        verify._walk((verify._Var("i", lambda ctx, d: [0], let=check),), check, ctx, verify._Tally(()))
 
 
 def test_a_claim_is_checked_only_over_the_rings_it_applies_to():
@@ -257,15 +276,15 @@ def test_a_selection_that_leaves_nothing_to_check_is_refused():
     assert [r.claim_id for r in suite.reports] == ["gamma-dual"]
 
 
-# the claims whose loop guards admit only defined values: each compares
-# completions, duals or local (co)homology that its guards make exist
-DEFINED_BY_GUARD = (
+# the claims whose loop domains admit only defined values: each compares
+# completions, duals or local (co)homology that its domains make exist
+DEFINED_BY_DOMAIN = (
     "gamma-dual", "lambda-dual", "reflexive", "gm-adjunction", "glh-glc-dual", "glc-glh-dual",
     "b-class-membership", "vnr-homology-vanish", "vnr-cohomology-vanish", "glc-proj-vanish", "glh-flat-vanish",
 )
 
 
-def test_claims_whose_guards_admit_only_defined_values_never_skip():
+def test_claims_whose_domains_admit_only_defined_values_never_skip():
     # grids no other test runs: free rank 2 along the unit ideal, an odd
     # prime power, a ring neither local nor semisimple, a semisimple one
     grids = [
@@ -274,7 +293,7 @@ def test_claims_whose_guards_admit_only_defined_values_never_skip():
         GridSpec(RingSpec.mod(12), 12, 0, (0, 1, 2, 3, 4, 6)),
         GridSpec(RingSpec.mod(30), 30, 0, (0, 1, 2, 3, 5, 6, 10, 15)),
     ]
-    suite = run_suite(grids, list(DEFINED_BY_GUARD))
+    suite = run_suite(grids, list(DEFINED_BY_DOMAIN))
     # the vnr pair applies only over Z/30, reflexive only over Z/n
     assert len(suite.reports) == 8 * 4 + 3 + 2
     for r in suite.reports:
