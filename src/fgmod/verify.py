@@ -811,9 +811,9 @@ def _exact(s: _Side, first: cyclic.SummandMap, second: cyclic.SummandMap):
     """Whether first, then second, is exact at the end `s.end` names and
     in the middle: True, or False with a note of both answers."""
     image, onto = _span_order(first), _span_order(second)
-    end = image == math.prod(first[0]) if s.end == "injective" else onto == math.prod(second[1])
+    at_end = image == math.prod(first[0]) if s.end == "injective" else onto == math.prod(second[1])
     exact_mid = math.prod(first[1]) == onto * image
-    return end and exact_mid or (False, f"{s.end}={end}, exact={exact_mid}")
+    return at_end and exact_mid or (False, f"{s.end}={at_end}, exact={exact_mid}")
 
 
 def _both_classes(m, n, d):
