@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
