@@ -1,10 +1,12 @@
 """Torsion and completion along an ideal, and the (co)reduced predicates.
 
-Values are read off invariant factors by `fgmod.cyclic`: each function
-canonicalizes its operands once and reads its ideal through
-`modules._generator`.  The torsion and completion of a summand Z/m along (d)
-are both Z/gcd(d^k, m), at the least k where the chain gcd(d^k, m) stops
-growing.  The module's exponent is the largest k over its summands.  The completion of a free Z-part along d not in
+Values are read off invariant factors by `fgmod.cyclic`.  The two-argument
+torsion and completion and the four predicates are made by the adapter
+`modules._by_invariants`, which canonicalizes the operands once and reads
+the ideal through `modules._generator`.  The torsion and completion of a
+summand Z/m along (d) are both Z/gcd(d^k, m), at the least k where the
+chain gcd(d^k, m) stops growing.  The module's exponent is the largest k
+over its summands.  The completion of a free Z-part along d not in
 {0, +-1} is not finitely generated, and NonStabilizing is raised rather
 than a wrong value returned.
 The predicates compare gcd(d, m) with gcd(d^2, m), so they are total.
@@ -24,6 +26,7 @@ from .linalg import MatrixR
 from .modules import (
     Presentation,
     Submodule,
+    _by_invariants,
     _generator,
     canonical_form,
     canonical_presentation,
@@ -91,34 +94,12 @@ def completion(N: Presentation, a: Ideal) -> StabilizationResult:
     return StabilizationResult(canonical_presentation(value), k)
 
 
-def torsion_wrt(M: Presentation, N: Presentation, a: Ideal) -> Presentation:
-    """Two-argument torsion: the ideal-torsion of Hom(M, N)."""
-    return canonical_presentation(cyclic.torsion_wrt(canonical_form(M), canonical_form(N), _generator(N, a)))
-
-
-def completion_wrt(M: Presentation, N: Presentation, a: Ideal) -> Presentation:
-    """Two-argument completion: the ideal-completion of M (x) N."""
-    return canonical_presentation(cyclic.completion_wrt(canonical_form(M), canonical_form(N), _generator(N, a)))
-
-
-def is_reduced(N: Presentation, a: Ideal) -> bool:
-    """Whether d^2 x = 0 forces d x = 0 for every element x."""
-    return cyclic.is_reduced(canonical_form(N), _generator(N, a))
-
-
-def is_coreduced(N: Presentation, a: Ideal) -> bool:
-    """Whether d N = d^2 N as submodules of N."""
-    return cyclic.is_coreduced(canonical_form(N), _generator(N, a))
-
-
-def is_reduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
-    """Whether Hom(M, N) is a reduced module for this ideal."""
-    return cyclic.is_reduced_wrt(canonical_form(M), canonical_form(N), _generator(N, a))
-
-
-def is_coreduced_wrt(M: Presentation, N: Presentation, a: Ideal) -> bool:
-    """Whether M (x) N is a coreduced module for this ideal."""
-    return cyclic.is_coreduced_wrt(canonical_form(M), canonical_form(N), _generator(N, a))
+torsion_wrt = _by_invariants(__name__, "torsion_wrt", "M N a", "Two-argument torsion: the ideal-torsion of Hom(M, N).")
+completion_wrt = _by_invariants(__name__, "completion_wrt", "M N a", "Two-argument completion: the ideal-completion of M (x) N.")
+is_reduced = _by_invariants(__name__, "is_reduced", "N a", "Whether d^2 x = 0 forces d x = 0 for every element x.")
+is_coreduced = _by_invariants(__name__, "is_coreduced", "N a", "Whether d N = d^2 N as submodules of N.")
+is_reduced_wrt = _by_invariants(__name__, "is_reduced_wrt", "M N a", "Whether Hom(M, N) is a reduced module for this ideal.")
+is_coreduced_wrt = _by_invariants(__name__, "is_coreduced_wrt", "M N a", "Whether M (x) N is a coreduced module for this ideal.")
 
 
 def is_in_both_classes(M: Presentation, N: Presentation, a: Ideal) -> bool:

@@ -2,8 +2,9 @@
 
 Values and maps are computed in different places.  A value question (what
 is Ext^i(M, N) up to isomorphism?) is answered by `fgmod.cyclic` from the
-operands' invariant factors: `ext`, `tor` and `matlis_dual` canonicalize each
-operand once and return the canonical presentation of the answer.
+operands' invariant factors: `ext`, `tor` and `matlis_dual` are made by the
+adapter `modules._by_invariants`, which canonicalizes each operand once and
+returns the canonical presentation of the answer.
 
 The Hom and tensor modules themselves, and the maps they induce, live on the
 operands' own presentations, because an induced map must be expressed on
@@ -19,16 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cyclic
 from .errors import RingMismatch
 from .linalg import MatrixR, hstack, kernel_generators, kron
 from .modules import (
     ModuleMap,
     Presentation,
+    _by_invariants,
     _present_subquotient,
     _project_kernel,
-    canonical_form,
-    canonical_presentation,
     express_in_span,
 )
 
@@ -95,11 +94,11 @@ def tensor_module(M: Presentation, N: Presentation) -> Presentation:
     return Presentation(ring, M.gens * N.gens, rels)
 
 
-def matlis_dual(N: Presentation) -> Presentation:
-    """Hom into the chosen injective cogenerator: Q/Z over Z, the ring itself
-    over Z/n.  It keeps every invariant factor (see `cyclic.dual`); a free
-    part over Z would leave the finitely generated world and raises."""
-    return canonical_presentation(cyclic.dual(canonical_form(N)))
+matlis_dual = _by_invariants(
+    __name__, "matlis_dual", "N", attr="dual", statement="""Hom into the chosen injective cogenerator: Q/Z over Z, the ring
+    itself over Z/n.  It keeps every invariant factor (see `cyclic.dual`); a
+    free part over Z would leave the finitely generated world and raises.""",
+)
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,8 @@ def free_resolution_prefix(M: Presentation, length: int) -> FreeResolutionPrefix
     return FreeResolutionPrefix(M, length, tuple(diffs))
 
 
-def ext(i: int, M: Presentation, N: Presentation) -> Presentation:
-    """Ext^i(M, N), read off the invariant factors (see `cyclic.ext`)."""
-    return canonical_presentation(cyclic.ext(i, canonical_form(M), canonical_form(N)))
-
-
-def tor(i: int, M: Presentation, N: Presentation) -> Presentation:
-    """Tor_i(M, N), read off the invariant factors (see `cyclic.tor`)."""
-    return canonical_presentation(cyclic.tor(i, canonical_form(M), canonical_form(N)))
+ext = _by_invariants(__name__, "ext", "i M N", "Ext^i(M, N), read off the invariant factors (see `cyclic.ext`).")
+tor = _by_invariants(__name__, "tor", "i M N", "Tor_i(M, N), read off the invariant factors (see `cyclic.tor`).")
 
 
 def hom_postcompose(M: Presentation, f: ModuleMap) -> ModuleMap:

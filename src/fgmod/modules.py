@@ -12,7 +12,8 @@ computes the relations of its span.
 
 Every function that takes an ideal, here and in `adic` and `cohomology`,
 reads it through `_generator`, so an ideal over another ring raises
-RingMismatch in all of them.
+RingMismatch in all of them.  One adapter, `_by_invariants`, makes every
+value function of `adic`, `functors` and `cohomology` that only asks `cyclic`.
 
 `CanonicalForm`, which interns its values, lives in `cyclic`, which needs
 no matrix; it is re-exported here.
@@ -20,9 +21,11 @@ no matrix; it is re-exported here.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import cyclic
 from .cyclic import CanonicalForm
 from .elimination import cokernel_orders
 from .errors import AmbientMismatch, RingMismatch
@@ -259,6 +262,29 @@ def _generator(P: Presentation, a: Ideal) -> int:
     if a.ring != P.ring:
         raise RingMismatch("ideal lives over a different ring")
     return a.canonical
+
+
+def _by_invariants(home: str, name: str, params: str, statement: str, attr: str = ""):
+    """The public function `name(<params>)` of module `home`, documented by
+    `statement` and answered by `cyclic.<attr or name>`, looked up at each
+    call so that a patched or traced `cyclic` sees it.  It passes a degree
+    `i` as given, a trailing ideal `a` as its generator against the module
+    before it and any other operand as its canonical form, and presents an
+    answer that is a canonical form."""
+    names = params.split()
+    signature = inspect.Signature([inspect.Parameter(p, inspect.Parameter.POSITIONAL_OR_KEYWORD) for p in names])
+
+    def value(*args, **kwargs):
+        given = signature.bind(*args, **kwargs).args
+        operands = [x if p == "i" else canonical_form(x) for p, x in zip(names, given) if p != "a"]
+        if names[-1] == "a":
+            operands.append(_generator(given[-2], given[-1]))
+        answer = getattr(cyclic, attr or name)(*operands)
+        return canonical_presentation(answer) if isinstance(answer, CanonicalForm) else answer
+
+    value.__module__, value.__name__, value.__qualname__ = home, name, name
+    value.__doc__, value.__signature__ = statement, signature
+    return value
 
 
 def quotient_by_ideal(P: Presentation, a: Ideal) -> Presentation:

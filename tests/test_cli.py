@@ -234,6 +234,7 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         "no-module.json": '{"ring": "Z/4", "ideal_generators": [2], "module_whitelist": []}',
         "rank-over-zn.json": '{"ring": "Z/6", "max_free_rank": 3, "ideal_generators": [2]}',
         "negative-rank.json": '{"ring": "Z", "max_free_rank": -1, "ideal_generators": [2]}',
+        "too-many-forms.json": '{"ring": "Z", "max_torsion_order": 1000000, "ideal_generators": [2]}',
         "one-label.json": '[{"ring": "Z/6", "ideal_generators": [2], "label": "g"},'
         ' {"ring": "Z/8", "ideal_generators": [2], "label": "g"}]',
         # json.load raises RecursionError, not ValueError, on this one

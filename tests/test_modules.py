@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fgmod import adic, cohomology
-from fgmod.errors import RingMismatch
+from fgmod import adic, cohomology, functors
+from fgmod.errors import FreePartNotSupported, NonStabilizing, RingMismatch
 from fgmod.linalg import MatrixR, determinant, from_columns
 from fgmod.modules import (
     Presentation,
@@ -250,3 +250,39 @@ IDEAL_TAKERS = {
 def test_an_ideal_over_another_ring_is_refused(name, module, ideal):
     with pytest.raises(RingMismatch):
         IDEAL_TAKERS[name](module, ideal)
+
+
+Z6_2 = Presentation.cyclic(RingSpec.mod(6), 2)
+I2_Z6 = principal(RingSpec.mod(6), 2)
+
+# the value functions that ask `cyclic` on the other operands they refuse,
+# each with the exception the hand-written functions they replaced raised:
+# operands over two rings (the ideal over the ring of the module before it),
+# a negative degree, the dual of a free part and a limit that leaves the
+# finitely generated modules
+REFUSALS = {
+    "torsion_wrt-two-rings": (lambda: adic.torsion_wrt(Z4, Z6_2, I2_Z6), RingMismatch),
+    "completion_wrt-two-rings": (lambda: adic.completion_wrt(Z6_2, Z4, I2), RingMismatch),
+    "is_reduced_wrt-two-rings": (lambda: adic.is_reduced_wrt(Z4, Z6_2, I2_Z6), RingMismatch),
+    "is_coreduced_wrt-two-rings": (lambda: adic.is_coreduced_wrt(Z6_2, Z4, I2), RingMismatch),
+    "is_in_both_classes-two-rings": (lambda: adic.is_in_both_classes(Z4, Z6_2, I2_Z6), RingMismatch),
+    "local_cohomology-two-rings": (lambda: cohomology.local_cohomology(1, Z4, Z6_2, I2_Z6), RingMismatch),
+    "local_homology-two-rings": (lambda: cohomology.local_homology(0, Z6_2, Z4, I2), RingMismatch),
+    "ext-two-rings": (lambda: functors.ext(0, Z4, Z6_2), RingMismatch),
+    "tor-two-rings": (lambda: functors.tor(1, Z6_2, Z4), RingMismatch),
+    "ext-negative-degree": (lambda: functors.ext(-1, Z4, Z2), ValueError),
+    "tor-negative-degree": (lambda: functors.tor(-1, Z4, Z2), ValueError),
+    "local_cohomology-negative-degree": (lambda: cohomology.local_cohomology(-1, Z4, Z2, I2), ValueError),
+    "local_homology-negative-degree": (lambda: cohomology.local_homology(-1, Z4, Z2, I2), ValueError),
+    "matlis_dual-free-part": (lambda: functors.matlis_dual(direct_sum(ZZ, [Z2, R1])), FreePartNotSupported),
+    "completion_wrt-free": (lambda: adic.completion_wrt(R1, R1, I2), NonStabilizing),
+    "local_homology-free": (lambda: cohomology.local_homology(0, R1, R1, I2), NonStabilizing),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_operands_raise_as_before(case):
+    call, error = REFUSALS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error

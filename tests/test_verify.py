@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,33 @@ def test_enumerate_modules_examples():
         for p in enumerate_modules(GridSpec(RingSpec.mod(4), 4, 0, (2,)))
     }
     assert got == {"0", "Z/2", "Z/4", "Z/2 + Z/2"}
+
+
+def test_a_grid_over_z_mod_n_ranges_its_divisors_up_to_the_modulus():
+    # every divisor divides 2, so an order bound of 10**12 gives the 40 forms
+    # (Z/2)^k with 2^k <= 10**12, and the walk never counts towards 10**12
+    grid = grid_from_dict({"ring": "Z/2", "max_torsion_order": 10**12, "ideal_generators": [0]})
+    start = time.perf_counter()
+    forms = verify.enumerate_forms(grid)
+    assert time.perf_counter() - start < 1
+    assert [c.torsion_factors for c in forms] == [(2,) * k for k in range(40)]
+
+
+def test_grids_with_more_forms_than_the_cap_are_refused_before_any_claim_runs(monkeypatch):
+    cap = verify._MAX_GRID_FORMS
+    assert len(verify.enumerate_forms(GridSpec(RingSpec.integers(), 1, cap - 1, (2,)))) == cap
+    monkeypatch.setattr(verify, "check_claim", lambda *args: pytest.fail("a claim ran"))
+    for grid in (
+        GridSpec(RingSpec.integers(), 1, cap, (2,)),
+        GridSpec(RingSpec.integers(), 10**6, 1, (2,)),
+        GridSpec(RingSpec.integers(), 10**12, 0, (2,)),
+        GridSpec(RingSpec.integers(), 0, 10**12, (2,)),
+        GridSpec(RingSpec.mod(2**12), 2**12, 0, (2,)),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(InvalidGrid, match=f"more than {cap} modules"):
+            run_suite([grid])
+        assert time.perf_counter() - start < 1, grid
 
 
 def test_module_whitelist():
