@@ -86,6 +86,7 @@ class CanonicalForm(_Record):
             _live_forms[key] = self
         return self
 
+    __init__ = object.__init__  # `__new__` filled the form, once
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

@@ -18,8 +18,9 @@ __all__ = ["RingSpec", "Ideal", "ZZ", "canonicalize_ideal", "ideal_power"]
 class _Record:
     """An immutable value with the fields `_fields`, printed like a dataclass.
 
-    A record equals a value of its own type with equal fields and hashes by
-    its fields; its constructor sets them with `_fill`.  An interned record,
+    A record is built from its fields in `_fields` order; one that checks
+    them writes its own `__init__`, ending in `_fill`.  It equals a value of
+    its own type with equal fields and hashes by them.  An interned record,
     like `cyclic.CanonicalForm`, whose constructor returns the one live
     object of each value, keeps the identity's equality and hash instead.
     The values a one-shot query needs are records rather than dataclasses
@@ -27,6 +28,11 @@ class _Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} fields, got {len(values)}")
+        self._fill(*values)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -96,9 +102,6 @@ class Ideal(_Record):
     """A finitely generated ideal with its canonical principal generator."""
 
     __slots__ = _fields = ("ring", "generators", "canonical")
-
-    def __init__(self, ring: RingSpec, generators: tuple[int, ...], canonical: int):
-        self._fill(ring, generators, canonical)
 
     def __str__(self) -> str:
         return f"({self.canonical})"

@@ -235,6 +235,12 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         "rank-over-zn.json": '{"ring": "Z/6", "max_free_rank": 3, "ideal_generators": [2]}',
         "negative-rank.json": '{"ring": "Z", "max_free_rank": -1, "ideal_generators": [2]}',
         "too-many-forms.json": '{"ring": "Z", "max_torsion_order": 1000000, "ideal_generators": [2]}',
+        # listing the divisors of 2**62 up to 10**30 takes 2**31 trial divisions
+        "too-many-trials.json": '{"ring": "Z/4611686018427387904", "max_torsion_order": 1' + "0" * 30
+        + ', "ideal_generators": [2]}',
+        "not-an-object.json": "[1]",
+        "number-ring.json": '{"ring": 6, "ideal_generators": [2]}',
+        "string-whitelist.json": '{"ring": "Z", "ideal_generators": [2], "module_whitelist": "Z/2"}',
         "one-label.json": '[{"ring": "Z/6", "ideal_generators": [2], "label": "g"},'
         ' {"ring": "Z/8", "ideal_generators": [2], "label": "g"}]',
         # json.load raises RecursionError, not ValueError, on this one

@@ -217,6 +217,13 @@ def test_merging_coprime_orders_takes_a_gcd_per_order(monkeypatch):
     assert len(calls) <= 64
 
 
+def test_order_counts_elements_and_is_none_with_a_free_part():
+    assert CanonicalForm(ZZ, (), 0).order() == 1
+    assert CanonicalForm(ZZ, (2, 6), 0).order() == 12
+    assert CanonicalForm(ZZ, (2,), 1).order() is None
+    assert CanonicalForm(ZZ, (), 2).order() is None
+
+
 def test_moduli_of_thousands_of_digits():
     m = 10**3000 + 7
     C = CanonicalForm(ZZ, (m, 2 * m), 0)

@@ -13,6 +13,7 @@ from fgmod.modules import (
     canonical_form,
     canonicalize,
     direct_sum,
+    express_in_span,
     ideal_multiple,
     identity_map,
     iso_test,
@@ -185,6 +186,20 @@ def test_mult_map_examples():
     assert mult_map(Z4, 0).is_zero_map()
     img = mult_map(Z4, 2).image()
     assert module_order(img.to_presentation()) == 2
+
+
+def test_express_in_span_writes_each_vector_or_answers_none():
+    # in Z modulo 6Z the column 4 spans 2Z: 2 = 4 * (-1) + 6, but 1 is outside
+    columns, rels = MatrixR(ZZ, 1, 1, ((4,),)), MatrixR(ZZ, 1, 1, ((6,),))
+    coeffs = express_in_span(columns, rels, MatrixR(ZZ, 1, 2, ((2, 8),)))
+    assert coeffs.rows == 1 and coeffs.cols == 2
+    assert all((4 * c - v) % 6 == 0 for c, v in zip(coeffs.entries[0], (2, 8)))
+    assert express_in_span(columns, rels, MatrixR(ZZ, 1, 2, ((2, 1),))) is None
+    # over Z/8 the column 2 spans 2Z/8, which holds 6 but not 3
+    ring = RingSpec.mod(8)
+    columns, rels = MatrixR(ring, 1, 1, ((2,),)), MatrixR(ring, 1, 0, ((),))
+    assert express_in_span(columns, rels, MatrixR(ring, 1, 1, ((6,),))) is not None
+    assert express_in_span(columns, rels, MatrixR(ring, 1, 1, ((3,),))) is None
 
 
 def test_submodule_equal_examples():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fgmod.errors import EmptyGeneratorList
-from fgmod.rings import RingSpec, ZZ, canonicalize_ideal, ideal_power, principal
+from fgmod.rings import Ideal, RingSpec, ZZ, canonicalize_ideal, ideal_power, principal
 
 
 def test_canonicalize_gcd_over_z():
@@ -81,3 +81,12 @@ def test_ring_spec_validation():
     assert str(RingSpec.mod(6)) == "Z/6"
     assert str(ZZ) == "Z"
     assert RingSpec.mod(6).reduce(-1) == 5
+
+
+def test_a_record_takes_its_fields_in_order_and_refuses_a_wrong_count():
+    ideal = Ideal(ZZ, (4, 6), 2)
+    assert (ideal.ring, ideal.generators, ideal.canonical) == (ZZ, (4, 6), 2)
+    assert ideal == canonicalize_ideal(ZZ, [4, 6])
+    for values in ((ZZ, (2,)), (ZZ, (2,), 2, 2)):
+        with pytest.raises(TypeError, match=f"Ideal takes 3 fields, got {len(values)}"):
+            Ideal(*values)

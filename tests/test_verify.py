@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -73,6 +74,119 @@ def test_grids_with_more_forms_than_the_cap_are_refused_before_any_claim_runs(mo
         with pytest.raises(InvalidGrid, match=f"more than {cap} modules"):
             run_suite([grid])
         assert time.perf_counter() - start < 1, grid
+
+
+def reference_chains(budget: int, modulus: int | None) -> list[tuple[int, ...]]:
+    # every chain d1 | d2 | ... of di >= 2 dividing the modulus with product
+    # <= budget, grown one integer at a time
+    def grow(chain, size):
+        yield chain
+        step = chain[-1] if chain else 1
+        for d in range(max(step, 2), budget // size + 1, step):
+            if modulus is None or modulus % d == 0:
+                yield from grow(chain + (d,), size * d)
+
+    return sorted(grow((), 1), key=lambda c: (math.prod(c), len(c), c))
+
+
+def reference_divisors(n: int) -> list[int]:
+    # from the factorization of the few moduli above
+    primes = [p for p in (2, 3, 97, 1000003, 1000033) if n % p == 0]
+    divisors = {1}
+    for p in primes:
+        k = 0
+        while n % p ** (k + 1) == 0:
+            k += 1
+        divisors = {d * p**i for d in divisors for i in range(k + 1)}
+    return sorted(divisors - {1})
+
+
+def test_divisor_chains_match_a_scan_of_every_integer():
+    for modulus in (None, *range(2, 49)):
+        for budget in range(0, 49):
+            want = reference_chains(budget, modulus)
+            for cap in (len(want), len(want) - 1):
+                if cap < len(want):
+                    with pytest.raises(InvalidGrid, match="more than 256 modules"):
+                        verify._divisor_chains(budget, modulus, cap)
+                else:
+                    assert verify._divisor_chains(budget, modulus, cap) == want, (budget, modulus)
+    # the divisors come in pairs (e, n / e) around the square root
+    for n in (2, 4, 36, 97, 1000003 * 1000033, 2**40):
+        for budget in (0, 1, 6, 10**3, 10**13):
+            got = verify._divisors(n, budget)
+            assert got == sorted(got) and all(n % d == 0 and 2 <= d <= budget for d in got)
+            assert len(got) == len(set(got)) == sum(d <= budget for d in reference_divisors(n)), (n, budget)
+
+
+def test_a_large_modulus_enumerates_or_is_refused_within_a_second():
+    # the divisors of n up to the order bound come from trial division up to
+    # the smaller of the bound and sqrt(n), which may take at most 2**20
+    # trials: Z/(p q) at order 10**13 has six forms, while the square roots
+    # of 2**62 and 2**41 pass 2**20 and so do their bounds
+    p, q = 1000003, 1000033
+    for grid, want in (
+        (GridSpec(RingSpec.mod(p * q), 10**13, 0, (2,)), [(), (p,), (q,), (p, p), (p * q,), (q, q)]),
+        (GridSpec(RingSpec.mod(p), 10**7, 0, (2,)), [(), (p,)]),
+        (GridSpec(RingSpec.mod(2**62), 10**30, 0, (2,)), None),
+        (GridSpec(RingSpec.mod(2**41), 2**20 + 1, 0, (2,)), None),
+    ):
+        start = time.perf_counter()
+        if want is None:
+            with pytest.raises(InvalidGrid, match="trial divisions"):
+                verify.enumerate_forms(grid)
+        else:
+            assert [c.torsion_factors for c in verify.enumerate_forms(grid)] == want
+        assert time.perf_counter() - start < 1, grid
+
+
+def test_grid_spec_refuses_each_malformed_field():
+    # the one judge of a grid: a library caller is refused for what a grid
+    # file is, and never reaches enumeration with a bool, float or string
+    ring = RingSpec.integers()
+    for args, message in (
+        ((ring, 6, True, (2,)), "'max_free_rank' must be an integer"),
+        ((ring, False, 0, (2,)), "'max_torsion_order' must be an integer"),
+        ((ring, 6.0, 0, (2,)), "'max_torsion_order' must be an integer"),
+        ((ring, "16", 0, (2,)), "'max_torsion_order' must be an integer"),
+        ((ring, 6, 0, 2), "'ideal_generators' must be a list of integers"),
+        ((ring, 6, 0, "2"), "'ideal_generators' must be a list of integers"),
+        ((ring, 6, 0, {2}), "'ideal_generators' must be a list of integers"),
+        ((ring, 6, 0, (2, 2.0)), "'ideal_generators' must be a list of integers"),
+        ((ring, 6, 0, (2, True)), "'ideal_generators' must be a list of integers"),
+        ((ring, 6, 0, ("2",)), "'ideal_generators' must be a list of integers"),
+        ((ring, 6, 0, (2,), "Z/2"), "'module_whitelist' must be a list of module expressions"),
+        ((ring, 6, 0, (2,), ("Z/2", 2)), "'module_whitelist' must be a list of module expressions"),
+        ((ring, 6, 0, (2,), (None,)), "'module_whitelist' must be a list of module expressions"),
+        ((ring, 6, 0, (2,), None, 6), "'label' must be a string"),
+        ((ring, 6, 0, (2,), None, None), "'label' must be a string"),
+        ((ring, 6, 0, (2,), None, ["x"]), "'label' must be a string"),
+    ):
+        with pytest.raises(InvalidGrid, match=re.escape(message)):
+            GridSpec(*args)
+    # lists are kept as tuples, so the grid equals, hashes and pickles as one
+    listed = GridSpec(ring, 6, 0, [0, 2], ["Z/2", "Z"])
+    assert listed == GridSpec(ring, 6, 0, (0, 2), ("Z/2", "Z"))
+    assert listed.ideal_generators == (0, 2) and listed.module_whitelist == ("Z/2", "Z")
+
+
+@pytest.mark.parametrize("side", [verify._RED, verify._COR])
+def test_vnr_vanish_names_the_last_failure_of_its_row(side, monkeypatch):
+    # no grid fails the claim, so `_collapsed` is replaced by fixed graded
+    # values: H(M, N) is Z/2 in degree 0, and H(M, Z/2) is `outer`
+    ring = RingSpec.mod(6)
+    zero, z2, z6 = (cyclic.CanonicalForm(ring, t, 0) for t in ((), (2,), (6,)))
+    check = verify._vnr_vanish(side)["check"]
+    assert side.adic(z2, side.adic(z2, z6, 2), 2) is z2
+    for outer, result in (
+        ((z2, zero), True),
+        ((zero,), (False, f"double {side.adic_name} mismatch at (0,0)")),
+        ((z2, z2), (False, "nonzero at (1,0)")),
+        ((zero, z2), (False, "nonzero at (1,0)")),
+    ):
+        graded = {z6: (z2,), z2: outer}
+        monkeypatch.setattr(verify, "_collapsed", lambda s, m, n, d: graded[n])
+        assert check(z2, z6, 2) == result, outer
 
 
 def test_module_whitelist():
