@@ -90,7 +90,7 @@ def reference_chains(budget: int, modulus: int | None) -> list[tuple[int, ...]]:
 
 
 def reference_divisors(n: int) -> list[int]:
-    # from the factorization of the few moduli above
+    # from the factorization, for the moduli the test below lists
     primes = [p for p in (2, 3, 97, 1000003, 1000033) if n % p == 0]
     divisors = {1}
     for p in primes:
@@ -164,7 +164,7 @@ def test_grid_spec_refuses_each_malformed_field():
     ):
         with pytest.raises(InvalidGrid, match=re.escape(message)):
             GridSpec(*args)
-    # lists are kept as tuples, so the grid equals, hashes and pickles as one
+    # lists are kept as tuples, so the grid equals the one built from tuples
     listed = GridSpec(ring, 6, 0, [0, 2], ["Z/2", "Z"])
     assert listed == GridSpec(ring, 6, 0, (0, 2), ("Z/2", "Z"))
     assert listed.ideal_generators == (0, 2) and listed.module_whitelist == ("Z/2", "Z")
