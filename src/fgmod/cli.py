@@ -11,17 +11,14 @@ one dispatch path are driven by these tables.  Exit codes:
 not finitely generated, 4 unexpected claim verdict.
 
 `run()` is the program: `python -m fgmod.cli` and the installed `fgmod`
-command both call it, and let `verify` check its claims in one process per
-usable CPU.  `main(argv)` is the same front end without process side
-effects, for callers that stay in the interpreter; it runs `verify` in one
-process.
+command both call it.  `main(argv)` is the same front end without process
+side effects, for callers that stay in the interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 
 from . import cyclic
@@ -144,7 +141,7 @@ def _load_grids(path: str) -> list:
     return grids
 
 
-def _verify(args, processes: int) -> int:
+def _verify(args) -> int:
     if args.list_claims:
         for cid in verify.registered_claims():
             print(cid)
@@ -164,15 +161,14 @@ def _verify(args, processes: int) -> int:
             print("error: --claims names no claim id; `fgmod verify --list-claims` lists them", file=sys.stderr)
             return EXIT_USAGE
     grids = _load_grids(args.grid) if args.grid else None
-    suite = verify.run_suite(grids, claim_ids, processes)
+    suite = verify.run_suite(grids, claim_ids)
     out = verify.format_reports_jsonl(suite) if args.format == "json-lines" else verify.format_reports_text(suite)
     sys.stdout.write(out)
     return EXIT_OK if suite.all_expected else EXIT_UNEXPECTED_CLAIM
 
 
-def main(argv: list[str] | None = None, processes: int = 1) -> int:
-    """Run one command line; `processes` is how many processes `verify` may
-    check its claims in (see `verify.run_suite`)."""
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code."""
     argv = sys.argv[1:] if argv is None else argv
     # only the named subcommand's parser; the full one for --help, a missing
     # or an unknown subcommand, whose messages list every subcommand
@@ -180,7 +176,7 @@ def main(argv: list[str] | None = None, processes: int = 1) -> int:
     try:
         cmd = args.command
         if cmd == "verify":
-            return _verify(args, processes)
+            return _verify(args)
         if cmd == "check":
             function, count = _PREDICATES[args.predicate]
             exprs, takes_ideal, takes_degree = args.modules, True, False
@@ -240,15 +236,10 @@ def run() -> None:
     every object at the end leaves the collections of interpreter
     finalization nothing to traverse; the exit itself (flushing stdout,
     atexit handlers, the exit code) takes its normal path.
-
-    `verify` checks its claims on every CPU the process may run on.  Callers
-    that stay in the interpreter keep `main`'s one process, so their memo
-    tables, patches and tracers see every claim.
     """
     gc.disable()
     try:
-        processes = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        code = main(processes=processes)
+        code = main()
     finally:
         gc.freeze()
     sys.exit(code)

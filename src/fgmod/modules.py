@@ -150,11 +150,7 @@ def direct_sum(ring: RingSpec, parts: list[Presentation]) -> Presentation:
     for p in parts:
         if p.ring != ring:
             raise RingMismatch("direct sum across rings")
-    gens = sum(p.gens for p in parts)
-    rels = block_diag(ring, [p.rels for p in parts])
-    if rels.rows != gens:  # only when parts is empty
-        rels = MatrixR(ring, gens, 0, ((),) * gens)
-    return Presentation(ring, gens, rels)
+    return Presentation(ring, sum(p.gens for p in parts), block_diag(ring, [p.rels for p in parts]))
 
 
 @dataclass(frozen=True)

@@ -35,18 +35,18 @@ value read at M/aM on the class relative to M, which is the collapse
 formula, and at M elsewhere; the fast-path claims compare the two readings.
 
 Every walk is deterministic, so identical inputs produce byte-identical
-reports, also when `run_suite` shares its work with forked worker processes
-one claim, grid and ideal at a time.  Modules are enumerated as canonical
-forms, and every value a claim compares is read off their invariant factors
-by `fgmod.cyclic`, the layer the library's value functions use.  Each short
-exact sequence carries its inclusion and projection as integer matrices on
-cyclic summands (see `_sequence`), and the exactness pair compares the
-orders of the maps they induce on one stable quotient Q, once per
-(sequence, Q) (see `_exact_on`).  Every Smith form comes from
-`fgmod.elimination` and every record is a `rings._Record`, so a run loads
-neither `linalg`, `modules` nor `dataclasses`, also when a whitelist names
-a `coker` module.  Only the public `enumerate_modules`, which returns
-presentations, loads `modules`, and only json-lines output loads `json`.
+reports; `run_suite` checks every claim in the calling process.  Modules
+are enumerated as canonical forms, and every value a claim compares is read
+off their invariant factors by `fgmod.cyclic`, the layer the library's
+value functions use.  Each short exact sequence carries its inclusion and
+projection as integer matrices on cyclic summands (see `_sequence`), and
+the exactness pair compares the orders of the maps they induce on one
+stable quotient Q, once per (sequence, Q) (see `_exact_on`).  Every Smith
+form comes from `fgmod.elimination` and every record is a `rings._Record`,
+so a run loads neither `linalg`, `modules` nor `dataclasses`, also when a
+whitelist names a `coker` module.  Only the public `enumerate_modules`,
+which returns presentations, loads `modules`, and only json-lines output
+loads `json`.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ class GridSpec(_Record):
         module_whitelist: tuple[str, ...] | None = None,
         label: str = "",
     ):
+        if not isinstance(ring, RingSpec):
+            raise InvalidGrid(f"grid ring must be a RingSpec, got {ring!r}")
         if not (isinstance(ideal_generators, (list, tuple)) and all(type(g) is int for g in ideal_generators)):
             raise InvalidGrid("grid 'ideal_generators' must be a list of integers")
         wl = module_whitelist
@@ -445,7 +447,7 @@ class _Ctx(NamedTuple):
 def _make_ctx(grid: GridSpec) -> _Ctx:
     """The grid's forms, ideals, name and ring regularity, which every claim
     on the grid reads.  `run_suite` builds them once per grid and run and
-    carries them in its jobs, so that workers forked later inherit them.
+    hands them to `check_claim` with each job.
     Generators of one ideal, such as 2 and 4 over Z/6, give it once, at the
     first."""
     forms = enumerate_forms(grid)
@@ -1065,46 +1067,23 @@ def check_claim(claim_id: str, grid: GridSpec, ctx: _Ctx | None = None) -> Claim
     ctx = _make_ctx(grid) if ctx is None else ctx
     if not cdef.applies(ctx):
         raise InvalidGrid(f"claim {claim_id!r} does not apply over {grid.ring} (grid {ctx.name!r})")
-    return _report(cdef, ctx, _counts(cdef, ctx))
-
-
-def _counts(cdef: _Claim, ctx: _Ctx) -> tuple:
-    """The claim's counts on the ideals of `ctx` as plain values: (checked,
-    counterexamples kept, their count, skips kept, their count)."""
     tally = _Tally(cdef.loops)
     _walk(cdef.loops, cdef.check, ctx, tally)
-    return tally.checked, tuple(tally.counterexamples), tally.n_counter, tuple(tally.skipped), tally.n_skipped
+    verdict = "fail" if tally.n_counter else "partial" if tally.n_skipped else "pass"
+    return ClaimReport(
+        cdef.claim_id, ctx.name, cdef.statement, verdict, cdef.expected_for(ctx), tally.checked,
+        tuple(tally.counterexamples), tally.n_counter, tuple(tally.skipped), tally.n_skipped,
+    )
 
 
-def _report(cdef: _Claim, ctx: _Ctx, counts: tuple) -> ClaimReport:
-    _, _, n_counter, _, n_skipped = counts
-    verdict = "fail" if n_counter else "partial" if n_skipped else "pass"
-    return ClaimReport(cdef.claim_id, ctx.name, cdef.statement, verdict, cdef.expected_for(ctx), *counts)
-
-
-def _merged(parts: list[tuple]) -> tuple:
-    """One job's counts from those of its units, in ideal order: the counts
-    add, and the samples kept are the first `_SAMPLE_CAP` of theirs, which
-    are those of the serial walk, whose loop over the ideals is outermost."""
-
-    def kept(samples):
-        return tuple(itertools.chain(*samples))[:_SAMPLE_CAP]
-
-    checked, counterexamples, n_counter, skipped, n_skipped = zip(*parts)
-    return sum(checked), kept(counterexamples), sum(n_counter), kept(skipped), sum(n_skipped)
-
-
-def run_suite(
-    grids: list[GridSpec] | None = None, claims: list[str] | None = None, processes: int = 1
-) -> SuiteReport:
+def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = None) -> SuiteReport:
     """Evaluate claims over grids; reports come back sorted and deterministic.
     Each claim is checked on the grids it applies to.  A selection that
     leaves nothing to check raises InvalidGrid, and so do two grids of one
     name that differ in their forms, their ideals or an expected verdict,
     whose reports no reader could tell apart.  Each grid's context is built
-    once.  With `processes` > 1 the work is shared with forked workers one
-    claim, grid and ideal at a time (see `_run_jobs`), and the reports are
-    those of a serial run."""
+    once, and every (claim, grid) job is checked through `check_claim` in
+    this process."""
     # a grid given twice, in any spelling, is checked once, as a repeated id is
     by_name: dict[str, tuple] = {}
     for grid in default_grids() if grids is None else grids:
@@ -1121,49 +1100,9 @@ def run_suite(
     jobs = [(cid, ctx) for cid in claim_ids for ctx, _ in by_name.values() if _BY_ID[cid].applies(ctx)]
     if not jobs:
         raise InvalidGrid("no selected claim applies over the grids' rings" if claim_ids else "no claim to check")
-    reports = _run_jobs(jobs, processes)
+    reports = [check_claim(cid, ctx.grid, ctx) for cid, ctx in jobs]
     reports.sort(key=lambda r: (r.claim_id, r.grid))
     return SuiteReport(tuple(reports))
-
-
-def _run_jobs(jobs: list[tuple[str, _Ctx]], processes: int) -> list[ClaimReport]:
-    """The report of every (claim, grid context) job, in job order.
-
-    One process runs each job whole through `check_claim`.  With more, the
-    unit of work is one claim on one grid at one ideal, and
-    `fgmod.parallel` shares the units out among k = min(processes, units)
-    processes, each starting on its own contiguous slice of their list.
-    The list runs grid by grid, then ideal by ideal, then claim by claim,
-    so that the values one ideal of a grid shares among its claims are
-    mostly computed in one process.  The grids with more forms, whose walks
-    cost more, come first: the processes on the later slices then run out
-    first, and what they steal borders on their own units.  A job's counts
-    are merged from its units' in ideal order (see `_merged`)."""
-    if processes < 1:
-        raise ValueError(f"processes must be at least 1, got {processes}")
-    units = []
-    if processes > 1:
-        from . import parallel  # only a run with workers loads it
-
-        if parallel.AVAILABLE:
-            by_grid: dict[str, tuple] = {}
-            for j, (_, ctx) in enumerate(jobs):
-                by_grid.setdefault(ctx.name, (ctx, []))[1].append(j)
-            grids = sorted(by_grid.values(), key=lambda grid: -len(grid[0].forms))
-            units = [(j, d) for ctx, js in grids for d in ctx.ideals for j in js]
-    k = min(processes, len(units))
-    if k < 2:
-        return [check_claim(cid, ctx.grid, ctx) for cid, ctx in jobs]
-
-    def work(u: int) -> tuple:
-        j, d = units[u]
-        cid, ctx = jobs[j]
-        return _counts(_BY_ID[cid], ctx._replace(ideals=(d,)))
-
-    parts: list[list] = [[] for _ in jobs]
-    for (j, _), counts in zip(units, parallel.run(len(units), k, work)):
-        parts[j].append(counts)
-    return [_report(_BY_ID[cid], ctx, _merged(p)) for (cid, ctx), p in zip(jobs, parts)]
 
 
 def format_reports_text(suite: SuiteReport) -> str:

@@ -1,6 +1,7 @@
 """The pair runner's summary of fixed benchmark results (no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,8 @@ def bench_pairs():
     return module
 
 
-def run(side, workload, seed, failed=0, **metrics):
-    result = {"correct": True, "attempted": 9, "failed": failed,
+def run(side, workload, seed, failed=0, correct=True, **metrics):
+    result = {"correct": correct, "attempted": 9, "failed": failed,
               "metrics": {k: {"value": v, "unit": "ms"} for k, v in metrics.items()}}
     return {"side": side, "workload": workload, "seed": seed, "result": result}
 
@@ -47,3 +48,28 @@ def test_the_summary_pairs_runs_by_workload_and_seed(bench_pairs):
             "change_lower_in_pairs": 0, "pairs": 1,
         }},
     }
+
+
+def test_runs_with_wrong_output_are_counted_named_and_fail_the_script(bench_pairs, monkeypatch, tmp_path, capsys):
+    # the change gives a wrong answer on one seed of the first workload: its
+    # timings are summarized as usual, but the record counts the run beside
+    # the failed operations and the script exits 1 once the file is written
+    def run_once(tar, workload, seed, seconds):
+        wrong = tar == b"change" and workload == "verify-reduced" and seed == 31
+        return run("", workload, seed, correct=not wrong, op_p50_ms=10.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "archive", lambda commit: commit.encode())
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["parent", "change", "--pairs", "2", "--seed0", "30", "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["wrong_output_runs"] == {
+        "verify-reduced": {"parent": 0, "change": 1},
+        "cli-small": {"parent": 0, "change": 0},
+    }
+    assert record["summary"]["verify-reduced"]["op_p50_ms"]["pairs"] == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "wrong output in 1 runs: verify-reduced seed 31 change"
+    # every output right: exit 0, all counts zero
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tar, w, seed, seconds: run("", w, seed, op_p50_ms=1.0)["result"])
+    assert bench_pairs.main(["parent", "change", "--pairs", "1", "--seed0", "0", "--out", str(out)]) == 0
+    assert all(sides == {"parent": 0, "change": 0} for sides in json.loads(out.read_text())["wrong_output_runs"].values())

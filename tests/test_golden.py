@@ -55,9 +55,7 @@ def test_verify_small_grid_matches_golden(capsys, fmt, expected):
 
 @pytest.mark.parametrize("fmt, expected", GOLDENS + DEFAULT_SUITE)
 def test_the_program_matches_golden(fmt, expected):
-    # `main` above runs in one process; the program checks the claims in one
-    # process per usable CPU, and any warning, such as a ResourceWarning in a
-    # forked worker, is an error
+    # the program as a whole process, where any warning is an error
     proc = python("-W", "error", "-m", "fgmod.cli", "verify", *grid_args(expected), "--format", fmt)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN / expected).read_text()

@@ -2,8 +2,7 @@
 and of the installed command.  It runs `main` with the cyclic garbage
 collector off and freezes every object before the exit, so no collection
 runs in the process; that frees all it should only while fgmod's own code
-makes no reference cycles, which the last test checks.  It also offers
-`main` one process per usable CPU for `verify`.
+makes no reference cycles, which the last test checks.
 
 The program checks run in fresh interpreters; `main` is checked in process.
 """
@@ -47,20 +46,18 @@ def test_run_prints_and_exits_as_python_m(argv, code):
 
 # `main` is read from the module at call time, so the recording one runs
 _RECORD_COLLECTOR = """
-import atexit, gc, os, sys
+import atexit, gc, sys
 from fgmod import cli
 
-during_main, asked = [], []
+during_main = []
 main = cli.main
 
-def recording_main(argv=None, processes=1):
+def recording_main(argv=None):
     during_main.append(gc.isenabled())
-    asked.append(processes)
-    return main(argv, processes=processes)
+    return main(argv)
 
 cli.main = recording_main
 atexit.register(lambda: print(gc.isenabled(), during_main, gc.get_freeze_count() > 0))
-atexit.register(lambda: print(asked == [len(os.sched_getaffinity(0))]))
 print(gc.isenabled())
 cli.run()
 """
@@ -73,13 +70,9 @@ def test_the_program_runs_main_without_the_collector_and_exits_frozen(argv, code
     lines = proc.stdout.splitlines()
     assert lines[0] == "True"
     assert lines[-1] == "False [False] True"
-    # atexit runs its handlers last in, first out; `run` offers `main` every
-    # CPU the process may run on
-    assert lines[-2] == "True"
 
 
-# patched before `run`, so the workers it forks inherit the patch
-_FAIL_EVERYWHERE = """
+_FAIL_ONE_CLAIM = """
 import sys
 from fgmod import cli, verify
 claim = verify._BY_ID[sys.argv[1]]
@@ -91,12 +84,10 @@ cli.run()
 
 @pytest.mark.parametrize("fmt", ["text", "json-lines"])
 def test_the_program_flags_an_unexpected_verdict_and_exits_4(tmp_path, fmt):
-    # the patched claim is the second job, so with two or more usable CPUs
-    # a worker checks it
     path = tmp_path / "z6.json"
     path.write_text(json.dumps([{"ring": "Z/6", "max_torsion_order": 6, "ideal_generators": [2]}]))
     proc = python(
-        "-c", _FAIL_EVERYWHERE, "gamma-hom-commute",
+        "-c", _FAIL_ONE_CLAIM, "gamma-hom-commute",
         "verify", "--grid", str(path), "--claims", "gamma-reflect,gamma-hom-commute", "--format", fmt,
     )
     assert proc.returncode == 4, proc.stderr
@@ -120,23 +111,15 @@ def test_main_leaves_the_collector_as_it_was(capsys):
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
-def _cycles_left_by_a_suite_run(processes: int) -> int:
+def test_a_suite_run_leaves_no_reference_cycles():
     grids = [verify.grid_from_dict(d) for d in json.loads((ROOT / GRID).read_text())]
     fgmod.clear_caches()
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()  # a collection during the run would free the cycles it left
     try:
-        verify.run_suite(grids, processes=processes)
-        return gc.collect()
+        verify.run_suite(grids)
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
-
-
-def test_a_suite_run_leaves_no_reference_cycles():
-    assert _cycles_left_by_a_suite_run(1) == 0
-
-
-def test_a_suite_run_with_workers_leaves_no_reference_cycles():
-    assert _cycles_left_by_a_suite_run(2) == 0

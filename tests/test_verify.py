@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import json
 import math
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import fgmod
 from fgmod import cyclic, verify
 from fgmod.errors import InvalidGrid, NonStabilizing, UnknownClaim
 from fgmod.grammar import format_canonical
@@ -145,6 +147,9 @@ def test_grid_spec_refuses_each_malformed_field():
     # file is, and never reaches enumeration with a bool, float or string
     ring = RingSpec.integers()
     for args, message in (
+        (("Z/6", 6, 0, (2,)), "grid ring must be a RingSpec, got 'Z/6'"),
+        ((None, 6, 0, (2,)), "grid ring must be a RingSpec, got None"),
+        ((6, 6, 0, (2,)), "grid ring must be a RingSpec, got 6"),
         ((ring, 6, True, (2,)), "'max_free_rank' must be an integer"),
         ((ring, False, 0, (2,)), "'max_torsion_order' must be an integer"),
         ((ring, 6.0, 0, (2,)), "'max_torsion_order' must be an integer"),
@@ -456,12 +461,18 @@ def test_equivalence_claims_on_tiny_grids():
     assert check_claim("equiv-coreduced-wrt", TINY_Z6).verdict == "pass"
 
 
-def verify_reduced_grids() -> list[GridSpec]:
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [grid_from_dict(g) for g in workloads.VERIFY_GRIDS]
+    return workloads
+
+
+def verify_reduced_grids() -> list[GridSpec]:
+    return [grid_from_dict(g) for g in perfbench_workloads().VERIFY_GRIDS]
 
 
 def test_equivalence_claims_ask_dG_0_on_the_value_layer():
@@ -593,8 +604,7 @@ def test_a_run_tests_each_ring_for_square_factors_once():
     assert [r.verdict for r in suite.reports if r.claim_id == "vnr-homology-vanish"] == ["pass"] * 3
 
 
-@pytest.mark.parametrize("processes", [1, 2])
-def test_a_run_builds_each_grid_once_however_many_grids(monkeypatch, processes):
+def test_a_run_builds_each_grid_once_however_many_grids(monkeypatch):
     # a run walks its jobs claim by claim, so it cycles through its grids
     # once per claim; more grids than a 16-entry table holds must still be
     # enumerated, named and tested for square factors once each
@@ -603,11 +613,39 @@ def test_a_run_builds_each_grid_once_however_many_grids(monkeypatch, processes):
     monkeypatch.setattr(verify, "enumerate_forms", lambda grid: enumerated.append(grid) or real(grid))
     grids = [GridSpec(RingSpec.mod(n), 4, 0, (0, 1), module_whitelist=("0", f"Z/{n}")) for n in range(2, 22)]
     verify._is_vnr.cache_clear()
-    suite = run_suite(grids, ["reflexive", "glc-fastpath", "vnr-homology-vanish"], processes=processes)
+    suite = run_suite(grids, ["reflexive", "glc-fastpath", "vnr-homology-vanish"])
     info = verify._is_vnr.cache_info()
     assert enumerated == grids
     assert (info.misses, info.hits) == (20, 0)
     assert {r.grid for r in suite.reports} == {f"Z/{n}[0; Z/{n}]" for n in range(2, 22)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_permuted_claims_and_grids_give_the_reference_report(seed):
+    # the benchmark's seeds permute the grids of its grid file and the ids
+    # of --claims; the sorted report is its reference byte for byte
+    text, ops = perfbench_workloads().verify_ops(seed, 1, registered_claims(), "grids.json")
+    grids = [grid_from_dict(d) for d in json.loads(text)]
+    claims = ops[0][ops[0].index("--claims") + 1].split(",")
+    fgmod.clear_caches()
+    report = format_reports_text(run_suite(grids, claims))
+    assert report == (ROOT / "perfbench" / "reference" / "verify-reduced.txt").read_text()
+
+
+def test_a_run_checks_each_job_through_check_claim(monkeypatch):
+    # the traced benchmark wraps `verify.check_claim` for its per-claim spans
+    calls = collections.Counter()
+    real = verify.check_claim
+
+    def counted(claim_id, grid, *args):
+        calls[claim_id, grid] += 1
+        return real(claim_id, grid, *args)
+
+    monkeypatch.setattr(verify, "check_claim", counted)
+    grids = [grid_from_dict(d) for d in json.loads((ROOT / "tests" / "golden" / "verify_small_grid.json").read_text())]
+    suite = run_suite(grids)
+    by_name = {g.name(): g for g in grids}
+    assert calls == {(r.claim_id, by_name[r.grid]): 1 for r in suite.reports}
 
 
 def test_a_side_compares_and_hashes_by_identity():

@@ -14,7 +14,9 @@ pairs.  Pair i of the w-th workload uses seed `seed0 + w * pairs + i` on
 both sides and runs the parent first when i is even, the change first when
 i is odd.  The output JSON holds, per workload and metric, each side's
 median and exclusive quartiles, the number of pairs in which the change
-read lower, the failed operations of each side, and every run.
+read lower, the failed operations of each side, the runs of each side whose
+output was wrong, and every run.  The script exits 1 when any run's output
+was wrong, after writing the file and naming those runs on stderr.
 """
 
 from __future__ import annotations
@@ -65,6 +67,20 @@ def summarize(runs: list[dict], metrics: list[str]) -> tuple[dict, dict]:
                 "pairs": len(got),
             }
     return summary, failed
+
+
+def wrong_output(runs: list[dict]) -> tuple[dict, list[str]]:
+    """(counts, names) of the runs whose result does not say `"correct":
+    true`: their number per workload and side, and one name per run.  Their
+    timings are those of a program that gave wrong answers."""
+    counts: dict[str, dict] = {}
+    names = []
+    for run in runs:
+        sides = counts.setdefault(run["workload"], {"parent": 0, "change": 0})
+        if run["result"].get("correct") is not True:
+            sides[run["side"]] += 1
+            names.append(f"{run['workload']} seed {run['seed']} {run['side']}")
+    return counts, names
 
 
 def quartiles(values) -> list[float]:
@@ -120,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} {side}: {json.dumps(result.get('metrics', result))[:160]}",
                       file=sys.stderr)
     summary, failed = summarize(runs, metrics)
+    wrong, wrong_runs = wrong_output(runs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     record = {
         "what": f"perfbench results for the parent commit {args.parent} and the change {args.change}, run"
@@ -130,10 +147,14 @@ def main(argv: list[str] | None = None) -> int:
                  f" of {workloads} uses seeds {args.seed0} + {args.pairs}w + i",
         "quartiles": "statistics.quantiles(n=4), exclusive method: [Q1, Q3]",
         "failed_ops": failed,
+        "wrong_output_runs": wrong,
         "summary": summary,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    if wrong_runs:
+        print(f"wrong output in {len(wrong_runs)} runs: {', '.join(wrong_runs)}", file=sys.stderr)
+        return 1
     return 0
 
 
