@@ -150,7 +150,9 @@ def direct_sum(ring: RingSpec, parts: list[Presentation]) -> Presentation:
     for p in parts:
         if p.ring != ring:
             raise RingMismatch("direct sum across rings")
-    return Presentation(ring, sum(p.gens for p in parts), block_diag(ring, [p.rels for p in parts]))
+    gens = sum(p.gens for p in parts)
+    rels = block_diag(ring, [p.rels for p in parts])
+    return Presentation(ring, gens, rels)
 
 
 @dataclass(frozen=True)

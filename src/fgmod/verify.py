@@ -447,9 +447,8 @@ class _Ctx(NamedTuple):
 def _make_ctx(grid: GridSpec) -> _Ctx:
     """The grid's forms, ideals, name and ring regularity, which every claim
     on the grid reads.  `run_suite` builds them once per grid and run and
-    hands them to `check_claim` with each job.
-    Generators of one ideal, such as 2 and 4 over Z/6, give it once, at the
-    first."""
+    hands them to `check_claim` with each job.  Generators of one ideal,
+    such as 2 and 4 over Z/6, give it once, at the first."""
     forms = enumerate_forms(grid)
     ideals = tuple(dict.fromkeys(principal(grid.ring, g).canonical for g in grid.ideal_generators))
     finite = tuple(c for c in forms if c.free_rank == 0)
