@@ -52,7 +52,10 @@ def brute_hom_count_by_enumeration(M: CanonicalForm, N: CanonicalForm) -> int:
 
     A homomorphism is a choice of image for each cyclic generator of M whose
     order divides that generator's annihilator; the choices are independent.
+    A free summand of either module makes the count infinite.
     """
+    if M.free_rank or N.free_rank:
+        raise InfiniteModule("hom counting needs finite modules")
     elements = enumerate_elements(N)
     count = 1
     for d in M.torsion_factors:

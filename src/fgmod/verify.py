@@ -12,41 +12,24 @@ over every instance in scope, and reports a verdict per claim and grid:
            free summand and a generator outside {0, +-1}).
 
 `_REGISTRY` declares each claim once, in report order: its id, statement,
-expected verdict (or a function of the grid, where that depends on the
-ring), the rings it applies to, its loop variables inside a loop over the
-grid's ideals (see `_Var`), and a check that returns True for a pass,
-False or (False, note) for a counterexample, or (None, note) for a skip.
-A loop's domain is its one filter, and may answer (None, note) to skip its
-prefix.  A check skips only where its domains admit an undefined
-completion; where the paper's classes make the value exist (a finite N, an
-N or P in the class, a coreduced M, a ring Z/n), it computes the value
-without a test for None.  Over Z and Z/n every value depends on an ideal
-only through its canonical generator d, so domains and checks get d, an
-int.  One walker, `_walk`, runs the loops of every claim: an outer loop
-binds each value of its domain and descends, and the innermost one maps
-the check over its domain, read once per (first value, d) where it is
-relative to the first variable.  A pass costs its check and a count, and a
-label such as `M=Z/2, N=Z, a=(2)` is formatted only for the kept samples.
-Mirrored claims are one shape over a `_Side`: reduced (R^M_a, torsion, Hom,
-Ext, local cohomology) or coreduced (C^M_a, completion, tensor, Tor, local
-homology).  The harness's local (co)homology, `_collapsed`, is one graded
-value, a tuple over every degree a claim compares: the public `cyclic`
-value read at M/aM on the class relative to M, which is the collapse
-formula, and at M elsewhere; the fast-path claims compare the two readings.
+expected verdict, rings, loop variables (see `_Var`) and row check.  Over Z
+and Z/n a value depends on an ideal only through its canonical generator d,
+an int.  One walker, `_walk`, runs every claim inside a loop over the
+ideals: an outer loop binds each value of its domain and descends, and the
+innermost calls the check once per prefix with all its values, a row, and
+gets one result per value: True for a pass, False or (False, note) for a
+counterexample, (None, note) for a skip.  Checks and relative domains read
+their values off the grid's rows (see `_Rows`), such as the forms N in
+R^M_a for one (M, d), computed once per run for every claim on the grid.
+Only the kept samples format a label such as `M=Z/2, N=Z, a=(2)`.
+Mirrored claims are one shape over a `_Side`, reduced or coreduced.  The
+exactness claims decide a sequence once per cyclic summand of the stable
+quotient they read it on (see `_exact_on`).
 
-Every walk is deterministic, so identical inputs produce byte-identical
-reports; `run_suite` checks every claim in the calling process.  Modules
-are enumerated as canonical forms, and every value a claim compares is read
-off their invariant factors by `fgmod.cyclic`, the layer the library's
-value functions use.  Each short exact sequence carries its inclusion and
-projection as integer matrices on cyclic summands (see `_sequence`), and
-the exactness pair compares the orders of the maps they induce on one
-stable quotient Q, once per (sequence, Q) (see `_exact_on`).  Every Smith
-form comes from `fgmod.elimination` and every record is a `rings._Record`,
-so a run loads neither `linalg`, `modules` nor `dataclasses`, also when a
-whitelist names a `coker` module.  Only the public `enumerate_modules`,
-which returns presentations, loads `modules`, and only json-lines output
-loads `json`.
+Every walk is deterministic, so identical inputs give byte-identical
+reports.  Every value is read off invariant factors by `fgmod.cyclic`, and
+every Smith form comes from `fgmod.elimination`, so a run loads neither
+`linalg`, `modules` nor `dataclasses`; only json-lines output loads `json`.
 """
 
 from __future__ import annotations
@@ -54,6 +37,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, partial
+from itertools import repeat
+from operator import eq
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import cyclic
@@ -97,7 +82,7 @@ REPORT_NOTES = (
 # bounds the cost of `_is_vnr`, a trial division up to the cube root
 _MAX_GRID_MODULUS = 2**64
 # bounds a grid's enumerated forms: gm-adjunction, the slowest claim, takes
-# about a minute on the 250 forms of Z up to order 71 and rank 1
+# 23 s on 2 vCPUs on the 250 forms of Z up to order 71 and rank 1, 5 ideals
 _MAX_GRID_FORMS = 256
 # bounds the trial division listing a grid modulus's divisors (10**6 trials: 0.04 s on 2 vCPUs)
 _MAX_GRID_TRIALS = 2**20
@@ -153,9 +138,8 @@ class GridSpec(_Record):
 
     def name(self, forms: tuple[CanonicalForm, ...] = ()) -> str:
         """The label, or the ring and the bounds, or for a whitelist the ring
-        and its forms, so that spellings of the same forms share a name.
-        `forms`, the grid's forms where the caller has them, saves
-        enumerating them again."""
+        and its forms (`forms`, where the caller has them), so that spellings
+        of the same forms share a name."""
         if self.label:
             return self.label
         if self.module_whitelist is None:
@@ -254,32 +238,27 @@ def grid_from_dict(data: dict) -> GridSpec:
 # values on canonical forms, read off invariant factors by fgmod.cyclic
 
 
-def _cboth(m: CanonicalForm, n: CanonicalForm, d: int) -> bool:
-    return cyclic.is_reduced_wrt(m, n, d) and cyclic.is_coreduced_wrt(m, n, d)
-
-
 def _reflexive(c: CanonicalForm) -> bool:
     # asked only over Z/n, where every form is finite and so has a dual
     return cyclic.dual(cyclic.dual(c)) == c
 
 
-def _graded(s: _Side, m: CanonicalForm, n: CanonicalForm, d: int) -> tuple[CanonicalForm, ...] | None:
-    """`cyclic`'s local cohomology (homology on the coreduced side) in every
-    degree of `_degrees`, or None where the chain a^kM never stabilizes."""
+@lru_cache(maxsize=cyclic._MEMO)
+def _collapsed(s: _Side, m: CanonicalForm, n: CanonicalForm, d: int) -> tuple[CanonicalForm, ...] | None:
+    """The harness's local (co)homology: `cyclic`'s local cohomology
+    (homology) in every degree of `_degrees`, read at M/aM on the class of N
+    relative to M and at M elsewhere, None where a^kM never stabilizes.
+    M/aM is its own torsion and completion along a, so its value is the
+    collapse formula Ext^i(M/aM, N) (Tor_i), defined at every d."""
+    at = cyclic.quotient(m, d) if s.in_class(m, n, d) else m
     try:
-        return tuple(s.public(i, m, n, d) for i in _degrees(m.ring))
+        return tuple(map(s.public, _degrees(m.ring), repeat(at), repeat(n), repeat(d)))
     except NonStabilizing:
         return None
 
 
-@lru_cache(maxsize=cyclic._MEMO)
-def _collapsed(s: _Side, m: CanonicalForm, n: CanonicalForm, d: int) -> tuple[CanonicalForm, ...] | None:
-    """The harness's local (co)homology: `_graded` read at M/aM on the class
-    of N relative to M, and at M elsewhere.  M/aM is killed by a, so it is
-    its own torsion and completion along a, and its value is the collapse
-    formula Ext^i(M/aM, N) (Tor_i) in every degree; it has a free part only
-    at d = 0, where nothing raises."""
-    return _graded(s, cyclic.quotient(m, d) if s.in_class(m, n, d) else m, n, d)
+def _sum(x: CanonicalForm, y: CanonicalForm) -> CanonicalForm:
+    return cyclic.direct_sum([x, y])
 
 
 def _cf_projective(c: CanonicalForm) -> bool:
@@ -297,8 +276,9 @@ def _degrees(ring: RingSpec) -> range:
     return range((1 if ring.is_integers else 3) + 1)
 
 
-def _free_form(ring: RingSpec) -> CanonicalForm:
-    return cyclic._form(ring, [ring.modulus or 0])
+def _classical(s: _Side, n: CanonicalForm, d: int) -> tuple[CanonicalForm, ...] | None:
+    """The classical value H(R, N), the harness's value at R itself."""
+    return _collapsed(s, cyclic._form(n.ring, [n.ring.modulus or 0]), n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +286,10 @@ def _free_form(ring: RingSpec) -> CanonicalForm:
 
 
 class _Seq(NamedTuple):
-    """0 -> X -> Y -> Z -> 0 for a submodule X of Y and Z = Y/X: Y's form,
-    the forms of X and Z, and the inclusion and the projection as integer
-    matrices on their cyclic summands, one row per summand of the target
-    (see `cyclic.hom_postcompose`); the columns of the inclusion generate X.
-    Every field is an int, a tuple or an interned form, so a sequence hashes
-    in C."""
+    """0 -> X -> Y -> Z -> 0 for a submodule X of Y and Z = Y/X: the forms,
+    and the inclusion and the projection as integer matrices on cyclic
+    summands, one row per target summand (see `cyclic.hom_postcompose`); the
+    inclusion's columns generate X.  Every field hashes in C."""
 
     y: CanonicalForm
     x: CanonicalForm
@@ -353,12 +331,10 @@ def _sequence(y: CanonicalForm, gens: tuple[tuple[int, ...], ...]) -> _Seq:
 @lru_cache(maxsize=256)
 def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
     """One sequence per submodule X of a finite Y, by |X| and then by X's
-    elements, as shared objects computed once for all ideals and claims.
-
-    A closure search over Y's elements finds the subgroups, which are the
-    submodules, since Z and Z/n act by repeated addition.  Each subgroup is
-    first reached from a smaller one and an element outside it, so that
-    one's generators and the element generate it."""
+    elements, computed once for all ideals and claims.  A closure search over
+    Y's elements finds the subgroups, which are the submodules; each is first
+    reached from a smaller one and an element that, with its generators,
+    generates it."""
     factors = y.torsion_factors
     exponent = max(factors, default=1)
     elements = list(itertools.product(*(range(d) for d in factors)))
@@ -442,39 +418,74 @@ class _Ctx(NamedTuple):
     tiny: tuple[CanonicalForm, ...]
     name: str  # the grid's name in reports
     vnr: bool  # whether the grid's ring is von Neumann regular
+    rows: _Rows
 
 
 def _make_ctx(grid: GridSpec) -> _Ctx:
-    """The grid's forms, ideals, name and ring regularity, which every claim
-    on the grid reads.  `run_suite` builds them once per grid and run and
-    hands them to `check_claim` with each job.  Generators of one ideal,
-    such as 2 and 4 over Z/6, give it once, at the first."""
+    """What every claim on the grid reads, built once per grid and run: its
+    forms, ideals (one per ideal), name, ring regularity and rows."""
     forms = enumerate_forms(grid)
     ideals = tuple(dict.fromkeys(principal(grid.ring, g).canonical for g in grid.ideal_generators))
     finite = tuple(c for c in forms if c.free_rank == 0)
+    torsion_order = {c: math.prod(c.torsion_factors) for c in forms}
+    small = tuple(c for c in forms if torsion_order[c] <= 8 and (c.free_rank == 0 or torsion_order[c] <= 2))
+    finite_small = tuple(c for c in finite if torsion_order[c] <= 8)
+    tiny = tuple(c for c in forms if (c.free_rank == 0 and torsion_order[c] <= 4) or (c.free_rank == 1 and not c.torsion_factors))
+    return _Ctx(grid, ideals, forms, finite, small, finite_small, tiny, grid.name(forms), _is_vnr(grid.ring), _Rows(forms))
 
-    def torsion_order(c):
-        return math.prod(c.torsion_factors) if c.torsion_factors else 1
 
-    small = tuple(c for c in forms if torsion_order(c) <= 8 and (c.free_rank == 0 or torsion_order(c) <= 2))
-    finite_small = tuple(c for c in finite if torsion_order(c) <= 8)
-    tiny = tuple(c for c in forms if (c.free_rank == 0 and torsion_order(c) <= 4) or (c.free_rank == 1 and not c.torsion_factors))
-    return _Ctx(grid, ideals, forms, finite, small, finite_small, tiny, grid.name(forms), _is_vnr(grid.ring))
+class _Row(dict):
+    """The row of `_Rows` under (f, i, *fixed), by f's i-th argument."""
+
+    __slots__ = ("key",)
+
+    def __missing__(self, x):
+        f, i, *args = self.key
+        args.insert(i, x)
+        try:
+            value = f(*args)
+        except NonStabilizing:
+            value = None
+        self[x] = value
+        return value
+
+
+class _Rows(dict):
+    """A grid's rows: `ctx.rows[f, i, *fixed][x]` is f's value with x as its
+    i-th argument and the others fixed, None where f raises NonStabilizing;
+    `ctx.rows[s.in_class, 1, m, d][n]` says whether N lies in R^M_a (C^M_a).
+    A row is computed at every grid form when first asked for, and at another
+    argument when first read; every claim on the grid shares it for the run."""
+
+    __slots__ = ("forms",)
+
+    def __init__(self, forms: tuple[CanonicalForm, ...]):
+        self.forms = forms
+
+    def __missing__(self, key: tuple) -> _Row:
+        f, i, *fixed = key
+        args = [repeat(a) for a in fixed]
+        args.insert(i, self.forms)
+        row = self[key] = _Row()
+        row.key = key
+        try:
+            row.update(zip(self.forms, map(f, *args)))
+        except NonStabilizing:  # None at the form that raised, then one at a time
+            row[self.forms[len(row)]] = None
+            for x in self.forms:
+                row[x]
+        return row
 
 
 class _Var(NamedTuple):
-    """One loop of a claim.  `domain` is a `_Ctx` field, or a function of the
-    context, the values bound so far and the ideal's generator d.  `within`,
-    in place of a domain, is a function of the context, the first value and
-    d, read once per (first value, d) for every binding between; `let`, with
-    it, binds a value of (first value, x, d) once per x for the check, which
-    gets it after d.  A domain function returns the values in order, or
-    (None, note) to skip the values bound so far, counted once per prefix."""
+    """One loop of a claim: a `_Ctx` field, or a function of the context,
+    the values bound so far and d, or `within`, a function of the context,
+    the first value and d, read once per (first value, d).  A function gives
+    the values in order, or (None, note) to skip the values bound so far."""
 
     name: str
     domain: str | Callable = "forms"
     within: Callable | None = None
-    let: Callable | None = None
 
 
 def _where(field: str, admits: Callable) -> Callable:
@@ -487,42 +498,49 @@ def _relative(field: str, admits: Callable) -> Callable:
     return lambda ctx, first, d: [x for x in getattr(ctx, field) if admits(first, x, d)]
 
 
-def _in_class(s: _Side, field: str = "forms") -> _Var:
-    """N of a field, in the class of `s` relative to the first value M."""
-    return _Var("N", within=_relative(field, s.in_class))
+def _classed(s: _Side, field: str = "forms", i: int = 1, *terms: str) -> Callable:
+    """The relative domain of the x of a field in the class of `s`, as M
+    (i = 0) or N (i = 1), with the first value, or each named term, as the other."""
+
+    def within(ctx, first, d):
+        xs = getattr(ctx, field)
+        for y in map(getattr, repeat(first), terms) if terms else (first,):
+            held = ctx.rows[s.in_class, i, y, d]
+            xs = [x for x in xs if held[x]]
+        return xs
+
+    return within
+
+
+def _each(check: Callable) -> Callable:
+    """The row check of a check of one instance, check(*values, d)."""
+    return lambda ctx, bound, xs, d: [check(*bound, x, d) for x in xs]
 
 
 def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) -> None:
     """Check each instance, depth first in declaration order inside a loop
     over the ideals.  An outer depth binds each value of its domain and
-    descends; the innermost maps the check over its values, with d and the
-    let values as `repeat`s in `tail`.  True results are only counted; the
-    others, and domains' skips, go to `tally.record` in walk order with the
-    values, ending with d.  Relative domains live until a new first value."""
-    if any(v.let and v.within is None for v in loops):
-        raise ValueError("a let needs a relative domain")
+    descends; the innermost calls check(ctx, bound, xs, d) once with all its
+    values xs and gets a list of one result per value.  True is only counted;
+    other results and domains' skips go to `tally.record` in walk order."""
     last = len(loops) - 1
     relative: dict = {}
 
-    def descend(bound: tuple, tail: tuple, d: int) -> None:
+    def descend(bound: tuple, d: int) -> None:
         depth = len(bound)
         var = loops[depth]
         if depth == 1:
             relative.clear()
         if var.within is None:
             dom = var.domain
-            entry = getattr(ctx, dom) if isinstance(dom, str) else dom(ctx, *bound, d), None
-        elif (entry := relative.get(depth)) is None:
-            xs = var.within(ctx, bound[0], d)
-            lets = var.let and not (xs and xs[0] is None) and {x: var.let(bound[0], x, d) for x in xs}
-            entry = relative[depth] = xs, lets
-        xs, own = entry
+            xs = getattr(ctx, dom) if isinstance(dom, str) else dom(ctx, *bound, d)
+        elif (xs := relative.get(depth)) is None:
+            xs = relative[depth] = var.within(ctx, bound[0], d)
         if xs and xs[0] is None:
             tally.record(bound + (d,), xs)
             return
         if depth == last:
-            args = tail if own is None else (*tail, map(own.__getitem__, xs))
-            results = list(map(partial(check, *bound), xs, *args))
+            results = check(ctx, bound, xs, d)
             if (checked := results.count(True)) < len(results):
                 checked = sum(result is True for result in results)  # `record` counts the rest, 1 included
                 for x, result in zip(xs, results):
@@ -531,10 +549,10 @@ def _walk(loops: tuple[_Var, ...], check: Callable, ctx: _Ctx, tally: _Tally) ->
             tally.checked += checked
             return
         for x in xs:
-            descend(bound + (x,), tail if own is None else (*tail, itertools.repeat(own[x])), d)
+            descend(bound + (x,), d)
 
     for d in ctx.ideals:
-        descend((), (itertools.repeat(d),), d)
+        descend((), d)
     del descend  # the closure refers to itself; `cli.run` collects no cycles
 
 
@@ -551,9 +569,8 @@ def _label(loops: tuple[_Var, ...], values: tuple) -> str:
         if isinstance(x, CanonicalForm)
     ]
     parts.append(f"a=({d})")
-    for x in xs:
-        if isinstance(x, _Seq):
-            parts.append(f"0->{format_canonical(x.x)}->{format_canonical(x.y)}->{format_canonical(x.z)}->0")
+    parts += [f"0->{format_canonical(x.x)}->{format_canonical(x.y)}->{format_canonical(x.z)}->0"
+              for x in xs if isinstance(x, _Seq)]
     return ", ".join(parts)
 
 
@@ -569,9 +586,9 @@ class _Tally:
         self.skipped: list[str] = []
 
     def record(self, values: tuple, result):
-        """Count one result other than True, the one pass, which `_walk`
-        counts itself: False or (False, note), a counterexample, or
-        (None, note), a skip; any other truthy one is only counted as checked."""
+        """Count one result other than True, which `_walk` counts itself: False
+        or (False, note), a counterexample, (None, note), a skip, and any other
+        truthy one, checked."""
         outcome, note = result if isinstance(result, tuple) else (result, "")
         if outcome is None:
             self.n_skipped += 1
@@ -589,12 +606,9 @@ class _Tally:
 @lru_cache(maxsize=16)
 def _is_vnr(ring: RingSpec) -> bool:
     """Finite products of fields among the supported rings: Z/n, n squarefree.
-
-    Trial division divides out every p up to the cube root of n.  What is
-    left has no smaller prime factor, so at most two, and is squarefree
-    unless it is a square.  Grid moduli stay below `_MAX_GRID_MODULUS`, so
-    this takes at most about 2.6 million divisions, once per ring: `_make_ctx`
-    asks it once per grid, and the table keeps it across runs."""
+    Trial division divides out every p up to the cube root of n; what is left
+    has at most two prime factors, so it is squarefree unless it is a square.
+    Below `_MAX_GRID_MODULUS` that is at most about 2.6 million divisions."""
     if ring.is_integers:
         return False
     n = m = ring.modulus
@@ -639,11 +653,8 @@ class _Claim(NamedTuple):
 class _Side(NamedTuple):
     """One side of the paper's duality, as the operations a mirrored claim
     names: reduced (R^M_a, two-argument torsion, Hom, Ext, local cohomology)
-    or coreduced (C^M_a, two-argument completion, tensor, Tor, local
-    homology).  Each operation that depends on the ideal takes it as its
-    canonical generator d.  The two sides are the only ones, so a side
-    compares and hashes by identity, as a `CanonicalForm` does: a memo table
-    keyed on it hashes one pointer, not its operations."""
+    or coreduced (C^M_a, completion, tensor, Tor, local homology).  A side
+    compares and hashes by identity: a memo table or row keyed on it hashes a pointer."""
 
     in_class: Callable  # (M, N, d): is N in R^M_a (C^M_a)
     adic: Callable  # (M, N, d): two-argument torsion (completion; raises NonStabilizing if no limit)
@@ -660,67 +671,66 @@ class _Side(NamedTuple):
 
 
 def _equiv(s: _Side) -> dict:
-    # the class, Hom (tensor) against M/aM and M/a^2M, the two-argument
-    # torsion (completion) and its ideal multiples must all agree; N ranges
-    # over free forms too, so the completion may not exist
-    def check(m, n, d):
-        mq = cyclic.quotient(m, d)
-        b1 = s.in_class(m, n, d)
-        b2 = s.functor(mq, n) == s.functor(cyclic.quotient(m, d * d), n)
-        try:
-            g = s.adic(m, n, d)
-        except NonStabilizing:
+    # the class, Hom (tensor) against M/aM and M/a^2M, the two-argument torsion
+    # (completion) and its ideal multiples agree; free N may have no completion
+    def agree(b1, b2, g, at_mq, d):
+        if g is None:
             return (False, f"({b1},{b2})") if b1 != b2 else (None, "completion chain does not stabilize")
-        b3 = g == s.functor(mq, n)
+        b3 = g == at_mq
         b4 = cyclic.quotient(g, d) is g  # dG = 0
         b5 = s.absolute(g, d)
         return b1 == b2 == b3 == b4 == b5 or (False, f"({b1},{b2},{b3},{b4},{b5})")
 
-    return dict(loops=(_Var("M"), _Var("N")), check=check)
+    def check(ctx, bound, ns, d):
+        (m,) = bound
+        at_mq, at_mq2 = (ctx.rows[s.functor, 1, cyclic.quotient(m, c)] for c in (d, d * d))
+        member, adic = ctx.rows[s.in_class, 1, m, d], ctx.rows[s.adic, 1, m, d]
+        return [agree(member[n], at_mq[n] == at_mq2[n], adic[n], at_mq[n], d) for n in ns]
+
+    return dict(loops=(_M, _N), check=check)
 
 
-def _gamma_compose(m, n, d):
+def _gamma_compose(ctx: _Ctx, bound: tuple, ns, d: int) -> list:
     # two-argument torsion per its limit definition vs torsion of the hom module
-    try:
-        mk = cyclic.completion(m, d)[0]
-    except NonStabilizing:
-        return None, "ideal-multiple chain of M does not stabilize"
-    return cyclic.hom(mk, n) == cyclic.torsion_wrt(m, n, d)
+    (m,) = bound
+    mk = ctx.rows[cyclic.completion, 0, d][m]
+    if mk is None:
+        return [(None, "ideal-multiple chain of M does not stabilize")] * len(ns)
+    hom, gamma = ctx.rows[cyclic.hom, 1, mk[0]], ctx.rows[cyclic.torsion_wrt, 1, m, d]
+    return [hom[n] == gamma[n] for n in ns]
+
+
+def _in_class_of(s: _Side, i: int) -> Callable:
+    """The row check of: x, as N (i = 1) or M (i = 0), and the last value
+    bound, as the other, lie in the class of `s`."""
+    return lambda ctx, bound, xs, d: list(map(ctx.rows[s.in_class, i, bound[-1], d].__getitem__, xs))
+
+
+def _lands(s: _Side, f: Callable) -> Callable:
+    """The row check of: f(X, Y) lies in the class of `s` relative to M."""
+
+    def check(ctx, bound, ys, d):
+        m, x = bound
+        return list(map(ctx.rows[s.in_class, 1, m, d].__getitem__, map(ctx.rows[f, 1, x].__getitem__, ys)))
+
+    return check
 
 
 def _functor_stays(s: _Side) -> dict:
     # Hom lands in the reduced class, tensor stays in the coreduced class
-    return dict(
-        loops=(
-            _Var("M", "small"),
-            _Var("X", within=_relative("small", cyclic.is_coreduced_wrt)),
-            _Var("Y", "small"),
-        ),
-        check=lambda m, x, y, d: s.in_class(m, s.functor(x, y), d),
-    )
+    loops = (_Var("M", "small"), _Var("X", within=_classed(_COR, "small")), _Var("Y", "small"))
+    return dict(loops=loops, check=_lands(s, s.functor))
 
 
 def _closure_sums(s: _Side) -> dict:
     # finite products and finite sums are both direct sums
-    return dict(
-        loops=(
-            _Var("M", "small"),
-            _Var("N1", within=_relative("small", s.in_class)),
-            _Var("N2", within=_relative("small", s.in_class)),
-        ),
-        check=lambda m, n1, n2, d: s.in_class(m, cyclic.direct_sum([n1, n2]), d),
-    )
-
-
-def _quotient_sources(ctx: _Ctx, d: int):
-    # finite modules by submodules, then modules with free part by scalars
-    return ctx.finite_small + tuple(n for n in ctx.forms if n.free_rank)
+    loops = (_Var("M", "small"), _Var("N1", within=_classed(s, "small")), _Var("N2", within=_classed(s, "small")))
+    return dict(loops=loops, check=_lands(s, _sum))
 
 
 def _quotients(ctx: _Ctx, n: CanonicalForm, d: int):
-    if n.free_rank:
-        return tuple(cyclic.quotient(n, c) for c in (2, 3, 4))
-    return tuple(s.z for s in _sequences_in(n))
+    # finite modules by submodules, modules with free part by scalars
+    return tuple(cyclic.quotient(n, c) for c in (2, 3, 4)) if n.free_rank else tuple(s.z for s in _sequences_in(n))
 
 
 def _sequences(ctx: _Ctx, d: int):
@@ -728,12 +738,12 @@ def _sequences(ctx: _Ctx, d: int):
 
 
 def _extension_closure(s: _Side) -> dict:
-    def check(seq, m, d):
-        return s.in_class(m, seq.y, d) or (False, "middle term leaves the class")
+    def check(ctx, bound, ms, d):
+        held = ctx.rows[s.in_class, 0, bound[0].y, d]
+        return [held[m] or (False, "middle term leaves the class") for m in ms]
 
-    ends_in_class = _relative("tiny", lambda seq, m, d: s.in_class(m, seq.x, d) and s.in_class(m, seq.z, d))
     return dict(
-        loops=(_Var("S", _sequences), _Var("M", within=ends_in_class)),
+        loops=(_Var("S", _sequences), _Var("M", within=_classed(s, "tiny", 0, "x", "z"))),
         check=check,
         expected="fail",
         # over a von Neumann regular ring both classes are all modules
@@ -742,49 +752,55 @@ def _extension_closure(s: _Side) -> dict:
 
 
 def _on_dual(check: Callable) -> Callable:
-    # the dual of a module with a free part is not finitely generated
-    return lambda m, x, d: (None, "dual undefined on free part") if x.free_rank else check(m, x, d)
+    # the row check of check(M, X, d); the dual of a free part is not finitely generated
+    undefined = (None, "dual undefined on free part")
+    return lambda ctx, bound, xs, d: [undefined if x.free_rank else check(bound[0], x, d) for x in xs]
 
 
-def _dual(value: Callable, s: _Side) -> dict:
-    # the dual of one value, a tuple of forms, against the other side's value
-    # of the dual; N is finite, so it and its dual lie in both classes, both
+def _dual(value: Callable, dual: Callable, s: _Side) -> dict:
+    # the dual of one value(side, M, N, d) against the other side's value of
+    # the dual; N is finite, so it and its dual lie in both classes, both
     # values exist, and local (co)homology takes the collapse formula
-    def check(m, n, d):
-        return tuple(map(cyclic.dual, value(s, m, n, d))) == value(_other(s), m, cyclic.dual(n), d)
+    other = _COR if s is _RED else _RED
 
-    return dict(loops=(_M, _in_class(s, "finite")), check=check)
+    def check(ctx, bound, ns, d):
+        m = bound[0]
+        return [dual(value(s, m, n, d)) == value(other, m, cyclic.dual(n), d) for n in ns]
+
+    return dict(loops=(_M, _Var("N", within=_classed(s, "finite"))), check=check)
+
+
+def _gm_adjunction(ctx: _Ctx, bound: tuple, ps, d: int) -> list:
+    # Hom(Λ(M, P), N) against Hom(P, Γ(M, N)), read off the rows of Hom into
+    # N and into Γ(M, N); P is coreduced relative to M, so Λ(M, P) exists
+    m, n = bound
+    lam, into_n = ctx.rows[cyclic.completion_wrt, 1, m, d], ctx.rows[cyclic.hom, 0, n]
+    into_gamma = ctx.rows[cyclic.hom, 0, ctx.rows[cyclic.torsion_wrt, 1, m, d][n]]
+    return list(map(eq, map(into_n.__getitem__, map(lam.__getitem__, ps)), map(into_gamma.__getitem__, ps)))
 
 
 def _exactness(s: _Side) -> dict:
-    terms_in_class = _relative("tiny", lambda seq, m, d: all(s.in_class(m, c, d) for c in (seq.x, seq.y, seq.z)))
-    loops = (_Var("S", _sequences), _Var("M", within=terms_in_class))
+    loops = (_Var("S", _sequences), _Var("M", within=_classed(s, "tiny", 0, "x", "y", "z")))
 
-    def check(seq, m, d):
-        q = cyclic.completion(cyclic.quotient(m, math.lcm(*seq.y.torsion_factors)), d)[0]
-        return _exact_on(s, seq, q)
+    def check(ctx, bound, ms, d):
+        (seq,) = bound
+        quotients = ctx.rows[cyclic.quotient, 0, math.lcm(*seq.y.torsion_factors)]
+        completed = ctx.rows[cyclic.completion, 0, d]
+        return [_exact_on(s, seq, completed[quotients[m]][0]) for m in ms]
 
     return dict(loops=loops, check=check)
 
 
-# the default suite checks 772 distinct (side, sequence, Q), so this bound
-# never evicts there
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=2048)  # the default suite asks 772
 def _exact_on(s: _Side, seq: _Seq, q: CanonicalForm) -> bool | tuple[bool, str]:
-    """Torsion left (completion right) exactness on the sequence, read on Q.
-    E, the exponent of Y, kills each term T, so Hom(M, T)[d^k] is
-    Hom(M/d^kM, T) = Hom((M/EM)/d^k, T), and (M (x) T)/d^k is
-    (M/EM)/d^k (x) T, naturally in T; the chain of the finite M/EM settles
-    at Q, the completion of M/EM along (d)."""
-    return _exact(s, s.postcompose(q, seq.x, seq.y, seq.incl), s.postcompose(q, seq.y, seq.z, seq.proj))
-
-
-# The induced maps of the exactness pair act between finite sums of cyclic
-# pair summands Z/h (see cyclic.hom_postcompose), and hp·hi = 0 (tp·ti = 0),
-# so each question is a comparison of orders: a map is injective iff its
-# image is as large as its source, onto iff as large as its target, and the
-# pair is exact in the middle iff the kernel of the second, of order
-# |middle| / |image|, is no larger than the image of the first.
+    """Torsion left (completion right) exactness on the sequence, read on Q:
+    E, Y's exponent, kills each term T, so Hom(M, T)[d^k] = Hom((M/EM)/d^k, T)
+    and (M (x) T)/d^k = (M/EM)/d^k (x) T, and M/EM settles at Q along (d).
+    Q is finite, and the induced pair, a complex, is block diagonal over its
+    cyclic summands (see `cyclic._pair_map`): it is exact iff every block is."""
+    answers = [_exact_on_summand(s, seq, o) for o in q.torsion_factors]
+    at_end, exact_mid = all(a for a, _ in answers), all(b for _, b in answers)
+    return at_end and exact_mid or (False, f"{s.end}={at_end}, exact={exact_mid}")
 
 
 def _span_order(f: cyclic.SummandMap) -> int:
@@ -798,28 +814,38 @@ def _span_order(f: cyclic.SummandMap) -> int:
     return math.prod(target) // math.prod(cokernel_orders(rows, len(source) + len(target))[0])
 
 
-def _exact(s: _Side, first: cyclic.SummandMap, second: cyclic.SummandMap):
-    """Whether first, then second, is exact at the end `s.end` names and
-    in the middle: True, or False with a note of both answers."""
+@lru_cache(maxsize=1024)  # the default suite asks 322
+def _exact_on_summand(s: _Side, seq: _Seq, o: int) -> tuple[bool, bool]:
+    """Whether the pair induced on Z/o is exact at the end `s.end` names, and
+    in the middle.  Both maps act between sums of cyclic pair summands, and
+    hp·hi = 0 (tp·ti = 0), so orders decide: a map is injective (onto) iff
+    its image is as large as its source (target), and the pair is exact in
+    the middle iff |middle| = |image of the first| · |image of the second|."""
+    z = CanonicalForm(seq.y.ring, (o,), 0)
+    first, second = s.postcompose(z, seq.x, seq.y, seq.incl), s.postcompose(z, seq.y, seq.z, seq.proj)
     image, onto = _span_order(first), _span_order(second)
     at_end = image == math.prod(first[0]) if s.end == "injective" else onto == math.prod(second[1])
-    exact_mid = math.prod(first[1]) == onto * image
-    return at_end and exact_mid or (False, f"{s.end}={at_end}, exact={exact_mid}")
+    return at_end, math.prod(first[1]) == onto * image
 
 
-def _both_classes(m, n, d):
-    mq = cyclic.quotient(m, d)
-    return _cboth(m, cyclic.tensor(mq, n), d) and _cboth(m, cyclic.hom(mq, n), d)
+def _both_classes(ctx: _Ctx, bound: tuple, ns, d: int) -> list:
+    (m,) = bound
+    red, cor = (ctx.rows[s.in_class, 1, m, d] for s in (_RED, _COR))
+    tensors, homs = (ctx.rows[f, 1, cyclic.quotient(m, d)] for f in (cyclic.tensor, cyclic.hom))
+    return [red[t] and cor[t] and red[h] and cor[h] for t, h in zip(map(tensors.__getitem__, ns), map(homs.__getitem__, ns))]
 
 
 def _fastpath(s: _Side) -> dict:
     # the public value at M/aM, the collapse formula, against the one at M,
-    # which reads the stabilized chain; degree 0 always agrees on the class
-    def check(m, n, d):
-        at_m = _graded(s, m, n, d)
-        return (None, "stabilized path undefined") if at_m is None else _collapsed(s, m, n, d) == at_m
+    # defined where M's completion is; degree 0 always agrees on the class
+    def check(ctx, bound, ns, d):
+        (m,) = bound
+        if ctx.rows[cyclic.completion, 0, d][m] is None:
+            return [(None, "stabilized path undefined")] * len(ns)
+        at_m = zip(*(map(s.public, repeat(i), repeat(m), ns, repeat(d)) for i in _degrees(m.ring)))
+        return list(map(eq, map(ctx.rows[_collapsed, 2, s, m, d].__getitem__, ns), at_m))
 
-    return dict(loops=(_M, _in_class(s)), check=check)
+    return dict(loops=(_M, _Var("N", within=_classed(s))), check=check)
 
 
 def _glc_fastpath_expected(ctx: _Ctx) -> str:
@@ -835,10 +861,9 @@ def _glh_fastpath_expected(ctx: _Ctx) -> str:
 
 def _positive_degrees_vanish(s: _Side) -> dict:
     # N in the class selects the collapse formula, which is always defined
-    return dict(
-        loops=(_Var("M", _where("forms", lambda m, d: _cf_projective(cyclic.quotient(m, d)))), _in_class(s)),
-        check=lambda m, n, d: all(v.is_trivial for v in _collapsed(s, m, n, d)[1:]),
-    )
+    projective_mq = _Var("M", _where("forms", lambda m, d: _cf_projective(cyclic.quotient(m, d))))
+    check = _each(lambda m, n, d: all(v.is_trivial for v in _collapsed(s, m, n, d)[1:]))
+    return dict(loops=(projective_mq, _Var("N", within=_classed(s))), check=check)
 
 
 def _finiteness(m, n, d):
@@ -848,30 +873,28 @@ def _finiteness(m, n, d):
     return all(v.free_rank == 0 for h in defined for v in h)
 
 
-def _b_class_membership(m, n, d):
+def _b_class_membership(ctx: _Ctx, bound: tuple, ns, d: int) -> list:
     # coreduced M makes both fast paths total
-    return all(_cboth(m, v, d) for s in (_RED, _COR) for v in _collapsed(s, m, n, d))
+    red, cor = (ctx.rows[s.in_class, 1, bound[0], d] for s in (_RED, _COR))
+    values = [ctx.rows[_collapsed, 2, s, bound[0], d] for s in (_RED, _COR)]
+    return [all(red[v] and cor[v] for local in values for v in local[n]) for n in ns]
 
 
 def _inherit(s: _Side) -> dict:
-    # the classical value H(R, N) gates M; where it is undefined, M's domain
-    # skips (q, N)
+    # the classical value H(R, N), read off its row, gates M; where it is
+    # undefined, M's domain skips (q, N)
     def gated(ctx: _Ctx, q, n, d):
-        h = _collapsed(s, _free_form(n.ring), n, d)
+        h = ctx.rows[_classical, 1, s, d][n]
         if h is None:
             return None, "classical value undefined (chain)"
-        return [m for m in ctx.forms if s.in_class(m, h[q], d)]
+        held = ctx.rows[s.in_class, 0, h[q], d]
+        return [m for m in ctx.forms if held[m]]
 
-    def check(q, n, m, d):
-        hmn = _collapsed(s, m, n, d)
-        return (None, "no stabilizing path") if hmn is None else s.in_class(m, hmn[q], d)
+    def check(ctx, bound, ms, d):
+        q, n = bound
+        return [(None, "no stabilizing path") if (h := _collapsed(s, m, n, d)) is None else s.in_class(m, h[q], d) for m in ms]
 
-    loops = (
-        _Var("q", lambda ctx, d: _degrees(ctx.grid.ring)),
-        _N,
-        _Var("M", gated),
-    )
-    return dict(loops=loops, check=check)
+    return dict(loops=(_Var("q", lambda ctx, d: _degrees(ctx.grid.ring)), _N, _Var("M", gated)), check=check)
 
 
 def _vnr_vanish(s: _Side) -> dict:
@@ -890,7 +913,7 @@ def _vnr_vanish(s: _Side) -> dict:
                 return False, note
         return True
 
-    return dict(loops=(_Var("M"), _Var("N")), check=check, rings="vnr")
+    return dict(loops=(_Var("M"), _Var("N")), check=_each(check), rings="vnr")
 
 
 # ---------------------------------------------------------------------------
@@ -905,10 +928,6 @@ _COR = _Side(
     cyclic.is_coreduced_wrt, cyclic.completion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor,
     cyclic.local_homology, cyclic.tensor_postcompose, "surjective",
 )
-
-
-def _other(s: _Side) -> _Side:
-    return _COR if s is _RED else _RED
 
 
 def _mirrored(shape: Callable[[_Side], dict], *entries: tuple[_Side, str, str]) -> list[_Claim]:
@@ -929,19 +948,19 @@ _REGISTRY: list[_Claim] = [
            "two-argument torsion computed from its limit definition equals the torsion of the hom module",
            (_M, _N), _gamma_compose),
     _Claim("gamma-hom-commute", "two-argument torsion equals Hom(M, torsion of N)",
-           (_N, _M), lambda n, m, d: cyclic.torsion_wrt(m, n, d) == cyclic.hom(m, cyclic.torsion(n, d)[0])),
+           (_N, _M), _each(lambda n, m, d: cyclic.torsion_wrt(m, n, d) == cyclic.hom(m, cyclic.torsion(n, d)[0]))),
     _Claim("gamma-reflect", "N is reduced relative to M iff the torsion of N is",
            (_N, _M),
-           lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, cyclic.torsion(n, d)[0], d)),
+           _each(lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, cyclic.torsion(n, d)[0], d))),
     _Claim("reduced-implies-wrt", "a reduced module is reduced relative to every module",
            (_Var("N", _where("forms", cyclic.is_reduced)), _Var("K")),
-           lambda n, k, d: cyclic.is_reduced_wrt(k, n, d)),
+           _in_class_of(_RED, 0)),
     _Claim("coreduced-M-absorbs", "a coreduced M makes every module reduced relative to M",
-           (_COREDUCED_M, _N), cyclic.is_reduced_wrt),
+           (_COREDUCED_M, _N), _in_class_of(_RED, 1)),
     _Claim("tensor-coreduced", "a tensor product with a coreduced factor is coreduced",
            (_M, _Var("N", within=_relative(
                "forms", lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d)))),
-           lambda m, n, d: cyclic.is_coreduced(cyclic.tensor(m, n), d)),
+           _in_class_of(_COR, 1)),  # M (x) N coreduced: N in the coreduced class relative to M
     *_mirrored(
         _functor_stays,
         (_RED, "hom-into-reduced", "Hom out of a module coreduced relative to M lands in the reduced class"),
@@ -954,14 +973,14 @@ _REGISTRY: list[_Claim] = [
     ),
     _Claim("closure-sub", "submodules stay reduced relative to M",
            (_Var("N", "finite_small"),
-            _Var("M", within=_relative("small", lambda n, m, d: cyclic.is_reduced_wrt(m, n, d))),
+            _Var("M", within=_classed(_RED, "small", 0)),
             _Var("X", within=lambda ctx, n, d: [s.x for s in _sequences_in(n)])),
-           lambda n, m, x, d: cyclic.is_reduced_wrt(m, x, d)),
+           _in_class_of(_RED, 1)),
     _Claim("closure-quot", "quotients stay coreduced relative to M",
-           (_Var("N", _quotient_sources),
-            _Var("M", within=_relative("small", lambda n, m, d: cyclic.is_coreduced_wrt(m, n, d))),
+           (_Var("N", lambda ctx, d: ctx.finite_small + tuple(n for n in ctx.forms if n.free_rank)),
+            _Var("M", within=_classed(_COR, "small", 0)),
             _Var("Q", within=_quotients)),
-           lambda n, m, q, d: cyclic.is_coreduced_wrt(m, q, d)),
+           _in_class_of(_COR, 1)),
     *_mirrored(
         _extension_closure,
         (_RED, "extension-closure-R",
@@ -973,22 +992,20 @@ _REGISTRY: list[_Claim] = [
            (_M, _X),
            _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, x, d) == cyclic.is_reduced_wrt(m, cyclic.dual(x), d))),
     _Claim("dual-red-then-cor", "the dual of a module reduced relative to M is coreduced relative to M",
-           (_M, _Var("X", within=_relative("forms", cyclic.is_reduced_wrt))),
+           (_M, _Var("X", within=_classed(_RED))),
            _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, cyclic.dual(x), d))),
     *_mirrored(
-        partial(_dual, lambda s, m, n, d: (s.adic(m, n, d),)),
+        partial(_dual, lambda s, m, n, d: s.adic(m, n, d), cyclic.dual),
         (_RED, "gamma-dual", "dual of two-argument torsion equals two-argument completion of the dual"),
         (_COR, "lambda-dual", "dual of two-argument completion equals two-argument torsion of the dual"),
     ),
     _Claim("reflexive", "torsion and completion of a reflexive module in both classes are reflexive",
-           (_M, _Var("N", within=_relative("forms", lambda m, n, d: _cboth(m, n, d) and _reflexive(n)))),
-           lambda m, n, d: _reflexive(cyclic.torsion_wrt(m, n, d)) and _reflexive(cyclic.completion_wrt(m, n, d)),
+           (_M, _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_reduced_wrt(m, n, d)
+                                            and cyclic.is_coreduced_wrt(m, n, d) and _reflexive(n)))),
+           _each(lambda m, n, d: _reflexive(cyclic.torsion_wrt(m, n, d)) and _reflexive(cyclic.completion_wrt(m, n, d))),
            rings="modular"),
-    # P is coreduced relative to M, so its completion, P's let value, exists
     _Claim("gm-adjunction", "Hom(completion(M,P), N) matches Hom(P, torsion(M,N)) on the two classes",
-           (_M, _Var("N", within=_relative("forms", cyclic.is_reduced_wrt), let=cyclic.torsion_wrt),
-            _Var("P", within=_relative("forms", cyclic.is_coreduced_wrt), let=cyclic.completion_wrt)),
-           lambda m, n, p, d, gamma_n, lambda_p: cyclic.hom(lambda_p, n) == cyclic.hom(p, gamma_n)),
+           (_M, _Var("N", within=_classed(_RED)), _Var("P", within=_classed(_COR))), _gm_adjunction),
     *_mirrored(
         _exactness,
         (_RED, "gamma-left-exact", "two-argument torsion preserves kernels on in-class short exact sequences"),
@@ -1012,12 +1029,12 @@ _REGISTRY: list[_Claim] = [
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
            (_COREDUCED_M,
             _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
-           lambda m, n, d: _collapsed(_COR, m, n, d) == _collapsed(_COR, n, m, d),
+           _each(lambda m, n, d: _collapsed(_COR, m, n, d) == _collapsed(_COR, n, m, d)),
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",
-           (_M, _Var("N", "finite")), _finiteness),
+           (_M, _Var("N", "finite")), _each(_finiteness)),
     *_mirrored(
-        partial(_dual, _collapsed),
+        partial(_dual, _collapsed, lambda h: tuple(map(cyclic.dual, h))),
         (_COR, "glh-glc-dual", "dual of local homology equals local cohomology of the dual"),
         (_RED, "glc-glh-dual", "local homology of the dual equals the dual of local cohomology"),
     ),
@@ -1045,10 +1062,9 @@ def registered_claims() -> list[str]:
 
 
 def claim_expectation(claim_id: str, grid: GridSpec | None = None) -> str:
-    """The verdict a claim is expected to reach on `grid`.  Without a grid it
-    is the claim's declared default, which the per-grid answer overrides for
-    `extension-closure-*` (pass on von Neumann regular rings) and for the
-    fast-path claims (which follow the ring and, over Z, the free rank)."""
+    """The verdict a claim is expected to reach on `grid`, or without a grid
+    its declared default, which `extension-closure-*` (von Neumann regular
+    rings) and the fast-path claims (the ring and free rank) override."""
     if claim_id not in _BY_ID:
         raise UnknownClaim(claim_id)
     if grid is None:
@@ -1077,12 +1093,10 @@ def check_claim(claim_id: str, grid: GridSpec, ctx: _Ctx | None = None) -> Claim
 
 def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = None) -> SuiteReport:
     """Evaluate claims over grids; reports come back sorted and deterministic.
-    Each claim is checked on the grids it applies to.  A selection that
-    leaves nothing to check raises InvalidGrid, and so do two grids of one
-    name that differ in their forms, their ideals or an expected verdict,
-    whose reports no reader could tell apart.  Each grid's context is built
-    once, and every (claim, grid) job is checked through `check_claim` in
-    this process."""
+    Each claim is checked on the grids it applies to, through `check_claim`,
+    with one context per grid.  A selection that leaves nothing to check
+    raises InvalidGrid, and so do two grids of one name that differ in their
+    forms, their ideals or an expected verdict."""
     # a grid given twice, in any spelling, is checked once, as a repeated id is
     by_name: dict[str, tuple] = {}
     for grid in default_grids() if grids is None else grids:
@@ -1107,18 +1121,16 @@ def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = No
 def format_reports_text(suite: SuiteReport) -> str:
     lines = [f"note: {note}" for note in REPORT_NOTES]
     for r in suite.reports:
-        status = r.verdict.upper()
         flag = ""
         if not r.as_expected:
             flag = " (UNEXPECTED)"
         elif r.expected == "fail":
             flag = " (expected failure)"
         lines.append(
-            f"{status:<8}{r.claim_id} [{r.grid}] checked={r.instances_checked}"
+            f"{r.verdict.upper():<8}{r.claim_id} [{r.grid}] checked={r.instances_checked}"
             f" skipped={r.skipped_count}{flag}"
         )
-        for ce in r.counterexamples:
-            lines.append(f"         counterexample: {ce}")
+        lines += [f"         counterexample: {ce}" for ce in r.counterexamples]
     bad = suite.unexpected()
     lines.append(
         f"summary: {len(suite.reports)} reports, "
@@ -1132,7 +1144,5 @@ def format_reports_jsonl(suite: SuiteReport) -> str:
 
     lines = [json.dumps({"notes": list(REPORT_NOTES)})]
     lines += [json.dumps(r.to_dict()) for r in suite.reports]
-    lines.append(
-        json.dumps({"summary": {"reports": len(suite.reports), "all_expected": suite.all_expected}})
-    )
+    lines.append(json.dumps({"summary": {"reports": len(suite.reports), "all_expected": suite.all_expected}}))
     return "\n".join(lines) + "\n"

@@ -2,13 +2,16 @@
 
 These are the bodies `fgmod.verify` used before its exactness claims asked
 their kernels and images as submodules of the ambient modules, before they
-induced their maps on cyclic summands, and before they answered by orders.  They stay here as the
-differential reference for those claims: the maps of each sequence come
-from the presentation route (`ses_maps`, `functors.hom_postcompose` and
-`tensor_postcompose`), the checks work along the ideal (d) itself, present
-the torsion submodules (and every term of the completed sequence) as
-modules of their own, re-express each map in the generators of its target,
-certify every map they build, and read kernels and images there.
+induced their maps on cyclic summands, and before they answered by orders.
+They stay here as the differential reference for those claims: the maps of
+each sequence come from the presentation route (`ses_maps`,
+`functors.hom_postcompose` and `tensor_postcompose`), the checks work along
+the ideal (d) itself, present the torsion submodules (and every term of the
+completed sequence) as modules of their own, re-express each map in the
+generators of its target, certify every map they build, and read kernels
+and images there.  `exact_on_whole_q` is the order route as it was before
+the claims decided it per cyclic summand of the stable quotient Q: on the
+maps induced on all of Q.
 
 Run as a script, it compares the claims with this reference on the named
 default grids and exits 1 on a mismatch:
@@ -16,6 +19,7 @@ default grids and exits 1 on a mismatch:
     PYTHONPATH=src python tests/exactness_reference.py Z
 """
 
+import math
 import sys
 from functools import lru_cache
 
@@ -102,6 +106,16 @@ def lambda_exact_by_quotients(ti: ModuleMap, tp: ModuleMap, a: Ideal):
     return surjective and exact_mid or (False, f"surjective={surjective}, exact={exact_mid}")
 
 
+def exact_on_whole_q(side, seq, q):
+    """True, or (False, note), for the pair the sequence induces on the whole
+    stable quotient Q, decided by the orders of its two images."""
+    first, second = side.postcompose(q, seq.x, seq.y, seq.incl), side.postcompose(q, seq.y, seq.z, seq.proj)
+    image, onto = verify._span_order(first), verify._span_order(second)
+    at_end = image == math.prod(first[0]) if side.end == "injective" else onto == math.prod(second[1])
+    exact_mid = math.prod(first[1]) == onto * image
+    return at_end and exact_mid or (False, f"{side.end}={at_end}, exact={exact_mid}")
+
+
 CHECKS = (
     ("gamma-left-exact", hom_postcompose, gamma_exact_by_restriction),
     ("lambda-right-exact", tensor_postcompose, lambda_exact_by_quotients),
@@ -110,17 +124,16 @@ CHECKS = (
 
 def walk_listing(loops, check, ctx, walk=None) -> list:
     """(values, result) of every instance a walker, `verify._walk` unless
-    `walk` is given, checks, in walk order; the values are the check's
-    arguments, which end with the ideal's generator d and then the values
-    the claim's variables let it reuse.  A domain's skip checks no
-    instance, so it is not listed; the exactness claims' domains never
-    skip."""
+    `walk` is given, checks with the row check `check`, in walk order; the
+    values are the instance's, ending with the ideal's generator d.  A
+    domain's skip checks no instance, so it is not listed; the exactness
+    claims' domains never skip."""
     listing = []
 
-    def listed(*values):
-        result = check(*values)
-        listing.append((values, result))
-        return result
+    def listed(ctx, bound, xs, d):
+        results = check(ctx, bound, xs, d)
+        listing.extend(((*bound, x, d), result) for x, result in zip(xs, results, strict=True))
+        return results
 
     (walk or verify._walk)(loops, listed, ctx, verify._Tally(loops))
     return listing
@@ -140,7 +153,7 @@ def reference_comparisons(grids):
 
         for grid in grids:
             ctx = verify._make_ctx(grid)
-            walked = walk_listing(cdef.loops, check, ctx)
+            walked = walk_listing(cdef.loops, verify._each(check), ctx)
             claimed = walk_listing(cdef.loops, cdef.check, ctx)
             for (values, got), (want_values, want) in zip(claimed, walked, strict=True):
                 assert values == want_values, (claim_id, grid.label, values, want_values)

@@ -21,24 +21,30 @@ grid comparisons alone would not show it.  The claims must report what the
 restricted-map route of `exactness_reference` gives along the ideal (d) on
 the maps of the presentation route on M itself: on every instance of the
 small golden grid and of the three default grids, and on seeded random
-sequences of finite modules over Z, Z/6 and Z/8, with `verify._exact` on
-the maps induced on Q.  The random cases also
-scale the inclusion or the projection by k, complexes that need not be exact,
-so the failing branches and their notes are compared too.  The checks
+sequences of finite modules over Z, Z/6 and Z/8.  The random cases also
+scale the inclusion or the projection by k, complexes that need not be
+exact, so the failing branches and their notes are compared too.  The checks
 compare orders, which decides exactness only on a complex: every induced
 pair on Q that the claims walk on the default grids must compose to 0.  A
 suite run on the small grid must build no `ModuleMap`, trusted or certified.
 
 Over Z and Z/n, the torsion submodule along (d) of a module killed by E is
 the kernel of c = gcd(d^K, E) for K >= log2 E, and the stable quotient is
-N/cN; that is tested here on seeded random finite modules killed by E.  The
-harness checks each (sequence, Q) once and builds its two maps once; the
-memoized claims must yield the same (values, result) pairs as the walk that
-checks every instance.
+N/cN; that is tested here on seeded random finite modules killed by E.
+
+The induced maps are block diagonal over the cyclic summands of Q, so the
+harness decides the pair once per (sequence, summand order) and builds its
+two maps there, and none for Q = 0.  On every (side, sequence, Q) the
+default grids reach, and on those pairs with the inclusion or projection
+scaled, the decision and its note must be those of the order route on all
+of Q (`exactness_reference.exact_on_whole_q`), and the memoized claims must
+yield the same (values, result) pairs as the walk that checks every
+instance on that route.
 """
 
 import json
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -50,6 +56,7 @@ from exactness_reference import (
     lambda_exact_by_quotients,
     reference_comparisons,
     sequence_submodule,
+    exact_on_whole_q,
     ses_maps,
     walk_listing,
 )
@@ -276,12 +283,12 @@ def test_exactness_checks_match_the_restriction_route_on_random_sequences(seed):
             ((k_incl, seq.proj), (scaled(incl, k), proj)),
             ((seq.incl, k_proj), (incl, scaled(proj, k))),
         ):
+            pair = seq._replace(incl=fi, proj=fp)
             for side, presented, reference in SIDES:
                 maps = [presented(M, f) for f in presented_pair]
                 for d in (0, 2, 3, 4):
                     q = stable_quotient(seq, m, d)
-                    first, second = side.postcompose(q, seq.x, seq.y, fi), side.postcompose(q, seq.y, seq.z, fp)
-                    got = outcome(verify._exact, side, first, second)
+                    got = outcome(verify._exact_on, side, pair, q)
                     assert got == outcome(reference, *maps, principal(ring, d)), (ring, m, seq, k, d)
                     outcomes[side].add(got)
     # the passing branch and both failing notes of each check ran
@@ -384,11 +391,14 @@ def test_torsion_and_completion_of_the_built_modules_are_read_on_q():
     assert cases == 29172
 
 
+EXACTNESS = [("gamma-left-exact", verify._RED), ("lambda-right-exact", verify._COR)]
+
+
 def induced(side, seq, q):
     return side.postcompose(q, seq.x, seq.y, seq.incl), side.postcompose(q, seq.y, seq.z, seq.proj)
 
 
-@pytest.mark.parametrize("claim_id, side", [("gamma-left-exact", verify._RED), ("lambda-right-exact", verify._COR)])
+@pytest.mark.parametrize("claim_id, side", EXACTNESS)
 def test_every_pair_the_claims_walk_is_a_complex(claim_id, side):
     # the checks compare orders, |ker| against |im|, which decides exactness
     # only where the image of the first map lies in the kernel of the second:
@@ -397,7 +407,7 @@ def test_every_pair_the_claims_walk_is_a_complex(claim_id, side):
     pairs = 0
     for grid in default_grids("Z", "Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
-        instances = walk_listing(cdef.loops, lambda *_: True, ctx)
+        instances = walk_listing(cdef.loops, verify._each(lambda *_: True), ctx)
         walked = dict.fromkeys((seq, stable_quotient(seq, m, d)) for (seq, m, d), _ in instances)
         for seq, q in walked:
             first, second = induced(side, seq, q)
@@ -410,55 +420,111 @@ def test_every_pair_the_claims_walk_is_a_complex(claim_id, side):
 
 def unmemoized(side):
     def check(seq, m, d):
-        return verify._exact(side, *induced(side, seq, stable_quotient(seq, m, d)))
+        return exact_on_whole_q(side, seq, stable_quotient(seq, m, d))
 
     return check
 
 
-@pytest.mark.parametrize("claim_id, side", [("gamma-left-exact", verify._RED), ("lambda-right-exact", verify._COR)])
+@pytest.mark.parametrize("claim_id, side", EXACTNESS)
 def test_memoized_exactness_yields_every_instance_of_the_unmemoized_walk(claim_id, side):
     cdef = verify._BY_ID[claim_id]
     for grid in small_grids() + default_grids("Z/6", "Z/8"):
         ctx = verify._make_ctx(grid)
         memoized = walk_listing(cdef.loops, cdef.check, ctx)
-        assert memoized == walk_listing(cdef.loops, unmemoized(side), ctx), grid.name()
+        assert memoized == walk_listing(cdef.loops, verify._each(unmemoized(side)), ctx), grid.name()
+
+
+def reached(claim_id, grids):
+    """The (sequence, Q) of every instance the claim walks on the grids."""
+    cdef = verify._BY_ID[claim_id]
+    pairs = {}
+    for grid in grids:
+        for (seq, m, d), _ in walk_listing(cdef.loops, verify._each(lambda *_: True), verify._make_ctx(grid)):
+            pairs[seq, stable_quotient(seq, m, d)] = None
+    return list(pairs)
+
+
+def scaled_pairs(seq, k):
+    # X --k·i--> Y --p--> Z and X --i--> Y --k·p--> Z are complexes too
+    return [seq._replace(incl=tuple(tuple(k * v for v in row) for row in seq.incl)),
+            seq._replace(proj=tuple(tuple(k * v for v in row) for row in seq.proj))]
+
+
+def test_per_summand_exactness_decides_as_the_whole_q_route_on_the_default_grids():
+    # every (side, sequence, Q) the default grids reach, where the claims
+    # hold, and the same pairs scaled by 2 and 3, where some fail, so that
+    # the notes are compared too
+    triples = [(side, seq, q) for claim_id, side in EXACTNESS
+               for seq, q in reached(claim_id, default_grids("Z", "Z/6", "Z/8"))]
+    assert len(triples) == 772
+    notes = set()
+    for side, seq, q in triples:
+        for pair in [seq] + scaled_pairs(seq, 2) + scaled_pairs(seq, 3):
+            got = verify._exact_on(side, pair, q)
+            assert got == exact_on_whole_q(side, pair, q), (side.end, pair, q)
+            notes.add(got)
+    assert notes == {True} | {(False, f"{end}={at_end}, exact=False") for end in ("injective", "surjective")
+                              for at_end in (True, False)}
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_per_summand_exactness_decides_as_the_whole_q_route_on_random_complexes(seed):
+    # any complex X -> Y -> Z of finite forms, not only a scaled sequence,
+    # read on a random Q of two summands: on some of them the answer on Q's
+    # larger summand alone differs from the answer on all of Q
+    rng = random.Random(seed)
+    differs = 0
+    for ring in (ZZ, RingSpec.mod(12)):
+        complexes = 0
+        while complexes < 150:
+            x, y, z = (random_form(rng, ring, finite=True) for _ in range(3))
+            q = cyclic._form(ring, [rng.choice((2, 3, 4, 6, 12)) for _ in range(2)])
+            F, G = random_map(rng, x, y), random_map(rng, y, z)
+            if any(sum(map(operator.mul, row, col)) % h for row, h in zip(G, z.torsion_factors) for col in zip(*F)):
+                continue
+            complexes += 1
+            seq = verify._Seq(y, x, z, F, G)
+            for side in (verify._RED, verify._COR):
+                got = verify._exact_on(side, seq, q)
+                assert got == exact_on_whole_q(side, seq, q), (ring, seq, q, side.end)
+                differs += got != exact_on_whole_q(side, seq, CanonicalForm(ring, q.torsion_factors[-1:], 0))
+    assert differs
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
-def test_the_memo_key_tells_apart_instances_whose_values_differ(side, monkeypatch):
+def test_the_memo_key_tells_apart_instances_whose_values_differ(side):
     # both claims hold, so their results cannot show a key that merges too
-    # much; this check's note shows the torsion (completion) of each term,
-    # read off the orders of the summand maps on Q in the memoized claim and
-    # along (d) on the presentation route in the walk
+    # much.  The probe side keeps each map it induces on a summand Z/o of Q
+    # for a key (sequence, o); summed over Q's summands, the orders of the
+    # maps under an instance's keys must give the torsion (completion) of
+    # each term, read along (d) on the presentation route
     def along_d(P, d):
         limit = adic.torsion if side is verify._RED else adic.completion
         return canonical_form(limit(P, principal(P.ring, d)).value)
 
-    def describe(forms):
-        return True, " ".join(str((C.torsion_factors, C.free_rank)) for C in forms)
+    built = {}
 
-    # a copy of the side is a new key of the memo, which then asks the probe
-    probe = side._replace()
-    monkeypatch.setattr(
-        verify, "_exact", lambda s, f, g: describe(canonical_form(diagonal(ZZ, h)) for h in (f[0], f[1], g[1]))
-    )
+    def kept(*args):
+        built[args] = side.postcompose(*args)
+        return built[args]
+
+    # a copy of the side is a new key of the memo, which then builds its maps
+    shape = verify._exactness(side._replace(postcompose=kept))
     presented = hom_postcompose if side is verify._RED else tensor_postcompose
-
-    def check(seq, m, d):
-        M = canonical_presentation(m)
-        f, g = (presented(M, h) for h in ses_maps(sequence_submodule(seq)))
-        return describe(along_d(P, d) for P in (f.source, f.target, g.target))
-
-    shape = verify._exactness(probe)
-    notes = set()
+    compared = 0
     for grid in small_grids():
-        ctx = verify._make_ctx(grid)
-        walked = walk_listing(shape["loops"], check, ctx)
-        memoized = walk_listing(shape["loops"], shape["check"], ctx)
-        for (values, result), want in zip(memoized, walked, strict=True):
-            assert (values, result) == want, (grid.name(), values)
-            notes.add(result[1])
-    assert len(notes) > 2
+        for (seq, m, d), result in walk_listing(shape["loops"], shape["check"], verify._make_ctx(grid)):
+            assert result is True
+            zs = [CanonicalForm(m.ring, (o,), 0) for o in stable_quotient(seq, m, d).torsion_factors]
+            f = [built[z, seq.x, seq.y, seq.incl] for z in zs]
+            g = [built[z, seq.y, seq.z, seq.proj] for z in zs]
+            # the sources of the first maps, their targets and the targets of the second
+            on_q = [cyclic._form(m.ring, [h for h_map in maps for h in h_map[t]]) for maps, t in ((f, 0), (f, 1), (g, 1))]
+            M = canonical_presentation(m)
+            want = [presented(M, h) for h in ses_maps(sequence_submodule(seq))]
+            assert on_q == [along_d(P, d) for P in (want[0].source, want[0].target, want[1].target)], (seq, m, d)
+            compared += 1
+    assert compared == 150 + 129 + 112
 
 
 def old_c(seq, m, d):
@@ -471,30 +537,30 @@ def old_c(seq, m, d):
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
-def test_exactness_checks_each_sequence_module_and_c_once(side, monkeypatch):
+def test_exactness_checks_each_sequence_module_and_c_once(side):
     calls = []
-    exact = verify._exact
 
     def counted(*args):
         calls.append(args)
-        return exact(*args)
+        return side.postcompose(*args)
 
     # a copy of the side is a new key of the memo, so every check is asked
-    monkeypatch.setattr(verify, "_exact", counted)
-    shape = verify._exactness(side._replace())
+    shape = verify._exactness(side._replace(postcompose=counted))
     instances = 0
-    triples, keys = set(), set()
+    triples, pairs, keys = set(), set(), set()
     for grid in small_grids():
         listing = walk_listing(shape["loops"], shape["check"], verify._make_ctx(grid))
         instances += len(listing)
         for (seq, m, d), _ in listing:
             q = stable_quotient(seq, m, d)
             triples.add((seq, m, old_c(seq, m, d), q))
-            keys.add((seq, q))
-    # Q = M/cM, so (sequence, M, c) fixes the key (sequence, Q): the 240
-    # distinct (sequence, M, c) share 114 checks, one per (sequence, Q)
+            pairs.add((seq, q))
+            keys.update((seq, o) for o in q.torsion_factors)
+    # Q = M/cM, so (sequence, M, c) fixes (sequence, Q): the 240 distinct
+    # (sequence, M, c) give 114 (sequence, Q), and their Q have 45 distinct
+    # (sequence, summand order), each decided once, on its two maps
     assert len({t[:3] for t in triples}) == len(triples) == 240
-    assert (instances, len(calls), len(keys)) == (150 + 129 + 112, 114, 114)
+    assert (instances, len(pairs), len(keys), len(calls)) == (150 + 129 + 112, 114, 45, 2 * 45)
 
 
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
@@ -514,13 +580,14 @@ def test_no_map_is_built_where_every_ideal_gives_c_1(side):
             q = stable_quotient(seq, m, d)
             # c = 1 exactly where Q = M/cM is the zero module
             assert (old_c(seq, m, d) == 1) == (q.torsion_factors == () and q.free_rank == 0), (seq, m, d)
-            keys.add((seq, q))
+            keys.update((seq, CanonicalForm(q.ring, (o,), 0)) for o in q.torsion_factors)
             qs.setdefault((seq, m), set()).add(q)
-    # the two maps once for each distinct (sequence, Q), Q = 0 included
-    want = [args for seq, q in keys for args in ((q, seq.x, seq.y, seq.incl), (q, seq.y, seq.z, seq.proj))]
+    # the two maps once for each distinct (sequence, summand Z/o of Q), and
+    # none on Q = 0, which has no summand
+    want = [args for seq, z in keys for args in ((z, seq.x, seq.y, seq.incl), (z, seq.y, seq.z, seq.proj))]
     assert Counter(built) == Counter(want)
+    assert all(len(args[0].torsion_factors) == 1 for args in built)
     # of the 178 (sequence, M) pairs the claim walks, 76 give c = 1 for every
-    # ideal: their only key is (sequence, 0), so no map on M is built for
-    # them, only the two maps on 0 that the sequence shares with other pairs
+    # ideal: their only Q is 0, so no map is built for them at all
     only_zero = [pair for pair, seen in qs.items() if all(q.free_rank == 0 and not q.torsion_factors for q in seen)]
     assert (len(only_zero), len(qs)) == (76, 178)

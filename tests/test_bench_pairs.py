@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -41,13 +42,34 @@ def test_the_summary_pairs_runs_by_workload_and_seed(bench_pairs):
             "parent_median": 102.0, "parent_quartiles": [100.5, 103.5],
             "change_median": 96.0, "change_quartiles": [94.5, 99.5],
             "change_lower_in_pairs": 4, "pairs": 5,
+            "change_over_parent_median": 0.95, "gain_rule_met": False,
         }},
         "v": {"op_p50_ms": {
             "parent_median": 5.0, "parent_quartiles": [5.0, 5.0],
             "change_median": 5.0, "change_quartiles": [5.0, 5.0],
             "change_lower_in_pairs": 0, "pairs": 1,
+            "change_over_parent_median": 1.0, "gain_rule_met": False,
         }},
     }
+
+
+@pytest.mark.parametrize("lower, drop, met", [
+    # lower in 9 of 10 pairs and a tie, by far more than the parent's spread
+    (9, 10.0, True),
+    # lower in 8, with two ties: a tie counts for neither side
+    (8, 10.0, False),
+    # lower in all 10, but by less than the parent's interquartile range
+    (10, 2.0, False),
+])
+def test_the_gain_rule_asks_nine_pairs_in_ten_and_a_drop_beyond_the_parents_spread(bench_pairs, lower, drop, met):
+    parent = [100.0, 98.0, 102.0, 100.0, 97.0, 103.0, 100.0, 99.0, 101.0, 100.0]
+    change = [p - drop for p in parent[:lower]] + parent[lower:]
+    runs = [run(side, "w", i, op_p50_ms=v) for i, pair in enumerate(zip(parent, change))
+            for side, v in zip(("parent", "change"), pair)]
+    entry = bench_pairs.summarize(runs, ["op_p50_ms"])[0]["w"]["op_p50_ms"]
+    assert entry["parent_quartiles"] == [98.75, 101.25] and entry["change_lower_in_pairs"] == lower
+    assert entry["gain_rule_met"] is met
+    assert entry["change_over_parent_median"] == round(statistics.median(c / p for p, c in zip(parent, change)), 4)
 
 
 def test_runs_with_wrong_output_are_counted_named_and_fail_the_script(bench_pairs, monkeypatch, tmp_path, capsys):

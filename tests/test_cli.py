@@ -180,7 +180,7 @@ def test_an_unexpected_verdict_is_flagged_and_exits_4(tmp_path, monkeypatch, cap
     # no claim gives an unexpected verdict on a committed grid, so one that
     # is expected to pass is made to fail everywhere
     claim = verify._BY_ID["gamma-hom-commute"]
-    monkeypatch.setitem(verify._BY_ID, claim.claim_id, claim._replace(check=lambda *values: False))
+    monkeypatch.setitem(verify._BY_ID, claim.claim_id, claim._replace(check=verify._each(lambda *values: False)))
     path = tmp_path / "z6.json"
     path.write_text(json.dumps([{"ring": "Z/6", "max_torsion_order": 6, "ideal_generators": [2]}]))
     argv = ("verify", "--grid", str(path), "--claims", claim.claim_id)

@@ -5,11 +5,13 @@ for as many forms as a verify suite builds; a completion that is not
 finitely generated is refused before any table is asked, with a fresh
 `NonStabilizing` each time; after a verify run no table of the value, module or
 harness layers has computed an entry twice (the functor and adic layers keep
-no tables).
+no tables), the form table and the per-summand exactness table included, and
+no row of a grid's context either.
 """
 
 import json
 import traceback
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,7 +46,8 @@ def test_completion_refuses_a_free_summand_afresh_and_memoizes_the_rest():
     mixed = CanonicalForm(ZZ, (23**5,), 1)
 
     def misses():
-        return sum(f.cache_info().misses for f in tables(cyclic))
+        # the form table is keyed on orders alone, which another test may have merged before
+        return sum(f.cache_info().misses for f in tables(cyclic) if f is not cyclic._merged)
 
     before = misses()
     raised = []
@@ -62,7 +65,26 @@ def test_completion_refuses_a_free_summand_afresh_and_memoizes_the_rest():
     assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
 
 
-def test_no_table_computes_an_entry_twice_on_the_small_grid():
+def test_no_table_computes_an_entry_twice_on_the_small_grid(monkeypatch):
+    # every row is computed by the rows of a grid's context in the run, once
+    # per key, and each of its values once: a claim that built a row of its
+    # own, or a second context for its grid, fails this
+    contexts, rows_of, values = [], {}, Counter()
+    make_ctx, rows_missing, row_missing = verify._make_ctx, verify._Rows.__missing__, verify._Row.__missing__
+
+    def built(rows, key):
+        row = rows_missing(rows, key)
+        rows_of[id(row)] = (id(rows), key)
+        values.update((id(row), x) for x in rows.forms if (id(row), x) not in values)
+        return row
+
+    def read(row, x):
+        values[id(row), x] += 1
+        return row_missing(row, x)
+
+    monkeypatch.setattr(verify, "_make_ctx", lambda grid: contexts.append(make_ctx(grid)) or contexts[-1])
+    monkeypatch.setattr(verify._Rows, "__missing__", built)
+    monkeypatch.setattr(verify._Row, "__missing__", read)
     fgmod.clear_caches()
     everything = tables(cyclic, modules, functors, adic, verify)
     grids = [verify.grid_from_dict(d) for d in json.loads(GRID.read_text())]
@@ -70,3 +92,10 @@ def test_no_table_computes_an_entry_twice_on_the_small_grid():
     for f in everything:
         info = f.cache_info()
         assert info.misses == info.currsize, (f.__qualname__, info)
+    # among them the form table, read far more often than it merges, and the
+    # exactness table, one entry per (side, sequence, summand order of Q)
+    merged = cyclic._merged.cache_info()
+    assert {cyclic._merged, verify._exact_on_summand} <= set(everything) and merged.hits > merged.misses > 100
+    assert len(values) > 1000 and max(values.values()) == 1
+    assert len(set(rows_of.values())) == len(rows_of)
+    assert {rows_of.get(row, (None,))[0] for row, _ in values} <= {id(ctx.rows) for ctx in contexts}

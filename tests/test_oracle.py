@@ -45,6 +45,15 @@ def test_hom_count_two_routes_agree():
         assert brute_hom_count(a, b) == brute_hom_count_by_enumeration(a, b)
 
 
+def test_both_hom_counts_refuse_a_free_part_of_either_module():
+    finite, free = [cf(), cf(2), cf(2, 4)], [cf(rank=1), cf(2, rank=1)]
+    pairs = [(a, b) for a in free for b in finite + free] + [(a, b) for a in finite for b in free]
+    for a, b in pairs:
+        for count in (brute_hom_count, brute_hom_count_by_enumeration):
+            with pytest.raises(InfiniteModule, match="hom counting needs finite modules"):
+                count(a, b)
+
+
 def test_invariant_factor_merging():
     assert invariant_factors_from_cyclic([]) == ()
     assert invariant_factors_from_cyclic([1, 1]) == ()

@@ -76,7 +76,7 @@ _FAIL_ONE_CLAIM = """
 import sys
 from fgmod import cli, verify
 claim = verify._BY_ID[sys.argv[1]]
-verify._BY_ID[claim.claim_id] = claim._replace(check=lambda *values: False)
+verify._BY_ID[claim.claim_id] = claim._replace(check=verify._each(lambda *values: False))
 del sys.argv[1]
 cli.run()
 """

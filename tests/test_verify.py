@@ -191,7 +191,7 @@ def test_vnr_vanish_names_the_last_failure_of_its_row(side, monkeypatch):
     ):
         graded = {z6: (z2,), z2: outer}
         monkeypatch.setattr(verify, "_collapsed", lambda s, m, n, d: graded[n])
-        assert check(z2, z6, 2) == result, outer
+        assert check(None, (z2,), [z6], 2) == [result], outer
 
 
 def test_module_whitelist():
@@ -336,7 +336,8 @@ def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
     # answers: above the innermost depth a domain holds 0 and 2 (it leaves
     # out 1), at it 0 to 4 and 6 (it leaves out 5), and a domain read under
     # a prefix that ends at 2 skips that prefix; the check skips at 4 and 6.
-    # The domain at depth 1 is relative to the first value.
+    # The domain at depth 1 is relative to the first value, and the check
+    # gets each innermost row at once.
     results = (True, False, (True, "t"), (False, "f"), (None, "s"), None, (None, "g"))
     kept = {
         1: (["i=1, a=({d})", "i=3, a=({d}) : f"], ["i=4, a=({d}) : s", "i=6, a=({d}) : g"]),
@@ -361,10 +362,10 @@ def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
 
         return verify._Var(name, within=domain) if depth == 1 else verify._Var(name, domain)
 
-    def check(*values_and_d):
-        return results[values_and_d[-2]]
+    def check(ctx, bound, xs, d):
+        return [results[x] for x in xs]
 
-    ctx = verify._Ctx(None, (5, 7), (), (), (), (), (), "", False)
+    ctx = verify._Ctx(None, (5, 7), (), (), (), (), (), "", False, verify._Rows(()))
     for depth, (counterexamples, skipped) in kept.items():
         loops = tuple(var(name, k, [0, 2]) for k, name in enumerate("ij"[: depth - 1]))
         loops += (var("ijk"[depth - 1], depth - 1, [0, 1, 2, 3, 4, 6]),)
@@ -395,10 +396,6 @@ def test_the_walker_counts_and_labels_every_kind_of_result_at_every_depth():
     assert read == [(i, d) for d in (5, 7) for i in (0, 1)]
     assert (tally.checked, tally.n_skipped) == (0, 12)
     assert tally.skipped[:3] == ["i=0, j=0, a=(5) : rel", "i=0, j=1, a=(5) : rel", "i=0, j=3, a=(5) : rel"]
-
-    # the walker's one refusal
-    with pytest.raises(ValueError, match="let needs a relative domain"):
-        verify._walk((verify._Var("i", lambda ctx, d: [0], let=check),), check, ctx, verify._Tally(()))
 
 
 def test_a_claim_is_checked_only_over_the_rings_it_applies_to():

@@ -1,14 +1,14 @@
 """The claim walker against the one-loop walker it replaced.
 
 `verify._walk` reads a domain relative to a claim's first variable once per
-(first value, d), computes the values a variable lets the check reuse with
-that domain, and maps the check over the innermost domain.  The reference
-walker below does none of that: every depth reads its domain under the full
-prefix, records the domain's skip of that prefix or descends or checks one
-instance at a time, and the let values are computed for each instance.  The
-two must check the same instances with the same results in the same order,
-and keep the same counts and samples.  Every result must be True, the one
-pass, or a counterexample or a skip.
+(first value, d) and calls a claim's row check once per prefix, with the
+whole innermost domain.  The reference walker below does neither: every
+depth reads its domain under the full prefix, records the domain's skip of
+that prefix or descends, and checks one instance at a time, as a row of one
+value under its full prefix.  The two must check the same instances with
+the same results in the same order, and keep the same counts and samples,
+on `verify_small` and on the benchmark's three grids.  Every result must be
+True, the one pass, or a counterexample or a skip.
 """
 
 import json
@@ -24,16 +24,19 @@ from fgmod.rings import RingSpec
 from exactness_reference import walk_listing
 
 GRID = Path(__file__).parent / "golden" / "verify_small_grid.json"
-# the Z grid of the benchmark's verify-reduced workload
-BENCH_Z = verify.GridSpec(RingSpec.integers(), 6, 1, (0, 2, 3, 4, 6), label="Z")
-GRIDS = [verify.grid_from_dict(g) for g in json.loads(GRID.read_text())] + [BENCH_Z]
+# the grids of the benchmark's verify-reduced workload
+BENCH = [
+    verify.GridSpec(RingSpec.integers(), 6, 1, (0, 2, 3, 4, 6), label="Z"),
+    verify.GridSpec(RingSpec.mod(6), 6, 0, (0, 1, 2, 3), label="Z/6"),
+    verify.GridSpec(RingSpec.mod(8), 16, 0, (0, 1, 2, 4), ("0", "Z/2", "Z/4", "Z/8", "Z/2 + Z/2"), label="Z/8"),
+]
+GRIDS = [verify.grid_from_dict(g) for g in json.loads(GRID.read_text())] + BENCH
 
 
 def one_loop_walk(loops, check, ctx, tally):
     """Each depth reads its domain under the values bound so far, a relative
     one included, and records a skip, (None, note), of those values; the
-    innermost depth checks each value, with d and the let values of every
-    variable, computed per instance."""
+    innermost depth checks each value on its own, as a row of one value."""
     last = len(loops) - 1
 
     def descend(bound, d):
@@ -50,8 +53,8 @@ def one_loop_walk(loops, check, ctx, tally):
             if len(values) <= last:
                 descend(values, d)
             else:
-                lets = [v.let(values[0], y, d) for v, y in zip(loops, values) if v.let is not None]
-                if (result := check(*values, d, *lets)) is True:
+                [result] = check(ctx, bound, (x,), d)
+                if result is True:
                     tally.checked += 1
                 else:
                     tally.record(values + (d,), result)
@@ -89,52 +92,59 @@ def test_the_walker_checks_every_instance_of_the_one_loop_walk(claim_id):
     assert walked
 
 
-def test_gm_adjunction_asks_each_relative_value_once_per_walk():
-    # P's predicate, coreduced relative to M, and P's let value, the
-    # completion of M (x) P, are each asked once per (M, P, d): a walk that
-    # asked the predicate again for each N would hit its table
+def test_gm_adjunction_asks_each_relative_value_once_per_walk(monkeypatch):
+    # P's predicate, coreduced relative to M, and the completion of M (x) P
+    # are each asked once per (M, P, d), and the torsion of Hom(M, N) once
+    # per (M, N, d), off the grid's rows: a walk that asked the predicate
+    # again for each N would hit its table
     cdef = verify._BY_ID["gm-adjunction"]
     asked = Counter()
 
-    def completion_wrt(m, p, d):
-        asked[m, p, d] += 1
-        return cyclic.completion_wrt(m, p, d)
+    def counted(f):
+        def value(m, x, d):
+            asked[f, m, x, d] += 1
+            return f(m, x, d)
 
-    loops = cdef.loops[:-1] + (cdef.loops[-1]._replace(let=completion_wrt),)
+        return value
+
+    for name in ("completion_wrt", "torsion_wrt"):
+        monkeypatch.setattr(cyclic, name, counted(getattr(cyclic, name)))
     for grid in GRIDS:
         fgmod.clear_caches()
         asked.clear()
-        verify._walk(loops, cdef.check, verify._make_ctx(grid), verify._Tally(loops))
+        verify._walk(cdef.loops, cdef.check, verify._make_ctx(grid), verify._Tally(cdef.loops))
         info = cyclic.is_coreduced_wrt.cache_info()
         assert info.misses and not info.hits, (grid.label, info)
-        assert asked and max(asked.values()) == 1, grid.label
+        assert len({key[0] for key in asked}) == 2 and max(asked.values()) == 1, grid.label
 
 
 def test_a_result_equal_to_true_is_counted_once():
     # 1 == True, but only True itself passes without a record; `record`
     # counts a truthy outcome as checked, so the walk must not count it too
     loops = (verify._Var("i", lambda ctx, d: range(3)),)
-    ctx = verify._Ctx(None, (5,), (), (), (), (), (), "", False)
+    ctx = verify._Ctx(None, (5,), (), (), (), (), (), "", False, verify._Rows(()))
     for results, counts in (((1, True, True), (3, 0)), ((1, False, True), (3, 1))):
         for walk in (verify._walk, one_loop_walk):
             tally = verify._Tally(loops)
-            walk(loops, lambda i, d: results[i], ctx, tally)
+            walk(loops, verify._each(lambda i, d: results[i]), ctx, tally)
             assert (tally.checked, tally.n_counter) == counts, (walk.__name__, results)
 
 
 @pytest.mark.parametrize("claim_id", ["inherit-reduced", "inherit-coreduced"])
 def test_inherit_reads_its_classical_value_once_per_degree_module_and_ideal(claim_id, monkeypatch):
-    # the classical value H(R, N) is the only caller of `_free_form`, for R;
-    # M's domain reads it under every (q, N, d), so a count equal to the
-    # number of those triples is one read each
-    asked = []
-    free_form = verify._free_form
-    monkeypatch.setattr(verify, "_free_form", lambda ring: asked.append(ring) or free_form(ring))
+    # M's domain reads the classical value H(R, N) under every (q, N, d) off
+    # one row per ideal, which computes it once per (N, d) for every degree
+    computed = Counter()
+    classical = verify._classical
+    monkeypatch.setattr(verify, "_classical", lambda s, n, d: computed.update([(n, d)]) or classical(s, n, d))
     cdef = verify._BY_ID[claim_id]
+    skipped = []
     for ctx in map(verify._make_ctx, GRIDS):
-        asked.clear()
+        computed.clear()
         tally = verify._Tally(cdef.loops)
         verify._walk(cdef.loops, cdef.check, ctx, tally)
-        assert len(asked) == len(verify._degrees(ctx.grid.ring)) * len(ctx.forms) * len(ctx.ideals), ctx.name
+        skipped += tally.skipped
+        assert computed == Counter({(n, d): 1 for n in ctx.forms for d in ctx.ideals}), ctx.name
+        assert sum(key[0] is verify._classical for key in ctx.rows) == len(ctx.ideals), ctx.name
     # the Z grid has (q, N, d) where the classical value is undefined
-    assert any(label.endswith("classical value undefined (chain)") for label in tally.skipped)
+    assert any(label.endswith("classical value undefined (chain)") for label in skipped)

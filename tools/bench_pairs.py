@@ -14,9 +14,12 @@ pairs.  Pair i of the w-th workload uses seed `seed0 + w * pairs + i` on
 both sides and runs the parent first when i is even, the change first when
 i is odd.  The output JSON holds, per workload and metric, each side's
 median and exclusive quartiles, the number of pairs in which the change
-read lower, the failed operations of each side, the runs of each side whose
-output was wrong, and every run.  The script exits 1 when any run's output
-was wrong, after writing the file and naming those runs on stderr.
+read lower, the median over pairs of change / parent, and whether the gain
+rule holds (see `gain_rule_met`); then the failed operations of each side,
+the runs of each side whose output was wrong, and every run.  The script
+exits 1 when any run's output was wrong, after writing the file and naming
+those runs on stderr.  Every end-to-end metric of the benchmark is better
+lower.
 """
 
 from __future__ import annotations
@@ -58,15 +61,28 @@ def summarize(runs: list[dict], metrics: list[str]) -> tuple[dict, dict]:
             if not got:
                 continue
             parent, change = zip(*got)
-            summary.setdefault(workload, {})[metric] = {
+            ratio = statistics.median(c / p for p, c in got) if all(parent) else None
+            entry = {
                 "parent_median": round(statistics.median(parent), 4),
                 "parent_quartiles": quartiles(parent),
                 "change_median": round(statistics.median(change), 4),
                 "change_quartiles": quartiles(change),
                 "change_lower_in_pairs": sum(c < p for p, c in got),
                 "pairs": len(got),
+                "change_over_parent_median": None if ratio is None else round(ratio, 4),
             }
+            entry["gain_rule_met"] = gain_rule_met(entry)
+            summary.setdefault(workload, {})[metric] = entry
     return summary, failed
+
+
+def gain_rule_met(entry: dict) -> bool:
+    """Whether a summary entry shows a gain: the change read lower in at
+    least nine pairs in ten (a tie counts for neither side), and its median
+    is below the parent's by more than the parent's interquartile range."""
+    q1, q3 = entry["parent_quartiles"]
+    nine_in_ten = 10 * entry["change_lower_in_pairs"] >= 9 * entry["pairs"]
+    return nine_in_ten and entry["parent_median"] - entry["change_median"] > q3 - q1
 
 
 def wrong_output(runs: list[dict]) -> tuple[dict, list[str]]:
