@@ -4,9 +4,12 @@ Module arguments use the expression grammar from `fgmod.grammar`; canonical
 forms are printed in the same grammar so every output re-parses.  Every
 subcommand but `verify` asks a value question: each operand is brought to
 its canonical form once and `fgmod.cyclic` reads the answer off the
-invariant factors.  Each value subcommand is one row of `_VALUES` and each
-`check` predicate one row of `_PREDICATES`; both the parser and `main`'s
-one dispatch path are driven by these tables.  Exit codes:
+invariant factors.  Each value subcommand is one row of `_VALUES`, each
+`check` predicate one row of `_PREDICATES` and each option one row of
+`_OPTIONS` or `_VERIFY_OPTIONS`; the reader of command lines, the parser
+and `main`'s one dispatch path are driven by these tables.  A well-formed
+command line is read off them directly; `argparse` is loaded only for the
+lines the reader declines, to print help or a usage error.  Exit codes:
 0 success (or all claim verdicts as expected), 2 usage error, 3 a limit is
 not finitely generated, 4 unexpected claim verdict.
 
@@ -17,9 +20,9 @@ side effects, for callers that stay in the interpreter.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
+from types import SimpleNamespace
 
 from . import cyclic
 from .errors import FgmodError, InvalidGrid, NonStabilizing
@@ -30,19 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONSTABILIZING = 3
 EXIT_UNEXPECTED_CLAIM = 4
-
-
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", default="Z", help="base ring: Z or Z/<n> (default Z)")
-    common.add_argument("--ideal", default=None, help="ideal generators, comma separated")
-    common.add_argument(
-        "--format",
-        choices=("text", "json-lines"),
-        default="text",
-        help="output format (default text)",
-    )
-    return common
 
 
 # The value subcommands, in help order: name -> (the `fgmod.cyclic` function
@@ -74,43 +64,121 @@ _PREDICATES = {
 _COMMANDS = (*_VALUES, "check", "verify")
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or with `command` the parser of that subcommand
-    alone: its subparser is built as in the full one, and the usage line
-    names every subcommand, so it prints what the full parser prints on
-    every command line that starts with `command`."""
-    common = _common_options()
+# The options every subcommand takes: flag -> (default, choices, help line).
+_OPTIONS = {
+    "--ring": ("Z", None, "base ring: Z or Z/<n> (default Z)"),
+    "--ideal": (None, None, "ideal generators, comma separated"),
+    "--format": ("text", ("text", "json-lines"), "output format (default text)"),
+}
+# verify's options; a default of False makes a flag.  None marks --ring as
+# not given there, which a claims run requires.
+_VERIFY_OPTIONS = {
+    **_OPTIONS,
+    "--ring": (None, *_OPTIONS["--ring"][1:]),
+    "--claims": (None, None, "comma-separated claim ids (default: all)"),
+    "--grid": (None, None, "JSON grid file (default: built-in grids)"),
+    "--list-claims": (False, None, "list claim ids and exit"),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the full parser builds from `argv`, read off the command
+    tables, or None for any line the parser might read otherwise: help, a
+    usage error, or a form this reader does not take (an abbreviated option,
+    `--opt=value`, `--`, a value or operand that starts with `-`).
+
+    Options are the exact flags of the subcommand, each value option with
+    the next token as its value, anywhere among the operands; a repeated
+    option keeps its last value.  A value subcommand takes exactly its
+    degree and operands, `check` a predicate and then its modules with no
+    option between two of them, and `verify` no operand.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    if command in _VALUES:
+        _, operands, _, degree, _ = _VALUES[command]
+        names = ("degree",) * degree + operands
+    else:
+        names = ("predicate", "modules") if command == "check" else ()
+    options = _VERIFY_OPTIONS if command == "verify" else _OPTIONS
+    args = {"command": command, **{_dest(flag): default for flag, (default, _, _) in options.items()}}
+    given = []
+    after_option = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            # argparse ends `check`'s modules at the first option after them
+            if command == "check" and len(given) >= 2 and after_option:
+                return None
+            given.append(token)
+            after_option = False
+            continue
+        if token not in options:
+            return None
+        default, choices, _ = options[token]
+        if default is False:
+            value = True
+        else:
+            value = next(tokens, "-")  # a missing value declines like one that starts with "-"
+            if value.startswith("-") or choices and value not in choices:
+                return None
+        args[_dest(token)] = value
+        after_option = True
+    if command == "check":
+        if len(given) < 2 or given[0] not in _PREDICATES:
+            return None
+        given = [given[0], given[1:]]
+    if len(given) != len(names):
+        return None
+    args.update(zip(names, given))
+    if "degree" in args:
+        try:
+            args["degree"] = int(args["degree"])
+        except ValueError:
+            return None
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The full parser, the one source of every help text and usage error.
+
+    `main` builds it only for a command line `_read` declines, so only those
+    load `argparse`."""
+    import argparse
+
+    def with_options(parser, options):
+        for flag, (default, choices, summary) in options.items():
+            if default is False:
+                parser.add_argument(flag, action="store_true", help=summary)
+            else:
+                parser.add_argument(flag, default=default, choices=choices, help=summary)
+        return parser
+
     p = argparse.ArgumentParser(
         prog="fgmod",
         description="exact computations with finitely generated modules over Z and Z/n",
         epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = p.add_subparsers(dest="command", required=True)
 
     for name, (_, operands, _, degree, summary) in _VALUES.items():
-        if command in (None, name):
-            sp = sub.add_parser(name, parents=[common], help=summary)
-            if degree:
-                sp.add_argument("degree", type=int)
-            for operand in operands:
-                sp.add_argument(operand)
+        sp = with_options(sub.add_parser(name, help=summary), _OPTIONS)
+        if degree:
+            sp.add_argument("degree", type=int)
+        for operand in operands:
+            sp.add_argument(operand)
 
-    if command in (None, "check"):
-        chk = sub.add_parser("check", parents=[common], help="membership predicates")
-        chk.add_argument("predicate", choices=tuple(_PREDICATES))
-        chk.add_argument("modules", nargs="+")
+    chk = with_options(sub.add_parser("check", help="membership predicates"), _OPTIONS)
+    chk.add_argument("predicate", choices=tuple(_PREDICATES))
+    chk.add_argument("modules", nargs="+")
 
-    if command in (None, "verify"):
-        # its own copy of the options: parents share their actions, and None
-        # marks --ring as not given, which a claims run requires
-        ver = sub.add_parser("verify", parents=[_common_options()], help="run the claim verification suite")
-        ver.add_argument("--claims", default=None, help="comma-separated claim ids (default: all)")
-        ver.add_argument("--grid", default=None, help="JSON grid file (default: built-in grids)")
-        ver.add_argument("--list-claims", action="store_true", help="list claim ids and exit")
-        ver.set_defaults(ring=None)
-
+    with_options(sub.add_parser("verify", help="run the claim verification suite"), _VERIFY_OPTIONS)
     return p
 
 
@@ -168,11 +236,15 @@ def _verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line and return its exit code."""
+    """Run one command line and return its exit code.
+
+    A well-formed line is read off the command tables by `_read`; any other
+    goes to the full parser, which prints help or a usage error and raises
+    `SystemExit` as argparse does."""
     argv = sys.argv[1:] if argv is None else argv
-    # only the named subcommand's parser; the full one for --help, a missing
-    # or an unknown subcommand, whose messages list every subcommand
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         cmd = args.command
         if cmd == "verify":

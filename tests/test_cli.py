@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fgmod
 from fgmod import cli, verify
 from fgmod.cli import main
 from fgmod.grammar import GRAMMAR_HELP, MAX_GENERATORS
-from test_cli_golden import COMMANDS
+from test_cli_golden import COMMANDS, CORPUS
 
 
 def run(capsys, *argv):
@@ -463,39 +466,127 @@ def parsed(capsys, argv):
     return stop.value.code, out.out, out.err
 
 
-@pytest.mark.parametrize("command", cli._COMMANDS)
-def test_the_subcommand_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, command):
-    # help, a missing operand or option value, a bad --format, and operands
-    # or an option the subcommand does not take (an error the top-level
-    # parser prints, under its usage line)
-    cases = [
+def full_parse(parser, argv):
+    """vars() of `parser`'s namespace for `argv`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_read_as_parsed(parser, argv):
+    """The reader gives the full parser's namespace or declines, and declines
+    wherever the parser exits.  It reads every line the parser reads whose
+    dash tokens are exact option names, so it is not declining everything."""
+    read = cli._read(list(argv))
+    want = full_parse(parser, argv)
+    assert read is None or vars(read) == want, argv
+    if want is not None and all(not t.startswith("-") or t in cli._VERIFY_OPTIONS for t in argv):
+        assert read is not None, argv
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli._build_parser()
+
+
+def usage_cases(command):
+    """Help, a missing operand or option value, a bad --format, operands or
+    an option the subcommand does not take, and an option between two of
+    `check`'s modules."""
+    return [
         [command, "--help"],
         [command, "-h"],
         [command] if command != "verify" else [command, "--grid"],
         [command, "--format", "xml", "1"],
         [command, "1", "1", "1", "1"],
         [command, "reduced" if command == "check" else "1", "1", "1", "--no-such-option"],
+        [command, "reduced", "1", "--ideal", "2", "1"],
     ]
-    built = []
-    reduced = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or reduced(command))
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_the_subcommand_parser_prints_what_the_full_parser_prints(parser, capsys, command):
+    # there is one parser: the reader declines each subcommand's help and
+    # usage errors, so `main` prints and exits as the full parser does
+    cases = usage_cases(command)
+    assert [cli._read(argv) for argv in cases] == [None] * len(cases)
     got = [parsed(capsys, argv) for argv in cases]
-    assert built == [command] * len(cases)
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: reduced())
-    want = [parsed(capsys, argv) for argv in cases]
+    want = []
+    for argv in cases:
+        with pytest.raises(SystemExit) as stop:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        want.append((stop.value.code, out.out, out.err))
     assert got == want
     assert all(code in (0, 2) for code, _, _ in got)
     assert any("unrecognized arguments" in err for _, _, err in got), command
 
 
-def test_a_missing_or_unknown_subcommand_gets_the_full_parser(monkeypatch, capsys):
-    built = []
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or full(command))
+def test_the_reader_reads_every_corpus_line_as_the_parser_does(parser):
+    for line in CORPUS.read_text().splitlines():
+        assert_read_as_parsed(parser, json.loads(line)["argv"])
+
+
+# A token group: one token, an option with or without its value, or a form
+# the reader leaves to argparse.
+OPTION_NAMES = [*cli._VERIFY_OPTIONS, "--ri", "--for", "--list", "--cl", "-h", "--help", "--no-such-option"]
+VALUES = ["Z", "Z/6", "Z/2 + Z/4", "2", "2,3", "text", "json-lines", "xml", "", "-1", "-", "--"]
+WORDS = [*cli._COMMANDS, *cli._PREDICATES, "nosuch", "Z/4", "Z", "0", "1", "3", "-1", "-2", "x", "-", "--", "-h"]
+token_groups = st.one_of(
+    st.sampled_from(WORDS).map(lambda t: [t]),
+    st.sampled_from(OPTION_NAMES).map(lambda t: [t]),
+    st.tuples(st.sampled_from(OPTION_NAMES), st.sampled_from(VALUES)).map(list),
+    st.tuples(st.sampled_from(OPTION_NAMES), st.sampled_from(VALUES)).map(lambda t: ["=".join(t)]),
+)
+
+
+@st.composite
+def command_lines(draw):
+    body = draw(st.lists(token_groups, max_size=7))
+    head = [draw(st.sampled_from((*cli._COMMANDS, "nosuch")))] if draw(st.integers(0, 5)) else []
+    return head + [t for group in body for t in group]
+
+
+@st.composite
+def interleaved_lines(draw):
+    # a subcommand's operands, one more or one fewer at times, with option
+    # groups anywhere among them: between `check`'s modules too
+    command = draw(st.sampled_from((*cli._COMMANDS, *["check"] * 4)))
+    if command in cli._VALUES:
+        _, operands, _, degree, _ = cli._VALUES[command]
+        groups = [[draw(st.sampled_from(["0", "1", "2", "-1", "x"]))]] * degree + [["Z/4"]] * len(operands)
+    elif command == "check":
+        groups = [[draw(st.sampled_from([*cli._PREDICATES, "nosuch"]))]] + [["Z/4"]] * draw(st.integers(1, 3))
+    else:
+        groups = []
+    if not draw(st.integers(0, 3)):
+        groups = groups[:-1] if draw(st.booleans()) else groups + [["Z/2"]]
+    options = cli._VERIFY_OPTIONS if command == "verify" else cli._OPTIONS
+    for _ in range(draw(st.integers(0, 4))):
+        # mostly the subcommand's own options, so that many lines are read
+        if draw(st.integers(0, 3)):
+            flag = draw(st.sampled_from(list(options)))
+            default, choices, _ = options[flag]
+            group = [flag] if default is False else [flag, draw(st.sampled_from([*(choices or ["2", "Z/6"]), "xml"]))]
+        else:
+            group = draw(token_groups.filter(lambda g: g[0][0] == "-"))
+        groups.insert(draw(st.integers(0, len(groups))), group)
+    return [command] + [t for group in groups for t in group]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(command_lines(), interleaved_lines()))
+def test_the_reader_reads_generated_lines_as_the_parser_does_or_declines(parser, argv):
+    assert_read_as_parsed(parser, argv)
+
+
+def test_a_missing_or_unknown_subcommand_gets_the_full_parser(capsys):
     for argv in ([], ["--help"], ["nosuch", "Z"], ["--ring", "Z", "canon", "Z"]):
+        assert cli._read(argv) is None, argv
         code, out, err = parsed(capsys, argv)
         assert code == (0 if argv == ["--help"] else 2), argv
-    assert built == [None] * 4
     # the full help and the unknown-name error list every subcommand
     full_help = parsed(capsys, ["--help"])[1]
     assert all(f"\n    {name} " in full_help for name in cli._COMMANDS)

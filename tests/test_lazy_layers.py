@@ -5,7 +5,8 @@ The package registers the matrix route (`linalg`, `modules`, `functors`,
 expressions straight to canonical forms, so a query runs none of those
 modules and never imports `dataclasses`.  A query on sums of cyclic atoms
 does not import `elimination` either; a `coker` atom reads its invariant
-factors off `elimination` alone.  Module dicts are read with
+factors off `elimination` alone.  No query loads `argparse`: only help and
+usage errors build the parser.  Module dicts are read with
 `object.__getattribute__`, which does not trigger a load; a module whose
 body has run has `__builtins__` in its dict.
 
@@ -14,7 +15,10 @@ tests load every module into this one.  Every name the package re-exports
 and every name in a module's `__all__` must resolve.
 """
 
+import pytest
 from fresh_interpreter import python
+
+from fgmod.cli import main
 
 LAZY = ("linalg", "modules", "functors", "adic", "cohomology", "verify")
 
@@ -37,7 +41,7 @@ def _query(*argv: str) -> list[str]:
     return _stdout_lines(
         RAN + "from fgmod.cli import main\n"
         f"code = main({list(argv)!r})\n"
-        "print(code, ran(), 'dataclasses' in sys.modules)\n"
+        "print(code, ran(), 'dataclasses' in sys.modules, 'argparse' in sys.modules)\n"
     )
 
 
@@ -49,7 +53,7 @@ def test_queries_on_cyclic_atoms_run_no_lazy_module_and_no_dataclasses():
         ("check", "reduced-wrt", "--ideal", "2", "Z/4", "Z/8"): "false",
     }
     for argv, answer in queries.items():
-        assert _query(*argv) == [answer, "0 [] False"], argv
+        assert _query(*argv) == [answer, "0 [] False False"], argv
 
 
 def test_a_coker_atom_runs_no_lazy_module_and_no_dataclasses():
@@ -60,7 +64,22 @@ def test_a_coker_atom_runs_no_lazy_module_and_no_dataclasses():
         ("check", "reduced-wrt", "--ideal", "2", "Z/4", "coker[[-2,12],[6,8]] + coker[]"): "false",
     }
     for argv, answer in queries.items():
-        assert _query(*argv) == [answer, "0 [] False"], argv
+        assert _query(*argv) == [answer, "0 [] False False"], argv
+
+
+def test_only_help_and_usage_errors_load_argparse(capsys):
+    # the program prints what `main` prints in process; `-X importtime` adds
+    # a line to stderr for each module the process imports
+    for argv in (["hom", "--help"], ["hom", "--no-such-option"]):
+        proc = python("-X", "importtime", "-m", "fgmod.cli", *argv)
+        lines = proc.stderr.splitlines(keepends=True)
+        imported = [line.split("|")[-1].strip() for line in lines if line.startswith("import time:")]
+        err = "".join(line for line in lines if not line.startswith("import time:"))
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, err) == (stop.value.code, out.out, out.err), argv
+        assert "argparse" in imported and proc.returncode in (0, 2), argv
 
 
 def test_only_a_coker_atom_imports_elimination():

@@ -109,7 +109,8 @@ def test_clear_caches_empties_every_table_without_loading_the_harness():
 def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
     # the harness reads its Smith forms off fgmod.elimination and its records
     # are hand-written classes; only enumerate_modules, which returns
-    # presentations, loads fgmod.modules
+    # presentations, loads fgmod.modules; a well-formed verify line is read
+    # without the parser
     proc = python(
         "-c",
         "import contextlib, io, sys\n"
@@ -117,7 +118,8 @@ def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
         "def ran(name):\n"
         "    return '__builtins__' in object.__getattribute__(sys.modules[name], '__dict__')\n"
         "def loaded():\n"
-        "    return [ran('fgmod.verify'), ran('fgmod.linalg'), ran('fgmod.modules'), 'dataclasses' in sys.modules]\n"
+        "    return [ran('fgmod.verify'), ran('fgmod.linalg'), ran('fgmod.modules'), 'dataclasses' in sys.modules,\n"
+        "            'argparse' in sys.modules]\n"
         "for argv in (['verify', '--list-claims'], ['verify', '--grid', 'tests/golden/verify_small_grid.json']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
@@ -129,9 +131,9 @@ def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "0 True False False False",
-        "0 True False False False",
-        "9 True True True True True",
+        "0 True False False False False",
+        "0 True False False False False",
+        "9 True True True True True False",
     ]
 
 

@@ -8,18 +8,22 @@ bytecode or work directory left by an earlier run is read, and runs
 `python3 perfbench/run.py --workload W --seed s --seconds T --trace 0` there
 with `PYTHONDONTWRITEBYTECODE=1`.  This script only invokes the benchmark.
 
-The workloads, the run length T and the end-to-end metrics are
-BENCHMARK.json's.  The workloads run one after the other, each as `--pairs`
-pairs.  Pair i of the w-th workload uses seed `seed0 + w * pairs + i` on
-both sides and runs the parent first when i is even, the change first when
-i is odd.  The output JSON holds, per workload and metric, each side's
-median and exclusive quartiles, the number of pairs in which the change
-read lower, the median over pairs of change / parent, and whether the gain
-rule holds (see `gain_rule_met`); then the failed operations of each side,
-the runs of each side whose output was wrong, and every run.  The script
-exits 1 when any run's output was wrong, after writing the file and naming
-those runs on stderr.  Every end-to-end metric of the benchmark is better
-lower.
+The workloads, the run length T and the end-to-end metrics with their
+bounds are BENCHMARK.json's, which this script only reads.  The workloads
+run one after the other, each as `--pairs` pairs.  Pair i of the w-th
+workload uses seed `seed0 + w * pairs + i` on both sides and runs the
+parent first when i is even, the change first when i is odd.
+
+The output JSON holds, per workload and metric, each side's median and
+exclusive quartiles, the number of pairs in which the change read lower,
+the median over pairs of change / parent, whether the gain rule holds (see
+`gain_rule_met`), and the metric's bound with the no-regression rule read
+against it (see `regression_fields`); then the failed operations of each
+side, the runs of each side whose output was wrong, and every run, with
+the note line the benchmark prints before its result (tail percentile,
+failed fraction, raw timings and host factor).  The script exits 1 when
+any run's output was wrong, after writing the file and naming those runs
+on stderr.  Every end-to-end metric of the benchmark is better lower.
 """
 
 from __future__ import annotations
@@ -39,10 +43,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def summarize(runs: list[dict], metrics: list[str]) -> tuple[dict, dict]:
+def summarize(runs: list[dict], bounds: dict[str, float]) -> tuple[dict, dict]:
     """(summary, failed_ops) of runs, each {"side", "workload", "seed",
-    "result"} with the benchmark's result object.  Runs pair up by workload
-    and seed; a pair with either side missing a metric is left out of it."""
+    "result"} with the benchmark's result object, over the metrics named in
+    `bounds` (metric -> the bound by which it may worsen).  Runs pair up by
+    workload and seed; a pair with either side missing a metric is left out
+    of it."""
     by_pair: dict[tuple, dict] = {}
     failed: dict[str, dict] = {}
     for run in runs:
@@ -52,7 +58,7 @@ def summarize(runs: list[dict], metrics: list[str]) -> tuple[dict, dict]:
     summary: dict[str, dict] = {}
     for workload in failed:
         pairs = [p for (w, _), p in sorted(by_pair.items()) if w == workload and len(p) == 2]
-        for metric in metrics:
+        for metric, bound in bounds.items():
             got = [
                 (p["parent"]["metrics"][metric]["value"], p["change"]["metrics"][metric]["value"])
                 for p in pairs
@@ -72,6 +78,7 @@ def summarize(runs: list[dict], metrics: list[str]) -> tuple[dict, dict]:
                 "change_over_parent_median": None if ratio is None else round(ratio, 4),
             }
             entry["gain_rule_met"] = gain_rule_met(entry)
+            entry.update(regression_fields(parent, change, bound))
             summary.setdefault(workload, {})[metric] = entry
     return summary, failed
 
@@ -83,6 +90,28 @@ def gain_rule_met(entry: dict) -> bool:
     q1, q3 = entry["parent_quartiles"]
     nine_in_ten = 10 * entry["change_lower_in_pairs"] >= 9 * entry["pairs"]
     return nine_in_ten and entry["parent_median"] - entry["change_median"] > q3 - q1
+
+
+def regression_fields(parent, change, bound: float) -> dict:
+    """The no-regression rule for one metric: `within_bound` when the
+    change's median is at most the parent's times (1 + bound); `unresolved`
+    when the parent's interquartile range exceeds the bound times its median
+    and not every change run reads lower than every parent run, so that the
+    runs spread too widely to tell."""
+    parent_median = statistics.median(parent)
+    q1, q3 = quartiles(parent)
+    return {
+        "bound": bound,
+        "within_bound": statistics.median(change) <= parent_median * (1 + bound),
+        "unresolved": q3 - q1 > bound * parent_median and not max(change) < min(parent),
+    }
+
+
+def split_output(stdout: str) -> tuple[str | None, dict]:
+    """(note, result) of the benchmark's stdout: its last line is the result
+    object, and the line before it, when there is one, the note."""
+    lines = stdout.strip().splitlines()
+    return (lines[-2] if len(lines) > 1 else None), json.loads(lines[-1])
 
 
 def wrong_output(runs: list[dict]) -> tuple[dict, list[str]]:
@@ -112,8 +141,8 @@ def archive(commit: str) -> bytes:
     return subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def run_once(tar: bytes, workload: str, seed: int, seconds: int) -> dict:
-    """The benchmark's result object from one run on a fresh copy."""
+def run_once(tar: bytes, workload: str, seed: int, seconds: int) -> tuple[str | None, dict]:
+    """The benchmark's (note, result object) from one run on a fresh copy."""
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tree:
         with tarfile.open(fileobj=io.BytesIO(tar)) as files:
             files.extractall(tree, filter="data")
@@ -121,10 +150,9 @@ def run_once(tar: bytes, workload: str, seed: int, seconds: int) -> dict:
                "--seconds", str(seconds), "--trace", "0"]
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                               env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    lines = proc.stdout.strip().splitlines()
-    if not lines:
+    if not proc.stdout.strip():
         raise RuntimeError(f"{' '.join(cmd)} printed no result: {proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    return split_output(proc.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,19 +167,19 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     tars = {"parent": archive(args.parent), "change": archive(args.change)}
     runs = []
     for w, workload in enumerate(workloads):
         for i in range(args.pairs):
             seed = args.seed0 + w * args.pairs + i
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = run_once(tars[side], workload, seed, seconds)
+                note, result = run_once(tars[side], workload, seed, seconds)
                 runs.append({"side": side, "workload": workload, "seed": seed, "trace": 0,
-                             "seconds": seconds, "result": result})
+                             "seconds": seconds, "note": note, "result": result})
                 print(f"{workload} seed {seed} {side}: {json.dumps(result.get('metrics', result))[:160]}",
                       file=sys.stderr)
-    summary, failed = summarize(runs, metrics)
+    summary, failed = summarize(runs, bounds)
     wrong, wrong_runs = wrong_output(runs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     record = {
