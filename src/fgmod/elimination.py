@@ -149,12 +149,12 @@ def eliminate(rows: Rows, cols: int, track_u: bool = False, track_v: bool = Fals
     )
 
 
-def augment(rows: Rows, modulus: int) -> Rows:
-    """The rows of [A | n*I] for the matrix A over Z/n with the given rows:
-    its integer column span is the preimage of the span of A, so entries of A
-    need not be reduced."""
-    m = len(rows)
-    return tuple(tuple(r) + (0,) * i + (modulus,) + (0,) * (m - 1 - i) for i, r in enumerate(rows))
+def augment(rows: Rows, moduli: tuple[int, ...]) -> Rows:
+    """The rows of [A | diag(moduli)], one modulus per row, for the matrix A
+    with the given rows, its i-th row over Z/n_i: the integer column span is
+    the preimage of the span of A, so entries of A need not be reduced."""
+    m = len(moduli)
+    return tuple(tuple(r) + (0,) * i + (n,) + (0,) * (m - 1 - i) for i, (r, n) in enumerate(zip(rows, moduli)))
 
 
 def cokernel_orders(rows: Rows, cols: int, modulus: int | None = None) -> tuple[tuple[int, ...], int]:
@@ -168,7 +168,7 @@ def cokernel_orders(rows: Rows, cols: int, modulus: int | None = None) -> tuple[
     """
     m = len(rows)
     if modulus is not None:
-        rows = augment(rows, modulus)
+        rows = augment(rows, (modulus,) * m)
         cols += m
     d = eliminate(rows, cols)[0]
     diagonal = [d[i][i] for i in range(min(m, cols))]

@@ -218,7 +218,7 @@ def _over_integers(A: MatrixR) -> MatrixR:
     """A itself over Z; over Z/n the lift [A | n*I] (`elimination.augment`)."""
     if A.ring.is_integers:
         return A
-    return MatrixR(ZZ, A.rows, A.cols + A.rows, augment(A.entries, A.ring.modulus))
+    return MatrixR(ZZ, A.rows, A.cols + A.rows, augment(A.entries, (A.ring.modulus,) * A.rows))
 
 
 class _Solver:

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import cyclic
 from .cyclic import CanonicalForm
-from .elimination import cokernel_orders, eliminate
+from .elimination import augment, cokernel_orders, eliminate
 from .errors import InvalidGrid, NonStabilizing, UnknownClaim
 from .grammar import format_canonical, parse_module_expr
 from .rings import RingSpec, _Record, principal
@@ -300,12 +300,12 @@ class _Seq(NamedTuple):
 
 def _sequence(y: CanonicalForm, gens: tuple[tuple[int, ...], ...]) -> _Seq:
     """0 -> X -> Y -> Y/X -> 0 for the submodule X of a finite Y that `gens`
-    generate.
+    generate (`_sequences_in` passes the nonzero rows of X's Hermite form).
 
     Every term is finite, and over Z/n its submodules are its subgroups, so
     the summands are read off Smith forms over Z.  One elimination
-    U A V = D of A = [G | D_Y], for the m x k matrix G of generator columns
-    and the diagonal D_Y of Y's orders, gives both ends.  Z = Y/X is the
+    U A V = D of A = [G | D_Y] (`augment`), for the m x k matrix G of
+    generator columns and the diagonal D_Y of Y's orders, gives both ends.  Z = Y/X is the
     cokernel of A: its summands sit at the non-unit entries of D, and the
     rows of U there give the projection.  A has rank m, so the last k
     columns of V span its kernel, and their first k rows R present X on G.
@@ -315,8 +315,7 @@ def _sequence(y: CanonicalForm, gens: tuple[tuple[int, ...], ...]) -> _Seq:
     G gives the inclusion without inverting U_R."""
     h = y.torsion_factors
     m, k = len(h), len(gens)
-    a = tuple(tuple(g[i] for g in gens) + (0,) * i + (o,) + (0,) * (m - 1 - i) for i, o in enumerate(h))
-    d, u, v = eliminate(a, k + m, track_u=True, track_v=True)
+    d, u, v = eliminate(augment([tuple(g[i] for g in gens) for i in range(m)], h), k + m, track_u=True, track_v=True)
     z = [(i, d[i][i]) for i in range(m) if d[i][i] != 1]
     r = tuple(row[m:] for row in v[:k])
     dr, _, vr = eliminate(r, k, track_v=True)
@@ -330,33 +329,30 @@ def _sequence(y: CanonicalForm, gens: tuple[tuple[int, ...], ...]) -> _Seq:
 
 @lru_cache(maxsize=256)
 def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
-    """One sequence per submodule X of a finite Y, by |X| and then by X's
-    elements, computed once for all ideals and claims.  A closure search over
-    Y's elements finds the subgroups, which are the submodules; each is first
-    reached from a smaller one and an element that, with its generators,
-    generates it."""
-    factors = y.torsion_factors
-    exponent = max(factors, default=1)
-    elements = list(itertools.product(*(range(d) for d in factors)))
-
-    def add(x, z):
-        return tuple((a + b) % d for a, b, d in zip(x, z, factors))
-
-    def closure(group: frozenset, x) -> frozenset:
-        multiples = {tuple(k * a % d for a, d in zip(x, factors)) for k in range(exponent)}
-        return frozenset(add(s, m) for s in group for m in multiples)
-
-    gens = {frozenset({(0,) * len(factors)}): ()}
-    frontier = list(gens)
-    while frontier:
-        group = frontier.pop()
-        for x in elements:
-            if x not in group:
-                bigger = closure(group, x)
-                if bigger not in gens:
-                    gens[bigger] = gens[group] + (x,)
-                    frontier.append(bigger)
-    return tuple(_sequence(y, gens[g]) for g in sorted(gens, key=lambda s: (len(s), sorted(s))))
+    """One sequence per submodule X of a finite Y = sum of Z/h_i, by |X| and
+    then by X's sorted elements, computed once for all ideals and claims.  X
+    is L/diag(h)Z^m for one lattice diag(h)Z^m <= L <= Z^m, and L has one row
+    Hermite form: upper triangular rows r_i, pivots c_i | h_i, each entry
+    right of a pivot in column j in [0, c_j).  The forms are built from the
+    last row up, each with its group, the sums of a_i r_i mod h over
+    0 <= a_i < h_i/c_i: a row joins the rows below when h_i e_i lies in their
+    span with it, that is when (h_i/c_i) r_i mod h lies in their group.  The
+    nonzero rows mod h generate X."""
+    h = y.torsion_factors
+    forms = [((), {(0,) * len(h)})]
+    for i in reversed(range(len(h))):
+        grown = []
+        for rows, group in forms:
+            for c in (1, *_divisors(h[i], h[i])):
+                k = h[i] // c
+                for row in itertools.product(*[(0,)] * i, (c,), *(range(r[j]) for j, r in enumerate(rows, i + 1))):
+                    if tuple(k * r % o for r, o in zip(row, h)) in group:
+                        joined = {tuple((x + a * r) % o for x, r, o in zip(e, row, h)) for e in group for a in range(k)}
+                        grown.append(((row,) + rows, joined))
+        forms = grown
+    forms.sort(key=lambda form: (len(form[1]), sorted(form[1])))
+    reduced = ([tuple(r % o for r, o in zip(row, h)) for row in rows] for rows, _ in forms)
+    return tuple(_sequence(y, tuple(filter(any, gens))) for gens in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -805,13 +801,10 @@ def _exact_on(s: _Side, seq: _Seq, q: CanonicalForm) -> bool | tuple[bool, str]:
 
 def _span_order(f: cyclic.SummandMap) -> int:
     """The order of the image of f in the sum of the Z/h, h its target
-    orders: the index of the integer span of [F | diag(orders)] over that
-    of diag(orders)."""
+    orders: the index of the integer span of [F | diag(orders)] (`augment`)
+    over that of diag(orders)."""
     source, target, matrix = f
-    rows = tuple(
-        row + (0,) * i + (h,) + (0,) * (len(target) - 1 - i) for i, (row, h) in enumerate(zip(matrix, target))
-    )
-    return math.prod(target) // math.prod(cokernel_orders(rows, len(source) + len(target))[0])
+    return math.prod(target) // math.prod(cokernel_orders(augment(matrix, target), len(source) + len(target))[0])
 
 
 @lru_cache(maxsize=1024)  # the default suite asks 322
