@@ -335,9 +335,9 @@ def _sequences_in(y: CanonicalForm) -> tuple[_Seq, ...]:
     Hermite form: upper triangular rows r_i, pivots c_i | h_i, each entry
     right of a pivot in column j in [0, c_j).  The forms are built from the
     last row up, each with its group, the sums of a_i r_i mod h over
-    0 <= a_i < h_i/c_i: a row joins the rows below when h_i e_i lies in their
-    span with it, that is when (h_i/c_i) r_i mod h lies in their group.  The
-    nonzero rows mod h generate X."""
+    0 <= a_i < h_i/c_i.  A row joins the rows below when their span with it
+    holds h_i e_i, that is when (h_i/c_i) r_i mod h lies in their group.  A
+    whole form's group is X, and its nonzero rows mod h generate X."""
     h = y.torsion_factors
     forms = [((), {(0,) * len(h)})]
     for i in reversed(range(len(h))):
