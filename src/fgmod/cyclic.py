@@ -6,9 +6,11 @@ torsion and completion along (d), the quotient N/cN and the (co)reduced
 predicates are all additive over cyclic summands, with a gcd closed form for
 each summand or pair of summands.  This module evaluates them on canonical
 forms and eliminates no matrix, so its cost is bounded by the number of
-summands and the length of their moduli.  The two-argument torsion and completion,
-the relative predicates and generalized local (co)homology compose these
-functions; the library's public value functions and the CLI all call them.
+summands and the length of their moduli, and memoizes each in one bounded
+table.  The two-argument torsion and completion, the relative predicates,
+generalized local (co)homology and direct sums compose these functions and
+keep no table of their own; the library's public value functions and the
+CLI all call them.
 
 A summand is named by its order: m >= 2 for Z/m, and 0 for a free Z summand
 (over Z/n a free summand is Z/n).  Results are merged back into invariant
@@ -60,8 +62,8 @@ __all__ = [
     "dual",
 ]
 
-# entries per memo table: the default verify suite asks about 35,000
-# distinct Hom questions, more than any other kind, so this never evicts
+# entries per formula's memo table: the default verify suite asks about
+# 35,000 distinct Hom questions, the most of any kind, so this never evicts
 _MEMO = 1 << 16
 
 
@@ -336,7 +338,6 @@ def is_coreduced(C: CanonicalForm, d: int) -> bool:
     return (not C.free_rank or abs(d) <= 1) and is_reduced(C, d)
 
 
-@lru_cache(maxsize=_MEMO)
 def torsion_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
     """Two-argument torsion: the torsion of Hom(M, N) along (d)."""
     return torsion(hom(M, N), d)[0]
@@ -347,13 +348,11 @@ def completion_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> CanonicalForm:
     return completion(tensor(M, N), d)[0]
 
 
-@lru_cache(maxsize=_MEMO)
 def is_reduced_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> bool:
     """Whether Hom(M, N) is reduced along (d)."""
     return is_reduced(hom(M, N), d)
 
 
-@lru_cache(maxsize=_MEMO)
 def is_coreduced_wrt(M: CanonicalForm, N: CanonicalForm, d: int) -> bool:
     """Whether M (x) N is coreduced along (d)."""
     return is_coreduced(tensor(M, N), d)
@@ -393,13 +392,8 @@ def quotient(C: CanonicalForm, c: int) -> CanonicalForm:
 
 def direct_sum(parts: list[CanonicalForm]) -> CanonicalForm:
     """The direct sum of nonempty `parts`."""
-    return _direct_sum(tuple(parts))
-
-
-# the closure claims sum the same few parts over and over: the default verify
-# suite makes 24,100 calls on 254 distinct inputs; four times that never evicts
-@lru_cache(maxsize=1024)
-def _direct_sum(parts: tuple[CanonicalForm, ...]) -> CanonicalForm:
+    if not parts:
+        raise ValueError("a direct sum needs at least one part")
     for p in parts:
         _same_ring(parts[0], p, "direct sum")
     return _form(parts[0].ring, [m for p in parts for m in _orders(p)])

@@ -243,13 +243,13 @@ def _reflexive(c: CanonicalForm) -> bool:
     return cyclic.dual(cyclic.dual(c)) == c
 
 
-@lru_cache(maxsize=cyclic._MEMO)
 def _collapsed(s: _Side, m: CanonicalForm, n: CanonicalForm, d: int) -> tuple[CanonicalForm, ...] | None:
     """The harness's local (co)homology: `cyclic`'s local cohomology
     (homology) in every degree of `_degrees`, read at M/aM on the class of N
     relative to M and at M elsewhere, None where a^kM never stabilizes.
     M/aM is its own torsion and completion along a, so its value is the
-    collapse formula Ext^i(M/aM, N) (Tor_i), defined at every d."""
+    collapse formula Ext^i(M/aM, N) (Tor_i), defined at every d; claims read
+    it off the grid's rows, through `_local`."""
     at = cyclic.quotient(m, d) if s.in_class(m, n, d) else m
     try:
         return tuple(map(s.public, _degrees(m.ring), repeat(at), repeat(n), repeat(d)))
@@ -274,11 +274,6 @@ def _degrees(ring: RingSpec) -> range:
     """The degrees the derived claims compare: Z is hereditary, so 0 and 1;
     over Z/n the 2-periodic resolutions repeat from degree 1, so up to 3."""
     return range((1 if ring.is_integers else 3) + 1)
-
-
-def _classical(s: _Side, n: CanonicalForm, d: int) -> tuple[CanonicalForm, ...] | None:
-    """The classical value H(R, N), the harness's value at R itself."""
-    return _collapsed(s, cyclic._form(n.ring, [n.ring.modulus or 0]), n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +466,11 @@ class _Rows(dict):
             for x in self.forms:
                 row[x]
         return row
+
+
+def _local(ctx: _Ctx, s: _Side, m: CanonicalForm, d: int) -> _Row:
+    """The row of the harness's local (co)homology `_collapsed` at (M, d), by N."""
+    return ctx.rows[_collapsed, 2, s, m, d]
 
 
 class _Var(NamedTuple):
@@ -754,14 +754,14 @@ def _on_dual(check: Callable) -> Callable:
 
 
 def _dual(value: Callable, dual: Callable, s: _Side) -> dict:
-    # the dual of one value(side, M, N, d) against the other side's value of
-    # the dual; N is finite, so it and its dual lie in both classes, both
-    # values exist, and local (co)homology takes the collapse formula
+    # the dual of one value against the other side's value of the dual, off
+    # the rows value(ctx, side, M, d); N is finite, so it and its dual lie in
+    # both classes, both values exist, and local (co)homology takes the collapse formula
     other = _COR if s is _RED else _RED
 
     def check(ctx, bound, ns, d):
-        m = bound[0]
-        return [dual(value(s, m, n, d)) == value(other, m, cyclic.dual(n), d) for n in ns]
+        mine, theirs = (value(ctx, side, bound[0], d) for side in (s, other))
+        return [dual(mine[n]) == theirs[cyclic.dual(n)] for n in ns]
 
     return dict(loops=(_M, _Var("N", within=_classed(s, "finite"))), check=check)
 
@@ -787,7 +787,6 @@ def _exactness(s: _Side) -> dict:
     return dict(loops=loops, check=check)
 
 
-@lru_cache(maxsize=2048)  # the default suite asks 772
 def _exact_on(s: _Side, seq: _Seq, q: CanonicalForm) -> bool | tuple[bool, str]:
     """Torsion left (completion right) exactness on the sequence, read on Q:
     E, Y's exponent, kills each term T, so Hom(M, T)[d^k] = Hom((M/EM)/d^k, T)
@@ -836,7 +835,7 @@ def _fastpath(s: _Side) -> dict:
         if ctx.rows[cyclic.completion, 0, d][m] is None:
             return [(None, "stabilized path undefined")] * len(ns)
         at_m = zip(*(map(s.public, repeat(i), repeat(m), ns, repeat(d)) for i in _degrees(m.ring)))
-        return list(map(eq, map(ctx.rows[_collapsed, 2, s, m, d].__getitem__, ns), at_m))
+        return list(map(eq, map(_local(ctx, s, m, d).__getitem__, ns), at_m))
 
     return dict(loops=(_M, _Var("N", within=_classed(s))), check=check)
 
@@ -855,29 +854,31 @@ def _glh_fastpath_expected(ctx: _Ctx) -> str:
 def _positive_degrees_vanish(s: _Side) -> dict:
     # N in the class selects the collapse formula, which is always defined
     projective_mq = _Var("M", _where("forms", lambda m, d: _cf_projective(cyclic.quotient(m, d))))
-    check = _each(lambda m, n, d: all(v.is_trivial for v in _collapsed(s, m, n, d)[1:]))
+
+    def check(ctx, bound, ns, d):
+        return [all(v.is_trivial for v in h[1:]) for h in map(_local(ctx, s, bound[0], d).__getitem__, ns)]
+
     return dict(loops=(projective_mq, _Var("N", within=_classed(s))), check=check)
 
 
-def _finiteness(m, n, d):
-    defined = [h for h in (_collapsed(_RED, m, n, d), _collapsed(_COR, m, n, d)) if h is not None]
-    if not defined:
-        return None, "no stabilizing path"
-    return all(v.free_rank == 0 for h in defined for v in h)
+def _finiteness(ctx: _Ctx, bound: tuple, ns, d: int) -> list:
+    red, cor = (_local(ctx, s, bound[0], d) for s in (_RED, _COR))
+    defined = ([h for h in (red[n], cor[n]) if h is not None] for n in ns)
+    return [all(v.free_rank == 0 for h in hs for v in h) if hs else (None, "no stabilizing path") for hs in defined]
 
 
 def _b_class_membership(ctx: _Ctx, bound: tuple, ns, d: int) -> list:
     # coreduced M makes both fast paths total
     red, cor = (ctx.rows[s.in_class, 1, bound[0], d] for s in (_RED, _COR))
-    values = [ctx.rows[_collapsed, 2, s, bound[0], d] for s in (_RED, _COR)]
+    values = [_local(ctx, s, bound[0], d) for s in (_RED, _COR)]
     return [all(red[v] and cor[v] for local in values for v in local[n]) for n in ns]
 
 
 def _inherit(s: _Side) -> dict:
-    # the classical value H(R, N), read off its row, gates M; where it is
+    # the classical value H(R, N), the row at M = R, gates M; where it is
     # undefined, M's domain skips (q, N)
     def gated(ctx: _Ctx, q, n, d):
-        h = ctx.rows[_classical, 1, s, d][n]
+        h = _local(ctx, s, cyclic._form(n.ring, [n.ring.modulus or 0]), d)[n]
         if h is None:
             return None, "classical value undefined (chain)"
         held = ctx.rows[s.in_class, 0, h[q], d]
@@ -885,7 +886,7 @@ def _inherit(s: _Side) -> dict:
 
     def check(ctx, bound, ms, d):
         q, n = bound
-        return [(None, "no stabilizing path") if (h := _collapsed(s, m, n, d)) is None else s.in_class(m, h[q], d) for m in ms]
+        return [(None, "no stabilizing path") if (h := _local(ctx, s, m, d)[n]) is None else s.in_class(m, h[q], d) for m in ms]
 
     return dict(loops=(_Var("q", lambda ctx, d: _degrees(ctx.grid.ring)), _N, _Var("M", gated)), check=check)
 
@@ -893,10 +894,10 @@ def _inherit(s: _Side) -> dict:
 def _vnr_vanish(s: _Side) -> dict:
     # iterated local (co)homology is the double completion (torsion) at (0,0);
     # the claim runs only over Z/n, where every value is defined
-    def check(m, n, d):
-        for q, inner in enumerate(_collapsed(s, m, n, d)):
+    def vanish(local, m, n, d):
+        for q, inner in enumerate(local[n]):
             note = ""  # the last failure in row q
-            for p, outer in enumerate(_collapsed(s, m, inner, d)):
+            for p, outer in enumerate(local[inner]):
                 if (p, q) == (0, 0):
                     if outer != s.adic(m, s.adic(m, n, d), d):
                         note = f"double {s.adic_name} mismatch at (0,0)"
@@ -906,7 +907,11 @@ def _vnr_vanish(s: _Side) -> dict:
                 return False, note
         return True
 
-    return dict(loops=(_Var("M"), _Var("N")), check=_each(check), rings="vnr")
+    def check(ctx, bound, ns, d):
+        local = _local(ctx, s, bound[0], d)
+        return [vanish(local, bound[0], n, d) for n in ns]
+
+    return dict(loops=(_Var("M"), _Var("N")), check=check, rings="vnr")
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +993,7 @@ _REGISTRY: list[_Claim] = [
            (_M, _Var("X", within=_classed(_RED))),
            _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, cyclic.dual(x), d))),
     *_mirrored(
-        partial(_dual, lambda s, m, n, d: s.adic(m, n, d), cyclic.dual),
+        partial(_dual, lambda ctx, s, m, d: ctx.rows[s.adic, 1, m, d], cyclic.dual),
         (_RED, "gamma-dual", "dual of two-argument torsion equals two-argument completion of the dual"),
         (_COR, "lambda-dual", "dual of two-argument completion equals two-argument torsion of the dual"),
     ),
@@ -1022,12 +1027,12 @@ _REGISTRY: list[_Claim] = [
     _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
            (_COREDUCED_M,
             _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
-           _each(lambda m, n, d: _collapsed(_COR, m, n, d) == _collapsed(_COR, n, m, d)),
+           lambda ctx, bound, ns, d: [_local(ctx, _COR, bound[0], d)[n] == _local(ctx, _COR, n, d)[bound[0]] for n in ns],
            rings="modular"),
     _Claim("finiteness", "local (co)homology of finite inputs is finite",
-           (_M, _Var("N", "finite")), _each(_finiteness)),
+           (_M, _Var("N", "finite")), _finiteness),
     *_mirrored(
-        partial(_dual, _collapsed, lambda h: tuple(map(cyclic.dual, h))),
+        partial(_dual, _local, lambda h: tuple(map(cyclic.dual, h))),
         (_COR, "glh-glc-dual", "dual of local homology equals local cohomology of the dual"),
         (_RED, "glc-glh-dual", "local homology of the dual equals the dual of local cohomology"),
     ),

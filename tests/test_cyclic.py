@@ -16,12 +16,15 @@ invariant factors is checked on long lists against the pairwise (gcd, lcm)
 fixpoint of `oracle`, and on coprime orders it takes one gcd per order.
 """
 
+import importlib
+import pkgutil
 import random
 from math import gcd, prod
 
 import pytest
 from resolution_reference import ext_by_resolution, tor_by_resolution
 
+import fgmod
 from fgmod import cyclic
 from fgmod.adic import torsion_submodule
 from fgmod.errors import FreePartNotSupported, NonStabilizing, RingMismatch
@@ -253,5 +256,9 @@ def test_operands_over_different_rings_are_rejected():
 
 
 def test_every_memo_table_is_bounded():
-    tables = [f for f in vars(cyclic).values() if hasattr(f, "cache_info")]
-    assert tables and all(f.cache_info().maxsize for f in tables)
+    # every table of every fgmod module, the harness's and the matrix
+    # route's included, so that a long run's memory is bounded by its input
+    mods = [importlib.import_module(f"fgmod.{m.name}") for m in pkgutil.iter_modules(fgmod.__path__)]
+    tables = [f for m in mods for f in vars(m).values() if hasattr(f, "cache_info") and f.__module__ == m.__name__]
+    assert {f.__module__ for f in tables} >= {"fgmod.cyclic", "fgmod.verify", "fgmod.modules"}
+    assert all(f.cache_info().maxsize for f in tables), [f.__qualname__ for f in tables if not f.cache_info().maxsize]

@@ -98,7 +98,7 @@ def test_clear_caches_empties_every_table_without_loading_the_harness():
         "print(filled(), 'run_suite' in body)\n"
         "from fgmod import verify\n"
         "verify.run_suite(verify.default_grids()[1:2], ['gamma-left-exact', 'closure-sums'])\n"
-        "print('_sequences_in' in filled(), '_direct_sum' in filled())\n"
+        "print('_sequences_in' in filled(), '_exact_on_summand' in filled())\n"
         "fgmod.clear_caches()\n"
         "print(filled())\n",
     )

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from fgmod import cyclic
 from fgmod.cyclic import CanonicalForm
 from fgmod.errors import AmbientMismatch, DimensionMismatch, InfiniteModule, RingMismatch, UnsupportedShape
 from fgmod.functors import free_resolution_prefix, hom_data, tensor_module
@@ -90,6 +91,9 @@ REFUSALS = {
         lambda: tensor_module(cyc(ZZ, 2), cyc(Z6, 2)), RingMismatch, "tensor of modules over different rings"),
     "free_resolution_prefix of length -1": (
         lambda: free_resolution_prefix(cyc(ZZ, 2), -1), ValueError, "resolution length must be nonnegative"),
+    # cyclic
+    "cyclic.direct_sum of no parts": (
+        lambda: cyclic.direct_sum([]), ValueError, "a direct sum needs at least one part"),
     # rings
     "ideal_power at -1": (
         lambda: ideal_power(principal(ZZ, 2), -1), ValueError, "exponent must be nonnegative"),

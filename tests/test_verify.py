@@ -178,7 +178,8 @@ def test_grid_spec_refuses_each_malformed_field():
 @pytest.mark.parametrize("side", [verify._RED, verify._COR])
 def test_vnr_vanish_names_the_last_failure_of_its_row(side, monkeypatch):
     # no grid fails the claim, so `_collapsed` is replaced by fixed graded
-    # values: H(M, N) is Z/2 in degree 0, and H(M, Z/2) is `outer`
+    # values: H(M, N) is Z/2 in degree 0, and H(M, Z/2) is `outer`; a grid of
+    # no forms reads each of them off its row when first asked
     ring = RingSpec.mod(6)
     zero, z2, z6 = (cyclic.CanonicalForm(ring, t, 0) for t in ((), (2,), (6,)))
     check = verify._vnr_vanish(side)["check"]
@@ -191,7 +192,8 @@ def test_vnr_vanish_names_the_last_failure_of_its_row(side, monkeypatch):
     ):
         graded = {z6: (z2,), z2: outer}
         monkeypatch.setattr(verify, "_collapsed", lambda s, m, n, d: graded[n])
-        assert check(None, (z2,), [z6], 2) == [result], outer
+        ctx = verify._Ctx(None, (2,), (), (), (), (), (), "", True, verify._Rows(()))
+        assert check(ctx, (z2,), [z6], 2) == [result], outer
 
 
 def test_module_whitelist():
@@ -646,7 +648,7 @@ def test_a_run_checks_each_job_through_check_claim(monkeypatch):
 
 
 def test_a_side_compares_and_hashes_by_identity():
-    # `_collapsed` and `_exact_on` key their tables on a side, so a key
+    # the grid rows and `_exact_on_summand` key on a side, so a key
     # hashes one pointer, not the side's operations; a NamedTuple would
     # compare field by field unless the class says otherwise
     copy = verify._Side(*verify._RED)

@@ -95,10 +95,23 @@ def test_the_walker_checks_every_instance_of_the_one_loop_walk(claim_id):
 def test_gm_adjunction_asks_each_relative_value_once_per_walk(monkeypatch):
     # P's predicate, coreduced relative to M, and the completion of M (x) P
     # are each asked once per (M, P, d), and the torsion of Hom(M, N) once
-    # per (M, N, d), off the grid's rows: a walk that asked the predicate
-    # again for each N would hit its table
+    # per (M, N, d), off the grid's rows: the predicate's values come from
+    # one row per (M, d), each computed once, whether at the row's build or
+    # at a later read off the grid
     cdef = verify._BY_ID["gm-adjunction"]
-    asked = Counter()
+    asked, built, values = Counter(), Counter(), Counter()
+    rows_missing, row_missing = verify._Rows.__missing__, verify._Row.__missing__
+
+    def build(rows, key):
+        if key[0] is verify._COR.in_class:
+            built[key[2:]] += 1
+            values.update((key, x) for x in rows.forms)
+        return rows_missing(rows, key)
+
+    def read(row, x):
+        if row.key[0] is verify._COR.in_class:
+            values[row.key, x] += 1
+        return row_missing(row, x)
 
     def counted(f):
         def value(m, x, d):
@@ -109,12 +122,15 @@ def test_gm_adjunction_asks_each_relative_value_once_per_walk(monkeypatch):
 
     for name in ("completion_wrt", "torsion_wrt"):
         monkeypatch.setattr(cyclic, name, counted(getattr(cyclic, name)))
+    monkeypatch.setattr(verify._Rows, "__missing__", build)
+    monkeypatch.setattr(verify._Row, "__missing__", read)
     for grid in GRIDS:
         fgmod.clear_caches()
-        asked.clear()
-        verify._walk(cdef.loops, cdef.check, verify._make_ctx(grid), verify._Tally(cdef.loops))
-        info = cyclic.is_coreduced_wrt.cache_info()
-        assert info.misses and not info.hits, (grid.label, info)
+        asked.clear(), built.clear(), values.clear()
+        ctx = verify._make_ctx(grid)
+        verify._walk(cdef.loops, cdef.check, ctx, verify._Tally(cdef.loops))
+        assert built == Counter({(m, d): 1 for m in ctx.forms for d in ctx.ideals}), grid.label
+        assert max(values.values()) == 1, grid.label
         assert len({key[0] for key in asked}) == 2 and max(asked.values()) == 1, grid.label
 
 
@@ -133,18 +149,22 @@ def test_a_result_equal_to_true_is_counted_once():
 @pytest.mark.parametrize("claim_id", ["inherit-reduced", "inherit-coreduced"])
 def test_inherit_reads_its_classical_value_once_per_degree_module_and_ideal(claim_id, monkeypatch):
     # M's domain reads the classical value H(R, N) under every (q, N, d) off
-    # one row per ideal, which computes it once per (N, d) for every degree
+    # the row of local values at M = R, one per ideal, which computes it once
+    # per (N, d) for every degree; the check reads the other rows as often
     computed = Counter()
-    classical = verify._classical
-    monkeypatch.setattr(verify, "_classical", lambda s, n, d: computed.update([(n, d)]) or classical(s, n, d))
+    collapsed = verify._collapsed
+    monkeypatch.setattr(verify, "_collapsed", lambda s, m, n, d: computed.update([(m, n, d)]) or collapsed(s, m, n, d))
     cdef = verify._BY_ID[claim_id]
     skipped = []
     for ctx in map(verify._make_ctx, GRIDS):
+        r = cyclic._form(ctx.grid.ring, [ctx.grid.ring.modulus or 0])
         computed.clear()
         tally = verify._Tally(cdef.loops)
         verify._walk(cdef.loops, cdef.check, ctx, tally)
         skipped += tally.skipped
-        assert computed == Counter({(n, d): 1 for n in ctx.forms for d in ctx.ideals}), ctx.name
-        assert sum(key[0] is verify._classical for key in ctx.rows) == len(ctx.ideals), ctx.name
+        at_r = Counter({(n, d): k for (m, n, d), k in computed.items() if m is r})
+        assert at_r == Counter({(n, d): 1 for n in ctx.forms for d in ctx.ideals}), ctx.name
+        assert max(computed.values()) == 1, ctx.name
+        assert sum(key[0] is verify._collapsed and key[3] is r for key in ctx.rows) == len(ctx.ideals), ctx.name
     # the Z grid has (q, N, d) where the classical value is undefined
     assert any(label.endswith("classical value undefined (chain)") for label in skipped)
