@@ -6,7 +6,8 @@ finitely generated is refused before any table is asked, with a fresh
 `NonStabilizing` each time; after a verify run no table of the value, module or
 harness layers has computed an entry twice (the functor and adic layers keep
 no tables), the form table and the per-summand exactness table included, and
-no row of a grid's context either.
+no row of a grid's context either; and every table of the value and harness
+layers but `_is_vnr` has been read again, so none only costs memory.
 """
 
 import json
