@@ -6,11 +6,11 @@ torsion and completion along (d), the quotient N/cN and the (co)reduced
 predicates are all additive over cyclic summands, with a gcd closed form for
 each summand or pair of summands.  This module evaluates them on canonical
 forms and eliminates no matrix, so its cost is bounded by the number of
-summands and the length of their moduli, and memoizes each in one bounded
-table.  The two-argument torsion and completion, the relative predicates,
-generalized local (co)homology and direct sums compose these functions and
-keep no table of their own; the library's public value functions and the
-CLI all call them.
+summands and the length of their moduli, and memoizes each formula in one
+bounded table (Ext and Tor share one for all positive degrees).  The rest,
+`is_coreduced`, two-argument torsion and completion, relative predicates,
+local (co)homology and direct sums, compose these and keep no table; the
+library's public value functions and the CLI all call them.
 
 A summand is named by its order: m >= 2 for Z/m, and 0 for a free Z summand
 (over Z/n a free summand is Z/n).  Results are merged back into invariant
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 # entries per formula's memo table: the default verify suite asks about
-# 35,000 distinct Hom questions, the most of any kind, so this never evicts
+# 35,000 distinct Hom questions, the most of any of the seven, so this never evicts
 _MEMO = 1 << 16
 
 
@@ -239,40 +239,41 @@ def tensor_postcompose(M: CanonicalForm, A: CanonicalForm, B: CanonicalForm, F) 
     return _pair_map(M, A, B, F, gcd, _tensor_entry)
 
 
-def _positive_degree(i: int, M: CanonicalForm, N: CanonicalForm, over_z) -> CanonicalForm:
-    """Ext^i and Tor_i for i >= 1, summand by summand.
+@lru_cache(maxsize=_MEMO)
+def _positive_degree(M: CanonicalForm, N: CanonicalForm, sees_free: bool) -> CanonicalForm:
+    """Ext^i and Tor_i for i >= 1 (only i = 1 over Z), summand by summand.
 
     Over Z/n, Z/a has the 2-periodic resolution
     ... -> R --a--> R --n/a--> R --a--> R; against Z/b both complexes have
     cyclic homology of order gcd(a, b) * gcd(n/a, b) / b in every positive
     degree.  Z is hereditary: only degree 1 survives, as Z/gcd(a, b) for
-    each torsion summand Z/a of M and each order b in `over_z` (Ext sees a
-    free summand of N, Tor does not).
+    each torsion summand Z/a of M and each summand Z/b of N, a free one
+    only when `sees_free` (Ext sees a free summand of N, Tor does not).
     """
-    if not M.ring.is_integers:
-        n = M.ring.modulus
-        orders = [gcd(a, b) * gcd(n // a, b) // b for a in M.torsion_factors for b in N.torsion_factors]
-    else:
-        orders = [gcd(a, b) for a in M.torsion_factors for b in over_z] if i == 1 else []
-    return _form(M.ring, orders)
+    bs = _orders(N) if sees_free else N.torsion_factors
+    if M.ring.is_integers:
+        return _form(M.ring, [gcd(a, b) for a in M.torsion_factors for b in bs])
+    return _form(M.ring, [gcd(a, b) * gcd(M.ring.modulus // a, b) // b for a in M.torsion_factors for b in bs])
 
 
-@lru_cache(maxsize=_MEMO)
+def _graded(i: int, M: CanonicalForm, N: CanonicalForm, what: str, degree_zero, sees_free: bool) -> CanonicalForm:
+    """Ext or Tor: `degree_zero` at i = 0, then the one degree-free table; 0 past i = 1 over Z."""
+    if i < 0:
+        raise ValueError("degree must be nonnegative")
+    _same_ring(M, N, what)
+    if i == 0:
+        return degree_zero(M, N)
+    return _positive_degree(M, N, sees_free) if i == 1 or not M.ring.is_integers else CanonicalForm(M.ring, (), 0)
+
+
 def ext(i: int, M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
     """Ext^i(M, N); Ext^0 is Hom."""
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
-    _same_ring(M, N, "Ext")
-    return hom(M, N) if i == 0 else _positive_degree(i, M, N, _orders(N))
+    return _graded(i, M, N, "Ext", hom, N.free_rank > 0)
 
 
-@lru_cache(maxsize=_MEMO)
 def tor(i: int, M: CanonicalForm, N: CanonicalForm) -> CanonicalForm:
     """Tor_i(M, N); Tor_0 is the tensor product."""
-    if i < 0:
-        raise ValueError("degree must be nonnegative")
-    _same_ring(M, N, "Tor")
-    return tensor(M, N) if i == 0 else _positive_degree(i, M, N, N.torsion_factors)
+    return _graded(i, M, N, "Tor", tensor, False)
 
 
 def _settled(d: int, m: int) -> tuple[int, int]:
@@ -331,7 +332,6 @@ def is_reduced(C: CanonicalForm, d: int) -> bool:
     return all(gcd(d, m) == gcd(d2, m) for m in C.torsion_factors)
 
 
-@lru_cache(maxsize=_MEMO)
 def is_coreduced(C: CanonicalForm, d: int) -> bool:
     """Whether dC = d^2C: the same test on finite summands, and a free Z
     summand passes only when d is 0 or a unit."""

@@ -133,3 +133,27 @@ _WHITELIST = {"ring": "Z", "ideal_generators": [0, 2], "module_whitelist": ["Z",
 def test_every_verdict_is_expected_on_the_baseline_grids(grid):
     suite = run_suite([grid_from_dict(grid)])
     assert suite.all_expected, [(r.claim_id, r.verdict) for r in suite.unexpected()]
+
+
+def valuation(p: int, x: int) -> int:
+    k = 0
+    while x % p == 0:
+        x, k = x // p, k + 1
+    return k
+
+
+# ROADMAP item 1's `inherit-*` family, pinned before any expectation reads it:
+# over Z/n along a = (d), the classical value at M = R is 0 in positive
+# degree, while Ext^q(Z/p^2, Z/p^2) = Z/p^min(e-2, 2) for e = v_p(n), whose
+# Hom(Z/p^2, -) is p-reduced exactly when e <= 3; CRT lifts it to any n
+@pytest.mark.parametrize("n", [16, 48, 81, 567, 625])
+def test_inherit_fails_exactly_where_some_p_has_vp_d_1_and_vp_n_at_least_4(n):
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    wrong = []
+    for d in [0] + [e for e in range(1, n + 1) if n % e == 0]:
+        grid = grid_from_dict(every_module_up_to_the_modulus(n, [d]))
+        family = d != 0 and any(valuation(p, d) == 1 and valuation(p, n) >= 4 for p in primes)
+        for cid in ("inherit-reduced", "inherit-coreduced"):
+            if check_claim(cid, grid).verdict != ("fail" if family else "pass"):
+                wrong.append((d, cid))
+    assert not wrong

@@ -25,7 +25,7 @@ import pytest
 from resolution_reference import ext_by_resolution, tor_by_resolution
 
 import fgmod
-from fgmod import cyclic
+from fgmod import cyclic, verify
 from fgmod.adic import torsion_submodule
 from fgmod.errors import FreePartNotSupported, NonStabilizing, RingMismatch
 from fgmod.functors import hom_module, tensor_module
@@ -113,6 +113,31 @@ def test_hom_tensor_ext_tor_match_the_matrix_routes():
         for i in DEGREES:
             assert cyclic.ext(i, cm, cn) == canonical_form(ext_by_resolution(i, M, N)), (i, M, N)
             assert cyclic.tor(i, cm, cn) == canonical_form(tor_by_resolution(i, M, N)), (i, M, N)
+
+
+def test_ext_and_tor_share_one_positive_degree_entry():
+    # one degree-free entry per pair holds Ext^i = Tor_i for every i >= 1
+    # over Z/n, and Ext^1 = Tor_1 over Z against a finite N; a free summand
+    # of N is the one case that keys Ext apart from Tor
+    forms = {g.label: verify.enumerate_forms(g) for g in verify.default_grids()}
+    zero = CanonicalForm(ZZ, (), 0)
+    cyclic._positive_degree.cache_clear()
+    for label in ("Z/6", "Z/8"):
+        for M in forms[label]:
+            for N in forms[label]:
+                for i in (1, 2, 3):
+                    assert cyclic.ext(i, M, N) is cyclic.tor(i, M, N), (i, M, N)
+    for M in forms["Z"]:
+        for N in forms["Z"]:
+            for i in (2, 3):
+                assert cyclic.ext(i, M, N) is cyclic.tor(i, M, N) is zero, (i, M, N)
+            if not N.free_rank:
+                assert cyclic.ext(1, M, N) is cyclic.tor(1, M, N), (M, N)
+    finite_z = sum(not N.free_rank for N in forms["Z"])
+    shared = len(forms["Z/6"]) ** 2 + len(forms["Z/8"]) ** 2 + len(forms["Z"]) * finite_z
+    assert cyclic._positive_degree.cache_info().currsize == shared
+    z2, z = CanonicalForm(ZZ, (2,), 0), CanonicalForm(ZZ, (), 1)
+    assert (cyclic.ext(1, z2, z), cyclic.tor(1, z2, z)) == (z2, zero)
 
 
 def test_torsion_and_completion_match_the_chains():
