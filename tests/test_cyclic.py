@@ -14,6 +14,7 @@ function (comparing the kernels of d and d^2, and asking whether the ideal
 kills the torsion) are checked here instead.  Merging summand orders into
 invariant factors is checked on long lists against the pairwise (gcd, lcm)
 fixpoint of `oracle`, and on coprime orders it takes one gcd per order.
+Ext and Tor read one memo entry per pair wherever their values agree.
 """
 
 import importlib
