@@ -19,8 +19,6 @@ kernel of multiplication by d^k, or the relations d^k e_i appended to N's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cyclic
 from .linalg import MatrixR
 from .modules import (
@@ -34,7 +32,7 @@ from .modules import (
     mult_map,
     quotient_by_ideal,
 )
-from .rings import Ideal, ideal_power
+from .rings import Ideal, _Record, ideal_power
 
 __all__ = [
     "StabilizationResult",
@@ -53,12 +51,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StabilizationResult:
+class StabilizationResult(_Record):
     """Value of an adic limit plus the exponent where its chain went flat."""
 
-    value: Presentation
-    exponent: int
+    __slots__ = _fields = ("value", "exponent")
 
 
 def torsion_submodule(N: Presentation, a: Ideal) -> tuple[Submodule, int]:

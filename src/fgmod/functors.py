@@ -18,8 +18,6 @@ resolutions to a requested length the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RingMismatch
 from .linalg import MatrixR, hstack, kernel_generators, kron
 from .modules import (
@@ -30,6 +28,7 @@ from .modules import (
     _project_kernel,
     express_in_span,
 )
+from .rings import _Record
 
 __all__ = [
     "hom_module",
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomData:
+class HomData(_Record):
     """A hom module together with its explicit matrix generators.
 
     `generators` holds one flattened (target.gens x source.gens) matrix per
@@ -56,11 +54,7 @@ class HomData:
     matrices, which is what induced maps are solved against.
     """
 
-    source: Presentation
-    target: Presentation
-    presentation: Presentation
-    generators: MatrixR
-    ambient_rels: MatrixR
+    __slots__ = _fields = ("source", "target", "presentation", "generators", "ambient_rels")
 
 
 def hom_data(M: Presentation, N: Presentation) -> HomData:
@@ -101,8 +95,7 @@ matlis_dual = _by_invariants(
 )
 
 
-@dataclass(frozen=True)
-class FreeResolutionPrefix:
+class FreeResolutionPrefix(_Record):
     """Differentials d_L, ..., d_1 of free modules resolving the target.
 
     differentials[k] is d_{k+1}: the matrix of F_{k+1} -> F_k, with F_0 free
@@ -110,9 +103,7 @@ class FreeResolutionPrefix:
     differentials compose to zero and each kernel equals the next image.
     """
 
-    target: Presentation
-    length: int
-    differentials: tuple[MatrixR, ...]
+    __slots__ = _fields = ("target", "length", "differentials")
 
     def rank(self, k: int) -> int:
         """Rank of the free module F_k."""

@@ -16,12 +16,11 @@ elimination kernel, `fgmod.elimination`, and no separate modular path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, mul
 
 from .elimination import augment, eliminate
 from .errors import DimensionMismatch, RingMismatch
-from .rings import RingSpec, ZZ
+from .rings import RingSpec, ZZ, _Record
 
 __all__ = [
     "MatrixR",
@@ -36,38 +35,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MatrixR:
-    """Immutable matrix over Z or Z/n, entries stored row-major."""
+class MatrixR(_Record):
+    """Immutable matrix over Z or Z/n, entries stored row-major as tuples
+    of ints (over Z/n, reduced into [0, n))."""
 
-    ring: RingSpec
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("ring", "rows", "cols", "entries")
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        entries = tuple(map(tuple, entries))
+        if len(entries) != rows:
             raise DimensionMismatch("row count does not match entries")
-        cols = self.cols
-        if any(len(row) != cols for row in self.entries):
+        if any(len(row) != cols for row in entries):
             raise DimensionMismatch("ragged rows")
-        n = self.ring.modulus
-        if n is not None and any(row and (min(row) < 0 or max(row) >= n) for row in self.entries):
-            object.__setattr__(self, "entries", tuple(tuple(x % n for x in r) for r in self.entries))
+        if any(type(x) is not int for row in entries for x in row):  # True is an int, but not an entry
+            raise TypeError("matrix entries must be integers")
+        n = ring.modulus
+        if n is not None and any(row and (min(row) < 0 or max(row) >= n) for row in entries):
+            entries = tuple(tuple(x % n for x in r) for r in entries)
+        self._fill(ring, rows, cols, entries)
 
     @classmethod
     def _unchecked(cls, ring: RingSpec, rows: int, cols: int, entries: tuple) -> "MatrixR":
         """A matrix built by an operation of this module on valid matrices:
-        its rows are tuples of the right length with entries already reduced,
-        so the scans of `__post_init__` are skipped."""
+        its rows are tuples of ints of the right length, already reduced, so
+        the scans of `__init__` are skipped."""
         m = object.__new__(cls)
-        m.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)
+        m._fill(ring, rows, cols, entries)
         return m
 
     def __hash__(self) -> int:
         # computed once: matrices key memo tables, and rehashing every entry
         # on each lookup costs more than the lookup itself
-        h = self.__dict__.get("_hash")
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.ring.modulus or 0, self.rows, self.cols, self.entries))
             object.__setattr__(self, "_hash", h)
@@ -75,9 +75,7 @@ class MatrixR:
 
     @staticmethod
     def from_rows(ring: RingSpec, rows: list[list[int]]) -> "MatrixR":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        return MatrixR(ring, r, c, tuple(tuple(row) for row in rows))
+        return MatrixR(ring, len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "MatrixR":
@@ -180,13 +178,10 @@ def kron(a: MatrixR, b: MatrixR) -> MatrixR:
     return MatrixR._unchecked(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Record):
     """U @ A @ V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
-    U: MatrixR
-    D: MatrixR
-    V: MatrixR
+    __slots__ = _fields = ("U", "D", "V")
 
     def diagonal(self) -> list[int]:
         k = min(self.D.rows, self.D.cols)

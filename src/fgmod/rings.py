@@ -20,11 +20,11 @@ class _Record:
 
     A record is built from its fields in `_fields` order; one that checks
     them writes its own `__init__`, ending in `_fill`.  It equals a value of
-    its own type with equal fields and hashes by them.  An interned record,
-    like `cyclic.CanonicalForm`, whose constructor returns the one live
-    object of each value, keeps the identity's equality and hash instead.
-    The values a one-shot query needs are records rather than dataclasses
-    because importing `dataclasses` costs more than the query's arithmetic."""
+    its own type with equal fields and hashes by them; a slot outside
+    `_fields`, such as a cache, takes no part in equality, hash, repr or
+    pickling.  An interned record, like `cyclic.CanonicalForm`, whose
+    constructor returns the one live object of each value, keeps the
+    identity's equality and hash instead."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

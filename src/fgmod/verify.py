@@ -29,7 +29,7 @@ quotient they read it on (see `_exact_on`).
 Every walk is deterministic, so identical inputs give byte-identical
 reports.  Every value is read off invariant factors by `fgmod.cyclic`, and
 every Smith form comes from `fgmod.elimination`, so a run loads neither
-`linalg`, `modules` nor `dataclasses`; only json-lines output loads `json`.
+`linalg` nor `modules`; only json-lines output loads `json`.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ REPORT_NOTES = (
 
 # bounds the cost of `_is_vnr`, a trial division up to the cube root
 _MAX_GRID_MODULUS = 2**64
-# bounds a grid's enumerated forms: gm-adjunction, the slowest claim, takes
-# 23 s on 2 vCPUs on the 250 forms of Z up to order 71 and rank 1, 5 ideals
+# bounds a grid's modules, enumerated or whitelisted: gm-adjunction, the slowest
+# claim, takes 23 s on 2 vCPUs on the 250 forms of Z up to order 71 and rank 1, 5 ideals
 _MAX_GRID_FORMS = 256
 # bounds the trial division listing a grid modulus's divisors (10**6 trials: 0.04 s on 2 vCPUs)
 _MAX_GRID_TRIALS = 2**20
@@ -114,6 +114,8 @@ class GridSpec(_Record):
         wl = module_whitelist
         if wl is not None and not (isinstance(wl, (list, tuple)) and all(isinstance(e, str) for e in wl)):
             raise InvalidGrid("grid 'module_whitelist' must be a list of module expressions")
+        if wl is not None and len(wl) > _MAX_GRID_FORMS:
+            raise InvalidGrid(f"grid 'module_whitelist' lists more than {_MAX_GRID_FORMS} modules")
         if not isinstance(label, str):
             raise InvalidGrid("grid 'label' must be a string")
         bounds = {"max_torsion_order": max_torsion_order, "max_free_rank": max_free_rank}

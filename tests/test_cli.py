@@ -238,6 +238,8 @@ def test_bad_grid_files_are_usage_errors(tmp_path, capsys):
         "rank-over-zn.json": '{"ring": "Z/6", "max_free_rank": 3, "ideal_generators": [2]}',
         "negative-rank.json": '{"ring": "Z", "max_free_rank": -1, "ideal_generators": [2]}',
         "too-many-forms.json": '{"ring": "Z", "max_torsion_order": 1000000, "ideal_generators": [2]}',
+        "too-many-listed.json": json.dumps(
+            {"ring": "Z", "ideal_generators": [0, 2], "module_whitelist": [f"Z/{n}" for n in range(2, 402)]}),
         # listing the divisors of 2**62 up to 10**30 takes 2**31 trial divisions
         "too-many-trials.json": '{"ring": "Z/4611686018427387904", "max_torsion_order": 1' + "0" * 30
         + ', "ideal_generators": [2]}',

@@ -4,9 +4,12 @@
 tuples (some cache the hash), while equality stays the field-by-field
 comparison of values of the same type.  `CanonicalForm` is interned: equal
 forms are one object, however they were built, so its equality and hash are
-the identity's.  `RingSpec`, `Ideal`, `CanonicalForm` and the harness's
-`GridSpec`, `ClaimReport` and `SuiteReport` are `rings._Record`s rather
-than dataclasses, and keep a dataclass's immutability and repr.  Values are
+the identity's.  Every value type of the package is a `rings._Record`: the
+rings, ideals and forms, the matrix route's matrices, presentations, maps,
+submodules and results, and the harness's `GridSpec`, `ClaimReport` and
+`SuiteReport`.  Each is immutable, equals only values of its own type, is
+rebuilt from its fields in order, survives pickling and prints like a
+dataclass, and no module of the package imports `dataclasses`.  Values are
 drawn from small domains so that equal pairs built along different paths
 are frequent.
 """
@@ -16,13 +19,22 @@ import gc
 import pickle
 
 import pytest
+from fresh_interpreter import python
 from hypothesis import given, settings, strategies as st
 
-from fgmod import cyclic, oracle
+from fgmod import adic, cyclic, oracle
+from fgmod.functors import free_resolution_prefix, hom_data
 from fgmod.grammar import parse_module_expr
-from fgmod.linalg import MatrixR
-from fgmod.modules import CanonicalForm, Presentation, canonical_form, canonical_presentation
-from fgmod.rings import RingSpec, ZZ, canonicalize_ideal
+from fgmod.linalg import MatrixR, smith_normal_form
+from fgmod.modules import (
+    CanonicalForm,
+    ModuleMap,
+    Presentation,
+    Submodule,
+    canonical_form,
+    canonical_presentation,
+)
+from fgmod.rings import RingSpec, ZZ, canonicalize_ideal, principal
 from fgmod.verify import ClaimReport, GridSpec, SuiteReport
 
 rings = st.sampled_from([None, 2, 4, 6]).map(RingSpec)
@@ -75,6 +87,21 @@ SUITE = SuiteReport((REPORT,))
 # each harness record with the field it is tested on
 HARNESS_RECORDS = [(GRID, "label"), (REPORT, "verdict"), (SUITE, "reports")]
 
+Z2, Z4 = Presentation.cyclic(ZZ, 2), Presentation.cyclic(ZZ, 4)
+TWO = MatrixR(ZZ, 1, 1, ((2,),))
+# each record of the matrix route with the field it is tested on
+MATRIX_ROUTE_RECORDS = [
+    (MatrixR(RingSpec.mod(6), 1, 2, ((1, -1),)), "entries"),
+    (smith_normal_form(MatrixR(ZZ, 1, 2, ((4, 6),))), "D"),
+    (Z4, "gens"),
+    (ModuleMap(Z2, Z4, TWO), "matrix"),
+    (Submodule(Z4, TWO), "columns"),
+    (adic.torsion(Z4, principal(ZZ, 2)), "exponent"),
+    (hom_data(Z2, Z4), "presentation"),
+    (free_resolution_prefix(Z4, 2), "length"),
+]
+RECORDS = MATRIX_ROUTE_RECORDS + HARNESS_RECORDS
+
 
 def assert_contract(a, b):
     assert (a == b) == (b == a)
@@ -101,10 +128,11 @@ def test_equal_values_hash_equal(pair):
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_a_matrix_rebuilt_from_its_entries_is_equal_and_hashes_equal(A):
-    # reduction into [0, n) happens on construction, before any hash
-    shifted = tuple(tuple(x + 3 * (A.ring.modulus or 0) for x in row) for row in A.entries)
+    # reduction into [0, n) happens on construction, before any hash, and
+    # rows given as lists are kept as tuples
+    shifted = [[x + 3 * (A.ring.modulus or 0) for x in row] for row in A.entries]
     B = MatrixR(A.ring, A.rows, A.cols, shifted)
-    assert A == B and hash(A) == hash(B)
+    assert A == B and hash(A) == hash(B) and all(type(row) is tuple for row in B.entries)
     P = Presentation(A.ring, A.rows, A)
     Q = Presentation(RingSpec(A.ring.modulus), B.rows, B)
     assert P == Q and hash(P) == hash(Q)
@@ -148,7 +176,7 @@ def test_records_equal_only_values_of_their_own_type():
     a = canonicalize_ideal(ZZ, [4, 6])
     assert a != (ZZ, (4, 6), 2)
     assert C == CanonicalForm(RingSpec(None), (2, 4), 1)
-    for value, _ in HARNESS_RECORDS:
+    for value, _ in RECORDS:
         fields = value._values()
         assert value != fields and fields != value
         rebuilt = type(value)(*fields)
@@ -162,7 +190,7 @@ def test_record_fields_cannot_be_assigned_or_deleted():
         (RingSpec.mod(6), "modulus"),
         (canonicalize_ideal(ZZ, [4, 6]), "canonical"),
         (CanonicalForm(ZZ, (2,), 0), "free_rank"),
-        *HARNESS_RECORDS,
+        *RECORDS,
     ]
     for value, field in values:
         before = hash(value)
@@ -195,10 +223,66 @@ def test_record_reprs_read_like_dataclasses():
     assert repr(REPORT) == report
     assert repr(SUITE) == f"SuiteReport(reports=({report},))"
 
+    # the matrix route's records print what they printed as frozen dataclasses
+    def matrix(rows, cols, entries, ring="RingSpec(modulus=None)"):
+        return f"MatrixR(ring={ring}, rows={rows}, cols={cols}, entries={entries})"
+
+    def cyclic_group(d):
+        return f"Presentation(ring=RingSpec(modulus=None), gens=1, rels={matrix(1, 1, f'(({d},),)')})"
+
+    two = matrix(1, 1, "((2,),)")
+    assert [repr(value) for value, _ in MATRIX_ROUTE_RECORDS] == [
+        matrix(1, 2, "((1, 5),)", ring="RingSpec(modulus=6)"),
+        f"SmithDecomposition(U={matrix(1, 1, '((1,),)')}, D={matrix(1, 2, '((2, 0),)')},"
+        f" V={matrix(2, 2, '((-1, 3), (1, -2))')})",
+        cyclic_group(4),
+        f"ModuleMap(source={cyclic_group(2)}, target={cyclic_group(4)}, matrix={two})",
+        f"Submodule(ambient={cyclic_group(4)}, columns={two})",
+        f"StabilizationResult(value={cyclic_group(4)}, exponent=2)",
+        f"HomData(source={cyclic_group(2)}, target={cyclic_group(4)}, presentation={cyclic_group(2)},"
+        f" generators={matrix(1, 1, '((-2,),)')}, ambient_rels={matrix(1, 1, '((4,),)')})",
+        f"FreeResolutionPrefix(target={cyclic_group(4)}, length=2,"
+        f" differentials=({matrix(1, 1, '((4,),)')}, {matrix(1, 0, '((),)')}))",
+    ]
+
+
+def test_cached_slots_stay_out_of_equality_hash_repr_and_pickling():
+    S = Submodule(Z4, TWO)
+    before = repr(S)
+    pres = S.to_presentation()
+    assert S.to_presentation() is pres and repr(S) == before
+    fresh = Submodule(Z4, TWO)
+    assert S == fresh and hash(S) == hash(fresh)
+    copied = pickle.loads(pickle.dumps(S))
+    assert copied == S and copied.to_presentation() is not pres and copied.to_presentation() == pres
+    A = MatrixR(ZZ, 1, 2, ((1, 2),))
+    h = hash(A)
+    assert A._hash == h and A._values() == (ZZ, 1, 2, ((1, 2),))
+    assert pickle.loads(pickle.dumps(A)) == A
+
+
+def test_no_fgmod_module_imports_dataclasses():
+    # every module of the package, the lazily registered ones run too
+    proc = python(
+        "-c",
+        "import importlib, pathlib, sys\n"
+        "import fgmod\n"
+        "names = sorted(p.stem for p in pathlib.Path(fgmod.__path__[0]).glob('*.py') if p.stem != '__init__')\n"
+        "for name in names:\n"
+        "    importlib.import_module('fgmod.' + name).__doc__\n"
+        "ran = [n for n in names if '__builtins__' in object.__getattribute__(sys.modules['fgmod.' + n], '__dict__')]\n"
+        "print(ran == names, len(names), 'dataclasses' in sys.modules)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "13", "False"]
+
 
 def test_records_survive_pickling():
     for value in (
-        RingSpec.mod(6), canonicalize_ideal(ZZ, [4, 6]), CanonicalForm(RingSpec.mod(6), (2, 6), 0), GRID, REPORT, SUITE,
+        RingSpec.mod(6),
+        canonicalize_ideal(ZZ, [4, 6]),
+        CanonicalForm(RingSpec.mod(6), (2, 6), 0),
+        *(value for value, _ in RECORDS),
     ):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and hash(copy) == hash(value)

@@ -109,8 +109,8 @@ def test_clear_caches_empties_every_table_without_loading_the_harness():
 def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
     # the harness reads its Smith forms off fgmod.elimination and its records
     # are hand-written classes; only enumerate_modules, which returns
-    # presentations, loads fgmod.modules; a well-formed verify line is read
-    # without the parser
+    # presentations, loads fgmod.modules, whose records need no dataclasses
+    # either; a well-formed verify line is read without the parser
     proc = python(
         "-c",
         "import contextlib, io, sys\n"
@@ -133,7 +133,7 @@ def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
     assert proc.stdout.splitlines() == [
         "0 True False False False False",
         "0 True False False False False",
-        "9 True True True True True False",
+        "9 True True True True False False",
     ]
 
 

@@ -45,6 +45,12 @@ REFUSALS = {
         lambda: MatrixR(ZZ, 2, 1, ((1,),)), DimensionMismatch, "row count does not match entries"),
     "MatrixR with ragged rows": (
         lambda: MatrixR(ZZ, 2, 2, ((1, 2), (3,))), DimensionMismatch, "ragged rows"),
+    "MatrixR with a float entry": (
+        lambda: MatrixR(ZZ, 1, 1, ((2.5,),)), TypeError, "matrix entries must be integers"),
+    "MatrixR with a string entry": (
+        lambda: MatrixR(ZZ, 1, 1, (("2",),)), TypeError, "matrix entries must be integers"),
+    "MatrixR with a bool entry": (
+        lambda: MatrixR(Z6, 1, 2, ((1, True),)), TypeError, "matrix entries must be integers"),
     "@ across rings": (
         lambda: m(ZZ, [[1]]) @ m(Z6, [[1]]), RingMismatch, "matrix product across rings"),
     "@ with mismatched shapes": (

@@ -1,7 +1,7 @@
 """Matrix operations build their results without re-validating them.
 
 `@`, `hstack`, `kron` and `transpose` of valid matrices skip the
-scans of `MatrixR.__post_init__`; each result must still equal, with the
+scans of `MatrixR.__init__`; each result must still equal, with the
 same hash, the matrix the validating constructor builds from its entries,
 and over Z/n every entry must already lie in [0, n).
 """

@@ -64,18 +64,22 @@ def test_a_grid_over_z_mod_n_ranges_its_divisors_up_to_the_modulus():
 def test_grids_with_more_forms_than_the_cap_are_refused_before_any_claim_runs(monkeypatch):
     cap = verify._MAX_GRID_FORMS
     assert len(verify.enumerate_forms(GridSpec(RingSpec.integers(), 1, cap - 1, (2,)))) == cap
+    # a whitelist of the cyclic groups Z/2 ... Z/(cap + 1) names cap modules
+    whitelist = tuple(f"Z/{n}" for n in range(2, cap + 3))
+    assert len(verify.enumerate_forms(GridSpec(RingSpec.integers(), 0, 0, (0, 2), whitelist[:cap]))) == cap
     monkeypatch.setattr(verify, "check_claim", lambda *args: pytest.fail("a claim ran"))
-    for grid in (
-        GridSpec(RingSpec.integers(), 1, cap, (2,)),
-        GridSpec(RingSpec.integers(), 10**6, 1, (2,)),
-        GridSpec(RingSpec.integers(), 10**12, 0, (2,)),
-        GridSpec(RingSpec.integers(), 0, 10**12, (2,)),
-        GridSpec(RingSpec.mod(2**12), 2**12, 0, (2,)),
+    for args in (
+        (RingSpec.integers(), 1, cap, (2,)),
+        (RingSpec.integers(), 10**6, 1, (2,)),
+        (RingSpec.integers(), 10**12, 0, (2,)),
+        (RingSpec.integers(), 0, 10**12, (2,)),
+        (RingSpec.mod(2**12), 2**12, 0, (2,)),
+        (RingSpec.integers(), 0, 0, (0, 2), whitelist),
     ):
         start = time.perf_counter()
         with pytest.raises(InvalidGrid, match=f"more than {cap} modules"):
-            run_suite([grid])
-        assert time.perf_counter() - start < 1, grid
+            run_suite([GridSpec(*args)])
+        assert time.perf_counter() - start < 1, args
 
 
 def reference_chains(budget: int, modulus: int | None) -> list[tuple[int, ...]]:
