@@ -64,7 +64,7 @@ def test_a_grid_over_z_mod_n_ranges_its_divisors_up_to_the_modulus():
 def test_grids_with_more_forms_than_the_cap_are_refused_before_any_claim_runs(monkeypatch):
     cap = verify._MAX_GRID_FORMS
     assert len(verify.enumerate_forms(GridSpec(RingSpec.integers(), 1, cap - 1, (2,)))) == cap
-    # a whitelist of the cyclic groups Z/2 ... Z/(cap + 1) names cap modules
+    # the whitelist Z/2, ..., Z/(cap + 2) names cap + 1 modules; its first cap make a grid
     whitelist = tuple(f"Z/{n}" for n in range(2, cap + 3))
     assert len(verify.enumerate_forms(GridSpec(RingSpec.integers(), 0, 0, (0, 2), whitelist[:cap]))) == cap
     monkeypatch.setattr(verify, "check_claim", lambda *args: pytest.fail("a claim ran"))
