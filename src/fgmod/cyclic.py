@@ -74,6 +74,7 @@ class CanonicalForm(_Record):
     factor n.  Two presentations are isomorphic iff their canonical forms are
     equal.  Equal forms are one object: the constructor returns the live form
     of its value when there is one, so `==` and `hash` are the identity's.
+    A new live form is built only of canonical fields; others are refused.
     """
 
     _fields = ("ring", "torsion_factors", "free_rank")
@@ -83,6 +84,15 @@ class CanonicalForm(_Record):
         key = (ring.modulus, torsion_factors, free_rank)
         self = _live_forms.get(key)
         if self is None:
+            n, chain = ring.modulus, torsion_factors
+            if type(free_rank) is not int or any(type(d) is not int for d in chain):
+                raise TypeError("invariant factors and free rank must be integers")
+            if free_rank < 0:
+                raise ValueError("free rank must be nonnegative")
+            if any(d < 2 for d in chain) or any(b % a for a, b in zip(chain, chain[1:])):
+                raise ValueError("invariant factors must be >= 2, each dividing the next")
+            if n is not None and (free_rank or chain and n % chain[-1]):
+                raise ValueError("over Z/n every invariant factor divides n and the free rank is 0")
             self = object.__new__(cls)
             self._fill(ring, torsion_factors, free_rank)
             _live_forms[key] = self

@@ -107,12 +107,9 @@ def canonical_form(P: Presentation) -> CanonicalForm:
     return CanonicalForm(P.ring, factors, free_rank)
 
 
-@lru_cache(maxsize=1024)
 def canonical_presentation(C: CanonicalForm) -> Presentation:
-    """The diagonal presentation realizing a canonical form.
-
-    Equal forms give the same object, so memo tables keyed on it find their
-    entries by identity."""
+    """The diagonal presentation realizing a canonical form, built afresh on
+    each call: equal forms give equal presentations, not the same object."""
     ring = C.ring
     k = len(C.torsion_factors)
     g = k + C.free_rank
@@ -206,8 +203,7 @@ def identity_map(P: Presentation) -> ModuleMap:
 class Submodule(_Record):
     """A submodule of a presented module, spanned by generator columns."""
 
-    _fields = ("ambient", "columns")
-    __slots__ = (*_fields, "_presentation")
+    __slots__ = _fields = ("ambient", "columns")
 
     def __init__(self, ambient: Presentation, columns: MatrixR):
         if columns.rows != ambient.gens:
@@ -225,15 +221,9 @@ class Submodule(_Record):
         return spans_include(self.ambient.rels, self.columns)
 
     def to_presentation(self) -> Presentation:
-        """The span as a standalone module on these generators.
-
-        Computed once per instance; later calls return the same object.
-        """
-        pres = getattr(self, "_presentation", None)
-        if pres is None:
-            pres = _present_subquotient(self.columns, self.ambient.rels)
-            object.__setattr__(self, "_presentation", pres)
-        return pres
+        """The span as a standalone module on these generators, computed on
+        each call."""
+        return _present_subquotient(self.columns, self.ambient.rels)
 
     def inclusion_map(self) -> ModuleMap:
         return ModuleMap._trusted(self.to_presentation(), self.ambient, self.columns)
@@ -293,7 +283,8 @@ def quotient_by_ideal(P: Presentation, a: Ideal) -> Presentation:
 def ideal_multiple(P: Presentation, a: Ideal) -> tuple[Presentation, ModuleMap]:
     """The submodule aP together with its inclusion into P."""
     sub = scaled_submodule(P, _generator(P, a))
-    return sub.to_presentation(), sub.inclusion_map()
+    pres = sub.to_presentation()  # computed once, for the module and its inclusion
+    return pres, ModuleMap._trusted(pres, P, sub.columns)
 
 
 def kernel_submodule(f: ModuleMap) -> Submodule:
@@ -321,7 +312,8 @@ def _present_subquotient(Z: MatrixR, W: MatrixR) -> Presentation:
 def kernel_of_map(f: ModuleMap) -> tuple[Presentation, ModuleMap]:
     """The kernel of f as a module, with its inclusion."""
     sub = kernel_submodule(f)
-    return sub.to_presentation(), sub.inclusion_map()
+    pres = sub.to_presentation()
+    return pres, ModuleMap._trusted(pres, f.source, sub.columns)
 
 
 def express_in_span(columns: MatrixR, rels: MatrixR, vectors: MatrixR) -> MatrixR | None:

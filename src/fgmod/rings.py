@@ -19,12 +19,12 @@ class _Record:
     """An immutable value with the fields `_fields`, printed like a dataclass.
 
     A record is built from its fields in `_fields` order; one that checks
-    them writes its own `__init__`, ending in `_fill`.  It equals a value of
-    its own type with equal fields and hashes by them; a slot outside
-    `_fields`, such as a cache, takes no part in equality, hash, repr or
-    pickling.  An interned record, like `cyclic.CanonicalForm`, whose
-    constructor returns the one live object of each value, keeps the
-    identity's equality and hash instead."""
+    them writes its own `__init__`, ending in `_fill`.  Its slots are its
+    fields, so it carries no cache: it equals a value of its own type with
+    equal fields and hashes by them.  An interned record, like
+    `cyclic.CanonicalForm`, whose constructor returns the one live object of
+    each value, keeps the identity's equality and hash instead, and a
+    `__weakref__` slot for the table of live values."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -69,6 +69,8 @@ class RingSpec(_Record):
     __slots__ = _fields = ("modulus",)
 
     def __init__(self, modulus: int | None = None):
+        if modulus is not None and type(modulus) is not int:  # True is an int, but not a modulus
+            raise TypeError(f"modulus must be an integer, got {modulus!r}")
         if modulus is not None and modulus < 2:
             raise ValueError("modulus must be >= 2")
         self._fill(modulus)

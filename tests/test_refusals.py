@@ -100,7 +100,31 @@ REFUSALS = {
     # cyclic
     "cyclic.direct_sum of no parts": (
         lambda: cyclic.direct_sum([]), ValueError, "a direct sum needs at least one part"),
+    "CanonicalForm with factors out of order": (
+        lambda: CanonicalForm(ZZ, (4, 2), 0), ValueError, "invariant factors must be >= 2, each dividing the next"),
+    "CanonicalForm with a factor that does not divide the next": (
+        lambda: CanonicalForm(ZZ, (2, 3), 0), ValueError, "invariant factors must be >= 2, each dividing the next"),
+    "CanonicalForm with a factor 1": (
+        lambda: CanonicalForm(ZZ, (1, 2), 0), ValueError, "invariant factors must be >= 2, each dividing the next"),
+    "CanonicalForm with a string factor": (
+        lambda: CanonicalForm(ZZ, ("2",), 0), TypeError, "invariant factors and free rank must be integers"),
+    "CanonicalForm with a negative free rank": (
+        lambda: CanonicalForm(ZZ, (), -1), ValueError, "free rank must be nonnegative"),
+    "CanonicalForm with a fractional free rank": (
+        lambda: CanonicalForm(ZZ, (2,), 0.5), TypeError, "invariant factors and free rank must be integers"),
+    "CanonicalForm over Z/6 with a factor that does not divide 6": (
+        lambda: CanonicalForm(Z6, (4,), 0), ValueError, "over Z/n every invariant factor divides n and the free rank is 0"),
+    "CanonicalForm over Z/6 with a free summand": (
+        lambda: CanonicalForm(Z6, (), 1), ValueError, "over Z/n every invariant factor divides n and the free rank is 0"),
     # rings
+    "RingSpec with a fractional modulus": (
+        lambda: RingSpec(2.5), TypeError, "modulus must be an integer, got 2.5"),
+    "RingSpec with a float modulus": (
+        lambda: RingSpec(7.0), TypeError, "modulus must be an integer, got 7.0"),
+    "RingSpec with a bool modulus": (
+        lambda: RingSpec(True), TypeError, "modulus must be an integer, got True"),
+    "RingSpec with a string modulus": (
+        lambda: RingSpec("6"), TypeError, "modulus must be an integer, got '6'"),
     "ideal_power at -1": (
         lambda: ideal_power(principal(ZZ, 2), -1), ValueError, "exponent must be nonnegative"),
     # grammar
