@@ -74,19 +74,21 @@ class CanonicalForm(_Record):
     factor n.  Two presentations are isomorphic iff their canonical forms are
     equal.  Equal forms are one object: the constructor returns the live form
     of its value when there is one, so `==` and `hash` are the identity's.
-    A new live form is built only of canonical fields; others are refused.
+    Fields that are not canonical are refused: the integer types on each
+    call, the values when a new live form is built, since no live form has them.
     """
 
     _fields = ("ring", "torsion_factors", "free_rank")
     __slots__ = _fields + ("__weakref__",)
 
     def __new__(cls, ring: RingSpec, torsion_factors: tuple[int, ...], free_rank: int):
+        # checked before the lookup: 2.0 and False find the live forms of 2 and 0
+        if type(free_rank) is not int or any(type(d) is not int for d in torsion_factors):
+            raise TypeError("invariant factors and free rank must be integers")
         key = (ring.modulus, torsion_factors, free_rank)
         self = _live_forms.get(key)
         if self is None:
             n, chain = ring.modulus, torsion_factors
-            if type(free_rank) is not int or any(type(d) is not int for d in chain):
-                raise TypeError("invariant factors and free rank must be integers")
             if free_rank < 0:
                 raise ValueError("free rank must be nonnegative")
             if any(d < 2 for d in chain) or any(b % a for a, b in zip(chain, chain[1:])):

@@ -39,7 +39,8 @@ class MatrixR(_Record):
     """Immutable matrix over Z or Z/n, entries stored row-major as tuples
     of ints (over Z/n, reduced into [0, n))."""
 
-    __slots__ = _fields = ("ring", "rows", "cols", "entries")
+    _fields = ("ring", "rows", "cols", "entries")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
         entries = tuple(map(tuple, entries))
@@ -64,8 +65,13 @@ class MatrixR(_Record):
         return m
 
     def __hash__(self) -> int:
-        # from plain ints and tuples, hashed in C: a `RingSpec` hashes in Python code
-        return hash((self.ring.modulus or 0, self.rows, self.cols, self.entries))
+        # computed once: matrices key memo tables, and rehashing every entry
+        # on each lookup costs more than the lookup itself
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.ring.modulus or 0, self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @staticmethod
     def from_rows(ring: RingSpec, rows: list[list[int]]) -> "MatrixR":

@@ -107,9 +107,12 @@ def canonical_form(P: Presentation) -> CanonicalForm:
     return CanonicalForm(P.ring, factors, free_rank)
 
 
+@lru_cache(maxsize=1024)
 def canonical_presentation(C: CanonicalForm) -> Presentation:
-    """The diagonal presentation realizing a canonical form, built afresh on
-    each call: equal forms give equal presentations, not the same object."""
+    """The diagonal presentation realizing a canonical form.
+
+    Equal forms give the same object, so memo tables keyed on it find their
+    entries by identity."""
     ring = C.ring
     k = len(C.torsion_factors)
     g = k + C.free_rank

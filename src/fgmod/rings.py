@@ -19,12 +19,12 @@ class _Record:
     """An immutable value with the fields `_fields`, printed like a dataclass.
 
     A record is built from its fields in `_fields` order; one that checks
-    them writes its own `__init__`, ending in `_fill`.  Its slots are its
-    fields, so it carries no cache: it equals a value of its own type with
-    equal fields and hashes by them.  An interned record, like
-    `cyclic.CanonicalForm`, whose constructor returns the one live object of
-    each value, keeps the identity's equality and hash instead, and a
-    `__weakref__` slot for the table of live values."""
+    them writes its own `__init__`, ending in `_fill`.  It equals a value of
+    its own type with equal fields and hashes by them; a slot outside
+    `_fields`, such as a cache, takes no part in equality, hash, repr or
+    pickling.  An interned record, like `cyclic.CanonicalForm`, whose
+    constructor returns the one live object of each value, keeps the
+    identity's equality and hash instead."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -601,6 +601,7 @@ class _Tally:
             kept.append(_label(self.loops, values) + (f" : {note}" if note else ""))
 
 
+@lru_cache(maxsize=16)
 def _is_vnr(ring: RingSpec) -> bool:
     """Finite products of fields among the supported rings: Z/n, n squarefree.
     Trial division divides out every p up to the cube root of n; what is left

@@ -1,7 +1,7 @@
 """Equal values hash equal for every type that keys a memo table.
 
 `RingSpec`, `Ideal`, `MatrixR` and `Presentation` hash from plain ints and
-tuples, and cache nothing, while equality stays the field-by-field
+tuples (some cache the hash), while equality stays the field-by-field
 comparison of values of the same type.  `CanonicalForm` is interned: equal
 forms are one object, however they were built, so its equality and hash are
 the identity's.  Every value type of the package is a `rings._Record`: the
@@ -249,23 +249,28 @@ def test_record_reprs_read_like_dataclasses():
     ]
 
 
-def test_no_record_keeps_a_slot_outside_its_fields():
-    # a record is its fields: no cache rides along outside equality, hash,
-    # repr and pickling; an interned form needs a weak reference for its table
+def test_cached_slots_stay_out_of_equality_hash_repr_and_pickling():
+    # the only slots outside the records' fields are a matrix's cached hash
+    # and the weak reference an interned form needs for its table
     for path in Path(fgmod.__path__[0]).glob("[!_]*.py"):
-        importlib.import_module(f"fgmod.{path.stem}").__doc__  # runs a lazily registered module
+        importlib.import_module(f"fgmod.{path.stem}")
 
     def subclasses(cls):
         return [s for sub in cls.__subclasses__() for s in (sub, *subclasses(sub))]
 
     records = [r for r in subclasses(_Record) if r.__module__.startswith("fgmod.")]
     assert {MatrixR, Submodule, Presentation, CanonicalForm, RingSpec, GridSpec} <= set(records)
+    extra = {MatrixR: {"_hash"}, CanonicalForm: {"__weakref__"}}
     for record in records:
         slots = {s for c in record.__mro__ if c is not object for s in c.__dict__.get("__slots__", ())}
-        extra = {"__weakref__"} if record is CanonicalForm else set()
-        assert slots == set(record._fields) | extra, record.__qualname__
+        assert slots == set(record._fields) | extra.get(record, set()), record.__qualname__
     S = Submodule(Z4, TWO)
     assert S.to_presentation() == S.to_presentation() == pickle.loads(pickle.dumps(S)).to_presentation()
+    A = MatrixR(ZZ, 1, 2, ((1, 2),))
+    h = hash(A)
+    assert A._hash == h and A._values() == (ZZ, 1, 2, ((1, 2),)) and repr(A) == repr(MatrixR(ZZ, 1, 2, ((1, 2),)))
+    copied = pickle.loads(pickle.dumps(A))
+    assert copied == A and getattr(copied, "_hash", None) is None
 
 
 def test_no_fgmod_module_imports_dataclasses():

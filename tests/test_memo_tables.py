@@ -7,7 +7,7 @@ finitely generated is refused before any table is asked, with a fresh
 harness layers has computed an entry twice (the functor and adic layers keep
 no tables), the form table and the per-summand exactness table included, and
 no row of a grid's context either; and every table of the value and harness
-layers has been read again, so none only costs memory.
+layers but `_is_vnr` has been read again, so none only costs memory.
 """
 
 import json
@@ -93,8 +93,9 @@ def test_no_table_computes_an_entry_twice_on_the_small_grid(monkeypatch):
     for f in everything:
         info = f.cache_info()
         assert info.misses == info.currsize, (f.__qualname__, info)
-        # a table the run never reads twice only costs memory
-        if f.__module__ in ("fgmod.cyclic", "fgmod.verify"):
+        # a table the run never reads twice only costs memory; `_is_vnr`
+        # serves repeated `check_claim` and `claim_expectation` calls instead
+        if f.__module__ in ("fgmod.cyclic", "fgmod.verify") and f is not verify._is_vnr:
             assert info.hits, (f.__qualname__, info)
     # among them the form table, read far more often than it merges, and the
     # exactness table, one entry per (side, sequence, summand order of Q)

@@ -108,6 +108,12 @@ REFUSALS = {
         lambda: CanonicalForm(ZZ, (1, 2), 0), ValueError, "invariant factors must be >= 2, each dividing the next"),
     "CanonicalForm with a string factor": (
         lambda: CanonicalForm(ZZ, ("2",), 0), TypeError, "invariant factors and free rank must be integers"),
+    "CanonicalForm with a float factor while Z/2 is alive": (
+        lambda: (CanonicalForm(ZZ, (2,), 0), CanonicalForm(ZZ, (2.0,), 0)),
+        TypeError, "invariant factors and free rank must be integers"),
+    "CanonicalForm with a bool free rank while 0 is alive": (
+        lambda: (CanonicalForm(ZZ, (), 0), CanonicalForm(ZZ, (), False)),
+        TypeError, "invariant factors and free rank must be integers"),
     "CanonicalForm with a negative free rank": (
         lambda: CanonicalForm(ZZ, (), -1), ValueError, "free rank must be nonnegative"),
     "CanonicalForm with a fractional free rank": (

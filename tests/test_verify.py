@@ -590,16 +590,9 @@ def test_von_neumann_regular_rings_are_the_squarefree_moduli():
     assert not verify._is_vnr(RingSpec.integers())
 
 
-def counted_is_vnr(monkeypatch) -> list:
-    """The rings `verify._is_vnr` is called on from now, in call order."""
-    tested, real = [], verify._is_vnr
-    monkeypatch.setattr(verify, "_is_vnr", lambda ring: tested.append(ring) or real(ring))
-    return tested
-
-
-def test_a_run_tests_each_grid_for_square_factors_once(monkeypatch):
+def test_a_run_tests_each_ring_for_square_factors_once():
     # several claims ask whether a grid's ring is von Neumann regular; the
-    # trial division behind it runs once per grid, however many claims
+    # trial division behind it runs once per ring, however many claims and grids
     big = RingSpec.mod(18446744073709551557)  # the largest prime below 2**64
     grids = [
         TINY_Z,
@@ -607,24 +600,26 @@ def test_a_run_tests_each_grid_for_square_factors_once(monkeypatch):
         GridSpec(RingSpec.mod(6), 4, 0, (2,), label="small-z6"),
         GridSpec(big, 1, 0, (0, 1), module_whitelist=("0", "Z/18446744073709551557"), label="big"),
     ]
-    tested = counted_is_vnr(monkeypatch)
+    verify._is_vnr.cache_clear()
     suite = run_suite(grids)
-    assert tested == [grid.ring for grid in grids]
+    info = verify._is_vnr.cache_info()
+    assert info.misses == 3 and info.hits > 0
     assert [r.verdict for r in suite.reports if r.claim_id == "vnr-homology-vanish"] == ["pass"] * 3
 
 
 def test_a_run_builds_each_grid_once_however_many_grids(monkeypatch):
     # a run walks its jobs claim by claim, so it cycles through its grids
-    # once per claim; each grid must still be enumerated, named and tested
-    # for square factors once
+    # once per claim; more grids than a 16-entry table holds must still be
+    # enumerated, named and tested for square factors once each
     enumerated = []
     real = verify.enumerate_forms
     monkeypatch.setattr(verify, "enumerate_forms", lambda grid: enumerated.append(grid) or real(grid))
     grids = [GridSpec(RingSpec.mod(n), 4, 0, (0, 1), module_whitelist=("0", f"Z/{n}")) for n in range(2, 22)]
-    tested = counted_is_vnr(monkeypatch)
+    verify._is_vnr.cache_clear()
     suite = run_suite(grids, ["reflexive", "glc-fastpath", "vnr-homology-vanish"])
+    info = verify._is_vnr.cache_info()
     assert enumerated == grids
-    assert tested == [grid.ring for grid in grids]
+    assert (info.misses, info.hits) == (20, 0)
     assert {r.grid for r in suite.reports} == {f"Z/{n}[0; Z/{n}]" for n in range(2, 22)}
 
 
