@@ -12,9 +12,10 @@ canonical forms, and `cyclic` reads the answer off their invariant factors.
 The matrix route (`linalg`, `modules`, `functors`, `adic`, `cohomology`)
 and the harness (`verify`) are loaded lazily: each module's source is
 compiled and run when one of its attributes is first read, the matrix
-route's by a library caller and the harness by `fgmod verify`.  A `coker`
-atom and the harness read their Smith forms off the plain `elimination`
-module and leave the matrix route unrun.
+route's by a library caller and the harness by a claims run of `fgmod
+verify`; `fgmod verify --list-claims` reads only the claim index `claims`.
+A `coker` atom and the harness read their Smith forms off the plain
+`elimination` module and leave the matrix route unrun.
 They are registered in `sys.modules` from the start, so that every way of
 importing one yields the same module object and tools that look a module up
 there by name find it.  The names this package re-exports from them, such

@@ -10,8 +10,9 @@ invariant factors.  Each value subcommand is one row of `_VALUES`, each
 and `main`'s one dispatch path are driven by these tables.  A well-formed
 command line is read off them directly; `argparse` is loaded only for the
 lines the reader declines, to print help or a usage error.  Exit codes:
-0 success (or all claim verdicts as expected), 2 usage error, 3 a limit is
-not finitely generated, 4 unexpected claim verdict.
+0 success (or all claim verdicts as expected), 1 the output could not be
+written, 2 usage error, 3 a limit is not finitely generated, 4 unexpected
+claim verdict.
 
 `run()` is the program: `python -m fgmod.cli` and the installed `fgmod`
 command both call it.  `main(argv)` is the same front end without process
@@ -21,15 +22,17 @@ side effects, for callers that stay in the interpreter.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from types import SimpleNamespace
 
 from . import cyclic
 from .errors import FgmodError, InvalidGrid, NonStabilizing
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
-from . import verify  # lazy: only `fgmod verify` loads the harness (see fgmod/__init__.py)
+from . import verify  # lazy: only a claims run of `fgmod verify` loads the harness (see fgmod/__init__.py)
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_USAGE = 2
 EXIT_NONSTABILIZING = 3
 EXIT_UNEXPECTED_CLAIM = 4
@@ -211,8 +214,10 @@ def _load_grids(path: str) -> list:
 
 def _verify(args) -> int:
     if args.list_claims:
-        for cid in verify.registered_claims():
-            print(cid)
+        from .claims import CLAIMS  # the index alone: listing runs neither the harness nor elimination
+
+        for cid, statement, rings, expected in CLAIMS:
+            _emit(args, {"id": cid, "statement": statement, "rings": rings, "expected": expected}, cid)
         return EXIT_OK
     given = [f"--{name}" for name in ("ring", "ideal") if getattr(args, name) is not None]
     if given:
@@ -306,12 +311,24 @@ def run() -> None:
     line, fgmod's own code makes no reference cycles, and what little the
     standard library leaves in cycles is freed with the process.  Freezing
     every object at the end leaves the collections of interpreter
-    finalization nothing to traverse; the exit itself (flushing stdout,
-    atexit handlers, the exit code) takes its normal path.
+    finalization nothing to traverse; the exit itself (atexit handlers, the
+    exit code) takes its normal path.
+
+    Stdout is flushed here, so that a failed write is caught: a reader that
+    closed the pipe ends the process quietly, any other write error prints
+    one `error:` line, and both exit 1.  Stdout then points at the null
+    device, where the exit's own flush of what is left succeeds.
     """
     gc.disable()
     try:
         code = main()
+        if sys.stdout is not None:  # None in a process started with stdout closed
+            sys.stdout.flush()
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OUTPUT
     finally:
         gc.freeze()
     sys.exit(code)

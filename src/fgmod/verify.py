@@ -11,8 +11,10 @@ over every instance in scope, and reports a verdict per claim and grid:
            completion chain provably never stabilizes (these always involve a
            free summand and a generator outside {0, +-1}).
 
-`_REGISTRY` declares each claim once, in report order: its id, statement,
-expected verdict, rings, loop variables (see `_Var`) and row check.  Over Z
+`_REGISTRY` joins each entry of the claim index `fgmod.claims` (id,
+statement, rings and default verdict, in report order) to its shape: its
+loop variables (see `_Var`), row check and, where the grid decides it, its
+expected verdict.  Over Z
 and Z/n a value depends on an ideal only through its canonical generator d,
 an int.  One walker, `_walk`, runs every claim inside a loop over the
 ideals: an outer loop binds each value of its domain and descends, and the
@@ -42,6 +44,7 @@ from operator import eq
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import cyclic
+from .claims import CLAIMS
 from .cyclic import CanonicalForm
 from .elimination import augment, cokernel_orders, eliminate
 from .errors import InvalidGrid, NonStabilizing, UnknownClaim
@@ -622,14 +625,15 @@ def _is_vnr(ring: RingSpec) -> bool:
 
 
 class _Claim(NamedTuple):
-    """One entry of the claim table; see the module docstring."""
+    """One entry of the claim table: its index entry, then its shape; see the
+    module docstring."""
 
     claim_id: str
     statement: str
+    rings: str  # "all", "modular", "vnr"
+    expected: str  # "pass" or "fail" on grids where the claim has content
     loops: tuple[_Var, ...]
     check: Callable
-    rings: str = "all"  # "all", "modular", "vnr"
-    expected: str = "pass"  # "pass" or "fail" on grids where the claim has content
     expected_on: Callable[[_Ctx], str] | None = None
 
     def applies(self, ctx: _Ctx) -> bool:
@@ -743,7 +747,6 @@ def _extension_closure(s: _Side) -> dict:
     return dict(
         loops=(_Var("S", _sequences), _Var("M", within=_classed(s, "tiny", 0, "x", "z"))),
         check=check,
-        expected="fail",
         # over a von Neumann regular ring both classes are all modules
         expected_on=lambda ctx: "pass" if ctx.vnr else "fail",
     )
@@ -913,11 +916,11 @@ def _vnr_vanish(s: _Side) -> dict:
         local = _local(ctx, s, bound[0], d)
         return [vanish(local, bound[0], n, d) for n in ns]
 
-    return dict(loops=(_Var("M"), _Var("N")), check=check, rings="vnr")
+    return dict(loops=(_Var("M"), _Var("N")), check=check)
 
 
 # ---------------------------------------------------------------------------
-# the claim table, in report order
+# the claim table: each entry of the index `fgmod.claims`, with its shape
 
 
 _RED = _Side(
@@ -930,130 +933,79 @@ _COR = _Side(
 )
 
 
-def _mirrored(shape: Callable[[_Side], dict], *entries: tuple[_Side, str, str]) -> list[_Claim]:
-    """One entry per (side, claim id, statement), all of one shape."""
-    return [_Claim(cid, statement, **shape(side)) for side, cid, statement in entries]
+def _mirrored(shape: Callable[[_Side], dict], *entries: tuple[_Side, str]) -> dict[str, dict]:
+    """The shape of each (side, claim id), all of one shape."""
+    return {cid: shape(side) for side, cid in entries}
 
 
 _M, _N, _X = _Var("M"), _Var("N"), _Var("X")
 _COREDUCED_M = _Var("M", _where("forms", cyclic.is_coreduced))
 
-_REGISTRY: list[_Claim] = [
-    *_mirrored(
-        _equiv,
-        (_RED, "equiv-reduced-wrt", "the five characterizations of 'reduced relative to M' agree on every instance"),
-        (_COR, "equiv-coreduced-wrt", "the five characterizations of 'coreduced relative to M' agree on every instance"),
-    ),
-    _Claim("gamma-compose",
-           "two-argument torsion computed from its limit definition equals the torsion of the hom module",
-           (_M, _N), _gamma_compose),
-    _Claim("gamma-hom-commute", "two-argument torsion equals Hom(M, torsion of N)",
-           (_N, _M), _each(lambda n, m, d: cyclic.torsion_wrt(m, n, d) == cyclic.hom(m, cyclic.torsion(n, d)[0]))),
-    _Claim("gamma-reflect", "N is reduced relative to M iff the torsion of N is",
-           (_N, _M),
-           _each(lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, cyclic.torsion(n, d)[0], d))),
-    _Claim("reduced-implies-wrt", "a reduced module is reduced relative to every module",
-           (_Var("N", _where("forms", cyclic.is_reduced)), _Var("K")),
-           _in_class_of(_RED, 0)),
-    _Claim("coreduced-M-absorbs", "a coreduced M makes every module reduced relative to M",
-           (_COREDUCED_M, _N), _in_class_of(_RED, 1)),
-    _Claim("tensor-coreduced", "a tensor product with a coreduced factor is coreduced",
-           (_M, _Var("N", within=_relative(
-               "forms", lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d)))),
-           _in_class_of(_COR, 1)),  # M (x) N coreduced: N in the coreduced class relative to M
-    *_mirrored(
-        _functor_stays,
-        (_RED, "hom-into-reduced", "Hom out of a module coreduced relative to M lands in the reduced class"),
-        (_COR, "tensor-stays", "tensoring a module coreduced relative to M stays in the coreduced class"),
-    ),
-    *_mirrored(
-        _closure_sums,
-        (_RED, "closure-products", "finite products stay reduced relative to M"),
-        (_COR, "closure-sums", "finite sums stay coreduced relative to M"),
-    ),
-    _Claim("closure-sub", "submodules stay reduced relative to M",
-           (_Var("N", "finite_small"),
-            _Var("M", within=_classed(_RED, "small", 0)),
-            _Var("X", within=lambda ctx, n, d: [s.x for s in _sequences_in(n)])),
-           _in_class_of(_RED, 1)),
-    _Claim("closure-quot", "quotients stay coreduced relative to M",
-           (_Var("N", lambda ctx, d: ctx.finite_small + tuple(n for n in ctx.forms if n.free_rank)),
-            _Var("M", within=_classed(_COR, "small", 0)),
-            _Var("Q", within=_quotients)),
-           _in_class_of(_COR, 1)),
-    *_mirrored(
-        _extension_closure,
-        (_RED, "extension-closure-R",
-         "the reduced-relative-to-M class is closed under extensions (expected counterexample)"),
-        (_COR, "extension-closure-C",
-         "the coreduced-relative-to-M class is closed under extensions (expected counterexample)"),
-    ),
-    _Claim("dual-cor-iff-red", "X is coreduced relative to M iff its dual is reduced relative to M",
-           (_M, _X),
-           _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, x, d) == cyclic.is_reduced_wrt(m, cyclic.dual(x), d))),
-    _Claim("dual-red-then-cor", "the dual of a module reduced relative to M is coreduced relative to M",
-           (_M, _Var("X", within=_classed(_RED))),
-           _on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, cyclic.dual(x), d))),
-    *_mirrored(
+# each claim's shape, by its id
+_SHAPES: dict[str, dict] = {
+    **_mirrored(_equiv, (_RED, "equiv-reduced-wrt"), (_COR, "equiv-coreduced-wrt")),
+    "gamma-compose": dict(loops=(_M, _N), check=_gamma_compose),
+    "gamma-hom-commute": dict(
+        loops=(_N, _M),
+        check=_each(lambda n, m, d: cyclic.torsion_wrt(m, n, d) == cyclic.hom(m, cyclic.torsion(n, d)[0]))),
+    "gamma-reflect": dict(
+        loops=(_N, _M),
+        check=_each(lambda n, m, d: cyclic.is_reduced_wrt(m, n, d) == cyclic.is_reduced_wrt(m, cyclic.torsion(n, d)[0], d))),
+    "reduced-implies-wrt": dict(loops=(_Var("N", _where("forms", cyclic.is_reduced)), _Var("K")), check=_in_class_of(_RED, 0)),
+    "coreduced-M-absorbs": dict(loops=(_COREDUCED_M, _N), check=_in_class_of(_RED, 1)),
+    "tensor-coreduced": dict(
+        loops=(_M, _Var("N", within=_relative(
+            "forms", lambda m, n, d: cyclic.is_coreduced(m, d) or cyclic.is_coreduced(n, d)))),
+        check=_in_class_of(_COR, 1)),  # M (x) N coreduced: N in the coreduced class relative to M
+    **_mirrored(_functor_stays, (_RED, "hom-into-reduced"), (_COR, "tensor-stays")),
+    **_mirrored(_closure_sums, (_RED, "closure-products"), (_COR, "closure-sums")),
+    "closure-sub": dict(
+        loops=(_Var("N", "finite_small"),
+               _Var("M", within=_classed(_RED, "small", 0)),
+               _Var("X", within=lambda ctx, n, d: [s.x for s in _sequences_in(n)])),
+        check=_in_class_of(_RED, 1)),
+    "closure-quot": dict(
+        loops=(_Var("N", lambda ctx, d: ctx.finite_small + tuple(n for n in ctx.forms if n.free_rank)),
+               _Var("M", within=_classed(_COR, "small", 0)),
+               _Var("Q", within=_quotients)),
+        check=_in_class_of(_COR, 1)),
+    **_mirrored(_extension_closure, (_RED, "extension-closure-R"), (_COR, "extension-closure-C")),
+    "dual-cor-iff-red": dict(
+        loops=(_M, _X),
+        check=_on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, x, d) == cyclic.is_reduced_wrt(m, cyclic.dual(x), d))),
+    "dual-red-then-cor": dict(
+        loops=(_M, _Var("X", within=_classed(_RED))),
+        check=_on_dual(lambda m, x, d: cyclic.is_coreduced_wrt(m, cyclic.dual(x), d))),
+    **_mirrored(
         partial(_dual, lambda ctx, s, m, d: ctx.rows[s.adic, 1, m, d], cyclic.dual),
-        (_RED, "gamma-dual", "dual of two-argument torsion equals two-argument completion of the dual"),
-        (_COR, "lambda-dual", "dual of two-argument completion equals two-argument torsion of the dual"),
+        (_RED, "gamma-dual"), (_COR, "lambda-dual"),
     ),
-    _Claim("reflexive", "torsion and completion of a reflexive module in both classes are reflexive",
-           (_M, _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_reduced_wrt(m, n, d)
-                                            and cyclic.is_coreduced_wrt(m, n, d) and _reflexive(n)))),
-           _each(lambda m, n, d: _reflexive(cyclic.torsion_wrt(m, n, d)) and _reflexive(cyclic.completion_wrt(m, n, d))),
-           rings="modular"),
-    _Claim("gm-adjunction", "Hom(completion(M,P), N) matches Hom(P, torsion(M,N)) on the two classes",
-           (_M, _Var("N", within=_classed(_RED)), _Var("P", within=_classed(_COR))), _gm_adjunction),
-    *_mirrored(
-        _exactness,
-        (_RED, "gamma-left-exact", "two-argument torsion preserves kernels on in-class short exact sequences"),
-        (_COR, "lambda-right-exact",
-         "two-argument completion preserves cokernels on in-class short exact sequences"),
-    ),
-    _Claim("both-classes", "tensor and Hom against M/aM land in both classes relative to M",
-           (_M, _N), _both_classes),
-    _Claim("glc-fastpath",
-           "collapsed and stabilized-chain local cohomology agree where both are defined "
-           "(known counterexamples: free second argument over Z, and non-semisimple Z/n)",
-           **_fastpath(_RED), expected_on=_glc_fastpath_expected),
-    _Claim("glc-proj-vanish", "local cohomology vanishes in positive degrees when M/aM is projective",
-           **_positive_degrees_vanish(_RED)),
-    _Claim("glh-fastpath",
-           "collapsed and stabilized-chain local homology agree where both are defined "
-           "(known counterexamples over non-semisimple Z/n)",
-           **_fastpath(_COR), expected_on=_glh_fastpath_expected),
-    _Claim("glh-flat-vanish", "local homology vanishes in positive degrees when M/aM is flat",
-           **_positive_degrees_vanish(_COR)),
-    _Claim("glh-symmetry", "local homology is symmetric in its two coreduced arguments",
-           (_COREDUCED_M,
-            _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
-           lambda ctx, bound, ns, d: [_local(ctx, _COR, bound[0], d)[n] == _local(ctx, _COR, n, d)[bound[0]] for n in ns],
-           rings="modular"),
-    _Claim("finiteness", "local (co)homology of finite inputs is finite",
-           (_M, _Var("N", "finite")), _finiteness),
-    *_mirrored(
+    "reflexive": dict(
+        loops=(_M, _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_reduced_wrt(m, n, d)
+                                              and cyclic.is_coreduced_wrt(m, n, d) and _reflexive(n)))),
+        check=_each(lambda m, n, d: _reflexive(cyclic.torsion_wrt(m, n, d)) and _reflexive(cyclic.completion_wrt(m, n, d)))),
+    "gm-adjunction": dict(
+        loops=(_M, _Var("N", within=_classed(_RED)), _Var("P", within=_classed(_COR))), check=_gm_adjunction),
+    **_mirrored(_exactness, (_RED, "gamma-left-exact"), (_COR, "lambda-right-exact")),
+    "both-classes": dict(loops=(_M, _N), check=_both_classes),
+    "glc-fastpath": dict(**_fastpath(_RED), expected_on=_glc_fastpath_expected),
+    "glc-proj-vanish": _positive_degrees_vanish(_RED),
+    "glh-fastpath": dict(**_fastpath(_COR), expected_on=_glh_fastpath_expected),
+    "glh-flat-vanish": _positive_degrees_vanish(_COR),
+    "glh-symmetry": dict(
+        loops=(_COREDUCED_M, _Var("N", within=_relative("forms", lambda m, n, d: cyclic.is_coreduced(n, d)))),
+        check=lambda ctx, bound, ns, d: [_local(ctx, _COR, bound[0], d)[n] == _local(ctx, _COR, n, d)[bound[0]] for n in ns]),
+    "finiteness": dict(loops=(_M, _Var("N", "finite")), check=_finiteness),
+    **_mirrored(
         partial(_dual, _local, lambda h: tuple(map(cyclic.dual, h))),
-        (_COR, "glh-glc-dual", "dual of local homology equals local cohomology of the dual"),
-        (_RED, "glc-glh-dual", "local homology of the dual equals the dual of local cohomology"),
+        (_COR, "glh-glc-dual"), (_RED, "glc-glh-dual"),
     ),
-    _Claim("b-class-membership", "for coreduced M, local (co)homology values land in both classes",
-           (_COREDUCED_M, _N), _b_class_membership),
-    *_mirrored(
-        _inherit,
-        (_RED, "inherit-reduced", "if the classical value is reduced relative to M, so is the two-argument value"),
-        (_COR, "inherit-coreduced",
-         "if the classical value is coreduced relative to M, so is the two-argument value"),
-    ),
-    *_mirrored(
-        _vnr_vanish,
-        (_COR, "vnr-homology-vanish", "over a von Neumann regular ring iterated local homology vanishes off (0,0)"),
-        (_RED, "vnr-cohomology-vanish",
-         "over an Artinian von Neumann regular ring iterated local cohomology vanishes off (0,0)"),
-    ),
-]
+    "b-class-membership": dict(loops=(_COREDUCED_M, _N), check=_b_class_membership),
+    **_mirrored(_inherit, (_RED, "inherit-reduced"), (_COR, "inherit-coreduced")),
+    **_mirrored(_vnr_vanish, (_COR, "vnr-homology-vanish"), (_RED, "vnr-cohomology-vanish")),
+}
 
+_REGISTRY: list[_Claim] = [_Claim(*entry, **_SHAPES[entry[0]]) for entry in CLAIMS]
 _BY_ID = {c.claim_id: c for c in _REGISTRY}
 
 

@@ -13,9 +13,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def python(*args: str, pythonpath=("src",)) -> subprocess.CompletedProcess:
+def python(*args: str, pythonpath=("src",), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """`python *args` from the repository root, with the `pythonpath`
-    directories (relative to the root) as the whole PYTHONPATH."""
+    directories (relative to the root) as the whole PYTHONPATH; stdout is
+    captured unless `stdout` names another file or descriptor."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(str(ROOT / p) for p in pythonpath)
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )

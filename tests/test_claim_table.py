@@ -12,6 +12,7 @@ import json
 import pytest
 
 import fgmod.verify as verify
+from fgmod.claims import CLAIMS
 from fgmod.cli import main
 from fgmod.rings import RingSpec
 from fgmod.verify import GridSpec, check_claim, claim_expectation, grid_from_dict, registered_claims, run_suite
@@ -72,6 +73,12 @@ def test_claim_list_is_unchanged(capsys):
     assert main(["verify", "--list-claims"]) == 0
     assert capsys.readouterr().out.splitlines() == [cid for cid, _ in EXPECTED]
     assert registered_claims() == [cid for cid, _ in EXPECTED]
+
+
+def test_each_claim_is_its_index_entry_with_a_shape_in_index_order():
+    assert [(c.claim_id, c.statement, c.rings, c.expected) for c in verify._REGISTRY] == list(CLAIMS)
+    assert list(verify._SHAPES) == [cid for cid, *_ in CLAIMS]
+    assert all(claim_expectation(cid) == expected for cid, _, _, expected in CLAIMS)
 
 
 @pytest.mark.parametrize("cid, verdicts", EXPECTED)

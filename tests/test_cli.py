@@ -128,6 +128,19 @@ def test_verify_list_claims(capsys):
     assert "equiv-reduced-wrt" in out.splitlines()
 
 
+def test_verify_lists_each_claim_as_one_json_object_in_json_lines(capsys):
+    code, out, _ = run(capsys, "verify", "--list-claims", "--format", "json-lines")
+    assert code == 0
+    listed = [json.loads(line) for line in out.splitlines()]
+    assert [claim["id"] for claim in listed] == verify.registered_claims()
+    for claim in listed:
+        entry = verify._BY_ID[claim["id"]]
+        assert claim == {"id": entry.claim_id, "statement": entry.statement, "rings": entry.rings,
+                         "expected": entry.expected}
+    assert {claim["rings"] for claim in listed} == {"all", "modular", "vnr"}
+    assert {claim["expected"] for claim in listed} == {"pass", "fail"}
+
+
 @pytest.mark.parametrize("flag, value", [("--ring", "Z/6"), ("--ideal", "2,3")])
 def test_verify_claims_run_refuses_value_flags(flag, value, capsys):
     # the grids fix rings and ideals; a flag the run would ignore is a usage error

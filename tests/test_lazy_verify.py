@@ -11,6 +11,8 @@ import json
 
 from fresh_interpreter import python
 
+from fgmod import verify
+
 
 def test_one_shot_query_does_not_run_the_harness():
     # object.__getattribute__ reads the module dict without triggering the load
@@ -64,11 +66,30 @@ def test_every_import_gives_the_registered_module():
     assert proc.stdout.splitlines() == ["True True True True", "True"]
 
 
+# reports at exit, on stderr, whether the harness's body ran and which of
+# elimination and json the process imported
+_LOADED_AT_EXIT = """
+import atexit, sys
+def loaded():
+    body = object.__getattribute__(sys.modules['fgmod.verify'], '__dict__')
+    print('_REGISTRY' in body, 'fgmod.elimination' in sys.modules, 'json' in sys.modules, file=sys.stderr)
+atexit.register(loaded)
+from fgmod.cli import run
+run()
+"""
+
+
 def test_verify_lists_every_claim_in_a_fresh_process():
-    proc = python("-m", "fgmod.cli", "verify", "--list-claims")
-    assert proc.returncode == 0, proc.stderr
-    claims = proc.stdout.splitlines()
-    assert len(claims) == 38 and len(set(claims)) == 38
+    # the listing reads the claim index alone: neither the body of
+    # fgmod.verify nor fgmod.elimination runs, and only json-lines loads json
+    for fmt in ("text", "json-lines"):
+        proc = python("-c", _LOADED_AT_EXIT, "verify", "--list-claims", "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"False False {fmt == 'json-lines'}\n"
+        lines = proc.stdout.splitlines()
+        claims = lines if fmt == "text" else [json.loads(line)["id"] for line in lines]
+        assert len(claims) == 38 and len(set(claims)) == 38
+        assert claims == verify.registered_claims()
 
 
 def test_traced_launcher_runs_a_one_shot_query(tmp_path):
@@ -110,7 +131,8 @@ def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
     # the harness reads its Smith forms off fgmod.elimination and its records
     # are hand-written classes; only enumerate_modules, which returns
     # presentations, loads fgmod.modules, whose records need no dataclasses
-    # either; a well-formed verify line is read without the parser
+    # either; a well-formed verify line is read without the parser, and
+    # --list-claims reads the claim index without the harness
     proc = python(
         "-c",
         "import contextlib, io, sys\n"
@@ -131,7 +153,7 @@ def test_a_verify_run_runs_neither_the_matrix_route_nor_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "0 True False False False False",
+        "0 False False False False False",
         "0 True False False False False",
         "9 True True True True False False",
     ]

@@ -9,6 +9,7 @@ The program checks run in fresh interpreters; `main` is checked in process.
 
 import gc
 import json
+import os
 
 import pytest
 from fresh_interpreter import ROOT, python
@@ -42,6 +43,35 @@ def test_run_prints_and_exits_as_python_m(argv, code):
     assert (via_run.returncode, via_run.stdout, via_run.stderr) == (
         via_module.returncode, via_module.stdout, via_module.stderr,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--list-claims"], ["canon", "--format", "json-lines", "Z/2"], ["verify", "--grid", GRID]],
+)
+def test_the_program_exits_1_quietly_when_the_reader_has_closed_the_pipe(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python("-m", "fgmod.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses every write")
+def test_the_program_prints_one_error_line_and_exits_1_when_it_cannot_write():
+    with open("/dev/full", "w") as full:
+        proc = python("-m", "fgmod.cli", "canon", "Z/2", stdout=full)
+    assert (proc.returncode, proc.stderr) == (1, "error: cannot write the output: No space left on device\n")
+
+
+def test_the_program_started_with_stdout_closed_writes_nothing_and_exits_0():
+    # its interpreter sets sys.stdout to None, and print() writes nothing
+    proc = python(
+        "-c", "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, '-m', 'fgmod.cli', 'canon', 'Z/2'])",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # `main` is read from the module at call time, so the recording one runs
