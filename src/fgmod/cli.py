@@ -8,11 +8,12 @@ invariant factors.  Each value subcommand is one row of `_VALUES`, each
 `check` predicate one row of `_PREDICATES` and each option one row of
 `_OPTIONS` or `_VERIFY_OPTIONS`; the reader of command lines, the parser
 and `main`'s one dispatch path are driven by these tables.  A well-formed
-command line is read off them directly; `argparse` is loaded only for the
-lines the reader declines, to print help or a usage error.  Exit codes:
-0 success (or all claim verdicts as expected), 1 the output could not be
-written, 2 usage error, 3 a limit is not finitely generated, 4 unexpected
-claim verdict.
+command line is read off them directly; the full parser (`fgmod.usage`)
+and `argparse` are loaded only for the lines the reader declines, to print
+help or a usage error, and a claims run is `fgmod.verify.run_command`.
+Exit codes: 0 success (or all claim verdicts as expected), 1 the output
+could not be written, 2 usage error, 3 a limit is not finitely generated,
+4 unexpected claim verdict.
 
 `run()` is the program: `python -m fgmod.cli` and the installed `fgmod`
 command both call it.  `main(argv)` is the same front end without process
@@ -27,9 +28,9 @@ import sys
 from types import SimpleNamespace
 
 from . import cyclic
-from .errors import FgmodError, InvalidGrid, NonStabilizing
+from .errors import FgmodError, NonStabilizing
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
-from . import verify  # lazy: only a claims run of `fgmod verify` loads the harness (see fgmod/__init__.py)
+from . import verify  # lazy: only a claims run of `fgmod verify` runs the harness (see fgmod/__init__.py)
 
 EXIT_OK = 0
 EXIT_OUTPUT = 1
@@ -147,69 +148,13 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def _build_parser():
-    """The full parser, the one source of every help text and usage error.
-
-    `main` builds it only for a command line `_read` declines, so only those
-    load `argparse`."""
-    import argparse
-
-    def with_options(parser, options):
-        for flag, (default, choices, summary) in options.items():
-            if default is False:
-                parser.add_argument(flag, action="store_true", help=summary)
-            else:
-                parser.add_argument(flag, default=default, choices=choices, help=summary)
-        return parser
-
-    p = argparse.ArgumentParser(
-        prog="fgmod",
-        description="exact computations with finitely generated modules over Z and Z/n",
-        epilog=GRAMMAR_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    for name, (_, operands, _, degree, summary) in _VALUES.items():
-        sp = with_options(sub.add_parser(name, help=summary), _OPTIONS)
-        if degree:
-            sp.add_argument("degree", type=int)
-        for operand in operands:
-            sp.add_argument(operand)
-
-    chk = with_options(sub.add_parser("check", help="membership predicates"), _OPTIONS)
-    chk.add_argument("predicate", choices=tuple(_PREDICATES))
-    chk.add_argument("modules", nargs="+")
-
-    with_options(sub.add_parser("verify", help="run the claim verification suite"), _VERIFY_OPTIONS)
-    return p
-
-
 def _emit(args, payload: dict, text: str):
     if args.format == "json-lines":
-        import json  # imported only here and for grid files: text output never needs it
+        import json  # imported only here: text output never needs it
 
         print(json.dumps(payload))
     else:
         print(text)
-
-
-def _load_grids(path: str) -> list:
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InvalidGrid(f"cannot read grid file {path!r}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise InvalidGrid(f"grid file {path!r} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise InvalidGrid(f"grid file {path!r} nests too deeply to read") from None
-    grids = [verify.grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
-    if not grids:
-        raise InvalidGrid(f"grid file {path!r} holds no grid")
-    return grids
 
 
 def _verify(args) -> int:
@@ -219,25 +164,7 @@ def _verify(args) -> int:
         for cid, statement, rings, expected in CLAIMS:
             _emit(args, {"id": cid, "statement": statement, "rings": rings, "expected": expected}, cid)
         return EXIT_OK
-    given = [f"--{name}" for name in ("ring", "ideal") if getattr(args, name) is not None]
-    if given:
-        print(
-            f"error: verify does not use {', '.join(given)}: the grids set the rings and ideals"
-            " (give a grid file with --grid)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    claim_ids = None
-    if args.claims is not None:
-        claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
-        if not claim_ids:
-            print("error: --claims names no claim id; `fgmod verify --list-claims` lists them", file=sys.stderr)
-            return EXIT_USAGE
-    grids = _load_grids(args.grid) if args.grid else None
-    suite = verify.run_suite(grids, claim_ids)
-    out = verify.format_reports_jsonl(suite) if args.format == "json-lines" else verify.format_reports_text(suite)
-    sys.stdout.write(out)
-    return EXIT_OK if suite.all_expected else EXIT_UNEXPECTED_CLAIM
+    return EXIT_OK if verify.run_command(args) else EXIT_UNEXPECTED_CLAIM
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -249,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:
-        args = _build_parser().parse_args(argv)
+        from .usage import build_parser
+
+        args = build_parser(_VALUES, _PREDICATES, _OPTIONS, _VERIFY_OPTIONS).parse_args(argv)
     try:
         cmd = args.command
         if cmd == "verify":

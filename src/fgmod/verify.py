@@ -31,7 +31,7 @@ quotient they read it on (see `_exact_on`).
 Every walk is deterministic, so identical inputs give byte-identical
 reports.  Every value is read off invariant factors by `fgmod.cyclic`, and
 every Smith form comes from `fgmod.elimination`, so a run loads neither
-`linalg` nor `modules`; only json-lines output loads `json`.
+`linalg` nor `modules`; only json-lines output and grid files load `json`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import cyclic
 from .claims import CLAIMS
 from .cyclic import CanonicalForm
-from .elimination import augment, cokernel_orders, eliminate
-from .errors import InvalidGrid, NonStabilizing, UnknownClaim
+from .elimination import augment, eliminate
+from .errors import FgmodError, InvalidGrid, NonStabilizing, UnknownClaim
 from .grammar import format_canonical, parse_module_expr
+from .maps import _span_order, hom_postcompose, tensor_postcompose
 from .rings import RingSpec, _Record, principal
 
 if TYPE_CHECKING:
@@ -63,6 +64,8 @@ __all__ = [
     "run_suite",
     "default_grids",
     "grid_from_dict",
+    "grids_from_file",
+    "run_command",
     "registered_claims",
     "claim_expectation",
     "format_reports_text",
@@ -239,6 +242,26 @@ def grid_from_dict(data: dict) -> GridSpec:
     )
 
 
+def grids_from_file(path: str) -> list[GridSpec]:
+    """The grids of a JSON file that holds one grid or a list of them; raises
+    InvalidGrid when the file cannot be read or holds no well-formed grid."""
+    import json  # only grid files and json-lines output need it
+
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidGrid(f"cannot read grid file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidGrid(f"grid file {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidGrid(f"grid file {path!r} nests too deeply to read") from None
+    grids = [grid_from_dict(d) for d in (data if isinstance(data, list) else [data])]
+    if not grids:
+        raise InvalidGrid(f"grid file {path!r} holds no grid")
+    return grids
+
+
 # ---------------------------------------------------------------------------
 # values on canonical forms, read off invariant factors by fgmod.cyclic
 
@@ -288,7 +311,7 @@ def _degrees(ring: RingSpec) -> range:
 class _Seq(NamedTuple):
     """0 -> X -> Y -> Z -> 0 for a submodule X of Y and Z = Y/X: the forms,
     and the inclusion and the projection as integer matrices on cyclic
-    summands, one row per target summand (see `cyclic.hom_postcompose`); the
+    summands, one row per target summand (see `maps.hom_postcompose`); the
     inclusion's columns generate X.  Every field hashes in C."""
 
     y: CanonicalForm
@@ -797,18 +820,10 @@ def _exact_on(s: _Side, seq: _Seq, q: CanonicalForm) -> bool | tuple[bool, str]:
     E, Y's exponent, kills each term T, so Hom(M, T)[d^k] = Hom((M/EM)/d^k, T)
     and (M (x) T)/d^k = (M/EM)/d^k (x) T, and M/EM settles at Q along (d).
     Q is finite, and the induced pair, a complex, is block diagonal over its
-    cyclic summands (see `cyclic._pair_map`): it is exact iff every block is."""
+    cyclic summands (see `maps._pair_map`): it is exact iff every block is."""
     answers = [_exact_on_summand(s, seq, o) for o in q.torsion_factors]
     at_end, exact_mid = all(a for a, _ in answers), all(b for _, b in answers)
     return at_end and exact_mid or (False, f"{s.end}={at_end}, exact={exact_mid}")
-
-
-def _span_order(f: cyclic.SummandMap) -> int:
-    """The order of the image of f in the sum of the Z/h, h its target
-    orders: the index of the integer span of [F | diag(orders)] (`augment`)
-    over that of diag(orders)."""
-    source, target, matrix = f
-    return math.prod(target) // math.prod(cokernel_orders(augment(matrix, target), len(source) + len(target))[0])
 
 
 @lru_cache(maxsize=1024)  # the default suite asks 322
@@ -925,11 +940,11 @@ def _vnr_vanish(s: _Side) -> dict:
 
 _RED = _Side(
     cyclic.is_reduced_wrt, cyclic.torsion_wrt, "torsion", cyclic.is_reduced, cyclic.hom,
-    cyclic.local_cohomology, cyclic.hom_postcompose, "injective",
+    cyclic.local_cohomology, hom_postcompose, "injective",
 )
 _COR = _Side(
     cyclic.is_coreduced_wrt, cyclic.completion_wrt, "completion", cyclic.is_coreduced, cyclic.tensor,
-    cyclic.local_homology, cyclic.tensor_postcompose, "surjective",
+    cyclic.local_homology, tensor_postcompose, "surjective",
 )
 
 
@@ -1070,6 +1085,27 @@ def run_suite(grids: list[GridSpec] | None = None, claims: list[str] | None = No
     return SuiteReport(tuple(reports))
 
 
+def run_command(args) -> bool:
+    """`fgmod verify` on the command line read into `args`: print the reports
+    of the claims `--claims` names (default all) on the grids of `--grid`
+    (default the default grids) and return whether every verdict was as
+    expected.  --ring, --ideal or a --claims with no id raise FgmodError."""
+    given = [f"--{name}" for name in ("ring", "ideal") if getattr(args, name) is not None]
+    if given:
+        raise FgmodError(
+            f"verify does not use {', '.join(given)}: the grids set the rings and ideals (give a grid file with --grid)"
+        )
+    claim_ids = None
+    if args.claims is not None:
+        claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not claim_ids:
+            raise FgmodError("--claims names no claim id; `fgmod verify --list-claims` lists them")
+    suite = run_suite(grids_from_file(args.grid) if args.grid else None, claim_ids)
+    # print writes nothing in a process started with stdout closed
+    print(format_reports_jsonl(suite) if args.format == "json-lines" else format_reports_text(suite), end="")
+    return suite.all_expected
+
+
 def format_reports_text(suite: SuiteReport) -> str:
     lines = [f"note: {note}" for note in REPORT_NOTES]
     for r in suite.reports:
@@ -1092,7 +1128,7 @@ def format_reports_text(suite: SuiteReport) -> str:
 
 
 def format_reports_jsonl(suite: SuiteReport) -> str:
-    import json  # only json-lines output needs it
+    import json  # only json-lines output and grid files need it
 
     lines = [json.dumps({"notes": list(REPORT_NOTES)})]
     lines += [json.dumps(r.to_dict()) for r in suite.reports]

@@ -28,6 +28,7 @@ from fgmod.adic import completion_exponent, power_quotient, torsion_submodule
 from fgmod.errors import AmbientMismatch, NonStabilizing
 from fgmod.functors import hom_postcompose, tensor_postcompose
 from fgmod.linalg import MatrixR, from_columns
+from fgmod.maps import _span_order
 from fgmod.modules import (
     ModuleMap,
     Submodule,
@@ -110,7 +111,7 @@ def exact_on_whole_q(side, seq, q):
     """True, or (False, note), for the pair the sequence induces on the whole
     stable quotient Q, decided by the orders of its two images."""
     first, second = side.postcompose(q, seq.x, seq.y, seq.incl), side.postcompose(q, seq.y, seq.z, seq.proj)
-    image, onto = verify._span_order(first), verify._span_order(second)
+    image, onto = _span_order(first), _span_order(second)
     at_end = image == math.prod(first[0]) if side.end == "injective" else onto == math.prod(second[1])
     exact_mid = math.prod(first[1]) == onto * image
     return at_end and exact_mid or (False, f"{side.end}={at_end}, exact={exact_mid}")

@@ -66,6 +66,7 @@ from fgmod import adic, cyclic, functors, modules, verify
 from fgmod.errors import FgmodError
 from fgmod.functors import hom_postcompose, tensor_postcompose
 from fgmod.linalg import MatrixR
+from fgmod.maps import _hom_generator
 from fgmod.modules import (
     CanonicalForm,
     ModuleMap,
@@ -192,7 +193,7 @@ def random_map(rng: random.Random, A: CanonicalForm, B: CanonicalForm):
     """A random well-defined map A -> B on the cyclic summands: each entry
     a multiple of the generator of Hom(Z/a, Z/b)."""
     return tuple(
-        tuple(rng.randint(-3, 3) * cyclic._hom_generator(a, b) if cyclic._hom_order(a, b) != 1 else 0
+        tuple(rng.randint(-3, 3) * _hom_generator(a, b) if cyclic._hom_order(a, b) != 1 else 0
               for a in cyclic._orders(A))
         for b in cyclic._orders(B)
     )

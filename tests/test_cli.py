@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fgmod
-from fgmod import cli, verify
+from fgmod import cli, usage, verify
 from fgmod.cli import main
 from fgmod.grammar import GRAMMAR_HELP, MAX_GENERATORS
 from test_cli_golden import COMMANDS, CORPUS
@@ -503,7 +503,7 @@ def assert_read_as_parsed(parser, argv):
 
 @pytest.fixture(scope="module")
 def parser():
-    return cli._build_parser()
+    return usage.build_parser(cli._VALUES, cli._PREDICATES, cli._OPTIONS, cli._VERIFY_OPTIONS)
 
 
 def usage_cases(command):

@@ -286,7 +286,7 @@ def test_no_fgmod_module_imports_dataclasses():
         "print(ran == names, len(names), 'dataclasses' in sys.modules)\n",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "14", "False"]
+    assert proc.stdout.split() == ["True", "16", "False"]
 
 
 def test_records_survive_pickling():

@@ -1,7 +1,10 @@
 """`fgmod.verify` is registered lazily by the package: one-shot queries never
 run its body, a suite run never runs the body of `fgmod.adic`, nor of the
 matrix route even when a grid whitelists a `coker` module, and every way of
-importing it yields the same module object.
+importing it yields the same module object.  A value query runs only the
+value path; the harness's induced maps (`maps`) and the help parser
+(`usage`) run only in the processes that use them, and no module imports
+`fgmod.cli`, which `python -m fgmod.cli` runs as `__main__`.
 
 Each check runs in a fresh interpreter, because other tests load the harness
 into this one.
@@ -187,3 +190,83 @@ def test_a_grid_that_whitelists_a_coker_module_runs_neither_linalg_nor_modules(t
         "True False False False",
         "True summary: 36 reports, 4 unexpected verdicts",
     ]
+
+
+# a sitecustomize that reports at exit, on stderr, each entry of sys.modules
+# whose file is a source of the fgmod package: its name, the file and
+# whether its body ran
+_PROBE = """
+import atexit, os, sys
+
+def report():
+    package = os.path.dirname(object.__getattribute__(sys.modules['fgmod'], '__dict__')['__file__'])
+    for name, module in list(sys.modules.items()):
+        body = object.__getattribute__(module, '__dict__')
+        path = body.get('__file__') or ''
+        if os.path.dirname(path) == package:
+            print('module:', name, os.path.basename(path), '__builtins__' in body, file=sys.stderr)
+
+atexit.register(report)
+"""
+
+
+def _program(tmp_path, *argv: str) -> tuple[int, list[tuple[str, str, bool]]]:
+    """The exit code of `python -m fgmod.cli *argv`, as the installed command
+    and the benchmark run it, and the (name, file, ran) of each fgmod entry
+    of its sys.modules at exit."""
+    (tmp_path / "sitecustomize.py").write_text(_PROBE)
+    proc = python("-m", "fgmod.cli", *argv, pythonpath=("src", str(tmp_path)))
+    rows = [line.split()[1:] for line in proc.stderr.splitlines() if line.startswith("module: ")]
+    return proc.returncode, [(name, path, ran == "True") for name, path, ran in rows]
+
+
+def _ran(rows) -> dict[str, str]:
+    return {name: path for name, path, ran in rows if ran}
+
+
+def test_a_value_query_runs_exactly_the_value_path(tmp_path):
+    value_path = {
+        "fgmod": "__init__.py", "fgmod.errors": "errors.py", "fgmod.rings": "rings.py",
+        "fgmod.cyclic": "cyclic.py", "fgmod.grammar": "grammar.py", "__main__": "cli.py",
+    }
+    for argv in (["canon", "Z/2"], ["hom", "Z/4", "Z/6"], ["glc", "1", "--ideal", "2", "Z/4", "Z/8"],
+                 ["check", "reduced-wrt", "--ideal", "2", "Z/4", "Z/8"]):
+        code, rows = _program(tmp_path, *argv)
+        assert code == 0, argv
+        assert _ran(rows) == value_path, argv
+
+
+def test_a_claims_run_loads_no_source_twice(tmp_path):
+    code, rows = _program(tmp_path, "verify", "--grid", "tests/golden/verify_small_grid.json", "--claims", "reflexive")
+    assert code == 0
+    files = [path for _, path, _ in rows]
+    assert len(files) == len(set(files)), sorted(files)
+    assert "fgmod.cli" not in [name for name, _, _ in rows]
+    assert {"fgmod.verify", "fgmod.maps", "fgmod.elimination"} <= set(_ran(rows))
+
+
+def test_listing_the_claims_runs_neither_the_harness_nor_its_maps(tmp_path):
+    code, rows = _program(tmp_path, "verify", "--list-claims")
+    assert code == 0
+    assert {"fgmod.verify", "fgmod.maps", "fgmod.elimination"}.isdisjoint(_ran(rows))
+
+
+def test_a_usage_error_runs_the_parser_but_not_the_harness(tmp_path):
+    for argv in (["hom", "Z/2"], ["verify", "--grid"]):
+        code, rows = _program(tmp_path, *argv)
+        assert code == 2, argv
+        assert "fgmod.usage" in _ran(rows) and "fgmod.verify" not in _ran(rows), argv
+
+
+def test_cyclic_resolves_the_induced_maps_in_maps_on_first_read():
+    proc = python(
+        "-c",
+        "import sys\n"
+        "from fgmod import cyclic\n"
+        "print('fgmod.maps' in sys.modules)\n"
+        "hom_postcompose, tensor_postcompose = cyclic.hom_postcompose, cyclic.tensor_postcompose\n"
+        "from fgmod import maps\n"
+        "print(hom_postcompose is maps.hom_postcompose, tensor_postcompose is maps.tensor_postcompose)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True True"]

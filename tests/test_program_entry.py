@@ -66,11 +66,22 @@ def test_the_program_prints_one_error_line_and_exits_1_when_it_cannot_write():
     assert (proc.returncode, proc.stderr) == (1, "error: cannot write the output: No space left on device\n")
 
 
-def test_the_program_started_with_stdout_closed_writes_nothing_and_exits_0():
+def _started_with_stdout_closed(*argv: str):
     # its interpreter sets sys.stdout to None, and print() writes nothing
-    proc = python(
-        "-c", "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, '-m', 'fgmod.cli', 'canon', 'Z/2'])",
+    return python(
+        "-c", "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, '-m', 'fgmod.cli', *sys.argv[1:]])",
+        *argv,
     )
+
+
+def test_the_program_started_with_stdout_closed_writes_nothing_and_exits_0():
+    proc = _started_with_stdout_closed("canon", "Z/2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_a_claims_run_started_with_stdout_closed_writes_nothing_and_exits_0(fmt):
+    proc = _started_with_stdout_closed("verify", "--grid", GRID, "--claims", "reflexive", "--format", fmt)
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
