@@ -6,16 +6,17 @@ along an ideal with the associated reduced/coreduced membership predicates,
 generalized local (co)homology, and an exhaustive verification harness for
 the structural identities relating all of these.
 
-A one-shot query runs only `errors`, `rings`, `cyclic`, `grammar` and `cli`,
-and `elimination` for a `coker` atom: its operands parse straight to
-canonical forms, and `cyclic` reads the answer off their invariant factors.
-The matrix route (`linalg`, `modules`, `functors`, `adic`, `cohomology`)
-and the harness (`verify`) are loaded lazily: each module's source is
-compiled and run when one of its attributes is first read, the matrix
-route's by a library caller and the harness by a claims run of `fgmod
-verify`; `fgmod verify --list-claims` reads only the claim index `claims`.
-A `coker` atom and the harness read their Smith forms off the plain
-`elimination` module and leave the matrix route unrun.
+A one-shot query runs only `errors`, `rings`, `cyclic`, `grammar` and `cli`
+(as `__main__`: no module imports it), and `elimination` for a `coker` atom:
+its operands parse straight to canonical forms, and `cyclic` reads the answer
+off their invariant factors.  The matrix route (`linalg`, `modules`,
+`functors`, `adic`, `cohomology`) and the harness (`verify`) are loaded
+lazily: each module's source is compiled and run when one of its attributes
+is first read, the matrix route's by a library caller and the harness, which
+alone imports the induced maps (`maps`), by a claims run of `fgmod verify`.
+`verify --list-claims` reads only the claim index `claims`, and only help and
+usage errors import the parser (`usage`).  A `coker` atom and the harness
+read their Smith forms off `elimination` and leave the matrix route unrun.
 They are registered in `sys.modules` from the start, so that every way of
 importing one yields the same module object and tools that look a module up
 there by name find it.  The names this package re-exports from them, such

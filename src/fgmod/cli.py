@@ -30,7 +30,7 @@ from types import SimpleNamespace
 from . import cyclic
 from .errors import FgmodError, NonStabilizing
 from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
-from . import verify  # lazy: only a claims run of `fgmod verify` runs the harness (see fgmod/__init__.py)
+from . import verify  # lazy: only a claims run of `fgmod verify` loads the harness (see fgmod/__init__.py)
 
 EXIT_OK = 0
 EXIT_OUTPUT = 1

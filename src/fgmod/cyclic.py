@@ -17,9 +17,8 @@ A summand is named by its order: m >= 2 for Z/m, and 0 for a free Z summand
 factors by inserting their orders into a divisibility chain with gcd and
 lcm: no integer is factored, so moduli may have thousands of digits.
 
-The maps that a map between canonical forms induces on Hom(M, -) and
-M (x) -, `hom_postcompose` and `tensor_postcompose`, live in `maps`, which
-only the harness runs; they resolve here on first read.  Maps between
+The induced maps `hom_postcompose` and `tensor_postcompose` live in `maps`,
+which only the harness runs, and resolve here on first read.  Maps between
 arbitrary presentations, submodules and quotients by submodules live in
 `functors`, `adic` and `modules`.
 
