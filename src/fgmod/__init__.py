@@ -6,21 +6,24 @@ along an ideal with the associated reduced/coreduced membership predicates,
 generalized local (co)homology, and an exhaustive verification harness for
 the structural identities relating all of these.
 
-A one-shot query runs only `errors`, `rings`, `cyclic`, `grammar` and `cli`
-(as `__main__`: no module imports it), and `elimination` for a `coker` atom:
-its operands parse straight to canonical forms, and `cyclic` reads the answer
-off their invariant factors.  The matrix route (`linalg`, `modules`,
-`functors`, `adic`, `cohomology`) and the harness (`verify`) are loaded
-lazily: each module's source is compiled and run when one of its attributes
-is first read, the matrix route's by a library caller and the harness, which
-alone imports the induced maps (`maps`), by a claims run of `fgmod verify`.
-`verify --list-claims` reads only the claim index `claims`, and only help and
-usage errors import the parser (`usage`).  A `coker` atom and the harness
-read their Smith forms off `elimination` and leave the matrix route unrun.
-They are registered in `sys.modules` from the start, so that every way of
-importing one yields the same module object and tools that look a module up
-there by name find it.  The names this package re-exports from them, such
-as `fgmod.MatrixR` or `from fgmod import hom_module`, resolve on first use.
+A bare `import fgmod` runs only this file and `errors`.  A one-shot query
+runs only `errors`, `rings`, `cyclic`, `grammar` and `cli` (as `__main__`:
+no module imports it), and `elimination` for a `coker` atom: its operands
+parse straight to canonical forms, and `cyclic` reads the answer off their
+invariant factors.  `verify --list-claims` runs only `errors`, `cli` and the
+claim index `claims`: `cli` binds the value layer (`cyclic`, `grammar`) past
+that branch.  The matrix route (`linalg`, `modules`, `functors`, `adic`,
+`cohomology`), the harness (`verify`) and `grammar` are loaded lazily: each
+module's source is compiled and run when one of its attributes is first
+read, the matrix route's by a library caller, `grammar` by a value query,
+a claims run or the help parser (`usage`, which only help and usage errors
+import), and the harness, which alone imports the induced maps (`maps`), by
+a claims run of `fgmod verify`.  A `coker` atom and the harness read their
+Smith forms off `elimination` and leave the matrix route unrun.  They are
+registered in `sys.modules` from the start, so that every way of importing
+one yields the same module object and tools that look a module up there by
+name find it.  The names this package re-exports, such as `fgmod.ZZ`,
+`fgmod.MatrixR` or `from fgmod import hom_module`, resolve on first use.
 """
 
 import importlib as _importlib
@@ -51,8 +54,8 @@ functors = _register_lazily(__name__ + ".functors")
 adic = _register_lazily(__name__ + ".adic")
 cohomology = _register_lazily(__name__ + ".cohomology")
 verify = _register_lazily(__name__ + ".verify")
+grammar = _register_lazily(__name__ + ".grammar")
 
-from .rings import RingSpec, Ideal, ZZ, canonicalize_ideal, ideal_power, principal  # noqa: E402
 from .errors import FgmodError, NonStabilizing  # noqa: E402
 
 __version__ = "0.1.0"
@@ -61,6 +64,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: home
     for home, names in {
+        "rings": "RingSpec Ideal ZZ canonicalize_ideal ideal_power principal",
         "cyclic": "CanonicalForm",
         "linalg": "MatrixR SmithDecomposition smith_normal_form solve_linear kernel_generators",
         "modules": "Presentation ModuleMap Submodule canonical_form canonical_presentation iso_test direct_sum"

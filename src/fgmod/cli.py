@@ -11,6 +11,9 @@ and `main`'s one dispatch path are driven by these tables.  A well-formed
 command line is read off them directly; the full parser (`fgmod.usage`)
 and `argparse` are loaded only for the lines the reader declines, to print
 help or a usage error, and a claims run is `fgmod.verify.run_command`.
+`verify --list-claims` reads the claim index `fgmod.claims` alone: `main`
+binds the value layer (`cyclic` and `grammar`) only past that branch, so a
+listing compiles neither.
 Exit codes: 0 success (or all claim verdicts as expected), 1 the output
 could not be written, 2 usage error, 3 a limit is not finitely generated,
 4 unexpected claim verdict.
@@ -27,9 +30,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import cyclic
-from .errors import FgmodError, NonStabilizing
-from .grammar import GRAMMAR_HELP, GrammarError, format_canonical, parse_ideal, parse_module_expr, parse_ring
+from .errors import FgmodError, GrammarError, NonStabilizing
 from . import verify  # lazy: only a claims run of `fgmod verify` loads the harness (see fgmod/__init__.py)
 
 EXIT_OK = 0
@@ -157,14 +158,12 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _verify(args) -> int:
-    if args.list_claims:
-        from .claims import CLAIMS  # the index alone: listing runs neither the harness nor elimination
+def _list_claims(args) -> int:
+    from .claims import CLAIMS  # the index alone: listing runs neither the harness nor elimination
 
-        for cid, statement, rings, expected in CLAIMS:
-            _emit(args, {"id": cid, "statement": statement, "rings": rings, "expected": expected}, cid)
-        return EXIT_OK
-    return EXIT_OK if verify.run_command(args) else EXIT_UNEXPECTED_CLAIM
+    for cid, statement, rings, expected in CLAIMS:
+        _emit(args, {"id": cid, "statement": statement, "rings": rings, "expected": expected}, cid)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -179,10 +178,16 @@ def main(argv: list[str] | None = None) -> int:
         from .usage import build_parser
 
         args = build_parser(_VALUES, _PREDICATES, _OPTIONS, _VERIFY_OPTIONS).parse_args(argv)
+    if args.command == "verify" and args.list_claims:
+        return _list_claims(args)
+    # the value layer, bound only past the listing, which compiles neither
+    from . import cyclic
+    from .grammar import GRAMMAR_HELP, format_canonical, parse_ideal, parse_module_expr, parse_ring
+
     try:
         cmd = args.command
         if cmd == "verify":
-            return _verify(args)
+            return EXIT_OK if verify.run_command(args) else EXIT_UNEXPECTED_CLAIM
         if cmd == "check":
             function, count = _PREDICATES[args.predicate]
             exprs, takes_ideal, takes_degree = args.modules, True, False

@@ -56,3 +56,10 @@ class AnswerTooLong(FgmodError):
 
 class InvalidGrid(FgmodError):
     """A verification grid description is missing a field or out of range."""
+
+
+class GrammarError(FgmodError):
+    """Unparseable ring, ideal, or module expression.
+
+    Raised by `fgmod.grammar`, which re-exports it; it is defined here so
+    that the command line catches it without loading the grammar."""

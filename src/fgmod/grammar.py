@@ -35,7 +35,7 @@ import re
 from math import gcd
 
 from . import cyclic
-from .errors import AnswerTooLong, FgmodError
+from .errors import AnswerTooLong, GrammarError
 from .rings import Ideal, RingSpec, canonicalize_ideal
 
 __all__ = [
@@ -58,10 +58,6 @@ examples: Z/4 + Z/2^2   Z^2 + Z/6   coker[[2,4],[6,8]]
 (`Z` atoms are illegal when the ring is Z/n)"""
 
 MAX_GENERATORS = 256
-
-
-class GrammarError(FgmodError):
-    """Unparseable ring, ideal, or module expression."""
 
 
 def _modulus(digits: str) -> int:

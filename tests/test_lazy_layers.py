@@ -12,7 +12,9 @@ body has run has `__builtins__` in its dict.
 
 Each check of what has run is made in a fresh interpreter, because other
 tests load every module into this one.  Every name the package re-exports
-and every name in a module's `__all__` must resolve.
+and every name in a module's `__all__` must resolve; the ring names
+(`fgmod.RingSpec`, `fgmod.ZZ`, ...) resolve on first use too, so a bare
+`import fgmod` runs no `rings`.
 """
 
 import pytest
@@ -113,6 +115,22 @@ def test_every_import_path_gives_one_object():
         "print(all(sys.modules['fgmod.' + n] is m for n, m in registered.items()))\n"
     )
     assert out == ["True True", "True True", "True", "True"]
+
+
+def test_the_package_exports_the_ring_names_without_running_rings_on_import():
+    out = _stdout_lines(
+        "import sys\n"
+        "import fgmod\n"
+        "print('fgmod.rings' in sys.modules)\n"
+        "names = ['RingSpec', 'Ideal', 'ZZ', 'canonicalize_ideal', 'ideal_power', 'principal']\n"
+        "print(all(name in dir(fgmod) for name in names))\n"
+        "from fgmod import RingSpec, ZZ, principal\n"
+        "from fgmod import rings\n"
+        "print(RingSpec is rings.RingSpec, ZZ is rings.ZZ, principal is rings.principal, fgmod.Ideal is rings.Ideal)\n"
+        "import fgmod.errors, fgmod.grammar\n"
+        "print(fgmod.errors.GrammarError is fgmod.grammar.GrammarError, 'GrammarError' in fgmod.grammar.__all__)\n"
+    )
+    assert out == ["False", "True", "True True True True", "True True"]
 
 
 def test_an_unknown_package_attribute_raises_attribute_error():

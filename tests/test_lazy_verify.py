@@ -2,17 +2,19 @@
 run its body, a suite run never runs the body of `fgmod.adic`, nor of the
 matrix route even when a grid whitelists a `coker` module, and every way of
 importing it yields the same module object.  A value query runs only the
-value path; the harness's induced maps (`maps`) and the help parser
-(`usage`) run only in the processes that use them, and no module imports
-`fgmod.cli`, which `python -m fgmod.cli` runs as `__main__`.
+value path, and listing the claims only the claim index; the harness's
+induced maps (`maps`) and the help parser (`usage`) run only in the
+processes that use them, and no module imports `fgmod.cli`, which
+`python -m fgmod.cli` runs as `__main__`.
 
 Each check runs in a fresh interpreter, because other tests load the harness
 into this one.
 """
 
+import ast
 import json
 
-from fresh_interpreter import python
+from fresh_interpreter import ROOT, python
 
 from fgmod import verify
 
@@ -102,6 +104,26 @@ def test_traced_launcher_runs_a_one_shot_query(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "Z/4\n"
     assert (tmp_path / "op.json").exists() and (tmp_path / "op.spans").exists()
+
+
+def test_importing_the_cli_registers_every_traced_layer_unrun():
+    # the launcher looks each of its LAYERS up in sys.modules right after
+    # `import fgmod.cli`; the tuple is read off its source, not imported
+    tree = ast.parse((ROOT / "perfbench" / "launcher.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"])
+    assert "grammar" in layers and "verify" in layers
+    proc = python(
+        "-c",
+        "import sys\n"
+        "import fgmod.cli\n"
+        f"for name in {layers!r}:\n"
+        "    module = sys.modules.get('fgmod.' + name)\n"
+        "    ran = module is not None and '__builtins__' in object.__getattribute__(module, '__dict__')\n"
+        "    print(name, module is not None, ran)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{name} True False" for name in layers]
 
 
 def test_clear_caches_empties_every_table_without_loading_the_harness():
@@ -245,10 +267,14 @@ def test_a_claims_run_loads_no_source_twice(tmp_path):
     assert {"fgmod.verify", "fgmod.maps", "fgmod.elimination"} <= set(_ran(rows))
 
 
-def test_listing_the_claims_runs_neither_the_harness_nor_its_maps(tmp_path):
-    code, rows = _program(tmp_path, "verify", "--list-claims")
-    assert code == 0
-    assert {"fgmod.verify", "fgmod.maps", "fgmod.elimination"}.isdisjoint(_ran(rows))
+def test_listing_the_claims_runs_exactly_the_claim_index(tmp_path):
+    # neither the harness, its maps, elimination nor the value layer
+    # (rings, cyclic, grammar) runs
+    listing = {"fgmod": "__init__.py", "fgmod.errors": "errors.py", "fgmod.claims": "claims.py", "__main__": "cli.py"}
+    for fmt in ("text", "json-lines"):
+        code, rows = _program(tmp_path, "verify", "--list-claims", "--format", fmt)
+        assert code == 0, fmt
+        assert _ran(rows) == listing, fmt
 
 
 def test_a_usage_error_runs_the_parser_but_not_the_harness(tmp_path):

@@ -47,6 +47,21 @@ def test_run_prints_and_exits_as_python_m(argv, code):
 
 @pytest.mark.parametrize(
     "argv",
+    [["canon", "Z/0"], ["verify", "--claims", ","], ["verify", "--claims", "nope"], ["verify", "--ring", "Z/6"],
+     ["verify", "--grid", "missing.json"]],
+)
+def test_a_usage_error_prints_one_error_line_and_exits_2(argv):
+    # main catches each of these by its class, which the value layer and
+    # the harness raise from modules it loads only on use
+    proc = python("-m", "fgmod.cli", *argv)
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert [line for line in lines if line.startswith("error:")] == lines[:1], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["verify", "--list-claims"], ["canon", "--format", "json-lines", "Z/2"], ["verify", "--grid", GRID]],
 )
 def test_the_program_exits_1_quietly_when_the_reader_has_closed_the_pipe(argv):
